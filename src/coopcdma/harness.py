@@ -66,6 +66,20 @@ class ExperimentConfig:
         for name in ("lam", "lam_t"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name}: must be >= 0")
+        for name in ("chips", "paths", "mmse_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
+        if self.relays < 0:
+            raise ConfigError("relays: must be >= 0")
+        for name in ("delta", "mmse_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name}: must be finite and > 0, got {value!r}")
+        if not (np.isfinite(self.shadowing_std_db) and self.shadowing_std_db >= 0.0):
+            raise ConfigError("shadowing_std_db: must be finite and >= 0, "
+                              f"got {self.shadowing_std_db!r}")
+        if not np.all(np.isfinite(self.snr_grid)):
+            raise ConfigError(f"snr_grid: entries must be finite, got {self.snr_grid!r}")
         if self.scheme == "ncis" and self.relays != 0:
             object.__setattr__(self, "relays", 0)
 
@@ -160,8 +174,13 @@ def _isi_mats(x: np.ndarray, N: int, L: int):
 def _noise_matrix(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     if sigma2 == 0.0:
         return np.zeros(shape, dtype=complex)
+    # real and imaginary parts written in place, drawn in that order: the
+    # same values as scale * (a + 1j * b) without the complex temporaries
     scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 @dataclass
@@ -213,7 +232,7 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
         amps = equal_power_amps(dims).astype(complex)
         stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps,
                                       omega=omega)
-        W = mmse.receiver_global(stats)
+        W = mmse.receiver_global(stats, scn.sigma2)
         return W, amps
     mode = "gpc" if scheme == "jpais-gpc" else "ipc"
     res = mmse.alternate(scn.U, dims.hops, scn.sigma2, mode,

@@ -119,44 +119,90 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
         raise IllConditionedError("non-finite entries in covariance assembly")
     stats = EnsembleStatistics(R=R, P_ch=P_ch, mode=mode, hops=hops)
     if W is not None:
-        G = U.conj().T @ W  # (K*hops) x K; column k holds the link responses of w_k
-        if mode == "gpc":
-            # quadratic/linear terms of the total MSE in the stacked amplitudes
-            R_a = (G @ G.conj().T) * omega.T
-            p_a = np.zeros(cols, dtype=complex)
-            for k in range(K):
-                p_a += G[:, k] * omega[k * hops, :]
-            stats.R_a, stats.p_a = R_a, p_a
-        else:
-            for k in range(K):
-                blk = slice(k * hops, (k + 1) * hops)
-                phi = G[:, k]
-                # fixed contribution of the other users' current amplitudes
-                u_other = phi.conj() * a_vec
-                u_other[blk] = 0.0
-                d = omega[:, k * hops] - omega @ u_other.conj()
-                stats.R_a_users.append(np.outer(phi[blk], phi[blk].conj())
-                                       * omega[blk, blk].T)
-                stats.p_a_users.append(phi[blk] * d[blk].conj())
+        add_power_terms(stats, U, amps, W, omega)
     return stats
 
 
-def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def add_power_terms(stats: EnsembleStatistics, U: np.ndarray,
+                    amps: np.ndarray, W: np.ndarray,
+                    omega: np.ndarray) -> None:
+    """Fill in the W-dependent half of the statistics: R_a and p_a (gpc) or
+    the per-user R_a_users and p_a_users (ipc)."""
+    hops = stats.hops
+    cols = U.shape[1]
+    K = cols // hops
+    G = U.conj().T @ W  # (K*hops) x K; column k holds the link responses of w_k
+    if stats.mode == "gpc":
+        # quadratic/linear terms of the total MSE in the stacked amplitudes
+        R_a = (G @ G.conj().T) * omega.T
+        p_a = np.zeros(cols, dtype=complex)
+        for k in range(K):
+            p_a += G[:, k] * omega[k * hops, :]
+        stats.R_a, stats.p_a = R_a, p_a
+    else:
+        a_vec = np.asarray(amps, dtype=complex).reshape(cols)
+        for k in range(K):
+            blk = slice(k * hops, (k + 1) * hops)
+            phi = G[:, k]
+            # fixed contribution of the other users' current amplitudes
+            u_other = phi.conj() * a_vec
+            u_other[blk] = 0.0
+            d = omega[:, k * hops] - omega @ u_other.conj()
+            stats.R_a_users.append(np.outer(phi[blk], phi[blk].conj())
+                                   * omega[blk, blk].T)
+            stats.p_a_users.append(phi[blk] * d[blk].conj())
+
+
+def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
+                   floor: float = 0.0) -> np.ndarray:
+    """Solve R x = rhs for a Hermitian positive semidefinite R, or for a stack
+    of them (R of shape (B, n, n) with rhs of shape (B, n)).
+
+    floor is a lower bound on the eigenvalues of R that the caller knows from
+    how R was built (sigma^2 for a receiver covariance, lambda for a loaded
+    power covariance), 0 when none is known. For Hermitian R,
+    cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
+    cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
+    assembly of R; such a matrix goes straight to LU (np.linalg.solve). The
+    SVD (np.linalg.cond) runs only when floor is 0, when the bound does not
+    prove the limit, or when LU raises LinAlgError. A matrix whose condition
+    number is then non-finite or above the limit is solved with the
+    pseudoinverse, with one RuntimeWarning per such matrix.
+    """
     if not np.all(np.isfinite(R)) or not np.all(np.isfinite(rhs)):
         raise IllConditionedError(f"{what}: non-finite entries")
+    stacked = R.ndim > 2
+    if floor > 0.0 and np.all(np.abs(R).sum(axis=-2).max(axis=-1)
+                              <= floor * _COND_LIMIT / 2):
+        try:
+            if stacked:
+                return np.linalg.solve(R, rhs[..., None])[..., 0]
+            return np.linalg.solve(R, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if stacked:
+        return np.stack([_cond_solve(Rb, xb, what) for Rb, xb in zip(R, rhs)])
+    return _cond_solve(R, rhs, what)
+
+
+def _cond_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(R)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         # singular covariances (e.g. the noise-free limit) fall back to the
         # pseudoinverse, but never silently
         warnings.warn(f"{what}: condition number {cond:.3e}, using pseudoinverse",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
         return np.linalg.pinv(R) @ rhs
     return np.linalg.solve(R, rhs)
 
 
-def receiver_global(stats: EnsembleStatistics) -> np.ndarray:
-    """Joint MMSE filter matrix W = R^-1 P_ch."""
-    return _checked_solve(stats.R, stats.P_ch, "receiver covariance")
+def receiver_global(stats: EnsembleStatistics, floor: float = 0.0) -> np.ndarray:
+    """Joint MMSE filter matrix W = R^-1 P_ch.
+
+    floor is a lower bound on the eigenvalues of R (see _checked_solve): the
+    noise variance sigma^2 whenever omega is a covariance matrix.
+    """
+    return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
 
 
 def receiver_individual(stats: EnsembleStatistics, k: int) -> np.ndarray:
@@ -191,11 +237,14 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
     """Regularized power step restricted to real amplitude vectors.
 
     For real a the quadratic MSE terms reduce to the real parts of the
-    complex statistics, so this solve is exact on the real subspace.
+    complex statistics, so this solve is exact on the real subspace. R_a may
+    be a stack of per-user blocks (K, n, n) with p_a of shape (K, n).
+    Re(R_a) is positive semidefinite (a Hadamard product of two covariances,
+    Schur product theorem), so lam bounds the eigenvalues of the loaded matrix.
     """
-    dim = R_a.shape[0]
+    dim = R_a.shape[-1]
     return _checked_solve(np.real(R_a) + lam * np.eye(dim), np.real(p_a),
-                          "power covariance")
+                          "power covariance", lam)
 
 
 def power_global(stats: EnsembleStatistics, lam: float, P_T: float) -> np.ndarray:
@@ -205,19 +254,25 @@ def power_global(stats: EnsembleStatistics, lam: float, P_T: float) -> np.ndarra
     return nonnegative_amplitudes(a, P_T)
 
 
-def power_individual(stats: EnsembleStatistics, lam: float, P_A: float,
-                     k: int) -> np.ndarray:
-    """Regularized per-user power step, projected to nonnegative reals on the
-    P_A,k sphere."""
-    a = _real_power_solve(stats.R_a_users[k], stats.p_a_users[k], lam)
-    return nonnegative_amplitudes(a, P_A)
+def power_users(stats: EnsembleStatistics, lam: float,
+                budgets: np.ndarray) -> np.ndarray:
+    """Regularized per-user power steps, one stacked solve, each projected to
+    nonnegative reals on its user's P_A,k sphere."""
+    a = _real_power_solve(np.stack(stats.R_a_users), np.stack(stats.p_a_users),
+                          lam)
+    return np.stack([nonnegative_amplitudes(a[k], budgets[k])
+                     for k in range(len(budgets))])
 
 
 def total_mse(U: np.ndarray, hops: int, sigma2: float,
               amps: np.ndarray, W: np.ndarray,
               omega: np.ndarray | None = None) -> float:
     """Ensemble MSE  sum_k E|b_k - w_k^H r|^2  at the given filters/amplitudes."""
-    stats = build_statistics(U, hops, sigma2, amps, omega=omega)
+    return statistics_mse(build_statistics(U, hops, sigma2, amps, omega=omega), W)
+
+
+def statistics_mse(stats: EnsembleStatistics, W: np.ndarray) -> float:
+    """Ensemble MSE of the filters W under already assembled statistics."""
     cross = np.einsum("ik,ik->k", W.conj(), stats.P_ch)
     quad = np.einsum("ik,ik->k", W.conj(), stats.R @ W)
     return float(np.sum(1.0 - 2.0 * cross.real + quad.real))
@@ -245,6 +300,9 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
     budgets holds P_A,k per user; the global budget is their sum. The trace
     records the ensemble MSE after each filter step, so its first entry is the
     MSE of the equal-power (CIS) allocation under its own MMSE filters.
+    omega must be a covariance matrix (positive semidefinite), as every
+    link-symbol correlation built here is: sigma2 then bounds the eigenvalues
+    of each receiver covariance from below.
     """
     cols = U.shape[1]
     K = cols // hops
@@ -252,31 +310,33 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
     P_T = float(budgets.sum())
     amps = equal_power_amps(K, hops, budgets)
     lam = config.lam_global if mode == "gpc" else config.lam_individual
+    if omega is None:
+        omega = perfect_relay_omega(K, hops)
     trace = []
     converged = False
     it = 0
     W = None
     for it in range(1, config.max_iters + 1):
-        stats = build_statistics(U, hops, sigma2, amps, omega=omega)
-        W = receiver_global(stats)
-        trace.append(total_mse(U, hops, sigma2, amps, W, omega=omega))
+        # one assembly per iteration: the filter step, the traced MSE and the
+        # power step all read the statistics at the current amplitudes
+        stats = build_statistics(U, hops, sigma2, amps, mode=mode, omega=omega)
+        W = receiver_global(stats, sigma2)
+        trace.append(statistics_mse(stats, W))
         if hops == 1 and K == 1:
             converged = True  # power fully determined by the constraint
             break
-        stats = build_statistics(U, hops, sigma2, amps, W=W, mode=mode,
-                                 omega=omega)
+        add_power_terms(stats, U, amps, W, omega)
         if mode == "gpc":
             a_new = power_global(stats, lam, P_T).reshape(K, hops)
         else:
-            a_new = np.stack([power_individual(stats, lam, budgets[k], k)
-                              for k in range(K)])
+            a_new = power_users(stats, lam, budgets)
         delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
         amps = a_new
         if delta < config.tol:
             converged = True
             break
     stats = build_statistics(U, hops, sigma2, amps, omega=omega)
-    W = receiver_global(stats)
-    trace.append(total_mse(U, hops, sigma2, amps, W, omega=omega))
+    W = receiver_global(stats, sigma2)
+    trace.append(statistics_mse(stats, W))
     return AlternationResult(W=W, amps=amps, mse_trace=np.asarray(trace),
                              converged=converged, iterations=it)

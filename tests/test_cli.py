@@ -165,6 +165,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert "lam_t" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", [
+        "chips = 0", "paths = 0", "relays = -1", "mmse_iters = 0",
+        "mmse_tol = 0", "mmse_tol = nan", "delta = 0", "delta = -1",
+        "delta = inf", "shadowing_std_db = -3", "shadowing_std_db = nan",
+        "snr_grid = 0,nan",
+    ])
+    def test_out_of_range_field_returns_2_without_traceback(self, tiny_file,
+                                                            tmp_path, capsys,
+                                                            line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(Path(tiny_file).read_text() + line + "\n")
+        out = tmp_path / "r.csv"
+        rc = run_main(["sweep-snr", "--config", str(path), "--trials", "1",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0] in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_users_in_grid_returns_2(self, tiny_file, tmp_path, capsys):
         rc = run_main(["sweep-users", "--config", tiny_file, "--trials", "1",
                        "--users", "0,2", "--out", str(tmp_path / "u.csv")])

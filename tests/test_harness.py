@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from coopcdma.errors import ConfigError, DegenerateStateError
-from coopcdma.harness import (BerCurve, ExperimentConfig, broadcast_amps,
-                              capacity_at_target, codes_for, design_exact,
-                              draw_scenario, equal_power_amps, learning_curve,
-                              run_experiment, run_user_sweep,
+from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
+                              broadcast_amps, capacity_at_target, codes_for,
+                              design_exact, draw_scenario, equal_power_amps,
+                              learning_curve, run_experiment, run_user_sweep,
                               simulate_packet_exact, snr_db_to_sigma2,
                               trial_rngs)
 
@@ -60,6 +60,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: -0.5})
 
+    @pytest.mark.parametrize("field,value", [
+        ("chips", 0), ("paths", 0), ("relays", -1), ("mmse_iters", 0),
+        ("mmse_tol", 0.0), ("mmse_tol", -1e-6), ("mmse_tol", float("nan")),
+        ("mmse_tol", float("inf")),
+        ("delta", 0.0), ("delta", -1.0), ("delta", float("nan")),
+        ("delta", float("inf")),
+        ("shadowing_std_db", -1.0), ("shadowing_std_db", float("nan")),
+        ("shadowing_std_db", float("inf")),
+        ("snr_grid", (0.0, float("nan"))), ("snr_grid", (float("inf"),)),
+        ("snr_grid", (float("-inf"), 6.0)),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        cfg = ExperimentConfig(chips=1, paths=1, relays=0, mmse_iters=1,
+                               shadowing_std_db=0.0, snr_grid=(-10.0, 30.0))
+        assert cfg.relays == 0 and cfg.mmse_iters == 1
+
+    def test_ncis_still_rejects_negative_relays(self):
+        with pytest.raises(ConfigError, match="relays"):
+            ExperimentConfig(scheme="ncis", relays=-1)
+
 
 class TestHelpers:
     def test_snr_conversion(self):
@@ -92,6 +116,26 @@ class TestHelpers:
         cfg1 = small_cfg(trials=2)
         cfg2 = small_cfg(trials=7, snr_grid=(0.0, 6.0))
         np.testing.assert_array_equal(codes_for(cfg1, 2), codes_for(cfg2, 2))
+
+    def test_noise_matrix_bitwise_matches_complex_expression(self):
+        """In-place fill equals scale*(a + 1j*b) drawn from the same state."""
+        sigma2 = 0.37
+        scale = np.sqrt(sigma2 / 2.0)
+        shape = (54, 150)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        ref = scale * (rng_a.standard_normal(shape)
+                       + 1j * rng_a.standard_normal(shape))
+        out = _noise_matrix(shape, sigma2, rng_b)
+        assert out.dtype == np.complex128 and out.shape == shape
+        assert np.array_equal(out, ref)
+        # both generators consumed the same draws
+        assert rng_a.random() == rng_b.random()
+
+    def test_noise_matrix_noise_free_draws_nothing(self):
+        rng = np.random.default_rng(7)
+        out = _noise_matrix((3, 4), 0.0, rng)
+        assert np.array_equal(out, np.zeros((3, 4), dtype=complex))
+        assert rng.random() == np.random.default_rng(7).random()
 
 
 class TestCapacityAtTarget:

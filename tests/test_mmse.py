@@ -1,11 +1,15 @@
 """Exact ensemble statistics, constrained power steps, and alternation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from coopcdma import harness, mmse
 from coopcdma.errors import IllConditionedError
 from coopcdma.mmse import (AlternationResult, EnsembleStatistics, MmseConfig,
-                           alternate, build_statistics, equal_power_amps,
+                           _checked_solve, _real_power_solve, alternate,
+                           build_statistics, equal_power_amps,
                            nonnegative_amplitudes, perfect_relay_omega,
                            power_global, project_sphere, receiver_global,
                            receiver_individual, relay_omega, total_mse)
@@ -32,6 +36,27 @@ def make_stack(dims, rng):
 
 def random_amps(dims, rng):
     return 0.3 + rng.random((dims.K, dims.hops))
+
+
+def desk_design_inputs(snr_db, seed=1):
+    """U, sigma^2 and omega of trial 0 at the desk configuration."""
+    cfg = harness.ExperimentConfig(seed=seed)
+    dims = cfg.dims()
+    scn = harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
+                                harness.snr_db_to_sigma2(snr_db),
+                                cfg.shadowing_std_db,
+                                harness.trial_rngs(seed, 0)[0])
+    return scn.U, dims.hops, scn.sigma2, harness.scenario_omega(scn)
+
+
+def desk_power_statistics(snr_db, mode):
+    """Desk statistics at equal power, with the power terms of their filters."""
+    U, hops, sigma2, omega = desk_design_inputs(snr_db)
+    K = U.shape[1] // hops
+    amps = equal_power_amps(K, hops, np.ones(K))
+    stats = build_statistics(U, hops, sigma2, amps, omega=omega)
+    W = receiver_global(stats, sigma2)
+    return build_statistics(U, hops, sigma2, amps, W=W, mode=mode, omega=omega)
 
 
 class TestOmega:
@@ -288,6 +313,85 @@ class TestReceivers:
         stats = build_statistics(U, dims.hops, 0.2, random_amps(dims, rng))
         W = receiver_global(stats)
         np.testing.assert_allclose(stats.R @ W, stats.P_ch, atol=1e-10)
+
+
+class TestCertifiedSolve:
+    """The eigenvalue-floor shortcut returns the bits of the cond path."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_receiver_solve_matches_cond_path(self, snr_db, monkeypatch):
+        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        K = U.shape[1] // hops
+        stats = build_statistics(U, hops, sigma2,
+                                 equal_power_amps(K, hops, np.ones(K)),
+                                 omega=omega)
+        slow = _checked_solve(stats.R, stats.P_ch, "receiver covariance")
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("certified solve ran the SVD")
+
+        monkeypatch.setattr(mmse.np.linalg, "cond", no_svd)
+        fast = _checked_solve(stats.R, stats.P_ch, "receiver covariance", sigma2)
+        assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_power_solve_matches_cond_path(self, snr_db):
+        stats = desk_power_statistics(snr_db, "gpc")
+        lam = 0.025
+        Rr = np.real(stats.R_a) + lam * np.eye(stats.R_a.shape[0])
+        slow = _checked_solve(Rr, np.real(stats.p_a), "power covariance")
+        assert np.array_equal(_real_power_solve(stats.R_a, stats.p_a, lam), slow)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_stacked_ipc_solve_matches_per_block(self, snr_db):
+        stats = desk_power_statistics(snr_db, "ipc")
+        lam = 0.025
+        stacked = _real_power_solve(np.stack(stats.R_a_users),
+                                    np.stack(stats.p_a_users), lam)
+        per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
+                              in zip(stats.R_a_users, stats.p_a_users)])
+        assert np.array_equal(stacked, per_block)
+
+    def test_floor_too_small_to_certify_takes_cond_path(self, rng):
+        A = rng.standard_normal((6, 6))
+        R = A @ A.T + np.eye(6)
+        rhs = rng.standard_normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _checked_solve(R, rhs, "test", floor=1e-300)
+        assert np.array_equal(x, np.linalg.solve(R, rhs))
+
+    def test_singular_block_falls_back_alone(self):
+        """Only the singular block of a stack is solved by pseudoinverse."""
+        R = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2)), np.eye(2)])
+        rhs = np.array([[2.0, 4.0], [1.0, 1.0], [3.0, 5.0]])
+        with pytest.warns(RuntimeWarning, match="pseudoinverse") as caught:
+            x = _checked_solve(R, rhs, "stacked")
+        assert len(caught) == 1
+        assert np.array_equal(x, [[1.0, 1.0], [0.0, 0.0], [3.0, 5.0]])
+
+    def test_singular_matrix_with_floor_still_falls_back(self):
+        """A floor the matrix breaks cannot hide it: LU fails, pinv runs."""
+        with pytest.warns(RuntimeWarning, match="pseudoinverse"):
+            x = _checked_solve(np.zeros((3, 3)), np.ones(3), "singular", 1.0)
+        assert np.array_equal(x, np.zeros(3))
+
+    def test_noise_free_alternation_still_warns(self, rng):
+        dims = SystemDims(K=2, N=8, L=2, n_r=1)
+        U = make_stack(dims, rng)
+        with pytest.warns(RuntimeWarning, match="pseudoinverse"):
+            alternate(U, dims.hops, 0.0, "gpc", MmseConfig(max_iters=2),
+                      np.ones(2))
+
+    @pytest.mark.parametrize("mode", ["gpc", "ipc"])
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_trace_ends_at_total_mse_of_result(self, mode, snr_db):
+        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        K = U.shape[1] // hops
+        res = alternate(U, hops, sigma2, mode, MmseConfig(), np.ones(K),
+                        omega=omega)
+        assert res.mse_trace[-1] == total_mse(U, hops, sigma2, res.amps, res.W,
+                                              omega=omega)
 
 
 class TestConfigValidation:

@@ -6,17 +6,17 @@ algorithms with RLS channel estimation, and a seeded Monte Carlo BER harness.
 """
 
 from .errors import (ConfigError, DegenerateStateError, IllConditionedError,
-                     NumericalDivergenceError, ShapeError)
+                     NumericalDivergenceError)
 from .harness import (BerCurve, ExperimentConfig, capacity_at_target,
-                      learning_curve, run_baseline_cis, run_experiment,
-                      run_packet, run_user_sweep)
+                      learning_curve, run_experiment, run_packet,
+                      run_user_sweep)
 from .model import SystemDims
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BerCurve", "ConfigError", "DegenerateStateError", "ExperimentConfig",
-    "IllConditionedError", "NumericalDivergenceError", "ShapeError",
-    "SystemDims", "capacity_at_target", "learning_curve", "run_baseline_cis",
-    "run_experiment", "run_packet", "run_user_sweep",
+    "IllConditionedError", "NumericalDivergenceError", "SystemDims",
+    "capacity_at_target", "learning_curve", "run_experiment", "run_packet",
+    "run_user_sweep",
 ]

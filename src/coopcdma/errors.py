@@ -1,10 +1,6 @@
 """Exception types shared across the library."""
 
 
-class ShapeError(ValueError):
-    """A matrix or vector does not have the shape implied by the system dimensions."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration is missing, malformed, or inconsistent."""
 

@@ -8,7 +8,7 @@ normalization, and a joint RLS channel estimator over all users and links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,9 +17,9 @@ import numpy as np
 from . import gpc, ipc, mmse
 from .errors import (ConfigError, DegenerateStateError, IllConditionedError,
                      NumericalDivergenceError)
-from .model import (SystemDims, build_convolution_matrix, demodulate_qpsk,
-                    draw_spreading_codes, generate_multipath_channel,
-                    hard_decision, modulate_qpsk)
+from .model import (SystemDims, add_hop_frames, build_convolution_matrix,
+                    demodulate_qpsk, draw_spreading_codes,
+                    generate_multipath_channel, hard_decision, modulate_qpsk)
 from .relays import AdaptiveRelay, mmse_relay_bank, relay_statistics
 
 SCHEMES = ("ncis", "cis", "jpais-gpc", "jpais-ipc")
@@ -63,9 +63,12 @@ class ExperimentConfig:
             raise ConfigError("alpha: must be in (0, 1]")
         if self.users < 1:
             raise ConfigError("users: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for name in ("lam", "lam_t"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name}: must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
         for name in ("chips", "paths", "mmse_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
@@ -78,6 +81,8 @@ class ExperimentConfig:
         if not (np.isfinite(self.shadowing_std_db) and self.shadowing_std_db >= 0.0):
             raise ConfigError("shadowing_std_db: must be finite and >= 0, "
                               f"got {self.shadowing_std_db!r}")
+        if len(self.snr_grid) == 0:
+            raise ConfigError("snr_grid: must hold at least one SNR")
         if not np.all(np.isfinite(self.snr_grid)):
             raise ConfigError(f"snr_grid: entries must be finite, got {self.snr_grid!r}")
         if self.scheme == "ncis" and self.relays != 0:
@@ -116,6 +121,11 @@ class Scenario:
     C_all: np.ndarray  # stack x K*hops*L stacked block signatures
     h_true: np.ndarray  # stacked effective destination-facing channels
     isi_enabled: bool = True
+
+    @property
+    def spill(self) -> int:
+        """Chips a symbol spills into its neighbours' windows: L - 1 with ISI."""
+        return self.dims.L - 1 if self.isi_enabled else 0
 
 
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
@@ -161,16 +171,6 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                     h_true=h_true, isi_enabled=isi_enabled)
 
 
-def _isi_mats(x: np.ndarray, N: int, L: int):
-    """Tail/head matrices mapping adjacent symbols to their window spill-over."""
-    tails = np.zeros_like(x)
-    heads = np.zeros_like(x)
-    if L > 1:
-        tails[:L - 1] = x[N:]
-        heads[N:] = x[:L - 1]
-    return tails, heads
-
-
 def _noise_matrix(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     if sigma2 == 0.0:
         return np.zeros(shape, dtype=complex)
@@ -206,15 +206,14 @@ def broadcast_amps(dims: SystemDims, P_A: float = 1.0) -> np.ndarray:
     return np.sqrt(np.full(dims.K, P_A))
 
 
-def scenario_omega(scn: Scenario, relay_mode: str = "exact") -> np.ndarray:
+def scenario_omega(scn: Scenario) -> np.ndarray:
     """Link-symbol correlation matrix for the scenario's relay chain.
 
-    "exact" models the relays' MMSE filtering (their soft symbols carry
-    residual interference and noise); "perfect" treats relayed symbols as
-    clean copies of the source symbols.
+    Models the relays' MMSE filtering: their soft symbols carry residual
+    interference and noise.
     """
     dims = scn.dims
-    if relay_mode == "perfect" or dims.n_r == 0:
+    if dims.n_r == 0:
         return mmse.perfect_relay_omega(dims.K, dims.hops)
     a_b = broadcast_amps(dims)
     stats = [relay_statistics(scn.x_sr[j] * a_b[None, :], scn.sigma2)
@@ -222,12 +221,11 @@ def scenario_omega(scn: Scenario, relay_mode: str = "exact") -> np.ndarray:
     return mmse.relay_omega(dims.K, dims.hops, stats)
 
 
-def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
-                 relay_mode: str = "exact"):
+def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
     """Exact-statistics receiver matrix and amplitude allocation for a packet."""
     dims = scn.dims
     budgets = np.ones(dims.K)
-    omega = scenario_omega(scn, relay_mode)
+    omega = scenario_omega(scn)
     if scheme in ("ncis", "cis"):
         amps = equal_power_amps(dims).astype(complex)
         stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps,
@@ -240,62 +238,61 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     return res.W, res.amps
 
 
-def _shifted(B: np.ndarray):
-    """Previous/next symbol matrices with zeros at the packet edges."""
-    prev = np.zeros_like(B)
-    nxt = np.zeros_like(B)
-    prev[:, 1:] = B[:, :-1]
-    nxt[:, :-1] = B[:, 1:]
-    return prev, nxt
+def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
+    """Payload bits and the hops x K x (P + 2) per-hop symbol array.
+
+    Hop 0 carries the source symbols; the relay hops are filled in by the
+    caller. Column 0 and column P + 1 stay zero: the neighbours of the first
+    and last symbol.
+    """
+    dims = scn.dims
+    bits = rng_data.integers(0, 2, size=(dims.K, dims.P, 2))
+    S = np.zeros((dims.hops, dims.K, dims.P + 2), dtype=complex)
+    S[0, :, 1:-1] = modulate_qpsk(bits)
+    return bits, S
+
+
+def _relay_frames(scn: Scenario, S0: np.ndarray,
+                  rng_noise: np.random.Generator) -> list:
+    """Each relay's whole-packet observation of the source broadcast."""
+    dims = scn.dims
+    a_b = broadcast_amps(dims)[:, None]
+    frames = []
+    for X in scn.x_sr:
+        R = _noise_matrix((dims.M, dims.P), scn.sigma2, rng_noise)
+        add_hop_frames(R, X, S0, a_b, scn.spill)
+        frames.append(R)
+    return frames
+
+
+def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
+                            amps: np.ndarray) -> None:
+    """Add every hop's frames to the stacked destination windows out.
+
+    S holds the hops x K per-hop symbols of out's columns plus one neighbour
+    column on each side; amps is the K x hops amplitude matrix.
+    """
+    M = scn.dims.M
+    for j, X in enumerate((scn.x_sd, *scn.x_rd)):
+        add_hop_frames(out[j * M:(j + 1) * M], X, S[j], amps[:, j:j + 1],
+                       scn.spill)
 
 
 def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                           cfg: ExperimentConfig, rng_data: np.random.Generator,
                           rng_noise: np.random.Generator,
-                          relay_mode: str = "exact",
                           collect_per_symbol: bool = False) -> PacketResult:
-    """Vectorized packet simulation with fixed filters and amplitudes.
-
-    relay_mode "exact" runs MMSE relays; "perfect" forwards the true symbols
-    (used by oracle tests that need the idealized statistics model).
-    """
+    """Vectorized packet simulation with fixed filters and amplitudes."""
     dims = scn.dims
-    K, N, L, P, M = dims.K, dims.N, dims.L, dims.P, dims.M
-    bits = rng_data.integers(0, 2, size=(K, P, 2))
-    B = modulate_qpsk(bits)
-    Bp, Bn = _shifted(B)
-
+    K, P = dims.K, dims.P
+    bits, S = _packet_symbols(scn, rng_data)
     a_b = broadcast_amps(dims)
-    btilde = []
-    for j in range(dims.n_r):
-        noise = _noise_matrix((M, P), scn.sigma2, rng_noise)
-        if relay_mode == "perfect":
-            btilde.append(B.copy())
-            continue
-        Xs = scn.x_sr[j] * a_b[None, :]
-        frames = Xs @ B + noise
-        if scn.isi_enabled:
-            tails, heads = _isi_mats(Xs, N, L)
-            frames += tails @ Bp + heads @ Bn
-        Wr, g = mmse_relay_bank(Xs, scn.sigma2)
-        btilde.append((Wr.conj().T @ frames) * g[:, None])
+    for j, R in enumerate(_relay_frames(scn, S[0], rng_noise)):
+        Wr, g = mmse_relay_bank(scn.x_sr[j] * a_b[None, :], scn.sigma2)
+        S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
 
     frames = _noise_matrix((dims.stack, P), scn.sigma2, rng_noise)
-    X0 = scn.x_sd * amps[:, 0][None, :]
-    frames[0:M] += X0 @ B
-    if scn.isi_enabled:
-        tails, heads = _isi_mats(X0, N, L)
-        frames[0:M] += tails @ Bp + heads @ Bn
-    for j in range(dims.n_r):
-        Xj = scn.x_rd[j] * amps[:, j + 1][None, :]
-        Bj = btilde[j]
-        blk = slice((j + 1) * M, (j + 2) * M)
-        frames[blk] += Xj @ Bj
-        if scn.isi_enabled:
-            tails, heads = _isi_mats(Xj, N, L)
-            Bjp, Bjn = _shifted(Bj)
-            frames[blk] += tails @ Bjp + heads @ Bjn
-
+    _add_destination_frames(frames, scn, S, amps)
     soft = W.conj().T @ frames
     bits_hat = demodulate_qpsk(soft)
     err_symbol = (bits_hat != bits).sum(axis=(0, 2))
@@ -303,6 +300,16 @@ def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
     return PacketResult(bit_errors=int(err_symbol[payload].sum()),
                         payload_bits=2 * (P - cfg.training_len) * K,
                         per_symbol_errors=err_symbol if collect_per_symbol else None)
+
+
+@dataclass
+class _UserBlock:
+    """Channel and power recursions of a contiguous span of users."""
+
+    users: slice
+    C: np.ndarray  # the span's columns of the stacked block signatures
+    channel: gpc.ChannelRlsState
+    power: gpc.PowerRlsState | None  # None: one link, pinned by its budget
 
 
 def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
@@ -313,20 +320,22 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                              collect_per_symbol: bool = False) -> PacketResult:
     """Sequential packet simulation with RLS receivers, power, and channels.
 
-    Per symbol the update order is channel -> receiver -> power; relays run one
-    symbol ahead of the destination so the adjacent-symbol spill-over of the
-    relayed links is available when the destination frame is assembled.
-    Transmit amplitudes follow the destination's latest power estimate.
+    The relays never see destination feedback, so each relay's RLS filter
+    first runs over its whole-packet observation. The destination then steps
+    per symbol: channel -> receiver -> power, the channel and power recursions
+    running over blocks of users. jpais-gpc is one block of all users under
+    the total budget K; jpais-ipc is one block per user under its own budget
+    1; ncis and cis have no blocks. Transmit amplitudes follow the latest
+    power estimates.
     """
     dims = scn.dims
-    K, N, L, P, M = dims.K, dims.N, dims.L, dims.P, dims.M
-    hops, stack, n_r = dims.hops, dims.stack, dims.n_r
+    K, L, P, M = dims.K, dims.L, dims.P, dims.M
+    hops, stack = dims.hops, dims.stack
     T = cfg.training_len
-    isi_on = scn.isi_enabled
 
-    bits = rng_data.integers(0, 2, size=(K, P, 2))
-    B = modulate_qpsk(bits)
-    noise_rel = [_noise_matrix((M, P), scn.sigma2, rng_noise) for _ in range(n_r)]
+    bits, S = _packet_symbols(scn, rng_data)
+    B = S[0, :, 1:-1]
+    relay_obs = _relay_frames(scn, S[0], rng_noise)
     noise_dest = _noise_matrix((stack, P), scn.sigma2, rng_noise)
 
     # common initialization draws, identical across schemes for stream parity
@@ -341,124 +350,74 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
         W0[:, k] = col / nrm if nrm > 0 else col
     rx = gpc.init_receiver(stack, K, cfg.alpha, cfg.delta, W0)
 
-    joint_power = joint_channel = None
-    user_power = user_channel = None
-    C_users = None
+    # IPC blocks call gpc's recursions through ipc's names, which the
+    # benchmark's tracer times apart from the joint ones
     if scheme == "jpais-gpc":
-        joint_power = gpc.init_power(amps.reshape(-1), float(K), cfg.alpha,
-                                     cfg.delta, lam=cfg.lam_t, start=T)
-        joint_channel = gpc.init_channel(K * hops * L, cfg.alpha, cfg.delta, h0)
+        spans, lam = [(0, K)], cfg.lam_t
+        channel_step, waveforms, power_step = (
+            gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update)
     elif scheme == "jpais-ipc":
-        if hops > 1:
-            user_power = [ipc.init_user_power(amps[k], 1.0, cfg.alpha,
-                                              cfg.delta, lam=cfg.lam,
-                                              start=T)
-                          for k in range(K)]
-        user_channel = [ipc.init_user_channel(hops, L, cfg.alpha, cfg.delta,
-                                              h0[k * hops * L:(k + 1) * hops * L])
-                        for k in range(K)]
-        C_users = [np.kron(np.eye(hops), scn.conv[k]) for k in range(K)]
-
-    relays = [AdaptiveRelay(M, K, cfg.alpha, cfg.delta) for _ in range(n_r)]
-    btilde = np.zeros((n_r, K, P), dtype=complex)
-
-    tails_sd, heads_sd = _isi_mats(scn.x_sd, N, L)
-    tails_sr = [_isi_mats(x, N, L) for x in scn.x_sr]
-    tails_rd = [_isi_mats(x, N, L) for x in scn.x_rd]
-
-    def col(Bm, t):
-        if 0 <= t < P:
-            return Bm[:, t]
-        return np.zeros(Bm.shape[0], dtype=complex)
-
-    a_b = broadcast_amps(dims)
-
-    def relay_step(i):
-        for j in range(n_r):
-            r = scn.x_sr[j] @ (B[:, i] * a_b) + noise_rel[j][:, i]
-            if isi_on:
-                tl, hd = tails_sr[j]
-                r = r + tl @ (col(B, i - 1) * a_b) + hd @ (col(B, i + 1) * a_b)
-            btilde[j, :, i] = relays[j].step(r, B[:, i] if i < T else None)
-
-    def bt_col(j, t):
-        if 0 <= t < P:
-            return btilde[j, :, t]
-        return np.zeros(K, dtype=complex)
-
-    def dest_frame(t):
-        r = noise_dest[:, t].copy()
-        a0 = amps[:, 0]
-        r[0:M] += scn.x_sd @ (B[:, t] * a0)
-        if isi_on:
-            r[0:M] += tails_sd @ (col(B, t - 1) * a0) + heads_sd @ (col(B, t + 1) * a0)
-        for j in range(n_r):
-            aj = amps[:, j + 1]
-            blk = slice((j + 1) * M, (j + 2) * M)
-            r[blk] += scn.x_rd[j] @ (bt_col(j, t) * aj)
-            if isi_on:
-                tl, hd = tails_rd[j]
-                r[blk] += tl @ (bt_col(j, t - 1) * aj) + hd @ (bt_col(j, t + 1) * aj)
-        return r
+        spans, lam = [(k, k + 1) for k in range(K)], cfg.lam
+        channel_step, waveforms, power_step = (
+            ipc.user_channel_update, ipc.user_waveforms_from_channel,
+            ipc.user_power_update)
+    else:
+        spans = []
+    blocks = []
+    for k0, k1 in spans:
+        links = slice(k0 * hops * L, k1 * hops * L)
+        power = None
+        if (k1 - k0) * hops > 1:
+            power = gpc.init_power(amps[k0:k1].reshape(-1), float(k1 - k0),
+                                   cfg.alpha, cfg.delta, lam=lam, start=T)
+        channel = gpc.init_channel((k1 - k0) * hops * L, cfg.alpha, cfg.delta,
+                                   h0[links])
+        blocks.append(_UserBlock(slice(k0, k1), scn.C_all[:, links], channel,
+                                 power))
 
     err_symbol = np.zeros(P, dtype=int)
     a_sq_norms = [] if "a_norm" in collect else None
     ch_errs = [] if "channel_error" in collect else None
     diverged = False
     try:
-        for i in range(P + 1):
-            if i < P and n_r > 0:
-                relay_step(i)
-            t = i - 1
-            if t < 0:
-                continue
-            r = dest_frame(t)
+        for j, R in enumerate(relay_obs):
+            relay = AdaptiveRelay(M, K, cfg.alpha, cfg.delta)
+            for i in range(P):
+                S[j + 1, :, i + 1] = relay.step(R[:, i], B[:, i] if i < T else None)
+
+        for t in range(P):
+            r = noise_dest[:, t:t + 1].copy()
+            _add_destination_frames(r, scn, S[:, :, t:t + 3], amps)
+            r = r[:, 0]
             soft = rx.W.conj().T @ r
             decisions = hard_decision(soft)
             ref = B[:, t] if t < T else decisions
             err_symbol[t] = int((demodulate_qpsk(soft) != bits[:, t]).sum())
 
-            # per-link symbol matrix (K x hops): direct hop carries the
-            # training/decision symbol, relay hops carry the soft symbols the
+            # per-link symbols (K x hops): the direct hop carries the
+            # training/decision symbol, the relay hops the soft symbols the
             # relays actually forwarded
-            link_syms = np.empty((K, hops), dtype=complex)
+            link_syms = S[:, :, t + 1].T.copy()
             link_syms[:, 0] = ref
-            for j in range(n_r):
-                link_syms[:, j + 1] = btilde[j, :, t]
 
-            if scheme == "jpais-gpc":
-                gpc.channel_update(joint_channel, r, scn.C_all,
-                                   link_syms.reshape(-1), joint_power.a, L)
-                gpc.receiver_update(rx, r, ref)
-                U_hat = gpc.waveforms_from_channel(scn.conv, joint_channel.h, hops)
-                gpc.power_update(joint_power, rx.W, U_hat,
-                                 link_syms.reshape(-1), ref)
-                amps = joint_power.a.reshape(K, hops)
+            for blk in blocks:
+                channel_step(blk.channel, r, blk.C,
+                             link_syms[blk.users].reshape(-1),
+                             amps[blk.users].reshape(-1), L)
+            gpc.receiver_update(rx, r, ref)
+            for blk in blocks:
+                if blk.power is None:
+                    continue
+                U_hat = waveforms(scn.conv[blk.users], blk.channel.h, hops)
+                a = power_step(blk.power, rx.W[:, blk.users], U_hat,
+                               link_syms[blk.users].reshape(-1), ref[blk.users])
+                amps[blk.users] = a.reshape(-1, hops)
                 if a_sq_norms is not None:
-                    a_sq_norms.append(float(np.linalg.norm(joint_power.a) ** 2))
-                if ch_errs is not None:
-                    ch_errs.append(float(np.linalg.norm(joint_channel.h - scn.h_true)
-                                         / np.linalg.norm(scn.h_true)))
-            elif scheme == "jpais-ipc":
-                for k in range(K):
-                    ipc.user_channel_update(user_channel[k], r, C_users[k],
-                                            link_syms[k], amps[k], L)
-                gpc.receiver_update(rx, r, ref)
-                if user_power is not None:
-                    for k in range(K):
-                        U_hat_k = ipc.user_waveforms_from_channel(
-                            scn.conv[k], user_channel[k].h, hops)
-                        amps[k] = ipc.user_power_update(
-                            user_power[k], rx.W[:, k], U_hat_k,
-                            link_syms[k], ref[k])
-                        if a_sq_norms is not None:
-                            a_sq_norms.append(float(np.linalg.norm(amps[k]) ** 2))
-                if ch_errs is not None:
-                    h_cat = np.concatenate([st.h for st in user_channel])
-                    ch_errs.append(float(np.linalg.norm(h_cat - scn.h_true)
-                                         / np.linalg.norm(scn.h_true)))
-            else:
-                gpc.receiver_update(rx, r, ref)
+                    a_sq_norms.append(float(np.linalg.norm(a) ** 2))
+            if ch_errs is not None and blocks:
+                h_cat = np.concatenate([blk.channel.h for blk in blocks])
+                ch_errs.append(float(np.linalg.norm(h_cat - scn.h_true)
+                                     / np.linalg.norm(scn.h_true)))
     except (NumericalDivergenceError, DegenerateStateError):
         diverged = True
 
@@ -590,11 +549,6 @@ def learning_curve(cfg: ExperimentConfig, snr_db: float | None = None) -> BerCur
     return BerCurve(x_name="symbol", rows=rows, scheme=cfg.scheme,
                     variant=cfg.variant, metadata=dataclasses.asdict(cfg),
                     divergences=div)
-
-
-def run_baseline_cis(cfg: ExperimentConfig) -> BerCurve:
-    """The equal-power cooperative baseline under the same pipeline."""
-    return run_experiment(dataclasses.replace(cfg, scheme="cis"))
 
 
 def capacity_at_target(curves, target_ber: float):

@@ -1,100 +1,11 @@
 """Adaptive joint estimation under individual (per-user) power constraints.
 
-The receive filters share one inverse-correlation matrix because every user's
-regressor is the common stacked observation; the power and channel recursions
-are strictly user-local, reading only user-k state plus the shared
-observation, which keeps the structure distributed-friendly.
+JPAIS-IPC runs the JPAIS-GPC recursions on one block per user, each under
+its own budget. The names below are the per-user block's entry points.
 """
 
-from __future__ import annotations
+from .gpc import channel_update, power_update, waveforms_from_channel
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import gpc
-from .gpc import ChannelRlsState, channel_update, init_channel
-from .rlscore import check_finite, correlation_gain, resym
-
-
-def shared_gain(Phi: np.ndarray, r: np.ndarray, alpha: float):
-    """Per-symbol gain/update of the shared inverse-correlation matrix."""
-    return correlation_gain(Phi, r, alpha)
-
-
-def user_filter_update(w: np.ndarray, gain: np.ndarray, r: np.ndarray,
-                       b: complex):
-    """User-k filter step given the shared gain; returns (w, scalar xi)."""
-    xi = b - np.vdot(w, r)
-    w = w + gain * np.conj(xi)
-    check_finite(w, "user receive filter")
-    return w, xi
-
-
-@dataclass
-class UserPowerState:
-    """Per-user analog of the stacked power LS state (see gpc.PowerRlsState)."""
-
-    Phi_a: np.ndarray
-    a_ls: np.ndarray  # internal unconstrained LS estimate
-    a: np.ndarray  # emitted hops amplitudes for this user
-    P_A: float
-    alpha: float
-    lam: float
-    start: int
-    t: int = 0
-
-
-def init_user_power(a0: np.ndarray, P_A: float, alpha: float, delta: float,
-                    lam: float = 0.0, start: int = 0) -> UserPowerState:
-    dim = a0.size
-    return UserPowerState(Phi_a=np.eye(dim, dtype=complex) / delta,
-                          a_ls=a0.astype(complex).copy(),
-                          a=a0.astype(complex).copy(), P_A=P_A, alpha=alpha,
-                          lam=lam, start=start)
-
-
-def user_power_update(state: UserPowerState, w: np.ndarray, U_hat_k: np.ndarray,
-                      hop_symbols: np.ndarray, b: complex) -> np.ndarray:
-    """Per-user constrained power step with sphere projection on emission.
-
-    U_hat_k holds the user's estimated per-hop waveforms (stack x hops); the
-    regressor is v = s_k * conj(U_hat_k^H w), so a^H v is the user's own
-    signal contribution to the filter output w^H r.
-    """
-    v = hop_symbols * np.conj(U_hat_k.conj().T @ w)
-    Phi = state.Phi_a / state.alpha
-    Phi, a_ls = gpc._rank_one(Phi, state.a_ls, v, b)
-    dim = a_ls.size
-    if state.lam > 0.0:
-        e = np.zeros(dim, dtype=complex)
-        e[state.t % dim] = np.sqrt(gpc._loading_weight(state.lam, state.alpha,
-                                                       dim))
-        Phi, a_ls = gpc._rank_one(Phi, a_ls, e, 0.0)
-    state.t += 1
-    state.a_ls = a_ls
-    state.Phi_a = resym(Phi)
-    check_finite(state.Phi_a, "per-user power inverse-correlation matrix")
-    return gpc._emit_amplitudes(state, state.P_A)
-
-
-def init_user_channel(hops: int, L: int, alpha: float, delta: float,
-                      h0: np.ndarray | None = None) -> ChannelRlsState:
-    return init_channel(hops * L, alpha, delta, h0)
-
-
-def user_channel_update(state: ChannelRlsState, r: np.ndarray, C_k: np.ndarray,
-                        hop_symbols: np.ndarray, hop_amps: np.ndarray,
-                        L: int) -> np.ndarray:
-    """Per-user channel step with regressor V_k = C_k * diag(s_k * a_k per tap)."""
-    return channel_update(state, r, C_k, hop_symbols, hop_amps, L)
-
-
-def user_waveforms_from_channel(D: np.ndarray, h: np.ndarray,
-                                hops: int) -> np.ndarray:
-    """Rebuild one user's stack x hops waveform matrix from its h estimate."""
-    M, L = D.shape
-    U = np.zeros((hops * M, hops), dtype=complex)
-    for j in range(hops):
-        U[j * M:(j + 1) * M, j] = D @ h[j * L:(j + 1) * L]
-    return U
+user_channel_update = channel_update
+user_power_update = power_update
+user_waveforms_from_channel = waveforms_from_channel

@@ -205,11 +205,6 @@ def receiver_global(stats: EnsembleStatistics, floor: float = 0.0) -> np.ndarray
     return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
 
 
-def receiver_individual(stats: EnsembleStatistics, k: int) -> np.ndarray:
-    """Per-user MMSE filter w_k = R^-1 p_ch,k."""
-    return _checked_solve(stats.R, stats.P_ch[:, k], "receiver covariance")
-
-
 def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
     """Rescale so the squared norm equals the power budget."""
     nrm = np.linalg.norm(a)

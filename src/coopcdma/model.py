@@ -1,18 +1,16 @@
 """Signal model for a multi-relay amplify-and-forward DS-CDMA uplink.
 
-Builds the deterministic algebra of the chip-synchronous model (convolution
-matrices, block signatures, channel matrices) and the stochastic pieces
-(multipath channels, QPSK symbols, ISI, noise) that make up the stacked
-received vector observed at the destination in one symbol interval.
+Holds the pieces of the chip-synchronous model r = sum_k C_k H_k B_k a_k +
+eta + n: spreading codes, convolution matrices, multipath channels, QPSK
+symbols, and the one frame synthesizer that turns a hop's chip waveforms,
+symbols and amplitudes into observation windows with their ISI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ShapeError
 
 QPSK_SCALE = 1.0 / np.sqrt(2.0)
 
@@ -70,27 +68,10 @@ def build_convolution_matrix(code: np.ndarray, L: int) -> np.ndarray:
     return D
 
 
-def build_block_signature(D: np.ndarray, n_r: int) -> np.ndarray:
-    """Block-diagonal replication of a convolution matrix, one block per hop."""
-    if n_r < 0:
-        raise ValueError("n_r must be >= 0")
-    return np.kron(np.eye(n_r + 1), D)
-
-
 def generate_multipath_channel(L: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm L-tap channel with i.i.d. circular complex Gaussian taps."""
     h = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
     return h / np.linalg.norm(h)
-
-
-def channel_matrix(h_hops: np.ndarray) -> np.ndarray:
-    """(hops*L) x hops matrix with the hop-j channel in rows j*L..(j+1)*L-1."""
-    h_hops = np.atleast_2d(np.asarray(h_hops))
-    hops, L = h_hops.shape
-    H = np.zeros((hops * L, hops), dtype=complex)
-    for j in range(hops):
-        H[j * L:(j + 1) * L, j] = h_hops[j]
-    return H
 
 
 def modulate_qpsk(bits: np.ndarray) -> np.ndarray:
@@ -114,98 +95,19 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
     return (re + 1j * im) * QPSK_SCALE
 
 
-@dataclass
-class ReceivedFrame:
-    """Stacked observation for one symbol interval, with separable components."""
+def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
+                   a: np.ndarray, spill: int) -> None:
+    """Add one hop's chip frames X (S a) and their ISI spill-over to out.
 
-    total: np.ndarray
-    signal_part: np.ndarray
-    isi_part: np.ndarray
-    noise_part: np.ndarray
-    sigma2: float
-
-
-def effective_waveforms(D: np.ndarray, h_hops: np.ndarray) -> np.ndarray:
-    """M x hops chip waveforms D @ h_j, one column per destination-facing hop."""
-    return D @ np.atleast_2d(np.asarray(h_hops)).T
-
-
-def generate_isi(prev_symbols, next_symbols, channels, signatures, amps) -> np.ndarray:
-    """Multipath spill-over of the adjacent symbols into the current window.
-
-    Per user and hop, the previous symbol's chip waveform contributes its last
-    L-1 chips at the head of the window and the next symbol its first L-1
-    chips at the tail, scaled by the same amplitudes and channels as the main
-    term. Inputs are per-user sequences; adjacent symbols are zero at packet
-    edges.
+    X holds the hop's M x K chip waveforms (one column per user), S the K x
+    (cols + 2) hop symbols with one neighbour column on each side (zero at the
+    packet edges) and a the K x 1 amplitudes; out is the M x cols block of
+    observation windows. A symbol's last `spill` = L - 1 chips fall into the
+    head of the next window and its first `spill` chips into the tail of the
+    previous one; spill = 0 leaves the windows free of ISI.
     """
-    K = len(signatures)
-    C0 = np.asarray(signatures[0])
-    stack = C0.shape[0]
-    hops = np.asarray(channels[0]).shape[1]
-    L = np.asarray(channels[0]).shape[0] // hops
-    M = stack // hops
-    N = M - L + 1
-    eta = np.zeros(stack, dtype=complex)
-    if L == 1:
-        return eta
-    for k in range(K):
-        X = np.asarray(signatures[k]) @ np.asarray(channels[k])
-        a = np.asarray(amps[k])
-        prev = np.asarray(prev_symbols[k])
-        nxt = np.asarray(next_symbols[k])
-        for j in range(hops):
-            x = X[j * M:(j + 1) * M, j]
-            blk = eta[j * M:(j + 1) * M]
-            blk[:L - 1] += a[j] * prev[j] * x[N:]
-            blk[N:] += a[j] * nxt[j] * x[:L - 1]
-    return eta
-
-
-def draw_noise(stack: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian noise with total variance sigma2 per entry."""
-    if sigma2 == 0.0:
-        return np.zeros(stack, dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(stack) + 1j * rng.standard_normal(stack))
-
-
-def assemble_received_frame(dims: SystemDims, signatures, channels, symbols, amps,
-                            isi=None, sigma2: float = 0.0,
-                            rng: np.random.Generator | None = None) -> ReceivedFrame:
-    """Stacked received vector r = sum_k C_k H_k B_k a_k + eta + n.
-
-    signatures: per-user block signatures C_k, channels: per-user channel
-    matrices H_k, symbols: per-user length-hops symbol vectors (direct symbol
-    first, then the relayed symbols), amps: per-user length-hops amplitudes.
-    """
-    hops, stack = dims.hops, dims.stack
-    signal = np.zeros(stack, dtype=complex)
-    for k in range(dims.K):
-        C = np.asarray(signatures[k])
-        H = np.asarray(channels[k])
-        s = np.asarray(symbols[k])
-        a = np.asarray(amps[k])
-        if C.shape != (stack, hops * dims.L):
-            raise ShapeError(f"user {k}: block signature shape {C.shape}, "
-                             f"expected {(stack, hops * dims.L)}")
-        if H.shape != (hops * dims.L, hops):
-            raise ShapeError(f"user {k}: channel matrix shape {H.shape}, "
-                             f"expected {(hops * dims.L, hops)}")
-        if s.shape != (hops,):
-            raise ShapeError(f"user {k}: symbol vector shape {s.shape}, expected ({hops},)")
-        if a.shape != (hops,):
-            raise ShapeError(f"user {k}: amplitude vector shape {a.shape}, expected ({hops},)")
-        signal += C @ (H @ (s * a))
-    if isi is None:
-        isi = np.zeros(stack, dtype=complex)
-    else:
-        isi = np.asarray(isi, dtype=complex)
-        if isi.shape != (stack,):
-            raise ShapeError(f"isi vector shape {isi.shape}, expected ({stack},)")
-    if sigma2 > 0.0 and rng is not None:
-        noise = draw_noise(stack, sigma2, rng)
-    else:
-        noise = np.zeros(stack, dtype=complex)
-    return ReceivedFrame(total=signal + isi + noise, signal_part=signal,
-                         isi_part=isi, noise_part=noise, sigma2=sigma2)
+    out += X @ (S[:, 1:-1] * a)
+    if spill:
+        N = X.shape[0] - spill
+        out[:spill] += X[N:] @ (S[:, :-2] * a)
+        out[N:] += X[:spill] @ (S[:, 2:] * a)

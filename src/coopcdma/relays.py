@@ -8,8 +8,6 @@ per-link transmit power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateStateError
@@ -17,28 +15,6 @@ from .model import hard_decision
 from .rlscore import correlation_gain
 
 _POWER_FLOOR = 1e-30
-
-
-@dataclass(frozen=True)
-class RelaySchedule:
-    """Transmission slots for one symbol interval under repetitive relaying."""
-
-    symbol_index: int
-    direct_slot: int
-    relay_slots: tuple
-
-    def __post_init__(self):
-        slots = (self.direct_slot,) + self.relay_slots
-        if any(b <= a for a, b in zip(slots, slots[1:])):
-            raise ValueError(f"slots must be strictly increasing, got {slots}")
-
-
-def schedule(i: int, n_r: int) -> RelaySchedule:
-    """Slot indices n = n_r*i + 1 (direct) and m_j = n_r*i + j + 1 (relay j)."""
-    if i < 0:
-        raise ValueError("symbol index must be >= 0")
-    return RelaySchedule(symbol_index=i, direct_slot=n_r * i + 1,
-                         relay_slots=tuple(n_r * i + j + 1 for j in range(1, n_r + 1)))
 
 
 def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
@@ -73,13 +49,6 @@ def relay_statistics(x_scaled: np.ndarray, sigma2: float):
     G = gains[:, None] * (W.conj().T @ x_scaled)
     S = sigma2 * (gains[:, None] * (W.conj().T @ W) * gains[None, :])
     return G, S
-
-
-def relay_forward(r: np.ndarray, w: np.ndarray, gain: float) -> complex:
-    """Forwarded soft symbol g * w^H r for one user at one relay."""
-    if np.linalg.norm(w) == 0.0:
-        raise DegenerateStateError("degenerate relay filter (zero norm)")
-    return gain * np.vdot(w, r)
 
 
 class AdaptiveRelay:

@@ -36,22 +36,20 @@ def _check_qpsk():
 
 def _check_superposition():
     rng = np.random.default_rng(11)
-    dims = model.SystemDims(K=2, N=8, L=2, n_r=1)
-    codes = model.draw_spreading_codes(2, 8, rng)
-    sigs, chans, syms, amps = [], [], [], []
-    for k in range(2):
-        D = model.build_convolution_matrix(codes[k], dims.L)
-        sigs.append(model.build_block_signature(D, dims.n_r))
-        chans.append(model.channel_matrix(
-            [model.generate_multipath_channel(dims.L, rng) for _ in range(dims.hops)]))
-        syms.append(model.modulate_qpsk(rng.integers(0, 2, (dims.hops, 2))))
-        amps.append(np.array([0.8, 0.6]))
-    both = model.assemble_received_frame(dims, sigs, chans, syms, amps)
-    dims1 = model.SystemDims(K=1, N=8, L=2, n_r=1)
-    single = [model.assemble_received_frame(dims1, [sigs[k]], [chans[k]], [syms[k]],
-                                            [amps[k]])
-              for k in range(2)]
-    ok = np.allclose(both.total, single[0].total + single[1].total, atol=1e-12)
+    N, L, K, cols = 8, 2, 2, 5
+    codes = model.draw_spreading_codes(K, N, rng)
+    X = np.stack([model.build_convolution_matrix(codes[k], L)
+                  @ model.generate_multipath_channel(L, rng) for k in range(K)],
+                 axis=1)
+    S = np.zeros((K, cols + 2), dtype=complex)
+    S[:, 1:-1] = model.modulate_qpsk(rng.integers(0, 2, (K, cols, 2)))
+    a = np.array([[0.8], [0.6]])
+    both = np.zeros((N + L - 1, cols), dtype=complex)
+    model.add_hop_frames(both, X, S, a, L - 1)
+    single = np.zeros_like(both)
+    for k in range(K):
+        model.add_hop_frames(single, X[:, k:k + 1], S[k:k + 1], a[k:k + 1], L - 1)
+    ok = np.allclose(both, single, atol=1e-12)
     return ok, "frame is additive in users"
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from coopcdma.model import (SystemDims, build_block_signature,
-                            build_convolution_matrix, channel_matrix,
+from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel)
 
 
@@ -14,13 +13,17 @@ def rng():
 
 
 def make_link_pieces(dims: SystemDims, rng: np.random.Generator):
-    """Codes, block signatures, and channel matrices for one scenario."""
+    """Codes, per-link channels, and per-hop chip waveforms for one scenario.
+
+    Returns codes (K x N), channels h (K x hops x L, unit norm) and the
+    per-hop chip waveforms X (hops x M x K) with X[j][:, k] = D_k h[k, j].
+    """
     codes = draw_spreading_codes(dims.K, dims.N, rng)
-    sigs, chans = [], []
+    h = np.zeros((dims.K, dims.hops, dims.L), dtype=complex)
+    X = np.zeros((dims.hops, dims.M, dims.K), dtype=complex)
     for k in range(dims.K):
         D = build_convolution_matrix(codes[k], dims.L)
-        sigs.append(build_block_signature(D, dims.n_r))
-        h_hops = np.stack([generate_multipath_channel(dims.L, rng)
-                           for _ in range(dims.hops)])
-        chans.append(channel_matrix(h_hops))
-    return codes, sigs, chans
+        for j in range(dims.hops):
+            h[k, j] = generate_multipath_channel(dims.L, rng)
+            X[j][:, k] = D @ h[k, j]
+    return codes, h, X

@@ -169,7 +169,7 @@ class TestMain:
         "chips = 0", "paths = 0", "relays = -1", "mmse_iters = 0",
         "mmse_tol = 0", "mmse_tol = nan", "delta = 0", "delta = -1",
         "delta = inf", "shadowing_std_db = -3", "shadowing_std_db = nan",
-        "snr_grid = 0,nan",
+        "snr_grid = 0,nan", "snr_grid = ", "seed = -1",
     ])
     def test_out_of_range_field_returns_2_without_traceback(self, tiny_file,
                                                             tmp_path, capsys,
@@ -182,6 +182,15 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert line.split(" = ")[0] in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_returns_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = run_main(["sweep-snr", "--seed", "-1", "--snr", "9", "--variant",
+                       "exact", "--scheme", "cis", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_users_in_grid_returns_2(self, tiny_file, tmp_path, capsys):

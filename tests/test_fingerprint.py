@@ -23,6 +23,14 @@ EXACT_6DB = {
 # scheme -> bit errors of seed 1 at 9 dB, adaptive recursions
 ADAPTIVE_9DB = {"jpais-gpc": 66, "jpais-ipc": 143}
 
+# (seed, scheme) -> bit errors at 9 dB, adaptive: the relay-only schemes and
+# the other seeds of the power-allocating ones
+ADAPTIVE_9DB_MORE = {
+    (1, "ncis"): 354, (1, "cis"): 136,
+    (2, "jpais-gpc"): 64, (3, "jpais-gpc"): 72,
+    (2, "jpais-ipc"): 125, (3, "jpais-ipc"): 246,
+}
+
 
 def packet_bit_errors(scheme, variant, seed, snr_db):
     cfg = harness.ExperimentConfig(scheme=scheme, variant=variant, seed=seed,
@@ -48,3 +56,9 @@ def test_exact_packets(scheme):
 @pytest.mark.parametrize("scheme", sorted(ADAPTIVE_9DB))
 def test_adaptive_packet(scheme):
     assert packet_bit_errors(scheme, "adaptive", 1, 9.0) == ADAPTIVE_9DB[scheme]
+
+
+@pytest.mark.parametrize("seed,scheme", sorted(ADAPTIVE_9DB_MORE))
+def test_more_adaptive_packets(seed, scheme):
+    assert (packet_bit_errors(scheme, "adaptive", seed, 9.0)
+            == ADAPTIVE_9DB_MORE[seed, scheme])

@@ -69,7 +69,8 @@ class TestConfig:
         ("shadowing_std_db", -1.0), ("shadowing_std_db", float("nan")),
         ("shadowing_std_db", float("inf")),
         ("snr_grid", (0.0, float("nan"))), ("snr_grid", (float("inf"),)),
-        ("snr_grid", (float("-inf"), 6.0)),
+        ("snr_grid", (float("-inf"), 6.0)), ("snr_grid", ()), ("seed", -1),
+        ("lam", float("inf")), ("lam_t", float("nan")),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -1,4 +1,4 @@
-"""Signal-model algebra: convolution matrices, frames, ISI, noise, QPSK."""
+"""Signal model: convolution matrices, the frame synthesizer, ISI, noise, QPSK."""
 
 import itertools
 
@@ -6,13 +6,33 @@ import numpy as np
 import pytest
 
 from conftest import make_link_pieces
-from coopcdma.errors import ShapeError
-from coopcdma.model import (SystemDims, assemble_received_frame,
-                            build_block_signature, build_convolution_matrix,
-                            channel_matrix, demodulate_qpsk,
-                            draw_spreading_codes, effective_waveforms,
-                            generate_isi, generate_multipath_channel,
+from coopcdma.harness import (_add_destination_frames, _noise_matrix,
+                              draw_scenario)
+from coopcdma.model import (SystemDims, add_hop_frames,
+                            build_convolution_matrix, demodulate_qpsk,
+                            draw_spreading_codes, generate_multipath_channel,
                             hard_decision, modulate_qpsk)
+
+
+def scenario(dims, rng, isi=True):
+    """A noise-free, shadowed scenario drawn by the harness."""
+    codes = draw_spreading_codes(dims.K, dims.N, rng)
+    return draw_scenario(dims, codes, 0.0, 3.0, rng, isi_enabled=isi)
+
+
+def hop_symbols(dims, cols, rng):
+    """hops x K x (cols + 2) QPSK symbols, zero neighbours at the edges."""
+    S = np.zeros((dims.hops, dims.K, cols + 2), dtype=complex)
+    S[:, :, 1:-1] = modulate_qpsk(rng.integers(0, 2, size=(dims.hops, dims.K,
+                                                           cols, 2)))
+    return S
+
+
+def destination_frames(scn, S, amps):
+    """Noise-free stacked destination windows of S's inner columns."""
+    out = np.zeros((scn.dims.stack, S.shape[-1] - 2), dtype=complex)
+    _add_destination_frames(out, scn, S, amps)
+    return out
 
 
 class TestConvolutionMatrix:
@@ -43,18 +63,21 @@ class TestConvolutionMatrix:
 
 
 class TestBlockSignature:
+    """The per-user column blocks of a scenario's stacked signature C_all."""
+
     def test_single_block_identity(self, rng):
-        code = draw_spreading_codes(1, 8, rng)[0]
-        D = build_convolution_matrix(code, 2)
-        np.testing.assert_allclose(build_block_signature(D, 0), D)
+        dims = SystemDims(K=1, N=8, L=2, n_r=0)
+        scn = scenario(dims, rng)
+        np.testing.assert_array_equal(scn.C_all, scn.conv[0])
 
     def test_three_identical_diagonal_blocks(self, rng):
-        code = draw_spreading_codes(1, 16, rng)[0]
-        D = build_convolution_matrix(code, 3)
-        C = build_block_signature(D, 2)
+        dims = SystemDims(K=2, N=16, L=3, n_r=2)
+        scn = scenario(dims, rng)
+        C = scn.C_all[:, 9:18]  # user 1
         assert C.shape == (54, 9)
         for j in range(3):
-            np.testing.assert_allclose(C[18 * j:18 * (j + 1), 3 * j:3 * (j + 1)], D)
+            np.testing.assert_array_equal(C[18 * j:18 * (j + 1), 3 * j:3 * (j + 1)],
+                                          scn.conv[1])
         # off-diagonal blocks exactly zero
         C_zeroed = C.copy()
         for j in range(3):
@@ -62,10 +85,9 @@ class TestBlockSignature:
         assert np.all(C_zeroed == 0)
 
     def test_nonzero_count_scales_with_blocks(self, rng):
-        code = draw_spreading_codes(1, 5, rng)[0]
-        D = build_convolution_matrix(code, 2)
-        C = build_block_signature(D, 2)
-        assert np.count_nonzero(C) == 3 * np.count_nonzero(D)
+        dims = SystemDims(K=1, N=5, L=2, n_r=2)
+        scn = scenario(dims, rng)
+        assert np.count_nonzero(scn.C_all) == 3 * np.count_nonzero(scn.conv[0])
 
 
 class TestMultipathChannel:
@@ -115,142 +137,135 @@ class TestQpsk:
 
 
 class TestReceivedFrame:
+    """The stacked destination windows as the packet simulators build them."""
+
     def test_single_user_direct_only(self, rng):
-        dims = SystemDims(K=1, N=8, L=2, n_r=0)
         code = draw_spreading_codes(1, 8, rng)[0]
         D = build_convolution_matrix(code, 2)
         h = generate_multipath_channel(2, rng)
-        frame = assemble_received_frame(
-            dims, [build_block_signature(D, 0)], [channel_matrix(h[None, :])],
-            [np.ones(1)], [np.ones(1)])
-        np.testing.assert_allclose(frame.total, D @ h, atol=1e-14)
+        out = np.zeros((9, 1), dtype=complex)
+        add_hop_frames(out, (D @ h)[:, None], np.array([[0.0, 1.0, 0.0]]),
+                       np.ones((1, 1)), 1)
+        np.testing.assert_allclose(out[:, 0], D @ h, atol=1e-14)
 
     def test_energy_identity(self, rng):
         dims = SystemDims(K=1, N=8, L=1, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        frame = assemble_received_frame(dims, sigs, chans, [np.ones(1)],
-                                        [np.ones(1)])
-        assert abs(np.linalg.norm(frame.total) - 1.0) < 1e-12
+        _, _, X = make_link_pieces(dims, rng)
+        out = np.zeros((dims.M, 1), dtype=complex)
+        add_hop_frames(out, X[0], np.array([[0.0, 1.0, 0.0]]), np.ones((1, 1)), 0)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_superposition_in_users(self, rng):
         dims = SystemDims(K=2, N=8, L=3, n_r=1)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        syms = [modulate_qpsk(rng.integers(0, 2, size=(dims.hops, 2)))
-                for _ in range(2)]
-        amps = [np.array([0.8, 0.6]), np.array([0.5, 0.9])]
-        both = assemble_received_frame(dims, sigs, chans, syms, amps)
-        dims1 = SystemDims(K=1, N=8, L=3, n_r=1)
-        parts = [assemble_received_frame(dims1, [sigs[k]], [chans[k]],
-                                         [syms[k]], [amps[k]]).total
-                 for k in range(2)]
-        np.testing.assert_allclose(both.total, parts[0] + parts[1], atol=1e-12)
+        scn = scenario(dims, rng)
+        S = hop_symbols(dims, 6, rng)
+        amps = np.array([[0.8, 0.6], [0.5, 0.9]])
+        both = destination_frames(scn, S, amps)
+        parts = []
+        for k in range(2):
+            alone = np.zeros_like(amps)
+            alone[k] = amps[k]
+            parts.append(destination_frames(scn, S, alone))
+        np.testing.assert_allclose(both, parts[0] + parts[1], atol=1e-12)
 
     def test_homogeneity_in_amplitudes(self, rng):
         dims = SystemDims(K=1, N=8, L=2, n_r=1)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        syms = [modulate_qpsk(rng.integers(0, 2, size=(dims.hops, 2)))]
-        base = assemble_received_frame(dims, sigs, chans, syms,
-                                       [np.array([1.0, 1.0])]).total
+        scn = scenario(dims, rng)
+        S = hop_symbols(dims, 4, rng)
+        base = destination_frames(scn, S, np.array([[1.0, 1.0]]))
+        scaled = destination_frames(scn, S, np.array([[2.0, 1.0]]))
         M = dims.M
-        scaled = assemble_received_frame(dims, sigs, chans, syms,
-                                         [np.array([2.0, 1.0])]).total
         np.testing.assert_allclose(scaled[:M], 2.0 * base[:M], atol=1e-12)
         np.testing.assert_allclose(scaled[M:], base[M:], atol=1e-12)
 
     def test_per_hop_stacking_oracle(self, rng):
-        """The stacked frame equals independently built per-hop receptions."""
+        """Each hop's block equals independently built per-link receptions."""
         dims = SystemDims(K=2, N=8, L=3, n_r=1)
-        codes, sigs, chans = make_link_pieces(dims, rng)
-        syms = [modulate_qpsk(rng.integers(0, 2, size=(dims.hops, 2)))
-                for _ in range(2)]
-        amps = [np.array([0.9, 0.4]), np.array([0.3, 0.95])]
-        frame = assemble_received_frame(dims, sigs, chans, syms, amps)
-        M, L = dims.M, dims.L
-        for hop in range(dims.hops):
-            expected = np.zeros(M, dtype=complex)
+        scn = scenario(dims, rng, isi=False)
+        S = hop_symbols(dims, 3, rng)
+        amps = np.array([[0.9, 0.4], [0.3, 0.95]])
+        frames = destination_frames(scn, S, amps)
+        M, L, hops = dims.M, dims.L, dims.hops
+        for hop in range(hops):
+            expected = np.zeros((M, 3), dtype=complex)
             for k in range(2):
-                D = build_convolution_matrix(codes[k], L)
-                h = np.asarray(chans[k])[hop * L:(hop + 1) * L, hop]
-                expected += amps[k][hop] * syms[k][hop] * (D @ h)
-            np.testing.assert_allclose(frame.total[hop * M:(hop + 1) * M],
+                link = k * hops + hop
+                h = scn.h_true[link * L:(link + 1) * L]
+                expected += amps[k, hop] * np.outer(scn.conv[k] @ h,
+                                                    S[hop, k, 1:-1])
+            np.testing.assert_allclose(frames[hop * M:(hop + 1) * M],
                                        expected, atol=1e-12)
 
     def test_component_identity(self, rng):
-        dims = SystemDims(K=1, N=8, L=2, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        frame = assemble_received_frame(dims, sigs, chans, [np.ones(1)],
-                                        [np.ones(1)],
-                                        isi=0.1 * np.ones(dims.stack),
-                                        sigma2=0.5, rng=rng)
+        """Windows = noise + the symbols' own frames + the neighbours' ISI."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=1)
+        scn = scenario(dims, rng)
+        S = hop_symbols(dims, 1, rng)
+        S[:, :, [0, 2]] = modulate_qpsk(rng.integers(0, 2, size=(2, 2, 2, 2)))
+        amps = np.array([[0.8, 0.6], [0.5, 0.9]])
+        noise = _noise_matrix((dims.stack, 1), 0.5, rng)
+        total = noise.copy()
+        _add_destination_frames(total, scn, S, amps)
+        own, neighbours = S.copy(), S.copy()
+        own[:, :, [0, 2]] = 0
+        neighbours[:, :, 1] = 0
         np.testing.assert_allclose(
-            frame.total,
-            frame.signal_part + frame.isi_part + frame.noise_part, atol=0)
-
-    def test_shape_errors_name_the_user(self, rng):
-        dims = SystemDims(K=2, N=8, L=2, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        syms = [np.ones(1), np.ones(2)]  # second user malformed
-        with pytest.raises(ShapeError, match="user 1"):
-            assemble_received_frame(dims, sigs, chans, syms,
-                                    [np.ones(1), np.ones(1)])
+            total,
+            noise + destination_frames(scn, own, amps)
+            + destination_frames(scn, neighbours, amps), atol=1e-12)
 
 
 class TestIsi:
     def test_single_tap_no_isi(self, rng):
         dims = SystemDims(K=1, N=8, L=1, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        eta = generate_isi([np.ones(1)], [np.ones(1)], chans, sigs, [np.ones(1)])
-        assert np.all(eta == 0)
+        scn = scenario(dims, rng)
+        S = hop_symbols(dims, 1, rng)
+        isolated = S.copy()
+        S[:, :, [0, 2]] = 1.0
+        np.testing.assert_array_equal(destination_frames(scn, S, np.ones((1, 1))),
+                                      destination_frames(scn, isolated,
+                                                         np.ones((1, 1))))
 
     def test_zero_neighbors_no_isi(self, rng):
         dims = SystemDims(K=2, N=8, L=3, n_r=1)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        zeros = [np.zeros(dims.hops) for _ in range(2)]
-        eta = generate_isi(zeros, zeros, chans, sigs,
-                           [np.ones(dims.hops)] * 2)
-        assert np.all(eta == 0)
+        S = hop_symbols(dims, 1, rng)
+        amps = np.ones((2, dims.hops))
+        with_isi = destination_frames(scenario(dims, np.random.default_rng(5)),
+                                      S, amps)
+        without = destination_frames(
+            scenario(dims, np.random.default_rng(5), isi=False), S, amps)
+        np.testing.assert_array_equal(with_isi, without)
 
     def test_chip_convolution_oracle(self, rng):
-        """ISI matches a full chip-rate convolution of a 3-symbol sequence."""
+        """Every window matches a full chip-rate convolution of the packet."""
         dims = SystemDims(K=1, N=4, L=2, n_r=0)
-        codes, sigs, chans = make_link_pieces(dims, rng)
-        h = np.asarray(chans[0])[:, 0]
-        prev_s, cur_s, next_s = modulate_qpsk(rng.integers(0, 2, size=(3, 2)))
+        codes, h, X = make_link_pieces(dims, rng)
+        P = 5
+        S = hop_symbols(dims, P, rng)[0]
         a = 0.85
 
-        # oracle: convolve the full 3-symbol chip sequence with the channel,
-        # then cut out the middle symbol's observation window
-        chips = np.concatenate([codes[0], codes[0], codes[0]])
-        seq = np.repeat([prev_s, cur_s, next_s], dims.N) * chips * a
-        full = np.convolve(seq, h)
-        window = full[dims.N:dims.N + dims.M]
+        # oracle: convolve the packet's whole chip sequence with the channel,
+        # then cut out each symbol's observation window
+        chips = np.tile(codes[0], P + 2)
+        seq = np.repeat(S[0], dims.N) * chips * a
+        full = np.convolve(seq, h[0, 0])
 
-        frame = assemble_received_frame(dims, sigs, chans, [np.array([cur_s])],
-                                        [np.array([a])])
-        eta = generate_isi([np.array([prev_s])], [np.array([next_s])],
-                           chans, sigs, [np.array([a])])
-        np.testing.assert_allclose(frame.total + eta, window, atol=1e-12)
+        out = np.zeros((dims.M, P), dtype=complex)
+        add_hop_frames(out, X[0], S, np.array([[a]]), dims.L - 1)
+        for i in range(P):
+            window = full[(i + 1) * dims.N:(i + 1) * dims.N + dims.M]
+            np.testing.assert_allclose(out[:, i], window, atol=1e-12)
 
 
 class TestNoise:
     def test_noise_calibration(self, rng):
-        dims = SystemDims(K=1, N=8, L=1, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
         sigma2 = 0.7
-        samples = []
-        for _ in range(1000):
-            frame = assemble_received_frame(dims, sigs, chans, [np.ones(1)],
-                                            [np.ones(1)], sigma2=sigma2, rng=rng)
-            samples.append(frame.noise_part)
-        var = np.mean(np.abs(np.concatenate(samples)) ** 2)
+        noise = _noise_matrix((8, 1000), sigma2, rng)
+        var = np.mean(np.abs(noise) ** 2)
         assert abs(var - sigma2) / sigma2 < 0.03
 
     def test_zero_noise_for_zero_sigma(self, rng):
-        dims = SystemDims(K=1, N=8, L=1, n_r=0)
-        _, sigs, chans = make_link_pieces(dims, rng)
-        frame = assemble_received_frame(dims, sigs, chans, [np.ones(1)],
-                                        [np.ones(1)], sigma2=0.0, rng=rng)
-        assert np.all(frame.noise_part == 0)
+        assert np.all(_noise_matrix((8, 4), 0.0, rng) == 0)
 
 
 class TestSystemDims:
@@ -267,10 +282,17 @@ class TestSystemDims:
 
 class TestEffectiveWaveforms:
     def test_columns_are_per_hop_products(self, rng):
-        code = draw_spreading_codes(1, 8, rng)[0]
-        D = build_convolution_matrix(code, 2)
-        h_hops = np.stack([generate_multipath_channel(2, rng) for _ in range(2)])
-        X = effective_waveforms(D, h_hops)
-        assert X.shape == (9, 2)
-        for j in range(2):
-            np.testing.assert_allclose(X[:, j], D @ h_hops[j])
+        """Column k*hops + j of U is user k's code convolved with link j."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=1)
+        scn = scenario(dims, rng)
+        M, L, hops = dims.M, dims.L, dims.hops
+        for k in range(2):
+            for j in range(hops):
+                link = k * hops + j
+                h = scn.h_true[link * L:(link + 1) * L]
+                col = scn.U[:, link]
+                np.testing.assert_allclose(col[j * M:(j + 1) * M],
+                                           scn.conv[k] @ h, atol=1e-14)
+                assert np.all(np.delete(col, np.s_[j * M:(j + 1) * M]) == 0)
+                np.testing.assert_allclose(
+                    col, scn.C_all[:, link * L:(link + 1) * L] @ h, atol=1e-14)

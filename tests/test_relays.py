@@ -1,15 +1,13 @@
-"""Relay scheduling, exact relay filtering, and adaptive relay behavior."""
+"""Exact relay filtering and adaptive relay behavior."""
 
 import numpy as np
 import pytest
 
-from conftest import make_link_pieces
 from coopcdma.errors import DegenerateStateError
 from coopcdma.model import (SystemDims, build_convolution_matrix,
-                            draw_spreading_codes, effective_waveforms,
-                            generate_multipath_channel, modulate_qpsk)
-from coopcdma.relays import (AdaptiveRelay, RelaySchedule, mmse_relay_bank,
-                             relay_forward, relay_statistics, schedule)
+                            draw_spreading_codes, generate_multipath_channel,
+                            modulate_qpsk)
+from coopcdma.relays import AdaptiveRelay, mmse_relay_bank, relay_statistics
 
 
 def source_relay_waveforms(dims, rng, amps=None):
@@ -23,37 +21,6 @@ def source_relay_waveforms(dims, rng, amps=None):
         h = generate_multipath_channel(dims.L, rng)
         cols.append(amps[k] * (D @ h))
     return np.stack(cols, axis=1)
-
-
-class TestSchedule:
-    def test_slot_formula(self):
-        sched = schedule(3, 2)
-        assert sched.direct_slot == 7
-        assert sched.relay_slots == (8, 9)
-
-    def test_no_relays(self):
-        assert schedule(5, 0).relay_slots == ()
-
-    def test_slots_strictly_increase(self):
-        for i in range(4):
-            for n_r in range(4):
-                sched = schedule(i, n_r)
-                slots = (sched.direct_slot,) + sched.relay_slots
-                assert all(b > a for a, b in zip(slots, slots[1:]))
-
-    def test_stride_between_symbols(self):
-        for n_r in (1, 2, 3):
-            a = schedule(2, n_r)
-            b = schedule(3, n_r)
-            assert b.direct_slot - a.direct_slot == n_r
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            schedule(-1, 1)
-
-    def test_rejects_decreasing_slots(self):
-        with pytest.raises(ValueError):
-            RelaySchedule(symbol_index=0, direct_slot=5, relay_slots=(4,))
 
 
 class TestMmseRelayBank:
@@ -131,18 +98,6 @@ class TestRelayStatistics:
         G, S = relay_statistics(X, 0.0)
         np.testing.assert_allclose(G, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(S, 0.0, atol=1e-12)
-
-
-class TestRelayForward:
-    def test_matches_inner_product(self, rng):
-        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert relay_forward(r, w, 0.7) == pytest.approx(0.7 * np.vdot(w, r))
-
-    def test_zero_filter_raises(self):
-        with pytest.raises(DegenerateStateError):
-            relay_forward(np.ones(4, dtype=complex), np.zeros(4, dtype=complex),
-                          1.0)
 
 
 class TestAdaptiveRelay:

@@ -1,75 +1,82 @@
-"""Per-user recursions under individual budgets; agreement with the stacked
-forms in the single-user case."""
+"""JPAIS-IPC as the per-user block case of the JPAIS-GPC recursions.
+
+The power tests run gpc.power_update on a one-user block under that user's
+own budget, the block the adaptive packet simulator steps for every user.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from coopcdma import gpc, ipc
+from coopcdma import gpc, harness
 from coopcdma.errors import DegenerateStateError
-from coopcdma.model import (build_convolution_matrix, draw_spreading_codes,
-                            modulate_qpsk)
+from coopcdma.model import modulate_qpsk
 
 
 def random_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def user_block(hops, lam=0.0, start=0, alpha=0.998, delta=0.01):
+    """A one-user power block at equal power under budget 1."""
+    return gpc.init_power(np.full(hops, 1.0 / np.sqrt(hops)), 1.0, alpha, delta,
+                          lam=lam, start=start)
+
+
+def user_step(state, w, U_hat, s, b):
+    """One power step of a one-user block: filter w, symbol b."""
+    return gpc.power_update(state, w[:, None], U_hat, s, np.atleast_1d(b))
+
+
 class TestSingleUserEquivalence:
-    def test_filters_match_stacked_recursion(self, rng):
-        """With one user, the shared-gain filter equals the stacked RLS."""
-        stack, alpha, delta = 8, 0.998, 0.01
-        joint = gpc.init_receiver(stack, 1, alpha, delta)
-        Phi = np.eye(stack, dtype=complex) / delta
-        w = np.zeros(stack, dtype=complex)
-        for _ in range(150):
-            r = random_vec(rng, stack)
-            b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
-            gpc.receiver_update(joint, r, b)
-            gain, Phi = ipc.shared_gain(Phi, r, alpha)
-            w, _ = ipc.user_filter_update(w, gain, r, b[0])
-            np.testing.assert_allclose(w, joint.W[:, 0], atol=1e-12)
-            np.testing.assert_allclose(Phi, joint.Phi, atol=1e-12)
+    """With one user, jpais-ipc's per-user block is jpais-gpc's joint one.
 
-    def test_power_matches_stacked_recursion(self, rng):
-        """With one user the per-user power step equals the stacked step."""
-        hops, stack, alpha, delta, lam = 3, 9, 0.998, 0.01, 0.025
-        a0 = np.full(hops, 1.0 / np.sqrt(hops))
-        joint = gpc.init_power(a0, 1.0, alpha, delta, lam=lam, start=5)
-        single = ipc.init_user_power(a0, 1.0, alpha, delta, lam=lam, start=5)
-        w = random_vec(rng, stack)
-        U_hat = random_vec(rng, stack * hops).reshape(stack, hops)
-        for _ in range(100):
-            s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
-            b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
-            a_joint = gpc.power_update(joint, w[:, None], U_hat, s, b)
-            a_single = ipc.user_power_update(single, w, U_hat, s, b[0])
-            np.testing.assert_allclose(a_single, a_joint, atol=1e-12)
-            np.testing.assert_allclose(single.a_ls, joint.a_ls, atol=1e-12)
+    Each scheme reads its own loading (lam_t for gpc, lam for ipc), so the two
+    packets swap the values of the loading the other scheme ignores.
+    """
 
-    def test_channel_matches_stacked_recursion(self, rng):
-        hops, L, N_chips = 2, 2, 8
-        code = draw_spreading_codes(1, N_chips, rng)[0]
-        D = build_convolution_matrix(code, L)
-        M = N_chips + L - 1
-        C = np.zeros((hops * M, hops * L), dtype=complex)
-        for j in range(hops):
-            C[j * M:(j + 1) * M, j * L:(j + 1) * L] = D
-        joint = gpc.init_channel(hops * L, 0.998, 0.01)
-        single = ipc.init_user_channel(hops, L, 0.998, 0.01)
-        amps = 0.5 + rng.random(hops)
-        for _ in range(100):
-            s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
-            r = random_vec(rng, hops * M)
-            gpc.channel_update(joint, r, C, s, amps, L)
-            ipc.user_channel_update(single, r, C, s, amps, L)
-            np.testing.assert_allclose(single.h, joint.h, atol=1e-12)
+    @pytest.fixture(scope="class")
+    def packets(self):
+        cfg = harness.ExperimentConfig(users=1, relays=2, packet_len=120,
+                                       training_len=40, variant="adaptive",
+                                       seed=4)
+        dims = cfg.dims()
+        out = {}
+        for scheme, lam, lam_t in (("jpais-gpc", 0.5, 0.025),
+                                   ("jpais-ipc", 0.025, 0.5)):
+            run = dataclasses.replace(cfg, scheme=scheme, lam=lam, lam_t=lam_t)
+            rngs = harness.trial_rngs(run.seed, 0)
+            scn = harness.draw_scenario(dims, harness.codes_for(run, dims.K),
+                                        harness.snr_db_to_sigma2(9.0),
+                                        run.shadowing_std_db, rngs[0])
+            out[scheme] = harness.simulate_packet_adaptive(
+                scn, scheme, run, rngs[1], rngs[2], rngs[3],
+                collect=("a_norm", "channel_error"), collect_per_symbol=True)
+        return out
+
+    def test_filters_match_stacked_recursion(self, packets):
+        gpc_res, ipc_res = packets["jpais-gpc"], packets["jpais-ipc"]
+        assert not gpc_res.diverged and not ipc_res.diverged
+        np.testing.assert_array_equal(ipc_res.per_symbol_errors,
+                                      gpc_res.per_symbol_errors)
+
+    def test_power_matches_stacked_recursion(self, packets):
+        gpc_norms = packets["jpais-gpc"].extras["a_sq_norms"]
+        assert gpc_norms.size == 120
+        np.testing.assert_array_equal(packets["jpais-ipc"].extras["a_sq_norms"],
+                                      gpc_norms)
+
+    def test_channel_matches_stacked_recursion(self, packets):
+        np.testing.assert_array_equal(packets["jpais-ipc"].extras["channel_error"],
+                                      packets["jpais-gpc"].extras["channel_error"])
 
 
 class TestUserPowerRecursion:
     def test_dense_weighted_oracle(self, rng):
         hops, stack, alpha, delta, lam = 3, 7, 0.998, 0.01, 0.025
         a0 = np.full(hops, 1.0 / np.sqrt(hops))
-        state = ipc.init_user_power(a0, 1.0, alpha, delta, lam=lam, start=0)
+        state = user_block(hops, lam=lam, alpha=alpha, delta=delta)
         w = random_vec(rng, stack)
         U_hat = random_vec(rng, stack * hops).reshape(stack, hops)
         phi = np.conj(U_hat.conj().T @ w)
@@ -78,7 +85,7 @@ class TestUserPowerRecursion:
         for t in range(150):
             s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            ipc.user_power_update(state, w, U_hat, s, b)
+            user_step(state, w, U_hat, s, b)
             v = s * phi
             N = alpha * N + np.outer(v, v.conj())
             z = alpha * z + v * np.conj(b)
@@ -90,53 +97,31 @@ class TestUserPowerRecursion:
 
     def test_budget_met_every_update(self, rng):
         hops, stack = 3, 7
-        state = ipc.init_user_power(np.full(hops, 1.0 / np.sqrt(hops)), 1.0,
-                                    0.998, 0.01, lam=0.025)
+        state = user_block(hops, lam=0.025)
         w = random_vec(rng, stack)
         U_hat = random_vec(rng, stack * hops).reshape(stack, hops)
         for _ in range(100):
             s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            a = ipc.user_power_update(state, w, U_hat, s, b)
+            a = user_step(state, w, U_hat, s, b)
             assert abs(np.linalg.norm(a) ** 2 - 1.0) < 1e-10
             assert np.all(np.real(a) >= 0) and np.all(np.imag(a) == 0)
 
     def test_direct_only_is_pinned_to_the_budget(self, rng):
         """No relays: a single per-user amplitude fixed by its own budget."""
-        state = ipc.init_user_power(np.ones(1), 1.0, 0.998, 0.01, lam=0.025)
+        state = user_block(1, lam=0.025)
         w = random_vec(rng, 5)
         U_hat = random_vec(rng, 5).reshape(5, 1)
         for _ in range(30):
             s = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            a = ipc.user_power_update(state, w, U_hat, s, b)
+            a = user_step(state, w, U_hat, s, b)
             assert abs(a[0] - 1.0) < 1e-12
 
     def test_nonfinite_state_raises(self, rng):
-        state = ipc.init_user_power(np.ones(2), 1.0, 0.998, 0.01)
+        state = user_block(2)
         state.a_ls[:] = np.nan
         w = random_vec(rng, 4)
         U_hat = random_vec(rng, 8).reshape(4, 2)
         with pytest.raises(DegenerateStateError):
-            ipc.user_power_update(state, w, U_hat,
-                                  np.ones(2, dtype=complex), 1.0 + 0j)
-
-
-class TestSharedGain:
-    def test_matches_core_primitive(self, rng):
-        Phi = np.eye(6, dtype=complex) / 0.01
-        r = random_vec(rng, 6)
-        g1, P1 = ipc.shared_gain(Phi.copy(), r, 0.998)
-        from coopcdma.rlscore import correlation_gain
-        g2, P2 = correlation_gain(Phi.copy(), r, 0.998)
-        np.testing.assert_allclose(g1, g2, atol=0)
-        np.testing.assert_allclose(P1, P2, atol=0)
-
-    def test_filter_update_returns_a_priori_error(self, rng):
-        w = random_vec(rng, 6)
-        r = random_vec(rng, 6)
-        gain = random_vec(rng, 6)
-        b = 0.7 - 0.2j
-        w_new, xi = ipc.user_filter_update(w.copy(), gain, r, b)
-        assert xi == pytest.approx(b - np.vdot(w, r))
-        np.testing.assert_allclose(w_new, w + gain * np.conj(xi), atol=1e-14)
+            user_step(state, w, U_hat, np.ones(2, dtype=complex), 1.0 + 0j)

@@ -19,34 +19,32 @@ from . import __version__, harness, validation
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
-_LIST_KEYS = {"snr_grid"}
-_BOOL_KEYS = {"isi"}
-_STR_KEYS = {"scheme", "variant"}
-_INT_KEYS = {"users", "chips", "paths", "relays", "packet_len", "training_len",
-             "trials", "seed", "mmse_iters"}
-_FLOAT_KEYS = {"alpha", "lam", "lam_t", "shadowing_std_db", "delta", "mmse_tol"}
-KNOWN_KEYS = _LIST_KEYS | _BOOL_KEYS | _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
+def _parse_bool(raw) -> bool:
+    text = str(raw).lower()  # a bool gives "true" or "false"
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_floats(raw) -> tuple:
+    items = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
+    return tuple(float(v) for v in items)
+
+
+# each key is parsed by the exact type of its ExperimentConfig default, so a
+# new field needs no edit here (type() is exact: a bool default is not an int)
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_floats,
+            str: str}
+_KEY_PARSERS = {f.name: _PARSERS[type(f.default)]
+                for f in dataclasses.fields(ExperimentConfig)}
+KNOWN_KEYS = frozenset(_KEY_PARSERS)
 
 
 def _coerce(key: str, raw):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if isinstance(raw, bool):
-                return raw
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if key in _LIST_KEYS:
-            if isinstance(raw, (tuple, list)):
-                return tuple(float(v) for v in raw)
-            return tuple(float(v) for v in str(raw).split(","))
-        return str(raw)
+        return _KEY_PARSERS[key](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: invalid value {raw!r}") from exc
 

@@ -2,8 +2,9 @@
 
 Three coupled recursions share state across a packet: an RLS receiver-matrix
 update driven by the stacked observation, a constrained power-vector update
-processed as successive per-user rank-one steps followed by sphere
-normalization, and a joint RLS channel estimator over all users and links.
+that solves its weighted normal equations and projects onto the budget sphere
+as the exact power step does, and a joint RLS channel estimator over all users
+and links. Under individual constraints power and channel run per user block.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
-from .rlscore import ExpWeightedInverse, check_finite, correlation_gain, resym
+from .mmse import nonnegative_amplitudes
+from .rlscore import (ExpWeightedInverse, check_finite, correlation_gain,
+                      solve_normal)
 
 
 @dataclass
@@ -43,16 +45,16 @@ def receiver_update(state: ReceiverRlsState, r: np.ndarray,
 class PowerRlsState:
     """Exponentially weighted LS state for the transmit amplitudes.
 
-    a_ls is the unconstrained LS estimate driven by the rank-one recursion;
-    a is the emitted allocation: a_ls projected onto the nonnegative-real
-    sphere of the power budget. The projection is never folded back into the
-    recursion so the LS state keeps tracking the normal-equation solution.
-    Until `start` updates have passed the initial (equal-power) allocation is
-    emitted while statistics accumulate, so no link is starved of excitation
-    before the co-running receiver and channel estimates have settled.
+    a_ls = N^-1 z solves the weighted normal equations, anchored at the
+    initial allocation by N = delta*I, z = delta*a0; a is the emitted
+    allocation, a_ls projected onto the nonnegative-real budget sphere, never
+    fed back into N and z. Until `start` updates have passed the initial
+    (equal-power) allocation is emitted while statistics accumulate, so no
+    link is starved of excitation before the receiver and channel settle.
     """
 
-    Phi_a: np.ndarray
+    N: np.ndarray
+    z: np.ndarray
     a_ls: np.ndarray  # internal unconstrained LS estimate
     a: np.ndarray  # emitted stacked K*hops amplitudes
     P_T: float
@@ -64,22 +66,10 @@ class PowerRlsState:
 
 def init_power(a0: np.ndarray, P_T: float, alpha: float, delta: float,
                lam: float = 0.0, start: int = 0) -> PowerRlsState:
-    dim = a0.size
-    return PowerRlsState(Phi_a=np.eye(dim, dtype=complex) / delta,
-                         a_ls=a0.astype(complex).copy(),
-                         a=a0.astype(complex).copy(), P_T=P_T, alpha=alpha,
+    a0 = a0.astype(complex)
+    return PowerRlsState(N=delta * np.eye(a0.size, dtype=complex), z=delta * a0,
+                         a_ls=a0.copy(), a=a0.copy(), P_T=P_T, alpha=alpha,
                          lam=lam, start=start)
-
-
-def _rank_one(Phi: np.ndarray, a_ls: np.ndarray, v: np.ndarray, d: complex):
-    """One exponentially weighted rank-one LS update for pair (v, d)."""
-    Pu = Phi @ v
-    denom = 1.0 + float(np.real(np.vdot(v, Pu)))
-    gain = Pu / denom
-    xi = d - np.vdot(a_ls, v)
-    a_ls = a_ls + gain * np.conj(xi)
-    Phi = Phi - np.outer(gain, v.conj() @ Phi)
-    return Phi, a_ls
 
 
 def _loading_weight(lam: float, alpha: float, dim: int) -> float:
@@ -94,50 +84,34 @@ def _loading_weight(lam: float, alpha: float, dim: int) -> float:
     return lam * (1.0 - alpha ** dim) / (1.0 - alpha)
 
 
-def _emit_amplitudes(state, budget: float) -> np.ndarray:
-    """Project the LS estimate onto the nonnegative-real budget sphere.
-
-    Transmit amplitudes are physical gains: per-link phase alignment is the
-    receive filter's job, so the LS phases are discarded on emission.
-    """
-    if not np.all(np.isfinite(state.a_ls)):
-        raise DegenerateStateError("degenerate amplitude estimate")
+def _emit_amplitudes(state: PowerRlsState) -> np.ndarray:
+    """Emit the projected LS estimate once the training hold has passed."""
     if state.t > state.start:
-        a_r = np.clip(np.real(state.a_ls), 0.0, None)
-        if np.linalg.norm(a_r) == 0.0:
-            a_r = np.abs(state.a_ls)
-        nrm = np.linalg.norm(a_r)
-        if nrm == 0.0:
-            raise DegenerateStateError("degenerate amplitude estimate")
-        state.a = (a_r * (np.sqrt(budget) / nrm)).astype(complex)
+        state.a = nonnegative_amplitudes(state.a_ls, state.P_T).astype(complex)
     return state.a
 
 
 def power_update(state: PowerRlsState, W: np.ndarray, U_hat: np.ndarray,
                  link_symbols: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Constrained power step: K successive rank-one updates, then projection.
+    """Constrained power step: one normal-equation update, then projection.
 
     U_hat holds the estimated per-link waveforms (stack x K*hops) and
-    link_symbols the per-link symbol estimates, so the user-k regressor is
-    v_k = s * conj(U_hat^H w_k) and a^H v_k is the signal part of the filter
-    output w_k^H r predicted by the current amplitudes.
+    link_symbols the per-link symbol estimates, so the user-k regressor (column
+    k of V) is v_k = s * conj(U_hat^H w_k) and a^H v_k is the signal part of
+    the filter output w_k^H r predicted by the current amplitudes.
     """
-    G = (U_hat.conj().T @ W).conj()
-    Phi = state.Phi_a / state.alpha  # forgetting applied once per symbol
-    a_ls = state.a_ls
-    K = b.size
-    for k in range(K):
-        Phi, a_ls = _rank_one(Phi, a_ls, link_symbols * G[:, k], b[k])
-    dim = a_ls.size
+    V = link_symbols[:, None] * (U_hat.conj().T @ W).conj()
+    state.N = state.alpha * state.N + V @ V.conj().T
+    state.z = state.alpha * state.z + V @ b.conj()
+    dim = state.z.size
     if state.lam > 0.0:
-        e = np.zeros(dim, dtype=complex)
-        e[state.t % dim] = np.sqrt(_loading_weight(state.lam, state.alpha, dim))
-        Phi, a_ls = _rank_one(Phi, a_ls, e, 0.0)
+        i = state.t % dim
+        state.N[i, i] += _loading_weight(state.lam, state.alpha, dim)
     state.t += 1
-    state.a_ls = a_ls
-    state.Phi_a = resym(Phi)
-    check_finite(state.Phi_a, "power inverse-correlation matrix")
-    return _emit_amplitudes(state, state.P_T)
+    check_finite(state.N, "power normal matrix")
+    state.a_ls = solve_normal(state.N, state.z, "power normal matrix")
+    check_finite(state.a_ls, "power estimate")
+    return _emit_amplitudes(state)
 
 
 @dataclass
@@ -173,17 +147,11 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
     return state.h
 
 
-def waveforms_from_channel(conv_mats, h: np.ndarray, hops: int) -> np.ndarray:
-    """Rebuild the stack x K*hops effective waveform matrix from an h estimate.
+def waveforms_from_channel(C: np.ndarray, h: np.ndarray, L: int) -> np.ndarray:
+    """Per-link effective waveforms (stack x links) from a channel estimate.
 
-    conv_mats is the per-user list of M x L convolution matrices; h is the
-    stacked channel (user-major, hop-major, L taps per link).
+    C holds the links' columns of the stacked block signatures (L per link,
+    as in Scenario.C_all) and h their stacked taps: column l is C's link-l
+    block applied to h's link-l taps.
     """
-    K = len(conv_mats)
-    M, L = conv_mats[0].shape
-    U = np.zeros((hops * M, K * hops), dtype=complex)
-    for k in range(K):
-        for j in range(hops):
-            blk = (k * hops + j) * L
-            U[j * M:(j + 1) * M, k * hops + j] = conv_mats[k] @ h[blk:blk + L]
-    return U
+    return (C * h).reshape(C.shape[0], -1, L).sum(-1)

@@ -113,10 +113,7 @@ class Scenario:
     dims: SystemDims
     sigma2: float
     codes: np.ndarray
-    conv: list  # per-user M x L convolution matrices
-    x_sd: np.ndarray  # M x K direct-link waveforms (shadowing included)
     x_sr: list  # per relay, M x K source-to-relay waveforms
-    x_rd: list  # per relay, M x K relay-to-destination waveforms
     U: np.ndarray  # stack x K*hops true per-link waveform matrix
     C_all: np.ndarray  # stack x K*hops*L stacked block signatures
     h_true: np.ndarray  # stacked effective destination-facing channels
@@ -131,44 +128,23 @@ class Scenario:
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                   shadowing_std_db: float, rng: np.random.Generator,
                   isi_enabled: bool = True) -> Scenario:
-    K, L, n_r, M = dims.K, dims.L, dims.n_r, dims.M
-    hops = dims.hops
+    K, L, n_r, hops = dims.K, dims.L, dims.n_r, dims.hops
     conv = [build_convolution_matrix(codes[k], L) for k in range(K)]
-
-    h_sd = np.stack([generate_multipath_channel(L, rng) for _ in range(K)])
-    h_sr = np.stack([[generate_multipath_channel(L, rng) for _ in range(K)]
-                     for _ in range(n_r)]) if n_r else np.zeros((0, K, L), complex)
-    h_rd = np.stack([[generate_multipath_channel(L, rng) for _ in range(K)]
-                     for _ in range(n_r)]) if n_r else np.zeros((0, K, L), complex)
-
-    def shadow(size):
-        if shadowing_std_db == 0.0:
-            return np.ones(size)
-        return 10.0 ** (shadowing_std_db * rng.standard_normal(size) / 20.0)
-
-    s_sd = shadow(K)
-    s_sr = shadow((n_r, K))
-    s_rd = shadow((n_r, K))
-
-    x_sd = np.stack([conv[k] @ (s_sd[k] * h_sd[k]) for k in range(K)], axis=1)
-    x_sr = [np.stack([conv[k] @ (s_sr[j, k] * h_sr[j, k]) for k in range(K)], axis=1)
-            for j in range(n_r)]
-    x_rd = [np.stack([conv[k] @ (s_rd[j, k] * h_rd[j, k]) for k in range(K)], axis=1)
-            for j in range(n_r)]
-
-    U = np.zeros((dims.stack, K * hops), dtype=complex)
-    h_true = np.zeros(K * hops * L, dtype=complex)
-    for k in range(K):
-        U[0:M, k * hops] = x_sd[:, k]
-        h_true[(k * hops) * L:(k * hops) * L + L] = s_sd[k] * h_sd[k]
-        for j in range(n_r):
-            col = k * hops + j + 1
-            U[(j + 1) * M:(j + 2) * M, col] = x_rd[j][:, k]
-            h_true[col * L:col * L + L] = s_rd[j, k] * h_rd[j, k]
+    # one channel per link and user, drawn in the order source-destination,
+    # source-relay, relay-destination, each shadowed by a log-normal gain
+    g = np.array([generate_multipath_channel(L, rng)
+                  for _ in range((1 + 2 * n_r) * K)]).reshape(1 + 2 * n_r, K, L)
+    if shadowing_std_db != 0.0:
+        g = g * 10.0 ** (shadowing_std_db
+                         * rng.standard_normal((1 + 2 * n_r, K, 1)) / 20.0)
+    x_sr = [gpc.waveforms_from_channel(np.hstack(conv), g_j.reshape(-1), L)
+            for g_j in g[1:1 + n_r]]
+    # destination-facing links, user-major, hop-major, L taps per link
+    h_true = np.concatenate([g[:1], g[1 + n_r:]]).transpose(1, 0, 2).reshape(-1)
     C_all = np.hstack([np.kron(np.eye(hops), conv[k]) for k in range(K)])
-    return Scenario(dims=dims, sigma2=sigma2, codes=codes, conv=conv,
-                    x_sd=x_sd, x_sr=x_sr, x_rd=x_rd, U=U, C_all=C_all,
-                    h_true=h_true, isi_enabled=isi_enabled)
+    U = gpc.waveforms_from_channel(C_all, h_true, L)
+    return Scenario(dims=dims, sigma2=sigma2, codes=codes, x_sr=x_sr, U=U,
+                    C_all=C_all, h_true=h_true, isi_enabled=isi_enabled)
 
 
 def _noise_matrix(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
@@ -272,10 +248,10 @@ def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
     S holds the hops x K per-hop symbols of out's columns plus one neighbour
     column on each side; amps is the K x hops amplitude matrix.
     """
-    M = scn.dims.M
-    for j, X in enumerate((scn.x_sd, *scn.x_rd)):
-        add_hop_frames(out[j * M:(j + 1) * M], X, S[j], amps[:, j:j + 1],
-                       scn.spill)
+    M, hops = scn.dims.M, scn.dims.hops
+    for j in range(hops):
+        add_hop_frames(out[j * M:(j + 1) * M], scn.U[j * M:(j + 1) * M, j::hops],
+                       S[j], amps[:, j:j + 1], scn.spill)
 
 
 def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
@@ -341,7 +317,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     # common initialization draws, identical across schemes for stream parity
     h0 = 0.01 * (rng_init.standard_normal(K * hops * L)
                  + 1j * rng_init.standard_normal(K * hops * L))
-    U0 = gpc.waveforms_from_channel(scn.conv, h0, hops)
+    U0 = gpc.waveforms_from_channel(scn.C_all, h0, L)
     amps = equal_power_amps(dims).astype(complex)
     W0 = np.zeros((stack, K), dtype=complex)
     for k in range(K):
@@ -408,7 +384,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             for blk in blocks:
                 if blk.power is None:
                     continue
-                U_hat = waveforms(scn.conv[blk.users], blk.channel.h, hops)
+                U_hat = waveforms(blk.C, blk.channel.h, L)
                 a = power_step(blk.power, rx.W[:, blk.users], U_hat,
                                link_syms[blk.users].reshape(-1), ref[blk.users])
                 amps[blk.users] = a.reshape(-1, hops)

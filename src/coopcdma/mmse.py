@@ -3,19 +3,20 @@
 Works from ensemble statistics assembled out of the stacked effective chip
 waveforms (signature * channel per link), assuming i.i.d. unit-energy symbols
 that are independent across users, and unit-energy relayed symbols. Receiver
-and power steps depend on each other and are alternated to a fixed point; the
-sphere constraint on the amplitudes is enforced by projection after each
-regularized power step.
+and power steps depend on each other and are alternated to a fixed point. The
+power step is one regularized solve over amplitude blocks (all links under the
+global budget, one block per user under individual budgets), each projected
+onto its nonnegative-real budget sphere, the projection the adaptive path uses.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import DegenerateStateError, IllConditionedError
 
 _COND_LIMIT = 1e12
 
@@ -40,9 +41,9 @@ class EnsembleStatistics:
 
     R: stack x stack covariance; P_ch: stack x K cross-correlation with the
     desired symbols (columns are the amplitude-weighted composite waveforms);
-    R_a / p_a: power-domain covariance and cross-correlation, stacked over
-    users for the global constraint or a per-user list for individual
-    constraints.
+    R_a (B x n x n) / p_a (B x n): power-domain covariance and
+    cross-correlation per amplitude block: B = 1, n = K*hops for the global
+    constraint; B = K, n = hops for individual constraints.
     """
 
     R: np.ndarray
@@ -51,8 +52,6 @@ class EnsembleStatistics:
     hops: int
     R_a: np.ndarray | None = None
     p_a: np.ndarray | None = None
-    R_a_users: list = field(default_factory=list)
-    p_a_users: list = field(default_factory=list)
 
 
 def perfect_relay_omega(K: int, hops: int) -> np.ndarray:
@@ -126,8 +125,8 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
 def add_power_terms(stats: EnsembleStatistics, U: np.ndarray,
                     amps: np.ndarray, W: np.ndarray,
                     omega: np.ndarray) -> None:
-    """Fill in the W-dependent half of the statistics: R_a and p_a (gpc) or
-    the per-user R_a_users and p_a_users (ipc)."""
+    """Fill in the W-dependent half of the statistics: the per-block R_a and
+    p_a, one block of all links (gpc) or one per user (ipc)."""
     hops = stats.hops
     cols = U.shape[1]
     K = cols // hops
@@ -138,19 +137,20 @@ def add_power_terms(stats: EnsembleStatistics, U: np.ndarray,
         p_a = np.zeros(cols, dtype=complex)
         for k in range(K):
             p_a += G[:, k] * omega[k * hops, :]
-        stats.R_a, stats.p_a = R_a, p_a
-    else:
-        a_vec = np.asarray(amps, dtype=complex).reshape(cols)
-        for k in range(K):
-            blk = slice(k * hops, (k + 1) * hops)
-            phi = G[:, k]
-            # fixed contribution of the other users' current amplitudes
-            u_other = phi.conj() * a_vec
-            u_other[blk] = 0.0
-            d = omega[:, k * hops] - omega @ u_other.conj()
-            stats.R_a_users.append(np.outer(phi[blk], phi[blk].conj())
-                                   * omega[blk, blk].T)
-            stats.p_a_users.append(phi[blk] * d[blk].conj())
+        stats.R_a, stats.p_a = R_a[None], p_a[None]
+        return
+    a_vec = np.asarray(amps, dtype=complex).reshape(cols)
+    stats.R_a = np.empty((K, hops, hops), dtype=complex)
+    stats.p_a = np.empty((K, hops), dtype=complex)
+    for k in range(K):
+        blk = slice(k * hops, (k + 1) * hops)
+        phi = G[:, k]
+        # fixed contribution of the other users' current amplitudes
+        u_other = phi.conj() * a_vec
+        u_other[blk] = 0.0
+        d = omega[:, k * hops] - omega @ u_other.conj()
+        stats.R_a[k] = np.outer(phi[blk], phi[blk].conj()) * omega[blk, blk].T
+        stats.p_a[k] = phi[blk] * d[blk].conj()
 
 
 def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
@@ -209,7 +209,7 @@ def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
     """Rescale so the squared norm equals the power budget."""
     nrm = np.linalg.norm(a)
     if nrm == 0.0:
-        raise IllConditionedError("zero-norm amplitude vector at projection")
+        raise DegenerateStateError("zero-norm amplitude vector at projection")
     return a * (np.sqrt(budget) / nrm)
 
 
@@ -233,7 +233,7 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
 
     For real a the quadratic MSE terms reduce to the real parts of the
     complex statistics, so this solve is exact on the real subspace. R_a may
-    be a stack of per-user blocks (K, n, n) with p_a of shape (K, n).
+    be a stack of blocks (B, n, n) with p_a of shape (B, n).
     Re(R_a) is positive semidefinite (a Hadamard product of two covariances,
     Schur product theorem), so lam bounds the eigenvalues of the loaded matrix.
     """
@@ -242,21 +242,15 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
                           "power covariance", lam)
 
 
-def power_global(stats: EnsembleStatistics, lam: float, P_T: float) -> np.ndarray:
-    """Regularized stacked power step, projected to nonnegative reals on the
-    P_T sphere."""
+def power_step(stats: EnsembleStatistics, lam: float,
+               block_budgets) -> np.ndarray:
+    """Regularized power step of every amplitude block in one stacked solve,
+    each block projected to nonnegative reals on its own budget sphere; returns
+    the B x n block amplitudes."""
     a = _real_power_solve(stats.R_a, stats.p_a, lam)
-    return nonnegative_amplitudes(a, P_T)
-
-
-def power_users(stats: EnsembleStatistics, lam: float,
-                budgets: np.ndarray) -> np.ndarray:
-    """Regularized per-user power steps, one stacked solve, each projected to
-    nonnegative reals on its user's P_A,k sphere."""
-    a = _real_power_solve(np.stack(stats.R_a_users), np.stack(stats.p_a_users),
-                          lam)
-    return np.stack([nonnegative_amplitudes(a[k], budgets[k])
-                     for k in range(len(budgets))])
+    for a_b, budget in zip(a, block_budgets):
+        a_b[:] = nonnegative_amplitudes(a_b, budget)
+    return a
 
 
 def total_mse(U: np.ndarray, hops: int, sigma2: float,
@@ -302,9 +296,11 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
     cols = U.shape[1]
     K = cols // hops
     budgets = np.asarray(budgets, dtype=float)
-    P_T = float(budgets.sum())
     amps = equal_power_amps(K, hops, budgets)
-    lam = config.lam_global if mode == "gpc" else config.lam_individual
+    if mode == "gpc":
+        lam, block_budgets = config.lam_global, [float(budgets.sum())]
+    else:
+        lam, block_budgets = config.lam_individual, budgets
     if omega is None:
         omega = perfect_relay_omega(K, hops)
     trace = []
@@ -321,10 +317,7 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
             converged = True  # power fully determined by the constraint
             break
         add_power_terms(stats, U, amps, W, omega)
-        if mode == "gpc":
-            a_new = power_global(stats, lam, P_T).reshape(K, hops)
-        else:
-            a_new = power_users(stats, lam, budgets)
+        a_new = power_step(stats, lam, block_budgets).reshape(K, hops)
         delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
         amps = a_new
         if delta < config.tol:

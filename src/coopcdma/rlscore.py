@@ -1,10 +1,10 @@
 """Shared recursive least squares primitives.
 
-The rank-one recursions (receiver, power, relays) maintain the inverse of an
+The rank-one recursions (receiver, relays) maintain the inverse of an
 exponentially weighted correlation matrix via the matrix inversion lemma and
 are re-symmetrized each step to suppress Hermitian drift on long
-decision-directed runs. The channel estimator, fed a whole block of regressor
-rows per symbol, keeps the weighted normal matrix itself and solves its
+decision-directed runs. The channel and power estimators, fed a block of
+regressors per symbol, keep the weighted normal matrix itself and solve their
 normal equations instead (Haykin, Adaptive Filter Theory, ch. 9-10).
 """
 
@@ -57,8 +57,12 @@ class ExpWeightedInverse:
 
     def solve(self, p: np.ndarray) -> np.ndarray:
         """Least-squares estimate: the solution h of N h = p."""
-        try:
-            return np.linalg.solve(self.N, p)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDivergenceError(
-                f"weighted normal matrix is singular: {exc}") from exc
+        return solve_normal(self.N, p, "weighted normal matrix")
+
+
+def solve_normal(N: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
+    """Solve the normal equations N x = p; a singular N is a divergence."""
+    try:
+        return np.linalg.solve(N, p)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDivergenceError(f"{what} is singular: {exc}") from exc

@@ -1,14 +1,18 @@
-"""Pinned bit-error counts of single desk-configuration packets.
+"""Pinned bit-error counts of single desk-configuration packets, and the
+exact alternation behind the designed ones.
 
 Each count is the integer bit_errors of harness.run_packet on trial 0 of the
-desk configuration (K=4, N=16, L=3, n_r=2, P=1500, 200 training symbols). A
-refactor that claims to keep results bit-identical must leave every count
-here unchanged; a deliberate change of results must update them and say why.
+desk configuration (K=4, N=16, L=3, n_r=2, P=1500, 200 training symbols); each
+alternation pin is the iteration count, convergence flag and final MSE of
+mmse.alternate on the same scenario. A refactor that claims to keep results
+bit-identical must leave every pin here unchanged; a deliberate change of
+results must update them and say why.
 """
 
+import numpy as np
 import pytest
 
-from coopcdma import harness
+from coopcdma import harness, mmse
 
 PAYLOAD_BITS = 2 * (1500 - 200) * 4
 
@@ -32,15 +36,37 @@ ADAPTIVE_9DB_MORE = {
 }
 
 
+# (seed, snr_db, mode) -> (iterations, converged, final traced MSE) of the
+# exact alternation on trial 0
+ALTERNATION = {
+    (1, 0.0, "gpc"): (49, True, 2.080131366987869),
+    (1, 0.0, "ipc"): (27, True, 2.030250125882571),
+    (1, 18.0, "gpc"): (50, False, 0.05821768211965472),
+    (1, 18.0, "ipc"): (50, False, 0.05858401623367748),
+    (2, 0.0, "gpc"): (23, True, 1.9319262151803145),
+    (2, 0.0, "ipc"): (50, False, 1.8361901146812007),
+    (2, 18.0, "gpc"): (50, False, 0.05364332984317455),
+    (2, 18.0, "ipc"): (50, False, 0.05530846594484096),
+    (3, 0.0, "gpc"): (20, True, 1.8613321230582445),
+    (3, 0.0, "ipc"): (18, True, 1.7364892467444335),
+    (3, 18.0, "gpc"): (50, False, 0.04931081436843621),
+    (3, 18.0, "ipc"): (50, False, 0.0500047057711992),
+}
+
+
+def desk_scenario(cfg, snr_db, rng_ch):
+    dims = cfg.dims()
+    return harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
+                                 harness.snr_db_to_sigma2(snr_db),
+                                 cfg.shadowing_std_db, rng_ch,
+                                 isi_enabled=cfg.isi)
+
+
 def packet_bit_errors(scheme, variant, seed, snr_db):
     cfg = harness.ExperimentConfig(scheme=scheme, variant=variant, seed=seed,
                                    trials=1, snr_grid=(snr_db,))
-    dims = cfg.dims()
     rng_ch, rng_data, rng_noise, rng_init = harness.trial_rngs(seed, 0)
-    scn = harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
-                                harness.snr_db_to_sigma2(snr_db),
-                                cfg.shadowing_std_db, rng_ch,
-                                isi_enabled=cfg.isi)
+    scn = desk_scenario(cfg, snr_db, rng_ch)
     res = harness.run_packet(cfg, scn, rng_data, rng_noise, rng_init)
     assert not res.diverged
     assert res.payload_bits == PAYLOAD_BITS
@@ -62,3 +88,15 @@ def test_adaptive_packet(scheme):
 def test_more_adaptive_packets(seed, scheme):
     assert (packet_bit_errors(scheme, "adaptive", seed, 9.0)
             == ADAPTIVE_9DB_MORE[seed, scheme])
+
+
+@pytest.mark.parametrize("seed,snr_db,mode", sorted(ALTERNATION))
+def test_exact_alternation(seed, snr_db, mode):
+    cfg = harness.ExperimentConfig(seed=seed)
+    scn = desk_scenario(cfg, snr_db, harness.trial_rngs(seed, 0)[0])
+    res = mmse.alternate(scn.U, scn.dims.hops, scn.sigma2, mode,
+                         cfg.mmse_config(), np.ones(scn.dims.K),
+                         omega=harness.scenario_omega(scn))
+    iterations, converged, final_mse = ALTERNATION[seed, snr_db, mode]
+    assert (res.iterations, res.converged) == (iterations, converged)
+    np.testing.assert_allclose(res.mse_trace[-1], final_mse, rtol=1e-9, atol=0)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from coopcdma import harness, mmse
-from coopcdma.errors import IllConditionedError
+from coopcdma.errors import DegenerateStateError
 from coopcdma.mmse import (AlternationResult, EnsembleStatistics, MmseConfig,
                            _checked_solve, _real_power_solve, alternate,
                            build_statistics, equal_power_amps,
                            nonnegative_amplitudes, perfect_relay_omega,
-                           power_global, project_sphere, receiver_global,
+                           power_step, project_sphere, receiver_global,
                            relay_omega, total_mse)
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
@@ -140,10 +140,11 @@ class TestPowerQuadratics:
         W = receiver_global(stats)
         stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="gpc")
         const = dims.K + sigma2 * np.linalg.norm(W) ** 2
+        assert stats.R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
         for _ in range(5):
             a = random_amps(dims, rng).reshape(-1)
-            quad = (const + a @ np.real(stats.R_a) @ a
-                    - 2.0 * a @ np.real(stats.p_a))
+            quad = (const + a @ np.real(stats.R_a[0]) @ a
+                    - 2.0 * a @ np.real(stats.p_a[0]))
             direct = total_mse(U, dims.hops, sigma2, a.reshape(dims.K, dims.hops), W)
             assert abs(quad - direct) < 1e-10
 
@@ -156,9 +157,10 @@ class TestPowerQuadratics:
         stats = build_statistics(U, dims.hops, sigma2, amps0)
         W = receiver_global(stats)
         stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="ipc")
+        assert stats.R_a.shape == (dims.K, dims.hops, dims.hops)
         for k in range(dims.K):
-            Rk = np.real(stats.R_a_users[k])
-            pk = np.real(stats.p_a_users[k])
+            Rk = np.real(stats.R_a[k])
+            pk = np.real(stats.p_a[k])
 
             def quad(ak):
                 return ak @ Rk @ ak - 2.0 * ak @ pk
@@ -187,8 +189,8 @@ class TestPowerQuadratics:
         W = receiver_global(stats)
         stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="gpc")
         lam = 0.025
-        Rr = np.real(stats.R_a) + lam * np.eye(dims.K * dims.hops)
-        pr = np.real(stats.p_a)
+        Rr = np.real(stats.R_a[0]) + lam * np.eye(dims.K * dims.hops)
+        pr = np.real(stats.p_a[0])
         a_star = np.linalg.solve(Rr, pr)
         # stationarity residual of the regularized normal equations
         assert np.linalg.norm(Rr @ a_star - pr) < 1e-10
@@ -208,7 +210,7 @@ class TestProjections:
         assert abs(np.linalg.norm(proj) ** 2 - 4.0) < 1e-12
 
     def test_sphere_zero_raises(self):
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(DegenerateStateError):
             project_sphere(np.zeros(3), 1.0)
 
     def test_nonnegative_real_output(self, rng):
@@ -228,9 +230,9 @@ class TestProjections:
         p = np.array([0.9, 0.1, 0.4, 0.2])
         stats = EnsembleStatistics(R=np.eye(4), P_ch=np.zeros((4, 1)),
                                    mode="gpc", hops=2,
-                                   R_a=np.eye(4), p_a=p.astype(complex))
-        a = power_global(stats, 0.0, 2.0)
-        np.testing.assert_allclose(a, p * np.sqrt(2.0) / np.linalg.norm(p),
+                                   R_a=np.eye(4)[None], p_a=p.astype(complex)[None])
+        a = power_step(stats, 0.0, [2.0])
+        np.testing.assert_allclose(a, [p * np.sqrt(2.0) / np.linalg.norm(p)],
                                    atol=1e-12)
 
 
@@ -326,19 +328,24 @@ class TestCertifiedSolve:
     def test_power_solve_matches_cond_path(self, snr_db):
         stats = desk_power_statistics(snr_db, "gpc")
         lam = 0.025
-        Rr = np.real(stats.R_a) + lam * np.eye(stats.R_a.shape[0])
-        slow = _checked_solve(Rr, np.real(stats.p_a), "power covariance")
-        assert np.array_equal(_real_power_solve(stats.R_a, stats.p_a, lam), slow)
+        R_a, p_a = stats.R_a[0], stats.p_a[0]
+        Rr = np.real(R_a) + lam * np.eye(R_a.shape[0])
+        slow = _checked_solve(Rr, np.real(p_a), "power covariance")
+        assert np.array_equal(_real_power_solve(R_a, p_a, lam), slow)
+        assert np.array_equal(_real_power_solve(stats.R_a, stats.p_a, lam),
+                              slow[None])
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_stacked_ipc_solve_matches_per_block(self, snr_db):
         stats = desk_power_statistics(snr_db, "ipc")
         lam = 0.025
-        stacked = _real_power_solve(np.stack(stats.R_a_users),
-                                    np.stack(stats.p_a_users), lam)
+        stacked = _real_power_solve(stats.R_a, stats.p_a, lam)
         per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
-                              in zip(stats.R_a_users, stats.p_a_users)])
+                              in zip(stats.R_a, stats.p_a)])
         assert np.array_equal(stacked, per_block)
+        budgets = np.ones(len(per_block))
+        assert np.array_equal(power_step(stats, lam, budgets), np.stack(
+            [nonnegative_amplitudes(a_k, 1.0) for a_k in per_block]))
 
     def test_floor_too_small_to_certify_takes_cond_path(self, rng):
         A = rng.standard_normal((6, 6))

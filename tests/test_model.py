@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_link_pieces
+from coopcdma.gpc import waveforms_from_channel
 from coopcdma.harness import (_add_destination_frames, _noise_matrix,
                               draw_scenario)
 from coopcdma.model import (SystemDims, add_hop_frames,
@@ -18,6 +19,11 @@ def scenario(dims, rng, isi=True):
     """A noise-free, shadowed scenario drawn by the harness."""
     codes = draw_spreading_codes(dims.K, dims.N, rng)
     return draw_scenario(dims, codes, 0.0, 3.0, rng, isi_enabled=isi)
+
+
+def conv_mats(scn):
+    """Per-user M x L convolution matrices of the scenario's codes."""
+    return [build_convolution_matrix(code, scn.dims.L) for code in scn.codes]
 
 
 def hop_symbols(dims, cols, rng):
@@ -68,7 +74,7 @@ class TestBlockSignature:
     def test_single_block_identity(self, rng):
         dims = SystemDims(K=1, N=8, L=2, n_r=0)
         scn = scenario(dims, rng)
-        np.testing.assert_array_equal(scn.C_all, scn.conv[0])
+        np.testing.assert_array_equal(scn.C_all, conv_mats(scn)[0])
 
     def test_three_identical_diagonal_blocks(self, rng):
         dims = SystemDims(K=2, N=16, L=3, n_r=2)
@@ -77,7 +83,7 @@ class TestBlockSignature:
         assert C.shape == (54, 9)
         for j in range(3):
             np.testing.assert_array_equal(C[18 * j:18 * (j + 1), 3 * j:3 * (j + 1)],
-                                          scn.conv[1])
+                                          conv_mats(scn)[1])
         # off-diagonal blocks exactly zero
         C_zeroed = C.copy()
         for j in range(3):
@@ -87,7 +93,7 @@ class TestBlockSignature:
     def test_nonzero_count_scales_with_blocks(self, rng):
         dims = SystemDims(K=1, N=5, L=2, n_r=2)
         scn = scenario(dims, rng)
-        assert np.count_nonzero(scn.C_all) == 3 * np.count_nonzero(scn.conv[0])
+        assert np.count_nonzero(scn.C_all) == 3 * np.count_nonzero(conv_mats(scn)[0])
 
 
 class TestMultipathChannel:
@@ -186,12 +192,13 @@ class TestReceivedFrame:
         amps = np.array([[0.9, 0.4], [0.3, 0.95]])
         frames = destination_frames(scn, S, amps)
         M, L, hops = dims.M, dims.L, dims.hops
+        conv = conv_mats(scn)
         for hop in range(hops):
             expected = np.zeros((M, 3), dtype=complex)
             for k in range(2):
                 link = k * hops + hop
                 h = scn.h_true[link * L:(link + 1) * L]
-                expected += amps[k, hop] * np.outer(scn.conv[k] @ h,
+                expected += amps[k, hop] * np.outer(conv[k] @ h,
                                                     S[hop, k, 1:-1])
             np.testing.assert_allclose(frames[hop * M:(hop + 1) * M],
                                        expected, atol=1e-12)
@@ -286,13 +293,35 @@ class TestEffectiveWaveforms:
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         scn = scenario(dims, rng)
         M, L, hops = dims.M, dims.L, dims.hops
+        conv = conv_mats(scn)
         for k in range(2):
             for j in range(hops):
                 link = k * hops + j
                 h = scn.h_true[link * L:(link + 1) * L]
                 col = scn.U[:, link]
                 np.testing.assert_allclose(col[j * M:(j + 1) * M],
-                                           scn.conv[k] @ h, atol=1e-14)
+                                           conv[k] @ h, atol=1e-14)
                 assert np.all(np.delete(col, np.s_[j * M:(j + 1) * M]) == 0)
                 np.testing.assert_allclose(
                     col, scn.C_all[:, link * L:(link + 1) * L] @ h, atol=1e-14)
+
+    @pytest.mark.parametrize("K,n_r", [(1, 0), (2, 1), (4, 2)])
+    def test_map_equals_per_link_products(self, K, n_r):
+        """The waveform map reproduces the per-link conv_k @ h_link loop
+        bit for bit, for the true channels and for arbitrary estimates."""
+        rng = np.random.default_rng(10 * K + n_r)
+        dims = SystemDims(K=K, N=16, L=3, n_r=n_r)
+        scn = scenario(dims, rng)
+        M, L, hops = dims.M, dims.L, dims.hops
+        conv = conv_mats(scn)
+        n = scn.h_true.size
+        estimate = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for taps in (scn.h_true, estimate):
+            U = np.zeros((dims.stack, K * hops), dtype=complex)
+            for k in range(K):
+                for j in range(hops):
+                    link = k * hops + j
+                    U[j * M:(j + 1) * M, link] = conv[k] @ taps[link * L:(link + 1) * L]
+            assert np.array_equal(waveforms_from_channel(scn.C_all, taps, L), U)
+        assert np.array_equal(scn.U, waveforms_from_channel(scn.C_all,
+                                                            scn.h_true, L))

@@ -134,16 +134,25 @@ class TestPowerRecursion:
 
     def test_nonfinite_state_raises(self, rng):
         state = gpc.init_power(np.ones(2), 1.0, 0.998, 0.01)
-        state.a_ls[0] = np.nan
+        state.N[0, 0] = np.nan
         W = random_vec(rng, 4).reshape(4, 1)
         U_hat = random_vec(rng, 8).reshape(4, 2)
         with pytest.raises((DegenerateStateError, NumericalDivergenceError)):
             gpc.power_update(state, W, U_hat, np.ones(2, dtype=complex),
                              np.ones(1, dtype=complex))
 
+    def test_singular_normal_matrix_raises(self, rng):
+        state = gpc.init_power(np.ones(2), 1.0, 0.998, 0.01)
+        state.N[:] = 0.0
+        W = np.zeros((4, 1), dtype=complex)
+        U_hat = random_vec(rng, 8).reshape(4, 2)
+        with pytest.raises(NumericalDivergenceError):
+            gpc.power_update(state, W, U_hat, np.ones(2, dtype=complex),
+                             np.ones(1, dtype=complex))
+
     def test_power_inverse_stays_hermitian(self, rng):
         state = self.run_with_oracle(rng, dim=4, K=2, lam=0.025, steps=200)
-        assert np.abs(state.Phi_a - state.Phi_a.conj().T).max() < 1e-9
+        assert np.abs(state.N - state.N.conj().T).max() < 1e-9
 
 
 class TestChannelRecursion:
@@ -206,7 +215,8 @@ class TestChannelRecursion:
         conv = [build_convolution_matrix(c, L) for c in codes]
         M = N_chips + L - 1
         h = random_vec(rng, K * hops * L)
-        U = gpc.waveforms_from_channel(conv, h, hops)
+        C = np.hstack([np.kron(np.eye(hops), D) for D in conv])
+        U = gpc.waveforms_from_channel(C, h, L)
         assert U.shape == (hops * M, K * hops)
         for k in range(K):
             for j in range(hops):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coopcdma import gpc, harness
-from coopcdma.errors import DegenerateStateError
+from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
 from coopcdma.model import modulate_qpsk
 
 
@@ -120,8 +120,17 @@ class TestUserPowerRecursion:
 
     def test_nonfinite_state_raises(self, rng):
         state = user_block(2)
-        state.a_ls[:] = np.nan
+        state.z[:] = np.nan
+        w = random_vec(rng, 4)
+        U_hat = random_vec(rng, 8).reshape(4, 2)
+        with pytest.raises(NumericalDivergenceError):
+            user_step(state, w, U_hat, np.ones(2, dtype=complex), 1.0 + 0j)
+
+    def test_zeroed_right_hand_side_raises_degenerate(self, rng):
+        """A zero LS estimate is a degenerate allocation, not a nan one."""
+        state = user_block(2)
+        state.z[:] = 0.0
         w = random_vec(rng, 4)
         U_hat = random_vec(rng, 8).reshape(4, 2)
         with pytest.raises(DegenerateStateError):
-            user_step(state, w, U_hat, np.ones(2, dtype=complex), 1.0 + 0j)
+            user_step(state, w, U_hat, np.ones(2, dtype=complex), 0j)

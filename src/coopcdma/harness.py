@@ -92,13 +92,23 @@ class ExperimentConfig:
         K = self.users if users is None else users
         if K < 1:
             raise ConfigError(f"users: must be >= 1, got {K}")
-        n_r = 0 if self.scheme == "ncis" else self.relays
         return SystemDims(K=K, N=self.chips, L=self.paths,
-                          n_r=n_r, P=self.packet_len)
+                          n_r=self.relays, P=self.packet_len)
 
-    def mmse_config(self) -> mmse.MmseConfig:
-        return mmse.MmseConfig(lam_global=self.lam_t, lam_individual=self.lam,
-                               max_iters=self.mmse_iters, tol=self.mmse_tol)
+    def mmse_config(self, lam: float) -> mmse.MmseConfig:
+        return mmse.MmseConfig(lam=lam, max_iters=self.mmse_iters,
+                               tol=self.mmse_tol)
+
+
+def power_blocks(scheme: str, cfg: ExperimentConfig, K: int):
+    """Users per power block and the power step's loading: one block of all
+    K users (jpais-gpc, lam_t) or one per user (jpais-ipc, lam); None for the
+    equal-power schemes."""
+    if scheme == "jpais-gpc":
+        return K, cfg.lam_t
+    if scheme == "jpais-ipc":
+        return 1, cfg.lam
+    return None
 
 
 def snr_db_to_sigma2(snr_db: float, P_A: float = 1.0) -> float:
@@ -189,8 +199,6 @@ def scenario_omega(scn: Scenario) -> np.ndarray:
     interference and noise.
     """
     dims = scn.dims
-    if dims.n_r == 0:
-        return mmse.perfect_relay_omega(dims.K, dims.hops)
     a_b = broadcast_amps(dims)
     stats = [relay_statistics(scn.x_sr[j] * a_b[None, :], scn.sigma2)
              for j in range(dims.n_r)]
@@ -200,17 +208,17 @@ def scenario_omega(scn: Scenario) -> np.ndarray:
 def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
     """Exact-statistics receiver matrix and amplitude allocation for a packet."""
     dims = scn.dims
-    budgets = np.ones(dims.K)
     omega = scenario_omega(scn)
-    if scheme in ("ncis", "cis"):
+    plan = power_blocks(scheme, cfg, dims.K)
+    if plan is None:
         amps = equal_power_amps(dims).astype(complex)
         stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps,
                                       omega=omega)
-        W = mmse.receiver_global(stats, scn.sigma2)
-        return W, amps
-    mode = "gpc" if scheme == "jpais-gpc" else "ipc"
-    res = mmse.alternate(scn.U, dims.hops, scn.sigma2, mode,
-                         cfg.mmse_config(), budgets, omega=omega)
+        return mmse.receiver_global(stats, scn.sigma2), amps
+    users_per_block, lam = plan
+    res = mmse.alternate(scn.U, dims.hops, scn.sigma2,
+                         dims.K // users_per_block, cfg.mmse_config(lam),
+                         np.ones(dims.K), omega=omega)
     return res.W, res.amps
 
 
@@ -299,10 +307,9 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     The relays never see destination feedback, so each relay's RLS filter
     first runs over its whole-packet observation. The destination then steps
     per symbol: channel -> receiver -> power, the channel and power recursions
-    running over blocks of users. jpais-gpc is one block of all users under
-    the total budget K; jpais-ipc is one block per user under its own budget
-    1; ncis and cis have no blocks. Transmit amplitudes follow the latest
-    power estimates.
+    running over the blocks of users that power_blocks gives the scheme, each
+    under its users' total budget; ncis and cis have no blocks. Transmit
+    amplitudes follow the latest power estimates.
     """
     dims = scn.dims
     K, L, P, M = dims.K, dims.L, dims.P, dims.M
@@ -326,27 +333,23 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
         W0[:, k] = col / nrm if nrm > 0 else col
     rx = gpc.init_receiver(stack, K, cfg.alpha, cfg.delta, W0)
 
-    # IPC blocks call gpc's recursions through ipc's names, which the
+    plan = power_blocks(scheme, cfg, K)
+    n_u, lam = plan if plan is not None else (K, 0.0)
+    # one-user blocks call gpc's recursions through ipc's names, which the
     # benchmark's tracer times apart from the joint ones
-    if scheme == "jpais-gpc":
-        spans, lam = [(0, K)], cfg.lam_t
-        channel_step, waveforms, power_step = (
-            gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update)
-    elif scheme == "jpais-ipc":
-        spans, lam = [(k, k + 1) for k in range(K)], cfg.lam
-        channel_step, waveforms, power_step = (
-            ipc.user_channel_update, ipc.user_waveforms_from_channel,
-            ipc.user_power_update)
-    else:
-        spans = []
+    channel_step, waveforms, power_step = (
+        (ipc.user_channel_update, ipc.user_waveforms_from_channel,
+         ipc.user_power_update) if n_u == 1 else
+        (gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update))
     blocks = []
-    for k0, k1 in spans:
+    for k0 in range(0, K, n_u) if plan is not None else ():
+        k1 = k0 + n_u
         links = slice(k0 * hops * L, k1 * hops * L)
         power = None
-        if (k1 - k0) * hops > 1:
-            power = gpc.init_power(amps[k0:k1].reshape(-1), float(k1 - k0),
+        if n_u * hops > 1:
+            power = gpc.init_power(amps[k0:k1].reshape(-1), float(n_u),
                                    cfg.alpha, cfg.delta, lam=lam, start=T)
-        channel = gpc.init_channel((k1 - k0) * hops * L, cfg.alpha, cfg.delta,
+        channel = gpc.init_channel(n_u * hops * L, cfg.alpha, cfg.delta,
                                    h0[links])
         blocks.append(_UserBlock(slice(k0, k1), scn.C_all[:, links], channel,
                                  power))
@@ -519,9 +522,10 @@ def learning_curve(cfg: ExperimentConfig, snr_db: float | None = None) -> BerCur
     codes = codes_for(cfg, dims.K)
     _, _, _, div, per_symbol, used = _run_point(
         cfg, dims, snr_db_to_sigma2(snr), codes, collect_per_symbol=True)
-    denom = max(2 * dims.K * used, 1)
-    rows = [(int(i), float(per_symbol[i]) / denom, 0.0, denom)
-            for i in range(dims.P)]
+    # with every trial diverged: nan over 0 bits, as run_experiment reports
+    bits = 2 * dims.K * used
+    rows = [(int(i), float(per_symbol[i]) / bits if used else float("nan"),
+             0.0, bits) for i in range(dims.P)]
     return BerCurve(x_name="symbol", rows=rows, scheme=cfg.scheme,
                     variant=cfg.variant, metadata=dataclasses.asdict(cfg),
                     divergences=div)

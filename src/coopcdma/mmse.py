@@ -4,9 +4,10 @@ Works from ensemble statistics assembled out of the stacked effective chip
 waveforms (signature * channel per link), assuming i.i.d. unit-energy symbols
 that are independent across users, and unit-energy relayed symbols. Receiver
 and power steps depend on each other and are alternated to a fixed point. The
-power step is one regularized solve over amplitude blocks (all links under the
-global budget, one block per user under individual budgets), each projected
-onto its nonnegative-real budget sphere, the projection the adaptive path uses.
+power constraint is a partition into B equal contiguous user blocks (1:
+global, K: individual budgets); the power step is one regularized solve over
+all blocks, each projected onto its nonnegative-real budget sphere, as in the
+adaptive path.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class MmseConfig:
-    lam_global: float = 0.025
-    lam_individual: float = 0.025
+    lam: float = 0.025  # loading of the power step
     max_iters: int = 50
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam_global < 0 or self.lam_individual < 0:
+        if self.lam < 0:
             raise ValueError("regularization must be >= 0")
         if self.max_iters < 1 or self.tol <= 0:
             raise ValueError("max_iters must be >= 1 and tol > 0")
@@ -42,13 +42,12 @@ class EnsembleStatistics:
     R: stack x stack covariance; P_ch: stack x K cross-correlation with the
     desired symbols (columns are the amplitude-weighted composite waveforms);
     R_a (B x n x n) / p_a (B x n): power-domain covariance and
-    cross-correlation per amplitude block: B = 1, n = K*hops for the global
-    constraint; B = K, n = hops for individual constraints.
+    cross-correlation of each of B contiguous user blocks of n = K*hops/B
+    links, set by add_power_terms (B = 1 global, B = K individual budgets).
     """
 
     R: np.ndarray
     P_ch: np.ndarray
-    mode: str
     hops: int
     R_a: np.ndarray | None = None
     p_a: np.ndarray | None = None
@@ -69,37 +68,27 @@ def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
     relay_stats is a list over relays of (G, S): the forwarded symbol vector
     of relay j is G_j b + nu_j with noise covariance S_j (see
     relays.relay_statistics). Column l = q*hops + p carries the symbol of
-    user q on hop p (p = 0 is the direct link).
+    user q on hop p (p = 0 is the direct link). The link symbols are A b plus
+    independent relay noise, A's rows being those of I, G_1, ..., G_n_r
+    interleaved user-major: Omega = A A^H + blockdiag(S_j).
     """
     n_r = hops - 1
     if len(relay_stats) != n_r:
         raise ValueError(f"expected {n_r} relay models, got {len(relay_stats)}")
-    omega = np.zeros((K * hops, K * hops), dtype=complex)
-
-    def idx(q, p):
-        return q * hops + p
-
-    for q in range(K):
-        for qq in range(K):
-            omega[idx(q, 0), idx(qq, 0)] = 1.0 if q == qq else 0.0
-            for j in range(n_r):
-                G_j, S_j = relay_stats[j]
-                omega[idx(q, 0), idx(qq, j + 1)] = np.conj(G_j[qq, q])
-                omega[idx(q, j + 1), idx(qq, 0)] = G_j[q, qq]
-                for jj in range(n_r):
-                    G_jj, _ = relay_stats[jj]
-                    val = G_j[q] @ G_jj[qq].conj()
-                    if j == jj:
-                        val += S_j[q, qq]
-                    omega[idx(q, j + 1), idx(qq, jj + 1)] = val
+    maps = np.array([np.eye(K)] + [G for G, _ in relay_stats], dtype=complex)
+    A = maps.transpose(1, 0, 2).reshape(K * hops, K)
+    omega = A @ A.conj().T
+    relay_hops = np.arange(1, hops)
+    omega.reshape(K, hops, K, hops)[:, relay_hops, :, relay_hops] += np.reshape(
+        [S for _, S in relay_stats], (n_r, K, K))
     return omega
 
 
 def build_statistics(U: np.ndarray, hops: int, sigma2: float,
                      amps: np.ndarray, W: np.ndarray | None = None,
-                     mode: str = "gpc",
+                     blocks: int = 1,
                      omega: np.ndarray | None = None) -> EnsembleStatistics:
-    """Assemble R, P_ch and, when filters are given, R_a and p_a.
+    """Assemble R, P_ch and, given filters W, R_a and p_a of `blocks` blocks.
 
     U is the stack x K*hops matrix of effective per-link waveforms (column
     order: user-major, direct hop first); amps is K x hops. omega is the
@@ -116,41 +105,45 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
     P_ch = np.stack([Ua @ omega[:, k * hops] for k in range(K)], axis=1)
     if not np.all(np.isfinite(R)):
         raise IllConditionedError("non-finite entries in covariance assembly")
-    stats = EnsembleStatistics(R=R, P_ch=P_ch, mode=mode, hops=hops)
+    stats = EnsembleStatistics(R=R, P_ch=P_ch, hops=hops)
     if W is not None:
-        add_power_terms(stats, U, amps, W, omega)
+        add_power_terms(stats, U, amps, W, omega, blocks)
     return stats
+
+
+def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
+    """View of the B = blocks equal diagonal blocks of X, (B, rows/B, cols/B)."""
+    if blocks == 1:
+        return X[None]  # the whole matrix, without einsum's call overhead
+    rows, cols = X.shape
+    return np.einsum("bibj->bij", X.reshape(blocks, rows // blocks,
+                                            blocks, cols // blocks))
 
 
 def add_power_terms(stats: EnsembleStatistics, U: np.ndarray,
                     amps: np.ndarray, W: np.ndarray,
-                    omega: np.ndarray) -> None:
-    """Fill in the W-dependent half of the statistics: the per-block R_a and
-    p_a, one block of all links (gpc) or one per user (ipc)."""
-    hops = stats.hops
-    cols = U.shape[1]
-    K = cols // hops
+                    omega: np.ndarray, blocks: int) -> None:
+    """Fill in the W-dependent half of the statistics: R_a and p_a of each of
+    `blocks` equal contiguous user blocks.
+
+    They are the quadratic and linear coefficients, in block b's amplitudes,
+    of the MSE summed over b's users with the other blocks' amplitudes held
+    at amps. With G_b the block users' link responses on the block's links,
+    R_a[b] = (G_b G_b^H) o Omega_bb^T; p_a[b] is the block users'
+    desired-symbol correlation minus the other blocks' fixed contribution,
+    which is zero for one block.
+    """
     G = U.conj().T @ W  # (K*hops) x K; column k holds the link responses of w_k
-    if stats.mode == "gpc":
-        # quadratic/linear terms of the total MSE in the stacked amplitudes
-        R_a = (G @ G.conj().T) * omega.T
-        p_a = np.zeros(cols, dtype=complex)
-        for k in range(K):
-            p_a += G[:, k] * omega[k * hops, :]
-        stats.R_a, stats.p_a = R_a[None], p_a[None]
-        return
-    a_vec = np.asarray(amps, dtype=complex).reshape(cols)
-    stats.R_a = np.empty((K, hops, hops), dtype=complex)
-    stats.p_a = np.empty((K, hops), dtype=complex)
-    for k in range(K):
-        blk = slice(k * hops, (k + 1) * hops)
-        phi = G[:, k]
-        # fixed contribution of the other users' current amplitudes
-        u_other = phi.conj() * a_vec
-        u_other[blk] = 0.0
-        d = omega[:, k * hops] - omega @ u_other.conj()
-        stats.R_a[k] = np.outer(phi[blk], phi[blk].conj()) * omega[blk, blk].T
-        stats.p_a[k] = phi[blk] * d[blk].conj()
+    d = omega[:, ::stats.hops]  # column k: each link's correlation with b_k
+    if blocks > 1:
+        # amplitude-weighted link responses of each filter, other blocks only
+        aG = np.asarray(amps, dtype=complex).reshape(-1, 1) * G
+        _diagonal_blocks(aG, blocks)[...] = 0.0
+        d = d - omega @ aG
+    G_b = _diagonal_blocks(G, blocks)
+    stats.R_a = ((G_b @ G_b.conj().transpose(0, 2, 1))
+                 * _diagonal_blocks(omega, blocks).transpose(0, 2, 1))
+    stats.p_a = np.einsum("bik->bi", G_b * _diagonal_blocks(d, blocks).conj())
 
 
 def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
@@ -281,12 +274,13 @@ def equal_power_amps(K: int, hops: int, budgets: np.ndarray) -> np.ndarray:
     return np.sqrt(np.asarray(budgets, dtype=float)[:, None] / hops) * np.ones((K, hops))
 
 
-def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
+def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
               config: MmseConfig, budgets: np.ndarray,
               omega: np.ndarray | None = None) -> AlternationResult:
     """Alternate filter and power steps from the equal-power initialization.
 
-    budgets holds P_A,k per user; the global budget is their sum. The trace
+    The users form `blocks` equal contiguous blocks (1: global, K: individual
+    constraints), each under the sum of its users' P_A,k in budgets. The trace
     records the ensemble MSE after each filter step, so its first entry is the
     MSE of the equal-power (CIS) allocation under its own MMSE filters.
     omega must be a covariance matrix (positive semidefinite), as every
@@ -295,12 +289,11 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
     """
     cols = U.shape[1]
     K = cols // hops
+    if blocks < 1 or K % blocks:
+        raise ValueError(f"{blocks} blocks do not split {K} users evenly")
     budgets = np.asarray(budgets, dtype=float)
     amps = equal_power_amps(K, hops, budgets)
-    if mode == "gpc":
-        lam, block_budgets = config.lam_global, [float(budgets.sum())]
-    else:
-        lam, block_budgets = config.lam_individual, budgets
+    block_budgets = budgets.reshape(blocks, -1).sum(axis=1)
     if omega is None:
         omega = perfect_relay_omega(K, hops)
     trace = []
@@ -310,14 +303,14 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, mode: str,
     for it in range(1, config.max_iters + 1):
         # one assembly per iteration: the filter step, the traced MSE and the
         # power step all read the statistics at the current amplitudes
-        stats = build_statistics(U, hops, sigma2, amps, mode=mode, omega=omega)
+        stats = build_statistics(U, hops, sigma2, amps, omega=omega)
         W = receiver_global(stats, sigma2)
         trace.append(statistics_mse(stats, W))
         if hops == 1 and K == 1:
             converged = True  # power fully determined by the constraint
             break
-        add_power_terms(stats, U, amps, W, omega)
-        a_new = power_step(stats, lam, block_budgets).reshape(K, hops)
+        add_power_terms(stats, U, amps, W, omega, blocks)
+        a_new = power_step(stats, config.lam, block_budgets).reshape(K, hops)
         delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
         amps = a_new
         if delta < config.tol:

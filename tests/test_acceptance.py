@@ -10,8 +10,8 @@ import pytest
 
 from coopcdma import cli, gpc, ipc, mmse
 from coopcdma.harness import (ExperimentConfig, capacity_at_target, codes_for,
-                              design_exact, draw_scenario, run_experiment,
-                              run_user_sweep, scenario_omega,
+                              design_exact, draw_scenario, power_blocks,
+                              run_experiment, run_user_sweep, scenario_omega,
                               simulate_packet_adaptive, simulate_packet_exact,
                               snr_db_to_sigma2, trial_rngs)
 from coopcdma.model import modulate_qpsk
@@ -128,9 +128,11 @@ class TestAcceptance:
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                 rngs[0])
             om = scenario_omega(scn)
-            for mode in ("gpc", "ipc"):
-                res = mmse.alternate(scn.U, dims.hops, sigma2, mode,
-                                     cfg.mmse_config(), np.ones(dims.K),
+            for scheme in ("jpais-gpc", "jpais-ipc"):
+                users_per_block, lam = power_blocks(scheme, cfg, dims.K)
+                res = mmse.alternate(scn.U, dims.hops, sigma2,
+                                     dims.K // users_per_block,
+                                     cfg.mmse_config(lam), np.ones(dims.K),
                                      omega=om)
                 total += 1
                 if res.mse_trace[-1] <= res.mse_trace[0] + 1e-12:

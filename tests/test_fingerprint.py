@@ -94,9 +94,11 @@ def test_more_adaptive_packets(seed, scheme):
 def test_exact_alternation(seed, snr_db, mode):
     cfg = harness.ExperimentConfig(seed=seed)
     scn = desk_scenario(cfg, snr_db, harness.trial_rngs(seed, 0)[0])
-    res = mmse.alternate(scn.U, scn.dims.hops, scn.sigma2, mode,
-                         cfg.mmse_config(), np.ones(scn.dims.K),
-                         omega=harness.scenario_omega(scn))
+    users_per_block, lam = harness.power_blocks("jpais-" + mode, cfg,
+                                                scn.dims.K)
+    res = mmse.alternate(scn.U, scn.dims.hops, scn.sigma2,
+                         scn.dims.K // users_per_block, cfg.mmse_config(lam),
+                         np.ones(scn.dims.K), omega=harness.scenario_omega(scn))
     iterations, converged, final_mse = ALTERNATION[seed, snr_db, mode]
     assert (res.iterations, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.mse_trace[-1], final_mse, rtol=1e-9, atol=0)

@@ -276,6 +276,23 @@ class TestAggregation:
         tail = np.mean([row[1] for row in curve.rows[-50:]])
         assert tail < head
 
+    def test_learning_curve_with_every_trial_diverged(self, monkeypatch):
+        """No surviving trial reads nan over 0 bits, as in run_experiment."""
+        from coopcdma import harness
+
+        def diverge(*args, **kwargs):
+            raise DegenerateStateError("zero-norm amplitude vector")
+
+        monkeypatch.setattr(harness, "run_packet", diverge)
+        cfg = small_cfg(scheme="jpais-gpc", variant="adaptive", trials=2)
+        curve = learning_curve(cfg, snr_db=9.0)
+        assert curve.divergences == 2
+        assert len(curve.rows) == cfg.packet_len
+        for i, (x, ber, stderr, bits) in enumerate(curve.rows):
+            assert x == i and np.isnan(ber) and stderr == 0.0 and bits == 0
+        _, ber, stderr, bits = run_experiment(cfg).rows[0]
+        assert np.isnan(ber) and stderr == 0.0 and bits == 0
+
     def test_config_round_trip_through_metadata(self):
         cfg = small_cfg()
         curve = run_experiment(cfg)

@@ -8,8 +8,8 @@ import pytest
 from coopcdma import harness, mmse
 from coopcdma.errors import DegenerateStateError
 from coopcdma.mmse import (AlternationResult, EnsembleStatistics, MmseConfig,
-                           _checked_solve, _real_power_solve, alternate,
-                           build_statistics, equal_power_amps,
+                           _checked_solve, _real_power_solve, add_power_terms,
+                           alternate, build_statistics, equal_power_amps,
                            nonnegative_amplitudes, perfect_relay_omega,
                            power_step, project_sphere, receiver_global,
                            relay_omega, total_mse)
@@ -35,6 +35,75 @@ def random_amps(dims, rng):
     return 0.3 + rng.random((dims.K, dims.hops))
 
 
+DESK_K = harness.ExperimentConfig().users
+
+
+def loop_relay_omega(K, hops, relay_stats):
+    """Entry-by-entry link-symbol correlation: the oracle for relay_omega."""
+    n_r = hops - 1
+    omega = np.zeros((K * hops, K * hops), dtype=complex)
+
+    def idx(q, p):
+        return q * hops + p
+
+    for q in range(K):
+        for qq in range(K):
+            omega[idx(q, 0), idx(qq, 0)] = 1.0 if q == qq else 0.0
+            for j in range(n_r):
+                G_j, S_j = relay_stats[j]
+                omega[idx(q, 0), idx(qq, j + 1)] = np.conj(G_j[qq, q])
+                omega[idx(q, j + 1), idx(qq, 0)] = G_j[q, qq]
+                for jj in range(n_r):
+                    G_jj, _ = relay_stats[jj]
+                    val = G_j[q] @ G_jj[qq].conj()
+                    if j == jj:
+                        val += S_j[q, qq]
+                    omega[idx(q, j + 1), idx(qq, jj + 1)] = val
+    return omega
+
+
+def global_power_terms(U, hops, W, omega):
+    """One block of all links, assembled term by term: the global-constraint
+    oracle for add_power_terms."""
+    K = U.shape[1] // hops
+    G = U.conj().T @ W
+    R_a = (G @ G.conj().T) * omega.T
+    p_a = np.zeros(U.shape[1], dtype=complex)
+    for k in range(K):
+        p_a += G[:, k] * omega[k * hops, :]
+    return R_a[None], p_a[None]
+
+
+def individual_power_terms(U, hops, amps, W, omega):
+    """One block per user, the other users' amplitudes held fixed: the
+    individual-constraint oracle for add_power_terms."""
+    cols = U.shape[1]
+    K = cols // hops
+    a_vec = np.asarray(amps, dtype=complex).reshape(cols)
+    G = U.conj().T @ W
+    R_a = np.empty((K, hops, hops), dtype=complex)
+    p_a = np.empty((K, hops), dtype=complex)
+    for k in range(K):
+        blk = slice(k * hops, (k + 1) * hops)
+        phi = G[:, k]
+        u_other = phi.conj() * a_vec
+        u_other[blk] = 0.0
+        d = omega[:, k * hops] - omega @ u_other.conj()
+        R_a[k] = np.outer(phi[blk], phi[blk].conj()) * omega[blk, blk].T
+        p_a[k] = phi[blk] * d[blk].conj()
+    return R_a, p_a
+
+
+def random_relay_stats(K, n_r, rng):
+    """Random complex G_j and Hermitian positive semidefinite S_j."""
+    stats = []
+    for _ in range(n_r):
+        G = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        F = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        stats.append((G, F @ F.conj().T))
+    return stats
+
+
 def desk_design_inputs(snr_db, seed=1):
     """U, sigma^2 and omega of trial 0 at the desk configuration."""
     cfg = harness.ExperimentConfig(seed=seed)
@@ -46,14 +115,16 @@ def desk_design_inputs(snr_db, seed=1):
     return scn.U, dims.hops, scn.sigma2, harness.scenario_omega(scn)
 
 
-def desk_power_statistics(snr_db, mode):
-    """Desk statistics at equal power, with the power terms of their filters."""
+def desk_power_statistics(snr_db, blocks):
+    """Desk statistics at equal power, with the power terms of their filters
+    for the given number of user blocks."""
     U, hops, sigma2, omega = desk_design_inputs(snr_db)
     K = U.shape[1] // hops
     amps = equal_power_amps(K, hops, np.ones(K))
     stats = build_statistics(U, hops, sigma2, amps, omega=omega)
     W = receiver_global(stats, sigma2)
-    return build_statistics(U, hops, sigma2, amps, W=W, mode=mode, omega=omega)
+    return build_statistics(U, hops, sigma2, amps, W=W, blocks=blocks,
+                            omega=omega)
 
 
 class TestOmega:
@@ -89,6 +160,19 @@ class TestOmega:
         s = np.stack([b[0], btilde[0], b[1], btilde[1]])
         om_hat = (s @ s.conj().T) / n_mc
         np.testing.assert_allclose(om_hat, om, atol=0.02)
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    @pytest.mark.parametrize("n_r", [0, 1, 3])
+    def test_closed_form_matches_loop(self, K, n_r, rng):
+        stats = random_relay_stats(K, n_r, rng)
+        om = relay_omega(K, n_r + 1, stats)
+        ref = loop_relay_omega(K, n_r + 1, stats)
+        assert np.abs(om - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_no_relays_is_perfect(self, K):
+        """Without relays the closed form is exactly the perfect-copy model."""
+        assert np.array_equal(relay_omega(K, 1, []), perfect_relay_omega(K, 1))
 
     def test_relay_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -138,7 +222,7 @@ class TestPowerQuadratics:
         amps0 = random_amps(dims, rng)
         stats = build_statistics(U, dims.hops, sigma2, amps0)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="gpc")
+        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, blocks=1)
         const = dims.K + sigma2 * np.linalg.norm(W) ** 2
         assert stats.R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
         for _ in range(5):
@@ -156,7 +240,8 @@ class TestPowerQuadratics:
         amps0 = random_amps(dims, rng)
         stats = build_statistics(U, dims.hops, sigma2, amps0)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="ipc")
+        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W,
+                                 blocks=dims.K)
         assert stats.R_a.shape == (dims.K, dims.hops, dims.hops)
         for k in range(dims.K):
             Rk = np.real(stats.R_a[k])
@@ -187,7 +272,7 @@ class TestPowerQuadratics:
         amps0 = random_amps(dims, rng)
         stats = build_statistics(U, dims.hops, sigma2, amps0)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, mode="gpc")
+        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, blocks=1)
         lam = 0.025
         Rr = np.real(stats.R_a[0]) + lam * np.eye(dims.K * dims.hops)
         pr = np.real(stats.p_a[0])
@@ -201,6 +286,29 @@ class TestPowerQuadratics:
         for _ in range(10):
             pert = 0.05 * rng.standard_normal(a_star.shape)
             assert cost(a_star + pert) >= cost(a_star) - 1e-12
+
+
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_block_terms_match_oracles(self, snr_db):
+        """One block reproduces the global assembly and K blocks the
+        per-user one, away from equal power so the fixed other-block
+        amplitudes matter."""
+        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        K = U.shape[1] // hops
+        amps = 0.3 + np.random.default_rng(5).random((K, hops))
+        W = receiver_global(build_statistics(U, hops, sigma2, amps,
+                                             omega=omega), sigma2)
+        for blocks, (R_ref, p_ref) in (
+                (1, global_power_terms(U, hops, W, omega)),
+                (K, individual_power_terms(U, hops, amps, W, omega))):
+            stats = build_statistics(U, hops, sigma2, amps, omega=omega)
+            add_power_terms(stats, U, amps, W, omega, blocks)
+            assert stats.R_a.shape == R_ref.shape
+            assert stats.p_a.shape == p_ref.shape
+            assert (np.abs(stats.R_a - R_ref).max()
+                    <= 1e-14 * np.abs(R_ref).max())
+            assert (np.abs(stats.p_a - p_ref).max()
+                    <= 1e-14 * np.abs(p_ref).max())
 
 
 class TestProjections:
@@ -228,8 +336,7 @@ class TestProjections:
     def test_identity_covariance_follows_cross_correlation(self):
         """With R_a = I and λ = 0 the power step is the projected p_a."""
         p = np.array([0.9, 0.1, 0.4, 0.2])
-        stats = EnsembleStatistics(R=np.eye(4), P_ch=np.zeros((4, 1)),
-                                   mode="gpc", hops=2,
+        stats = EnsembleStatistics(R=np.eye(4), P_ch=np.zeros((4, 1)), hops=2,
                                    R_a=np.eye(4)[None], p_a=p.astype(complex)[None])
         a = power_step(stats, 0.0, [2.0])
         np.testing.assert_allclose(a, [p * np.sqrt(2.0) / np.linalg.norm(p)],
@@ -242,8 +349,8 @@ class TestAlternation:
         dims = SystemDims(K=1, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         sigma2 = 0.3
-        cfg = MmseConfig(lam_global=1e-6, max_iters=200, tol=1e-10)
-        res = alternate(U, dims.hops, sigma2, "gpc", cfg, np.array([1.0]))
+        cfg = MmseConfig(lam=1e-6, max_iters=200, tol=1e-10)
+        res = alternate(U, dims.hops, sigma2, 1, cfg, np.array([1.0]))
 
         best = np.inf
         for theta in np.linspace(0.0, np.pi / 2, 4001):
@@ -259,7 +366,7 @@ class TestAlternation:
         sigma2 = 0.2
         budgets = np.ones(2)
         cfg = MmseConfig()
-        res = alternate(U, dims.hops, sigma2, "gpc", cfg, budgets)
+        res = alternate(U, dims.hops, sigma2, 1, cfg, budgets)
         amps_eq = equal_power_amps(2, dims.hops, budgets)
         stats = build_statistics(U, dims.hops, sigma2, amps_eq)
         W_eq = receiver_global(stats)
@@ -267,12 +374,12 @@ class TestAlternation:
         assert abs(res.mse_trace[0] - mse_eq) < 1e-12
 
     def test_trace_does_not_end_above_start(self, rng):
-        for mode in ("gpc", "ipc"):
+        for blocks in (1, 3):
             for trial in range(5):
                 local = np.random.default_rng(100 + trial)
                 dims = SystemDims(K=3, N=8, L=2, n_r=1)
                 U = make_stack(dims, local)
-                res = alternate(U, dims.hops, 0.2, mode, MmseConfig(),
+                res = alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
                                 np.ones(3))
                 assert res.mse_trace[-1] <= res.mse_trace[0] + 1e-9
 
@@ -280,16 +387,23 @@ class TestAlternation:
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
         U = make_stack(dims, rng)
         budgets = np.array([1.0, 1.5])
-        res = alternate(U, dims.hops, 0.2, "ipc", MmseConfig(), budgets)
+        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), budgets)
         np.testing.assert_allclose(np.sum(res.amps ** 2, axis=1), budgets,
                                    atol=1e-10)
-        res = alternate(U, dims.hops, 0.2, "gpc", MmseConfig(), budgets)
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), budgets)
         assert abs(np.sum(res.amps ** 2) - budgets.sum()) < 1e-10
+
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_blocks_must_split_users_evenly(self, blocks, rng):
+        dims = SystemDims(K=3, N=8, L=2, n_r=1)
+        U = make_stack(dims, rng)
+        with pytest.raises(ValueError, match="split"):
+            alternate(U, dims.hops, 0.2, blocks, MmseConfig(), np.ones(3))
 
     def test_result_shape_and_flags(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
-        res = alternate(U, dims.hops, 0.2, "gpc", MmseConfig(), np.ones(2))
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), np.ones(2))
         assert isinstance(res, AlternationResult)
         assert res.W.shape == (dims.stack, 2)
         assert res.amps.shape == (2, dims.hops)
@@ -326,7 +440,7 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_power_solve_matches_cond_path(self, snr_db):
-        stats = desk_power_statistics(snr_db, "gpc")
+        stats = desk_power_statistics(snr_db, 1)
         lam = 0.025
         R_a, p_a = stats.R_a[0], stats.p_a[0]
         Rr = np.real(R_a) + lam * np.eye(R_a.shape[0])
@@ -337,7 +451,7 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_stacked_ipc_solve_matches_per_block(self, snr_db):
-        stats = desk_power_statistics(snr_db, "ipc")
+        stats = desk_power_statistics(snr_db, DESK_K)
         lam = 0.025
         stacked = _real_power_solve(stats.R_a, stats.p_a, lam)
         per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
@@ -375,7 +489,7 @@ class TestCertifiedSolve:
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
-            alternate(U, dims.hops, 0.0, "gpc", MmseConfig(max_iters=2),
+            alternate(U, dims.hops, 0.0, 1, MmseConfig(max_iters=2),
                       np.ones(2))
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
@@ -383,7 +497,8 @@ class TestCertifiedSolve:
     def test_trace_ends_at_total_mse_of_result(self, mode, snr_db):
         U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
-        res = alternate(U, hops, sigma2, mode, MmseConfig(), np.ones(K),
+        blocks = 1 if mode == "gpc" else K
+        res = alternate(U, hops, sigma2, blocks, MmseConfig(), np.ones(K),
                         omega=omega)
         assert res.mse_trace[-1] == total_mse(U, hops, sigma2, res.amps, res.W,
                                               omega=omega)
@@ -392,7 +507,7 @@ class TestCertifiedSolve:
 class TestConfigValidation:
     def test_rejects_negative_regularization(self):
         with pytest.raises(ValueError):
-            MmseConfig(lam_global=-0.1)
+            MmseConfig(lam=-0.1)
 
     def test_rejects_bad_iteration_controls(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,9 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["snr_grid"] = args.snr
     if args.users and "," not in args.users:
         overrides["users"] = args.users
+    elif args.users and args.command != "sweep-users":
+        raise ConfigError(f"users: a list of user counts ({args.users}) "
+                          "is only valid for sweep-users")
     if args.full_scale:
         overrides["trials"] = 1000
     return parse_config(args.config, overrides)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,14 @@ class ExperimentConfig:
                               f"got {self.shadowing_std_db!r}")
         if len(self.snr_grid) == 0:
             raise ConfigError("snr_grid: must hold at least one SNR")
-        if not np.all(np.isfinite(self.snr_grid)):
-            raise ConfigError(f"snr_grid: entries must be finite, got {self.snr_grid!r}")
+        for snr in self.snr_grid:
+            try:
+                sigma2 = snr_db_to_sigma2(snr)
+            except (OverflowError, ZeroDivisionError):  # |snr| >~ 3083 dB
+                sigma2 = 0.0
+            if not 0.0 < sigma2 < np.inf:  # also rejects nan and +-inf dB
+                raise ConfigError(f"snr_grid: {snr!r} dB gives no finite, "
+                                  "positive noise variance")
         if self.scheme == "ncis" and self.relays != 0:
             object.__setattr__(self, "relays", 0)
 
@@ -111,9 +118,9 @@ def power_blocks(scheme: str, cfg: ExperimentConfig, K: int):
     return None
 
 
-def snr_db_to_sigma2(snr_db: float, P_A: float = 1.0) -> float:
-    """SNR = P_A / sigma^2 with the per-user budget fixed at P_A."""
-    return P_A / (10.0 ** (snr_db / 10.0))
+def snr_db_to_sigma2(snr_db: float) -> float:
+    """SNR = P_A / sigma^2 with the per-user budget P_A = 1."""
+    return 1.0 / (10.0 ** (snr_db / 10.0))
 
 
 @dataclass
@@ -133,6 +140,13 @@ class Scenario:
     def spill(self) -> int:
         """Chips a symbol spills into its neighbours' windows: L - 1 with ISI."""
         return self.dims.L - 1 if self.isi_enabled else 0
+
+    @cached_property
+    def relay_banks(self) -> list:
+        """Each relay's exact MMSE filters and gains, solved on first use:
+        the exact design and the exact packet share them, and adaptive
+        packets never solve them."""
+        return [mmse_relay_bank(X, self.sigma2) for X in self.x_sr]
 
 
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
@@ -178,30 +192,21 @@ class PacketResult:
     extras: dict = field(default_factory=dict)
 
 
-def equal_power_amps(dims: SystemDims, P_A: float = 1.0) -> np.ndarray:
-    return mmse.equal_power_amps(dims.K, dims.hops, np.full(dims.K, P_A))
-
-
-def broadcast_amps(dims: SystemDims, P_A: float = 1.0) -> np.ndarray:
-    """Source amplitudes toward the relays' receivers.
-
-    The relays listen to a separate source transmission slot whose amplitude
-    is not part of the optimized destination-link vector; it is held at the
-    full per-user budget so relay-side quality is identical across schemes.
-    """
-    return np.sqrt(np.full(dims.K, P_A))
+def equal_power_amps(dims: SystemDims) -> np.ndarray:
+    return mmse.equal_power_amps(dims.K, dims.hops, np.ones(dims.K))
 
 
 def scenario_omega(scn: Scenario) -> np.ndarray:
     """Link-symbol correlation matrix for the scenario's relay chain.
 
     Models the relays' MMSE filtering: their soft symbols carry residual
-    interference and noise.
+    interference and noise. The relays listen to a separate source slot sent
+    at the full per-user budget P_A = 1, so their source-to-relay waveforms
+    enter unscaled and relay-side quality is identical across schemes.
     """
     dims = scn.dims
-    a_b = broadcast_amps(dims)
-    stats = [relay_statistics(scn.x_sr[j] * a_b[None, :], scn.sigma2)
-             for j in range(dims.n_r)]
+    stats = [relay_statistics(X, scn.sigma2, bank)
+             for X, bank in zip(scn.x_sr, scn.relay_banks)]
     return mmse.relay_omega(dims.K, dims.hops, stats)
 
 
@@ -212,13 +217,12 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
     plan = power_blocks(scheme, cfg, dims.K)
     if plan is None:
         amps = equal_power_amps(dims).astype(complex)
-        stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps,
-                                      omega=omega)
+        stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps, omega)
         return mmse.receiver_global(stats, scn.sigma2), amps
     users_per_block, lam = plan
     res = mmse.alternate(scn.U, dims.hops, scn.sigma2,
                          dims.K // users_per_block, cfg.mmse_config(lam),
-                         np.ones(dims.K), omega=omega)
+                         np.ones(dims.K), omega)
     return res.W, res.amps
 
 
@@ -238,13 +242,13 @@ def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
 
 def _relay_frames(scn: Scenario, S0: np.ndarray,
                   rng_noise: np.random.Generator) -> list:
-    """Each relay's whole-packet observation of the source broadcast."""
+    """Each relay's whole-packet observation of the source broadcast, sent at
+    the full per-user budget."""
     dims = scn.dims
-    a_b = broadcast_amps(dims)[:, None]
     frames = []
     for X in scn.x_sr:
         R = _noise_matrix((dims.M, dims.P), scn.sigma2, rng_noise)
-        add_hop_frames(R, X, S0, a_b, scn.spill)
+        add_hop_frames(R, X, S0, 1.0, scn.spill)
         frames.append(R)
     return frames
 
@@ -264,15 +268,13 @@ def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
 
 def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                           cfg: ExperimentConfig, rng_data: np.random.Generator,
-                          rng_noise: np.random.Generator,
-                          collect_per_symbol: bool = False) -> PacketResult:
+                          rng_noise: np.random.Generator) -> PacketResult:
     """Vectorized packet simulation with fixed filters and amplitudes."""
     dims = scn.dims
     K, P = dims.K, dims.P
     bits, S = _packet_symbols(scn, rng_data)
-    a_b = broadcast_amps(dims)
-    for j, R in enumerate(_relay_frames(scn, S[0], rng_noise)):
-        Wr, g = mmse_relay_bank(scn.x_sr[j] * a_b[None, :], scn.sigma2)
+    relay_obs = _relay_frames(scn, S[0], rng_noise)
+    for j, (R, (Wr, g)) in enumerate(zip(relay_obs, scn.relay_banks)):
         S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
 
     frames = _noise_matrix((dims.stack, P), scn.sigma2, rng_noise)
@@ -283,7 +285,7 @@ def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
     payload = slice(cfg.training_len, P)
     return PacketResult(bit_errors=int(err_symbol[payload].sum()),
                         payload_bits=2 * (P - cfg.training_len) * K,
-                        per_symbol_errors=err_symbol if collect_per_symbol else None)
+                        per_symbol_errors=err_symbol)
 
 
 @dataclass
@@ -300,8 +302,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                              rng_data: np.random.Generator,
                              rng_noise: np.random.Generator,
                              rng_init: np.random.Generator,
-                             collect: tuple = (),
-                             collect_per_symbol: bool = False) -> PacketResult:
+                             collect: tuple = ()) -> PacketResult:
     """Sequential packet simulation with RLS receivers, power, and channels.
 
     The relays never see destination feedback, so each relay's RLS filter
@@ -408,21 +409,18 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
         extras["channel_error"] = np.asarray(ch_errs)
     return PacketResult(bit_errors=int(err_symbol[payload].sum()),
                         payload_bits=2 * (P - T) * K, diverged=diverged,
-                        per_symbol_errors=err_symbol if collect_per_symbol else None,
-                        extras=extras)
+                        per_symbol_errors=err_symbol, extras=extras)
 
 
 def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_data: np.random.Generator, rng_noise: np.random.Generator,
-               rng_init: np.random.Generator,
-               collect_per_symbol: bool = False) -> PacketResult:
+               rng_init: np.random.Generator) -> PacketResult:
     """Simulate one packet under the configured scheme and variant."""
     if cfg.variant == "exact":
         W, amps = design_exact(scn, cfg.scheme, cfg)
-        return simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise,
-                                     collect_per_symbol=collect_per_symbol)
+        return simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
-                                    rng_init, collect_per_symbol=collect_per_symbol)
+                                    rng_init)
 
 
 @dataclass
@@ -457,17 +455,16 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
 
 
 def _run_point(cfg: ExperimentConfig, dims: SystemDims, sigma2: float,
-               codes: np.ndarray, collect_per_symbol: bool = False):
+               codes: np.ndarray):
     bers, divergences = [], 0
-    per_symbol = np.zeros(dims.P, dtype=np.int64) if collect_per_symbol else None
+    per_symbol = np.zeros(dims.P, dtype=np.int64)
     used_trials = 0
     for t in range(cfg.trials):
         rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
         scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db, rng_ch,
                             isi_enabled=cfg.isi)
         try:
-            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init,
-                             collect_per_symbol=collect_per_symbol)
+            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
         except (IllConditionedError, DegenerateStateError):
             divergences += 1
             continue
@@ -476,8 +473,7 @@ def _run_point(cfg: ExperimentConfig, dims: SystemDims, sigma2: float,
             continue
         bers.append(res.bit_errors / res.payload_bits)
         used_trials += 1
-        if collect_per_symbol and res.per_symbol_errors is not None:
-            per_symbol += res.per_symbol_errors
+        per_symbol += res.per_symbol_errors
     bers = np.asarray(bers)
     mean = float(bers.mean()) if bers.size else float("nan")
     stderr = float(bers.std(ddof=1) / np.sqrt(bers.size)) if bers.size > 1 else 0.0
@@ -515,13 +511,13 @@ def run_user_sweep(cfg: ExperimentConfig, users_grid, snr_db: float) -> BerCurve
                     divergences=total_div)
 
 
-def learning_curve(cfg: ExperimentConfig, snr_db: float | None = None) -> BerCurve:
-    """Per-symbol-index BER averaged over trials (convergence view)."""
-    snr = cfg.snr_grid[0] if snr_db is None else snr_db
+def learning_curve(cfg: ExperimentConfig) -> BerCurve:
+    """Per-symbol-index BER averaged over trials (convergence view), at the
+    first SNR of the configured grid."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     _, _, _, div, per_symbol, used = _run_point(
-        cfg, dims, snr_db_to_sigma2(snr), codes, collect_per_symbol=True)
+        cfg, dims, snr_db_to_sigma2(cfg.snr_grid[0]), codes)
     # with every trial diverged: nan over 0 bits, as run_experiment reports
     bits = 2 * dims.K * used
     rows = [(int(i), float(per_symbol[i]) / bits if used else float("nan"),
@@ -531,13 +527,7 @@ def learning_curve(cfg: ExperimentConfig, snr_db: float | None = None) -> BerCur
                     divergences=div)
 
 
-def capacity_at_target(curves, target_ber: float):
-    """Largest grid point whose BER stays at or below the target.
-
-    Accepts one BerCurve (returns int or None) or a mapping of scheme name to
-    BerCurve (returns a dict of the same shape).
-    """
-    if isinstance(curves, dict):
-        return {name: capacity_at_target(c, target_ber) for name, c in curves.items()}
-    feasible = [row[0] for row in curves.rows if row[1] <= target_ber]
+def capacity_at_target(curve: BerCurve, target_ber: float):
+    """Largest grid point whose BER stays at or below the target, or None."""
+    feasible = [row[0] for row in curve.rows if row[1] <= target_ber]
     return max(feasible) if feasible else None

@@ -2,12 +2,13 @@
 
 Works from ensemble statistics assembled out of the stacked effective chip
 waveforms (signature * channel per link), assuming i.i.d. unit-energy symbols
-that are independent across users, and unit-energy relayed symbols. Receiver
-and power steps depend on each other and are alternated to a fixed point. The
-power constraint is a partition into B equal contiguous user blocks (1:
-global, K: individual budgets); the power step is one regularized solve over
-all blocks, each projected onto its nonnegative-real budget sphere, as in the
-adaptive path.
+that are independent across users, and unit-energy relayed symbols. Every
+design entry takes the link-symbol correlation matrix Omega of the relay
+chain (relay_omega). Receiver and power steps depend on each other and are
+alternated to a fixed point. The power constraint is a partition into B
+equal contiguous user blocks (1: global, K: individual budgets); the power
+step is one regularized solve over all blocks, each projected onto its
+nonnegative-real budget sphere, as in the adaptive path.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ class EnsembleStatistics:
     p_a: np.ndarray | None = None
 
 
-def perfect_relay_omega(K: int, hops: int) -> np.ndarray:
-    """Link-symbol correlation matrix when relayed symbols equal the source's.
-
-    Every link of one user carries the same unit-energy symbol (perfectly
-    correlated within a user block), and users are independent.
-    """
-    return np.kron(np.eye(K), np.ones((hops, hops)))
-
-
 def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
     """Link-symbol correlation matrix from second-order relay models.
 
@@ -85,30 +77,23 @@ def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
 
 
 def build_statistics(U: np.ndarray, hops: int, sigma2: float,
-                     amps: np.ndarray, W: np.ndarray | None = None,
-                     blocks: int = 1,
-                     omega: np.ndarray | None = None) -> EnsembleStatistics:
-    """Assemble R, P_ch and, given filters W, R_a and p_a of `blocks` blocks.
+                     amps: np.ndarray, omega: np.ndarray) -> EnsembleStatistics:
+    """Assemble R and P_ch at the amplitudes amps; add_power_terms adds the
+    filter-dependent R_a and p_a.
 
     U is the stack x K*hops matrix of effective per-link waveforms (column
     order: user-major, direct hop first); amps is K x hops. omega is the
-    link-symbol correlation matrix; by default the relayed symbols are
-    treated as perfect copies of the source symbols.
+    K*hops x K*hops link-symbol correlation matrix (relay_omega).
     """
     stack, cols = U.shape
     K = cols // hops
     a_vec = np.asarray(amps, dtype=complex).reshape(cols)
-    if omega is None:
-        omega = perfect_relay_omega(K, hops)
     Ua = U * a_vec[None, :]
     R = Ua @ omega @ Ua.conj().T + sigma2 * np.eye(stack)
     P_ch = np.stack([Ua @ omega[:, k * hops] for k in range(K)], axis=1)
     if not np.all(np.isfinite(R)):
         raise IllConditionedError("non-finite entries in covariance assembly")
-    stats = EnsembleStatistics(R=R, P_ch=P_ch, hops=hops)
-    if W is not None:
-        add_power_terms(stats, U, amps, W, omega, blocks)
-    return stats
+    return EnsembleStatistics(R=R, P_ch=P_ch, hops=hops)
 
 
 def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
@@ -247,10 +232,9 @@ def power_step(stats: EnsembleStatistics, lam: float,
 
 
 def total_mse(U: np.ndarray, hops: int, sigma2: float,
-              amps: np.ndarray, W: np.ndarray,
-              omega: np.ndarray | None = None) -> float:
+              amps: np.ndarray, W: np.ndarray, omega: np.ndarray) -> float:
     """Ensemble MSE  sum_k E|b_k - w_k^H r|^2  at the given filters/amplitudes."""
-    return statistics_mse(build_statistics(U, hops, sigma2, amps, omega=omega), W)
+    return statistics_mse(build_statistics(U, hops, sigma2, amps, omega), W)
 
 
 def statistics_mse(stats: EnsembleStatistics, W: np.ndarray) -> float:
@@ -276,7 +260,7 @@ def equal_power_amps(K: int, hops: int, budgets: np.ndarray) -> np.ndarray:
 
 def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
               config: MmseConfig, budgets: np.ndarray,
-              omega: np.ndarray | None = None) -> AlternationResult:
+              omega: np.ndarray) -> AlternationResult:
     """Alternate filter and power steps from the equal-power initialization.
 
     The users form `blocks` equal contiguous blocks (1: global, K: individual
@@ -294,8 +278,6 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     budgets = np.asarray(budgets, dtype=float)
     amps = equal_power_amps(K, hops, budgets)
     block_budgets = budgets.reshape(blocks, -1).sum(axis=1)
-    if omega is None:
-        omega = perfect_relay_omega(K, hops)
     trace = []
     converged = False
     it = 0
@@ -303,7 +285,7 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     for it in range(1, config.max_iters + 1):
         # one assembly per iteration: the filter step, the traced MSE and the
         # power step all read the statistics at the current amplitudes
-        stats = build_statistics(U, hops, sigma2, amps, omega=omega)
+        stats = build_statistics(U, hops, sigma2, amps, omega)
         W = receiver_global(stats, sigma2)
         trace.append(statistics_mse(stats, W))
         if hops == 1 and K == 1:
@@ -316,7 +298,7 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
         if delta < config.tol:
             converged = True
             break
-    stats = build_statistics(U, hops, sigma2, amps, omega=omega)
+    stats = build_statistics(U, hops, sigma2, amps, omega)
     W = receiver_global(stats, sigma2)
     trace.append(statistics_mse(stats, W))
     return AlternationResult(W=W, amps=amps, mse_trace=np.asarray(trace),

@@ -96,15 +96,16 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
 
 
 def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
-                   a: np.ndarray, spill: int) -> None:
+                   a: np.ndarray | float, spill: int) -> None:
     """Add one hop's chip frames X (S a) and their ISI spill-over to out.
 
     X holds the hop's M x K chip waveforms (one column per user), S the K x
     (cols + 2) hop symbols with one neighbour column on each side (zero at the
-    packet edges) and a the K x 1 amplitudes; out is the M x cols block of
-    observation windows. A symbol's last `spill` = L - 1 chips fall into the
-    head of the next window and its first `spill` chips into the tail of the
-    previous one; spill = 0 leaves the windows free of ISI.
+    packet edges) and a the K x 1 amplitudes, or one amplitude for all users;
+    out is the M x cols block of observation windows. A symbol's last
+    `spill` = L - 1 chips fall into the head of the next window and its first
+    `spill` chips into the tail of the previous one; spill = 0 leaves the
+    windows free of ISI.
     """
     out += X @ (S[:, 1:-1] * a)
     if spill:

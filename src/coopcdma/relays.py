@@ -37,15 +37,16 @@ def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
     return W, 1.0 / np.sqrt(out_power)
 
 
-def relay_statistics(x_scaled: np.ndarray, sigma2: float):
+def relay_statistics(x_scaled: np.ndarray, sigma2: float, bank):
     """Second-order model of one relay's forwarded symbols.
 
-    With filters W and normalizing gains g, the forwarded symbol vector is
-    btilde = G b + nu where G = diag(g) W^H X couples the users' true symbols
-    and nu is filtered relay noise with covariance S. Returns (G, S); a
-    perfect relay corresponds to G = I, S = 0.
+    bank is the relay's (W, gains), as mmse_relay_bank returns them for the
+    same x_scaled and sigma2. With filters W and normalizing gains g, the
+    forwarded symbol vector is btilde = G b + nu where G = diag(g) W^H X
+    couples the users' true symbols and nu is filtered relay noise with
+    covariance S. Returns (G, S); a perfect relay corresponds to G = I, S = 0.
     """
-    W, gains = mmse_relay_bank(x_scaled, sigma2)
+    W, gains = bank
     G = gains[:, None] * (W.conj().T @ x_scaled)
     S = sigma2 * (gains[:, None] * (W.conj().T @ W) * gains[None, :])
     return G, S
@@ -58,10 +59,9 @@ class AdaptiveRelay:
     forwarded symbols stay close to unit energy while the filters adapt.
     """
 
-    def __init__(self, M: int, K: int, alpha: float, delta: float,
-                 W0: np.ndarray | None = None):
+    def __init__(self, M: int, K: int, alpha: float, delta: float):
         self.Phi = np.eye(M, dtype=complex) / delta
-        self.W = np.zeros((M, K), dtype=complex) if W0 is None else W0.astype(complex)
+        self.W = np.zeros((M, K), dtype=complex)
         self.alpha = alpha
         self.power = np.zeros(K)
         self.count = 0

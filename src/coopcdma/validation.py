@@ -115,7 +115,8 @@ CHECKS = [
 ]
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
+    """Run every check, printing one PASS/FAIL line each; True if all pass."""
     all_ok = True
     for name, fn in CHECKS:
         try:
@@ -123,6 +124,5 @@ def run_all(verbose: bool = True) -> bool:
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -192,15 +192,13 @@ class TestAcceptance:
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                 rngs[0])
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2],
-                                        collect_per_symbol=True)
+            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2])
             errs_exact += int(res.per_symbol_errors[tail].sum())
             rngs = trial_rngs(cfg.seed, trial)
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                 rngs[0])
             res = simulate_packet_adaptive(scn, cfg.scheme, cfg, rngs[1],
-                                           rngs[2], rngs[3],
-                                           collect_per_symbol=True)
+                                           rngs[2], rngs[3])
             assert not res.diverged
             errs_adaptive += int(res.per_symbol_errors[tail].sum())
         ratio = errs_adaptive / errs_exact

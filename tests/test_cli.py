@@ -169,7 +169,8 @@ class TestMain:
         "chips = 0", "paths = 0", "relays = -1", "mmse_iters = 0",
         "mmse_tol = 0", "mmse_tol = nan", "delta = 0", "delta = -1",
         "delta = inf", "shadowing_std_db = -3", "shadowing_std_db = nan",
-        "snr_grid = 0,nan", "snr_grid = ", "seed = -1",
+        "snr_grid = 0,nan", "snr_grid = ", "snr_grid = 4000",
+        "snr_grid = -4000", "snr_grid = -3100", "seed = -1",
     ])
     def test_out_of_range_field_returns_2_without_traceback(self, tiny_file,
                                                             tmp_path, capsys,
@@ -191,6 +192,18 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "learning-curve"])
+    def test_user_list_outside_user_sweep_returns_2(self, tiny_file, tmp_path,
+                                                    capsys, command):
+        out = tmp_path / "r.csv"
+        rc = run_main([command, "--config", tiny_file, "--trials", "1",
+                       "--snr", "12", "--scheme", "ncis", "--users", "2,3",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "users" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_users_in_grid_returns_2(self, tiny_file, tmp_path, capsys):

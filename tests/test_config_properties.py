@@ -17,7 +17,11 @@ from coopcdma.harness import SCHEMES, VARIANTS, ExperimentConfig  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# SNRs whose noise variance 10^(-snr/10) is a finite positive float, and the
+# finite ones beyond them, where it overflows or underflows
+snr_db = st.floats(min_value=-3000.0, max_value=3000.0)
+snr_db_unrepresentable = (st.floats(min_value=3100.0, allow_infinity=False)
+                          | st.floats(max_value=-3100.0, allow_infinity=False))
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 
@@ -31,7 +35,7 @@ def valid_configs(draw):
         packet_len=packet_len,
         training_len=draw(st.integers(1, packet_len - 1)),
         trials=draw(st.integers(1, 10**4)),
-        snr_grid=tuple(draw(st.lists(finite, min_size=1, max_size=6))),
+        snr_grid=tuple(draw(st.lists(snr_db, min_size=1, max_size=6))),
         scheme=draw(st.sampled_from(SCHEMES)),
         variant=draw(st.sampled_from(VARIANTS)),
         alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
@@ -70,8 +74,9 @@ OUT_OF_RANGE = {
     "delta": st.floats(max_value=0.0) | non_finite,
     "mmse_tol": st.floats(max_value=0.0) | non_finite,
     "shadowing_std_db": st.floats(max_value=0.0, exclude_max=True) | non_finite,
-    "snr_grid": st.lists(finite, max_size=3).flatmap(
-        lambda ok: st.tuples(*map(st.just, ok), non_finite)),
+    "snr_grid": st.lists(snr_db, max_size=3).flatmap(
+        lambda ok: st.tuples(*map(st.just, ok),
+                             non_finite | snr_db_unrepresentable)),
 }
 
 

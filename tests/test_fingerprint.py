@@ -4,10 +4,13 @@ exact alternation behind the designed ones.
 Each count is the integer bit_errors of harness.run_packet on trial 0 of the
 desk configuration (K=4, N=16, L=3, n_r=2, P=1500, 200 training symbols); each
 alternation pin is the iteration count, convergence flag and final MSE of
-mmse.alternate on the same scenario. A refactor that claims to keep results
-bit-identical must leave every pin here unchanged; a deliberate change of
-results must update them and say why.
+mmse.alternate on the same scenario. The rows hash pins whole exact sweeps of
+the same configuration; their rows are built from integer bit-error counts. A
+refactor that claims to keep results bit-identical must leave every pin here
+unchanged; a deliberate change of results must update them and say why.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -52,6 +55,12 @@ ALTERNATION = {
     (3, 18.0, "gpc"): (50, False, 0.04931081436843621),
     (3, 18.0, "ipc"): (50, False, 0.0500047057711992),
 }
+
+
+# SHA-256 over repr(run_experiment(cfg).rows) of the exact sweeps at 0, 6, 12
+# and 18 dB with 4 trials, seeds 1-3 in the outer loop, SCHEMES in the inner
+EXACT_ROWS_SHA256 = (
+    "92210d5ebe6457013fab4e980c2ef6e26b816a2fcd9844c30baa5d2ca56dcc3e")
 
 
 def desk_scenario(cfg, snr_db, rng_ch):
@@ -102,3 +111,14 @@ def test_exact_alternation(seed, snr_db, mode):
     iterations, converged, final_mse = ALTERNATION[seed, snr_db, mode]
     assert (res.iterations, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.mse_trace[-1], final_mse, rtol=1e-9, atol=0)
+
+
+def test_exact_rows_hash():
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for scheme in harness.SCHEMES:
+            cfg = harness.ExperimentConfig(scheme=scheme, variant="exact",
+                                           seed=seed, trials=4,
+                                           snr_grid=(0.0, 6.0, 12.0, 18.0))
+            digest.update(repr(harness.run_experiment(cfg).rows).encode())
+    assert digest.hexdigest() == EXACT_ROWS_SHA256

@@ -7,9 +7,9 @@ import pytest
 
 from coopcdma.errors import ConfigError, DegenerateStateError
 from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
-                              broadcast_amps, capacity_at_target, codes_for,
-                              design_exact, draw_scenario, equal_power_amps,
-                              learning_curve, run_experiment, run_user_sweep,
+                              capacity_at_target, codes_for, design_exact,
+                              draw_scenario, equal_power_amps, learning_curve,
+                              run_experiment, run_packet, run_user_sweep,
                               simulate_packet_exact, snr_db_to_sigma2,
                               trial_rngs)
 
@@ -69,7 +69,9 @@ class TestConfig:
         ("shadowing_std_db", -1.0), ("shadowing_std_db", float("nan")),
         ("shadowing_std_db", float("inf")),
         ("snr_grid", (0.0, float("nan"))), ("snr_grid", (float("inf"),)),
-        ("snr_grid", (float("-inf"), 6.0)), ("snr_grid", ()), ("seed", -1),
+        ("snr_grid", (float("-inf"), 6.0)), ("snr_grid", ()),
+        ("snr_grid", (4000.0,)), ("snr_grid", (6.0, -4000.0)),
+        ("snr_grid", (-3100.0,)), ("seed", -1),
         ("lam", float("inf")), ("lam_t", float("nan")),
     ])
     def test_rejects_out_of_range_field(self, field, value):
@@ -98,10 +100,6 @@ class TestHelpers:
         assert amps.shape == (3, 3)
         np.testing.assert_allclose(np.sum(amps ** 2, axis=1), 1.0, atol=1e-12)
         assert np.ptp(amps) == 0.0
-
-    def test_broadcast_amps_full_budget(self):
-        dims = ExperimentConfig(users=3, relays=2).dims()
-        np.testing.assert_allclose(broadcast_amps(dims), 1.0, atol=1e-12)
 
     def test_trial_rngs_reproducible_and_independent(self):
         a = trial_rngs(1, 5)
@@ -156,7 +154,7 @@ class TestCapacityAtTarget:
     def test_dict_form(self):
         curves = {"cis": self.make_curve([(2, 1e-3, 0, 100)]),
                   "ncis": self.make_curve([(2, 0.5, 0, 100)])}
-        out = capacity_at_target(curves, 1e-2)
+        out = {name: capacity_at_target(c, 1e-2) for name, c in curves.items()}
         assert out == {"cis": 2, "ncis": None}
 
 
@@ -176,8 +174,7 @@ class TestSchemeParity:
                                 cfg.shadowing_std_db, rngs[0],
                                 isi_enabled=cfg.isi)
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2],
-                                        collect_per_symbol=True)
+            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2])
             return res.per_symbol_errors
 
         np.testing.assert_array_equal(per_symbol(cfg_a), per_symbol(cfg_b))
@@ -268,7 +265,7 @@ class TestAggregation:
 
     def test_learning_curve_covers_payload(self):
         cfg = small_cfg(variant="adaptive", trials=2)
-        curve = learning_curve(cfg, snr_db=9.0)
+        curve = learning_curve(cfg)
         assert curve.x_name == "symbol"
         assert len(curve.rows) == cfg.packet_len
         # early decision-directed symbols sit near chance, later ones improve
@@ -285,13 +282,54 @@ class TestAggregation:
 
         monkeypatch.setattr(harness, "run_packet", diverge)
         cfg = small_cfg(scheme="jpais-gpc", variant="adaptive", trials=2)
-        curve = learning_curve(cfg, snr_db=9.0)
+        curve = learning_curve(cfg)
         assert curve.divergences == 2
         assert len(curve.rows) == cfg.packet_len
         for i, (x, ber, stderr, bits) in enumerate(curve.rows):
             assert x == i and np.isnan(ber) and stderr == 0.0 and bits == 0
         _, ber, stderr, bits = run_experiment(cfg).rows[0]
         assert np.isnan(ber) and stderr == 0.0 and bits == 0
+
+    @pytest.mark.parametrize("variant", ["exact", "adaptive"])
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc"])
+    def test_per_symbol_errors_add_up_to_packet_count(self, scheme, variant):
+        """The payload's per-symbol errors sum to the packet's bit errors."""
+        cfg = small_cfg(scheme=scheme, variant=variant)
+        dims = cfg.dims()
+        for trial in range(cfg.trials):
+            rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, trial)
+            scn = draw_scenario(dims, codes_for(cfg, dims.K),
+                                snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                rng_ch, isi_enabled=cfg.isi)
+            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
+            assert not res.diverged
+            assert res.per_symbol_errors.shape == (cfg.packet_len,)
+            assert (res.per_symbol_errors[cfg.training_len:].sum()
+                    == res.bit_errors)
+
+    @pytest.mark.parametrize("variant", ["exact", "adaptive"])
+    @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc", "jpais-ipc"])
+    def test_relay_banks_solved_once_per_exact_packet(self, scheme, variant,
+                                                      monkeypatch):
+        """An exact packet solves each relay's MMSE bank once, shared by the
+        design and the packet; an adaptive packet solves none. Both modules
+        that look the bank up are counted."""
+        from coopcdma import harness, relays
+        real, calls = relays.mmse_relay_bank, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "mmse_relay_bank", counted)
+        monkeypatch.setattr(relays, "mmse_relay_bank", counted)
+        cfg = small_cfg(scheme=scheme, variant=variant, relays=2)
+        dims = cfg.dims()
+        rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, 0)
+        scn = draw_scenario(dims, codes_for(cfg, dims.K), snr_db_to_sigma2(9.0),
+                            cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
+        run_packet(cfg, scn, rng_data, rng_noise, rng_init)
+        assert len(calls) == (dims.n_r if variant == "exact" else 0)
 
     def test_config_round_trip_through_metadata(self):
         cfg = small_cfg()

@@ -10,9 +10,8 @@ from coopcdma.errors import DegenerateStateError
 from coopcdma.mmse import (AlternationResult, EnsembleStatistics, MmseConfig,
                            _checked_solve, _real_power_solve, add_power_terms,
                            alternate, build_statistics, equal_power_amps,
-                           nonnegative_amplitudes, perfect_relay_omega,
-                           power_step, project_sphere, receiver_global,
-                           relay_omega, total_mse)
+                           nonnegative_amplitudes, power_step, project_sphere,
+                           receiver_global, relay_omega, total_mse)
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
                             modulate_qpsk)
@@ -36,6 +35,26 @@ def random_amps(dims, rng):
 
 
 DESK_K = harness.ExperimentConfig().users
+
+
+def perfect_relay_omega(K, hops):
+    """Link-symbol correlation when every relayed symbol is an exact copy of
+    its source symbol: each user's links carry one unit-energy symbol and
+    users are independent. The perfect-relay oracle for relay_omega and the
+    statistics of hand-built waveform stacks."""
+    return np.kron(np.eye(K), np.ones((hops, hops)))
+
+
+def perfect_statistics(U, hops, sigma2, amps):
+    """build_statistics under perfect relays."""
+    return build_statistics(U, hops, sigma2, amps,
+                            perfect_relay_omega(U.shape[1] // hops, hops))
+
+
+def perfect_mse(U, hops, sigma2, amps, W):
+    """total_mse under perfect relays."""
+    return total_mse(U, hops, sigma2, amps, W,
+                     perfect_relay_omega(U.shape[1] // hops, hops))
 
 
 def loop_relay_omega(K, hops, relay_stats):
@@ -121,10 +140,10 @@ def desk_power_statistics(snr_db, blocks):
     U, hops, sigma2, omega = desk_design_inputs(snr_db)
     K = U.shape[1] // hops
     amps = equal_power_amps(K, hops, np.ones(K))
-    stats = build_statistics(U, hops, sigma2, amps, omega=omega)
-    W = receiver_global(stats, sigma2)
-    return build_statistics(U, hops, sigma2, amps, W=W, blocks=blocks,
-                            omega=omega)
+    stats = build_statistics(U, hops, sigma2, amps, omega)
+    add_power_terms(stats, U, amps, receiver_global(stats, sigma2), omega,
+                    blocks)
+    return stats
 
 
 class TestOmega:
@@ -186,7 +205,7 @@ class TestStatistics:
         U = make_stack(dims, rng)
         amps = random_amps(dims, rng)
         sigma2 = 0.2
-        stats = build_statistics(U, dims.hops, sigma2, amps)
+        stats = perfect_statistics(U, dims.hops, sigma2, amps)
 
         n_mc = 100000
         a_vec = amps.reshape(-1)
@@ -207,8 +226,8 @@ class TestStatistics:
         dims = SystemDims(K=1, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         sigma2 = 0.37
-        stats0 = build_statistics(U, dims.hops, 0.0, np.ones((1, 2)))
-        stats = build_statistics(U, dims.hops, sigma2, np.ones((1, 2)))
+        stats0 = perfect_statistics(U, dims.hops, 0.0, np.ones((1, 2)))
+        stats = perfect_statistics(U, dims.hops, sigma2, np.ones((1, 2)))
         np.testing.assert_allclose(stats.R - stats0.R,
                                    sigma2 * np.eye(dims.stack), atol=1e-14)
 
@@ -220,16 +239,18 @@ class TestPowerQuadratics:
         U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
-        stats = build_statistics(U, dims.hops, sigma2, amps0)
+        omega = perfect_relay_omega(dims.K, dims.hops)
+        stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, blocks=1)
+        add_power_terms(stats, U, amps0, W, omega, 1)
         const = dims.K + sigma2 * np.linalg.norm(W) ** 2
         assert stats.R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
         for _ in range(5):
             a = random_amps(dims, rng).reshape(-1)
             quad = (const + a @ np.real(stats.R_a[0]) @ a
                     - 2.0 * a @ np.real(stats.p_a[0]))
-            direct = total_mse(U, dims.hops, sigma2, a.reshape(dims.K, dims.hops), W)
+            direct = total_mse(U, dims.hops, sigma2,
+                               a.reshape(dims.K, dims.hops), W, omega)
             assert abs(quad - direct) < 1e-10
 
     def test_individual_quadratic_is_exact(self, rng):
@@ -238,10 +259,10 @@ class TestPowerQuadratics:
         U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
-        stats = build_statistics(U, dims.hops, sigma2, amps0)
+        omega = perfect_relay_omega(dims.K, dims.hops)
+        stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W,
-                                 blocks=dims.K)
+        add_power_terms(stats, U, amps0, W, omega, dims.K)
         assert stats.R_a.shape == (dims.K, dims.hops, dims.hops)
         for k in range(dims.K):
             Rk = np.real(stats.R_a[k])
@@ -253,7 +274,7 @@ class TestPowerQuadratics:
             def user_mse(ak):
                 amps = amps0.copy()
                 amps[k] = ak
-                full = build_statistics(U, dims.hops, sigma2, amps)
+                full = build_statistics(U, dims.hops, sigma2, amps, omega)
                 w = W[:, k]
                 return float(1.0
                              - 2.0 * np.real(np.vdot(w, full.P_ch[:, k]))
@@ -270,9 +291,10 @@ class TestPowerQuadratics:
         U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
-        stats = build_statistics(U, dims.hops, sigma2, amps0)
+        omega = perfect_relay_omega(dims.K, dims.hops)
+        stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        stats = build_statistics(U, dims.hops, sigma2, amps0, W=W, blocks=1)
+        add_power_terms(stats, U, amps0, W, omega, 1)
         lam = 0.025
         Rr = np.real(stats.R_a[0]) + lam * np.eye(dims.K * dims.hops)
         pr = np.real(stats.p_a[0])
@@ -350,14 +372,15 @@ class TestAlternation:
         U = make_stack(dims, rng)
         sigma2 = 0.3
         cfg = MmseConfig(lam=1e-6, max_iters=200, tol=1e-10)
-        res = alternate(U, dims.hops, sigma2, 1, cfg, np.array([1.0]))
+        res = alternate(U, dims.hops, sigma2, 1, cfg, np.array([1.0]),
+                        perfect_relay_omega(1, dims.hops))
 
         best = np.inf
         for theta in np.linspace(0.0, np.pi / 2, 4001):
             amps = np.array([[np.cos(theta), np.sin(theta)]])
-            stats = build_statistics(U, dims.hops, sigma2, amps)
+            stats = perfect_statistics(U, dims.hops, sigma2, amps)
             W = receiver_global(stats)
-            best = min(best, total_mse(U, dims.hops, sigma2, amps, W))
+            best = min(best, perfect_mse(U, dims.hops, sigma2, amps, W))
         assert res.mse_trace[-1] <= best + 1e-6
 
     def test_trace_starts_at_equal_power(self, rng):
@@ -366,11 +389,12 @@ class TestAlternation:
         sigma2 = 0.2
         budgets = np.ones(2)
         cfg = MmseConfig()
-        res = alternate(U, dims.hops, sigma2, 1, cfg, budgets)
+        res = alternate(U, dims.hops, sigma2, 1, cfg, budgets,
+                        perfect_relay_omega(2, dims.hops))
         amps_eq = equal_power_amps(2, dims.hops, budgets)
-        stats = build_statistics(U, dims.hops, sigma2, amps_eq)
+        stats = perfect_statistics(U, dims.hops, sigma2, amps_eq)
         W_eq = receiver_global(stats)
-        mse_eq = total_mse(U, dims.hops, sigma2, amps_eq, W_eq)
+        mse_eq = perfect_mse(U, dims.hops, sigma2, amps_eq, W_eq)
         assert abs(res.mse_trace[0] - mse_eq) < 1e-12
 
     def test_trace_does_not_end_above_start(self, rng):
@@ -380,17 +404,18 @@ class TestAlternation:
                 dims = SystemDims(K=3, N=8, L=2, n_r=1)
                 U = make_stack(dims, local)
                 res = alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
-                                np.ones(3))
+                                np.ones(3), perfect_relay_omega(3, dims.hops))
                 assert res.mse_trace[-1] <= res.mse_trace[0] + 1e-9
 
     def test_budgets_respected(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
         U = make_stack(dims, rng)
         budgets = np.array([1.0, 1.5])
-        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), budgets)
+        omega = perfect_relay_omega(dims.K, dims.hops)
+        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), budgets, omega)
         np.testing.assert_allclose(np.sum(res.amps ** 2, axis=1), budgets,
                                    atol=1e-10)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), budgets)
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), budgets, omega)
         assert abs(np.sum(res.amps ** 2) - budgets.sum()) < 1e-10
 
     @pytest.mark.parametrize("blocks", [0, 2])
@@ -398,12 +423,14 @@ class TestAlternation:
         dims = SystemDims(K=3, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         with pytest.raises(ValueError, match="split"):
-            alternate(U, dims.hops, 0.2, blocks, MmseConfig(), np.ones(3))
+            alternate(U, dims.hops, 0.2, blocks, MmseConfig(), np.ones(3),
+                      perfect_relay_omega(3, dims.hops))
 
     def test_result_shape_and_flags(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), np.ones(2))
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), np.ones(2),
+                        perfect_relay_omega(2, dims.hops))
         assert isinstance(res, AlternationResult)
         assert res.W.shape == (dims.stack, 2)
         assert res.amps.shape == (2, dims.hops)
@@ -414,7 +441,7 @@ class TestReceivers:
     def test_wiener_normal_equations(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
-        stats = build_statistics(U, dims.hops, 0.2, random_amps(dims, rng))
+        stats = perfect_statistics(U, dims.hops, 0.2, random_amps(dims, rng))
         W = receiver_global(stats)
         np.testing.assert_allclose(stats.R @ W, stats.P_ch, atol=1e-10)
 
@@ -490,7 +517,7 @@ class TestCertifiedSolve:
         U = make_stack(dims, rng)
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
             alternate(U, dims.hops, 0.0, 1, MmseConfig(max_iters=2),
-                      np.ones(2))
+                      np.ones(2), perfect_relay_omega(2, dims.hops))
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])

@@ -76,8 +76,8 @@ class TestRelayStatistics:
         dims = SystemDims(K=2, N=8, L=2, n_r=0)
         X = source_relay_waveforms(dims, rng)
         sigma2 = 0.25
-        G, S = relay_statistics(X, sigma2)
         W, gains = mmse_relay_bank(X, sigma2)
+        G, S = relay_statistics(X, sigma2, (W, gains))
 
         n_mc = 60000
         b = modulate_qpsk(rng.integers(0, 2, size=(n_mc, 2, 2))
@@ -95,7 +95,7 @@ class TestRelayStatistics:
     def test_noiseless_perfect_relay(self, rng):
         dims = SystemDims(K=2, N=16, L=3, n_r=0)
         X = source_relay_waveforms(dims, rng)
-        G, S = relay_statistics(X, 0.0)
+        G, S = relay_statistics(X, 0.0, mmse_relay_bank(X, 0.0))
         np.testing.assert_allclose(G, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(S, 0.0, atol=1e-12)
 

@@ -52,7 +52,7 @@ class TestSingleUserEquivalence:
                                         run.shadowing_std_db, rngs[0])
             out[scheme] = harness.simulate_packet_adaptive(
                 scn, scheme, run, rngs[1], rngs[2], rngs[3],
-                collect=("a_norm", "channel_error"), collect_per_symbol=True)
+                collect=("a_norm", "channel_error"))
         return out
 
     def test_filters_match_stacked_recursion(self, packets):

@@ -137,26 +137,24 @@ def curves_to_json(curves, manifest: RunManifest) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_results(curves, manifest: RunManifest, fmt: str, out_path: str) -> list:
-    """Write the aggregate curves; returns the written paths."""
+def emit_results(curves, manifest: RunManifest, fmt: str, out_path: str) -> None:
+    """Write the aggregate curves to out_path, the manifest's one output."""
+    manifest.outputs = [out_path]
     if fmt == "csv":
         text = curves_to_csv(curves)
     elif fmt == "json":
-        manifest.outputs = [out_path]
         text = curves_to_json(curves, manifest)
     else:
         raise ConfigError(f"format: unknown value {fmt!r}")
     with open(out_path, "w") as fh:
         fh.write(text)
-    manifest.outputs = [out_path]
-    return [out_path]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--snr", help="comma-separated SNR grid in dB")
+    parser.add_argument("--snr", help="SNR in dB; a comma-separated grid for sweep-snr")
     parser.add_argument("--users", help="comma-separated user counts (sweep-users) "
                                         "or a single count")
     parser.add_argument("--relays", type=int)
@@ -214,32 +212,28 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         users_grid = _users_grid(args) if args.command == "sweep-users" else None
+        start = time.perf_counter()
+        if args.command == "sweep-snr":
+            curve = harness.run_experiment(cfg)
+        elif args.command == "sweep-users":
+            curve = harness.run_user_sweep(cfg, users_grid)
+        else:
+            curve = harness.learning_curve(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    start = time.perf_counter()
-    if args.command == "sweep-snr":
-        curves = [harness.run_experiment(cfg)]
-    elif args.command == "sweep-users":
-        snr = cfg.snr_grid[0]
-        curves = [harness.run_user_sweep(cfg, users_grid, snr)]
-    else:
-        curves = [harness.learning_curve(cfg)]
     wall = time.perf_counter() - start
 
-    for curve in curves:
-        if len(curve.rows) > 30:  # per-symbol curves go to the output file only
-            print(f"{curve.scheme}/{curve.variant}: {len(curve.rows)} "
-                  f"{curve.x_name} rows")
-            continue
+    label = f"{curve.scheme}/{curve.variant}"
+    if curve.x_name == "symbol":  # per-symbol rows go to the output file only
+        print(f"{label}: {len(curve.rows)} symbol rows")
+    else:
         for x, mean, stderr, bits in curve.rows:
-            print(f"{curve.scheme}/{curve.variant} {curve.x_name}={x}: "
-                  f"ber={mean:.6g} stderr={stderr:.3g} bits={bits}")
+            print(f"{label} {curve.x_name}={x}: ber={mean:.6g} "
+                  f"stderr={stderr:.3g} bits={bits}")
     manifest = RunManifest(config=dataclasses.asdict(cfg), version=__version__,
-                           wall_time_s=wall,
-                           divergences=sum(c.divergences for c in curves))
-    emit_results(curves, manifest, args.format, args.out)
+                           wall_time_s=wall, divergences=curve.divergences)
+    emit_results([curve], manifest, args.format, args.out)
     print(f"wrote {args.out} in {wall:.1f}s")
     return 0
 

@@ -9,7 +9,6 @@ results are bit-reproducible and independent of execution order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,13 +108,15 @@ class ExperimentConfig:
 
 def power_blocks(scheme: str, cfg: ExperimentConfig, K: int):
     """Users per power block and the power step's loading: one block of all
-    K users (jpais-gpc, lam_t) or one per user (jpais-ipc, lam); None for the
-    equal-power schemes."""
-    if scheme == "jpais-gpc":
-        return K, cfg.lam_t
-    if scheme == "jpais-ipc":
-        return 1, cfg.lam
-    return None
+    K users (jpais-gpc, lam_t) or one per user (jpais-ipc, lam), each under
+    its users' unit budgets. None without a power step: for the equal-power
+    schemes, and for blocks of one link, whose power the budget pins
+    (jpais-ipc, or one-user jpais-gpc, without relays), which run as ncis.
+    """
+    if scheme not in ("jpais-gpc", "jpais-ipc"):
+        return None
+    n_u, lam = (K, cfg.lam_t) if scheme == "jpais-gpc" else (1, cfg.lam)
+    return (n_u, lam) if n_u * (cfg.relays + 1) > 1 else None
 
 
 def snr_db_to_sigma2(snr_db: float) -> float:
@@ -192,8 +193,18 @@ class PacketResult:
     extras: dict = field(default_factory=dict)
 
 
-def equal_power_amps(dims: SystemDims) -> np.ndarray:
-    return mmse.equal_power_amps(dims.K, dims.hops, np.ones(dims.K))
+def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
+                   **fields) -> PacketResult:
+    """Bit errors of the K x n soft outputs against the sent K x P x 2 bits,
+    per symbol and over the payload after T training symbols. A diverged
+    packet passes the n symbols it detected; later ones count no errors."""
+    K, P = bits.shape[:2]
+    n = soft.shape[1]
+    err_symbol = np.zeros(P, dtype=np.int64)
+    err_symbol[:n] = (demodulate_qpsk(soft) != bits[:, :n]).sum(axis=(0, 2))
+    return PacketResult(bit_errors=int(err_symbol[T:].sum()),
+                        payload_bits=2 * (P - T) * K,
+                        per_symbol_errors=err_symbol, **fields)
 
 
 def scenario_omega(scn: Scenario) -> np.ndarray:
@@ -216,13 +227,12 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
     omega = scenario_omega(scn)
     plan = power_blocks(scheme, cfg, dims.K)
     if plan is None:
-        amps = equal_power_amps(dims).astype(complex)
+        amps = mmse.equal_power_amps(dims.K, dims.hops).astype(complex)
         stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps, omega)
         return mmse.receiver_global(stats, scn.sigma2), amps
     users_per_block, lam = plan
     res = mmse.alternate(scn.U, dims.hops, scn.sigma2,
-                         dims.K // users_per_block, cfg.mmse_config(lam),
-                         np.ones(dims.K), omega)
+                         dims.K // users_per_block, cfg.mmse_config(lam), omega)
     return res.W, res.amps
 
 
@@ -271,21 +281,14 @@ def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                           rng_noise: np.random.Generator) -> PacketResult:
     """Vectorized packet simulation with fixed filters and amplitudes."""
     dims = scn.dims
-    K, P = dims.K, dims.P
     bits, S = _packet_symbols(scn, rng_data)
     relay_obs = _relay_frames(scn, S[0], rng_noise)
     for j, (R, (Wr, g)) in enumerate(zip(relay_obs, scn.relay_banks)):
         S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
 
-    frames = _noise_matrix((dims.stack, P), scn.sigma2, rng_noise)
+    frames = _noise_matrix((dims.stack, dims.P), scn.sigma2, rng_noise)
     _add_destination_frames(frames, scn, S, amps)
-    soft = W.conj().T @ frames
-    bits_hat = demodulate_qpsk(soft)
-    err_symbol = (bits_hat != bits).sum(axis=(0, 2))
-    payload = slice(cfg.training_len, P)
-    return PacketResult(bit_errors=int(err_symbol[payload].sum()),
-                        payload_bits=2 * (P - cfg.training_len) * K,
-                        per_symbol_errors=err_symbol)
+    return _packet_result(W.conj().T @ frames, bits, cfg.training_len)
 
 
 @dataclass
@@ -295,7 +298,7 @@ class _UserBlock:
     users: slice
     C: np.ndarray  # the span's columns of the stacked block signatures
     channel: gpc.ChannelRlsState
-    power: gpc.PowerRlsState | None  # None: one link, pinned by its budget
+    power: gpc.PowerRlsState
 
 
 def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
@@ -309,8 +312,9 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     first runs over its whole-packet observation. The destination then steps
     per symbol: channel -> receiver -> power, the channel and power recursions
     running over the blocks of users that power_blocks gives the scheme, each
-    under its users' total budget; ncis and cis have no blocks. Transmit
-    amplitudes follow the latest power estimates.
+    under its users' total budget; without a power step there are no blocks.
+    Transmit amplitudes follow the latest power estimates. The soft outputs
+    are demodulated once, after the packet.
     """
     dims = scn.dims
     K, L, P, M = dims.K, dims.L, dims.P, dims.M
@@ -326,7 +330,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     h0 = 0.01 * (rng_init.standard_normal(K * hops * L)
                  + 1j * rng_init.standard_normal(K * hops * L))
     U0 = gpc.waveforms_from_channel(scn.C_all, h0, L)
-    amps = equal_power_amps(dims).astype(complex)
+    amps = mmse.equal_power_amps(K, hops).astype(complex)
     W0 = np.zeros((stack, K), dtype=complex)
     for k in range(K):
         col = U0[:, k * hops:(k + 1) * hops] @ amps[k]
@@ -346,16 +350,15 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     for k0 in range(0, K, n_u) if plan is not None else ():
         k1 = k0 + n_u
         links = slice(k0 * hops * L, k1 * hops * L)
-        power = None
-        if n_u * hops > 1:
-            power = gpc.init_power(amps[k0:k1].reshape(-1), float(n_u),
-                                   cfg.alpha, cfg.delta, lam=lam, start=T)
+        power = gpc.init_power(amps[k0:k1].reshape(-1), float(n_u), cfg.alpha,
+                               cfg.delta, lam=lam, start=T)
         channel = gpc.init_channel(n_u * hops * L, cfg.alpha, cfg.delta,
                                    h0[links])
         blocks.append(_UserBlock(slice(k0, k1), scn.C_all[:, links], channel,
                                  power))
 
-    err_symbol = np.zeros(P, dtype=int)
+    soft = np.empty((K, P), dtype=complex)
+    detected = 0  # symbols whose soft output is in soft
     a_sq_norms = [] if "a_norm" in collect else None
     ch_errs = [] if "channel_error" in collect else None
     diverged = False
@@ -369,10 +372,10 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             r = noise_dest[:, t:t + 1].copy()
             _add_destination_frames(r, scn, S[:, :, t:t + 3], amps)
             r = r[:, 0]
-            soft = rx.W.conj().T @ r
-            decisions = hard_decision(soft)
+            soft[:, t] = rx.W.conj().T @ r
+            detected = t + 1
+            decisions = hard_decision(soft[:, t])
             ref = B[:, t] if t < T else decisions
-            err_symbol[t] = int((demodulate_qpsk(soft) != bits[:, t]).sum())
 
             # per-link symbols (K x hops): the direct hop carries the
             # training/decision symbol, the relay hops the soft symbols the
@@ -386,8 +389,6 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                              amps[blk.users].reshape(-1), L)
             gpc.receiver_update(rx, r, ref)
             for blk in blocks:
-                if blk.power is None:
-                    continue
                 U_hat = waveforms(blk.C, blk.channel.h, L)
                 a = power_step(blk.power, rx.W[:, blk.users], U_hat,
                                link_syms[blk.users].reshape(-1), ref[blk.users])
@@ -401,15 +402,13 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     except (NumericalDivergenceError, DegenerateStateError):
         diverged = True
 
-    payload = slice(T, P)
     extras = {}
     if a_sq_norms is not None:
         extras["a_sq_norms"] = np.asarray(a_sq_norms)
     if ch_errs is not None:
         extras["channel_error"] = np.asarray(ch_errs)
-    return PacketResult(bit_errors=int(err_symbol[payload].sum()),
-                        payload_bits=2 * (P - T) * K, diverged=diverged,
-                        per_symbol_errors=err_symbol, extras=extras)
+    return _packet_result(soft[:, :detected], bits, T, diverged=diverged,
+                          extras=extras)
 
 
 def run_packet(cfg: ExperimentConfig, scn: Scenario,
@@ -431,7 +430,6 @@ class BerCurve:
     rows: list  # (x_value, ber_mean, ber_stderr, bit_count)
     scheme: str
     variant: str
-    metadata: dict = field(default_factory=dict)
     divergences: int = 0
 
     def ber_at(self, x) -> float:
@@ -454,11 +452,15 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
     return draw_spreading_codes(users, cfg.chips, np.random.default_rng([cfg.seed, 0, users]))
 
 
-def _run_point(cfg: ExperimentConfig, dims: SystemDims, sigma2: float,
-               codes: np.ndarray):
+def _run_point(cfg: ExperimentConfig, users: int, snr_db: float):
+    """Every trial at one (users, SNR) point: the BERs of the packets that
+    kept going, the number that diverged, and the kept packets' summed
+    per-symbol errors."""
+    dims = cfg.dims(users)
+    codes = codes_for(cfg, dims.K)
+    sigma2 = snr_db_to_sigma2(snr_db)
     bers, divergences = [], 0
     per_symbol = np.zeros(dims.P, dtype=np.int64)
-    used_trials = 0
     for t in range(cfg.trials):
         rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
         scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db, rng_ch,
@@ -472,59 +474,57 @@ def _run_point(cfg: ExperimentConfig, dims: SystemDims, sigma2: float,
             divergences += 1
             continue
         bers.append(res.bit_errors / res.payload_bits)
-        used_trials += 1
         per_symbol += res.per_symbol_errors
-    bers = np.asarray(bers)
-    mean = float(bers.mean()) if bers.size else float("nan")
-    stderr = float(bers.std(ddof=1) / np.sqrt(bers.size)) if bers.size > 1 else 0.0
-    bit_count = 2 * (dims.P - cfg.training_len) * used_trials * dims.K
-    return mean, stderr, bit_count, divergences, per_symbol, used_trials
+    return bers, divergences, per_symbol
+
+
+def _fixed_snr(cfg: ExperimentConfig) -> float:
+    """The one SNR of a fixed-SNR run: several are refused, not cut to one."""
+    if len(cfg.snr_grid) != 1:
+        raise ConfigError("snr_grid: a fixed-SNR run takes one SNR, "
+                          f"got {cfg.snr_grid!r}")
+    return cfg.snr_grid[0]
+
+
+def _sweep(cfg: ExperimentConfig, x_name: str, points) -> BerCurve:
+    """One row (x, mean BER, its standard error, payload bits) per
+    (x, users, SNR) point, over the packets that did not diverge; with none
+    left, nan over 0 bits."""
+    rows, total_div = [], 0
+    for x, users, snr_db in points:
+        bers, div, _ = _run_point(cfg, users, snr_db)
+        bers = np.asarray(bers)
+        mean = float(bers.mean()) if bers.size else float("nan")
+        stderr = float(bers.std(ddof=1) / np.sqrt(bers.size)) if bers.size > 1 else 0.0
+        bits = 2 * (cfg.packet_len - cfg.training_len) * bers.size * users
+        rows.append((x, mean, stderr, bits))
+        total_div += div
+    return BerCurve(x_name=x_name, rows=rows, scheme=cfg.scheme,
+                    variant=cfg.variant, divergences=total_div)
 
 
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:
     """BER versus SNR over the configured grid; deterministic given the seed."""
-    dims = cfg.dims()
-    codes = codes_for(cfg, dims.K)
-    rows, total_div = [], 0
-    for snr in cfg.snr_grid:
-        sigma2 = snr_db_to_sigma2(snr)
-        mean, stderr, bits, div, _, _ = _run_point(cfg, dims, sigma2, codes)
-        rows.append((float(snr), mean, stderr, bits))
-        total_div += div
-    return BerCurve(x_name="snr_db", rows=rows, scheme=cfg.scheme,
-                    variant=cfg.variant, metadata=dataclasses.asdict(cfg),
-                    divergences=total_div)
+    return _sweep(cfg, "snr_db",
+                  [(float(snr), cfg.users, snr) for snr in cfg.snr_grid])
 
 
-def run_user_sweep(cfg: ExperimentConfig, users_grid, snr_db: float) -> BerCurve:
-    """BER versus user count at a fixed SNR."""
-    sigma2 = snr_db_to_sigma2(snr_db)
-    rows, total_div = [], 0
-    for K in users_grid:
-        dims = cfg.dims(users=int(K))
-        codes = codes_for(cfg, dims.K)
-        mean, stderr, bits, div, _, _ = _run_point(cfg, dims, sigma2, codes)
-        rows.append((int(K), mean, stderr, bits))
-        total_div += div
-    return BerCurve(x_name="users", rows=rows, scheme=cfg.scheme,
-                    variant=cfg.variant, metadata=dataclasses.asdict(cfg),
-                    divergences=total_div)
+def run_user_sweep(cfg: ExperimentConfig, users_grid) -> BerCurve:
+    """BER versus user count at the configured single SNR."""
+    snr = _fixed_snr(cfg)
+    return _sweep(cfg, "users", [(int(K), int(K), snr) for K in users_grid])
 
 
 def learning_curve(cfg: ExperimentConfig) -> BerCurve:
     """Per-symbol-index BER averaged over trials (convergence view), at the
-    first SNR of the configured grid."""
-    dims = cfg.dims()
-    codes = codes_for(cfg, dims.K)
-    _, _, _, div, per_symbol, used = _run_point(
-        cfg, dims, snr_db_to_sigma2(cfg.snr_grid[0]), codes)
+    configured single SNR."""
+    bers, div, per_symbol = _run_point(cfg, cfg.users, _fixed_snr(cfg))
     # with every trial diverged: nan over 0 bits, as run_experiment reports
-    bits = 2 * dims.K * used
-    rows = [(int(i), float(per_symbol[i]) / bits if used else float("nan"),
-             0.0, bits) for i in range(dims.P)]
+    bits = 2 * cfg.users * len(bers)
+    rows = [(i, float(n) / bits if bits else float("nan"), 0.0, bits)
+            for i, n in enumerate(per_symbol.tolist())]
     return BerCurve(x_name="symbol", rows=rows, scheme=cfg.scheme,
-                    variant=cfg.variant, metadata=dataclasses.asdict(cfg),
-                    divergences=div)
+                    variant=cfg.variant, divergences=div)
 
 
 def capacity_at_target(curve: BerCurve, target_ber: float):

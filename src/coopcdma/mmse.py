@@ -5,8 +5,9 @@ waveforms (signature * channel per link), assuming i.i.d. unit-energy symbols
 that are independent across users, and unit-energy relayed symbols. Every
 design entry takes the link-symbol correlation matrix Omega of the relay
 chain (relay_omega). Receiver and power steps depend on each other and are
-alternated to a fixed point. The power constraint is a partition into B
-equal contiguous user blocks (1: global, K: individual budgets); the power
+alternated to a fixed point. Every user's power budget is 1. The power
+constraint is a partition into B equal contiguous user blocks (1: global,
+K: individual budgets), a block's budget being its number of users; the power
 step is one regularized solve over all blocks, each projected onto its
 nonnegative-real budget sphere, as in the adaptive path.
 """
@@ -221,13 +222,13 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
 
 
 def power_step(stats: EnsembleStatistics, lam: float,
-               block_budgets) -> np.ndarray:
+               block_budget: float) -> np.ndarray:
     """Regularized power step of every amplitude block in one stacked solve,
-    each block projected to nonnegative reals on its own budget sphere; returns
-    the B x n block amplitudes."""
+    each block projected to nonnegative reals on the sphere of block_budget
+    (its number of users); returns the B x n block amplitudes."""
     a = _real_power_solve(stats.R_a, stats.p_a, lam)
-    for a_b, budget in zip(a, block_budgets):
-        a_b[:] = nonnegative_amplitudes(a_b, budget)
+    for a_b in a:
+        a_b[:] = nonnegative_amplitudes(a_b, block_budget)
     return a
 
 
@@ -253,20 +254,21 @@ class AlternationResult:
     iterations: int
 
 
-def equal_power_amps(K: int, hops: int, budgets: np.ndarray) -> np.ndarray:
-    """Equal power per link within each user's budget (the CIS allocation)."""
-    return np.sqrt(np.asarray(budgets, dtype=float)[:, None] / hops) * np.ones((K, hops))
+def equal_power_amps(K: int, hops: int) -> np.ndarray:
+    """Equal power per link within each user's unit budget (CIS)."""
+    return np.full((K, hops), np.sqrt(1.0 / hops))
 
 
 def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
-              config: MmseConfig, budgets: np.ndarray,
-              omega: np.ndarray) -> AlternationResult:
+              config: MmseConfig, omega: np.ndarray) -> AlternationResult:
     """Alternate filter and power steps from the equal-power initialization.
 
     The users form `blocks` equal contiguous blocks (1: global, K: individual
-    constraints), each under the sum of its users' P_A,k in budgets. The trace
-    records the ensemble MSE after each filter step, so its first entry is the
-    MSE of the equal-power (CIS) allocation under its own MMSE filters.
+    constraints), each under the sum of its users' unit budgets; a one-link
+    block, pinned by its budget, is designed without alternation
+    (harness.power_blocks). The trace records the ensemble MSE after each
+    filter step, so its first entry is the MSE of the equal-power (CIS)
+    allocation under its own MMSE filters.
     omega must be a covariance matrix (positive semidefinite), as every
     link-symbol correlation built here is: sigma2 then bounds the eigenvalues
     of each receiver covariance from below.
@@ -275,24 +277,19 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     K = cols // hops
     if blocks < 1 or K % blocks:
         raise ValueError(f"{blocks} blocks do not split {K} users evenly")
-    budgets = np.asarray(budgets, dtype=float)
-    amps = equal_power_amps(K, hops, budgets)
-    block_budgets = budgets.reshape(blocks, -1).sum(axis=1)
+    amps = equal_power_amps(K, hops)
+    block_budget = float(K // blocks)
     trace = []
     converged = False
     it = 0
-    W = None
     for it in range(1, config.max_iters + 1):
         # one assembly per iteration: the filter step, the traced MSE and the
         # power step all read the statistics at the current amplitudes
         stats = build_statistics(U, hops, sigma2, amps, omega)
         W = receiver_global(stats, sigma2)
         trace.append(statistics_mse(stats, W))
-        if hops == 1 and K == 1:
-            converged = True  # power fully determined by the constraint
-            break
         add_power_terms(stats, U, amps, W, omega, blocks)
-        a_new = power_step(stats, config.lam, block_budgets).reshape(K, hops)
+        a_new = power_step(stats, config.lam, block_budget).reshape(K, hops)
         delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
         amps = a_new
         if delta < config.tol:

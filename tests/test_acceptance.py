@@ -132,8 +132,7 @@ class TestAcceptance:
                 users_per_block, lam = power_blocks(scheme, cfg, dims.K)
                 res = mmse.alternate(scn.U, dims.hops, sigma2,
                                      dims.K // users_per_block,
-                                     cfg.mmse_config(lam), np.ones(dims.K),
-                                     omega=om)
+                                     cfg.mmse_config(lam), omega=om)
                 total += 1
                 if res.mse_trace[-1] <= res.mse_trace[0] + 1e-12:
                     wins += 1
@@ -246,7 +245,7 @@ class TestAcceptance:
         bers = {}
         for scheme in ("ncis", "cis", "jpais-ipc"):
             cfg = ExperimentConfig(scheme=scheme, **base)
-            curve = run_user_sweep(cfg, [2, 4, 6, 8], 12.0)
+            curve = run_user_sweep(cfg, [2, 4, 6, 8])
             caps[scheme] = capacity_at_target(curve, 1e-2)
             bers[scheme] = [row[1] for row in curve.rows]
 

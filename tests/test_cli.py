@@ -15,7 +15,7 @@ from coopcdma.harness import BerCurve, ExperimentConfig
 def make_curve():
     return BerCurve(x_name="snr_db",
                     rows=[(0.0, 0.125, 0.01, 800), (3.0, 0.0625, 0.005, 800)],
-                    scheme="cis", variant="exact", metadata={}, divergences=0)
+                    scheme="cis", variant="exact", divergences=0)
 
 
 class TestConfigFile:
@@ -212,6 +212,22 @@ class TestMain:
         assert rc == 2
         assert "users" in capsys.readouterr().err
         assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("command,users", [("sweep-users", "2,3"),
+                                               ("learning-curve", "2")])
+    def test_snr_grid_for_fixed_snr_command_returns_2(self, tiny_file,
+                                                      tmp_path, capsys,
+                                                      command, users):
+        """A fixed-SNR command refuses several SNRs instead of running the
+        first one under a manifest that records them all."""
+        out = tmp_path / "r.csv"
+        rc = run_main([command, "--config", tiny_file, "--trials", "1",
+                       "--scheme", "ncis", "--users", users, "--snr", "0,18",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "snr_grid" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_validate_passes(self, capsys):
         assert run_main(["validate"]) == 0

@@ -107,7 +107,7 @@ def test_exact_alternation(seed, snr_db, mode):
                                                 scn.dims.K)
     res = mmse.alternate(scn.U, scn.dims.hops, scn.sigma2,
                          scn.dims.K // users_per_block, cfg.mmse_config(lam),
-                         np.ones(scn.dims.K), omega=harness.scenario_omega(scn))
+                         omega=harness.scenario_omega(scn))
     iterations, converged, final_mse = ALTERNATION[seed, snr_db, mode]
     assert (res.iterations, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.mse_trace[-1], final_mse, rtol=1e-9, atol=0)

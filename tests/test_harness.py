@@ -1,17 +1,20 @@
 """End-to-end packet simulation: scheme parity, determinism, aggregation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from coopcdma import cli, mmse
 from coopcdma.errors import ConfigError, DegenerateStateError
 from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
                               capacity_at_target, codes_for, design_exact,
-                              draw_scenario, equal_power_amps, learning_curve,
-                              run_experiment, run_packet, run_user_sweep,
+                              draw_scenario, learning_curve, run_experiment,
+                              run_packet, run_user_sweep,
                               simulate_packet_exact, snr_db_to_sigma2,
                               trial_rngs)
+from coopcdma.mmse import equal_power_amps
 
 
 def small_cfg(**kw):
@@ -53,7 +56,8 @@ class TestConfig:
 
     def test_user_sweep_rejects_zero_users_instead_of_relabelling(self):
         with pytest.raises(ConfigError, match="users"):
-            run_user_sweep(small_cfg(users=3, trials=1), [0, 2], 12.0)
+            run_user_sweep(small_cfg(users=3, trials=1, snr_grid=(12.0,)),
+                           [0, 2])
 
     @pytest.mark.parametrize("field", ["lam", "lam_t"])
     def test_rejects_negative_loading(self, field):
@@ -96,7 +100,7 @@ class TestHelpers:
 
     def test_equal_power_amps_split_budget(self):
         dims = ExperimentConfig(users=3, relays=2).dims()
-        amps = equal_power_amps(dims)
+        amps = equal_power_amps(dims.K, dims.hops)
         assert amps.shape == (3, 3)
         np.testing.assert_allclose(np.sum(amps ** 2, axis=1), 1.0, atol=1e-12)
         assert np.ptp(amps) == 0.0
@@ -140,7 +144,7 @@ class TestHelpers:
 class TestCapacityAtTarget:
     def make_curve(self, rows):
         return BerCurve(x_name="users", rows=rows, scheme="cis",
-                        variant="exact", metadata={}, divergences=0)
+                        variant="exact", divergences=0)
 
     def test_largest_feasible_point(self):
         curve = self.make_curve([(2, 1e-4, 0, 100), (4, 5e-3, 0, 100),
@@ -159,25 +163,41 @@ class TestCapacityAtTarget:
 
 
 class TestSchemeParity:
-    def test_no_relay_suppression_equals_individual_scheme_without_relays(self):
-        """NCIS is JPAIS-IPC restricted to the direct link: identical errors."""
-        cfg_a = small_cfg(scheme="ncis", relays=0, variant="exact")
-        cfg_b = small_cfg(scheme="jpais-ipc", relays=0, variant="exact")
-        for cfg in (cfg_a, cfg_b):
-            assert cfg.dims().hops == 1
+    def test_no_relay_suppression_equals_individual_scheme_without_relays(
+            self, monkeypatch):
+        """NCIS is JPAIS-IPC restricted to the direct link, and so is one-user
+        JPAIS-GPC: each block holds one link, whose unit budget pins its
+        power. Such a packet runs as ncis without an alternation: identical
+        errors in both variants and identical exact filters."""
+        def no_alternation(*args, **kwargs):
+            raise AssertionError("a pinned power constraint ran mmse.alternate")
 
-        def per_symbol(cfg):
+        monkeypatch.setattr(mmse, "alternate", no_alternation)
+
+        def packet(scheme, users, variant):
+            cfg = small_cfg(scheme=scheme, users=users, relays=0,
+                            variant=variant)
             dims = cfg.dims()
-            codes = codes_for(cfg, dims.K)
-            rngs = trial_rngs(cfg.seed, 0)
-            scn = draw_scenario(dims, codes, snr_db_to_sigma2(9.0),
-                                cfg.shadowing_std_db, rngs[0],
-                                isi_enabled=cfg.isi)
+            assert dims.hops == 1
+            rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, 0)
+            scn = draw_scenario(dims, codes_for(cfg, dims.K),
+                                snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                rng_ch, isi_enabled=cfg.isi)
+            if variant == "adaptive":
+                res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
+                return None, res.per_symbol_errors
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2])
-            return res.per_symbol_errors
+            res = simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
+            return W, res.per_symbol_errors
 
-        np.testing.assert_array_equal(per_symbol(cfg_a), per_symbol(cfg_b))
+        for scheme, users in (("jpais-ipc", 2), ("jpais-ipc", 3),
+                              ("jpais-gpc", 1)):
+            for variant in ("exact", "adaptive"):
+                W_ncis, err_ncis = packet("ncis", users, variant)
+                W, err = packet(scheme, users, variant)
+                assert np.array_equal(err, err_ncis), (scheme, users, variant)
+                if variant == "exact":
+                    assert np.array_equal(W, W_ncis), (scheme, users)
 
     def test_equal_power_scheme_uses_equal_amplitudes(self):
         cfg = small_cfg(scheme="cis")
@@ -187,7 +207,8 @@ class TestSchemeParity:
                             snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
                             rngs[0], isi_enabled=cfg.isi)
         _, amps = design_exact(scn, "cis", cfg)
-        np.testing.assert_allclose(amps, equal_power_amps(dims), atol=1e-12)
+        np.testing.assert_allclose(amps, equal_power_amps(dims.K, dims.hops),
+                                   atol=1e-12)
 
     def test_constrained_schemes_respect_their_budgets(self):
         cfg = small_cfg()
@@ -240,7 +261,7 @@ class TestAggregation:
 
     def test_user_sweep_axis(self):
         cfg = small_cfg(trials=1)
-        curve = run_user_sweep(cfg, [2, 3], 9.0)
+        curve = run_user_sweep(cfg, [2, 3])
         assert curve.x_name == "users"
         assert [row[0] for row in curve.rows] == [2, 3]
 
@@ -262,6 +283,21 @@ class TestAggregation:
         _, mean, _, bits = curve.rows[0]
         assert np.isfinite(mean)
         assert bits == 2 * (cfg.packet_len - cfg.training_len) * cfg.users
+
+    def test_fixed_snr_runs_refuse_an_snr_grid(self, monkeypatch):
+        """A user sweep or learning curve over two SNRs raises before any
+        packet runs, instead of running only the first SNR."""
+        from coopcdma import harness
+
+        def no_packet(*args, **kwargs):
+            raise AssertionError("a packet ran")
+
+        monkeypatch.setattr(harness, "run_packet", no_packet)
+        cfg = small_cfg(snr_grid=(0.0, 18.0))
+        with pytest.raises(ConfigError, match="snr_grid"):
+            run_user_sweep(cfg, [2, 3])
+        with pytest.raises(ConfigError, match="snr_grid"):
+            learning_curve(cfg)
 
     def test_learning_curve_covers_payload(self):
         cfg = small_cfg(variant="adaptive", trials=2)
@@ -332,6 +368,13 @@ class TestAggregation:
         assert len(calls) == (dims.n_r if variant == "exact" else 0)
 
     def test_config_round_trip_through_metadata(self):
+        """The config a result file's manifest records rebuilds the run's."""
         cfg = small_cfg()
         curve = run_experiment(cfg)
-        assert curve.metadata == dataclasses.asdict(cfg)
+        manifest = cli.RunManifest(config=dataclasses.asdict(cfg), version="0",
+                                   wall_time_s=0.0,
+                                   divergences=curve.divergences)
+        recorded = json.loads(cli.curves_to_json([curve], manifest))
+        config = recorded["manifest"]["config"]
+        config["snr_grid"] = tuple(config["snr_grid"])
+        assert ExperimentConfig(**config) == cfg

@@ -139,7 +139,7 @@ def desk_power_statistics(snr_db, blocks):
     for the given number of user blocks."""
     U, hops, sigma2, omega = desk_design_inputs(snr_db)
     K = U.shape[1] // hops
-    amps = equal_power_amps(K, hops, np.ones(K))
+    amps = equal_power_amps(K, hops)
     stats = build_statistics(U, hops, sigma2, amps, omega)
     add_power_terms(stats, U, amps, receiver_global(stats, sigma2), omega,
                     blocks)
@@ -360,7 +360,7 @@ class TestProjections:
         p = np.array([0.9, 0.1, 0.4, 0.2])
         stats = EnsembleStatistics(R=np.eye(4), P_ch=np.zeros((4, 1)), hops=2,
                                    R_a=np.eye(4)[None], p_a=p.astype(complex)[None])
-        a = power_step(stats, 0.0, [2.0])
+        a = power_step(stats, 0.0, 2.0)
         np.testing.assert_allclose(a, [p * np.sqrt(2.0) / np.linalg.norm(p)],
                                    atol=1e-12)
 
@@ -372,7 +372,7 @@ class TestAlternation:
         U = make_stack(dims, rng)
         sigma2 = 0.3
         cfg = MmseConfig(lam=1e-6, max_iters=200, tol=1e-10)
-        res = alternate(U, dims.hops, sigma2, 1, cfg, np.array([1.0]),
+        res = alternate(U, dims.hops, sigma2, 1, cfg,
                         perfect_relay_omega(1, dims.hops))
 
         best = np.inf
@@ -387,11 +387,10 @@ class TestAlternation:
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         sigma2 = 0.2
-        budgets = np.ones(2)
         cfg = MmseConfig()
-        res = alternate(U, dims.hops, sigma2, 1, cfg, budgets,
+        res = alternate(U, dims.hops, sigma2, 1, cfg,
                         perfect_relay_omega(2, dims.hops))
-        amps_eq = equal_power_amps(2, dims.hops, budgets)
+        amps_eq = equal_power_amps(2, dims.hops)
         stats = perfect_statistics(U, dims.hops, sigma2, amps_eq)
         W_eq = receiver_global(stats)
         mse_eq = perfect_mse(U, dims.hops, sigma2, amps_eq, W_eq)
@@ -404,32 +403,33 @@ class TestAlternation:
                 dims = SystemDims(K=3, N=8, L=2, n_r=1)
                 U = make_stack(dims, local)
                 res = alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
-                                np.ones(3), perfect_relay_omega(3, dims.hops))
+                                perfect_relay_omega(3, dims.hops))
                 assert res.mse_trace[-1] <= res.mse_trace[0] + 1e-9
 
     def test_budgets_respected(self, rng):
+        """Every user's budget is 1: each user's power is 1 under individual
+        constraints, and the total is K under the global one."""
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
         U = make_stack(dims, rng)
-        budgets = np.array([1.0, 1.5])
         omega = perfect_relay_omega(dims.K, dims.hops)
-        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), budgets, omega)
-        np.testing.assert_allclose(np.sum(res.amps ** 2, axis=1), budgets,
+        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), omega)
+        np.testing.assert_allclose(np.sum(res.amps ** 2, axis=1), 1.0,
                                    atol=1e-10)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), budgets, omega)
-        assert abs(np.sum(res.amps ** 2) - budgets.sum()) < 1e-10
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), omega)
+        assert abs(np.sum(res.amps ** 2) - dims.K) < 1e-10
 
     @pytest.mark.parametrize("blocks", [0, 2])
     def test_blocks_must_split_users_evenly(self, blocks, rng):
         dims = SystemDims(K=3, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
         with pytest.raises(ValueError, match="split"):
-            alternate(U, dims.hops, 0.2, blocks, MmseConfig(), np.ones(3),
+            alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
                       perfect_relay_omega(3, dims.hops))
 
     def test_result_shape_and_flags(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), np.ones(2),
+        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(),
                         perfect_relay_omega(2, dims.hops))
         assert isinstance(res, AlternationResult)
         assert res.W.shape == (dims.stack, 2)
@@ -454,7 +454,7 @@ class TestCertifiedSolve:
         U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         stats = build_statistics(U, hops, sigma2,
-                                 equal_power_amps(K, hops, np.ones(K)),
+                                 equal_power_amps(K, hops),
                                  omega=omega)
         slow = _checked_solve(stats.R, stats.P_ch, "receiver covariance")
 
@@ -484,8 +484,7 @@ class TestCertifiedSolve:
         per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
                               in zip(stats.R_a, stats.p_a)])
         assert np.array_equal(stacked, per_block)
-        budgets = np.ones(len(per_block))
-        assert np.array_equal(power_step(stats, lam, budgets), np.stack(
+        assert np.array_equal(power_step(stats, lam, 1.0), np.stack(
             [nonnegative_amplitudes(a_k, 1.0) for a_k in per_block]))
 
     def test_floor_too_small_to_certify_takes_cond_path(self, rng):
@@ -517,7 +516,7 @@ class TestCertifiedSolve:
         U = make_stack(dims, rng)
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
             alternate(U, dims.hops, 0.0, 1, MmseConfig(max_iters=2),
-                      np.ones(2), perfect_relay_omega(2, dims.hops))
+                      perfect_relay_omega(2, dims.hops))
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
@@ -525,8 +524,7 @@ class TestCertifiedSolve:
         U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         blocks = 1 if mode == "gpc" else K
-        res = alternate(U, hops, sigma2, blocks, MmseConfig(), np.ones(K),
-                        omega=omega)
+        res = alternate(U, hops, sigma2, blocks, MmseConfig(), omega=omega)
         assert res.mse_trace[-1] == total_mse(U, hops, sigma2, res.amps, res.W,
                                               omega=omega)
 

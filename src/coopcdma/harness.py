@@ -228,8 +228,7 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
     plan = power_blocks(scheme, cfg, dims.K)
     if plan is None:
         amps = mmse.equal_power_amps(dims.K, dims.hops).astype(complex)
-        stats = mmse.build_statistics(scn.U, dims.hops, scn.sigma2, amps, omega)
-        return mmse.receiver_global(stats, scn.sigma2), amps
+        return mmse.receiver(scn.U, dims.hops, scn.sigma2, amps, omega), amps
     users_per_block, lam = plan
     res = mmse.alternate(scn.U, dims.hops, scn.sigma2,
                          dims.K // users_per_block, cfg.mmse_config(lam), omega)
@@ -252,8 +251,8 @@ def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
 
 def _relay_frames(scn: Scenario, S0: np.ndarray,
                   rng_noise: np.random.Generator) -> list:
-    """Each relay's whole-packet observation of the source broadcast, sent at
-    the full per-user budget."""
+    """Each relay's whole-packet chip observation of the source broadcast,
+    sent at the full per-user budget, for the adaptive relays."""
     dims = scn.dims
     frames = []
     for X in scn.x_sr:
@@ -263,32 +262,65 @@ def _relay_frames(scn: Scenario, S0: np.ndarray,
     return frames
 
 
+def _filtered_noise(W: np.ndarray, sigma2: float, P: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """W^H n over P symbols, n white chip noise of variance sigma2, drawn in
+    W's K columns: W^H n ~ CN(0, sigma2 W^H W), coloured by R^H of W = QR.
+    Unlike a Cholesky factor of W^H W, the QR factor exists for a
+    rank-deficient W."""
+    R = np.linalg.qr(W, mode="r")
+    return R.conj().T @ _noise_matrix((R.shape[0], P), sigma2, rng)
+
+
 def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
-                            amps: np.ndarray) -> None:
-    """Add every hop's frames to the stacked destination windows out.
+                            amps: np.ndarray,
+                            left: np.ndarray | None = None) -> None:
+    """Add every hop's frames to the stacked destination windows out, or,
+    with a left factor (J x stack), to out = left times those windows.
 
     S holds the hops x K per-hop symbols of out's columns plus one neighbour
     column on each side; amps is the K x hops amplitude matrix.
     """
     M, hops = scn.dims.M, scn.dims.hops
     for j in range(hops):
-        add_hop_frames(out[j * M:(j + 1) * M], scn.U[j * M:(j + 1) * M, j::hops],
-                       S[j], amps[:, j:j + 1], scn.spill)
+        rows = slice(j * M, (j + 1) * M)
+        X = scn.U[rows, j::hops]
+        if left is None:
+            add_hop_frames(out[rows], X, S[j], amps[:, j:j + 1], scn.spill)
+        else:
+            add_hop_frames(out, X, S[j], amps[:, j:j + 1], scn.spill,
+                           left[:, rows])
+
+
+def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
+                       S: np.ndarray,
+                       rng_noise: np.random.Generator) -> np.ndarray:
+    """Destination soft outputs W^H r (K x P) of a whole packet under fixed
+    filters and amplitudes; fills in S's relay hops with the symbols
+    g * Wr^H r_j the relays forward. Every output is formed from filtered
+    frames and filtered noise, without a chip window."""
+    P = scn.dims.P
+    for j, (X, (Wr, g)) in enumerate(zip(scn.x_sr, scn.relay_banks)):
+        y = _filtered_noise(Wr, scn.sigma2, P, rng_noise)
+        add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
+        S[j + 1, :, 1:-1] = y * g[:, None]
+    soft = _filtered_noise(W, scn.sigma2, P, rng_noise)
+    _add_destination_frames(soft, scn, S, amps, W.conj().T)
+    return soft
 
 
 def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                           cfg: ExperimentConfig, rng_data: np.random.Generator,
                           rng_noise: np.random.Generator) -> PacketResult:
-    """Vectorized packet simulation with fixed filters and amplitudes."""
-    dims = scn.dims
-    bits, S = _packet_symbols(scn, rng_data)
-    relay_obs = _relay_frames(scn, S[0], rng_noise)
-    for j, (R, (Wr, g)) in enumerate(zip(relay_obs, scn.relay_banks)):
-        S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
+    """Vectorized packet simulation with fixed filters and amplitudes.
 
-    frames = _noise_matrix((dims.stack, dims.P), scn.sigma2, rng_noise)
-    _add_destination_frames(frames, scn, S, amps)
-    return _packet_result(W.conj().T @ frames, bits, cfg.training_len)
+    The data come from rng_data. The noise comes from rng_noise, drawn
+    filtered, K x P per filter bank, in the order relay 1, ..., relay n_r,
+    destination.
+    """
+    bits, S = _packet_symbols(scn, rng_data)
+    return _packet_result(exact_soft_outputs(scn, W, amps, S, rng_noise),
+                          bits, cfg.training_len)
 
 
 @dataclass
@@ -374,8 +406,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             r = r[:, 0]
             soft[:, t] = rx.W.conj().T @ r
             detected = t + 1
-            decisions = hard_decision(soft[:, t])
-            ref = B[:, t] if t < T else decisions
+            ref = B[:, t] if t < T else hard_decision(soft[:, t])
 
             # per-link symbols (K x hops): the direct hop carries the
             # training/decision symbol, the relay hops the soft symbols the

@@ -1,15 +1,23 @@
 """Exact constrained-MMSE receiver and power-allocation design.
 
-Works from ensemble statistics assembled out of the stacked effective chip
-waveforms (signature * channel per link), assuming i.i.d. unit-energy symbols
-that are independent across users, and unit-energy relayed symbols. Every
-design entry takes the link-symbol correlation matrix Omega of the relay
-chain (relay_omega). Receiver and power steps depend on each other and are
-alternated to a fixed point. Every user's power budget is 1. The power
-constraint is a partition into B equal contiguous user blocks (1: global,
-K: individual budgets), a block's budget being its number of users; the power
-step is one regularized solve over all blocks, each projected onto its
-nonnegative-real budget sphere, as in the adaptive path.
+The stacked observation is r = U diag(a) s + n: U holds the effective chip
+waveforms (signature * channel) of the K*hops links, a their amplitudes, s
+the link symbols with correlation Omega (relay_omega; unit-energy QPSK
+symbols, independent across users) and n white noise of variance sigma^2.
+Every design entry takes Omega. Receiver and power steps depend on each other
+and are alternated to a fixed point. Every user's power budget is 1. The
+power constraint is a partition into B equal contiguous user blocks (1:
+global, K: individual budgets), a block's budget being its number of users;
+the power step is one regularized solve over all blocks, each projected onto
+its nonnegative-real budget sphere, as in the adaptive path.
+
+The design works in link coordinates (K*hops of them), not in the stack of
+chips: U enters only through the Gram matrix U^H U, and with Omega = F F^H the
+push-through identity gives the MMSE filters as W = U diag(a) F C with a
+K*hops-dimensional solve for C. The power terms and the MSE follow from the
+link responses U^H W, so W itself is formed once, after the alternation.
+build_statistics and total_mse assemble the stacked statistics; they score
+a design, they are not part of it.
 """
 
 from __future__ import annotations
@@ -42,17 +50,11 @@ class EnsembleStatistics:
     """Closed-form second-order statistics of the stacked observation.
 
     R: stack x stack covariance; P_ch: stack x K cross-correlation with the
-    desired symbols (columns are the amplitude-weighted composite waveforms);
-    R_a (B x n x n) / p_a (B x n): power-domain covariance and
-    cross-correlation of each of B contiguous user blocks of n = K*hops/B
-    links, set by add_power_terms (B = 1 global, B = K individual budgets).
+    desired symbols (columns are the amplitude-weighted composite waveforms).
     """
 
     R: np.ndarray
     P_ch: np.ndarray
-    hops: int
-    R_a: np.ndarray | None = None
-    p_a: np.ndarray | None = None
 
 
 def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
@@ -79,8 +81,7 @@ def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
 
 def build_statistics(U: np.ndarray, hops: int, sigma2: float,
                      amps: np.ndarray, omega: np.ndarray) -> EnsembleStatistics:
-    """Assemble R and P_ch at the amplitudes amps; add_power_terms adds the
-    filter-dependent R_a and p_a.
+    """Assemble R and P_ch at the amplitudes amps.
 
     U is the stack x K*hops matrix of effective per-link waveforms (column
     order: user-major, direct hop first); amps is K x hops. omega is the
@@ -94,7 +95,7 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
     P_ch = np.stack([Ua @ omega[:, k * hops] for k in range(K)], axis=1)
     if not np.all(np.isfinite(R)):
         raise IllConditionedError("non-finite entries in covariance assembly")
-    return EnsembleStatistics(R=R, P_ch=P_ch, hops=hops)
+    return EnsembleStatistics(R=R, P_ch=P_ch)
 
 
 def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
@@ -106,30 +107,32 @@ def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
                                             blocks, cols // blocks))
 
 
-def add_power_terms(stats: EnsembleStatistics, U: np.ndarray,
-                    amps: np.ndarray, W: np.ndarray,
-                    omega: np.ndarray, blocks: int) -> None:
-    """Fill in the W-dependent half of the statistics: R_a and p_a of each of
-    `blocks` equal contiguous user blocks.
+def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
+                blocks: int):
+    """R_a (B x n x n) and p_a (B x n) of each of B = `blocks` equal
+    contiguous user blocks of n = K*hops/B links.
 
-    They are the quadratic and linear coefficients, in block b's amplitudes,
-    of the MSE summed over b's users with the other blocks' amplitudes held
-    at amps. With G_b the block users' link responses on the block's links,
+    links is the K*hops x K matrix U^H W of link responses: column k holds
+    the response of filter w_k to each link's waveform. R_a[b] and p_a[b] are
+    the quadratic and linear coefficients, in block b's amplitudes, of the MSE
+    summed over b's users with the other blocks' amplitudes held at amps.
+    With G_b the block users' link responses on the block's links,
     R_a[b] = (G_b G_b^H) o Omega_bb^T; p_a[b] is the block users'
     desired-symbol correlation minus the other blocks' fixed contribution,
     which is zero for one block.
     """
-    G = U.conj().T @ W  # (K*hops) x K; column k holds the link responses of w_k
-    d = omega[:, ::stats.hops]  # column k: each link's correlation with b_k
+    hops = links.shape[0] // links.shape[1]
+    d = omega[:, ::hops]  # column k: each link's correlation with b_k
     if blocks > 1:
         # amplitude-weighted link responses of each filter, other blocks only
-        aG = np.asarray(amps, dtype=complex).reshape(-1, 1) * G
+        aG = np.asarray(amps, dtype=complex).reshape(-1, 1) * links
         _diagonal_blocks(aG, blocks)[...] = 0.0
         d = d - omega @ aG
-    G_b = _diagonal_blocks(G, blocks)
-    stats.R_a = ((G_b @ G_b.conj().transpose(0, 2, 1))
-                 * _diagonal_blocks(omega, blocks).transpose(0, 2, 1))
-    stats.p_a = np.einsum("bik->bi", G_b * _diagonal_blocks(d, blocks).conj())
+    G_b = _diagonal_blocks(links, blocks)
+    R_a = ((G_b @ G_b.conj().transpose(0, 2, 1))
+           * _diagonal_blocks(omega, blocks).transpose(0, 2, 1))
+    p_a = np.einsum("bik->bi", G_b * _diagonal_blocks(d, blocks).conj())
+    return R_a, p_a
 
 
 def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
@@ -175,13 +178,48 @@ def _cond_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(R, rhs)
 
 
-def receiver_global(stats: EnsembleStatistics, floor: float = 0.0) -> np.ndarray:
-    """Joint MMSE filter matrix W = R^-1 P_ch.
+def link_factors(U: np.ndarray, omega: np.ndarray):
+    """The design's fixed data in link coordinates: the Gram matrix U^H U and
+    a factor F with Omega = F F^H.
 
-    floor is a lower bound on the eigenvalues of R (see _checked_solve): the
-    noise variance sigma^2 whenever omega is a covariance matrix.
+    F comes from the eigendecomposition of Omega with its eigenvalues clipped
+    at 0, so a singular positive semidefinite Omega (perfect relays, or no
+    relay noise) factors without failing.
     """
-    return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(omega))):
+        raise IllConditionedError("non-finite entries in the link statistics")
+    eigvals, V = np.linalg.eigh(omega)
+    return U.conj().T @ U, V * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
+                amps: np.ndarray):
+    """Joint MMSE filters at the amplitudes amps, in link coordinates.
+
+    With V = U diag(a) F the covariance is R = V V^H + sigma^2 I and the
+    cross-correlation P_ch = V B, B = F^H E (E selects the direct links), so
+    by the push-through identity W = R^-1 P_ch = V C with
+    C = (sigma^2 I + V^H V)^-1 B, V^H V = F^H diag(a)^H U^H U diag(a) F.
+    That matrix is Hermitian with eigenvalues >= sigma^2, the floor the solve
+    certifies from. Returns Y = diag(a) F C, so that W = U Y and the link
+    responses are U^H W = gram Y, and the ensemble MSE of W,
+    K - tr(B^H B) + sigma^2 tr(B^H C) = sigma^2 Re tr(B^H C): the diagonal of
+    B^H B = E^H Omega E is the unit energy of the users' own symbols.
+    """
+    DF = np.asarray(amps, dtype=complex).reshape(-1, 1) * F
+    B = F[::hops].conj().T
+    A = DF.conj().T @ gram @ DF + sigma2 * np.eye(F.shape[1])
+    C = _checked_solve(A, B, "receiver covariance", sigma2)
+    mse = sigma2 * float(np.real(np.einsum("ik,ik->", B.conj(), C)))
+    return DF @ C, mse
+
+
+def receiver(U: np.ndarray, hops: int, sigma2: float, amps: np.ndarray,
+             omega: np.ndarray) -> np.ndarray:
+    """Joint MMSE filter matrix W = R^-1 P_ch at fixed amplitudes amps (K x
+    hops), solved in link coordinates (filter_step)."""
+    gram, F = link_factors(U, omega)
+    return U @ filter_step(gram, F, hops, sigma2, amps)[0]
 
 
 def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
@@ -221,12 +259,12 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
                           "power covariance", lam)
 
 
-def power_step(stats: EnsembleStatistics, lam: float,
+def power_step(R_a: np.ndarray, p_a: np.ndarray, lam: float,
                block_budget: float) -> np.ndarray:
-    """Regularized power step of every amplitude block in one stacked solve,
-    each block projected to nonnegative reals on the sphere of block_budget
-    (its number of users); returns the B x n block amplitudes."""
-    a = _real_power_solve(stats.R_a, stats.p_a, lam)
+    """Regularized power step of every amplitude block (power_terms) in one
+    stacked solve, each block projected to nonnegative reals on the sphere of
+    block_budget (its number of users); returns the B x n block amplitudes."""
+    a = _real_power_solve(R_a, p_a, lam)
     for a_b in a:
         a_b[:] = nonnegative_amplitudes(a_b, block_budget)
     return a
@@ -268,10 +306,12 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     block, pinned by its budget, is designed without alternation
     (harness.power_blocks). The trace records the ensemble MSE after each
     filter step, so its first entry is the MSE of the equal-power (CIS)
-    allocation under its own MMSE filters.
-    omega must be a covariance matrix (positive semidefinite), as every
-    link-symbol correlation built here is: sigma2 then bounds the eigenvalues
-    of each receiver covariance from below.
+    allocation under its own MMSE filters; the last entry is total_mse of the
+    returned design.
+    omega must be a covariance matrix (positive semidefinite) with unit
+    direct-link diagonal, as every link-symbol correlation built here is:
+    sigma2 then bounds the eigenvalues of each receiver covariance from below,
+    and the traced MSE takes the closed form of filter_step.
     """
     cols = U.shape[1]
     K = cols // hops
@@ -279,24 +319,21 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
         raise ValueError(f"{blocks} blocks do not split {K} users evenly")
     amps = equal_power_amps(K, hops)
     block_budget = float(K // blocks)
+    gram, F = link_factors(U, omega)
     trace = []
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        # one assembly per iteration: the filter step, the traced MSE and the
-        # power step all read the statistics at the current amplitudes
-        stats = build_statistics(U, hops, sigma2, amps, omega)
-        W = receiver_global(stats, sigma2)
-        trace.append(statistics_mse(stats, W))
-        add_power_terms(stats, U, amps, W, omega, blocks)
-        a_new = power_step(stats, config.lam, block_budget).reshape(K, hops)
+        Y, mse = filter_step(gram, F, hops, sigma2, amps)
+        trace.append(mse)
+        R_a, p_a = power_terms(gram @ Y, amps, omega, blocks)
+        a_new = power_step(R_a, p_a, config.lam, block_budget).reshape(K, hops)
         delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
         amps = a_new
         if delta < config.tol:
             converged = True
             break
-    stats = build_statistics(U, hops, sigma2, amps, omega)
-    W = receiver_global(stats, sigma2)
-    trace.append(statistics_mse(stats, W))
+    W = U @ filter_step(gram, F, hops, sigma2, amps)[0]
+    trace.append(total_mse(U, hops, sigma2, amps, W, omega))
     return AlternationResult(W=W, amps=amps, mse_trace=np.asarray(trace),
                              converged=converged, iterations=it)

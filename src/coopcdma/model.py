@@ -96,7 +96,8 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
 
 
 def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
-                   a: np.ndarray | float, spill: int) -> None:
+                   a: np.ndarray | float, spill: int,
+                   left: np.ndarray | None = None) -> None:
     """Add one hop's chip frames X (S a) and their ISI spill-over to out.
 
     X holds the hop's M x K chip waveforms (one column per user), S the K x
@@ -106,9 +107,19 @@ def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
     `spill` = L - 1 chips fall into the head of the next window and its first
     `spill` chips into the tail of the previous one; spill = 0 leaves the
     windows free of ISI.
+
+    With a left factor (J x M), out is the J x cols block of left times the
+    windows, formed without the windows: the ISI terms go through left's head
+    and tail columns.
     """
-    out += X @ (S[:, 1:-1] * a)
+    N = X.shape[0] - spill
+    if left is None:
+        out += X @ (S[:, 1:-1] * a)
+        if spill:
+            out[:spill] += X[N:] @ (S[:, :-2] * a)
+            out[N:] += X[:spill] @ (S[:, 2:] * a)
+        return
+    out += (left @ X) @ (S[:, 1:-1] * a)
     if spill:
-        N = X.shape[0] - spill
-        out[:spill] += X[N:] @ (S[:, :-2] * a)
-        out[N:] += X[:spill] @ (S[:, 2:] * a)
+        out += (left[:, :spill] @ X[N:]) @ (S[:, :-2] * a)
+        out += (left[:, N:] @ X[:spill]) @ (S[:, 2:] * a)

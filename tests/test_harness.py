@@ -367,6 +367,26 @@ class TestAggregation:
         run_packet(cfg, scn, rng_data, rng_noise, rng_init)
         assert len(calls) == (dims.n_r if variant == "exact" else 0)
 
+    def test_destination_decides_only_payload_symbols(self, monkeypatch):
+        """The adaptive destination makes a hard decision per payload symbol
+        only: training symbols are their own reference."""
+        from coopcdma import harness
+        real, decided = harness.hard_decision, []
+
+        def counted(soft):
+            decided.append(soft.shape)
+            return real(soft)
+
+        monkeypatch.setattr(harness, "hard_decision", counted)
+        cfg = small_cfg(scheme="jpais-gpc", variant="adaptive")
+        dims = cfg.dims()
+        rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, 0)
+        scn = draw_scenario(dims, codes_for(cfg, dims.K), snr_db_to_sigma2(9.0),
+                            cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
+        res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
+        assert not res.diverged
+        assert decided == [(dims.K,)] * (cfg.packet_len - cfg.training_len)
+
     def test_config_round_trip_through_metadata(self):
         """The config a result file's manifest records rebuilds the run's."""
         cfg = small_cfg()

@@ -7,11 +7,11 @@ import pytest
 
 from coopcdma import harness, mmse
 from coopcdma.errors import DegenerateStateError
-from coopcdma.mmse import (AlternationResult, EnsembleStatistics, MmseConfig,
-                           _checked_solve, _real_power_solve, add_power_terms,
-                           alternate, build_statistics, equal_power_amps,
-                           nonnegative_amplitudes, power_step, project_sphere,
-                           receiver_global, relay_omega, total_mse)
+from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
+                           _real_power_solve, alternate, build_statistics,
+                           equal_power_amps, nonnegative_amplitudes,
+                           power_step, power_terms, project_sphere, receiver,
+                           relay_omega, total_mse)
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
                             modulate_qpsk)
@@ -35,6 +35,16 @@ def random_amps(dims, rng):
 
 
 DESK_K = harness.ExperimentConfig().users
+
+
+def receiver_global(stats, floor=0.0):
+    """Joint MMSE filters W = R^-1 P_ch solved in the stacked chip space: the
+    oracle for the link-coordinate receiver."""
+    return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
 
 
 def perfect_relay_omega(K, hops):
@@ -83,7 +93,7 @@ def loop_relay_omega(K, hops, relay_stats):
 
 def global_power_terms(U, hops, W, omega):
     """One block of all links, assembled term by term: the global-constraint
-    oracle for add_power_terms."""
+    oracle for power_terms."""
     K = U.shape[1] // hops
     G = U.conj().T @ W
     R_a = (G @ G.conj().T) * omega.T
@@ -95,7 +105,7 @@ def global_power_terms(U, hops, W, omega):
 
 def individual_power_terms(U, hops, amps, W, omega):
     """One block per user, the other users' amplitudes held fixed: the
-    individual-constraint oracle for add_power_terms."""
+    individual-constraint oracle for power_terms."""
     cols = U.shape[1]
     K = cols // hops
     a_vec = np.asarray(amps, dtype=complex).reshape(cols)
@@ -134,16 +144,14 @@ def desk_design_inputs(snr_db, seed=1):
     return scn.U, dims.hops, scn.sigma2, harness.scenario_omega(scn)
 
 
-def desk_power_statistics(snr_db, blocks):
-    """Desk statistics at equal power, with the power terms of their filters
-    for the given number of user blocks."""
+def desk_power_terms(snr_db, blocks):
+    """Power terms (R_a, p_a) of the desk scenario's equal-power filters for
+    the given number of user blocks."""
     U, hops, sigma2, omega = desk_design_inputs(snr_db)
     K = U.shape[1] // hops
     amps = equal_power_amps(K, hops)
-    stats = build_statistics(U, hops, sigma2, amps, omega)
-    add_power_terms(stats, U, amps, receiver_global(stats, sigma2), omega,
-                    blocks)
-    return stats
+    W = receiver_global(build_statistics(U, hops, sigma2, amps, omega), sigma2)
+    return power_terms(U.conj().T @ W, amps, omega, blocks)
 
 
 class TestOmega:
@@ -242,13 +250,13 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        add_power_terms(stats, U, amps0, W, omega, 1)
+        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, 1)
         const = dims.K + sigma2 * np.linalg.norm(W) ** 2
-        assert stats.R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
+        assert R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
         for _ in range(5):
             a = random_amps(dims, rng).reshape(-1)
-            quad = (const + a @ np.real(stats.R_a[0]) @ a
-                    - 2.0 * a @ np.real(stats.p_a[0]))
+            quad = (const + a @ np.real(R_a[0]) @ a
+                    - 2.0 * a @ np.real(p_a[0]))
             direct = total_mse(U, dims.hops, sigma2,
                                a.reshape(dims.K, dims.hops), W, omega)
             assert abs(quad - direct) < 1e-10
@@ -262,11 +270,11 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        add_power_terms(stats, U, amps0, W, omega, dims.K)
-        assert stats.R_a.shape == (dims.K, dims.hops, dims.hops)
+        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, dims.K)
+        assert R_a.shape == (dims.K, dims.hops, dims.hops)
         for k in range(dims.K):
-            Rk = np.real(stats.R_a[k])
-            pk = np.real(stats.p_a[k])
+            Rk = np.real(R_a[k])
+            pk = np.real(p_a[k])
 
             def quad(ak):
                 return ak @ Rk @ ak - 2.0 * ak @ pk
@@ -294,10 +302,10 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        add_power_terms(stats, U, amps0, W, omega, 1)
+        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, 1)
         lam = 0.025
-        Rr = np.real(stats.R_a[0]) + lam * np.eye(dims.K * dims.hops)
-        pr = np.real(stats.p_a[0])
+        Rr = np.real(R_a[0]) + lam * np.eye(dims.K * dims.hops)
+        pr = np.real(p_a[0])
         a_star = np.linalg.solve(Rr, pr)
         # stationarity residual of the regularized normal equations
         assert np.linalg.norm(Rr @ a_star - pr) < 1e-10
@@ -323,14 +331,11 @@ class TestPowerQuadratics:
         for blocks, (R_ref, p_ref) in (
                 (1, global_power_terms(U, hops, W, omega)),
                 (K, individual_power_terms(U, hops, amps, W, omega))):
-            stats = build_statistics(U, hops, sigma2, amps, omega=omega)
-            add_power_terms(stats, U, amps, W, omega, blocks)
-            assert stats.R_a.shape == R_ref.shape
-            assert stats.p_a.shape == p_ref.shape
-            assert (np.abs(stats.R_a - R_ref).max()
-                    <= 1e-14 * np.abs(R_ref).max())
-            assert (np.abs(stats.p_a - p_ref).max()
-                    <= 1e-14 * np.abs(p_ref).max())
+            R_a, p_a = power_terms(U.conj().T @ W, amps, omega, blocks)
+            assert R_a.shape == R_ref.shape
+            assert p_a.shape == p_ref.shape
+            assert np.abs(R_a - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
+            assert np.abs(p_a - p_ref).max() <= 1e-14 * np.abs(p_ref).max()
 
 
 class TestProjections:
@@ -358,9 +363,7 @@ class TestProjections:
     def test_identity_covariance_follows_cross_correlation(self):
         """With R_a = I and λ = 0 the power step is the projected p_a."""
         p = np.array([0.9, 0.1, 0.4, 0.2])
-        stats = EnsembleStatistics(R=np.eye(4), P_ch=np.zeros((4, 1)), hops=2,
-                                   R_a=np.eye(4)[None], p_a=p.astype(complex)[None])
-        a = power_step(stats, 0.0, 2.0)
+        a = power_step(np.eye(4)[None], p.astype(complex)[None], 0.0, 2.0)
         np.testing.assert_allclose(a, [p * np.sqrt(2.0) / np.linalg.norm(p)],
                                    atol=1e-12)
 
@@ -441,9 +444,75 @@ class TestReceivers:
     def test_wiener_normal_equations(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         U = make_stack(dims, rng)
-        stats = perfect_statistics(U, dims.hops, 0.2, random_amps(dims, rng))
-        W = receiver_global(stats)
+        amps = random_amps(dims, rng)
+        stats = perfect_statistics(U, dims.hops, 0.2, amps)
+        W = receiver(U, dims.hops, 0.2, amps,
+                     perfect_relay_omega(dims.K, dims.hops))
         np.testing.assert_allclose(stats.R @ W, stats.P_ch, atol=1e-10)
+
+
+class TestLinkCoordinates:
+    """The link-coordinate design against the stacked chip-space solve."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_receiver_matches_stacked_solve(self, snr_db):
+        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        K = U.shape[1] // hops
+        amps = 0.3 + np.random.default_rng(7).random((K, hops))
+        ref = receiver_global(build_statistics(U, hops, sigma2, amps, omega),
+                              sigma2)
+        assert relative_error(receiver(U, hops, sigma2, amps, omega),
+                              ref) <= 1e-12
+
+    def test_singular_omega_receiver_matches_stacked_solve(self, rng):
+        """Perfect relays make omega singular: its factor has zero columns."""
+        dims = SystemDims(K=3, N=8, L=2, n_r=2)
+        U = make_stack(dims, rng)
+        amps = random_amps(dims, rng)
+        omega = perfect_relay_omega(dims.K, dims.hops)
+        assert np.linalg.matrix_rank(omega) == dims.K
+        ref = receiver_global(perfect_statistics(U, dims.hops, 0.2, amps))
+        assert relative_error(receiver(U, dims.hops, 0.2, amps, omega),
+                              ref) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["gpc", "ipc"])
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    def test_alternation_filters_match_stacked_solve(self, mode, snr_db):
+        """The designed W is the stacked MMSE solve at the designed
+        amplitudes, for one global block and for K individual ones."""
+        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        K = U.shape[1] // hops
+        res = alternate(U, hops, sigma2, 1 if mode == "gpc" else K,
+                        MmseConfig(), omega)
+        ref = receiver_global(build_statistics(U, hops, sigma2, res.amps,
+                                               omega), sigma2)
+        assert relative_error(res.W, ref) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["ncis", "cis"])
+    def test_equal_power_design_matches_stacked_solve(self, scheme):
+        cfg = harness.ExperimentConfig(scheme=scheme)
+        dims = cfg.dims()
+        scn = harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
+                                    harness.snr_db_to_sigma2(6.0),
+                                    cfg.shadowing_std_db,
+                                    harness.trial_rngs(1, 0)[0])
+        W, amps = harness.design_exact(scn, scheme, cfg)
+        stats = build_statistics(scn.U, dims.hops, scn.sigma2, amps,
+                                 harness.scenario_omega(scn))
+        assert relative_error(W, receiver_global(stats, scn.sigma2)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["gpc", "ipc"])
+    def test_traced_mse_is_the_stacked_mse(self, mode):
+        """Every traced entry is the MSE of that iteration's filters: the
+        alternation cut after n iterations ends at the nth entry's design."""
+        U, hops, sigma2, omega = desk_design_inputs(6.0)
+        K = U.shape[1] // hops
+        blocks = 1 if mode == "gpc" else K
+        full = alternate(U, hops, sigma2, blocks, MmseConfig(), omega)
+        for n in (1, 3):
+            cut = alternate(U, hops, sigma2, blocks, MmseConfig(max_iters=n),
+                            omega)
+            assert abs(full.mse_trace[n] - cut.mse_trace[-1]) <= 1e-12
 
 
 class TestCertifiedSolve:
@@ -467,24 +536,22 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_power_solve_matches_cond_path(self, snr_db):
-        stats = desk_power_statistics(snr_db, 1)
+        R_a, p_a = desk_power_terms(snr_db, 1)
         lam = 0.025
-        R_a, p_a = stats.R_a[0], stats.p_a[0]
-        Rr = np.real(R_a) + lam * np.eye(R_a.shape[0])
-        slow = _checked_solve(Rr, np.real(p_a), "power covariance")
-        assert np.array_equal(_real_power_solve(R_a, p_a, lam), slow)
-        assert np.array_equal(_real_power_solve(stats.R_a, stats.p_a, lam),
-                              slow[None])
+        Rr = np.real(R_a[0]) + lam * np.eye(R_a.shape[1])
+        slow = _checked_solve(Rr, np.real(p_a[0]), "power covariance")
+        assert np.array_equal(_real_power_solve(R_a[0], p_a[0], lam), slow)
+        assert np.array_equal(_real_power_solve(R_a, p_a, lam), slow[None])
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_stacked_ipc_solve_matches_per_block(self, snr_db):
-        stats = desk_power_statistics(snr_db, DESK_K)
+        R_a, p_a = desk_power_terms(snr_db, DESK_K)
         lam = 0.025
-        stacked = _real_power_solve(stats.R_a, stats.p_a, lam)
+        stacked = _real_power_solve(R_a, p_a, lam)
         per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
-                              in zip(stats.R_a, stats.p_a)])
+                              in zip(R_a, p_a)])
         assert np.array_equal(stacked, per_block)
-        assert np.array_equal(power_step(stats, lam, 1.0), np.stack(
+        assert np.array_equal(power_step(R_a, p_a, lam, 1.0), np.stack(
             [nonnegative_amplitudes(a_k, 1.0) for a_k in per_block]))
 
     def test_floor_too_small_to_certify_takes_cond_path(self, rng):

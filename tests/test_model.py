@@ -264,6 +264,43 @@ class TestIsi:
             np.testing.assert_allclose(out[:, i], window, atol=1e-12)
 
 
+class TestLeftFactor:
+    """add_hop_frames with a left factor equals that factor times the chip
+    windows, for every symbol including the packet's first and last."""
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("edges", ["zero", "nonzero"])
+    def test_matches_left_times_chip_frames(self, L, edges, rng):
+        dims = SystemDims(K=3, N=8, L=L, n_r=0)
+        _, _, X = make_link_pieces(dims, rng)
+        S = hop_symbols(dims, 6, rng)[0]
+        if edges == "nonzero":
+            S[:, [0, -1]] = modulate_qpsk(rng.integers(0, 2, size=(3, 2, 2)))
+        a = np.array([[0.4], [0.9], [1.2]])
+        left = (rng.standard_normal((2, dims.M))
+                + 1j * rng.standard_normal((2, dims.M)))
+        for spill in {0, L - 1}:
+            chip = np.zeros((dims.M, 6), dtype=complex)
+            add_hop_frames(chip, X[0], S, a, spill)
+            out = np.zeros((2, 6), dtype=complex)
+            add_hop_frames(out, X[0], S, a, spill, left)
+            np.testing.assert_allclose(out, left @ chip, rtol=0,
+                                       atol=1e-12 * np.abs(left @ chip).max())
+
+    def test_destination_frames_with_left_factor(self, rng):
+        dims = SystemDims(K=2, N=8, L=3, n_r=2)
+        scn = scenario(dims, rng)
+        S = hop_symbols(dims, 5, rng)
+        amps = np.array([[0.8, 0.6, 0.3], [0.5, 0.9, 0.7]])
+        left = (rng.standard_normal((2, dims.stack))
+                + 1j * rng.standard_normal((2, dims.stack)))
+        ref = left @ destination_frames(scn, S, amps)
+        out = np.zeros((2, 5), dtype=complex)
+        _add_destination_frames(out, scn, S, amps, left)
+        np.testing.assert_allclose(out, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
 class TestNoise:
     def test_noise_calibration(self, rng):
         sigma2 = 0.7

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -51,18 +52,23 @@ def _coerce(key: str, raw):
 
 def read_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"config: cannot read {path}: {reason}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"{key}: unknown configuration key")
-            values[key] = _coerce(key, raw)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"{key}: unknown configuration key")
+        values[key] = _coerce(key, raw)
     return values
 
 
@@ -211,6 +217,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = _config_from_args(args)
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"out: directory of {args.out} does not exist")
+        if os.path.isdir(args.out):
+            raise ConfigError(f"out: {args.out} is a directory")
         users_grid = _users_grid(args) if args.command == "sweep-users" else None
         start = time.perf_counter()
         if args.command == "sweep-snr":

@@ -4,7 +4,8 @@ Three coupled recursions share state across a packet: an RLS receiver-matrix
 update driven by the stacked observation, a constrained power-vector update
 that solves its weighted normal equations and projects onto the budget sphere
 as the exact power step does, and a joint RLS channel estimator over all users
-and links. Under individual constraints power and channel run per user block.
+and links. Power and channel run on a leading axis of B user blocks: one
+block of all K users under the global budget, or K one-user blocks (ipc).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class PowerRlsState:
     N: np.ndarray
     z: np.ndarray
     a_ls: np.ndarray  # internal unconstrained LS estimate
-    a: np.ndarray  # emitted stacked K*hops amplitudes
-    P_T: float
+    a: np.ndarray  # emitted amplitudes, user-major over the block's links
+    P_T: float  # budget of each block
     alpha: float
     lam: float
     start: int
@@ -67,7 +68,9 @@ class PowerRlsState:
 def init_power(a0: np.ndarray, P_T: float, alpha: float, delta: float,
                lam: float = 0.0, start: int = 0) -> PowerRlsState:
     a0 = a0.astype(complex)
-    return PowerRlsState(N=delta * np.eye(a0.size, dtype=complex), z=delta * a0,
+    *blocks, n = a0.shape
+    return PowerRlsState(N=np.tile(delta * np.eye(n, dtype=complex),
+                                   (*blocks, 1, 1)), z=delta * a0,
                          a_ls=a0.copy(), a=a0.copy(), P_T=P_T, alpha=alpha,
                          lam=lam, start=start)
 
@@ -84,34 +87,30 @@ def _loading_weight(lam: float, alpha: float, dim: int) -> float:
     return lam * (1.0 - alpha ** dim) / (1.0 - alpha)
 
 
-def _emit_amplitudes(state: PowerRlsState) -> np.ndarray:
-    """Emit the projected LS estimate once the training hold has passed."""
-    if state.t > state.start:
-        state.a = nonnegative_amplitudes(state.a_ls, state.P_T).astype(complex)
-    return state.a
-
-
 def power_update(state: PowerRlsState, W: np.ndarray, U_hat: np.ndarray,
                  link_symbols: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Constrained power step: one normal-equation update, then projection.
 
-    U_hat holds the estimated per-link waveforms (stack x K*hops) and
-    link_symbols the per-link symbol estimates, so the user-k regressor (column
-    k of V) is v_k = s * conj(U_hat^H w_k) and a^H v_k is the signal part of
-    the filter output w_k^H r predicted by the current amplitudes.
+    U_hat holds the estimated per-link waveforms (stack x links), W the
+    block users' filters and link_symbols the per-link symbol estimates, so
+    the user-k regressor (column k of V) is v_k = s * conj(U_hat^H w_k) and
+    a^H v_k is the signal part of the filter output w_k^H r predicted by the
+    current amplitudes. Stacked blocks put their axis first on every array.
     """
-    V = link_symbols[:, None] * (U_hat.conj().T @ W).conj()
-    state.N = state.alpha * state.N + V @ V.conj().T
-    state.z = state.alpha * state.z + V @ b.conj()
-    dim = state.z.size
+    V = link_symbols[..., None] * (U_hat.conj().swapaxes(-1, -2) @ W).conj()
+    state.N = state.alpha * state.N + V @ V.conj().swapaxes(-1, -2)
+    state.z = state.alpha * state.z + (V @ b.conj()[..., None])[..., 0]
+    dim = state.z.shape[-1]
     if state.lam > 0.0:
         i = state.t % dim
-        state.N[i, i] += _loading_weight(state.lam, state.alpha, dim)
+        state.N[..., i, i] += _loading_weight(state.lam, state.alpha, dim)
     state.t += 1
     check_finite(state.N, "power normal matrix")
     state.a_ls = solve_normal(state.N, state.z, "power normal matrix")
     check_finite(state.a_ls, "power estimate")
-    return _emit_amplitudes(state)
+    if state.t > state.start:  # the training hold has passed: emit a_ls
+        state.a = nonnegative_amplitudes(state.a_ls, state.P_T).astype(complex)
+    return state.a
 
 
 @dataclass
@@ -125,8 +124,8 @@ class ChannelRlsState:
 def init_channel(dim: int, alpha: float, delta: float,
                  h0: np.ndarray | None = None) -> ChannelRlsState:
     h = np.zeros(dim, dtype=complex) if h0 is None else h0.astype(complex).copy()
-    return ChannelRlsState(normal=ExpWeightedInverse(dim, delta),
-                           p=np.zeros(dim, dtype=complex), h=h, alpha=alpha)
+    return ChannelRlsState(normal=ExpWeightedInverse(dim, delta, h.shape[:-1]),
+                           p=np.zeros_like(h), h=h, alpha=alpha)
 
 
 def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
@@ -136,13 +135,14 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
 
     C stacks the block signatures of all covered links (stack x dim); the
     symbol/amplitude scaling repeats per multipath tap. The estimate h solves
-    the exponentially weighted normal equations N h = p.
+    the exponentially weighted normal equations N h = p. A stack of blocks
+    (h0 of init_channel (B, dim), C (B, stack, dim)) regresses one r.
     """
-    scale = np.repeat(link_symbols * link_amps, L)
-    V = C * scale[None, :]
-    state.normal.update_rows(V, state.alpha)
-    state.p = state.alpha * state.p + V.conj().T @ r
-    state.h = state.normal.solve(state.p)
+    scale = np.repeat(link_symbols * link_amps, L, axis=-1)
+    V = C * scale[..., None, :]
+    state.normal.update_rows(V.reshape(-1, V.shape[-1]), state.alpha)
+    state.p = state.alpha * state.p + V.conj().swapaxes(-1, -2) @ r
+    state.h = solve_normal(state.normal.N, state.p, "weighted normal matrix")
     check_finite(state.h, "channel estimate")
     return state.h
 
@@ -152,6 +152,6 @@ def waveforms_from_channel(C: np.ndarray, h: np.ndarray, L: int) -> np.ndarray:
 
     C holds the links' columns of the stacked block signatures (L per link,
     as in Scenario.C_all) and h their stacked taps: column l is C's link-l
-    block applied to h's link-l taps.
+    block applied to h's link-l taps; C and h may be stacks of blocks.
     """
-    return (C * h).reshape(C.shape[0], -1, L).sum(-1)
+    return (C * h[..., None, :]).reshape(*C.shape[:-1], -1, L).sum(-1)

@@ -172,13 +172,16 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                     C_all=C_all, h_true=h_true, isi_enabled=isi_enabled)
 
 
-def _noise_matrix(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+def _noise_matrix(shape, sigma2: float, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """White complex noise of variance sigma2, written into out if given."""
+    out = np.empty(shape, dtype=complex) if out is None else out
     if sigma2 == 0.0:
-        return np.zeros(shape, dtype=complex)
+        out[...] = 0.0
+        return out
     # real and imaginary parts written in place, drawn in that order: the
     # same values as scale * (a + 1j * b) without the complex temporaries
     scale = np.sqrt(sigma2 / 2.0)
-    out = np.empty(shape, dtype=complex)
     np.multiply(rng.standard_normal(shape), scale, out=out.real)
     np.multiply(rng.standard_normal(shape), scale, out=out.imag)
     return out
@@ -250,15 +253,14 @@ def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
 
 
 def _relay_frames(scn: Scenario, S0: np.ndarray,
-                  rng_noise: np.random.Generator) -> list:
-    """Each relay's whole-packet chip observation of the source broadcast,
-    sent at the full per-user budget, for the adaptive relays."""
+                  rng_noise: np.random.Generator) -> np.ndarray:
+    """Every relay's whole-packet chip observation of the source broadcast,
+    sent at the full per-user budget, for the adaptive relays (n_r x M x P)."""
     dims = scn.dims
-    frames = []
-    for X in scn.x_sr:
-        R = _noise_matrix((dims.M, dims.P), scn.sigma2, rng_noise)
+    frames = np.empty((dims.n_r, dims.M, dims.P), dtype=complex)
+    for R, X in zip(frames, scn.x_sr):
+        _noise_matrix(R.shape, scn.sigma2, rng_noise, out=R)
         add_hop_frames(R, X, S0, 1.0, scn.spill)
-        frames.append(R)
     return frames
 
 
@@ -323,16 +325,6 @@ def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                           bits, cfg.training_len)
 
 
-@dataclass
-class _UserBlock:
-    """Channel and power recursions of a contiguous span of users."""
-
-    users: slice
-    C: np.ndarray  # the span's columns of the stacked block signatures
-    channel: gpc.ChannelRlsState
-    power: gpc.PowerRlsState
-
-
 def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                              rng_data: np.random.Generator,
                              rng_noise: np.random.Generator,
@@ -340,11 +332,12 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                              collect: tuple = ()) -> PacketResult:
     """Sequential packet simulation with RLS receivers, power, and channels.
 
-    The relays never see destination feedback, so each relay's RLS filter
-    first runs over its whole-packet observation. The destination then steps
-    per symbol: channel -> receiver -> power, the channel and power recursions
-    running over the blocks of users that power_blocks gives the scheme, each
-    under its users' total budget; without a power step there are no blocks.
+    The relays never see destination feedback, so their RLS filters first
+    run, as one stack, over their whole-packet observations. The destination
+    then steps per symbol: channel -> receiver -> power, the channel and
+    power recursions each one call on the stack of user blocks that
+    power_blocks gives the scheme, each under its users' total budget;
+    without a power step there is no such state.
     Transmit amplitudes follow the latest power estimates. The soft outputs
     are demodulated once, after the packet.
     """
@@ -363,31 +356,29 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                  + 1j * rng_init.standard_normal(K * hops * L))
     U0 = gpc.waveforms_from_channel(scn.C_all, h0, L)
     amps = mmse.equal_power_amps(K, hops).astype(complex)
-    W0 = np.zeros((stack, K), dtype=complex)
-    for k in range(K):
-        col = U0[:, k * hops:(k + 1) * hops] @ amps[k]
-        nrm = np.linalg.norm(col)
-        W0[:, k] = col / nrm if nrm > 0 else col
-    rx = gpc.init_receiver(stack, K, cfg.alpha, cfg.delta, W0)
+    # each user's equal-power composite waveform, normalized unless zero
+    W0 = (U0.reshape(stack, K, hops) * amps).sum(-1)
+    nrm = np.linalg.norm(W0, axis=0)
+    rx = gpc.init_receiver(stack, K, cfg.alpha, cfg.delta,
+                           W0 / np.where(nrm > 0, nrm, 1.0))
 
     plan = power_blocks(scheme, cfg, K)
-    n_u, lam = plan if plan is not None else (K, 0.0)
-    # one-user blocks call gpc's recursions through ipc's names, which the
-    # benchmark's tracer times apart from the joint ones
-    channel_step, waveforms, power_step = (
-        (ipc.user_channel_update, ipc.user_waveforms_from_channel,
-         ipc.user_power_update) if n_u == 1 else
-        (gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update))
-    blocks = []
-    for k0 in range(0, K, n_u) if plan is not None else ():
-        k1 = k0 + n_u
-        links = slice(k0 * hops * L, k1 * hops * L)
-        power = gpc.init_power(amps[k0:k1].reshape(-1), float(n_u), cfg.alpha,
+    power = None
+    if plan is not None:
+        n_u, lam = plan
+        n_b = K // n_u
+        # one-user blocks call gpc's recursions through ipc's names, which
+        # the benchmark's tracer times apart from the joint ones
+        channel_step, waveforms, power_step = (
+            (ipc.user_channel_update, ipc.user_waveforms_from_channel,
+             ipc.user_power_update) if n_u == 1 else
+            (gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update))
+        # block b's columns of the stacked block signatures, (n_b, stack, d)
+        C = scn.C_all.reshape(stack, n_b, -1).transpose(1, 0, 2).copy()
+        channel = gpc.init_channel(C.shape[-1], cfg.alpha, cfg.delta,
+                                   h0.reshape(n_b, -1))
+        power = gpc.init_power(amps.reshape(n_b, -1), float(n_u), cfg.alpha,
                                cfg.delta, lam=lam, start=T)
-        channel = gpc.init_channel(n_u * hops * L, cfg.alpha, cfg.delta,
-                                   h0[links])
-        blocks.append(_UserBlock(slice(k0, k1), scn.C_all[:, links], channel,
-                                 power))
 
     soft = np.empty((K, P), dtype=complex)
     detected = 0  # symbols whose soft output is in soft
@@ -395,10 +386,10 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     ch_errs = [] if "channel_error" in collect else None
     diverged = False
     try:
-        for j, R in enumerate(relay_obs):
-            relay = AdaptiveRelay(M, K, cfg.alpha, cfg.delta)
-            for i in range(P):
-                S[j + 1, :, i + 1] = relay.step(R[:, i], B[:, i] if i < T else None)
+        relay = AdaptiveRelay(dims.n_r, M, K, cfg.alpha, cfg.delta)
+        for i in range(P if dims.n_r else 0):
+            S[1:, :, i + 1] = relay.step(relay_obs[:, :, i],
+                                         B[:, i] if i < T else None)
 
         for t in range(P):
             r = noise_dest[:, t:t + 1].copy()
@@ -414,21 +405,22 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             link_syms = S[:, :, t + 1].T.copy()
             link_syms[:, 0] = ref
 
-            for blk in blocks:
-                channel_step(blk.channel, r, blk.C,
-                             link_syms[blk.users].reshape(-1),
-                             amps[blk.users].reshape(-1), L)
+            if power is not None:
+                channel_step(channel, r, C, link_syms.reshape(n_b, -1),
+                             amps.reshape(n_b, -1), L)
             gpc.receiver_update(rx, r, ref)
-            for blk in blocks:
-                U_hat = waveforms(blk.C, blk.channel.h, L)
-                a = power_step(blk.power, rx.W[:, blk.users], U_hat,
-                               link_syms[blk.users].reshape(-1), ref[blk.users])
-                amps[blk.users] = a.reshape(-1, hops)
-                if a_sq_norms is not None:
-                    a_sq_norms.append(float(np.linalg.norm(a) ** 2))
-            if ch_errs is not None and blocks:
-                h_cat = np.concatenate([blk.channel.h for blk in blocks])
-                ch_errs.append(float(np.linalg.norm(h_cat - scn.h_true)
+            if power is None:
+                continue
+            # block b's filters are W's columns of its users, (n_b, stack, n_u)
+            W_blocks = rx.W.reshape(stack, n_b, n_u).transpose(1, 0, 2)
+            a = power_step(power, W_blocks, waveforms(C, channel.h, L),
+                           link_syms.reshape(n_b, -1), ref.reshape(n_b, n_u))
+            amps = a.reshape(K, hops)
+            if a_sq_norms is not None:
+                a_sq_norms.extend(np.linalg.norm(a, axis=-1) ** 2)
+            if ch_errs is not None:
+                ch_errs.append(float(np.linalg.norm(channel.h.reshape(-1)
+                                                    - scn.h_true)
                                      / np.linalg.norm(scn.h_true)))
     except (NumericalDivergenceError, DegenerateStateError):
         diverged = True

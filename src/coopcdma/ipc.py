@@ -1,8 +1,7 @@
-"""Adaptive joint estimation under individual (per-user) power constraints.
-
-JPAIS-IPC runs the JPAIS-GPC recursions on one block per user, each under
-its own budget. The names below are the per-user block's entry points.
-"""
+"""JPAIS-IPC's names for the JPAIS-GPC recursions, which it runs on a stack
+of K one-user blocks, each under its own unit budget, in one call per symbol.
+The harness calls them by these names only so that the benchmark's tracer
+can time IPC apart from the joint ones."""
 
 from .gpc import channel_update, power_update, waveforms_from_channel
 

@@ -223,25 +223,28 @@ def receiver(U: np.ndarray, hops: int, sigma2: float, amps: np.ndarray,
 
 
 def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
-    """Rescale so the squared norm equals the power budget."""
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:
+    """Rescale each real vector along the last axis so that its squared norm
+    equals the power budget."""
+    sq_norms = np.einsum("...i,...i->...", a, a)
+    if not sq_norms.all():
         raise DegenerateStateError("zero-norm amplitude vector at projection")
-    return a * (np.sqrt(budget) / nrm)
+    return a * (np.sqrt(budget) / np.sqrt(sq_norms))[..., None]
 
 
 def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
-    """Project onto the nonnegative-real sphere of the given power budget.
+    """Project each vector along the last axis onto the nonnegative-real
+    sphere of the given power budget.
 
     Transmit amplitudes are physical gains: per-link phase alignment is the
     receiver's job (each link occupies its own block of the stacked
     observation), so the phase content of an unconstrained solution is pure
-    gauge freedom and is discarded. Magnitudes are used as a fallback when
-    clipping the real part would zero the vector.
+    gauge freedom and is discarded. A vector whose real part clips to zero
+    falls back to its magnitudes.
     """
-    a_r = np.clip(np.real(a), 0.0, None)
-    if np.linalg.norm(a_r) == 0.0:
-        a_r = np.abs(a)
+    a_r = np.maximum(a.real, 0.0)
+    kept = a_r.any(axis=-1)
+    if not kept.all():
+        a_r = np.where(kept[..., None], a_r, np.abs(a))
     return project_sphere(a_r, budget)
 
 
@@ -264,20 +267,14 @@ def power_step(R_a: np.ndarray, p_a: np.ndarray, lam: float,
     """Regularized power step of every amplitude block (power_terms) in one
     stacked solve, each block projected to nonnegative reals on the sphere of
     block_budget (its number of users); returns the B x n block amplitudes."""
-    a = _real_power_solve(R_a, p_a, lam)
-    for a_b in a:
-        a_b[:] = nonnegative_amplitudes(a_b, block_budget)
-    return a
+    return nonnegative_amplitudes(_real_power_solve(R_a, p_a, lam),
+                                  block_budget)
 
 
 def total_mse(U: np.ndarray, hops: int, sigma2: float,
               amps: np.ndarray, W: np.ndarray, omega: np.ndarray) -> float:
     """Ensemble MSE  sum_k E|b_k - w_k^H r|^2  at the given filters/amplitudes."""
-    return statistics_mse(build_statistics(U, hops, sigma2, amps, omega), W)
-
-
-def statistics_mse(stats: EnsembleStatistics, W: np.ndarray) -> float:
-    """Ensemble MSE of the filters W under already assembled statistics."""
+    stats = build_statistics(U, hops, sigma2, amps, omega)
     cross = np.einsum("ik,ik->k", W.conj(), stats.P_ch)
     quad = np.einsum("ik,ik->k", W.conj(), stats.R @ W)
     return float(np.sum(1.0 - 2.0 * cross.real + quad.real))

@@ -53,25 +53,27 @@ def relay_statistics(x_scaled: np.ndarray, sigma2: float, bank):
 
 
 class AdaptiveRelay:
-    """RLS-adapted relay: shared inverse-correlation matrix, per-user filters.
-
-    Tracks the output power of each filter with a running mean so the
-    forwarded symbols stay close to unit energy while the filters adapt.
+    """RLS-adapted relays, stepped as one stack: each relay has a shared
+    inverse-correlation matrix (Phi, n_r x M x M) and per-user filters (W,
+    n_r x M x K), and tracks each filter's output power with a running mean
+    so the forwarded symbols stay close to unit energy while W adapts.
     """
 
-    def __init__(self, M: int, K: int, alpha: float, delta: float):
-        self.Phi = np.eye(M, dtype=complex) / delta
-        self.W = np.zeros((M, K), dtype=complex)
+    def __init__(self, relays: int, M: int, K: int, alpha: float,
+                 delta: float):
+        self.Phi = np.tile(np.eye(M, dtype=complex) / delta, (relays, 1, 1))
+        self.W = np.zeros((relays, M, K), dtype=complex)
         self.alpha = alpha
-        self.power = np.zeros(K)
+        self.power = np.zeros((relays, K))
         self.count = 0
 
     def step(self, r: np.ndarray, training: np.ndarray | None) -> np.ndarray:
-        """Process one source-to-relay observation; returns forwarded symbols."""
-        y = self.W.conj().T @ r
+        """Process each relay's source-to-relay observation (n_r x M, or M
+        heard by all); returns the forwarded symbols (n_r x K)."""
+        y = (self.W.conj().swapaxes(-1, -2) @ r[..., None])[..., 0]
         ref = training if training is not None else hard_decision(y)
         k, self.Phi = correlation_gain(self.Phi, r, self.alpha)
-        self.W = self.W + np.outer(k, (ref - y).conj())
+        self.W = self.W + k[..., :, None] * (ref - y).conj()[..., None, :]
         self.count += 1
         self.power += (np.abs(y) ** 2 - self.power) / self.count
         return y / np.sqrt(np.maximum(self.power, _POWER_FLOOR))

@@ -155,6 +155,47 @@ class TestMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "folder"])
+    def test_unreadable_config_returns_2(self, tmp_path, capsys, name):
+        (tmp_path / "folder").mkdir()
+        path = tmp_path / name
+        out = tmp_path / "r.csv"
+        rc = run_main(["sweep-snr", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreadable_config_raises_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing.cfg"):
+            cli.read_config_file(str(tmp_path / "missing.cfg"))
+        with pytest.raises(ConfigError, match="cannot read"):
+            cli.read_config_file(str(tmp_path))
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-users",
+                                         "learning-curve"])
+    def test_out_in_missing_directory_returns_2_before_running(
+            self, tiny_file, tmp_path, capsys, monkeypatch, command):
+        ran = []
+        for name in ("run_experiment", "run_user_sweep", "learning_curve"):
+            monkeypatch.setattr(cli.harness, name,
+                                lambda *a, name=name: ran.append(name))
+        out = tmp_path / "no-such-dir" / "r.csv"
+        rc = run_main([command, "--config", tiny_file, "--trials", "1",
+                       "--snr", "9", "--users", "2", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no-such-dir" in err and "Traceback" not in err
+        assert ran == []
+        assert not out.parent.exists()
+
+    def test_out_that_is_a_directory_returns_2(self, tiny_file, tmp_path,
+                                               capsys):
+        rc = run_main(["sweep-snr", "--config", tiny_file, *self.COMMON,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_negative_loading_returns_2_without_traceback(self, tiny_file,
                                                           tmp_path, capsys):
         path = tmp_path / "neg.cfg"

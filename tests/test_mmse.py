@@ -360,6 +360,43 @@ class TestProjections:
         proj = nonnegative_amplitudes(a, 1.0)
         np.testing.assert_allclose(proj, [0.6, 0.8], atol=1e-12)
 
+    @staticmethod
+    def per_block_projection(a, budget):
+        """The block-by-block projection, with np.linalg.norm per block."""
+        out = []
+        for a_b in a:
+            a_r = np.clip(np.real(a_b), 0.0, None)
+            if np.linalg.norm(a_r) == 0.0:
+                a_r = np.abs(a_b)
+            out.append(a_r * (np.sqrt(budget) / np.linalg.norm(a_r)))
+        return np.array(out)
+
+    def test_stacked_projection_matches_per_block_loop(self, rng):
+        """Only the all-negative block falls back to its magnitudes; the
+        others clip their negative entries."""
+        a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        a.real[1] = -np.abs(a.real[1]) - 0.1  # all negative
+        a.real[:, 0] = np.where(np.arange(5) == 1, a.real[:, 0],
+                                -np.abs(a.real[:, 0]))  # clipped entries
+        a.real[:, 1] = np.where(np.arange(5) == 1, a.real[:, 1],
+                                np.abs(a.real[:, 1]) + 0.1)
+        stacked = nonnegative_amplitudes(a, 3.0)
+        expected = self.per_block_projection(a, 3.0)
+        np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stacked[1], np.abs(a[1]) * np.sqrt(3.0)
+                                   / np.linalg.norm(a[1]), atol=1e-15)
+        assert np.all(stacked[[0, 2, 3, 4], 0] == 0.0)
+        np.testing.assert_allclose(np.sum(stacked ** 2, axis=-1), 3.0,
+                                   rtol=1e-14)
+
+    def test_zero_block_in_a_stack_raises(self, rng):
+        a = rng.standard_normal((3, 4))
+        a[2] = 0.0
+        with pytest.raises(DegenerateStateError):
+            nonnegative_amplitudes(a, 1.0)
+        with pytest.raises(DegenerateStateError):
+            project_sphere(a, 1.0)
+
     def test_identity_covariance_follows_cross_correlation(self):
         """With R_a = I and λ = 0 the power step is the projected p_a."""
         p = np.array([0.9, 0.1, 0.4, 0.2])

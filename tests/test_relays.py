@@ -107,7 +107,7 @@ class TestAdaptiveRelay:
         X = source_relay_waveforms(dims, rng)
         sigma2 = 0.01
         W_exact, gains = mmse_relay_bank(X, sigma2)
-        relay = AdaptiveRelay(dims.M, dims.K, alpha=0.998, delta=0.01)
+        relay = AdaptiveRelay(1, dims.M, dims.K, alpha=0.998, delta=0.01)
         errs = []
         for _ in range(600):
             b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
@@ -123,7 +123,7 @@ class TestAdaptiveRelay:
     def test_unit_energy_tracking(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=0)
         X = source_relay_waveforms(dims, rng, amps=np.array([2.0, 0.5]))
-        relay = AdaptiveRelay(dims.M, dims.K, alpha=0.998, delta=0.01)
+        relay = AdaptiveRelay(1, dims.M, dims.K, alpha=0.998, delta=0.01)
         outputs = []
         for _ in range(800):
             b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
@@ -135,10 +135,32 @@ class TestAdaptiveRelay:
     def test_decision_directed_fallback(self, rng):
         dims = SystemDims(K=1, N=8, L=1, n_r=0)
         X = source_relay_waveforms(dims, rng)
-        relay = AdaptiveRelay(dims.M, 1, alpha=0.998, delta=0.01)
+        relay = AdaptiveRelay(1, dims.M, 1, alpha=0.998, delta=0.01)
         for _ in range(100):
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
             relay.step(X @ b, training=b)
         b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
         y = relay.step(X @ b, training=None)
         assert np.isfinite(y).all()
+
+    def test_stacked_relays_match_single_relays(self, rng):
+        """Two relays stepped as one stack match two single relays, through
+        training and then on their own decisions."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=2)
+        X = np.stack([source_relay_waveforms(dims, rng) for _ in range(2)])
+        stacked = AdaptiveRelay(2, dims.M, dims.K, alpha=0.998, delta=0.01)
+        singles = [AdaptiveRelay(1, dims.M, dims.K, alpha=0.998, delta=0.01)
+                   for _ in range(2)]
+        for i in range(80):
+            b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
+            noise = 0.1 * (rng.standard_normal((2, dims.M))
+                           + 1j * rng.standard_normal((2, dims.M)))
+            r = X @ b + noise
+            training = b if i < 40 else None
+            y = stacked.step(r, training)
+            assert y.shape == (2, dims.K)
+            for j, single in enumerate(singles):
+                y_j = single.step(r[j], training)[0]
+                np.testing.assert_allclose(y[j], y_j, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.W[j], single.W[0], rtol=0,
+                                           atol=1e-12)

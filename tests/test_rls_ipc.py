@@ -134,3 +134,74 @@ class TestUserPowerRecursion:
         U_hat = random_vec(rng, 8).reshape(4, 2)
         with pytest.raises(DegenerateStateError):
             user_step(state, w, U_hat, np.ones(2, dtype=complex), 0j)
+
+
+class TestStackedBlocks:
+    """A stack of B blocks steps as B independent single-block recursions."""
+
+    B, USERS, HOPS, L, STACK, STEPS = 3, 2, 3, 2, 11, 60
+
+    @staticmethod
+    def random_array(rng, *shape):
+        return random_vec(rng, int(np.prod(shape))).reshape(shape)
+
+    @staticmethod
+    def symbols(rng, *shape):
+        return modulate_qpsk(rng.integers(0, 2, size=(*shape, 2)))
+
+    def test_waveforms_from_channel(self, rng):
+        d = self.USERS * self.HOPS * self.L
+        C = self.random_array(rng, self.B, self.STACK, d)
+        h = self.random_array(rng, self.B, d)
+        stacked = gpc.waveforms_from_channel(C, h, self.L)
+        assert stacked.shape == (self.B, self.STACK, self.USERS * self.HOPS)
+        for b in range(self.B):
+            np.testing.assert_allclose(
+                stacked[b], gpc.waveforms_from_channel(C[b], h[b], self.L),
+                rtol=0, atol=1e-12)
+
+    def test_channel_update(self, rng):
+        n = self.USERS * self.HOPS
+        d = n * self.L
+        C = self.random_array(rng, self.B, self.STACK, d)
+        h0 = 0.01 * self.random_array(rng, self.B, d)
+        stacked = gpc.init_channel(d, 0.998, 0.01, h0)
+        singles = [gpc.init_channel(d, 0.998, 0.01, h0_b) for h0_b in h0]
+        for _ in range(self.STEPS):
+            r = random_vec(rng, self.STACK)
+            s = self.symbols(rng, self.B, n)
+            amps = 0.3 + rng.random((self.B, n))
+            h = gpc.channel_update(stacked, r, C, s, amps, self.L)
+            for b, single in enumerate(singles):
+                gpc.channel_update(single, r, C[b], s[b], amps[b], self.L)
+                np.testing.assert_allclose(h[b], single.h, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.normal.N[b],
+                                           single.normal.N, rtol=0, atol=1e-12)
+
+    def test_power_update_with_loading_and_hold(self, rng):
+        n = self.USERS * self.HOPS
+        start = 20
+        a0 = np.full((self.B, n), 1.0 / np.sqrt(self.HOPS))
+        stacked = gpc.init_power(a0, float(self.USERS), 0.998, 0.01,
+                                 lam=0.025, start=start)
+        singles = [gpc.init_power(a0[b], float(self.USERS), 0.998, 0.01,
+                                  lam=0.025, start=start)
+                   for b in range(self.B)]
+        for t in range(self.STEPS):
+            W = self.random_array(rng, self.B, self.STACK, self.USERS)
+            U_hat = self.random_array(rng, self.B, self.STACK, n)
+            s = self.symbols(rng, self.B, n)
+            ref = self.symbols(rng, self.B, self.USERS)
+            a = gpc.power_update(stacked, W, U_hat, s, ref)
+            if t < start:
+                np.testing.assert_array_equal(a, a0)
+            for b, single in enumerate(singles):
+                a_b = gpc.power_update(single, W[b], U_hat[b], s[b], ref[b])
+                np.testing.assert_allclose(a[b], a_b, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.a_ls[b], single.a_ls,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.N[b], single.N, rtol=0,
+                                           atol=1e-12)
+        assert np.abs(a - a0).max() > 0  # the hold has been released
+        np.testing.assert_allclose(np.sum(np.abs(a) ** 2, axis=-1),
+                                   float(self.USERS), rtol=1e-12)

@@ -32,12 +32,15 @@ def init_receiver(stack: int, K: int, alpha: float, delta: float,
     return ReceiverRlsState(Phi=np.eye(stack, dtype=complex) / delta, W=W, alpha=alpha)
 
 
-def receiver_update(state: ReceiverRlsState, r: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-    """One receiver step; returns the a-priori error xi = b - W^H r."""
-    xi = b - state.W.conj().T @ r
+def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
+                    y: np.ndarray | None = None) -> np.ndarray:
+    """One receiver step; returns the a-priori error xi = b - W^H r.
+
+    y is the filter output W^H r when the caller has already formed it.
+    """
+    xi = b - (state.W.conj().T @ r if y is None else y)
     k, state.Phi = correlation_gain(state.Phi, r, state.alpha)
-    state.W = state.W + np.outer(k, xi.conj())
+    state.W += np.outer(k, xi.conj())
     check_finite(xi, "receiver a-priori error")
     return xi
 
@@ -97,9 +100,13 @@ def power_update(state: PowerRlsState, W: np.ndarray, U_hat: np.ndarray,
     a^H v_k is the signal part of the filter output w_k^H r predicted by the
     current amplitudes. Stacked blocks put their axis first on every array.
     """
-    V = link_symbols[..., None] * (U_hat.conj().swapaxes(-1, -2) @ W).conj()
-    state.N = state.alpha * state.N + V @ V.conj().swapaxes(-1, -2)
-    state.z = state.alpha * state.z + (V @ b.conj()[..., None])[..., 0]
+    # conj(U_hat^H W) as U_hat^T conj(W): the same bits, without
+    # conjugated copies of U_hat and of the product
+    V = link_symbols[..., None] * (U_hat.swapaxes(-1, -2) @ W.conj())
+    state.N *= state.alpha
+    state.N += V @ V.conj().swapaxes(-1, -2)
+    state.z *= state.alpha
+    state.z += (V @ b.conj()[..., None])[..., 0]
     dim = state.z.shape[-1]
     if state.lam > 0.0:
         i = state.t % dim
@@ -141,7 +148,10 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
     scale = np.repeat(link_symbols * link_amps, L, axis=-1)
     V = C * scale[..., None, :]
     state.normal.update_rows(V.reshape(-1, V.shape[-1]), state.alpha)
-    state.p = state.alpha * state.p + V.conj().swapaxes(-1, -2) @ r
+    state.p *= state.alpha
+    # V^H r as conj(V^T conj(r)): the same bits, without a conjugated copy
+    # of V
+    state.p += (V.swapaxes(-1, -2) @ r.conj()).conj()
     state.h = solve_normal(state.normal.N, state.p, "weighted normal matrix")
     check_finite(state.h, "channel estimate")
     return state.h
@@ -154,4 +164,10 @@ def waveforms_from_channel(C: np.ndarray, h: np.ndarray, L: int) -> np.ndarray:
     as in Scenario.C_all) and h their stacked taps: column l is C's link-l
     block applied to h's link-l taps; C and h may be stacks of blocks.
     """
-    return (C * h[..., None, :]).reshape(*C.shape[:-1], -1, L).sum(-1)
+    X = (C * h[..., None, :]).reshape(*C.shape[:-1], -1, L)
+    # the taps summed in order from sum's identity 0.0, as .sum(-1) does for
+    # L <= 3: the same bits, without the reduction's overhead
+    out = X[..., 0] + 0.0
+    for tap in range(1, L):
+        out += X[..., tap]
+    return out

@@ -24,6 +24,9 @@ from .relays import AdaptiveRelay, mmse_relay_bank, relay_statistics
 
 SCHEMES = ("ncis", "cis", "jpais-gpc", "jpais-ipc")
 VARIANTS = ("exact", "adaptive")
+# adaptive destination symbols whose link frames are built at once: at the
+# desk configuration 25 x 54 x 12 complex values, 253 KiB
+_FRAME_CHUNK = 25
 
 
 @dataclass(frozen=True)
@@ -294,6 +297,24 @@ def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
                            left[:, rows])
 
 
+def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
+                             t1: int) -> np.ndarray:
+    """Each destination-facing link's frames at unit amplitude for symbols
+    t0, ..., t1 - 1: (t1 - t0, stack, K*hops), columns in U's order, so that
+    with the K x hops amplitudes amps symbol t's window is
+    Y[t - t0] @ amps.reshape(-1) plus noise. S is the whole packet's
+    hops x K x (P + 2) per-hop symbol array."""
+    M, hops = scn.dims.M, scn.dims.hops
+    Y = np.zeros((t1 - t0, scn.dims.stack, scn.U.shape[1]), dtype=complex)
+    for j in range(hops):
+        rows = slice(j * M, (j + 1) * M)
+        # hop j's K links as a stack of K one-user hops, out (K, M, t1 - t0)
+        add_hop_frames(Y[:, rows, j::hops].transpose(2, 1, 0),
+                       scn.U[rows, j::hops].T[:, :, None],
+                       S[j, :, None, t0:t1 + 2], 1.0, scn.spill)
+    return Y
+
+
 def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
                        S: np.ndarray,
                        rng_noise: np.random.Generator) -> np.ndarray:
@@ -333,11 +354,15 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     """Sequential packet simulation with RLS receivers, power, and channels.
 
     The relays never see destination feedback, so their RLS filters first
-    run, as one stack, over their whole-packet observations. The destination
-    then steps per symbol: channel -> receiver -> power, the channel and
-    power recursions each one call on the stack of user blocks that
-    power_blocks gives the scheme, each under its users' total budget;
-    without a power step there is no such state.
+    run, as one stack, over their whole-packet observations. Every hop's
+    symbols are then known, and only the amplitudes change from one
+    destination symbol to the next: the destination builds its links'
+    unit-amplitude frames for _FRAME_CHUNK symbols at a time
+    (_destination_link_frames) and forms each window as noise plus those
+    frames times the current amplitudes. It steps per symbol: channel ->
+    receiver -> power, the channel and power recursions each one call on the
+    stack of user blocks that power_blocks gives the scheme, each under its
+    users' total budget; without a power step there is no such state.
     Transmit amplitudes follow the latest power estimates. The soft outputs
     are demodulated once, after the packet.
     """
@@ -392,12 +417,14 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                                          B[:, i] if i < T else None)
 
         for t in range(P):
-            r = noise_dest[:, t:t + 1].copy()
-            _add_destination_frames(r, scn, S[:, :, t:t + 3], amps)
-            r = r[:, 0]
-            soft[:, t] = rx.W.conj().T @ r
+            if t % _FRAME_CHUNK == 0:
+                frames = _destination_link_frames(scn, S, t,
+                                                  min(t + _FRAME_CHUNK, P))
+            r = noise_dest[:, t] + frames[t % _FRAME_CHUNK] @ amps.reshape(-1)
+            y = rx.W.conj().T @ r
+            soft[:, t] = y
             detected = t + 1
-            ref = B[:, t] if t < T else hard_decision(soft[:, t])
+            ref = B[:, t] if t < T else hard_decision(y)
 
             # per-link symbols (K x hops): the direct hop carries the
             # training/decision symbol, the relay hops the soft symbols the
@@ -408,7 +435,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             if power is not None:
                 channel_step(channel, r, C, link_syms.reshape(n_b, -1),
                              amps.reshape(n_b, -1), L)
-            gpc.receiver_update(rx, r, ref)
+            gpc.receiver_update(rx, r, ref, y)
             if power is None:
                 continue
             # block b's filters are W's columns of its users, (n_b, stack, n_u)

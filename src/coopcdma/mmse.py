@@ -22,6 +22,7 @@ a design, they are not part of it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
     Ua = U * a_vec[None, :]
     R = Ua @ omega @ Ua.conj().T + sigma2 * np.eye(stack)
     P_ch = np.stack([Ua @ omega[:, k * hops] for k in range(K)], axis=1)
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise IllConditionedError("non-finite entries in covariance assembly")
     return EnsembleStatistics(R=R, P_ch=P_ch)
 
@@ -151,11 +152,11 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     number is then non-finite or above the limit is solved with the
     pseudoinverse, with one RuntimeWarning per such matrix.
     """
-    if not np.all(np.isfinite(R)) or not np.all(np.isfinite(rhs)):
+    if not (np.isfinite(R).all() and np.isfinite(rhs).all()):
         raise IllConditionedError(f"{what}: non-finite entries")
     stacked = R.ndim > 2
-    if floor > 0.0 and np.all(np.abs(R).sum(axis=-2).max(axis=-1)
-                              <= floor * _COND_LIMIT / 2):
+    if floor > 0.0 and (np.abs(R).sum(axis=-2).max(axis=-1)
+                        <= floor * _COND_LIMIT / 2).all():
         try:
             if stacked:
                 return np.linalg.solve(R, rhs[..., None])[..., 0]
@@ -186,7 +187,7 @@ def link_factors(U: np.ndarray, omega: np.ndarray):
     at 0, so a singular positive semidefinite Omega (perfect relays, or no
     relay noise) factors without failing.
     """
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(omega))):
+    if not (np.isfinite(U).all() and np.isfinite(omega).all()):
         raise IllConditionedError("non-finite entries in the link statistics")
     eigvals, V = np.linalg.eigh(omega)
     return U.conj().T @ U, V * np.sqrt(np.clip(eigvals, 0.0, None))
@@ -228,7 +229,12 @@ def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
     sq_norms = np.einsum("...i,...i->...", a, a)
     if not sq_norms.all():
         raise DegenerateStateError("zero-norm amplitude vector at projection")
-    return a * (np.sqrt(budget) / np.sqrt(sq_norms))[..., None]
+    return _rescaled(a, budget, sq_norms)
+
+
+def _rescaled(a: np.ndarray, budget: float,
+              sq_norms: np.ndarray) -> np.ndarray:
+    return a * (math.sqrt(budget) / np.sqrt(sq_norms))[..., None]
 
 
 def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
@@ -242,10 +248,11 @@ def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     falls back to its magnitudes.
     """
     a_r = np.maximum(a.real, 0.0)
+    sq_norms = np.einsum("...i,...i->...", a_r, a_r)
+    if sq_norms.all():  # no block clipped to zero: project_sphere's result
+        return _rescaled(a_r, budget, sq_norms)
     kept = a_r.any(axis=-1)
-    if not kept.all():
-        a_r = np.where(kept[..., None], a_r, np.abs(a))
-    return project_sphere(a_r, budget)
+    return project_sphere(np.where(kept[..., None], a_r, np.abs(a)), budget)
 
 
 def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarray:

@@ -87,12 +87,14 @@ def demodulate_qpsk(soft: np.ndarray) -> np.ndarray:
                      (soft.imag < 0).astype(np.int8)], axis=-1)
 
 
+# QPSK points indexed by (real part >= 0) + 2 * (imaginary part >= 0)
+_QPSK_POINTS = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) * QPSK_SCALE
+
+
 def hard_decision(soft: np.ndarray) -> np.ndarray:
-    """Nearest QPSK constellation point."""
+    """Nearest QPSK constellation point; a zero part (also -0.0) decides +."""
     soft = np.asarray(soft)
-    re = np.where(soft.real >= 0, 1.0, -1.0)
-    im = np.where(soft.imag >= 0, 1.0, -1.0)
-    return (re + 1j * im) * QPSK_SCALE
+    return _QPSK_POINTS[(soft.real >= 0) + 2 * (soft.imag >= 0)]
 
 
 def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
@@ -106,18 +108,20 @@ def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
     out is the M x cols block of observation windows. A symbol's last
     `spill` = L - 1 chips fall into the head of the next window and its first
     `spill` chips into the tail of the previous one; spill = 0 leaves the
-    windows free of ISI.
+    windows free of ISI. Without a left factor, X, S and out may be stacks
+    (B, ...) of B such hops: with B = K one-user hops (X (K, M, 1), S (K, 1,
+    cols + 2)), out holds each link's frames apart.
 
     With a left factor (J x M), out is the J x cols block of left times the
     windows, formed without the windows: the ISI terms go through left's head
     and tail columns.
     """
-    N = X.shape[0] - spill
+    N = X.shape[-2] - spill
     if left is None:
-        out += X @ (S[:, 1:-1] * a)
+        out += X @ (S[..., 1:-1] * a)
         if spill:
-            out[:spill] += X[N:] @ (S[:, :-2] * a)
-            out[N:] += X[:spill] @ (S[:, 2:] * a)
+            out[..., :spill, :] += X[..., N:, :] @ (S[..., :-2] * a)
+            out[..., N:, :] += X[..., :spill, :] @ (S[..., 2:] * a)
         return
     out += (left @ X) @ (S[:, 1:-1] * a)
     if spill:

@@ -73,7 +73,7 @@ class AdaptiveRelay:
         y = (self.W.conj().swapaxes(-1, -2) @ r[..., None])[..., 0]
         ref = training if training is not None else hard_decision(y)
         k, self.Phi = correlation_gain(self.Phi, r, self.alpha)
-        self.W = self.W + k[..., :, None] * (ref - y).conj()[..., None, :]
+        self.W += k[..., :, None] * (ref - y).conj()[..., None, :]
         self.count += 1
         self.power += (np.abs(y) ** 2 - self.power) / self.count
         return y / np.sqrt(np.maximum(self.power, _POWER_FLOOR))

@@ -18,23 +18,27 @@ from .errors import NumericalDivergenceError
 
 
 def check_finite(A: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericalDivergenceError(f"non-finite entries in {what}")
 
 
 def correlation_gain(Phi: np.ndarray, r: np.ndarray, alpha: float):
-    """One rank-one inverse-correlation update.
+    """One rank-one inverse-correlation update, in place.
 
-    Returns the gain vector k = Phi r / (alpha + r^H Phi r) and the updated
-    inverse Phi' = (Phi - k r^H Phi) / alpha, i.e. the inverse of
-    alpha*R + r r^H when Phi was the inverse of R, re-symmetrized (cheap
-    drift control). Phi (..., M, M) and r (..., M) may be stacks.
+    Returns the gain vector k = Phi r / (alpha + r^H Phi r) and Phi updated
+    to Phi' = (Phi - k r^H Phi) / alpha, i.e. the inverse of alpha*R + r r^H
+    when Phi was the inverse of R, re-symmetrized (cheap drift control).
+    Phi (..., M, M) and r (..., M) may be stacks; Phi is overwritten.
     """
     rH = r.conj()[..., None, :]
     Pr = Phi @ r[..., None]
     k = Pr / (alpha + np.real(rH @ Pr))
-    Phi = (Phi - k * (rH @ Phi)) / alpha
-    return k[..., 0], 0.5 * (Phi + Phi.conj().swapaxes(-1, -2))
+    Phi -= k * (rH @ Phi)
+    # numpy divides a complex by a real through its reciprocal, so scaling by
+    # 0.5 / alpha gives the bits of dividing by alpha and then halving
+    Phi *= 0.5 / alpha
+    Phi += Phi.conj().swapaxes(-1, -2)
+    return k[..., 0], Phi
 
 
 class ExpWeightedInverse:
@@ -53,7 +57,8 @@ class ExpWeightedInverse:
         """Fold in one symbol's regressor rows V (rows x dim); for a stack of
         B matrices, B equal row blocks, block after block, one per N[b]."""
         V = V.reshape(*self.N.shape[:-2], -1, V.shape[-1])
-        self.N = alpha * self.N + V.conj().swapaxes(-1, -2) @ V
+        self.N *= alpha
+        self.N += V.conj().swapaxes(-1, -2) @ V
         check_finite(self.N, "weighted normal matrix")
 
 

@@ -27,3 +27,11 @@ def make_link_pieces(dims: SystemDims, rng: np.random.Generator):
             h[k, j] = generate_multipath_channel(dims.L, rng)
             X[j][:, k] = D @ h[k, j]
     return codes, h, X
+
+
+def poisoned(A: np.ndarray, value: complex,
+             rng: np.random.Generator) -> np.ndarray:
+    """A complex copy of A with one random entry set to value."""
+    A = np.array(A, dtype=complex)
+    A.flat[rng.integers(A.size)] = value
+    return A

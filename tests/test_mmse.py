@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import poisoned
 from coopcdma import harness, mmse
-from coopcdma.errors import DegenerateStateError
+from coopcdma.errors import DegenerateStateError, IllConditionedError
 from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
                            _real_power_solve, alternate, build_statistics,
-                           equal_power_amps, nonnegative_amplitudes,
+                           equal_power_amps, link_factors,
+                           nonnegative_amplitudes,
                            power_step, power_terms, project_sphere, receiver,
                            relay_omega, total_mse)
 from coopcdma.model import (SystemDims, build_convolution_matrix,
@@ -643,3 +645,33 @@ class TestConfigValidation:
             MmseConfig(max_iters=0)
         with pytest.raises(ValueError):
             MmseConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", ["solve R", "solve rhs", "stacked solve R",
+                                   "U", "omega", "statistics U"])
+def test_one_nonfinite_entry_in_a_checked_array_raises(array, value, rng):
+    """Each mmse finite check (_checked_solve, link_factors,
+    build_statistics) raises IllConditionedError on one nan or infinite
+    entry of each array it checks."""
+    dims = SystemDims(K=2, N=4, L=2, n_r=1)
+    U = make_stack(dims, rng)
+    omega = perfect_relay_omega(dims.K, dims.hops)
+    R = np.eye(3) + 0.1 * np.ones((3, 3))
+    calls = {
+        "solve R": lambda: _checked_solve(poisoned(R, value, rng),
+                                          np.ones(3), "x", 0.5),
+        "solve rhs": lambda: _checked_solve(
+            R, poisoned(np.ones(3), value, rng), "x", 0.5),
+        "stacked solve R": lambda: _checked_solve(
+            poisoned(np.stack([R, R]), value, rng), np.ones((2, 3)), "x", 0.5),
+        "U": lambda: link_factors(poisoned(U, value, rng), omega),
+        "omega": lambda: link_factors(U, poisoned(omega, value, rng)),
+        "statistics U": lambda: build_statistics(
+            poisoned(U, value, rng), dims.hops, 0.1, random_amps(dims, rng),
+            omega),
+    }
+    with pytest.raises(IllConditionedError, match="non-finite entries"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            calls[array]()

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_link_pieces
 from coopcdma.gpc import waveforms_from_channel
-from coopcdma.harness import (_add_destination_frames, _noise_matrix,
+from coopcdma.harness import (_FRAME_CHUNK, _add_destination_frames,
+                              _destination_link_frames, _noise_matrix,
                               draw_scenario)
 from coopcdma.model import (SystemDims, add_hop_frames,
                             build_convolution_matrix, demodulate_qpsk,
@@ -135,6 +136,12 @@ class TestQpsk:
                     continue
                 np.testing.assert_array_equal(demodulate_qpsk(sym + eps),
                                               np.array(bits))
+
+    def test_zero_parts_decide_positive(self):
+        soft = np.array([complex(0.0, -0.0), complex(-0.0, 0.0),
+                         complex(-0.0, -0.0), complex(-1e-300, 1e-300)])
+        expected = np.array([1 + 1j, 1 + 1j, 1 + 1j, -1 + 1j]) / np.sqrt(2)
+        assert hard_decision(soft).tobytes() == expected.tobytes()
 
     def test_hard_decision_matches_demodulation(self, rng):
         soft = rng.standard_normal(50) + 1j * rng.standard_normal(50)
@@ -264,6 +271,50 @@ class TestIsi:
             np.testing.assert_allclose(out[:, i], window, atol=1e-12)
 
 
+class TestLinkFrames:
+    """The adaptive destination's windows, noise-free: each chunk of
+    unit-amplitude link frames times the amplitudes equals the per-symbol
+    windows of _add_destination_frames, the chip-window oracle."""
+
+    def test_stacked_hops_equal_one_call_per_hop(self, rng):
+        """add_hop_frames on a (K, M, 1) stack of one-user hops gives each
+        user's frames as its own 2-D call does, bit for bit."""
+        dims = SystemDims(K=3, N=8, L=3, n_r=0)
+        _, _, X = make_link_pieces(dims, rng)
+        S = hop_symbols(dims, 7, rng)[0]
+        for spill in (0, dims.L - 1):
+            out = np.zeros((dims.K, dims.M, 7), dtype=complex)
+            add_hop_frames(out, X[0].T[:, :, None], S[:, None, :], 1.0, spill)
+            for k in range(dims.K):
+                one = np.zeros((dims.M, 7), dtype=complex)
+                add_hop_frames(one, X[0][:, k:k + 1], S[k:k + 1], 1.0, spill)
+                assert np.array_equal(out[k], one)
+
+    @pytest.mark.parametrize("isi", [True, False])
+    @pytest.mark.parametrize("n_r", [0, 2])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_chunks_times_amplitudes_equal_destination_windows(self, K, n_r,
+                                                               isi, rng):
+        dims = SystemDims(K=K, N=8, L=3, n_r=n_r)
+        scn = scenario(dims, rng, isi=isi)
+        P = 2 * _FRAME_CHUNK + 7  # the last chunk is a short one
+        S = hop_symbols(dims, P, rng)
+        amps = 0.2 + rng.random((K, dims.hops))
+        windows = []
+        for t0 in range(0, P, _FRAME_CHUNK):
+            Y = _destination_link_frames(scn, S, t0, min(t0 + _FRAME_CHUNK, P))
+            assert Y.shape[1:] == (dims.stack, K * dims.hops)
+            windows.extend(Y @ amps.reshape(-1))
+        assert len(windows) == P
+        # every symbol, the first and last (zero neighbours) and those on
+        # either side of a chunk boundary included
+        for t in range(P):
+            oracle = np.zeros((dims.stack, 1), dtype=complex)
+            _add_destination_frames(oracle, scn, S[:, :, t:t + 3], amps)
+            np.testing.assert_allclose(windows[t], oracle[:, 0], rtol=0,
+                                       atol=1e-13 * np.abs(oracle).max())
+
+
 class TestLeftFactor:
     """add_hop_frames with a left factor equals that factor times the chip
     windows, for every symbol including the packet's first and last."""
@@ -362,3 +413,20 @@ class TestEffectiveWaveforms:
             assert np.array_equal(waveforms_from_channel(scn.C_all, taps, L), U)
         assert np.array_equal(scn.U, waveforms_from_channel(scn.C_all,
                                                             scn.h_true, L))
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", [(), (3,)])
+    def test_map_equals_the_reshape_sum(self, L, blocks):
+        """The tap loop gives the bytes of summing the reshaped taps, signed
+        zeros included, unstacked and on (B, ...) stacks."""
+        rng = np.random.default_rng(L)
+        dims = SystemDims(K=4, N=16, L=L, n_r=2)
+        C = scenario(dims, rng).C_all
+        C = np.broadcast_to(C, (*blocks, *C.shape))
+        for h in (rng.standard_normal((*blocks, C.shape[-1]))
+                  + 1j * rng.standard_normal((*blocks, C.shape[-1])),
+                  -np.ones((*blocks, C.shape[-1]), dtype=complex)):
+            old = (C * h[..., None, :]).reshape(*C.shape[:-1], -1, L).sum(-1)
+            new = waveforms_from_channel(C, h, L)
+            assert np.array_equal(new, old)
+            assert new.tobytes() == old.tobytes()

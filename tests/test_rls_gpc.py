@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coopcdma import gpc
+from conftest import poisoned
+from coopcdma import gpc, rlscore
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
 from coopcdma.model import (build_convolution_matrix, draw_spreading_codes,
                             modulate_qpsk)
@@ -55,6 +56,103 @@ class TestReceiverRecursion:
         r[0] = np.nan
         with pytest.raises(NumericalDivergenceError):
             gpc.receiver_update(state, r, np.ones(1, dtype=complex))
+
+    def test_supplied_output_gives_the_same_bits(self, rng):
+        """A caller-supplied W^H r steps the receiver exactly as the output
+        the update forms itself."""
+        own = gpc.init_receiver(12, 3, 0.998, 0.01)
+        given = gpc.init_receiver(12, 3, 0.998, 0.01)
+        for _ in range(100):
+            r = random_vec(rng, 12)
+            b = modulate_qpsk(rng.integers(0, 2, size=(3, 2)))
+            xi_own = gpc.receiver_update(own, r, b)
+            xi_given = gpc.receiver_update(given, r, b,
+                                           given.W.conj().T @ r)
+            for got, want in ((xi_given, xi_own), (given.W, own.W),
+                              (given.Phi, own.Phi)):
+                assert got.tobytes() == want.tobytes()
+
+
+class TestCorrelationGain:
+    @pytest.mark.parametrize("blocks", [(), (2,)])
+    def test_in_place_update_matches_the_formula_bit_for_bit(self, blocks,
+                                                              rng):
+        """k = Phi r / (alpha + r^H Phi r), Phi' = 0.5 (A + A^H) with
+        A = (Phi - k r^H Phi) / alpha, the inverse-correlation update written
+        out of place, over 100 steps, single and stacked."""
+        M, alpha = 9, 0.998
+        Phi = np.tile(np.eye(M, dtype=complex) * 100.0, (*blocks, 1, 1))
+        ref = Phi.copy()
+        for _ in range(100):
+            r = random_vec(rng, M * int(np.prod(blocks))).reshape(*blocks, M)
+            rH = r.conj()[..., None, :]
+            Pr = ref @ r[..., None]
+            k_ref = Pr / (alpha + np.real(rH @ Pr))
+            A = (ref - k_ref * (rH @ ref)) / alpha
+            ref = 0.5 * (A + A.conj().swapaxes(-1, -2))
+            k, Phi = rlscore.correlation_gain(Phi, r, alpha)
+            assert k.tobytes() == k_ref[..., 0].tobytes()
+            assert Phi.tobytes() == ref.tobytes()
+
+
+def _poisoned(shape, value, rng):
+    """A random complex array of this shape with one entry set to value."""
+    return poisoned(random_vec(rng, int(np.prod(shape))).reshape(shape),
+                    value, rng)
+
+
+def _receiver_error(value, rng):
+    state = gpc.init_receiver(6, 2, 0.998, 0.01)
+    gpc.receiver_update(state, random_vec(rng, 6), _poisoned((2,), value, rng))
+
+
+def _channel_normal_matrix(value, rng):
+    state = gpc.init_channel(6, 0.998, 0.01)
+    gpc.channel_update(state, random_vec(rng, 10),
+                       _poisoned((10, 6), value, rng),
+                       np.ones(3, dtype=complex), np.ones(3), 2)
+
+
+def _channel_estimate(value, rng):
+    state = gpc.init_channel(6, 0.998, 0.01)
+    state.p = _poisoned((6,), value, rng)
+    gpc.channel_update(state, random_vec(rng, 10),
+                       random_vec(rng, 60).reshape(10, 6),
+                       np.ones(3, dtype=complex), np.ones(3), 2)
+
+
+def _power_normal_matrix(value, rng):
+    state = gpc.init_power(np.ones((2, 2)), 1.0, 0.998, 0.01)
+    state.N[1] = _poisoned((2, 2), value, rng)
+    gpc.power_update(state, random_vec(rng, 8).reshape(2, 4, 1),
+                     random_vec(rng, 16).reshape(2, 4, 2),
+                     np.ones((2, 2), dtype=complex),
+                     np.ones((2, 1), dtype=complex))
+
+
+def _power_estimate(value, rng):
+    state = gpc.init_power(np.ones(2), 1.0, 0.998, 0.01)
+    state.z = _poisoned((2,), value, rng)
+    gpc.power_update(state, random_vec(rng, 4).reshape(4, 1),
+                     random_vec(rng, 8).reshape(4, 2),
+                     np.ones(2, dtype=complex), np.ones(1, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("site,what", [
+    (_receiver_error, "receiver a-priori error"),
+    (_channel_normal_matrix, "weighted normal matrix"),
+    (_channel_estimate, "channel estimate"),
+    (_power_normal_matrix, "power normal matrix"),
+    (_power_estimate, "power estimate"),
+])
+def test_one_nonfinite_entry_in_a_checked_array_raises(site, what, value, rng):
+    """Every rlscore.check_finite site raises on one nan or infinite entry,
+    naming its array."""
+    with pytest.raises(NumericalDivergenceError,
+                       match=f"non-finite entries in {what}"):
+        site(value, rng)
 
 
 class TestPowerRecursion:

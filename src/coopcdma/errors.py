@@ -15,3 +15,8 @@ class NumericalDivergenceError(RuntimeError):
 
 class DegenerateStateError(RuntimeError):
     """A filter or amplitude vector collapsed to zero norm."""
+
+
+# The failures of one trial's exact design or packet: each counts as that
+# trial's divergence and leaves the other trials of its point alone.
+TRIAL_FAILURES = (IllConditionedError, DegenerateStateError)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gpc, ipc, mmse
-from .errors import (ConfigError, DegenerateStateError, IllConditionedError,
+from .errors import (TRIAL_FAILURES, ConfigError, DegenerateStateError,
                      NumericalDivergenceError)
 from .model import (SystemDims, add_hop_frames, build_convolution_matrix,
                     demodulate_qpsk, draw_spreading_codes,
@@ -27,6 +27,11 @@ VARIANTS = ("exact", "adaptive")
 # adaptive destination symbols whose link frames are built at once: at the
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
+# trials of a point drawn and designed at once, the desk trials per point: a
+# --full-scale point of 1000 trials holds at most 100 scenarios with their
+# designs (about 5 MB at the desk configuration) and designs them in stacks
+# of 100
+_DESIGN_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -227,18 +232,76 @@ def scenario_omega(scn: Scenario) -> np.ndarray:
     return mmse.relay_omega(dims.K, dims.hops, stats)
 
 
-def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig):
-    """Exact-statistics receiver matrix and amplitude allocation for a packet."""
-    dims = scn.dims
-    omega = scenario_omega(scn)
+class PointDesigns:
+    """The exact designs of scenarios of one point (one noise level and
+    dimensions), solved as one stack on the first request for a
+    scheme and config and read from their slots after, so that every packet's
+    design still comes through design_exact."""
+
+    def __init__(self, scenarios: list):
+        self.scenarios = scenarios
+        self._solved = {}
+
+    def design(self, scn: Scenario, scheme: str, cfg: ExperimentConfig):
+        if (scheme, cfg) not in self._solved:
+            self._solved[scheme, cfg] = _design_stack(self.scenarios, scheme,
+                                                      cfg)
+        slot = next(i for i, s in enumerate(self.scenarios) if s is scn)
+        design = self._solved[scheme, cfg][slot]
+        if isinstance(design, Exception):
+            raise design
+        return design
+
+
+def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
+    """Each scenario's exact design (W, amps), or the IllConditionedError or
+    DegenerateStateError that failed it alone: from its relay chain
+    (scenario_omega) or its own design in the stack (mmse.design).
+
+    A lone scenario with a power step designs through mmse.alternate, the
+    stack of one, whose result carries its iteration count and convergence
+    flag. The equal-power schemes get complex equal amplitudes.
+    """
+    dims, sigma2 = scenarios[0].dims, scenarios[0].sigma2
+    designs, omegas = [], []
+    for scn in scenarios:
+        try:
+            omegas.append(scenario_omega(scn))
+            designs.append(None)
+        except TRIAL_FAILURES as exc:
+            designs.append(exc)
+    kept = [i for i, d in enumerate(designs) if d is None]
+    if not kept:
+        return designs
+    U = np.stack([scenarios[i].U for i in kept])
     plan = power_blocks(scheme, cfg, dims.K)
     if plan is None:
-        amps = mmse.equal_power_amps(dims.K, dims.hops).astype(complex)
-        return mmse.receiver(scn.U, dims.hops, scn.sigma2, amps, omega), amps
-    users_per_block, lam = plan
-    res = mmse.alternate(scn.U, dims.hops, scn.sigma2,
-                         dims.K // users_per_block, cfg.mmse_config(lam), omega)
-    return res.W, res.amps
+        blocks, config = None, None
+    else:
+        blocks, config = dims.K // plan[0], cfg.mmse_config(plan[1])
+    if plan is not None and len(kept) == 1:
+        try:
+            res = mmse.alternate(U[0], dims.hops, sigma2, blocks, config,
+                                 omegas[0])
+            designs[kept[0]] = (res.W, res.amps)
+        except TRIAL_FAILURES as exc:
+            designs[kept[0]] = exc
+        return designs
+    res = mmse.design(U, dims.hops, sigma2, np.stack(omegas), blocks, config)
+    for j, i in enumerate(kept):
+        amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
+        designs[i] = res.errors[j] or (res.W[j], amps)
+    return designs
+
+
+def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
+                 point: PointDesigns | None = None):
+    """Exact-statistics receiver matrix and amplitude allocation for a packet:
+    read from the stacked designs of the point's scenarios (point, which holds
+    scn), or, without a point, designed alone."""
+    if point is None:
+        point = PointDesigns([scn])
+    return point.design(scn, scheme, cfg)
 
 
 def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
@@ -463,10 +526,12 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
 
 def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_data: np.random.Generator, rng_noise: np.random.Generator,
-               rng_init: np.random.Generator) -> PacketResult:
-    """Simulate one packet under the configured scheme and variant."""
+               rng_init: np.random.Generator,
+               point: PointDesigns | None = None) -> PacketResult:
+    """Simulate one packet under the configured scheme and variant; an exact
+    packet's design comes from point when given (design_exact)."""
     if cfg.variant == "exact":
-        W, amps = design_exact(scn, cfg.scheme, cfg)
+        W, amps = design_exact(scn, cfg.scheme, cfg, point)
         return simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
                                     rng_init)
@@ -505,26 +570,37 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
 def _run_point(cfg: ExperimentConfig, users: int, snr_db: float):
     """Every trial at one (users, SNR) point: the BERs of the packets that
     kept going, the number that diverged, and the kept packets' summed
-    per-symbol errors."""
+    per-symbol errors.
+
+    The trials run in chunks of _DESIGN_CHUNK: a chunk's scenarios are drawn
+    first, each from its own trial_rngs stream, and on the exact path
+    designed as one stack (PointDesigns) when the first packet asks for its
+    design. A trial whose draw fails its design diverges alone.
+    """
     dims = cfg.dims(users)
     codes = codes_for(cfg, dims.K)
     sigma2 = snr_db_to_sigma2(snr_db)
     bers, divergences = [], 0
     per_symbol = np.zeros(dims.P, dtype=np.int64)
-    for t in range(cfg.trials):
-        rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
-        scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db, rng_ch,
-                            isi_enabled=cfg.isi)
-        try:
-            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
-        except (IllConditionedError, DegenerateStateError):
-            divergences += 1
-            continue
-        if res.diverged:
-            divergences += 1
-            continue
-        bers.append(res.bit_errors / res.payload_bits)
-        per_symbol += res.per_symbol_errors
+    for start in range(0, cfg.trials, _DESIGN_CHUNK):
+        rngs = [trial_rngs(cfg.seed, t)
+                for t in range(start, min(start + _DESIGN_CHUNK, cfg.trials))]
+        scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
+                                   rng_ch, isi_enabled=cfg.isi)
+                     for rng_ch, *_ in rngs]
+        point = PointDesigns(scenarios) if cfg.variant == "exact" else None
+        for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
+            try:
+                res = run_packet(cfg, scn, rng_data, rng_noise, rng_init,
+                                 point)
+            except TRIAL_FAILURES:
+                divergences += 1
+                continue
+            if res.diverged:
+                divergences += 1
+                continue
+            bers.append(res.bit_errors / res.payload_bits)
+            per_symbol += res.per_symbol_errors
     return bers, divergences, per_symbol
 
 

@@ -18,6 +18,11 @@ K*hops-dimensional solve for C. The power terms and the MSE follow from the
 link responses U^H W, so W itself is formed once, after the alternation.
 build_statistics and total_mse assemble the stacked statistics; they score
 a design, they are not part of it.
+
+The design steps (link_factors, filter_step, power_terms, power_step) take a
+leading trial axis, so that design solves the designs of T independent trials
+(of one SNR point) as one stack; each trial's arithmetic is the same as on a
+stack of one, which alternate and receiver are.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, IllConditionedError
+from .errors import (TRIAL_FAILURES, DegenerateStateError,
+                     IllConditionedError)
 
 _COND_LIMIT = 1e12
 
@@ -100,21 +106,28 @@ def build_statistics(U: np.ndarray, hops: int, sigma2: float,
 
 
 def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
-    """View of the B = blocks equal diagonal blocks of X, (B, rows/B, cols/B)."""
+    """View of the B = blocks equal diagonal blocks of each trial's matrix,
+    (T, B, rows/B, cols/B) for X of shape (T, rows, cols)."""
     if blocks == 1:
-        return X[None]  # the whole matrix, without einsum's call overhead
-    rows, cols = X.shape
-    return np.einsum("bibj->bij", X.reshape(blocks, rows // blocks,
-                                            blocks, cols // blocks))
+        return X[:, None]  # the whole matrix, without einsum's call overhead
+    trials, rows, cols = X.shape
+    return np.einsum("tbibj->tbij", X.reshape(trials, blocks, rows // blocks,
+                                              blocks, cols // blocks))
+
+
+def _conj_t(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return X.conj().swapaxes(-1, -2)
 
 
 def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
                 blocks: int):
-    """R_a (B x n x n) and p_a (B x n) of each of B = `blocks` equal
-    contiguous user blocks of n = K*hops/B links.
+    """R_a (T x B x n x n) and p_a (T x B x n) of each of B = `blocks` equal
+    contiguous user blocks of n = K*hops/B links, for each of T trials.
 
-    links is the K*hops x K matrix U^H W of link responses: column k holds
-    the response of filter w_k to each link's waveform. R_a[b] and p_a[b] are
+    links is the T x K*hops x K stack of link responses U^H W: column k holds
+    the response of filter w_k to each link's waveform; amps is T x K x hops
+    and omega T x K*hops x K*hops. R_a[t, b] and p_a[t, b] are
     the quadratic and linear coefficients, in block b's amplitudes, of the MSE
     summed over b's users with the other blocks' amplitudes held at amps.
     With G_b the block users' link responses on the block's links,
@@ -122,50 +135,62 @@ def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
     desired-symbol correlation minus the other blocks' fixed contribution,
     which is zero for one block.
     """
-    hops = links.shape[0] // links.shape[1]
-    d = omega[:, ::hops]  # column k: each link's correlation with b_k
+    trials, cols, K = links.shape
+    d = omega[:, :, ::cols // K]  # column k: each link's correlation with b_k
     if blocks > 1:
         # amplitude-weighted link responses of each filter, other blocks only
-        aG = np.asarray(amps, dtype=complex).reshape(-1, 1) * links
+        aG = np.asarray(amps, dtype=complex).reshape(trials, cols, 1) * links
         _diagonal_blocks(aG, blocks)[...] = 0.0
         d = d - omega @ aG
     G_b = _diagonal_blocks(links, blocks)
-    R_a = ((G_b @ G_b.conj().transpose(0, 2, 1))
-           * _diagonal_blocks(omega, blocks).transpose(0, 2, 1))
-    p_a = np.einsum("bik->bi", G_b * _diagonal_blocks(d, blocks).conj())
+    R_a = ((G_b @ _conj_t(G_b))
+           * _diagonal_blocks(omega, blocks).swapaxes(-1, -2))
+    p_a = np.einsum("tbik->tbi", G_b * _diagonal_blocks(d, blocks).conj())
     return R_a, p_a
 
 
 def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
                    floor: float = 0.0) -> np.ndarray:
-    """Solve R x = rhs for a Hermitian positive semidefinite R, or for a stack
-    of them (R of shape (B, n, n) with rhs of shape (B, n)).
+    """Solve R x = rhs for a Hermitian positive semidefinite R, or for each
+    matrix of a stack of them (R of shape (..., n, n)). rhs holds one vector
+    (..., n) or one matrix (..., n, k) of right-hand sides per matrix.
 
     floor is a lower bound on the eigenvalues of R that the caller knows from
     how R was built (sigma^2 for a receiver covariance, lambda for a loaded
     power covariance), 0 when none is known. For Hermitian R,
     cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
-    assembly of R; such a matrix goes straight to LU (np.linalg.solve). The
-    SVD (np.linalg.cond) runs only when floor is 0, when the bound does not
-    prove the limit, or when LU raises LinAlgError. A matrix whose condition
+    assembly of R. Every matrix so certified goes to one batched LU call
+    (np.linalg.solve). The SVD (np.linalg.cond) runs, matrix by matrix, only
+    on the others: when floor is 0, when the bound does not prove the limit,
+    or when LU raises LinAlgError on that matrix. A matrix whose condition
     number is then non-finite or above the limit is solved with the
     pseudoinverse, with one RuntimeWarning per such matrix.
     """
     if not (np.isfinite(R).all() and np.isfinite(rhs).all()):
         raise IllConditionedError(f"{what}: non-finite entries")
-    stacked = R.ndim > 2
-    if floor > 0.0 and (np.abs(R).sum(axis=-2).max(axis=-1)
-                        <= floor * _COND_LIMIT / 2).all():
+    n = R.shape[-1]
+    vectors = rhs.ndim < R.ndim
+    Rs = R.reshape(-1, n, n)
+    bs = (rhs[..., None] if vectors else rhs).reshape(len(Rs), n, -1)
+    certified = np.zeros(len(Rs), dtype=bool)
+    if floor > 0.0:
+        certified = (np.abs(Rs).sum(axis=-2).max(axis=-1)
+                     <= floor * _COND_LIMIT / 2)
+    x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
+    if certified.any():
+        lu = slice(None) if certified.all() else certified
         try:
-            if stacked:
-                return np.linalg.solve(R, rhs[..., None])[..., 0]
-            return np.linalg.solve(R, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    if stacked:
-        return np.stack([_cond_solve(Rb, xb, what) for Rb, xb in zip(R, rhs)])
-    return _cond_solve(R, rhs, what)
+            x[lu] = np.linalg.solve(Rs[lu], bs[lu])
+        except np.linalg.LinAlgError:  # find the matrices LU fails on
+            for i in np.flatnonzero(certified):
+                try:
+                    x[i] = np.linalg.solve(Rs[i], bs[i])
+                except np.linalg.LinAlgError:
+                    certified[i] = False
+    for i in np.flatnonzero(~certified):
+        x[i] = _cond_solve(Rs[i], bs[i], what)
+    return x.reshape(rhs.shape)
 
 
 def _cond_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -180,8 +205,9 @@ def _cond_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 
 def link_factors(U: np.ndarray, omega: np.ndarray):
-    """The design's fixed data in link coordinates: the Gram matrix U^H U and
-    a factor F with Omega = F F^H.
+    """The design's fixed data in link coordinates, for each of T trials:
+    the Gram matrices U^H U and factors F with Omega = F F^H, from U of shape
+    (T, stack, K*hops) and omega of shape (T, K*hops, K*hops).
 
     F comes from the eigendecomposition of Omega with its eigenvalues clipped
     at 0, so a singular positive semidefinite Omega (perfect relays, or no
@@ -190,12 +216,13 @@ def link_factors(U: np.ndarray, omega: np.ndarray):
     if not (np.isfinite(U).all() and np.isfinite(omega).all()):
         raise IllConditionedError("non-finite entries in the link statistics")
     eigvals, V = np.linalg.eigh(omega)
-    return U.conj().T @ U, V * np.sqrt(np.clip(eigvals, 0.0, None))
+    return _conj_t(U) @ U, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
 
 
 def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
                 amps: np.ndarray):
-    """Joint MMSE filters at the amplitudes amps, in link coordinates.
+    """Joint MMSE filters at the amplitudes amps (T x K x hops), in link
+    coordinates, for each of T trials (link_factors' gram and F).
 
     With V = U diag(a) F the covariance is R = V V^H + sigma^2 I and the
     cross-correlation P_ch = V B, B = F^H E (E selects the direct links), so
@@ -207,20 +234,21 @@ def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
     K - tr(B^H B) + sigma^2 tr(B^H C) = sigma^2 Re tr(B^H C): the diagonal of
     B^H B = E^H Omega E is the unit energy of the users' own symbols.
     """
-    DF = np.asarray(amps, dtype=complex).reshape(-1, 1) * F
-    B = F[::hops].conj().T
-    A = DF.conj().T @ gram @ DF + sigma2 * np.eye(F.shape[1])
+    trials, cols, _ = F.shape
+    DF = np.asarray(amps, dtype=complex).reshape(trials, cols, 1) * F
+    B = _conj_t(F[:, ::hops])
+    A = _conj_t(DF) @ gram @ DF + sigma2 * np.eye(cols)
     C = _checked_solve(A, B, "receiver covariance", sigma2)
-    mse = sigma2 * float(np.real(np.einsum("ik,ik->", B.conj(), C)))
+    mse = sigma2 * np.real(np.einsum("tik,tik->t", B.conj(), C))
     return DF @ C, mse
 
 
 def receiver(U: np.ndarray, hops: int, sigma2: float, amps: np.ndarray,
              omega: np.ndarray) -> np.ndarray:
     """Joint MMSE filter matrix W = R^-1 P_ch at fixed amplitudes amps (K x
-    hops), solved in link coordinates (filter_step)."""
-    gram, F = link_factors(U, omega)
-    return U @ filter_step(gram, F, hops, sigma2, amps)[0]
+    hops), solved in link coordinates: filter_step on a stack of one."""
+    gram, F = link_factors(U[None], omega[None])
+    return U @ filter_step(gram, F, hops, sigma2, amps[None])[0][0]
 
 
 def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
@@ -260,7 +288,7 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
 
     For real a the quadratic MSE terms reduce to the real parts of the
     complex statistics, so this solve is exact on the real subspace. R_a may
-    be a stack of blocks (B, n, n) with p_a of shape (B, n).
+    be a stack of blocks (..., B, n, n) with p_a of shape (..., B, n).
     Re(R_a) is positive semidefinite (a Hadamard product of two covariances,
     Schur product theorem), so lam bounds the eigenvalues of the loaded matrix.
     """
@@ -273,7 +301,8 @@ def power_step(R_a: np.ndarray, p_a: np.ndarray, lam: float,
                block_budget: float) -> np.ndarray:
     """Regularized power step of every amplitude block (power_terms) in one
     stacked solve, each block projected to nonnegative reals on the sphere of
-    block_budget (its number of users); returns the B x n block amplitudes."""
+    block_budget (its number of users); returns the (..., B, n) block
+    amplitudes of R_a's (..., B, n, n) blocks."""
     return nonnegative_amplitudes(_real_power_solve(R_a, p_a, lam),
                                   block_budget)
 
@@ -296,14 +325,115 @@ class AlternationResult:
     iterations: int
 
 
+@dataclass
+class StackedDesign:
+    """The designs of a stack of T trials (design). Trial t failed when
+    errors[t] holds the IllConditionedError or DegenerateStateError it
+    raised; its W and amps are then nan."""
+
+    W: np.ndarray  # T x stack x K
+    amps: np.ndarray  # T x K x hops, real
+    mse_trace: np.ndarray  # T x max_iters, nan after a trial's last iteration
+    iterations: np.ndarray  # T, 0 without a power step
+    converged: np.ndarray  # T
+    errors: list
+
+
 def equal_power_amps(K: int, hops: int) -> np.ndarray:
     """Equal power per link within each user's unit budget (CIS)."""
     return np.full((K, hops), np.sqrt(1.0 / hops))
 
 
+def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
+    """Run step on a stack of trials and write its outputs into outs.
+
+    step(t) takes an index array t of trials and returns a tuple of arrays
+    whose leading axis runs over t; outs holds one array per output, indexed
+    by trial. When the stack raises IllConditionedError or
+    DegenerateStateError, each trial steps alone, a stack of one with the
+    same arithmetic, so that a failure fails only its own trial: errors[t]
+    records it and t is left out of the trials returned. (A pseudoinverse
+    warning issued before the stack raised is issued again by its trial's
+    own step.)
+    """
+    try:
+        values = step(trials)
+    except TRIAL_FAILURES as exc:
+        if len(trials) == 1:
+            errors[trials[0]] = exc
+            return trials[:0]
+        return np.concatenate([_each_trial(step, trials[i:i + 1], errors, outs)
+                               for i in range(len(trials))])
+    for out, value in zip(outs, values):
+        out[trials] = value
+    return trials
+
+
+def design(U: np.ndarray, hops: int, sigma2: float, omega: np.ndarray,
+           blocks: int | None, config: MmseConfig | None) -> StackedDesign:
+    """Exact designs of T trials as one stack: U (T x stack x K*hops) and
+    omega (T x K*hops x K*hops) hold each trial's waveforms and link-symbol
+    correlation, all at one noise level sigma2.
+
+    Without blocks (None, the equal-power schemes) each trial gets the MMSE
+    filters of the equal-power amplitudes. With blocks the trials alternate
+    filter and power steps as alternate describes, each frozen once its
+    stopping test passes; the test takes np.linalg.norm per trial, so every
+    trial's iterations, amplitudes and filters are those it gets alone. A
+    trial whose step fails is dropped from the stack (_each_trial).
+    """
+    trials, stack, cols = U.shape
+    K = cols // hops
+    if blocks is not None and (blocks < 1 or K % blocks):
+        raise ValueError(f"{blocks} blocks do not split {K} users evenly")
+    max_iters = 0 if blocks is None else config.max_iters
+    errors = [None] * trials
+    amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
+    a_new = np.empty_like(amps)
+    gram = np.empty((trials, cols, cols), dtype=complex)
+    F = np.empty_like(gram)
+    Y = np.empty((trials, cols, K), dtype=complex)
+    mse = np.empty(trials)
+    W = np.full((trials, stack, K), np.nan, dtype=complex)
+    trace = np.full((trials, max_iters), np.nan)
+    iterations = np.zeros(trials, dtype=int)
+    converged = np.zeros(trials, dtype=bool)
+
+    active = _each_trial(lambda t: link_factors(U[t], omega[t]),
+                         np.arange(trials), errors, (gram, F))
+    for it in range(1, max_iters + 1):
+        if not active.size:
+            break
+        active = _each_trial(
+            lambda t: filter_step(gram[t], F[t], hops, sigma2, amps[t]),
+            active, errors, (Y, mse))
+        trace[active, it - 1] = mse[active]
+        active = _each_trial(lambda t: (power_step(
+            *power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks),
+            config.lam, float(K // blocks)).reshape(-1, K, hops),),
+            active, errors, (a_new,))
+        done = np.array([np.linalg.norm(a_new[t] - amps[t])
+                         / max(np.linalg.norm(amps[t]), 1e-30) < config.tol
+                         for t in active], dtype=bool)
+        amps[active] = a_new[active]
+        iterations[active] = it
+        converged[active[done]] = True
+        active = active[~done]
+    live = np.array([t for t in range(trials) if errors[t] is None], dtype=int)
+    if live.size:
+        _each_trial(lambda t: (U[t] @ filter_step(gram[t], F[t], hops, sigma2,
+                                                  amps[t])[0],),
+                    live, errors, (W,))
+    amps[[errors[t] is not None for t in range(trials)]] = np.nan
+    return StackedDesign(W=W, amps=amps, mse_trace=trace,
+                         iterations=iterations, converged=converged,
+                         errors=errors)
+
+
 def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
               config: MmseConfig, omega: np.ndarray) -> AlternationResult:
-    """Alternate filter and power steps from the equal-power initialization.
+    """Alternate filter and power steps from the equal-power initialization:
+    design on a stack of one.
 
     The users form `blocks` equal contiguous blocks (1: global, K: individual
     constraints), each under the sum of its users' unit budgets; a one-link
@@ -317,27 +447,12 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     sigma2 then bounds the eigenvalues of each receiver covariance from below,
     and the traced MSE takes the closed form of filter_step.
     """
-    cols = U.shape[1]
-    K = cols // hops
-    if blocks < 1 or K % blocks:
-        raise ValueError(f"{blocks} blocks do not split {K} users evenly")
-    amps = equal_power_amps(K, hops)
-    block_budget = float(K // blocks)
-    gram, F = link_factors(U, omega)
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        Y, mse = filter_step(gram, F, hops, sigma2, amps)
-        trace.append(mse)
-        R_a, p_a = power_terms(gram @ Y, amps, omega, blocks)
-        a_new = power_step(R_a, p_a, config.lam, block_budget).reshape(K, hops)
-        delta = np.linalg.norm(a_new - amps) / max(np.linalg.norm(amps), 1e-30)
-        amps = a_new
-        if delta < config.tol:
-            converged = True
-            break
-    W = U @ filter_step(gram, F, hops, sigma2, amps)[0]
-    trace.append(total_mse(U, hops, sigma2, amps, W, omega))
-    return AlternationResult(W=W, amps=amps, mse_trace=np.asarray(trace),
-                             converged=converged, iterations=it)
+    res = design(U[None], hops, sigma2, omega[None], blocks, config)
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    W, amps, iterations = res.W[0], res.amps[0], int(res.iterations[0])
+    trace = np.append(res.mse_trace[0, :iterations],
+                      total_mse(U, hops, sigma2, amps, W, omega))
+    return AlternationResult(W=W, amps=amps, mse_trace=trace,
+                             converged=bool(res.converged[0]),
+                             iterations=iterations)

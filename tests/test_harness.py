@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import poisoned
 from coopcdma import cli, mmse
 from coopcdma.errors import ConfigError, DegenerateStateError
 from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
@@ -398,3 +399,129 @@ class TestAggregation:
         config = recorded["manifest"]["config"]
         config["snr_grid"] = tuple(config["snr_grid"])
         assert ExperimentConfig(**config) == cfg
+
+
+def dead_relay(scn, rng):
+    """The first relay hears nothing from user 0: its MMSE bank fails."""
+    scn.x_sr[0][:, 0] = 0.0
+
+
+def nan_waveform(scn, rng):
+    scn.U = poisoned(scn.U, np.nan, rng)
+
+
+def zero_waveforms(scn, rng):
+    """No link reaches the destination: the power solution is zero."""
+    scn.U = np.zeros_like(scn.U)
+
+
+def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3):
+    """run_experiment of an exact cfg, with poison applied to the scenario
+    of one trial, and the PacketResult of each trial that reached its packet
+    simulation, by trial index."""
+    from coopcdma import harness
+    draws, packets = [], {}
+    real_draw, real_simulate = harness.draw_scenario, harness.simulate_packet_exact
+
+    def draw(*args, **kwargs):
+        scn = real_draw(*args, **kwargs)
+        if poison is not None and len(draws) == poisoned_trial:
+            poison(scn, np.random.default_rng(7))
+        draws.append(scn)
+        return scn
+
+    def simulate(scn, *args, **kwargs):
+        res = real_simulate(scn, *args, **kwargs)
+        packets[next(i for i, d in enumerate(draws) if d is scn)] = res
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "draw_scenario", draw)
+        patch.setattr(harness, "simulate_packet_exact", simulate)
+        curve = run_experiment(cfg)
+    return curve, packets
+
+
+class TestPointDesigns:
+    @pytest.mark.parametrize("scheme,poison", [
+        ("cis", nan_waveform), ("jpais-gpc", nan_waveform),
+        ("jpais-ipc", nan_waveform), ("cis", dead_relay),
+        ("jpais-gpc", dead_relay), ("jpais-ipc", dead_relay),
+        ("jpais-gpc", zero_waveforms), ("jpais-ipc", zero_waveforms)])
+    def test_failed_design_diverges_alone(self, scheme, poison, monkeypatch):
+        """One poisoned scenario in a point's stack of 8 counts as one
+        divergence, whether its relay bank, its link factors or its power
+        projection fails; the other 7 packets keep the bit errors they have
+        without the poison."""
+        cfg = small_cfg(scheme=scheme, variant="exact", trials=8)
+        clean, clean_packets = exact_point(monkeypatch, cfg)
+        curve, packets = exact_point(monkeypatch, cfg, poison)
+        assert clean.divergences == 0 and curve.divergences == 1
+        assert sorted(packets) == [0, 1, 2, 4, 5, 6, 7]
+        for t, res in packets.items():
+            assert res.bit_errors == clean_packets[t].bit_errors
+            assert np.array_equal(res.per_symbol_errors,
+                                  clean_packets[t].per_symbol_errors)
+        assert curve.rows[0][3] == 7 * clean.rows[0][3] // 8
+
+    @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
+                                        "jpais-ipc"])
+    def test_every_packet_runs_the_design_of_its_own_scenario(
+            self, scheme, monkeypatch):
+        """harness.design_exact, wrapped from outside as the benchmark wraps
+        it to check designed amplitudes, is called once per exact packet with
+        that packet's own scenario, and the packet runs with the filters and
+        amplitudes the call returned."""
+        from coopcdma import harness
+        real_design = harness.design_exact
+        designs = []
+
+        def record(scn, scheme, cfg, *args, **kwargs):
+            W, amps = real_design(scn, scheme, cfg, *args, **kwargs)
+            designs.append((scn, W, amps))
+            return W, amps
+
+        draws, ran = [], []
+        real_draw = harness.draw_scenario
+        real_simulate = harness.simulate_packet_exact
+
+        def draw(*args, **kwargs):
+            draws.append(real_draw(*args, **kwargs))
+            return draws[-1]
+
+        def simulate(scn, W, amps, *args):
+            ran.append((scn, W, amps))
+            return real_simulate(scn, W, amps, *args)
+
+        monkeypatch.setattr(harness, "design_exact", record)
+        monkeypatch.setattr(harness, "draw_scenario", draw)
+        monkeypatch.setattr(harness, "simulate_packet_exact", simulate)
+        cfg = small_cfg(scheme=scheme, variant="exact", trials=3,
+                        snr_grid=(0.0, 9.0))
+        assert run_experiment(cfg).divergences == 0
+        assert len(draws) == len(designs) == len(ran) == 6
+        for drawn, (scn, W, amps), (p_scn, p_W, p_amps) in zip(draws, designs,
+                                                              ran):
+            assert scn is drawn and p_scn is drawn
+            assert p_W is W and p_amps is amps
+            assert amps.tobytes() == real_design(scn, scheme, cfg)[1].tobytes()
+
+    def test_chunked_point_matches_one_trial_at_a_time(self, monkeypatch):
+        """A point of one chunk and three trials more designs them in two
+        stacks, and its rows are those of designs done one trial at a time."""
+        from coopcdma import harness
+        chunk = harness._DESIGN_CHUNK
+        cfg = small_cfg(scheme="jpais-ipc", variant="exact", trials=chunk + 3,
+                        packet_len=40, training_len=10)
+        real, stacks = mmse.design, []
+
+        def design(U, *args):
+            stacks.append(len(U))
+            return real(U, *args)
+
+        monkeypatch.setattr(mmse, "design", design)
+        chunked = run_experiment(cfg)
+        assert stacks == [chunk, 3]
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 1)
+        assert run_experiment(cfg).rows == chunked.rows
+        assert stacks[2:] == [1] * (chunk + 3)

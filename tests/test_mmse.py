@@ -146,6 +146,12 @@ def desk_design_inputs(snr_db, seed=1):
     return scn.U, dims.hops, scn.sigma2, harness.scenario_omega(scn)
 
 
+def one_trial_power_terms(links, amps, omega, blocks):
+    """power_terms of a stack of one trial, without the trial axis."""
+    R_a, p_a = power_terms(links[None], amps[None], omega[None], blocks)
+    return R_a[0], p_a[0]
+
+
 def desk_power_terms(snr_db, blocks):
     """Power terms (R_a, p_a) of the desk scenario's equal-power filters for
     the given number of user blocks."""
@@ -153,7 +159,7 @@ def desk_power_terms(snr_db, blocks):
     K = U.shape[1] // hops
     amps = equal_power_amps(K, hops)
     W = receiver_global(build_statistics(U, hops, sigma2, amps, omega), sigma2)
-    return power_terms(U.conj().T @ W, amps, omega, blocks)
+    return one_trial_power_terms(U.conj().T @ W, amps, omega, blocks)
 
 
 class TestOmega:
@@ -252,7 +258,7 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, 1)
+        R_a, p_a = one_trial_power_terms(U.conj().T @ W, amps0, omega, 1)
         const = dims.K + sigma2 * np.linalg.norm(W) ** 2
         assert R_a.shape == (1, dims.K * dims.hops, dims.K * dims.hops)
         for _ in range(5):
@@ -272,7 +278,7 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, dims.K)
+        R_a, p_a = one_trial_power_terms(U.conj().T @ W, amps0, omega, dims.K)
         assert R_a.shape == (dims.K, dims.hops, dims.hops)
         for k in range(dims.K):
             Rk = np.real(R_a[k])
@@ -304,7 +310,7 @@ class TestPowerQuadratics:
         omega = perfect_relay_omega(dims.K, dims.hops)
         stats = build_statistics(U, dims.hops, sigma2, amps0, omega)
         W = receiver_global(stats)
-        R_a, p_a = power_terms(U.conj().T @ W, amps0, omega, 1)
+        R_a, p_a = one_trial_power_terms(U.conj().T @ W, amps0, omega, 1)
         lam = 0.025
         Rr = np.real(R_a[0]) + lam * np.eye(dims.K * dims.hops)
         pr = np.real(p_a[0])
@@ -333,7 +339,7 @@ class TestPowerQuadratics:
         for blocks, (R_ref, p_ref) in (
                 (1, global_power_terms(U, hops, W, omega)),
                 (K, individual_power_terms(U, hops, amps, W, omega))):
-            R_a, p_a = power_terms(U.conj().T @ W, amps, omega, blocks)
+            R_a, p_a = one_trial_power_terms(U.conj().T @ W, amps, omega, blocks)
             assert R_a.shape == R_ref.shape
             assert p_a.shape == p_ref.shape
             assert np.abs(R_a - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
@@ -611,6 +617,25 @@ class TestCertifiedSolve:
         assert len(caught) == 1
         assert np.array_equal(x, [[1.0, 1.0], [0.0, 0.0], [3.0, 5.0]])
 
+    @pytest.mark.parametrize("singular", ["certified", "uncertified"])
+    def test_one_singular_matrix_of_a_stack_falls_back_alone(self, singular,
+                                                             rng):
+        """With matrix right-hand sides, a singular matrix of a stack goes to
+        the pseudoinverse alone, with one warning, whether its bound
+        certified it (LU then fails) or not; the others keep their LU
+        solutions byte for byte."""
+        A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        R = A @ A.conj().swapaxes(-1, -2) + np.eye(5)
+        R[2] = 0.0 if singular == "certified" else 1e13 * np.ones((5, 5))
+        rhs = rng.standard_normal((4, 5, 3)) + 0j
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = _checked_solve(R, rhs, "stacked", 1.0)
+        assert [str(w.message).split(":")[0] for w in caught] == ["stacked"]
+        for i in (0, 1, 3):
+            assert np.array_equal(x[i], np.linalg.solve(R[i], rhs[i]))
+        np.testing.assert_allclose(x[2], np.linalg.pinv(R[2]) @ rhs[2])
+
     def test_singular_matrix_with_floor_still_falls_back(self):
         """A floor the matrix breaks cannot hide it: LU fails, pinv runs."""
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
@@ -633,6 +658,85 @@ class TestCertifiedSolve:
         res = alternate(U, hops, sigma2, blocks, MmseConfig(), omega=omega)
         assert res.mse_trace[-1] == total_mse(U, hops, sigma2, res.amps, res.W,
                                               omega=omega)
+
+
+def point_scenarios(seed, snr_db, trials=8):
+    """The desk scenarios of trials 0, ..., trials - 1 of one SNR point."""
+    cfg = harness.ExperimentConfig(seed=seed)
+    dims = cfg.dims()
+    return [harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
+                                  harness.snr_db_to_sigma2(snr_db),
+                                  cfg.shadowing_std_db,
+                                  harness.trial_rngs(seed, t)[0])
+            for t in range(trials)]
+
+
+class TestStackedDesign:
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+    @pytest.mark.parametrize("snr_db", [0.0, 18.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stack_matches_each_trial_alone(self, seed, snr_db, scheme):
+        """Designing a point's 8 trials as one stack gives each trial the
+        design it gets alone: the same filters and amplitudes, byte for byte,
+        and the same iterations, convergence flag, traced MSEs and final MSE
+        as the stack of one, mmse.alternate."""
+        cfg = harness.ExperimentConfig(scheme=scheme, seed=seed)
+        scns = point_scenarios(seed, snr_db)
+        dims, sigma2 = scns[0].dims, scns[0].sigma2
+        point = harness.PointDesigns(scns)
+        omegas = [harness.scenario_omega(scn) for scn in scns]
+        plan = harness.power_blocks(scheme, cfg, dims.K)
+        blocks, config = ((None, None) if plan is None else
+                          (dims.K // plan[0], cfg.mmse_config(plan[1])))
+        stacked = mmse.design(np.stack([scn.U for scn in scns]), dims.hops,
+                              sigma2, np.stack(omegas), blocks, config)
+        assert stacked.errors == [None] * len(scns)
+        for t, (scn, omega) in enumerate(zip(scns, omegas)):
+            W, amps = point.design(scn, scheme, cfg)
+            W_alone, amps_alone = harness.design_exact(scn, scheme, cfg)
+            assert W.tobytes() == W_alone.tobytes()
+            assert amps.dtype == amps_alone.dtype
+            assert amps.tobytes() == amps_alone.tobytes()
+            if plan is None:
+                assert stacked.iterations[t] == 0
+                continue
+            alone = alternate(scn.U, dims.hops, sigma2, blocks, config, omega)
+            assert stacked.W[t].tobytes() == alone.W.tobytes()
+            assert stacked.amps[t].tobytes() == alone.amps.tobytes()
+            assert ((stacked.iterations[t], stacked.converged[t])
+                    == (alone.iterations, alone.converged))
+            n = alone.iterations
+            assert np.array_equal(stacked.mse_trace[t, :n],
+                                  alone.mse_trace[:-1])
+            assert np.isnan(stacked.mse_trace[t, n:]).all()
+            assert total_mse(scn.U, dims.hops, sigma2, stacked.amps[t],
+                             stacked.W[t], omega) == alone.mse_trace[-1]
+
+    @pytest.mark.parametrize("poison", ["nan U", "zero U"])
+    @pytest.mark.parametrize("blocks", [1, DESK_K])
+    def test_failed_trial_leaves_the_others_alone(self, poison, blocks):
+        """A trial whose design raises (non-finite waveforms at the link
+        factors, a zero-norm power solution at the projection) fails alone,
+        with its own error; the other trials' designs are unchanged."""
+        scns = point_scenarios(1, 6.0, trials=4)
+        U = np.stack([scn.U for scn in scns])
+        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        hops, sigma2 = scns[0].dims.hops, scns[0].sigma2
+        clean = mmse.design(U, hops, sigma2, omega, blocks, MmseConfig())
+        U[2] = (poisoned(U[2], np.nan, np.random.default_rng(0))
+                if poison == "nan U" else 0.0)
+        res = mmse.design(U, hops, sigma2, omega, blocks, MmseConfig())
+        error = (IllConditionedError if poison == "nan U"
+                 else DegenerateStateError)
+        assert [type(e) for e in res.errors] == [type(None)] * 2 + [error] + [
+            type(None)]
+        assert np.isnan(res.W[2]).all() and np.isnan(res.amps[2]).all()
+        for t in (0, 1, 3):
+            assert res.W[t].tobytes() == clean.W[t].tobytes()
+            assert res.amps[t].tobytes() == clean.amps[t].tobytes()
+            assert res.iterations[t] == clean.iterations[t]
+        with pytest.raises(error):
+            alternate(U[2], hops, sigma2, blocks, MmseConfig(), omega[2])
 
 
 class TestConfigValidation:
@@ -665,8 +769,9 @@ def test_one_nonfinite_entry_in_a_checked_array_raises(array, value, rng):
             R, poisoned(np.ones(3), value, rng), "x", 0.5),
         "stacked solve R": lambda: _checked_solve(
             poisoned(np.stack([R, R]), value, rng), np.ones((2, 3)), "x", 0.5),
-        "U": lambda: link_factors(poisoned(U, value, rng), omega),
-        "omega": lambda: link_factors(U, poisoned(omega, value, rng)),
+        "U": lambda: link_factors(poisoned(U, value, rng)[None], omega[None]),
+        "omega": lambda: link_factors(U[None],
+                                      poisoned(omega, value, rng)[None]),
         "statistics U": lambda: build_statistics(
             poisoned(U, value, rng), dims.hops, 0.1, random_amps(dims, rng),
             omega),

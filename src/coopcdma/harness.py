@@ -287,7 +287,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         except TRIAL_FAILURES as exc:
             designs[kept[0]] = exc
         return designs
-    res = mmse.design(U, dims.hops, sigma2, np.stack(omegas), blocks, config)
+    res = mmse.design(U, dims.hops, sigma2, blocks, config, np.stack(omegas))
     for j, i in enumerate(kept):
         amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
         designs[i] = res.errors[j] or (res.W[j], amps)

@@ -369,8 +369,8 @@ def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
     return trials
 
 
-def design(U: np.ndarray, hops: int, sigma2: float, omega: np.ndarray,
-           blocks: int | None, config: MmseConfig | None) -> StackedDesign:
+def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
+           config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
     """Exact designs of T trials as one stack: U (T x stack x K*hops) and
     omega (T x K*hops x K*hops) hold each trial's waveforms and link-symbol
     correlation, all at one noise level sigma2.
@@ -447,7 +447,7 @@ def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
     sigma2 then bounds the eigenvalues of each receiver covariance from below,
     and the traced MSE takes the closed form of filter_step.
     """
-    res = design(U[None], hops, sigma2, omega[None], blocks, config)
+    res = design(U[None], hops, sigma2, blocks, config, omega[None])
     if res.errors[0] is not None:
         raise res.errors[0]
     W, amps, iterations = res.W[0], res.amps[0], int(res.iterations[0])

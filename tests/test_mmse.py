@@ -618,20 +618,28 @@ class TestCertifiedSolve:
         assert np.array_equal(x, [[1.0, 1.0], [0.0, 0.0], [3.0, 5.0]])
 
     @pytest.mark.parametrize("singular", ["certified", "uncertified"])
-    def test_one_singular_matrix_of_a_stack_falls_back_alone(self, singular,
-                                                             rng):
+    def test_one_singular_matrix_of_a_stack_falls_back_alone(
+            self, singular, rng, monkeypatch):
         """With matrix right-hand sides, a singular matrix of a stack goes to
-        the pseudoinverse alone, with one warning, whether its bound
-        certified it (LU then fails) or not; the others keep their LU
-        solutions byte for byte."""
+        the SVD path and the pseudoinverse alone, with one warning, whether
+        its bound certified it (LU then fails) or not; the others keep their
+        LU solutions byte for byte."""
         A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
         R = A @ A.conj().swapaxes(-1, -2) + np.eye(5)
         R[2] = 0.0 if singular == "certified" else 1e13 * np.ones((5, 5))
         rhs = rng.standard_normal((4, 5, 3)) + 0j
+        real, svd_path = mmse._cond_solve, []
+
+        def counted(R_i, rhs_i, what):
+            svd_path.append(R_i)
+            return real(R_i, rhs_i, what)
+
+        monkeypatch.setattr(mmse, "_cond_solve", counted)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             x = _checked_solve(R, rhs, "stacked", 1.0)
         assert [str(w.message).split(":")[0] for w in caught] == ["stacked"]
+        assert len(svd_path) == 1 and np.array_equal(svd_path[0], R[2])
         for i in (0, 1, 3):
             assert np.array_equal(x[i], np.linalg.solve(R[i], rhs[i]))
         np.testing.assert_allclose(x[2], np.linalg.pinv(R[2]) @ rhs[2])
@@ -689,7 +697,7 @@ class TestStackedDesign:
         blocks, config = ((None, None) if plan is None else
                           (dims.K // plan[0], cfg.mmse_config(plan[1])))
         stacked = mmse.design(np.stack([scn.U for scn in scns]), dims.hops,
-                              sigma2, np.stack(omegas), blocks, config)
+                              sigma2, blocks, config, np.stack(omegas))
         assert stacked.errors == [None] * len(scns)
         for t, (scn, omega) in enumerate(zip(scns, omegas)):
             W, amps = point.design(scn, scheme, cfg)
@@ -722,10 +730,10 @@ class TestStackedDesign:
         U = np.stack([scn.U for scn in scns])
         omega = np.stack([harness.scenario_omega(scn) for scn in scns])
         hops, sigma2 = scns[0].dims.hops, scns[0].sigma2
-        clean = mmse.design(U, hops, sigma2, omega, blocks, MmseConfig())
+        clean = mmse.design(U, hops, sigma2, blocks, MmseConfig(), omega)
         U[2] = (poisoned(U[2], np.nan, np.random.default_rng(0))
                 if poison == "nan U" else 0.0)
-        res = mmse.design(U, hops, sigma2, omega, blocks, MmseConfig())
+        res = mmse.design(U, hops, sigma2, blocks, MmseConfig(), omega)
         error = (IllConditionedError if poison == "nan U"
                  else DegenerateStateError)
         assert [type(e) for e in res.errors] == [type(None)] * 2 + [error] + [

@@ -28,9 +28,9 @@ VARIANTS = ("exact", "adaptive")
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
 # trials of a point drawn and designed at once, the desk trials per point: a
-# --full-scale point of 1000 trials holds at most 100 scenarios with their
-# designs (about 5 MB at the desk configuration) and designs them in stacks
-# of 100
+# --full-scale point of 1000 trials holds one chunk's scenarios and designs
+# at a time (at the desk configuration about 9 MB more peak RSS than one
+# trial at a time, the same at 100 and at 1000 trials per point)
 _DESIGN_CHUNK = 100
 
 
@@ -567,36 +567,40 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
     return draw_spreading_codes(users, cfg.chips, np.random.default_rng([cfg.seed, 0, users]))
 
 
+def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
+                   codes: np.ndarray, sigma2: float, trials: range):
+    """The packet of each of the given trials of one point, None for each
+    that diverged. The trials' scenarios are drawn first, each from its own
+    trial_rngs stream, and on the exact path designed as one stack
+    (PointDesigns) when the first packet asks for its design; a trial whose
+    design fails diverges alone."""
+    rngs = [trial_rngs(cfg.seed, t) for t in trials]
+    scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
+                               rng_ch, isi_enabled=cfg.isi)
+                 for rng_ch, *_ in rngs]
+    point = PointDesigns(scenarios) if cfg.variant == "exact" else None
+    for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
+        try:
+            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+        except TRIAL_FAILURES:
+            res = None
+        yield None if res is None or res.diverged else res
+
+
 def _run_point(cfg: ExperimentConfig, users: int, snr_db: float):
     """Every trial at one (users, SNR) point: the BERs of the packets that
     kept going, the number that diverged, and the kept packets' summed
-    per-symbol errors.
-
-    The trials run in chunks of _DESIGN_CHUNK: a chunk's scenarios are drawn
-    first, each from its own trial_rngs stream, and on the exact path
-    designed as one stack (PointDesigns) when the first packet asks for its
-    design. A trial whose draw fails its design diverges alone.
-    """
+    per-symbol errors. The trials run in chunks of _DESIGN_CHUNK
+    (_chunk_packets), one chunk's scenarios held at a time."""
     dims = cfg.dims(users)
     codes = codes_for(cfg, dims.K)
     sigma2 = snr_db_to_sigma2(snr_db)
     bers, divergences = [], 0
     per_symbol = np.zeros(dims.P, dtype=np.int64)
     for start in range(0, cfg.trials, _DESIGN_CHUNK):
-        rngs = [trial_rngs(cfg.seed, t)
-                for t in range(start, min(start + _DESIGN_CHUNK, cfg.trials))]
-        scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
-                                   rng_ch, isi_enabled=cfg.isi)
-                     for rng_ch, *_ in rngs]
-        point = PointDesigns(scenarios) if cfg.variant == "exact" else None
-        for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
-            try:
-                res = run_packet(cfg, scn, rng_data, rng_noise, rng_init,
-                                 point)
-            except TRIAL_FAILURES:
-                divergences += 1
-                continue
-            if res.diverged:
+        trials = range(start, min(start + _DESIGN_CHUNK, cfg.trials))
+        for res in _chunk_packets(cfg, dims, codes, sigma2, trials):
+            if res is None:
                 divergences += 1
                 continue
             bers.append(res.bit_errors / res.payload_bits)

@@ -49,17 +49,17 @@ def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
 class PowerRlsState:
     """Exponentially weighted LS state for the transmit amplitudes.
 
-    a_ls = N^-1 z solves the weighted normal equations, anchored at the
+    N and z are the weighted normal equations N a_ls = z, anchored at the
     initial allocation by N = delta*I, z = delta*a0; a is the emitted
-    allocation, a_ls projected onto the nonnegative-real budget sphere, never
-    fed back into N and z. Until `start` updates have passed the initial
-    (equal-power) allocation is emitted while statistics accumulate, so no
-    link is starved of excitation before the receiver and channel settle.
+    allocation, their solution a_ls (formed in power_update) projected onto
+    the nonnegative-real budget sphere, never fed back into N and z. Until
+    `start` updates have passed the initial (equal-power) allocation is
+    emitted while statistics accumulate, so no link is starved of excitation
+    before the receiver and channel settle.
     """
 
     N: np.ndarray
     z: np.ndarray
-    a_ls: np.ndarray  # internal unconstrained LS estimate
     a: np.ndarray  # emitted amplitudes, user-major over the block's links
     P_T: float  # budget of each block
     alpha: float
@@ -74,8 +74,8 @@ def init_power(a0: np.ndarray, P_T: float, alpha: float, delta: float,
     *blocks, n = a0.shape
     return PowerRlsState(N=np.tile(delta * np.eye(n, dtype=complex),
                                    (*blocks, 1, 1)), z=delta * a0,
-                         a_ls=a0.copy(), a=a0.copy(), P_T=P_T, alpha=alpha,
-                         lam=lam, start=start)
+                         a=a0.copy(), P_T=P_T, alpha=alpha, lam=lam,
+                         start=start)
 
 
 def _loading_weight(lam: float, alpha: float, dim: int) -> float:
@@ -113,10 +113,10 @@ def power_update(state: PowerRlsState, W: np.ndarray, U_hat: np.ndarray,
         state.N[..., i, i] += _loading_weight(state.lam, state.alpha, dim)
     state.t += 1
     check_finite(state.N, "power normal matrix")
-    state.a_ls = solve_normal(state.N, state.z, "power normal matrix")
-    check_finite(state.a_ls, "power estimate")
+    a_ls = solve_normal(state.N, state.z, "power normal matrix")
+    check_finite(a_ls, "power estimate")
     if state.t > state.start:  # the training hold has passed: emit a_ls
-        state.a = nonnegative_amplitudes(state.a_ls, state.P_T).astype(complex)
+        state.a = nonnegative_amplitudes(a_ls, state.P_T).astype(complex)
     return state.a
 
 

@@ -141,7 +141,6 @@ class Scenario:
     codes: np.ndarray
     x_sr: list  # per relay, M x K source-to-relay waveforms
     U: np.ndarray  # stack x K*hops true per-link waveform matrix
-    C_all: np.ndarray  # stack x K*hops*L stacked block signatures
     h_true: np.ndarray  # stacked effective destination-facing channels
     isi_enabled: bool = True
 
@@ -157,12 +156,22 @@ class Scenario:
         packets never solve them."""
         return [mmse_relay_bank(X, self.sigma2) for X in self.x_sr]
 
+    @cached_property
+    def C_all(self) -> np.ndarray:
+        """stack x K*hops*L stacked block signatures, user-major, each user's
+        convolution matrix once per hop on the diagonal: built from the codes
+        when an adaptive packet first uses them."""
+        eye = np.eye(self.dims.hops)
+        return np.hstack([np.kron(eye, build_convolution_matrix(code,
+                                                                self.dims.L))
+                          for code in self.codes])
+
 
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                   shadowing_std_db: float, rng: np.random.Generator,
                   isi_enabled: bool = True) -> Scenario:
-    K, L, n_r, hops = dims.K, dims.L, dims.n_r, dims.hops
-    conv = [build_convolution_matrix(codes[k], L) for k in range(K)]
+    K, L, n_r, hops, M = dims.K, dims.L, dims.n_r, dims.hops, dims.M
+    conv = np.hstack([build_convolution_matrix(code, L) for code in codes])
     # one channel per link and user, drawn in the order source-destination,
     # source-relay, relay-destination, each shadowed by a log-normal gain
     g = np.array([generate_multipath_channel(L, rng)
@@ -170,14 +179,18 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
     if shadowing_std_db != 0.0:
         g = g * 10.0 ** (shadowing_std_db
                          * rng.standard_normal((1 + 2 * n_r, K, 1)) / 20.0)
-    x_sr = [gpc.waveforms_from_channel(np.hstack(conv), g_j.reshape(-1), L)
-            for g_j in g[1:1 + n_r]]
+    # every draw's M x K waveforms in one map, the destination hops placed
+    # in U's diagonal blocks (hop j's rows, column k*hops + j)
+    X = gpc.waveforms_from_channel(np.broadcast_to(conv, (1 + 2 * n_r, M, K * L)),
+                                   g.reshape(1 + 2 * n_r, K * L), L)
+    dest = np.concatenate([X[:1], X[1 + n_r:]])
+    U = np.zeros((hops, M, K, hops), dtype=complex)
+    U[np.arange(hops), :, :, np.arange(hops)] = dest
     # destination-facing links, user-major, hop-major, L taps per link
     h_true = np.concatenate([g[:1], g[1 + n_r:]]).transpose(1, 0, 2).reshape(-1)
-    C_all = np.hstack([np.kron(np.eye(hops), conv[k]) for k in range(K)])
-    U = gpc.waveforms_from_channel(C_all, h_true, L)
-    return Scenario(dims=dims, sigma2=sigma2, codes=codes, x_sr=x_sr, U=U,
-                    C_all=C_all, h_true=h_true, isi_enabled=isi_enabled)
+    return Scenario(dims=dims, sigma2=sigma2, codes=codes,
+                    x_sr=list(X[1:1 + n_r]), U=U.reshape(dims.stack, K * hops),
+                    h_true=h_true, isi_enabled=isi_enabled)
 
 
 def _noise_matrix(shape, sigma2: float, rng: np.random.Generator,
@@ -259,8 +272,8 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     (scenario_omega) or its own design in the stack (mmse.design).
 
     A lone scenario with a power step designs through mmse.alternate, the
-    stack of one, whose result carries its iteration count and convergence
-    flag. The equal-power schemes get complex equal amplitudes.
+    stack of one, with the same bits as mmse.design. The equal-power schemes
+    get complex equal amplitudes.
     """
     dims, sigma2 = scenarios[0].dims, scenarios[0].sigma2
     designs, omegas = [], []
@@ -280,6 +293,8 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     else:
         blocks, config = dims.K // plan[0], cfg.mmse_config(plan[1])
     if plan is not None and len(kept) == 1:
+        # kept only because the benchmark's tracer counts alternation
+        # iterations and convergence through mmse.alternate calls
         try:
             res = mmse.alternate(U[0], dims.hops, sigma2, blocks, config,
                                  omegas[0])
@@ -340,26 +355,6 @@ def _filtered_noise(W: np.ndarray, sigma2: float, P: int,
     return R.conj().T @ _noise_matrix((R.shape[0], P), sigma2, rng)
 
 
-def _add_destination_frames(out: np.ndarray, scn: Scenario, S: np.ndarray,
-                            amps: np.ndarray,
-                            left: np.ndarray | None = None) -> None:
-    """Add every hop's frames to the stacked destination windows out, or,
-    with a left factor (J x stack), to out = left times those windows.
-
-    S holds the hops x K per-hop symbols of out's columns plus one neighbour
-    column on each side; amps is the K x hops amplitude matrix.
-    """
-    M, hops = scn.dims.M, scn.dims.hops
-    for j in range(hops):
-        rows = slice(j * M, (j + 1) * M)
-        X = scn.U[rows, j::hops]
-        if left is None:
-            add_hop_frames(out[rows], X, S[j], amps[:, j:j + 1], scn.spill)
-        else:
-            add_hop_frames(out, X, S[j], amps[:, j:j + 1], scn.spill,
-                           left[:, rows])
-
-
 def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
                              t1: int) -> np.ndarray:
     """Each destination-facing link's frames at unit amplitude for symbols
@@ -391,7 +386,11 @@ def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
         add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
         S[j + 1, :, 1:-1] = y * g[:, None]
     soft = _filtered_noise(W, scn.sigma2, P, rng_noise)
-    _add_destination_frames(soft, scn, S, amps, W.conj().T)
+    M, hops, left = scn.dims.M, scn.dims.hops, W.conj().T
+    for j in range(hops):
+        rows = slice(j * M, (j + 1) * M)
+        add_hop_frames(soft, scn.U[rows, j::hops], S[j], amps[:, j:j + 1],
+                       scn.spill, left[:, rows])
     return soft
 
 

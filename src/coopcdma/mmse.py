@@ -8,8 +8,9 @@ Every design entry takes Omega. Receiver and power steps depend on each other
 and are alternated to a fixed point. Every user's power budget is 1. The
 power constraint is a partition into B equal contiguous user blocks (1:
 global, K: individual budgets), a block's budget being its number of users;
-the power step is one regularized solve over all blocks, each projected onto
-its nonnegative-real budget sphere, as in the adaptive path.
+the power step is one regularized solve over all blocks (_real_power_solve),
+then each block's projection onto its nonnegative-real budget sphere
+(nonnegative_amplitudes), as in the adaptive path.
 
 The design works in link coordinates (K*hops of them), not in the stack of
 chips: U enters only through the Gram matrix U^H U, and with Omega = F F^H the
@@ -19,10 +20,10 @@ link responses U^H W, so W itself is formed once, after the alternation.
 build_statistics and total_mse assemble the stacked statistics; they score
 a design, they are not part of it.
 
-The design steps (link_factors, filter_step, power_terms, power_step) take a
-leading trial axis, so that design solves the designs of T independent trials
-(of one SNR point) as one stack; each trial's arithmetic is the same as on a
-stack of one, which alternate and receiver are.
+The design steps (link_factors, filter_step, power_terms, _real_power_solve,
+nonnegative_amplitudes) take a leading trial axis, so that design solves the
+designs of T independent trials (of one SNR point) as one stack; each trial's
+arithmetic is the same as on a stack of one, which alternate is.
 """
 
 from __future__ import annotations
@@ -243,28 +244,6 @@ def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
     return DF @ C, mse
 
 
-def receiver(U: np.ndarray, hops: int, sigma2: float, amps: np.ndarray,
-             omega: np.ndarray) -> np.ndarray:
-    """Joint MMSE filter matrix W = R^-1 P_ch at fixed amplitudes amps (K x
-    hops), solved in link coordinates: filter_step on a stack of one."""
-    gram, F = link_factors(U[None], omega[None])
-    return U @ filter_step(gram, F, hops, sigma2, amps[None])[0][0]
-
-
-def project_sphere(a: np.ndarray, budget: float) -> np.ndarray:
-    """Rescale each real vector along the last axis so that its squared norm
-    equals the power budget."""
-    sq_norms = np.einsum("...i,...i->...", a, a)
-    if not sq_norms.all():
-        raise DegenerateStateError("zero-norm amplitude vector at projection")
-    return _rescaled(a, budget, sq_norms)
-
-
-def _rescaled(a: np.ndarray, budget: float,
-              sq_norms: np.ndarray) -> np.ndarray:
-    return a * (math.sqrt(budget) / np.sqrt(sq_norms))[..., None]
-
-
 def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     """Project each vector along the last axis onto the nonnegative-real
     sphere of the given power budget.
@@ -273,14 +252,18 @@ def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     receiver's job (each link occupies its own block of the stacked
     observation), so the phase content of an unconstrained solution is pure
     gauge freedom and is discarded. A vector whose real part clips to zero
-    falls back to its magnitudes.
+    falls back to its magnitudes; a vector still of zero norm raises
+    DegenerateStateError.
     """
     a_r = np.maximum(a.real, 0.0)
     sq_norms = np.einsum("...i,...i->...", a_r, a_r)
-    if sq_norms.all():  # no block clipped to zero: project_sphere's result
-        return _rescaled(a_r, budget, sq_norms)
-    kept = a_r.any(axis=-1)
-    return project_sphere(np.where(kept[..., None], a_r, np.abs(a)), budget)
+    if not sq_norms.all():
+        a_r = np.where(a_r.any(axis=-1)[..., None], a_r, np.abs(a))
+        sq_norms = np.einsum("...i,...i->...", a_r, a_r)
+        if not sq_norms.all():
+            raise DegenerateStateError(
+                "zero-norm amplitude vector at projection")
+    return a_r * (math.sqrt(budget) / np.sqrt(sq_norms))[..., None]
 
 
 def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarray:
@@ -295,16 +278,6 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
     dim = R_a.shape[-1]
     return _checked_solve(np.real(R_a) + lam * np.eye(dim), np.real(p_a),
                           "power covariance", lam)
-
-
-def power_step(R_a: np.ndarray, p_a: np.ndarray, lam: float,
-               block_budget: float) -> np.ndarray:
-    """Regularized power step of every amplitude block (power_terms) in one
-    stacked solve, each block projected to nonnegative reals on the sphere of
-    block_budget (its number of users); returns the (..., B, n) block
-    amplitudes of R_a's (..., B, n, n) blocks."""
-    return nonnegative_amplitudes(_real_power_solve(R_a, p_a, lam),
-                                  block_budget)
 
 
 def total_mse(U: np.ndarray, hops: int, sigma2: float,
@@ -333,7 +306,8 @@ class StackedDesign:
 
     W: np.ndarray  # T x stack x K
     amps: np.ndarray  # T x K x hops, real
-    mse_trace: np.ndarray  # T x max_iters, nan after a trial's last iteration
+    # T x (largest iteration count), nan after a trial's last iteration
+    mse_trace: np.ndarray
     iterations: np.ndarray  # T, 0 without a power step
     converged: np.ndarray  # T
     errors: list
@@ -352,9 +326,7 @@ def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
     by trial. When the stack raises IllConditionedError or
     DegenerateStateError, each trial steps alone, a stack of one with the
     same arithmetic, so that a failure fails only its own trial: errors[t]
-    records it and t is left out of the trials returned. (A pseudoinverse
-    warning issued before the stack raised is issued again by its trial's
-    own step.)
+    records it and t is left out of the trials returned.
     """
     try:
         values = step(trials)
@@ -379,8 +351,10 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
     filters of the equal-power amplitudes. With blocks the trials alternate
     filter and power steps as alternate describes, each frozen once its
     stopping test passes; the test takes np.linalg.norm per trial, so every
-    trial's iterations, amplitudes and filters are those it gets alone. A
-    trial whose step fails is dropped from the stack (_each_trial).
+    trial's iterations, amplitudes and filters are those it gets alone. Each
+    step, the power step's solve and its projection apart, is guarded on its
+    own (_each_trial): a trial whose step fails is dropped from the stack,
+    and only that step reruns.
     """
     trials, stack, cols = U.shape
     K = cols // hops
@@ -389,13 +363,14 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
     max_iters = 0 if blocks is None else config.max_iters
     errors = [None] * trials
     amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
+    a_ls = np.empty_like(amps)
     a_new = np.empty_like(amps)
     gram = np.empty((trials, cols, cols), dtype=complex)
     F = np.empty_like(gram)
     Y = np.empty((trials, cols, K), dtype=complex)
     mse = np.empty(trials)
     W = np.full((trials, stack, K), np.nan, dtype=complex)
-    trace = np.full((trials, max_iters), np.nan)
+    trace = []  # per iteration, the MSE of each trial that completed it
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
 
@@ -407,11 +382,16 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
         active = _each_trial(
             lambda t: filter_step(gram[t], F[t], hops, sigma2, amps[t]),
             active, errors, (Y, mse))
-        trace[active, it - 1] = mse[active]
-        active = _each_trial(lambda t: (power_step(
+        active = _each_trial(lambda t: (_real_power_solve(
             *power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks),
-            config.lam, float(K // blocks)).reshape(-1, K, hops),),
-            active, errors, (a_new,))
+            config.lam).reshape(-1, K, hops),), active, errors, (a_ls,))
+        # each block projected onto the sphere of its number of users
+        active = _each_trial(lambda t: (nonnegative_amplitudes(
+            a_ls[t].reshape(len(t), blocks, -1),
+            float(K // blocks)).reshape(-1, K, hops),), active, errors, (a_new,))
+        if active.size:
+            trace.append(np.full(trials, np.nan))
+            trace[-1][active] = mse[active]
         done = np.array([np.linalg.norm(a_new[t] - amps[t])
                          / max(np.linalg.norm(amps[t]), 1e-30) < config.tol
                          for t in active], dtype=bool)
@@ -425,7 +405,8 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
                                                   amps[t])[0],),
                     live, errors, (W,))
     amps[[errors[t] is not None for t in range(trials)]] = np.nan
-    return StackedDesign(W=W, amps=amps, mse_trace=trace,
+    return StackedDesign(W=W, amps=amps,
+                         mse_trace=np.reshape(trace, (-1, trials)).T,
                          iterations=iterations, converged=converged,
                          errors=errors)
 

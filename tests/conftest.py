@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from coopcdma.model import (SystemDims, build_convolution_matrix,
-                            draw_spreading_codes, generate_multipath_channel)
+from coopcdma.model import (SystemDims, add_hop_frames,
+                            build_convolution_matrix, draw_spreading_codes,
+                            generate_multipath_channel)
 
 
 @pytest.fixture
@@ -27,6 +28,21 @@ def make_link_pieces(dims: SystemDims, rng: np.random.Generator):
             h[k, j] = generate_multipath_channel(dims.L, rng)
             X[j][:, k] = D @ h[k, j]
     return codes, h, X
+
+
+def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
+                           amps: np.ndarray) -> None:
+    """Add every hop's frames to the stacked destination chip windows out:
+    the chip-window oracle of the filtered and per-link frame builders.
+
+    S holds the hops x K per-hop symbols of out's columns plus one neighbour
+    column on each side; amps is the K x hops amplitude matrix.
+    """
+    M, hops = scn.dims.M, scn.dims.hops
+    for j in range(hops):
+        rows = slice(j * M, (j + 1) * M)
+        add_hop_frames(out[rows], scn.U[rows, j::hops], S[j], amps[:, j:j + 1],
+                       scn.spill)
 
 
 def poisoned(A: np.ndarray, value: complex,

@@ -52,7 +52,7 @@ class TestAcceptance:
             Z = alpha * Z + np.outer(r, b.conj())
             worst = max(worst, np.abs(rx.W - np.linalg.solve(Nm, Z)).max())
 
-        # constrained power recursion (internal LS state, cycled loading)
+        # constrained power recursion (emitted allocation, cycled loading)
         dim = K * hops
         a0 = np.full(dim, 1.0 / np.sqrt(hops))
         pw = gpc.init_power(a0, float(K), alpha, delta, lam=lam, start=0)
@@ -74,7 +74,8 @@ class TestAcceptance:
             e = np.zeros(dim)
             e[t % dim] = 1.0
             Na += gpc._loading_weight(lam, alpha, dim) * np.outer(e, e)
-            worst = max(worst, np.abs(pw.a_ls - np.linalg.solve(Na, za)).max())
+            worst = max(worst, np.abs(pw.a - mmse.nonnegative_amplitudes(
+                np.linalg.solve(Na, za), float(K))).max())
 
         # channel estimator recursion
         cdim = K * hops * L

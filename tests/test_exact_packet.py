@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import add_destination_frames
 from coopcdma import harness
 
 
@@ -18,7 +19,7 @@ def chip_soft_outputs(scn, W, amps, S, rng_noise):
     for j, (R, (Wr, g)) in enumerate(zip(relay_obs, scn.relay_banks)):
         S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
     frames = harness._noise_matrix((dims.stack, dims.P), scn.sigma2, rng_noise)
-    harness._add_destination_frames(frames, scn, S, amps)
+    add_destination_frames(frames, scn, S, amps)
     return W.conj().T @ frames
 
 

@@ -10,10 +10,9 @@ from coopcdma import harness, mmse
 from coopcdma.errors import DegenerateStateError, IllConditionedError
 from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
                            _real_power_solve, alternate, build_statistics,
-                           equal_power_amps, link_factors,
-                           nonnegative_amplitudes,
-                           power_step, power_terms, project_sphere, receiver,
-                           relay_omega, total_mse)
+                           equal_power_amps, filter_step, link_factors,
+                           nonnegative_amplitudes, power_terms, relay_omega,
+                           total_mse)
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
                             modulate_qpsk)
@@ -43,6 +42,13 @@ def receiver_global(stats, floor=0.0):
     """Joint MMSE filters W = R^-1 P_ch solved in the stacked chip space: the
     oracle for the link-coordinate receiver."""
     return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
+
+
+def receiver(U, hops, sigma2, amps, omega):
+    """Joint MMSE filter matrix W = R^-1 P_ch at fixed amplitudes amps (K x
+    hops), solved in link coordinates: filter_step on a stack of one."""
+    gram, F = link_factors(U[None], omega[None])
+    return U @ filter_step(gram, F, hops, sigma2, amps[None])[0][0]
 
 
 def relative_error(got, ref):
@@ -347,14 +353,9 @@ class TestPowerQuadratics:
 
 
 class TestProjections:
-    def test_sphere_norm(self, rng):
-        a = rng.standard_normal(6)
-        proj = project_sphere(a, 4.0)
-        assert abs(np.linalg.norm(proj) ** 2 - 4.0) < 1e-12
-
     def test_sphere_zero_raises(self):
         with pytest.raises(DegenerateStateError):
-            project_sphere(np.zeros(3), 1.0)
+            nonnegative_amplitudes(np.zeros(3), 1.0)
 
     def test_nonnegative_real_output(self, rng):
         a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -402,13 +403,13 @@ class TestProjections:
         a[2] = 0.0
         with pytest.raises(DegenerateStateError):
             nonnegative_amplitudes(a, 1.0)
-        with pytest.raises(DegenerateStateError):
-            project_sphere(a, 1.0)
 
     def test_identity_covariance_follows_cross_correlation(self):
         """With R_a = I and λ = 0 the power step is the projected p_a."""
         p = np.array([0.9, 0.1, 0.4, 0.2])
-        a = power_step(np.eye(4)[None], p.astype(complex)[None], 0.0, 2.0)
+        a = nonnegative_amplitudes(
+            _real_power_solve(np.eye(4)[None], p.astype(complex)[None], 0.0),
+            2.0)
         np.testing.assert_allclose(a, [p * np.sqrt(2.0) / np.linalg.norm(p)],
                                    atol=1e-12)
 
@@ -596,7 +597,7 @@ class TestCertifiedSolve:
         per_block = np.stack([_real_power_solve(R_k, p_k, lam) for R_k, p_k
                               in zip(R_a, p_a)])
         assert np.array_equal(stacked, per_block)
-        assert np.array_equal(power_step(R_a, p_a, lam, 1.0), np.stack(
+        assert np.array_equal(nonnegative_amplitudes(stacked, 1.0), np.stack(
             [nonnegative_amplitudes(a_k, 1.0) for a_k in per_block]))
 
     def test_floor_too_small_to_certify_takes_cond_path(self, rng):
@@ -745,6 +746,40 @@ class TestStackedDesign:
             assert res.iterations[t] == clean.iterations[t]
         with pytest.raises(error):
             alternate(U[2], hops, sigma2, blocks, MmseConfig(), omega[2])
+
+
+class TestStackedDesignSteps:
+    def test_failed_projection_reruns_only_the_projection(self):
+        """The power step's solve and projection are guarded apart: when the
+        projection fails one trial of a stack, the solve is not run again, so
+        a zero-waveform trial's pseudoinverse solve (lam = 0) warns once, and
+        that trial alone fails at the projection."""
+        scns = point_scenarios(1, 6.0, trials=2)
+        U = np.stack([scn.U for scn in scns])
+        U[1] = 0.0
+        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        with pytest.warns(RuntimeWarning, match="using pseudoinverse") as caught:
+            res = mmse.design(U, scns[0].dims.hops, scns[0].sigma2, 1,
+                              MmseConfig(lam=0.0), omega)
+        assert len(caught) == 1
+        assert res.errors[0] is None
+        assert isinstance(res.errors[1], DegenerateStateError)
+
+    def test_trace_holds_the_iterations_run(self):
+        """The MSE trace has one column per iteration run, however large
+        max_iters is."""
+        scns = point_scenarios(1, 6.0, trials=2)
+        res = mmse.design(np.stack([scn.U for scn in scns]),
+                          scns[0].dims.hops, scns[0].sigma2, 1,
+                          MmseConfig(max_iters=10**6),
+                          np.stack([harness.scenario_omega(scn)
+                                    for scn in scns]))
+        assert res.converged.all()
+        assert res.mse_trace.shape == (2, res.iterations.max())
+        for t in range(2):
+            n = res.iterations[t]
+            assert np.isfinite(res.mse_trace[t, :n]).all()
+            assert np.isnan(res.mse_trace[t, n:]).all()
 
 
 class TestConfigValidation:

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_link_pieces
+from conftest import add_destination_frames, make_link_pieces
+from coopcdma import harness
 from coopcdma.gpc import waveforms_from_channel
-from coopcdma.harness import (_FRAME_CHUNK, _add_destination_frames,
-                              _destination_link_frames, _noise_matrix,
-                              draw_scenario)
+from coopcdma.harness import (_FRAME_CHUNK, _destination_link_frames,
+                              _noise_matrix, draw_scenario)
 from coopcdma.model import (SystemDims, add_hop_frames,
                             build_convolution_matrix, demodulate_qpsk,
                             draw_spreading_codes, generate_multipath_channel,
@@ -38,7 +38,7 @@ def hop_symbols(dims, cols, rng):
 def destination_frames(scn, S, amps):
     """Noise-free stacked destination windows of S's inner columns."""
     out = np.zeros((scn.dims.stack, S.shape[-1] - 2), dtype=complex)
-    _add_destination_frames(out, scn, S, amps)
+    add_destination_frames(out, scn, S, amps)
     return out
 
 
@@ -219,7 +219,7 @@ class TestReceivedFrame:
         amps = np.array([[0.8, 0.6], [0.5, 0.9]])
         noise = _noise_matrix((dims.stack, 1), 0.5, rng)
         total = noise.copy()
-        _add_destination_frames(total, scn, S, amps)
+        add_destination_frames(total, scn, S, amps)
         own, neighbours = S.copy(), S.copy()
         own[:, :, [0, 2]] = 0
         neighbours[:, :, 1] = 0
@@ -274,7 +274,7 @@ class TestIsi:
 class TestLinkFrames:
     """The adaptive destination's windows, noise-free: each chunk of
     unit-amplitude link frames times the amplitudes equals the per-symbol
-    windows of _add_destination_frames, the chip-window oracle."""
+    windows of add_destination_frames, the chip-window oracle."""
 
     def test_stacked_hops_equal_one_call_per_hop(self, rng):
         """add_hop_frames on a (K, M, 1) stack of one-user hops gives each
@@ -310,7 +310,7 @@ class TestLinkFrames:
         # either side of a chunk boundary included
         for t in range(P):
             oracle = np.zeros((dims.stack, 1), dtype=complex)
-            _add_destination_frames(oracle, scn, S[:, :, t:t + 3], amps)
+            add_destination_frames(oracle, scn, S[:, :, t:t + 3], amps)
             np.testing.assert_allclose(windows[t], oracle[:, 0], rtol=0,
                                        atol=1e-13 * np.abs(oracle).max())
 
@@ -338,16 +338,21 @@ class TestLeftFactor:
             np.testing.assert_allclose(out, left @ chip, rtol=0,
                                        atol=1e-12 * np.abs(left @ chip).max())
 
-    def test_destination_frames_with_left_factor(self, rng):
-        dims = SystemDims(K=2, N=8, L=3, n_r=2)
+    def test_destination_frames_with_left_factor(self, rng, monkeypatch):
+        """The exact packet's noise-free outputs, its frames built through
+        the filters as a left factor, are the filters times the chip
+        windows of the symbols its relays forwarded."""
+        dims = SystemDims(K=2, N=8, L=3, n_r=2, P=5)
         scn = scenario(dims, rng)
         S = hop_symbols(dims, 5, rng)
         amps = np.array([[0.8, 0.6, 0.3], [0.5, 0.9, 0.7]])
         left = (rng.standard_normal((2, dims.stack))
                 + 1j * rng.standard_normal((2, dims.stack)))
+        monkeypatch.setattr(harness, "_filtered_noise",
+                            lambda W, sigma2, P, rng: np.zeros(
+                                (W.shape[1], P), dtype=complex))
+        out = harness.exact_soft_outputs(scn, left.conj().T, amps, S, rng)
         ref = left @ destination_frames(scn, S, amps)
-        out = np.zeros((2, 5), dtype=complex)
-        _add_destination_frames(out, scn, S, amps, left)
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
@@ -413,6 +418,20 @@ class TestEffectiveWaveforms:
             assert np.array_equal(waveforms_from_channel(scn.C_all, taps, L), U)
         assert np.array_equal(scn.U, waveforms_from_channel(scn.C_all,
                                                             scn.h_true, L))
+
+    @pytest.mark.parametrize("K,n_r", [(1, 0), (2, 1), (4, 2)])
+    def test_drawn_waveforms_equal_the_block_signature_map(self, K, n_r):
+        """U, placed hop by hop from one map of every channel draw, has the
+        bytes of the map of the stacked block signatures built by kron, its
+        zero blocks at +0.0 included."""
+        rng = np.random.default_rng(K + n_r)
+        dims = SystemDims(K=K, N=16, L=3, n_r=n_r)
+        scn = scenario(dims, rng)
+        C_all = np.hstack([np.kron(np.eye(dims.hops), D)
+                           for D in conv_mats(scn)])
+        oracle = waveforms_from_channel(C_all, scn.h_true, dims.L)
+        assert scn.U.tobytes() == oracle.tobytes()
+        assert scn.C_all.tobytes() == C_all.tobytes()
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("blocks", [(), (3,)])

@@ -6,6 +6,7 @@ import pytest
 from conftest import poisoned
 from coopcdma import gpc, rlscore
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
+from coopcdma.mmse import nonnegative_amplitudes
 from coopcdma.model import (build_convolution_matrix, draw_spreading_codes,
                             modulate_qpsk)
 
@@ -180,8 +181,10 @@ class TestPowerRecursion:
                 e = np.zeros(dim)
                 e[t % dim] = 1.0
                 N += gpc._loading_weight(lam, alpha, dim) * np.outer(e, e)
-            np.testing.assert_allclose(state.a_ls, np.linalg.solve(N, z),
-                                       atol=1e-8)
+            np.testing.assert_allclose(state.N, N, atol=1e-8)
+            np.testing.assert_allclose(
+                state.a, nonnegative_amplitudes(np.linalg.solve(N, z), P_T),
+                atol=1e-8)
         return state
 
     def test_dense_weighted_oracle_without_loading(self, rng):

@@ -11,6 +11,7 @@ import pytest
 
 from coopcdma import gpc, harness
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
+from coopcdma.mmse import nonnegative_amplitudes
 from coopcdma.model import modulate_qpsk
 
 
@@ -92,8 +93,10 @@ class TestUserPowerRecursion:
             e = np.zeros(hops)
             e[t % hops] = 1.0
             N += gpc._loading_weight(lam, alpha, hops) * np.outer(e, e)
-            np.testing.assert_allclose(state.a_ls, np.linalg.solve(N, z),
-                                       atol=1e-8)
+            np.testing.assert_allclose(state.N, N, atol=1e-8)
+            np.testing.assert_allclose(
+                state.a, nonnegative_amplitudes(np.linalg.solve(N, z), 1.0),
+                atol=1e-8)
 
     def test_budget_met_every_update(self, rng):
         hops, stack = 3, 7
@@ -198,8 +201,8 @@ class TestStackedBlocks:
             for b, single in enumerate(singles):
                 a_b = gpc.power_update(single, W[b], U_hat[b], s[b], ref[b])
                 np.testing.assert_allclose(a[b], a_b, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(stacked.a_ls[b], single.a_ls,
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.z[b], single.z, rtol=0,
+                                           atol=1e-12)
                 np.testing.assert_allclose(stacked.N[b], single.N, rtol=0,
                                            atol=1e-12)
         assert np.abs(a - a0).max() > 0  # the hold has been released

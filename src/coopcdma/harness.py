@@ -162,16 +162,20 @@ class Scenario:
         convolution matrix once per hop on the diagonal: built from the codes
         when an adaptive packet first uses them."""
         eye = np.eye(self.dims.hops)
-        return np.hstack([np.kron(eye, build_convolution_matrix(code,
-                                                                self.dims.L))
-                          for code in self.codes])
+        return np.hstack([np.kron(eye, D) for D in np.hsplit(
+            _signatures(self.codes, self.dims.L), self.dims.K)])
+
+
+def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
+    """M x K*L: each user's M x L convolution matrix, user-major."""
+    return np.hstack([build_convolution_matrix(code, L) for code in codes])
 
 
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                   shadowing_std_db: float, rng: np.random.Generator,
                   isi_enabled: bool = True) -> Scenario:
     K, L, n_r, hops, M = dims.K, dims.L, dims.n_r, dims.hops, dims.M
-    conv = np.hstack([build_convolution_matrix(code, L) for code in codes])
+    conv = _signatures(codes, L)
     # one channel per link and user, drawn in the order source-destination,
     # source-relay, relay-destination, each shadowed by a log-normal gain
     g = np.array([generate_multipath_channel(L, rng)

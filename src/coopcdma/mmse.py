@@ -306,7 +306,8 @@ class StackedDesign:
 
     W: np.ndarray  # T x stack x K
     amps: np.ndarray  # T x K x hops, real
-    # T x (largest iteration count), nan after a trial's last iteration
+    # T x (most filter steps any trial took), each trial's filter-step MSE
+    # per iteration it entered, nan after
     mse_trace: np.ndarray
     iterations: np.ndarray  # T, 0 without a power step
     converged: np.ndarray  # T
@@ -370,7 +371,7 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
     Y = np.empty((trials, cols, K), dtype=complex)
     mse = np.empty(trials)
     W = np.full((trials, stack, K), np.nan, dtype=complex)
-    trace = []  # per iteration, the MSE of each trial that completed it
+    trace = []  # per iteration, the MSE of each trial's filter step
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
 
@@ -382,6 +383,9 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
         active = _each_trial(
             lambda t: filter_step(gram[t], F[t], hops, sigma2, amps[t]),
             active, errors, (Y, mse))
+        if active.size:
+            trace.append(np.full(trials, np.nan))
+            trace[-1][active] = mse[active]
         active = _each_trial(lambda t: (_real_power_solve(
             *power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks),
             config.lam).reshape(-1, K, hops),), active, errors, (a_ls,))
@@ -389,9 +393,6 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
         active = _each_trial(lambda t: (nonnegative_amplitudes(
             a_ls[t].reshape(len(t), blocks, -1),
             float(K // blocks)).reshape(-1, K, hops),), active, errors, (a_new,))
-        if active.size:
-            trace.append(np.full(trials, np.nan))
-            trace[-1][active] = mse[active]
         done = np.array([np.linalg.norm(a_new[t] - amps[t])
                          / max(np.linalg.norm(amps[t]), 1e-30) < config.tol
                          for t in active], dtype=bool)

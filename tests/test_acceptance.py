@@ -52,7 +52,8 @@ class TestAcceptance:
             Z = alpha * Z + np.outer(r, b.conj())
             worst = max(worst, np.abs(rx.W - np.linalg.solve(Nm, Z)).max())
 
-        # constrained power recursion (emitted allocation, cycled loading)
+        # constrained power recursion (normal equations, cycled loading,
+        # emitted allocation)
         dim = K * hops
         a0 = np.full(dim, 1.0 / np.sqrt(hops))
         pw = gpc.init_power(a0, float(K), alpha, delta, lam=lam, start=0)
@@ -74,8 +75,10 @@ class TestAcceptance:
             e = np.zeros(dim)
             e[t % dim] = 1.0
             Na += gpc._loading_weight(lam, alpha, dim) * np.outer(e, e)
-            worst = max(worst, np.abs(pw.a - mmse.nonnegative_amplitudes(
-                np.linalg.solve(Na, za), float(K))).max())
+            worst = max(worst, np.abs(pw.N - Na).max(),
+                        np.abs(pw.z - za).max(),
+                        np.abs(pw.a - mmse.nonnegative_amplitudes(
+                            np.linalg.solve(Na, za), float(K))).max())
 
         # channel estimator recursion
         cdim = K * hops * L

@@ -753,7 +753,8 @@ class TestStackedDesignSteps:
         """The power step's solve and projection are guarded apart: when the
         projection fails one trial of a stack, the solve is not run again, so
         a zero-waveform trial's pseudoinverse solve (lam = 0) warns once, and
-        that trial alone fails at the projection."""
+        that trial alone fails at the projection, keeping the MSE of the
+        filter step it passed."""
         scns = point_scenarios(1, 6.0, trials=2)
         U = np.stack([scn.U for scn in scns])
         U[1] = 0.0
@@ -764,6 +765,8 @@ class TestStackedDesignSteps:
         assert len(caught) == 1
         assert res.errors[0] is None
         assert isinstance(res.errors[1], DegenerateStateError)
+        assert np.isfinite(res.mse_trace[1, 0])
+        assert np.isnan(res.mse_trace[1, 1:]).all()
 
     def test_trace_holds_the_iterations_run(self):
         """The MSE trace has one column per iteration run, however large

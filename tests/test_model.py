@@ -401,7 +401,10 @@ class TestEffectiveWaveforms:
     @pytest.mark.parametrize("K,n_r", [(1, 0), (2, 1), (4, 2)])
     def test_map_equals_per_link_products(self, K, n_r):
         """The waveform map reproduces the per-link conv_k @ h_link loop
-        bit for bit, for the true channels and for arbitrary estimates."""
+        bit for bit, for the true channels and for arbitrary estimates; the
+        drawn U, placed hop by hop from one map of every channel draw, has
+        the bytes of the map of the block signatures built by kron, its zero
+        blocks at +0.0 included."""
         rng = np.random.default_rng(10 * K + n_r)
         dims = SystemDims(K=K, N=16, L=3, n_r=n_r)
         scn = scenario(dims, rng)
@@ -416,22 +419,10 @@ class TestEffectiveWaveforms:
                     link = k * hops + j
                     U[j * M:(j + 1) * M, link] = conv[k] @ taps[link * L:(link + 1) * L]
             assert np.array_equal(waveforms_from_channel(scn.C_all, taps, L), U)
-        assert np.array_equal(scn.U, waveforms_from_channel(scn.C_all,
-                                                            scn.h_true, L))
-
-    @pytest.mark.parametrize("K,n_r", [(1, 0), (2, 1), (4, 2)])
-    def test_drawn_waveforms_equal_the_block_signature_map(self, K, n_r):
-        """U, placed hop by hop from one map of every channel draw, has the
-        bytes of the map of the stacked block signatures built by kron, its
-        zero blocks at +0.0 included."""
-        rng = np.random.default_rng(K + n_r)
-        dims = SystemDims(K=K, N=16, L=3, n_r=n_r)
-        scn = scenario(dims, rng)
-        C_all = np.hstack([np.kron(np.eye(dims.hops), D)
-                           for D in conv_mats(scn)])
-        oracle = waveforms_from_channel(C_all, scn.h_true, dims.L)
-        assert scn.U.tobytes() == oracle.tobytes()
+        C_all = np.hstack([np.kron(np.eye(hops), D) for D in conv])
         assert scn.C_all.tobytes() == C_all.tobytes()
+        oracle = waveforms_from_channel(C_all, scn.h_true, L)
+        assert scn.U.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("blocks", [(), (3,)])

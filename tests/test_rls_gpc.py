@@ -182,6 +182,7 @@ class TestPowerRecursion:
                 e[t % dim] = 1.0
                 N += gpc._loading_weight(lam, alpha, dim) * np.outer(e, e)
             np.testing.assert_allclose(state.N, N, atol=1e-8)
+            np.testing.assert_allclose(state.z, z, atol=1e-8)
             np.testing.assert_allclose(
                 state.a, nonnegative_amplitudes(np.linalg.solve(N, z), P_T),
                 atol=1e-8)

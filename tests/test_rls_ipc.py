@@ -94,6 +94,7 @@ class TestUserPowerRecursion:
             e[t % hops] = 1.0
             N += gpc._loading_weight(lam, alpha, hops) * np.outer(e, e)
             np.testing.assert_allclose(state.N, N, atol=1e-8)
+            np.testing.assert_allclose(state.z, z, atol=1e-8)
             np.testing.assert_allclose(
                 state.a, nonnegative_amplitudes(np.linalg.solve(N, z), 1.0),
                 atol=1e-8)

@@ -4,8 +4,9 @@ Three coupled recursions share state across a packet: an RLS receiver-matrix
 update driven by the stacked observation, a constrained power-vector update
 that solves its weighted normal equations and projects onto the budget sphere
 as the exact power step does, and a joint RLS channel estimator over all users
-and links. Power and channel run on a leading axis of B user blocks: one
-block of all K users under the global budget, or K one-user blocks (ipc).
+and links, solved hop by hop. Power and channel run on a leading axis of B
+user blocks: one block of all K users under the global budget, or K one-user
+blocks (ipc).
 """
 
 from __future__ import annotations
@@ -128,30 +129,40 @@ class ChannelRlsState:
     alpha: float
 
 
-def init_channel(dim: int, alpha: float, delta: float,
-                 h0: np.ndarray | None = None) -> ChannelRlsState:
-    h = np.zeros(dim, dtype=complex) if h0 is None else h0.astype(complex).copy()
-    return ChannelRlsState(normal=ExpWeightedInverse(dim, delta, h.shape[:-1]),
+def init_channel(h0: np.ndarray, alpha: float, delta: float) -> ChannelRlsState:
+    """Channel state from the initial taps h0 (..., hops, d): for each block
+    of a stack and each hop, the taps of the block's links on that hop."""
+    h = h0.astype(complex)
+    return ChannelRlsState(normal=ExpWeightedInverse(h.shape[-1], delta,
+                                                     h.shape[:-1]),
                            p=np.zeros_like(h), h=h, alpha=alpha)
 
 
 def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
                    link_symbols: np.ndarray, link_amps: np.ndarray,
                    L: int) -> np.ndarray:
-    """Joint channel step: regressor V = C * diag(symbols * amps, each tap).
+    """Joint channel step, hop by hop: on hop j the regressor is
+    V_j = C_j * diag(the hop-j links' symbols * amps, each tap).
 
-    C stacks the block signatures of all covered links (stack x dim); the
-    symbol/amplitude scaling repeats per multipath tap. The estimate h solves
-    the exponentially weighted normal equations N h = p. A stack of blocks
-    (h0 of init_channel (B, dim), C (B, stack, dim)) regresses one r.
+    A link reaches the destination on one hop only, so its taps enter only
+    that hop's M rows of r: the joint normal matrix of all the links is zero
+    across hops, and each hop's block is solved apart. C (..., hops or 1, M,
+    d) holds each hop's block signatures (d = users x L columns, user-major);
+    link_symbols and link_amps (..., users*hops) are user-major over the
+    block's links, as power_update takes them. The estimate h (..., hops, d)
+    solves the exponentially weighted normal equations N_j h_j = p_j of each
+    block and hop.
     """
-    scale = np.repeat(link_symbols * link_amps, L, axis=-1)
-    V = C * scale[..., None, :]
+    hops = state.h.shape[-2]
+    gains = link_symbols * link_amps
+    gains = gains.reshape(*gains.shape[:-1], -1, hops).swapaxes(-1, -2)
+    V = C * np.repeat(gains, L, axis=-1)[..., None, :]
     state.normal.update_rows(V.reshape(-1, V.shape[-1]), state.alpha)
     state.p *= state.alpha
     # V^H r as conj(V^T conj(r)): the same bits, without a conjugated copy
     # of V
-    state.p += (V.swapaxes(-1, -2) @ r.conj()).conj()
+    r_hops = r.reshape(hops, -1, 1)  # hop j's M chips
+    state.p += (V.swapaxes(-1, -2) @ r_hops.conj())[..., 0].conj()
     state.h = solve_normal(state.normal.N, state.p, "weighted normal matrix")
     check_finite(state.h, "channel estimate")
     return state.h
@@ -160,11 +171,14 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
 def waveforms_from_channel(C: np.ndarray, h: np.ndarray, L: int) -> np.ndarray:
     """Per-link effective waveforms (stack x links) from a channel estimate.
 
-    C holds the links' columns of the stacked block signatures (L per link,
-    as in Scenario.C_all) and h their stacked taps: column l is C's link-l
-    block applied to h's link-l taps; C and h may be stacks of blocks.
+    C holds the links' signature columns, L per link (the stacked block
+    signatures of Scenario.C_all, or the users' convolution matrices on one
+    hop), and h their stacked taps: column l is C's link-l block applied to
+    h's link-l taps; C and h may be stacks, which broadcast against each
+    other.
     """
-    X = (C * h[..., None, :]).reshape(*C.shape[:-1], -1, L)
+    X = C * h[..., None, :]
+    X = X.reshape(*X.shape[:-1], -1, L)
     # the taps summed in order from sum's identity 0.0, as .sum(-1) does for
     # L <= 3: the same bits, without the reduction's overhead
     out = X[..., 0] + 0.0

@@ -171,29 +171,35 @@ def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
     return np.hstack([build_convolution_matrix(code, L) for code in codes])
 
 
+def _hop_diagonal(X: np.ndarray) -> np.ndarray:
+    """The (..., hops*M, n*hops) matrix of per-link waveforms from each hop's
+    waveforms X (..., hops, M, n): hop j's rows, column k*hops + j for X's
+    column k on hop j, +0.0 elsewhere."""
+    *lead, hops, M, n = X.shape
+    out = np.zeros((*lead, hops, M, n, hops), dtype=X.dtype)
+    np.einsum("...jmkj->...jmk", out)[...] = X
+    return out.reshape(*lead, hops * M, n * hops)
+
+
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                   shadowing_std_db: float, rng: np.random.Generator,
                   isi_enabled: bool = True) -> Scenario:
-    K, L, n_r, hops, M = dims.K, dims.L, dims.n_r, dims.hops, dims.M
+    K, L, n_r = dims.K, dims.L, dims.n_r
     conv = _signatures(codes, L)
     # one channel per link and user, drawn in the order source-destination,
     # source-relay, relay-destination, each shadowed by a log-normal gain
-    g = np.array([generate_multipath_channel(L, rng)
-                  for _ in range((1 + 2 * n_r) * K)]).reshape(1 + 2 * n_r, K, L)
+    g = generate_multipath_channel(L, rng, (1 + 2 * n_r, K))
     if shadowing_std_db != 0.0:
         g = g * 10.0 ** (shadowing_std_db
                          * rng.standard_normal((1 + 2 * n_r, K, 1)) / 20.0)
     # every draw's M x K waveforms in one map, the destination hops placed
-    # in U's diagonal blocks (hop j's rows, column k*hops + j)
-    X = gpc.waveforms_from_channel(np.broadcast_to(conv, (1 + 2 * n_r, M, K * L)),
-                                   g.reshape(1 + 2 * n_r, K * L), L)
-    dest = np.concatenate([X[:1], X[1 + n_r:]])
-    U = np.zeros((hops, M, K, hops), dtype=complex)
-    U[np.arange(hops), :, :, np.arange(hops)] = dest
+    # in U's diagonal blocks
+    X = gpc.waveforms_from_channel(conv, g.reshape(1 + 2 * n_r, K * L), L)
+    U = _hop_diagonal(np.concatenate([X[:1], X[1 + n_r:]]))
     # destination-facing links, user-major, hop-major, L taps per link
     h_true = np.concatenate([g[:1], g[1 + n_r:]]).transpose(1, 0, 2).reshape(-1)
     return Scenario(dims=dims, sigma2=sigma2, codes=codes,
-                    x_sr=list(X[1:1 + n_r]), U=U.reshape(dims.stack, K * hops),
+                    x_sr=list(X[1:1 + n_r]), U=U,
                     h_true=h_true, isi_enabled=isi_enabled)
 
 
@@ -229,7 +235,10 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
     K, P = bits.shape[:2]
     n = soft.shape[1]
     err_symbol = np.zeros(P, dtype=np.int64)
-    err_symbol[:n] = (demodulate_qpsk(soft) != bits[:, :n]).sum(axis=(0, 2))
+    # each symbol's two bit errors summed over the users, then over the pair:
+    # reductions over contiguous axes, the same integers as .sum(axis=(0, 2))
+    errors = (demodulate_qpsk(soft) != bits[:, :n]).reshape(K, 2 * n)
+    err_symbol[:n] = errors.sum(0).reshape(n, 2).sum(-1)
     return PacketResult(bit_errors=int(err_symbol[T:].sum()),
                         payload_bits=2 * (P - T) * K,
                         per_symbol_errors=err_symbol, **fields)
@@ -464,10 +473,13 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             (ipc.user_channel_update, ipc.user_waveforms_from_channel,
              ipc.user_power_update) if n_u == 1 else
             (gpc.channel_update, gpc.waveforms_from_channel, gpc.power_update))
-        # block b's columns of the stacked block signatures, (n_b, stack, d)
-        C = scn.C_all.reshape(stack, n_b, -1).transpose(1, 0, 2).copy()
-        channel = gpc.init_channel(C.shape[-1], cfg.alpha, cfg.delta,
-                                   h0.reshape(n_b, -1))
+        # block b's users' convolution matrices, the signatures of its links
+        # on every hop, (n_b, 1, M, n_u*L), and h0's taps of block b's links
+        # on each hop, (n_b, hops, n_u*L)
+        C = _signatures(scn.codes, L).reshape(M, n_b, 1, -1).transpose(
+            1, 2, 0, 3)
+        channel = gpc.init_channel(h0.reshape(n_b, n_u, hops, L).swapaxes(
+            1, 2).reshape(n_b, hops, -1), cfg.alpha, cfg.delta)
         power = gpc.init_power(amps.reshape(n_b, -1), float(n_u), cfg.alpha,
                                cfg.delta, lam=lam, start=T)
 
@@ -506,14 +518,16 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                 continue
             # block b's filters are W's columns of its users, (n_b, stack, n_u)
             W_blocks = rx.W.reshape(stack, n_b, n_u).transpose(1, 0, 2)
-            a = power_step(power, W_blocks, waveforms(C, channel.h, L),
+            a = power_step(power, W_blocks,
+                           _hop_diagonal(waveforms(C, channel.h, L)),
                            link_syms.reshape(n_b, -1), ref.reshape(n_b, n_u))
             amps = a.reshape(K, hops)
             if a_sq_norms is not None:
                 a_sq_norms.extend(np.linalg.norm(a, axis=-1) ** 2)
             if ch_errs is not None:
-                ch_errs.append(float(np.linalg.norm(channel.h.reshape(-1)
-                                                    - scn.h_true)
+                # the taps user-major, as h_true holds them
+                h = channel.h.reshape(n_b, hops, n_u, L).swapaxes(1, 2)
+                ch_errs.append(float(np.linalg.norm(h.reshape(-1) - scn.h_true)
                                      / np.linalg.norm(scn.h_true)))
     except (NumericalDivergenceError, DegenerateStateError):
         diverged = True

@@ -342,6 +342,17 @@ def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
     return trials
 
 
+def _relative_change(a_new: np.ndarray, a_old: np.ndarray) -> np.ndarray:
+    """||a_new - a_old|| / max(||a_old||, 1e-30) of each of T trials' K x
+    hops amplitudes, with the bits of np.linalg.norm per trial: the square
+    root of each trial's dot product, one call for the stack."""
+    trials, K, hops = a_old.shape
+    step = (a_new - a_old).reshape(trials, K * hops)
+    a_old = a_old.reshape(trials, K * hops)
+    return (np.sqrt(np.vecdot(step, step))
+            / np.maximum(np.sqrt(np.vecdot(a_old, a_old)), 1e-30))
+
+
 def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
            config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
     """Exact designs of T trials as one stack: U (T x stack x K*hops) and
@@ -351,11 +362,11 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
     Without blocks (None, the equal-power schemes) each trial gets the MMSE
     filters of the equal-power amplitudes. With blocks the trials alternate
     filter and power steps as alternate describes, each frozen once its
-    stopping test passes; the test takes np.linalg.norm per trial, so every
-    trial's iterations, amplitudes and filters are those it gets alone. Each
-    step, the power step's solve and its projection apart, is guarded on its
-    own (_each_trial): a trial whose step fails is dropped from the stack,
-    and only that step reruns.
+    stopping test passes; the test has the bits of np.linalg.norm per trial
+    (_relative_change), so every trial's iterations, amplitudes and filters
+    are those it gets alone. Each step, the power step's solve and its
+    projection apart, is guarded on its own (_each_trial): a trial whose step
+    fails is dropped from the stack, and only that step reruns.
     """
     trials, stack, cols = U.shape
     K = cols // hops
@@ -393,9 +404,7 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
         active = _each_trial(lambda t: (nonnegative_amplitudes(
             a_ls[t].reshape(len(t), blocks, -1),
             float(K // blocks)).reshape(-1, K, hops),), active, errors, (a_new,))
-        done = np.array([np.linalg.norm(a_new[t] - amps[t])
-                         / max(np.linalg.norm(amps[t]), 1e-30) < config.tol
-                         for t in active], dtype=bool)
+        done = _relative_change(a_new[active], amps[active]) < config.tol
         amps[active] = a_new[active]
         iterations[active] = it
         converged[active[done]] = True

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 QPSK_SCALE = 1.0 / np.sqrt(2.0)
+# QPSK points indexed by (real part >= 0) + 2 * (imaginary part >= 0)
+_QPSK_POINTS = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) * QPSK_SCALE
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,27 @@ def build_convolution_matrix(code: np.ndarray, L: int) -> np.ndarray:
     return D
 
 
-def generate_multipath_channel(L: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm L-tap channel with i.i.d. circular complex Gaussian taps."""
-    h = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
-    return h / np.linalg.norm(h)
+def generate_multipath_channel(L: int, rng: np.random.Generator,
+                               shape: tuple = ()) -> np.ndarray:
+    """Unit-norm L-tap channel with i.i.d. circular complex Gaussian taps, or
+    a (*shape, L) array of them.
+
+    Each channel draws its L real parts, then its L imaginary parts, so one
+    call for a shape draws the stream of one call per channel in C order. The
+    norm is sqrt(re.re + im.im), the bits of np.linalg.norm of one channel.
+    """
+    re, im = np.moveaxis(rng.standard_normal((*shape, 2, L)), -2, 0)
+    h = (re + 1j * im) / np.sqrt(2.0)
+    norm = np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))
+    return h / norm[..., None]
 
 
 def modulate_qpsk(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-energy QPSK: bit pair (b0, b1) -> ((1-2*b0)+j(1-2*b1))/sqrt(2)."""
     bits = np.asarray(bits)
-    return ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) * QPSK_SCALE
+    # the point of real part 1 - 2*b0 and imaginary part 1 - 2*b1 in
+    # _QPSK_POINTS' order: the bits of the formula, without its temporaries
+    return _QPSK_POINTS[3 - bits[..., 0] - 2 * bits[..., 1]]
 
 
 def demodulate_qpsk(soft: np.ndarray) -> np.ndarray:
@@ -85,10 +98,6 @@ def demodulate_qpsk(soft: np.ndarray) -> np.ndarray:
     soft = np.asarray(soft)
     return np.stack([(soft.real < 0).astype(np.int8),
                      (soft.imag < 0).astype(np.int8)], axis=-1)
-
-
-# QPSK points indexed by (real part >= 0) + 2 * (imaginary part >= 0)
-_QPSK_POINTS = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) * QPSK_SCALE
 
 
 def hard_decision(soft: np.ndarray) -> np.ndarray:
@@ -117,13 +126,14 @@ def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
     and tail columns.
     """
     N = X.shape[-2] - spill
+    Sa = S * a  # each symbol times its amplitude once, for all three shifts
     if left is None:
-        out += X @ (S[..., 1:-1] * a)
+        out += X @ Sa[..., 1:-1]
         if spill:
-            out[..., :spill, :] += X[..., N:, :] @ (S[..., :-2] * a)
-            out[..., N:, :] += X[..., :spill, :] @ (S[..., 2:] * a)
+            out[..., :spill, :] += X[..., N:, :] @ Sa[..., :-2]
+            out[..., N:, :] += X[..., :spill, :] @ Sa[..., 2:]
         return
-    out += (left @ X) @ (S[:, 1:-1] * a)
+    out += (left @ X) @ Sa[:, 1:-1]
     if spill:
-        out += (left[:, :spill] @ X[N:]) @ (S[:, :-2] * a)
-        out += (left[:, N:] @ X[:spill]) @ (S[:, 2:] * a)
+        out += (left[:, :spill] @ X[N:]) @ Sa[:, :-2]
+        out += (left[:, N:] @ X[:spill]) @ Sa[:, 2:]

@@ -69,17 +69,20 @@ def _check_rls_oracle():
 
 def _check_channel_normal_equations_oracle():
     rng = np.random.default_rng(5)
-    dim, alpha, delta = 4, 0.995, 0.01
-    state = gpc.init_channel(dim, alpha, delta)
-    A = delta * np.eye(dim, dtype=complex)
-    z = np.zeros(dim, dtype=complex)
+    hops, dim, alpha, delta = 2, 4, 0.995, 0.01
+    state = gpc.init_channel(np.zeros((hops, dim)), alpha, delta)
+    A = np.array([delta * np.eye(dim, dtype=complex)] * hops)
+    z = np.zeros((hops, dim), dtype=complex)
     for _ in range(40):
-        C = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
-        r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        gpc.channel_update(state, r, C, np.ones(dim), np.ones(dim), 1)
-        A = alpha * A + sum(np.outer(row.conj(), row) for row in C)
-        z = alpha * z + C.conj().T @ r
-    h = np.linalg.inv(A) @ z
+        C = (rng.standard_normal((hops, 6, dim))
+             + 1j * rng.standard_normal((hops, 6, dim)))
+        r = rng.standard_normal(hops * 6) + 1j * rng.standard_normal(hops * 6)
+        gpc.channel_update(state, r, C, np.ones(hops * dim),
+                           np.ones(hops * dim), 1)
+        for j in range(hops):
+            A[j] = alpha * A[j] + sum(np.outer(row.conj(), row) for row in C[j])
+            z[j] = alpha * z[j] + C[j].conj().T @ r[6 * j:6 * (j + 1)]
+    h = np.array([np.linalg.inv(A[j]) @ z[j] for j in range(hops)])
     err = np.linalg.norm(state.h - h) / np.linalg.norm(h)
     return err < 1e-8, f"relative error {err:.2e}"
 

@@ -80,21 +80,25 @@ class TestAcceptance:
                         np.abs(pw.a - mmse.nonnegative_amplitudes(
                             np.linalg.solve(Na, za), float(K))).max())
 
-        # channel estimator recursion
-        cdim = K * hops * L
-        ch = gpc.init_channel(cdim, alpha, delta)
-        C = _cvec(rng, stack * cdim).reshape(stack, cdim)
-        Nc = delta * np.eye(cdim, dtype=complex)
-        zc = np.zeros(cdim, dtype=complex)
+        # channel estimator recursion, hop by hop: hop j's rows of r and the
+        # K links on hop j, user k's L columns scaled by link k*hops + j
+        cdim = K * L
+        ch = gpc.init_channel(np.zeros((hops, cdim)), alpha, delta)
+        C = _cvec(rng, stack * cdim).reshape(hops, M, cdim)
+        Nc = np.array([delta * np.eye(cdim, dtype=complex)] * hops)
+        zc = np.zeros((hops, cdim), dtype=complex)
         for _ in range(200):
             s = _qpsk(rng, K * hops)
             amps = 0.4 + rng.random(K * hops)
             r = _cvec(rng, stack)
             gpc.channel_update(ch, r, C, s, amps, L)
-            V = C * np.repeat(s * amps, L)[None, :]
-            Nc = alpha * Nc + V.conj().T @ V
-            zc = alpha * zc + V.conj().T @ r
-            worst = max(worst, np.abs(ch.h - np.linalg.solve(Nc, zc)).max())
+            for j in range(hops):
+                V = C[j] * np.repeat(s[j::hops] * amps[j::hops], L)[None, :]
+                Nc[j] = alpha * Nc[j] + V.conj().T @ V
+                zc[j] = alpha * zc[j] + V.conj().T @ r[j * M:(j + 1) * M]
+                worst = max(worst, np.abs(ch.normal.N[j] - Nc[j]).max(),
+                            np.abs(ch.p[j] - zc[j]).max(),
+                            np.abs(ch.h[j] - np.linalg.solve(Nc[j], zc[j])).max())
 
         _report(1, "recursions vs dense solves", worst <= 1e-8,
                 f"max deviation {worst:.3e} <= 1e-8 over 200 steps")

@@ -10,12 +10,14 @@ from conftest import poisoned
 from coopcdma import cli, mmse
 from coopcdma.errors import ConfigError, DegenerateStateError
 from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
+                              _packet_result,
                               capacity_at_target, codes_for, design_exact,
                               draw_scenario, learning_curve, run_experiment,
                               run_packet, run_user_sweep,
                               simulate_packet_exact, snr_db_to_sigma2,
                               trial_rngs)
 from coopcdma.mmse import equal_power_amps
+from coopcdma.model import demodulate_qpsk
 
 
 def small_cfg(**kw):
@@ -140,6 +142,24 @@ class TestHelpers:
         out = _noise_matrix((3, 4), 0.0, rng)
         assert np.array_equal(out, np.zeros((3, 4), dtype=complex))
         assert rng.random() == np.random.default_rng(7).random()
+
+
+class TestPacketResult:
+    @pytest.mark.parametrize("n", [1500, 731, 1, 0])
+    def test_per_symbol_errors_match_the_axis_sum(self, rng, n):
+        """The per-symbol error counts are the integers of summing the
+        K x n x 2 error array over users and bit pairs, for a whole packet
+        and for a short (diverged) one, whose later symbols count none."""
+        K, P, T = 4, 1500, 200
+        bits = rng.integers(0, 2, size=(K, P, 2))
+        soft = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+        res = _packet_result(soft, bits, T)
+        want = np.zeros(P, dtype=np.int64)
+        want[:n] = (demodulate_qpsk(soft) != bits[:, :n]).sum(axis=(0, 2))
+        assert res.per_symbol_errors.dtype == want.dtype
+        assert res.per_symbol_errors.tobytes() == want.tobytes()
+        assert res.bit_errors == int(want[T:].sum())
+        assert res.payload_bits == 2 * (P - T) * K
 
 
 class TestCapacityAtTarget:

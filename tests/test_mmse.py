@@ -768,6 +768,23 @@ class TestStackedDesignSteps:
         assert np.isfinite(res.mse_trace[1, 0])
         assert np.isnan(res.mse_trace[1, 1:]).all()
 
+    @pytest.mark.parametrize("trials", [0, 1, 8])
+    def test_stopping_test_has_the_bytes_of_per_trial_norms(self, rng,
+                                                            trials):
+        """The batched relative amplitude change of the stopping test is,
+        byte for byte, each trial's np.linalg.norm ratio, on an empty stack
+        too; a zero previous allocation divides by the 1e-30 floor."""
+        a_old = rng.random((trials, 4, 3))
+        a_new = a_old + 1e-7 * rng.standard_normal((trials, 4, 3))
+        if trials:
+            a_old[-1] = 0.0
+        want = np.array([np.linalg.norm(a_new[t] - a_old[t])
+                         / max(np.linalg.norm(a_old[t]), 1e-30)
+                         for t in range(trials)], dtype=float)
+        got = mmse._relative_change(a_new, a_old)
+        assert got.shape == (trials,)
+        assert got.tobytes() == want.tobytes()
+
     def test_trace_holds_the_iterations_run(self):
         """The MSE trace has one column per iteration run, however large
         max_iters is."""

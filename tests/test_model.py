@@ -106,6 +106,22 @@ class TestMultipathChannel:
     def test_single_tap_magnitude_one(self, rng):
         assert abs(abs(generate_multipath_channel(1, rng)[0]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_stacked_draw_is_the_per_link_stream(self, L):
+        """One call for a (5, 4) stack of channels has the bytes of 20
+        per-link draws from the same seed, each normalized by
+        np.linalg.norm, and leaves the generator where they leave it."""
+        rng_a, rng_b = np.random.default_rng(L), np.random.default_rng(L)
+        oracle = []
+        for _ in range(20):
+            h = (rng_a.standard_normal(L)
+                 + 1j * rng_a.standard_normal(L)) / np.sqrt(2.0)
+            oracle.append(h / np.linalg.norm(h))
+        stacked = generate_multipath_channel(L, rng_b, (5, 4))
+        assert stacked.shape == (5, 4, L)
+        assert stacked.tobytes() == np.array(oracle).tobytes()
+        assert rng_a.random() == rng_b.random()
+
     def test_tap_statistics(self, rng):
         draws = np.stack([generate_multipath_channel(3, rng) for _ in range(20000)])
         # zero-mean taps and exchangeable tap-energy distribution
@@ -121,6 +137,21 @@ class TestQpsk:
             np.testing.assert_array_equal(demodulate_qpsk(sym), np.array(bits))
         np.testing.assert_allclose(modulate_qpsk(np.array([0, 0])),
                                    (1 + 1j) / np.sqrt(2))
+
+    def test_lookup_has_the_bytes_of_the_formula(self, rng):
+        """The table lookup gives the bytes of ((1-2*b0)+j(1-2*b1))/sqrt(2)
+        on every bit pair and on random bit arrays."""
+        def formula(bits):
+            return ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) \
+                * (1.0 / np.sqrt(2.0))
+        for bits in itertools.product((0, 1), repeat=2):
+            bits = np.array(bits)
+            assert modulate_qpsk(bits).tobytes() == formula(bits).tobytes()
+        for shape in [(7, 2), (3, 50, 2), (4, 1500, 2)]:
+            bits = rng.integers(0, 2, size=shape)
+            got = modulate_qpsk(bits)
+            assert got.dtype == np.complex128 and got.shape == shape[:-1]
+            assert got.tobytes() == formula(bits).tobytes()
 
     def test_unit_energy(self):
         for bits in itertools.product((0, 1), repeat=2):
@@ -227,6 +258,54 @@ class TestReceivedFrame:
             total,
             noise + destination_frames(scn, own, amps)
             + destination_frames(scn, neighbours, amps), atol=1e-12)
+
+
+class TestAmplitudeProduct:
+    """add_hop_frames forms S * a once and slices it for the three shifts."""
+
+    @staticmethod
+    def three_products(out, X, S, a, spill, left=None):
+        """The frame synthesizer with one amplitude product per shift."""
+        N = X.shape[-2] - spill
+        if left is None:
+            out += X @ (S[..., 1:-1] * a)
+            if spill:
+                out[..., :spill, :] += X[..., N:, :] @ (S[..., :-2] * a)
+                out[..., N:, :] += X[..., :spill, :] @ (S[..., 2:] * a)
+            return
+        out += (left @ X) @ (S[:, 1:-1] * a)
+        if spill:
+            out += (left[:, :spill] @ X[N:]) @ (S[:, :-2] * a)
+            out += (left[:, N:] @ X[:spill]) @ (S[:, 2:] * a)
+
+    @pytest.mark.parametrize("spill", [0, 2])
+    @pytest.mark.parametrize("amps", ["scalar", "column"])
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_bytes_of_three_products(self, rng, spill, amps, with_left):
+        K, M, cols, J = 4, 18, 40, 4
+        X = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
+        S = np.zeros((K, cols + 2), dtype=complex)
+        S[:, 1:-1] = modulate_qpsk(rng.integers(0, 2, size=(K, cols, 2)))
+        a = 1.0 if amps == "scalar" else 0.2 + rng.random((K, 1))
+        left = (rng.standard_normal((J, M)) + 1j * rng.standard_normal((J, M))
+                if with_left else None)
+        rows = J if with_left else M
+        start = rng.standard_normal((rows, cols)) + 0j
+        got, want = start.copy(), start.copy()
+        add_hop_frames(got, X, S, a, spill, left)
+        self.three_products(want, X, S, a, spill, left)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bytes_of_three_products_on_a_stack(self, rng):
+        """The stack of one-user hops the adaptive destination builds."""
+        K, M, cols = 4, 18, 25
+        X = rng.standard_normal((K, M, 1)) + 1j * rng.standard_normal((K, M, 1))
+        S = modulate_qpsk(rng.integers(0, 2, size=(K, 1, cols + 2, 2)))
+        got = np.zeros((K, M, cols), dtype=complex)
+        want = got.copy()
+        add_hop_frames(got, X, S, 1.0, 2)
+        self.three_products(want, X, S, 1.0, 2)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestIsi:

@@ -108,18 +108,18 @@ def _receiver_error(value, rng):
 
 
 def _channel_normal_matrix(value, rng):
-    state = gpc.init_channel(6, 0.998, 0.01)
+    state = gpc.init_channel(np.zeros((2, 6)), 0.998, 0.01)
     gpc.channel_update(state, random_vec(rng, 10),
-                       _poisoned((10, 6), value, rng),
-                       np.ones(3, dtype=complex), np.ones(3), 2)
+                       _poisoned((2, 5, 6), value, rng),
+                       np.ones(6, dtype=complex), np.ones(6), 2)
 
 
 def _channel_estimate(value, rng):
-    state = gpc.init_channel(6, 0.998, 0.01)
-    state.p = _poisoned((6,), value, rng)
+    state = gpc.init_channel(np.zeros((2, 6)), 0.998, 0.01)
+    state.p = _poisoned((2, 6), value, rng)
     gpc.channel_update(state, random_vec(rng, 10),
-                       random_vec(rng, 60).reshape(10, 6),
-                       np.ones(3, dtype=complex), np.ones(3), 2)
+                       random_vec(rng, 60).reshape(2, 5, 6),
+                       np.ones(6, dtype=complex), np.ones(6), 2)
 
 
 def _power_normal_matrix(value, rng):
@@ -257,37 +257,95 @@ class TestPowerRecursion:
         assert np.abs(state.N - state.N.conj().T).max() < 1e-9
 
 
+def hop_regressors(C, s, amps, L):
+    """Each hop's regressor: hop j's signatures C[j] (M x users*L), user k's
+    L columns scaled by the symbol times the amplitude of link k*hops + j."""
+    hops, _, d = C.shape
+    V = np.array(C, dtype=complex)
+    for j in range(hops):
+        for k in range(d // L):
+            V[j, :, k * L:(k + 1) * L] *= s[k * hops + j] * amps[k * hops + j]
+    return V
+
+
+def hop_major(h, users, hops, L):
+    """Taps stored hop by hop (hops x users*L), user-major as h_true."""
+    return h.reshape(hops, users, L).transpose(1, 0, 2).reshape(-1)
+
+
 class TestChannelRecursion:
     def test_dense_weighted_oracle(self, rng):
-        """200 block updates match the dense weighted normal equations."""
-        stack, dim, L = 10, 6, 2
+        """200 block updates match each hop's dense weighted normal
+        equations: the normal matrix N_j, the right-hand side p_j and the
+        estimate h_j."""
+        hops, M, users, L = 3, 5, 2, 2
+        d = users * L
         alpha, delta = 0.998, 0.01
-        state = gpc.init_channel(dim, alpha, delta)
-        C = random_vec(rng, stack * dim).reshape(stack, dim)
-        N = delta * np.eye(dim, dtype=complex)
-        z = np.zeros(dim, dtype=complex)
+        state = gpc.init_channel(np.zeros((hops, d)), alpha, delta)
+        C = random_vec(rng, hops * M * d).reshape(hops, M, d)
+        N = np.array([delta * np.eye(d, dtype=complex)] * hops)
+        p = np.zeros((hops, d), dtype=complex)
         for _ in range(200):
-            s = modulate_qpsk(rng.integers(0, 2, size=(dim // L, 2)))
-            amps = 0.3 + rng.random(dim // L)
-            r = random_vec(rng, stack)
+            s = modulate_qpsk(rng.integers(0, 2, size=(users * hops, 2)))
+            amps = 0.3 + rng.random(users * hops)
+            r = random_vec(rng, hops * M)
             gpc.channel_update(state, r, C, s, amps, L)
-            scale = np.repeat(s * amps, L)
-            V = C * scale[None, :]
+            V = hop_regressors(C, s, amps, L)
+            for j in range(hops):
+                N[j] = alpha * N[j] + V[j].conj().T @ V[j]
+                p[j] = alpha * p[j] + V[j].conj().T @ r[j * M:(j + 1) * M]
+            np.testing.assert_allclose(state.normal.N, N, atol=1e-8)
+            np.testing.assert_allclose(state.p, p, atol=1e-8)
+            np.testing.assert_allclose(
+                state.h, [np.linalg.solve(N[j], p[j]) for j in range(hops)],
+                atol=1e-8)
+
+    def test_joint_normal_matrix_is_zero_across_hops(self, rng):
+        """The joint estimator over all links (one normal matrix over the
+        stacked block signatures) is exactly zero between links on different
+        hops, its hop blocks are the per-hop normal matrices and its solution
+        is the per-hop estimate."""
+        N_chips, L, hops, K = 8, 2, 3, 2
+        conv = [build_convolution_matrix(c, L)
+                for c in draw_spreading_codes(K, N_chips, rng)]
+        M, dim = N_chips + L - 1, K * hops * L
+        C_all = np.hstack([np.kron(np.eye(hops), D) for D in conv])
+        alpha, delta = 0.998, 0.01
+        state = gpc.init_channel(np.zeros((hops, K * L)), alpha, delta)
+        N = delta * np.eye(dim, dtype=complex)
+        p = np.zeros(dim, dtype=complex)
+        for _ in range(100):
+            s = modulate_qpsk(rng.integers(0, 2, size=(K * hops, 2)))
+            amps = 0.3 + rng.random(K * hops)
+            r = random_vec(rng, hops * M)
+            gpc.channel_update(state, r, np.hstack(conv)[None], s, amps, L)
+            V = C_all * np.repeat(s * amps, L)[None, :]
             N = alpha * N + V.conj().T @ V
-            z = alpha * z + V.conj().T @ r
-            np.testing.assert_allclose(state.h, np.linalg.solve(N, z),
-                                       atol=1e-8)
+            p = alpha * p + V.conj().T @ r
+        hop_of_column = np.tile(np.repeat(np.arange(hops), L), K)
+        cross = hop_of_column[:, None] != hop_of_column[None, :]
+        assert np.count_nonzero(cross) == dim * dim * (hops - 1) // hops
+        assert np.all(N[cross] == 0)
+        for j in range(hops):
+            on_hop = np.flatnonzero(hop_of_column == j)
+            np.testing.assert_allclose(state.normal.N[j],
+                                       N[np.ix_(on_hop, on_hop)],
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(state.p[j], p[on_hop], rtol=1e-13,
+                                       atol=0)
+        np.testing.assert_allclose(hop_major(state.h, K, hops, L),
+                                   np.linalg.solve(N, p), rtol=1e-10)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_regressor_raises(self, rng):
-        stack, dim, L = 10, 6, 2
-        state = gpc.init_channel(dim, 0.998, 0.01)
-        C = random_vec(rng, stack * dim).reshape(stack, dim)
-        C[3, 1] = np.inf
-        s = modulate_qpsk(rng.integers(0, 2, size=(dim // L, 2)))
+        hops, M, d, L = 2, 5, 6, 2
+        state = gpc.init_channel(np.zeros((hops, d)), 0.998, 0.01)
+        C = random_vec(rng, hops * M * d).reshape(hops, M, d)
+        C[1, 3, 1] = np.inf
+        s = modulate_qpsk(rng.integers(0, 2, size=(hops * d // L, 2)))
         with pytest.raises(NumericalDivergenceError):
-            gpc.channel_update(state, random_vec(rng, stack), C, s,
-                               np.ones(dim // L), L)
+            gpc.channel_update(state, random_vec(rng, hops * M), C, s,
+                               np.ones(hops * d // L), L)
 
     def test_recovers_true_channel_noise_free(self, rng):
         """Persistently excited noise-free data drives the estimate to truth."""
@@ -303,13 +361,13 @@ class TestChannelRecursion:
             for j in range(hops):
                 C[j * M:(j + 1) * M, (k * hops + j) * L:(k * hops + j + 1) * L] = conv[k]
         amps = 0.5 + rng.random(K * hops)
-        state = gpc.init_channel(dim, 0.998, 0.01)
+        state = gpc.init_channel(np.zeros((hops, K * L)), 0.998, 0.01)
         for _ in range(300):
             s = modulate_qpsk(rng.integers(0, 2, size=(K * hops, 2)))
             scale = np.repeat(s * amps, L)
             r = (C * scale[None, :]) @ h_true
-            gpc.channel_update(state, r, C, s, amps, L)
-        assert np.linalg.norm(state.h - h_true) < 1e-3
+            gpc.channel_update(state, r, np.hstack(conv)[None], s, amps, L)
+        assert np.linalg.norm(hop_major(state.h, K, hops, L) - h_true) < 1e-3
 
     def test_waveform_reconstruction(self, rng):
         K, hops, L, N_chips = 2, 2, 2, 8

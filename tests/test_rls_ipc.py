@@ -166,13 +166,14 @@ class TestStackedBlocks:
 
     def test_channel_update(self, rng):
         n = self.USERS * self.HOPS
-        d = n * self.L
-        C = self.random_array(rng, self.B, self.STACK, d)
-        h0 = 0.01 * self.random_array(rng, self.B, d)
-        stacked = gpc.init_channel(d, 0.998, 0.01, h0)
-        singles = [gpc.init_channel(d, 0.998, 0.01, h0_b) for h0_b in h0]
+        d = self.USERS * self.L
+        M = 4  # chips per hop: r stacks HOPS windows of M
+        C = self.random_array(rng, self.B, self.HOPS, M, d)
+        h0 = 0.01 * self.random_array(rng, self.B, self.HOPS, d)
+        stacked = gpc.init_channel(h0, 0.998, 0.01)
+        singles = [gpc.init_channel(h0_b, 0.998, 0.01) for h0_b in h0]
         for _ in range(self.STEPS):
-            r = random_vec(rng, self.STACK)
+            r = random_vec(rng, self.HOPS * M)
             s = self.symbols(rng, self.B, n)
             amps = 0.3 + rng.random((self.B, n))
             h = gpc.channel_update(stacked, r, C, s, amps, self.L)

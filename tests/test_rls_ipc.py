@@ -182,6 +182,8 @@ class TestStackedBlocks:
                 np.testing.assert_allclose(h[b], single.h, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(stacked.normal.N[b],
                                            single.normal.N, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.p[b], single.p, rtol=0,
+                                           atol=1e-12)
 
     def test_power_update_with_loading_and_hold(self, rng):
         n = self.USERS * self.HOPS

@@ -75,7 +75,7 @@ def read_config_file(path: str) -> dict:
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve defaults < config file < flag overrides into a full config."""
     values = {}
-    if path:
+    if path is not None:
         values.update(read_config_file(path))
     for key, raw in (overrides or {}).items():
         if raw is None:
@@ -176,11 +176,11 @@ def _config_from_args(args) -> ExperimentConfig:
     overrides = {"seed": args.seed, "trials": args.trials,
                  "relays": args.relays, "scheme": args.scheme,
                  "variant": args.variant}
-    if args.snr:
+    if args.snr is not None:
         overrides["snr_grid"] = args.snr
-    if args.users and "," not in args.users:
+    if args.users is not None and "," not in args.users:
         overrides["users"] = args.users
-    elif args.users and args.command != "sweep-users":
+    elif args.users is not None and args.command != "sweep-users":
         raise ConfigError(f"users: a list of user counts ({args.users}) "
                           "is only valid for sweep-users")
     if args.full_scale:
@@ -189,7 +189,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _users_grid(args):
-    if not args.users:
+    if args.users is None:
         return [2, 4, 6, 8]
     grid = [_coerce("users", v) for v in args.users.split(",")]
     if min(grid) < 1:
@@ -217,6 +217,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = _config_from_args(args)
+        if not args.out:
+            raise ConfigError("out: must name a file")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError(f"out: directory of {args.out} does not exist")
         if os.path.isdir(args.out):
@@ -243,7 +245,12 @@ def main(argv=None) -> int:
                   f"stderr={stderr:.3g} bits={bits}")
     manifest = RunManifest(config=dataclasses.asdict(cfg), version=__version__,
                            wall_time_s=wall, divergences=curve.divergences)
-    emit_results([curve], manifest, args.format, args.out)
+    try:
+        emit_results([curve], manifest, args.format, args.out)
+    except OSError as exc:
+        print(f"error: out: cannot write {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out} in {wall:.1f}s")
     return 0
 

@@ -1,12 +1,12 @@
 """Adaptive joint estimation under the global power constraint.
 
 Three coupled recursions share state across a packet: an RLS receiver-matrix
-update driven by the stacked observation, a constrained power-vector update
-that solves its weighted normal equations and projects onto the budget sphere
-as the exact power step does, and a joint RLS channel estimator over all users
-and links, solved hop by hop. Power and channel run on a leading axis of B
-user blocks: one block of all K users under the global budget, or K one-user
-blocks (ipc).
+update driven by the stacked observation (the relays run it on theirs), a
+constrained power-vector update that solves its weighted normal equations and
+projects onto the budget sphere as the exact power step does, and a joint RLS
+channel estimator over all users and links, solved hop by hop. Power and
+channel run on a leading axis of B user blocks: one block of all K users under
+the global budget, or K one-user blocks (ipc).
 """
 
 from __future__ import annotations
@@ -22,27 +22,31 @@ from .rlscore import (ExpWeightedInverse, check_finite, correlation_gain,
 
 @dataclass
 class ReceiverRlsState:
+    """A stack of RLS receivers: Phi (..., M, M), filters W (..., M, K)."""
+
     Phi: np.ndarray
     W: np.ndarray
     alpha: float
 
 
-def init_receiver(stack: int, K: int, alpha: float, delta: float,
-                  W0: np.ndarray | None = None) -> ReceiverRlsState:
-    W = np.zeros((stack, K), dtype=complex) if W0 is None else W0.astype(complex)
-    return ReceiverRlsState(Phi=np.eye(stack, dtype=complex) / delta, W=W, alpha=alpha)
+def init_receiver(W0: np.ndarray, alpha: float,
+                  delta: float) -> ReceiverRlsState:
+    """Receivers from initial filters W0 (..., M, K), each Phi = I/delta."""
+    W = W0.astype(complex)
+    *lead, M, _ = W.shape
+    return ReceiverRlsState(Phi=np.tile(np.eye(M, dtype=complex) / delta,
+                                        (*lead, 1, 1)), W=W, alpha=alpha)
 
 
 def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
-                    y: np.ndarray | None = None) -> np.ndarray:
-    """One receiver step; returns the a-priori error xi = b - W^H r.
-
-    y is the filter output W^H r when the caller has already formed it.
-    """
-    xi = b - (state.W.conj().T @ r if y is None else y)
-    k, state.Phi = correlation_gain(state.Phi, r, state.alpha)
-    state.W += np.outer(k, xi.conj())
+                    y: np.ndarray) -> np.ndarray:
+    """One step of each receiver on its observation r (..., M), reference b
+    and filter output y = W^H r (..., K); returns the a-priori error b - y,
+    which raises before the state changes if it is not finite."""
+    xi = b - y
     check_finite(xi, "receiver a-priori error")
+    k, state.Phi = correlation_gain(state.Phi, r, state.alpha)
+    state.W += k[..., :, None] * xi.conj()[..., None, :]
     return xi
 
 
@@ -169,13 +173,12 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
 
 
 def waveforms_from_channel(C: np.ndarray, h: np.ndarray, L: int) -> np.ndarray:
-    """Per-link effective waveforms (stack x links) from a channel estimate.
+    """Per-link effective waveforms (M x links) from a channel estimate.
 
-    C holds the links' signature columns, L per link (the stacked block
-    signatures of Scenario.C_all, or the users' convolution matrices on one
-    hop), and h their stacked taps: column l is C's link-l block applied to
-    h's link-l taps; C and h may be stacks, which broadcast against each
-    other.
+    C holds the links' signature columns, L per link (the users' convolution
+    matrices), and h their taps: column l is C's link-l block applied to h's
+    link-l taps. C and h may be stacks, which broadcast against each other:
+    taps (hops, links*L) give every hop's waveforms (hops, M, links).
     """
     X = C * h[..., None, :]
     X = X.reshape(*X.shape[:-1], -1, L)

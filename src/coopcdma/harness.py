@@ -156,15 +156,6 @@ class Scenario:
         packets never solve them."""
         return [mmse_relay_bank(X, self.sigma2) for X in self.x_sr]
 
-    @cached_property
-    def C_all(self) -> np.ndarray:
-        """stack x K*hops*L stacked block signatures, user-major, each user's
-        convolution matrix once per hop on the diagonal: built from the codes
-        when an adaptive packet first uses them."""
-        eye = np.eye(self.dims.hops)
-        return np.hstack([np.kron(eye, D) for D in np.hsplit(
-            _signatures(self.codes, self.dims.L), self.dims.K)])
-
 
 def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
     """M x K*L: each user's M x L convolution matrix, user-major."""
@@ -434,8 +425,8 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     destination symbol to the next: the destination builds its links'
     unit-amplitude frames for _FRAME_CHUNK symbols at a time
     (_destination_link_frames) and forms each window as noise plus those
-    frames times the current amplitudes. It steps per symbol: channel ->
-    receiver -> power, the channel and power recursions each one call on the
+    frames times the current amplitudes. It steps per symbol: receiver ->
+    channel -> power, the channel and power recursions each one call on the
     stack of user blocks that power_blocks gives the scheme, each under its
     users' total budget; without a power step there is no such state.
     Transmit amplitudes follow the latest power estimates. The soft outputs
@@ -451,16 +442,19 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     relay_obs = _relay_frames(scn, S[0], rng_noise)
     noise_dest = _noise_matrix((stack, P), scn.sigma2, rng_noise)
 
-    # common initialization draws, identical across schemes for stream parity
+    # common initialization draws, identical across schemes for stream parity,
+    # of each link's taps, user-major, regrouped per hop as (hops, K*L)
     h0 = 0.01 * (rng_init.standard_normal(K * hops * L)
                  + 1j * rng_init.standard_normal(K * hops * L))
-    U0 = gpc.waveforms_from_channel(scn.C_all, h0, L)
+    h0 = h0.reshape(K, hops, L).swapaxes(0, 1).reshape(hops, K * L)
+    conv = _signatures(scn.codes, L)
     amps = mmse.equal_power_amps(K, hops).astype(complex)
     # each user's equal-power composite waveform, normalized unless zero
-    W0 = (U0.reshape(stack, K, hops) * amps).sum(-1)
+    W0 = (gpc.waveforms_from_channel(conv, h0, L)
+          * amps.T[:, None, :]).reshape(stack, K)
     nrm = np.linalg.norm(W0, axis=0)
-    rx = gpc.init_receiver(stack, K, cfg.alpha, cfg.delta,
-                           W0 / np.where(nrm > 0, nrm, 1.0))
+    rx = gpc.init_receiver(W0 / np.where(nrm > 0, nrm, 1.0), cfg.alpha,
+                           cfg.delta)
 
     plan = power_blocks(scheme, cfg, K)
     power = None
@@ -476,10 +470,9 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
         # block b's users' convolution matrices, the signatures of its links
         # on every hop, (n_b, 1, M, n_u*L), and h0's taps of block b's links
         # on each hop, (n_b, hops, n_u*L)
-        C = _signatures(scn.codes, L).reshape(M, n_b, 1, -1).transpose(
-            1, 2, 0, 3)
-        channel = gpc.init_channel(h0.reshape(n_b, n_u, hops, L).swapaxes(
-            1, 2).reshape(n_b, hops, -1), cfg.alpha, cfg.delta)
+        C = conv.reshape(M, n_b, 1, -1).transpose(1, 2, 0, 3)
+        channel = gpc.init_channel(h0.reshape(hops, n_b, -1).swapaxes(0, 1),
+                                   cfg.alpha, cfg.delta)
         power = gpc.init_power(amps.reshape(n_b, -1), float(n_u), cfg.alpha,
                                cfg.delta, lam=lam, start=T)
 
@@ -510,12 +503,11 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             link_syms = S[:, :, t + 1].T.copy()
             link_syms[:, 0] = ref
 
-            if power is not None:
-                channel_step(channel, r, C, link_syms.reshape(n_b, -1),
-                             amps.reshape(n_b, -1), L)
             gpc.receiver_update(rx, r, ref, y)
             if power is None:
                 continue
+            channel_step(channel, r, C, link_syms.reshape(n_b, -1),
+                         amps.reshape(n_b, -1), L)
             # block b's filters are W's columns of its users, (n_b, stack, n_u)
             W_blocks = rx.W.reshape(stack, n_b, n_u).transpose(1, 0, 2)
             a = power_step(power, W_blocks,

@@ -55,16 +55,20 @@ def _check_superposition():
 
 def _check_rls_oracle():
     rng = np.random.default_rng(3)
-    dim, alpha, delta = 6, 0.99, 0.01
-    Phi = np.eye(dim, dtype=complex) / delta
+    dim, K, alpha, delta = 6, 2, 0.99, 0.01
+    state = gpc.init_receiver(np.zeros((dim, K)), alpha, delta)
     A = delta * np.eye(dim, dtype=complex)
-    from .rlscore import correlation_gain
+    Z = np.zeros((dim, K), dtype=complex)
     for _ in range(50):
         r = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        _, Phi = correlation_gain(Phi, r, alpha)
+        b = model.modulate_qpsk(rng.integers(0, 2, (K, 2)))
+        gpc.receiver_update(state, r, b, state.W.conj().T @ r)
         A = alpha * A + np.outer(r, r.conj())
-    err = np.linalg.norm(Phi - np.linalg.inv(A)) / np.linalg.norm(np.linalg.inv(A))
-    return err < 1e-8, f"relative error {err:.2e}"
+        Z = alpha * Z + np.outer(r, b.conj())
+    err = max(np.linalg.norm(got - want) / np.linalg.norm(want)
+              for got, want in ((state.Phi, np.linalg.inv(A)),
+                                (state.W, np.linalg.solve(A, Z))))
+    return err < 1e-8, f"W and Phi, relative error {err:.2e}"
 
 
 def _check_channel_normal_equations_oracle():
@@ -112,7 +116,7 @@ CHECKS = [
     ("convolution-matrix entries", _check_convolution),
     ("qpsk mapping", _check_qpsk),
     ("frame superposition", _check_superposition),
-    ("receiver RLS inverse oracle", _check_rls_oracle),
+    ("receiver RLS normal-equation oracle", _check_rls_oracle),
     ("channel normal-equation oracle", _check_channel_normal_equations_oracle),
     ("constraint + determinism", _check_constraint_and_determinism),
 ]

@@ -30,6 +30,15 @@ def make_link_pieces(dims: SystemDims, rng: np.random.Generator):
     return codes, h, X
 
 
+def stacked_signature(codes: np.ndarray, L: int, hops: int) -> np.ndarray:
+    """The stack x K*hops*L block signature of all the destination-facing
+    links, user-major: each user's M x L convolution matrix once per hop on
+    the diagonal, built by kron. The oracle of the per-hop waveform map,
+    which applies one convolution matrix per user to each hop's taps."""
+    return np.hstack([np.kron(np.eye(hops), build_convolution_matrix(c, L))
+                      for c in codes])
+
+
 def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
                            amps: np.ndarray) -> None:
     """Add every hop's frames to the stacked destination chip windows out:

@@ -10,9 +10,12 @@ soft outputs and of its per-symbol error counts. The designs of a point's
 trials are solved as one stack, as a sweep solves them. The bytes depend on
 the BLAS, so compare digests taken on one host.
 
-adaptive_packet_digest does the same for adaptive jpais-gpc and jpais-ipc
-packets at 9 dB: the per-symbol error counts, the squared amplitude norms and
-the relative channel-estimate errors of each symbol.
+adaptive_packet_digest does the same for adaptive packets at 9 dB: the
+per-symbol error counts, the squared amplitude norms and the relative
+channel-estimate errors of each symbol. By default it covers jpais-gpc and
+jpais-ipc. Given every scheme and soft=True it also takes the bytes of each
+packet's soft outputs: ncis and cis packets record no amplitudes or channel
+estimates, so their receivers' bits show only there.
 
     PYTHONPATH=src python tests/packet_digest.py
 """
@@ -54,28 +57,47 @@ def exact_packet_digest(seeds=SEEDS, snrs_db=SNRS_DB, trials=TRIALS) -> str:
     return digest.hexdigest()
 
 
-def adaptive_packet_digest(seeds=SEEDS, snr_db=9.0) -> str:
+def adaptive_packet_digest(seeds=SEEDS, snr_db=9.0,
+                           schemes=("jpais-gpc", "jpais-ipc"),
+                           soft=False) -> str:
     digest = hashlib.sha256()
-    for seed in seeds:
-        for scheme in ("jpais-gpc", "jpais-ipc"):
-            cfg = harness.ExperimentConfig(scheme=scheme, variant="adaptive",
-                                           seed=seed, trials=1,
-                                           snr_grid=(snr_db,))
-            dims = cfg.dims()
-            rng_ch, rng_data, rng_noise, rng_init = harness.trial_rngs(seed, 0)
-            scn = harness.draw_scenario(
-                dims, harness.codes_for(cfg, dims.K),
-                harness.snr_db_to_sigma2(snr_db), cfg.shadowing_std_db,
-                rng_ch, isi_enabled=cfg.isi)
-            res = harness.simulate_packet_adaptive(
-                scn, scheme, cfg, rng_data, rng_noise, rng_init,
-                collect=("a_norm", "channel_error"))
-            for array in (res.per_symbol_errors, res.extras["a_sq_norms"],
-                          res.extras["channel_error"]):
-                digest.update(array.tobytes())
+    outputs = []
+    real_result = harness._packet_result
+
+    def keep_soft(soft_outputs, *args, **kwargs):
+        outputs.append(soft_outputs)
+        return real_result(soft_outputs, *args, **kwargs)
+
+    harness._packet_result = keep_soft
+    try:
+        for seed in seeds:
+            for scheme in schemes:
+                cfg = harness.ExperimentConfig(scheme=scheme,
+                                               variant="adaptive", seed=seed,
+                                               trials=1, snr_grid=(snr_db,))
+                dims = cfg.dims()
+                rng_ch, rng_data, rng_noise, rng_init = harness.trial_rngs(
+                    seed, 0)
+                scn = harness.draw_scenario(
+                    dims, harness.codes_for(cfg, dims.K),
+                    harness.snr_db_to_sigma2(snr_db), cfg.shadowing_std_db,
+                    rng_ch, isi_enabled=cfg.isi)
+                res = harness.simulate_packet_adaptive(
+                    scn, scheme, cfg, rng_data, rng_noise, rng_init,
+                    collect=("a_norm", "channel_error"))
+                arrays = [res.per_symbol_errors, res.extras["a_sq_norms"],
+                          res.extras["channel_error"]]
+                if soft:
+                    arrays.append(outputs[-1])
+                for array in arrays:
+                    digest.update(array.tobytes())
+    finally:
+        harness._packet_result = real_result
     return digest.hexdigest()
 
 
 if __name__ == "__main__":
-    print("exact   ", exact_packet_digest())
-    print("adaptive", adaptive_packet_digest())
+    print("exact       ", exact_packet_digest())
+    print("adaptive    ", adaptive_packet_digest())
+    print("adaptive-all", adaptive_packet_digest(schemes=harness.SCHEMES,
+                                                 soft=True))

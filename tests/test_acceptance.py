@@ -41,13 +41,13 @@ class TestAcceptance:
         worst = 0.0
 
         # receiver matrix recursion
-        rx = gpc.init_receiver(stack, K, alpha, delta)
+        rx = gpc.init_receiver(np.zeros((stack, K)), alpha, delta)
         Nm = delta * np.eye(stack, dtype=complex)
         Z = np.zeros((stack, K), dtype=complex)
         for _ in range(200):
             r = _cvec(rng, stack)
             b = _qpsk(rng, K)
-            gpc.receiver_update(rx, r, b)
+            gpc.receiver_update(rx, r, b, rx.W.conj().T @ r)
             Nm = alpha * Nm + np.outer(r, r.conj())
             Z = alpha * Z + np.outer(r, b.conj())
             worst = max(worst, np.abs(rx.W - np.linalg.solve(Nm, Z)).max())

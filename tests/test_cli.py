@@ -270,6 +270,45 @@ class TestMain:
         assert "snr_grid" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-users",
+                                         "learning-curve"])
+    @pytest.mark.parametrize("flag,key", [("--snr", "snr_grid"),
+                                          ("--users", "users"),
+                                          ("--config", "config"),
+                                          ("--out", "out")])
+    def test_empty_value_returns_2_before_running(
+            self, tiny_file, tmp_path, capsys, monkeypatch, command, flag,
+            key):
+        """An empty flag value is refused before any packet runs, instead of
+        falling back to its default (or, for --out, failing after the run)."""
+        ran = []
+        for name in ("run_experiment", "run_user_sweep", "learning_curve"):
+            monkeypatch.setattr(cli.harness, name,
+                                lambda *a, name=name: ran.append(name))
+        args = {"--config": tiny_file, "--snr": "9", "--users": "2",
+                "--out": str(tmp_path / "r.csv")}
+        args[flag] = ""
+        rc = run_main([command, "--trials", "1",
+                       *(item for pair in args.items() for item in pair)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}" in err and "Traceback" not in err
+        assert ran == []
+
+    def test_unwritable_out_returns_2(self, tiny_file, tmp_path, capsys):
+        """A write error on the result file (here a dangling symlink into a
+        missing directory, which passes the checks before the run) is
+        reported with exit code 2, not as a traceback."""
+        out = tmp_path / "r.csv"
+        out.symlink_to(tmp_path / "no-such-dir" / "r.csv")
+        rc = run_main(["sweep-snr", "--config", tiny_file, *self.COMMON,
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: out: cannot write {out}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "no-such-dir").exists()
+
     def test_validate_passes(self, capsys):
         assert run_main(["validate"]) == 0
         assert "PASS" in capsys.readouterr().out

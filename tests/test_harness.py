@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import poisoned
-from coopcdma import cli, mmse
+from conftest import poisoned, stacked_signature
+from coopcdma import cli, gpc, mmse
 from coopcdma.errors import ConfigError, DegenerateStateError
 from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
-                              _packet_result,
+                              _packet_result, _run_point,
                               capacity_at_target, codes_for, design_exact,
                               draw_scenario, learning_curve, run_experiment,
                               run_packet, run_user_sweep,
@@ -346,6 +346,72 @@ class TestAggregation:
             assert x == i and np.isnan(ber) and stderr == 0.0 and bits == 0
         _, ber, stderr, bits = run_experiment(cfg).rows[0]
         assert np.isnan(ber) and stderr == 0.0 and bits == 0
+
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+    def test_adaptive_relay_divergence_counts_once(self, scheme,
+                                                   monkeypatch):
+        """An adaptive packet whose relay receiver diverges (a nan
+        source-relay waveform in its scenario) is one divergence; the other
+        trial keeps the BER it has without the poison."""
+        from coopcdma import harness
+        real, drawn = harness.draw_scenario, []
+
+        def draw(*args, **kwargs):
+            scn = real(*args, **kwargs)
+            if not drawn:
+                scn.x_sr[-1][0, 0] = np.nan
+            drawn.append(scn)
+            return scn
+
+        cfg = small_cfg(scheme=scheme, variant="adaptive", trials=2,
+                        packet_len=120, training_len=40)
+        clean, clean_div, _ = _run_point(cfg, cfg.users, 9.0)
+        monkeypatch.setattr(harness, "draw_scenario", draw)
+        bers, divergences, _ = _run_point(cfg, cfg.users, 9.0)
+        assert clean_div == 0 and divergences == 1
+        assert bers == clean[1:]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("K,n_r,L", [(4, 2, 3), (1, 0, 2), (3, 1, 1),
+                                         (2, 2, 2)])
+    @pytest.mark.parametrize("isi", [True, False])
+    @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
+                                        "jpais-ipc"])
+    def test_initial_filters_match_the_stacked_signature(
+            self, scheme, isi, K, n_r, L, seed, monkeypatch):
+        """The adaptive receiver starts from the bytes of each user's
+        equal-power composite waveform formed through the kron-built stacked
+        signature: the initial taps mapped onto every link, weighted by the
+        equal amplitudes, summed over the hops and normalized."""
+        captured = []
+        real = gpc.init_receiver
+
+        def spy(W0, *args):
+            captured.append(W0)
+            return real(W0, *args)
+
+        monkeypatch.setattr(gpc, "init_receiver", spy)
+        cfg = small_cfg(scheme=scheme, variant="adaptive", users=K,
+                        relays=n_r, paths=L, isi=isi, seed=seed,
+                        packet_len=12, training_len=4)
+        dims = cfg.dims()
+        hops, stack = dims.hops, dims.stack
+        codes = codes_for(cfg, K)
+        rng_ch, rng_data, rng_noise, rng_init = trial_rngs(seed, 0)
+        scn = draw_scenario(dims, codes, snr_db_to_sigma2(9.0),
+                            cfg.shadowing_std_db, rng_ch, isi_enabled=isi)
+        run_packet(cfg, scn, rng_data, rng_noise, rng_init)
+        rng_init = trial_rngs(seed, 0)[3]
+        h0 = 0.01 * (rng_init.standard_normal(K * hops * L)
+                     + 1j * rng_init.standard_normal(K * hops * L))
+        U0 = gpc.waveforms_from_channel(stacked_signature(codes, L, hops), h0,
+                                        L)
+        amps = equal_power_amps(K, hops).astype(complex)
+        W0 = (U0.reshape(stack, K, hops) * amps).sum(-1)
+        nrm = np.linalg.norm(W0, axis=0)
+        W0 = W0 / np.where(nrm > 0, nrm, 1.0)
+        assert len(captured) == 1
+        assert captured[0].tobytes() == W0.tobytes()
 
     @pytest.mark.parametrize("variant", ["exact", "adaptive"])
     @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc"])

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import add_destination_frames, make_link_pieces
+from conftest import (add_destination_frames, make_link_pieces,
+                      stacked_signature)
 from coopcdma import harness
 from coopcdma.gpc import waveforms_from_channel
 from coopcdma.harness import (_FRAME_CHUNK, _destination_link_frames,
@@ -25,6 +26,11 @@ def scenario(dims, rng, isi=True):
 def conv_mats(scn):
     """Per-user M x L convolution matrices of the scenario's codes."""
     return [build_convolution_matrix(code, scn.dims.L) for code in scn.codes]
+
+
+def block_signature(scn):
+    """The kron-built stacked block signature of the scenario's codes."""
+    return stacked_signature(scn.codes, scn.dims.L, scn.dims.hops)
 
 
 def hop_symbols(dims, cols, rng):
@@ -70,17 +76,18 @@ class TestConvolutionMatrix:
 
 
 class TestBlockSignature:
-    """The per-user column blocks of a scenario's stacked signature C_all."""
+    """The per-user column blocks of the stacked block signature, the
+    oracle of the per-hop waveform map."""
 
     def test_single_block_identity(self, rng):
         dims = SystemDims(K=1, N=8, L=2, n_r=0)
         scn = scenario(dims, rng)
-        np.testing.assert_array_equal(scn.C_all, conv_mats(scn)[0])
+        np.testing.assert_array_equal(block_signature(scn), conv_mats(scn)[0])
 
     def test_three_identical_diagonal_blocks(self, rng):
         dims = SystemDims(K=2, N=16, L=3, n_r=2)
         scn = scenario(dims, rng)
-        C = scn.C_all[:, 9:18]  # user 1
+        C = block_signature(scn)[:, 9:18]  # user 1
         assert C.shape == (54, 9)
         for j in range(3):
             np.testing.assert_array_equal(C[18 * j:18 * (j + 1), 3 * j:3 * (j + 1)],
@@ -94,7 +101,8 @@ class TestBlockSignature:
     def test_nonzero_count_scales_with_blocks(self, rng):
         dims = SystemDims(K=1, N=5, L=2, n_r=2)
         scn = scenario(dims, rng)
-        assert np.count_nonzero(scn.C_all) == 3 * np.count_nonzero(conv_mats(scn)[0])
+        assert (np.count_nonzero(block_signature(scn))
+                == 3 * np.count_nonzero(conv_mats(scn)[0]))
 
 
 class TestMultipathChannel:
@@ -465,7 +473,7 @@ class TestEffectiveWaveforms:
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         scn = scenario(dims, rng)
         M, L, hops = dims.M, dims.L, dims.hops
-        conv = conv_mats(scn)
+        conv, C_all = conv_mats(scn), block_signature(scn)
         for k in range(2):
             for j in range(hops):
                 link = k * hops + j
@@ -475,7 +483,7 @@ class TestEffectiveWaveforms:
                                            conv[k] @ h, atol=1e-14)
                 assert np.all(np.delete(col, np.s_[j * M:(j + 1) * M]) == 0)
                 np.testing.assert_allclose(
-                    col, scn.C_all[:, link * L:(link + 1) * L] @ h, atol=1e-14)
+                    col, C_all[:, link * L:(link + 1) * L] @ h, atol=1e-14)
 
     @pytest.mark.parametrize("K,n_r", [(1, 0), (2, 1), (4, 2)])
     def test_map_equals_per_link_products(self, K, n_r):
@@ -488,7 +496,7 @@ class TestEffectiveWaveforms:
         dims = SystemDims(K=K, N=16, L=3, n_r=n_r)
         scn = scenario(dims, rng)
         M, L, hops = dims.M, dims.L, dims.hops
-        conv = conv_mats(scn)
+        conv, C_all = conv_mats(scn), block_signature(scn)
         n = scn.h_true.size
         estimate = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for taps in (scn.h_true, estimate):
@@ -497,9 +505,7 @@ class TestEffectiveWaveforms:
                 for j in range(hops):
                     link = k * hops + j
                     U[j * M:(j + 1) * M, link] = conv[k] @ taps[link * L:(link + 1) * L]
-            assert np.array_equal(waveforms_from_channel(scn.C_all, taps, L), U)
-        C_all = np.hstack([np.kron(np.eye(hops), D) for D in conv])
-        assert scn.C_all.tobytes() == C_all.tobytes()
+            assert np.array_equal(waveforms_from_channel(C_all, taps, L), U)
         oracle = waveforms_from_channel(C_all, scn.h_true, L)
         assert scn.U.tobytes() == oracle.tobytes()
 
@@ -510,7 +516,7 @@ class TestEffectiveWaveforms:
         zeros included, unstacked and on (B, ...) stacks."""
         rng = np.random.default_rng(L)
         dims = SystemDims(K=4, N=16, L=L, n_r=2)
-        C = scenario(dims, rng).C_all
+        C = block_signature(scenario(dims, rng))
         C = np.broadcast_to(C, (*blocks, *C.shape))
         for h in (rng.standard_normal((*blocks, C.shape[-1]))
                   + 1j * rng.standard_normal((*blocks, C.shape[-1])),

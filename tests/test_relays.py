@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopcdma.errors import DegenerateStateError
+from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
                             modulate_qpsk)
@@ -162,5 +162,21 @@ class TestAdaptiveRelay:
             for j, single in enumerate(singles):
                 y_j = single.step(r[j], training)[0]
                 np.testing.assert_allclose(y[j], y_j, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(stacked.W[j], single.W[0], rtol=0,
-                                           atol=1e-12)
+                np.testing.assert_allclose(stacked.rx.W[j], single.rx.W[0],
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_nonfinite_observation_raises(self, rng, training):
+        """A relay of a stack fed a nan observation raises at once, in
+        training and on its own decisions, instead of forwarding nan."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=2)
+        X = np.stack([source_relay_waveforms(dims, rng) for _ in range(2)])
+        relay = AdaptiveRelay(2, dims.M, dims.K, alpha=0.998, delta=0.01)
+        for _ in range(5):
+            b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
+            relay.step(X @ b, b)
+        b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
+        r = X @ b
+        r[1, 3] = np.nan
+        with pytest.raises(NumericalDivergenceError, match="a-priori error"):
+            relay.step(r, b if training else None)

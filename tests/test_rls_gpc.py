@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import poisoned
+from conftest import poisoned, stacked_signature
 from coopcdma import gpc, rlscore
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
 from coopcdma.mmse import nonnegative_amplitudes
@@ -15,63 +15,73 @@ def random_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def receiver(stack, K, blocks=(), alpha=0.998, delta=0.01):
+    """Receivers from zero filters, a stack of them for non-empty blocks."""
+    return gpc.init_receiver(np.zeros((*blocks, stack, K)), alpha, delta)
+
+
+def receiver_step(state, r, b):
+    """One receiver_update on the filter output W^H r of the state's W."""
+    y = (state.W.conj().swapaxes(-1, -2) @ r[..., None])[..., 0]
+    return gpc.receiver_update(state, r, b, y)
+
+
 class TestReceiverRecursion:
-    def test_dense_weighted_oracle(self, rng):
-        """200 steps match the dense exponentially weighted normal equations."""
+    @pytest.mark.parametrize("blocks", [(), (2,)])
+    def test_dense_weighted_oracle(self, blocks, rng):
+        """200 steps match the dense exponentially weighted normal equations,
+        for one receiver and for each receiver of a stack."""
         stack, K, alpha, delta = 12, 2, 0.998, 0.01
-        state = gpc.init_receiver(stack, K, alpha, delta)
-        N = delta * np.eye(stack, dtype=complex)
-        Z = np.zeros((stack, K), dtype=complex)
+        state = receiver(stack, K, blocks, alpha, delta)
+        N = np.tile(delta * np.eye(stack, dtype=complex), (*blocks, 1, 1))
+        Z = np.zeros((*blocks, stack, K), dtype=complex)
         for _ in range(200):
-            r = random_vec(rng, stack)
-            b = modulate_qpsk(rng.integers(0, 2, size=(K, 2)))
-            gpc.receiver_update(state, r, b)
-            N = alpha * N + np.outer(r, r.conj())
-            Z = alpha * Z + np.outer(r, b.conj())
+            r = random_vec(rng, stack * int(np.prod(blocks))).reshape(
+                *blocks, stack)
+            b = modulate_qpsk(rng.integers(0, 2, size=(*blocks, K, 2)))
+            receiver_step(state, r, b)
+            N = alpha * N + r[..., :, None] * r.conj()[..., None, :]
+            Z = alpha * Z + r[..., :, None] * b.conj()[..., None, :]
             np.testing.assert_allclose(state.W, np.linalg.solve(N, Z),
                                        atol=1e-8)
             np.testing.assert_allclose(state.Phi, np.linalg.inv(N), atol=1e-8)
 
+    def test_initial_filters_are_kept_and_copied(self, rng):
+        """init_receiver starts from W0, as complex, in a copy of its own, and
+        from Phi = I/delta for every receiver of the stack."""
+        W0 = rng.standard_normal((3, 5, 2))
+        state = gpc.init_receiver(W0, 0.998, 0.01)
+        assert state.W.dtype == complex and np.array_equal(state.W, W0)
+        assert not np.shares_memory(state.W, W0)
+        assert state.Phi.shape == (3, 5, 5)
+        assert np.array_equal(state.Phi,
+                              np.broadcast_to(np.eye(5) / 0.01, (3, 5, 5)))
+
     def test_zero_observation_is_a_noop_for_the_filters(self, rng):
-        state = gpc.init_receiver(8, 2, 0.998, 0.01)
+        state = receiver(8, 2)
         for _ in range(10):
-            gpc.receiver_update(state, random_vec(rng, 8),
-                                modulate_qpsk(rng.integers(0, 2, size=(2, 2))))
+            receiver_step(state, random_vec(rng, 8),
+                          modulate_qpsk(rng.integers(0, 2, size=(2, 2))))
         W_before = state.W.copy()
-        xi = gpc.receiver_update(state, np.zeros(8, dtype=complex),
-                                 np.ones(2, dtype=complex))
+        xi = receiver_step(state, np.zeros(8, dtype=complex),
+                           np.ones(2, dtype=complex))
         np.testing.assert_allclose(state.W, W_before, atol=0)
         np.testing.assert_allclose(xi, np.ones(2), atol=0)
 
     def test_inverse_stays_hermitian(self, rng):
-        state = gpc.init_receiver(10, 2, 0.998, 0.01)
+        state = receiver(10, 2)
         for _ in range(300):
-            gpc.receiver_update(state, random_vec(rng, 10),
-                                modulate_qpsk(rng.integers(0, 2, size=(2, 2))))
+            receiver_step(state, random_vec(rng, 10),
+                          modulate_qpsk(rng.integers(0, 2, size=(2, 2))))
         assert np.abs(state.Phi - state.Phi.conj().T).max() < 1e-9
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_observation_raises(self, rng):
-        state = gpc.init_receiver(6, 1, 0.998, 0.01)
+        state = receiver(6, 1)
         r = random_vec(rng, 6)
         r[0] = np.nan
         with pytest.raises(NumericalDivergenceError):
-            gpc.receiver_update(state, r, np.ones(1, dtype=complex))
-
-    def test_supplied_output_gives_the_same_bits(self, rng):
-        """A caller-supplied W^H r steps the receiver exactly as the output
-        the update forms itself."""
-        own = gpc.init_receiver(12, 3, 0.998, 0.01)
-        given = gpc.init_receiver(12, 3, 0.998, 0.01)
-        for _ in range(100):
-            r = random_vec(rng, 12)
-            b = modulate_qpsk(rng.integers(0, 2, size=(3, 2)))
-            xi_own = gpc.receiver_update(own, r, b)
-            xi_given = gpc.receiver_update(given, r, b,
-                                           given.W.conj().T @ r)
-            for got, want in ((xi_given, xi_own), (given.W, own.W),
-                              (given.Phi, own.Phi)):
-                assert got.tobytes() == want.tobytes()
+            receiver_step(state, r, np.ones(1, dtype=complex))
 
 
 class TestCorrelationGain:
@@ -103,8 +113,8 @@ def _poisoned(shape, value, rng):
 
 
 def _receiver_error(value, rng):
-    state = gpc.init_receiver(6, 2, 0.998, 0.01)
-    gpc.receiver_update(state, random_vec(rng, 6), _poisoned((2,), value, rng))
+    receiver_step(receiver(6, 2), random_vec(rng, 6),
+                  _poisoned((2,), value, rng))
 
 
 def _channel_normal_matrix(value, rng):
@@ -306,10 +316,10 @@ class TestChannelRecursion:
         hops, its hop blocks are the per-hop normal matrices and its solution
         is the per-hop estimate."""
         N_chips, L, hops, K = 8, 2, 3, 2
-        conv = [build_convolution_matrix(c, L)
-                for c in draw_spreading_codes(K, N_chips, rng)]
+        codes = draw_spreading_codes(K, N_chips, rng)
+        conv = [build_convolution_matrix(c, L) for c in codes]
         M, dim = N_chips + L - 1, K * hops * L
-        C_all = np.hstack([np.kron(np.eye(hops), D) for D in conv])
+        C_all = stacked_signature(codes, L, hops)
         alpha, delta = 0.998, 0.01
         state = gpc.init_channel(np.zeros((hops, K * L)), alpha, delta)
         N = delta * np.eye(dim, dtype=complex)
@@ -352,14 +362,8 @@ class TestChannelRecursion:
         N_chips, L, hops, K = 8, 2, 2, 2
         codes = draw_spreading_codes(K, N_chips, rng)
         conv = [build_convolution_matrix(c, L) for c in codes]
-        M = N_chips + L - 1
-        dim = K * hops * L
-        h_true = random_vec(rng, dim)
-        # stacked block-signature matrix covering every user/link
-        C = np.zeros((hops * M, dim), dtype=complex)
-        for k in range(K):
-            for j in range(hops):
-                C[j * M:(j + 1) * M, (k * hops + j) * L:(k * hops + j + 1) * L] = conv[k]
+        h_true = random_vec(rng, K * hops * L)
+        C = stacked_signature(codes, L, hops)
         amps = 0.5 + rng.random(K * hops)
         state = gpc.init_channel(np.zeros((hops, K * L)), 0.998, 0.01)
         for _ in range(300):
@@ -375,8 +379,7 @@ class TestChannelRecursion:
         conv = [build_convolution_matrix(c, L) for c in codes]
         M = N_chips + L - 1
         h = random_vec(rng, K * hops * L)
-        C = np.hstack([np.kron(np.eye(hops), D) for D in conv])
-        U = gpc.waveforms_from_channel(C, h, L)
+        U = gpc.waveforms_from_channel(stacked_signature(codes, L, hops), h, L)
         assert U.shape == (hops * M, K * hops)
         for k in range(K):
             for j in range(hops):

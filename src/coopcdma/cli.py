@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -130,17 +131,25 @@ def curves_to_csv(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(v):
+    """v, or None (null) for a non-finite float, which JSON cannot hold."""
+    return v if not isinstance(v, float) or math.isfinite(v) else None
+
+
 def curves_to_json(curves, manifest: RunManifest) -> str:
     payload = {
         "manifest": dataclasses.asdict(manifest),
         "curves": [{
             "x_name": c.x_name, "scheme": c.scheme, "variant": c.variant,
             "divergences": c.divergences,
-            "rows": [{"x_value": x, "ber_mean": mean, "ber_stderr": stderr,
+            "rows": [{"x_value": _json_number(x),
+                      "ber_mean": _json_number(mean),
+                      "ber_stderr": _json_number(stderr),
                       "bit_count": bits} for x, mean, stderr, bits in c.rows],
         } for c in curves],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def emit_results(curves, manifest: RunManifest, fmt: str, out_path: str) -> None:
@@ -159,7 +168,9 @@ def emit_results(curves, manifest: RunManifest, fmt: str, out_path: str) -> None
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
+    # one trial count: --full-scale does not override --trials silently
+    trials = parser.add_mutually_exclusive_group()
+    trials.add_argument("--trials", type=int)
     parser.add_argument("--snr", help="SNR in dB; a comma-separated grid for sweep-snr")
     parser.add_argument("--users", help="comma-separated user counts (sweep-users) "
                                         "or a single count")
@@ -168,7 +179,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=harness.VARIANTS)
     parser.add_argument("--out", default="results.csv")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--full-scale", action="store_true",
+    trials.add_argument("--full-scale", action="store_true",
                         help="full-scale trial count (1000 packets per point)")
 
 

@@ -59,6 +59,9 @@ class ExperimentConfig:
     mmse_tol: float = 1e-6
 
     def __post_init__(self):
+        # a tuple whatever sequence was given, so that configs compare and
+        # hash by value (the exact designs of a point are cached by config)
+        object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown value {self.scheme!r}")
         if self.variant not in VARIANTS:
@@ -139,8 +142,8 @@ class Scenario:
     dims: SystemDims
     sigma2: float
     codes: np.ndarray
-    x_sr: list  # per relay, M x K source-to-relay waveforms
-    U: np.ndarray  # stack x K*hops true per-link waveform matrix
+    x_sr: np.ndarray  # n_r x M x K source-to-relay waveforms
+    x_dest: np.ndarray  # hops x M x K destination-facing waveforms
     h_true: np.ndarray  # stacked effective destination-facing channels
     isi_enabled: bool = True
 
@@ -150,11 +153,17 @@ class Scenario:
         return self.dims.L - 1 if self.isi_enabled else 0
 
     @cached_property
-    def relay_banks(self) -> list:
-        """Each relay's exact MMSE filters and gains, solved on first use:
-        the exact design and the exact packet share them, and adaptive
-        packets never solve them."""
-        return [mmse_relay_bank(X, self.sigma2) for X in self.x_sr]
+    def U(self) -> np.ndarray:
+        """The stack x K*hops per-link waveform matrix, formed when the exact
+        design first asks for it: x_dest's hops in its diagonal blocks."""
+        return _hop_diagonal(self.x_dest)
+
+    @cached_property
+    def relay_banks(self):
+        """The relays' exact MMSE filters (n_r x M x K) and gains (n_r x K),
+        solved on first use: the exact design and the exact packet share
+        them, and adaptive packets never solve them."""
+        return mmse_relay_bank(self.x_sr, self.sigma2)
 
 
 def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
@@ -163,9 +172,9 @@ def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
 
 
 def _hop_diagonal(X: np.ndarray) -> np.ndarray:
-    """The (..., hops*M, n*hops) matrix of per-link waveforms from each hop's
-    waveforms X (..., hops, M, n): hop j's rows, column k*hops + j for X's
-    column k on hop j, +0.0 elsewhere."""
+    """The (..., hops*M, n*hops) matrix of per-link columns (waveforms or
+    frames) from each hop's X (..., hops, M, n): hop j's rows, column
+    k*hops + j for X's column k on hop j, +0.0 elsewhere."""
     *lead, hops, M, n = X.shape
     out = np.zeros((*lead, hops, M, n, hops), dtype=X.dtype)
     np.einsum("...jmkj->...jmk", out)[...] = X
@@ -183,14 +192,12 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
     if shadowing_std_db != 0.0:
         g = g * 10.0 ** (shadowing_std_db
                          * rng.standard_normal((1 + 2 * n_r, K, 1)) / 20.0)
-    # every draw's M x K waveforms in one map, the destination hops placed
-    # in U's diagonal blocks
+    # every draw's M x K waveforms in one map
     X = gpc.waveforms_from_channel(conv, g.reshape(1 + 2 * n_r, K * L), L)
-    U = _hop_diagonal(np.concatenate([X[:1], X[1 + n_r:]]))
     # destination-facing links, user-major, hop-major, L taps per link
     h_true = np.concatenate([g[:1], g[1 + n_r:]]).transpose(1, 0, 2).reshape(-1)
-    return Scenario(dims=dims, sigma2=sigma2, codes=codes,
-                    x_sr=list(X[1:1 + n_r]), U=U,
+    return Scenario(dims=dims, sigma2=sigma2, codes=codes, x_sr=X[1:1 + n_r],
+                    x_dest=np.concatenate([X[:1], X[1 + n_r:]]),
                     h_true=h_true, isi_enabled=isi_enabled)
 
 
@@ -243,10 +250,8 @@ def scenario_omega(scn: Scenario) -> np.ndarray:
     at the full per-user budget P_A = 1, so their source-to-relay waveforms
     enter unscaled and relay-side quality is identical across schemes.
     """
-    dims = scn.dims
-    stats = [relay_statistics(X, scn.sigma2, bank)
-             for X, bank in zip(scn.x_sr, scn.relay_banks)]
-    return mmse.relay_omega(dims.K, dims.hops, stats)
+    return mmse.relay_omega(*relay_statistics(scn.x_sr, scn.sigma2,
+                                              scn.relay_banks))
 
 
 class PointDesigns:
@@ -260,10 +265,14 @@ class PointDesigns:
         self._solved = {}
 
     def design(self, scn: Scenario, scheme: str, cfg: ExperimentConfig):
+        slot = next((i for i, s in enumerate(self.scenarios) if s is scn),
+                    None)
+        if slot is None:
+            raise ValueError("the scenario is not one of the point's "
+                             "scenarios")
         if (scheme, cfg) not in self._solved:
             self._solved[scheme, cfg] = _design_stack(self.scenarios, scheme,
                                                       cfg)
-        slot = next(i for i, s in enumerate(self.scenarios) if s is scn)
         design = self._solved[scheme, cfg][slot]
         if isinstance(design, Exception):
             raise design
@@ -366,15 +375,13 @@ def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
     with the K x hops amplitudes amps symbol t's window is
     Y[t - t0] @ amps.reshape(-1) plus noise. S is the whole packet's
     hops x K x (P + 2) per-hop symbol array."""
-    M, hops = scn.dims.M, scn.dims.hops
-    Y = np.zeros((t1 - t0, scn.dims.stack, scn.U.shape[1]), dtype=complex)
-    for j in range(hops):
-        rows = slice(j * M, (j + 1) * M)
-        # hop j's K links as a stack of K one-user hops, out (K, M, t1 - t0)
-        add_hop_frames(Y[:, rows, j::hops].transpose(2, 1, 0),
-                       scn.U[rows, j::hops].T[:, :, None],
-                       S[j, :, None, t0:t1 + 2], 1.0, scn.spill)
-    return Y
+    hops, M, K = scn.x_dest.shape
+    # every link as a (hops, K) stack of one-user hops; frames built apart,
+    # not through Y's strided diagonal, where each += copies its operands
+    F = np.zeros((hops, K, M, t1 - t0), dtype=complex)
+    add_hop_frames(F, scn.x_dest.swapaxes(-1, -2)[..., None],
+                   S[:, :, None, t0:t1 + 2], 1.0, scn.spill)
+    return _hop_diagonal(F.transpose(3, 0, 2, 1))
 
 
 def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
@@ -385,7 +392,7 @@ def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
     g * Wr^H r_j the relays forward. Every output is formed from filtered
     frames and filtered noise, without a chip window."""
     P = scn.dims.P
-    for j, (X, (Wr, g)) in enumerate(zip(scn.x_sr, scn.relay_banks)):
+    for j, (X, Wr, g) in enumerate(zip(scn.x_sr, *scn.relay_banks)):
         y = _filtered_noise(Wr, scn.sigma2, P, rng_noise)
         add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
         S[j + 1, :, 1:-1] = y * g[:, None]

@@ -65,25 +65,23 @@ class EnsembleStatistics:
     P_ch: np.ndarray
 
 
-def relay_omega(K: int, hops: int, relay_stats) -> np.ndarray:
+def relay_omega(G: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Link-symbol correlation matrix from second-order relay models.
 
-    relay_stats is a list over relays of (G, S): the forwarded symbol vector
-    of relay j is G_j b + nu_j with noise covariance S_j (see
-    relays.relay_statistics). Column l = q*hops + p carries the symbol of
-    user q on hop p (p = 0 is the direct link). The link symbols are A b plus
-    independent relay noise, A's rows being those of I, G_1, ..., G_n_r
-    interleaved user-major: Omega = A A^H + blockdiag(S_j).
+    G and S are the (n_r, K, K) stacks of relays.relay_statistics: the
+    forwarded symbol vector of relay j is G[j] b + nu_j with noise covariance
+    S[j]. Column l = q*hops + p, hops = n_r + 1, carries the symbol of user q
+    on hop p (p = 0 is the direct link). The link symbols are A b plus
+    independent relay noise, A's rows being those of I, G[0], ..., G[n_r - 1]
+    interleaved user-major: Omega = A A^H + blockdiag(S).
     """
-    n_r = hops - 1
-    if len(relay_stats) != n_r:
-        raise ValueError(f"expected {n_r} relay models, got {len(relay_stats)}")
-    maps = np.array([np.eye(K)] + [G for G, _ in relay_stats], dtype=complex)
+    n_r, K = G.shape[0], G.shape[-1]
+    hops = n_r + 1
+    maps = np.concatenate([np.eye(K, dtype=complex)[None], G])
     A = maps.transpose(1, 0, 2).reshape(K * hops, K)
     omega = A @ A.conj().T
     relay_hops = np.arange(1, hops)
-    omega.reshape(K, hops, K, hops)[:, relay_hops, :, relay_hops] += np.reshape(
-        [S for _, S in relay_stats], (n_r, K, K))
+    omega.reshape(K, hops, K, hops)[:, relay_hops, :, relay_hops] += S
     return omega
 
 

@@ -21,19 +21,19 @@ _POWER_FLOOR = 1e-30
 
 
 def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
-    """Exact per-user MMSE filters and output-power gains for one relay.
+    """Exact per-user MMSE filters and output-power gains of a stack of relays.
 
-    x_scaled holds the amplitude-scaled source-to-relay chip waveforms, one
-    column per user. Returns (W, gains) with gains g_k such that the forwarded
-    soft symbols g_k * w_k^H r have unit average energy.
+    x_scaled (..., M, K) holds the relays' amplitude-scaled source-to-relay
+    chip waveforms, one column per user. Returns (W, gains), (..., M, K) and
+    (..., K), gains g_k making the forwarded g_k * w_k^H r unit-energy.
     """
-    M = x_scaled.shape[0]
-    R = x_scaled @ x_scaled.conj().T + sigma2 * np.eye(M)
+    M = x_scaled.shape[-2]
+    R = x_scaled @ x_scaled.conj().swapaxes(-1, -2) + sigma2 * np.eye(M)
     if sigma2 > 0.0:
         W = np.linalg.solve(R, x_scaled)
     else:
         W = np.linalg.pinv(R) @ x_scaled
-    out_power = np.real(np.einsum("ij,ij->j", W.conj(), R @ W))
+    out_power = np.real(np.einsum("...ij,...ij->...j", W.conj(), R @ W))
     if np.any(out_power <= _POWER_FLOOR):
         raise DegenerateStateError("relay filter output power is zero; "
                                    "source-relay link carries no signal")
@@ -41,17 +41,18 @@ def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
 
 
 def relay_statistics(x_scaled: np.ndarray, sigma2: float, bank):
-    """Second-order model of one relay's forwarded symbols.
+    """Second-order model of a stack of relays' forwarded symbols.
 
-    bank is the relay's (W, gains), as mmse_relay_bank returns them for the
-    same x_scaled and sigma2. With filters W and normalizing gains g, the
-    forwarded symbol vector is btilde = G b + nu where G = diag(g) W^H X
-    couples the users' true symbols and nu is filtered relay noise with
-    covariance S. Returns (G, S); a perfect relay corresponds to G = I, S = 0.
+    bank is the relays' (W, gains), as mmse_relay_bank returns them for the
+    same x_scaled (..., M, K) and sigma2. With filters W and normalizing gains
+    g, a relay forwards btilde = G b + nu where G = diag(g) W^H X couples the
+    users' true symbols and nu is filtered relay noise with covariance S.
+    Returns the (..., K, K) stacks (G, S); a perfect relay has G = I, S = 0.
     """
     W, gains = bank
-    G = gains[:, None] * (W.conj().T @ x_scaled)
-    S = sigma2 * (gains[:, None] * (W.conj().T @ W) * gains[None, :])
+    WH = W.conj().swapaxes(-1, -2)
+    G = gains[..., :, None] * (WH @ x_scaled)
+    S = sigma2 * (gains[..., :, None] * (WH @ W) * gains[..., None, :])
     return G, S
 
 

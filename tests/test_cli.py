@@ -89,6 +89,25 @@ class TestSerialization:
         assert payload["manifest"]["version"] == "0.1.0"
         assert payload["curves"][0]["rows"][1]["ber_mean"] == 0.0625
 
+    def test_non_finite_numbers_are_json_null(self):
+        """A row with no surviving packets (nan over 0 bits) is written with
+        null, which a strict parser accepts; CSV keeps nan."""
+        curve = make_curve()
+        curve.rows = [(6.0, float("nan"), 0.0, 0)]
+        manifest = cli.RunManifest(config={}, version="0", wall_time_s=0.0,
+                                   divergences=2)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(cli.curves_to_json([curve], manifest),
+                             parse_constant=refuse)
+        assert payload["curves"][0]["rows"] == [
+            {"x_value": 6.0, "ber_mean": None, "ber_stderr": 0.0,
+             "bit_count": 0}]
+        assert cli.curves_to_csv([curve]).split("\n")[1] == (
+            "snr_db,6,cis,exact,nan,0,0")
+
     def test_emit_results_rejects_unknown_format(self, tmp_path):
         manifest = cli.RunManifest(config={}, version="0", wall_time_s=0,
                                    divergences=0)
@@ -308,6 +327,18 @@ class TestMain:
         assert f"error: out: cannot write {out}: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "no-such-dir").exists()
+
+    def test_trials_with_full_scale_exits_2(self, tiny_file, tmp_path,
+                                            capsys, monkeypatch):
+        """--trials and --full-scale name two trial counts: the command is
+        refused before any packet runs, not run at 1000 trials."""
+        monkeypatch.setattr(cli.harness, "run_experiment",
+                            lambda *a: pytest.fail("a sweep ran"))
+        with pytest.raises(SystemExit) as exc:
+            run_main(["sweep-snr", "--config", tiny_file, "--trials", "5",
+                      "--full-scale", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_validate_passes(self, capsys):
         assert run_main(["validate"]) == 0

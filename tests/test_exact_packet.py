@@ -16,8 +16,8 @@ def chip_soft_outputs(scn, W, amps, S, rng_noise):
     Draws the chip noise for relay 1, ..., n_r, then the destination."""
     dims = scn.dims
     relay_obs = harness._relay_frames(scn, S[0], rng_noise)
-    for j, (R, (Wr, g)) in enumerate(zip(relay_obs, scn.relay_banks)):
-        S[j + 1, :, 1:-1] = (Wr.conj().T @ R) * g[:, None]
+    Wr, g = scn.relay_banks
+    S[1:, :, 1:-1] = (Wr.conj().swapaxes(-1, -2) @ relay_obs) * g[..., None]
     frames = harness._noise_matrix((dims.stack, dims.P), scn.sigma2, rng_noise)
     add_destination_frames(frames, scn, S, amps)
     return W.conj().T @ frames
@@ -106,6 +106,6 @@ def test_noise_draw_order_is_relays_then_destination(monkeypatch):
     monkeypatch.setattr(harness, "_filtered_noise", record)
     _, S = harness._packet_symbols(scn, harness.trial_rngs(cfg.seed, 0)[1])
     harness.exact_soft_outputs(scn, W, amps, S, np.random.default_rng(0))
-    expected = [Wr for Wr, _ in scn.relay_banks] + [W]
+    expected = [*scn.relay_banks[0], W]
     assert len(banks) == len(expected)
-    assert all(got is want for got, want in zip(banks, expected))
+    assert all(np.array_equal(got, want) for got, want in zip(banks, expected))

@@ -9,8 +9,8 @@ import pytest
 from conftest import poisoned, stacked_signature
 from coopcdma import cli, gpc, mmse
 from coopcdma.errors import ConfigError, DegenerateStateError
-from coopcdma.harness import (BerCurve, ExperimentConfig, _noise_matrix,
-                              _packet_result, _run_point,
+from coopcdma.harness import (BerCurve, ExperimentConfig, PointDesigns,
+                              _noise_matrix, _packet_result, _run_point,
                               capacity_at_target, codes_for, design_exact,
                               draw_scenario, learning_curve, run_experiment,
                               run_packet, run_user_sweep,
@@ -89,6 +89,18 @@ class TestConfig:
         cfg = ExperimentConfig(chips=1, paths=1, relays=0, mmse_iters=1,
                                shadowing_std_db=0.0, snr_grid=(-10.0, 30.0))
         assert cfg.relays == 0 and cfg.mmse_iters == 1
+
+    @pytest.mark.parametrize("variant", ["exact", "adaptive"])
+    def test_list_snr_grid_is_the_tuple_grid(self, variant):
+        """A list grid is stored as a tuple: the config equals and hashes as
+        the tuple grid's (the exact designs are cached by config), and the
+        rows are the same."""
+        kw = dict(variant=variant, trials=2, packet_len=80, training_len=20)
+        listed = small_cfg(snr_grid=[6.0, 12.0], **kw)
+        tupled = small_cfg(snr_grid=(6.0, 12.0), **kw)
+        assert listed.snr_grid == (6.0, 12.0)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert run_experiment(listed).rows == run_experiment(tupled).rows
 
     def test_ncis_still_rejects_negative_relays(self):
         with pytest.raises(ConfigError, match="relays"):
@@ -434,9 +446,10 @@ class TestAggregation:
     @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc", "jpais-ipc"])
     def test_relay_banks_solved_once_per_exact_packet(self, scheme, variant,
                                                       monkeypatch):
-        """An exact packet solves each relay's MMSE bank once, shared by the
-        design and the packet; an adaptive packet solves none. Both modules
-        that look the bank up are counted."""
+        """An exact packet solves its relays' MMSE banks in one call on the
+        relay stack (an empty one without relays), shared by the design and
+        the packet; an adaptive packet solves none. Both modules that look
+        the bank up are counted."""
         from coopcdma import harness, relays
         real, calls = relays.mmse_relay_bank, []
 
@@ -452,7 +465,21 @@ class TestAggregation:
         scn = draw_scenario(dims, codes_for(cfg, dims.K), snr_db_to_sigma2(9.0),
                             cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
         run_packet(cfg, scn, rng_data, rng_noise, rng_init)
-        assert len(calls) == (dims.n_r if variant == "exact" else 0)
+        assert len(calls) == (1 if variant == "exact" else 0)
+
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc"])
+    def test_adaptive_packet_forms_no_padded_waveform_matrix(self, scheme):
+        """An adaptive packet builds its link frames from the per-hop
+        waveforms: the scenario's padded U and relay banks stay unformed."""
+        cfg = small_cfg(scheme=scheme, variant="adaptive", packet_len=60,
+                        training_len=20)
+        dims = cfg.dims()
+        rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, 0)
+        scn = draw_scenario(dims, codes_for(cfg, dims.K), snr_db_to_sigma2(9.0),
+                            cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
+        assert not run_packet(cfg, scn, rng_data, rng_noise,
+                              rng_init).diverged
+        assert "U" not in vars(scn) and "relay_banks" not in vars(scn)
 
     def test_destination_decides_only_payload_symbols(self, monkeypatch):
         """The adaptive destination makes a hard decision per payload symbol
@@ -493,12 +520,12 @@ def dead_relay(scn, rng):
 
 
 def nan_waveform(scn, rng):
-    scn.U = poisoned(scn.U, np.nan, rng)
+    scn.x_dest = poisoned(scn.x_dest, np.nan, rng)
 
 
 def zero_waveforms(scn, rng):
     """No link reaches the destination: the power solution is zero."""
-    scn.U = np.zeros_like(scn.U)
+    scn.x_dest = np.zeros_like(scn.x_dest)
 
 
 def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3):
@@ -591,6 +618,17 @@ class TestPointDesigns:
             assert scn is drawn and p_scn is drawn
             assert p_W is W and p_amps is amps
             assert amps.tobytes() == real_design(scn, scheme, cfg)[1].tobytes()
+
+    def test_foreign_scenario_is_refused(self):
+        """A scenario that is not one of the point's raises a ValueError
+        that says so, not a bare StopIteration."""
+        cfg = small_cfg(variant="exact")
+        dims = cfg.dims()
+        scns = [draw_scenario(dims, codes_for(cfg, dims.K),
+                              snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                              trial_rngs(cfg.seed, t)[0]) for t in range(2)]
+        with pytest.raises(ValueError, match="not one of the point's"):
+            design_exact(scns[1], cfg.scheme, cfg, PointDesigns(scns[:1]))
 
     def test_chunked_point_matches_one_trial_at_a_time(self, monkeypatch):
         """A point of one chunk and three trials more designs them in two

@@ -75,9 +75,11 @@ def perfect_mse(U, hops, sigma2, amps, W):
                      perfect_relay_omega(U.shape[1] // hops, hops))
 
 
-def loop_relay_omega(K, hops, relay_stats):
-    """Entry-by-entry link-symbol correlation: the oracle for relay_omega."""
-    n_r = hops - 1
+def loop_relay_omega(G, S):
+    """Entry-by-entry link-symbol correlation from the (n_r, K, K) relay
+    stacks G and S, relay by relay: the oracle for relay_omega."""
+    n_r, K = G.shape[0], G.shape[-1]
+    hops = n_r + 1
     omega = np.zeros((K * hops, K * hops), dtype=complex)
 
     def idx(q, p):
@@ -87,15 +89,27 @@ def loop_relay_omega(K, hops, relay_stats):
         for qq in range(K):
             omega[idx(q, 0), idx(qq, 0)] = 1.0 if q == qq else 0.0
             for j in range(n_r):
-                G_j, S_j = relay_stats[j]
-                omega[idx(q, 0), idx(qq, j + 1)] = np.conj(G_j[qq, q])
-                omega[idx(q, j + 1), idx(qq, 0)] = G_j[q, qq]
+                omega[idx(q, 0), idx(qq, j + 1)] = np.conj(G[j, qq, q])
+                omega[idx(q, j + 1), idx(qq, 0)] = G[j, q, qq]
                 for jj in range(n_r):
-                    G_jj, _ = relay_stats[jj]
-                    val = G_j[q] @ G_jj[qq].conj()
+                    val = G[j, q] @ G[jj, qq].conj()
                     if j == jj:
-                        val += S_j[q, qq]
+                        val += S[j, q, qq]
                     omega[idx(q, j + 1), idx(qq, jj + 1)] = val
+    return omega
+
+
+def listed_relay_omega(relay_stats):
+    """The link-symbol correlation assembled from a list of per-relay
+    (G_j, S_j) pairs: the oracle for the bytes of relay_omega on stacks."""
+    K = relay_stats[0][0].shape[0]
+    n_r, hops = len(relay_stats), len(relay_stats) + 1
+    maps = np.array([np.eye(K)] + [G for G, _ in relay_stats], dtype=complex)
+    A = maps.transpose(1, 0, 2).reshape(K * hops, K)
+    omega = A @ A.conj().T
+    relay_hops = np.arange(1, hops)
+    omega.reshape(K, hops, K, hops)[:, relay_hops, :, relay_hops] += np.reshape(
+        [S for _, S in relay_stats], (n_r, K, K))
     return omega
 
 
@@ -132,13 +146,13 @@ def individual_power_terms(U, hops, amps, W, omega):
 
 
 def random_relay_stats(K, n_r, rng):
-    """Random complex G_j and Hermitian positive semidefinite S_j."""
-    stats = []
-    for _ in range(n_r):
-        G = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        F = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        stats.append((G, F @ F.conj().T))
-    return stats
+    """(n_r, K, K) stacks of random complex G_j and Hermitian positive
+    semidefinite S_j."""
+    G = (rng.standard_normal((n_r, K, K))
+         + 1j * rng.standard_normal((n_r, K, K)))
+    F = (rng.standard_normal((n_r, K, K))
+         + 1j * rng.standard_normal((n_r, K, K)))
+    return G, F @ F.conj().swapaxes(-1, -2)
 
 
 def desk_design_inputs(snr_db, seed=1):
@@ -179,8 +193,8 @@ class TestOmega:
     def test_relay_omega_reduces_to_perfect(self):
         """Ideal relays (G = I, S = 0) reproduce the perfect-copy model."""
         K, hops = 2, 3
-        stats = [(np.eye(K, dtype=complex), np.zeros((K, K), dtype=complex))] * 2
-        np.testing.assert_allclose(relay_omega(K, hops, stats),
+        G = np.array([np.eye(K, dtype=complex)] * (hops - 1))
+        np.testing.assert_allclose(relay_omega(G, np.zeros_like(G)),
                                    perfect_relay_omega(K, hops), atol=1e-14)
 
     def test_relay_omega_monte_carlo(self, rng):
@@ -188,7 +202,7 @@ class TestOmega:
         K, hops = 2, 2
         G = np.array([[0.95, 0.1 + 0.05j], [0.02j, 0.9]])
         S = 0.05 * np.eye(K) + 0.01 * np.ones((K, K))
-        om = relay_omega(K, hops, [(G, S)])
+        om = relay_omega(G[None], S[None])
 
         n_mc = 200000
         b = modulate_qpsk(rng.integers(0, 2, size=(n_mc, K, 2))
@@ -205,19 +219,25 @@ class TestOmega:
     @pytest.mark.parametrize("K", [1, 3, 4])
     @pytest.mark.parametrize("n_r", [0, 1, 3])
     def test_closed_form_matches_loop(self, K, n_r, rng):
-        stats = random_relay_stats(K, n_r, rng)
-        om = relay_omega(K, n_r + 1, stats)
-        ref = loop_relay_omega(K, n_r + 1, stats)
+        G, S = random_relay_stats(K, n_r, rng)
+        om = relay_omega(G, S)
+        ref = loop_relay_omega(G, S)
+        # the loop sums each entry's dot product in its own order
         assert np.abs(om - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    @pytest.mark.parametrize("n_r", [1, 3])
+    def test_stacks_have_the_bytes_of_per_relay_pairs(self, K, n_r, rng):
+        G, S = random_relay_stats(K, n_r, rng)
+        om = relay_omega(G, S)
+        assert om.tobytes() == listed_relay_omega(list(zip(G, S))).tobytes()
 
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_no_relays_is_perfect(self, K):
         """Without relays the closed form is exactly the perfect-copy model."""
-        assert np.array_equal(relay_omega(K, 1, []), perfect_relay_omega(K, 1))
-
-    def test_relay_count_mismatch(self):
-        with pytest.raises(ValueError):
-            relay_omega(2, 3, [(np.eye(2), np.zeros((2, 2)))])
+        none = np.zeros((0, K, K), dtype=complex)
+        assert np.array_equal(relay_omega(none, none),
+                              perfect_relay_omega(K, 1))
 
 
 class TestStatistics:

@@ -48,6 +48,19 @@ def destination_frames(scn, S, amps):
     return out
 
 
+def per_hop_link_frames(scn, S, t0, t1):
+    """_destination_link_frames hop by hop, each hop's K links a stack of K
+    one-user hops cut from U: the oracle for the bytes of its one call."""
+    M, hops = scn.dims.M, scn.dims.hops
+    Y = np.zeros((t1 - t0, scn.dims.stack, scn.U.shape[1]), dtype=complex)
+    for j in range(hops):
+        rows = slice(j * M, (j + 1) * M)
+        add_hop_frames(Y[:, rows, j::hops].transpose(2, 1, 0),
+                       scn.U[rows, j::hops].T[:, :, None],
+                       S[j, :, None, t0:t1 + 2], 1.0, scn.spill)
+    return Y
+
+
 class TestConvolutionMatrix:
     def test_shape_desk_scale(self, rng):
         code = draw_spreading_codes(1, 16, rng)[0]
@@ -376,6 +389,20 @@ class TestLinkFrames:
                 one = np.zeros((dims.M, 7), dtype=complex)
                 add_hop_frames(one, X[0][:, k:k + 1], S[k:k + 1], 1.0, spill)
                 assert np.array_equal(out[k], one)
+
+    @pytest.mark.parametrize("isi", [True, False])
+    @pytest.mark.parametrize("n_r", [0, 2])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_one_call_has_the_bytes_of_the_per_hop_loop(self, K, n_r, isi,
+                                                        rng):
+        dims = SystemDims(K=K, N=8, L=3, n_r=n_r)
+        scn = scenario(dims, rng, isi=isi)
+        P = _FRAME_CHUNK + 7
+        S = hop_symbols(dims, P, rng)
+        for t0 in range(0, P, _FRAME_CHUNK):
+            t1 = min(t0 + _FRAME_CHUNK, P)
+            assert (_destination_link_frames(scn, S, t0, t1).tobytes()
+                    == per_hop_link_frames(scn, S, t0, t1).tobytes())
 
     @pytest.mark.parametrize("isi", [True, False])
     @pytest.mark.parametrize("n_r", [0, 2])

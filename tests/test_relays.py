@@ -100,6 +100,37 @@ class TestRelayStatistics:
         np.testing.assert_allclose(S, 0.0, atol=1e-12)
 
 
+class TestRelayStack:
+    """The exact bank and statistics of a stack of relays, against one call
+    per relay, byte for byte."""
+
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])  # 0: the pinv path
+    @pytest.mark.parametrize("n_r", [0, 1, 3])
+    def test_stack_has_the_bytes_of_the_per_relay_loop(self, n_r, sigma2,
+                                                       rng):
+        dims = SystemDims(K=3, N=8, L=2, n_r=n_r)
+        X = np.empty((n_r, dims.M, dims.K), dtype=complex)
+        for j in range(n_r):
+            X[j] = source_relay_waveforms(dims, rng)
+        W, gains = mmse_relay_bank(X, sigma2)
+        G, S = relay_statistics(X, sigma2, (W, gains))
+        assert W.shape == (n_r, dims.M, dims.K) and gains.shape == (n_r, dims.K)
+        assert G.shape == S.shape == (n_r, dims.K, dims.K)
+        for j in range(n_r):
+            bank = mmse_relay_bank(X[j], sigma2)
+            for got, want in zip((W[j], gains[j], G[j], S[j]),
+                                 (*bank, *relay_statistics(X[j], sigma2,
+                                                           bank))):
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_degenerate_relay_fails_the_stack(self, rng):
+        dims = SystemDims(K=2, N=8, L=2, n_r=2)
+        X = np.stack([source_relay_waveforms(dims, rng) for _ in range(2)])
+        X[1, :, 0] = 0.0
+        with pytest.raises(DegenerateStateError):
+            mmse_relay_bank(X, 0.1)
+
+
 class TestAdaptiveRelay:
     def test_converges_to_exact_filters(self, rng):
         """Trained adaptive relay output approaches the exact MMSE output."""

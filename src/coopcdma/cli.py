@@ -13,16 +13,19 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__, harness, validation
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
-def _parse_bool(raw) -> bool:
-    text = str(raw).lower()  # a bool gives "true" or "false"
+def _parse_bool(raw: str) -> bool:
+    text = raw.lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -30,13 +33,12 @@ def _parse_bool(raw) -> bool:
     raise ValueError(raw)
 
 
-def _parse_floats(raw) -> tuple:
-    items = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
-    return tuple(float(v) for v in items)
+def _parse_floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
 
 
-# each key is parsed by the exact type of its ExperimentConfig default, so a
-# new field needs no edit here (type() is exact: a bool default is not an int)
+# each key's text is parsed by the exact type of its ExperimentConfig default,
+# so a new field needs no edit here (type() is exact: a bool is not an int)
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_floats,
             str: str}
 _KEY_PARSERS = {f.name: _PARSERS[type(f.default)]
@@ -45,14 +47,19 @@ KNOWN_KEYS = frozenset(_KEY_PARSERS)
 
 
 def _coerce(key: str, raw):
+    """Text parsed by the key's type; other values go to the config as given."""
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"{key}: unknown configuration key")
+    if not isinstance(raw, str):
+        return raw
     try:
         return _KEY_PARSERS[key](raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}: invalid value {raw!r}") from exc
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
+    """Flat key = value lines, each key once; '#' starts a comment."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -67,27 +74,19 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{key}: unknown configuration key")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key} given twice")
         values[key] = _coerce(key, raw)
     return values
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve defaults < config file < flag overrides into a full config."""
-    values = {}
-    if path is not None:
-        values.update(read_config_file(path))
+    values = read_config_file(path) if path is not None else {}
     for key, raw in (overrides or {}).items():
-        if raw is None:
-            continue
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{key}: unknown configuration key")
-        values[key] = _coerce(key, raw)
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        if raw is not None:
+            values[key] = _coerce(key, raw)
+    return ExperimentConfig(**values)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
@@ -101,6 +100,13 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _environment() -> dict:
+    """The Python and numpy versions and the BLAS numpy was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
 @dataclass
 class RunManifest:
     """Provenance for one emitted result file."""
@@ -110,6 +116,7 @@ class RunManifest:
     wall_time_s: float
     divergences: int
     outputs: list = field(default_factory=list)
+    environment: dict = field(default_factory=_environment)
 
 
 CSV_HEADER = "x_name,x_value,scheme,variant,ber_mean,ber_stderr,bit_count"
@@ -202,10 +209,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _users_grid(args):
     if args.users is None:
         return [2, 4, 6, 8]
-    grid = [_coerce("users", v) for v in args.users.split(",")]
-    if min(grid) < 1:
-        raise ConfigError(f"users: must be >= 1, got {min(grid)}")
-    return grid
+    return [_coerce("users", v) for v in args.users.split(",")]
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ results are bit-reproducible and independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,64 +35,73 @@ _FRAME_CHUNK = 25
 _DESIGN_CHUNK = 100
 
 
+_ACCEPTS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real,
+            str: str}
+
+
+def _as_kind(kind: type, value):
+    """value as the Python type kind: an integer (not a bool) for int, a real
+    number (not a bool) for float, a sequence of real numbers for tuple."""
+    if kind is tuple:
+        return tuple(_as_kind(float, v) for v in value)
+    if (isinstance(value, bool) and kind is not bool
+            or not isinstance(value, _ACCEPTS[kind])):
+        raise TypeError(value)
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment parameters; defaults reproduce the desk-scale setup."""
+    """Resolved experiment parameters; defaults reproduce the desk-scale setup.
+    A field takes its default's type (_as_kind) and its metadata's bound."""
 
-    users: int = 4
-    chips: int = 16
-    paths: int = 3
-    relays: int = 2
+    users: int = field(default=4, metadata={"low": 1})
+    chips: int = field(default=16, metadata={"low": 1})
+    paths: int = field(default=3, metadata={"low": 1})
+    relays: int = field(default=2, metadata={"low": 0})
     packet_len: int = 1500
-    training_len: int = 200
-    trials: int = 100
+    training_len: int = field(default=200, metadata={"low": 1})
+    trials: int = field(default=100, metadata={"low": 1})
     snr_grid: tuple = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0)
     scheme: str = "jpais-ipc"
     variant: str = "exact"
-    alpha: float = 0.998
-    lam: float = 0.025
-    lam_t: float = 0.025
-    seed: int = 1
-    shadowing_std_db: float = 3.0
+    alpha: float = field(default=0.998, metadata={"low": 0.0, "strict": True})
+    lam: float = field(default=0.025, metadata={"low": 0.0})
+    lam_t: float = field(default=0.025, metadata={"low": 0.0})
+    seed: int = field(default=1, metadata={"low": 0})
+    shadowing_std_db: float = field(default=3.0, metadata={"low": 0.0})
     isi: bool = True
-    delta: float = 0.01
-    mmse_iters: int = 50
-    mmse_tol: float = 1e-6
+    delta: float = field(default=0.01, metadata={"low": 0.0, "strict": True})
+    mmse_iters: int = field(default=50, metadata={"low": 1})
+    mmse_tol: float = field(default=1e-6, metadata={"low": 0.0, "strict": True})
 
     def __post_init__(self):
-        # a tuple whatever sequence was given, so that configs compare and
+        # each value stored as its field's type, so that configs compare and
         # hash by value (the exact designs of a point are cached by config)
-        object.__setattr__(self, "snr_grid", tuple(self.snr_grid))
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            try:
+                value = _as_kind(kind, value)
+            except (TypeError, OverflowError):
+                what = "a sequence of reals" if kind is tuple else kind.__name__
+                raise ConfigError(f"{f.name}: expected {what}, "
+                                  f"got {value!r}") from None
+            low, strict = f.metadata.get("low"), f.metadata.get("strict")
+            # nan fails both comparisons; an int is compared exactly
+            if low is not None and not ((low < value if strict else
+                                         low <= value) and value < np.inf):
+                op = ">" if strict else ">="
+                raise ConfigError(f"{f.name}: must be a finite number {op} "
+                                  f"{low}, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown value {self.scheme!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
         if self.training_len >= self.packet_len:
             raise ConfigError("training_len: must be smaller than packet_len")
-        if self.training_len < 1 or self.trials < 1:
-            raise ConfigError("training_len and trials must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
+        if self.alpha > 1.0:
             raise ConfigError("alpha: must be in (0, 1]")
-        if self.users < 1:
-            raise ConfigError("users: must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        for name in ("lam", "lam_t"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
-        for name in ("chips", "paths", "mmse_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1")
-        if self.relays < 0:
-            raise ConfigError("relays: must be >= 0")
-        for name in ("delta", "mmse_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name}: must be finite and > 0, got {value!r}")
-        if not (np.isfinite(self.shadowing_std_db) and self.shadowing_std_db >= 0.0):
-            raise ConfigError("shadowing_std_db: must be finite and >= 0, "
-                              f"got {self.shadowing_std_db!r}")
         if len(self.snr_grid) == 0:
             raise ConfigError("snr_grid: must hold at least one SNR")
         for snr in self.snr_grid:
@@ -105,11 +115,8 @@ class ExperimentConfig:
         if self.scheme == "ncis" and self.relays != 0:
             object.__setattr__(self, "relays", 0)
 
-    def dims(self, users: int | None = None) -> SystemDims:
-        K = self.users if users is None else users
-        if K < 1:
-            raise ConfigError(f"users: must be >= 1, got {K}")
-        return SystemDims(K=K, N=self.chips, L=self.paths,
+    def dims(self) -> SystemDims:
+        return SystemDims(K=self.users, N=self.chips, L=self.paths,
                           n_r=self.relays, P=self.packet_len)
 
     def mmse_config(self, lam: float) -> mmse.MmseConfig:
@@ -603,12 +610,12 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
         yield None if res is None or res.diverged else res
 
 
-def _run_point(cfg: ExperimentConfig, users: int, snr_db: float):
-    """Every trial at one (users, SNR) point: the BERs of the packets that
-    kept going, the number that diverged, and the kept packets' summed
+def _run_point(cfg: ExperimentConfig, snr_db: float):
+    """Every trial at one SNR of cfg: the BERs of the packets that kept
+    going, the number that diverged, and the kept packets' summed
     per-symbol errors. The trials run in chunks of _DESIGN_CHUNK
     (_chunk_packets), one chunk's scenarios held at a time."""
-    dims = cfg.dims(users)
+    dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     sigma2 = snr_db_to_sigma2(snr_db)
     bers, divergences = [], 0
@@ -634,15 +641,15 @@ def _fixed_snr(cfg: ExperimentConfig) -> float:
 
 def _sweep(cfg: ExperimentConfig, x_name: str, points) -> BerCurve:
     """One row (x, mean BER, its standard error, payload bits) per
-    (x, users, SNR) point, over the packets that did not diverge; with none
-    left, nan over 0 bits."""
+    (x, config, SNR) point, over the packets that did not diverge; with none
+    left, nan over 0 bits. A point's config is cfg or cfg with other users."""
     rows, total_div = [], 0
-    for x, users, snr_db in points:
-        bers, div, _ = _run_point(cfg, users, snr_db)
+    for x, point, snr_db in points:
+        bers, div, _ = _run_point(point, snr_db)
         bers = np.asarray(bers)
         mean = float(bers.mean()) if bers.size else float("nan")
         stderr = float(bers.std(ddof=1) / np.sqrt(bers.size)) if bers.size > 1 else 0.0
-        bits = 2 * (cfg.packet_len - cfg.training_len) * bers.size * users
+        bits = 2 * (cfg.packet_len - cfg.training_len) * bers.size * point.users
         rows.append((x, mean, stderr, bits))
         total_div += div
     return BerCurve(x_name=x_name, rows=rows, scheme=cfg.scheme,
@@ -651,20 +658,23 @@ def _sweep(cfg: ExperimentConfig, x_name: str, points) -> BerCurve:
 
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:
     """BER versus SNR over the configured grid; deterministic given the seed."""
-    return _sweep(cfg, "snr_db",
-                  [(float(snr), cfg.users, snr) for snr in cfg.snr_grid])
+    return _sweep(cfg, "snr_db", [(snr, cfg, snr) for snr in cfg.snr_grid])
 
 
 def run_user_sweep(cfg: ExperimentConfig, users_grid) -> BerCurve:
-    """BER versus user count at the configured single SNR."""
+    """BER versus user count at the configured single SNR; each count is
+    checked as cfg.users is, and an empty grid refused, before any packet."""
+    configs = [replace(cfg, users=K) for K in users_grid]
+    if not configs:
+        raise ConfigError("users: the user grid holds no count")
     snr = _fixed_snr(cfg)
-    return _sweep(cfg, "users", [(int(K), int(K), snr) for K in users_grid])
+    return _sweep(cfg, "users", [(c.users, c, snr) for c in configs])
 
 
 def learning_curve(cfg: ExperimentConfig) -> BerCurve:
     """Per-symbol-index BER averaged over trials (convergence view), at the
     configured single SNR."""
-    bers, div, per_symbol = _run_point(cfg, cfg.users, _fixed_snr(cfg))
+    bers, div, per_symbol = _run_point(cfg, _fixed_snr(cfg))
     # with every trial diverged: nan over 0 bits, as run_experiment reports
     bits = 2 * cfg.users * len(bers)
     rows = [(i, float(n) / bits if bits else float("nan"), 0.0, bits)

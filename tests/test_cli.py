@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="trials: invalid value"):
             cli.parse_config(None, {"trials": "many"})
 
+    def test_key_given_twice_reports_location(self, tmp_path):
+        """A repeated key is refused, not overridden by its last line."""
+        path = tmp_path / "run.cfg"
+        path.write_text("users = 4\n# six users\nusers = 6\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: users given twice"):
+            cli.parse_config(str(path))
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("users 6\n")
@@ -87,6 +95,10 @@ class TestSerialization:
                                    wall_time_s=1.5, divergences=0)
         payload = json.loads(cli.curves_to_json([make_curve()], manifest))
         assert payload["manifest"]["version"] == "0.1.0"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert payload["manifest"]["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
         assert payload["curves"][0]["rows"][1]["ber_mean"] == 0.0625
 
     def test_non_finite_numbers_are_json_null(self):

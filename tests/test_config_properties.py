@@ -1,9 +1,12 @@
 """Property tests of the configuration boundary.
 
 Every valid ExperimentConfig survives emit_config -> parse_config unchanged,
-and every out-of-range value of a field, given as text the way a config file
-or a flag gives it, is rejected with ConfigError and nothing else.
+every out-of-range value of a field, given as text the way a config file or a
+flag gives it, is rejected with ConfigError and nothing else, and so is every
+value of the wrong type given to ExperimentConfig itself.
 """
+
+import dataclasses
 
 import pytest
 
@@ -96,3 +99,26 @@ def test_arbitrary_text_raises_only_config_error(key, text):
         cli.parse_config(overrides={key: text})
     except ConfigError:
         pass
+
+
+# for each field type, values of another type: a float for an int, a str, a
+# bool for a number, None, and a scalar or non-numeric grid
+_WRONG_TYPES = {
+    int: st.floats() | st.text() | st.booleans() | st.none(),
+    float: st.text() | st.booleans() | st.none(),
+    bool: st.integers() | st.floats() | st.text() | st.none(),
+    str: st.integers() | st.floats() | st.booleans() | st.none(),
+    tuple: st.floats() | st.integers() | st.booleans() | st.none()
+    | st.text(min_size=1)
+    | st.lists(st.text() | st.booleans() | st.none(), min_size=1),
+}
+FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_wrong_types_raise_config_error_naming_the_field(key, data):
+    value = data.draw(_WRONG_TYPES[type(FIELDS[key].default)])
+    with pytest.raises(ConfigError, match=f"^{key}: expected "):
+        ExperimentConfig(**{key: value})

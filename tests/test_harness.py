@@ -46,21 +46,57 @@ class TestConfig:
         assert cfg.relays == 0
         assert cfg.dims().hops == 1
 
-    def test_dims_override_user_count(self):
-        cfg = ExperimentConfig(users=4, relays=2)
-        assert cfg.dims(users=6).K == 6
+    def test_dims_carry_the_configured_user_count(self):
+        cfg = dataclasses.replace(ExperimentConfig(users=4, relays=2), users=6)
+        assert cfg.dims().K == 6
         assert cfg.dims().stack == 3 * 18
 
     def test_rejects_fewer_than_one_user(self):
         with pytest.raises(ConfigError, match="users"):
             ExperimentConfig(users=0)
         with pytest.raises(ConfigError, match="users"):
-            ExperimentConfig(users=3).dims(users=0)
+            dataclasses.replace(ExperimentConfig(users=3), users=0)
 
-    def test_user_sweep_rejects_zero_users_instead_of_relabelling(self):
-        with pytest.raises(ConfigError, match="users"):
+    @pytest.mark.parametrize("grid", [[0, 2], [2.5], ["3"], [True], []])
+    def test_user_sweep_rejects_zero_users_instead_of_relabelling(
+            self, grid, monkeypatch):
+        """Each count of the grid is checked as ExperimentConfig.users is,
+        and an empty grid refused, before any packet runs: 2.5 no longer runs
+        as 2, nor [] as an empty curve."""
+        from coopcdma import harness
+        monkeypatch.setattr(harness, "run_packet",
+                            lambda *a, **k: pytest.fail("a packet ran"))
+        with pytest.raises(ConfigError, match="^users: "):
             run_user_sweep(small_cfg(users=3, trials=1, snr_grid=(12.0,)),
-                           [0, 2])
+                           grid)
+
+    @pytest.mark.parametrize("kw,field", [
+        (dict(trials=2.5), "trials"),
+        (dict(packet_len=30.0, training_len=10), "packet_len"),
+        (dict(users="4"), "users"), (dict(alpha="0.9"), "alpha"),
+        (dict(snr_grid=6.0), "snr_grid"), (dict(isi="no"), "isi"),
+        (dict(seed=True), "seed"), (dict(relays=True), "relays"),
+        (dict(snr_grid=(True,)), "snr_grid"),
+    ])
+    def test_rejects_a_value_of_the_wrong_type(self, kw, field):
+        """A value of another type than the field's default is refused at
+        construction, not failed deep in a run, run as something else
+        ("no" as ISI on) or taken as 1 (a bool)."""
+        with pytest.raises(ConfigError, match=f"^{field}: expected "):
+            ExperimentConfig(**kw)
+
+    def test_numpy_scalars_are_stored_as_python_types(self):
+        cfg = ExperimentConfig(users=np.int64(3), chips=np.int32(8),
+                               seed=np.uint8(7), alpha=np.float32(0.5),
+                               lam=np.float64(0.25), isi=np.bool_(False),
+                               scheme=np.str_("cis"),
+                               snr_grid=np.array([3, 9.5]))
+        for f in dataclasses.fields(cfg):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+        assert [type(snr) for snr in cfg.snr_grid] == [float, float]
+        assert cfg == ExperimentConfig(users=3, chips=8, seed=7, alpha=0.5,
+                                       lam=0.25, isi=False, scheme="cis",
+                                       snr_grid=(3.0, 9.5))
 
     @pytest.mark.parametrize("field", ["lam", "lam_t"])
     def test_rejects_negative_loading(self, field):
@@ -292,11 +328,13 @@ class TestAggregation:
         payload = cfg.packet_len - cfg.training_len
         assert bits == 2 * payload * cfg.users * cfg.trials
 
-    def test_user_sweep_axis(self):
+    @pytest.mark.parametrize("grid", [[2, 3], np.arange(2, 4)])
+    def test_user_sweep_axis(self, grid):
         cfg = small_cfg(trials=1)
-        curve = run_user_sweep(cfg, [2, 3])
+        curve = run_user_sweep(cfg, grid)
         assert curve.x_name == "users"
         assert [row[0] for row in curve.rows] == [2, 3]
+        assert [type(row[0]) for row in curve.rows] == [int, int]
 
     def test_degenerate_exact_draw_counts_as_divergence(self, monkeypatch):
         """A degenerate relay draw skips that trial, not the whole sweep."""
@@ -377,9 +415,9 @@ class TestAggregation:
 
         cfg = small_cfg(scheme=scheme, variant="adaptive", trials=2,
                         packet_len=120, training_len=40)
-        clean, clean_div, _ = _run_point(cfg, cfg.users, 9.0)
+        clean, clean_div, _ = _run_point(cfg, 9.0)
         monkeypatch.setattr(harness, "draw_scenario", draw)
-        bers, divergences, _ = _run_point(cfg, cfg.users, 9.0)
+        bers, divergences, _ = _run_point(cfg, 9.0)
         assert clean_div == 0 and divergences == 1
         assert bers == clean[1:]
 

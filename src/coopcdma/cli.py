@@ -14,9 +14,11 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -100,11 +102,31 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the root of the source tree that holds this module, src/coopcdma/cli.py
+_SOURCE_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _git_revision():
+    """The commit checked out at the source tree's root, or None outside a
+    checkout or without git. Git looks no higher than the root, so an
+    installed package inside some other repository reports None."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(_SOURCE_ROOT.parent))
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=_SOURCE_ROOT,
+                             env=env, capture_output=True, text=True,
+                             timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def _environment() -> dict:
-    """The Python and numpy versions and the BLAS numpy was built with."""
+    """The Python and numpy versions, the BLAS numpy was built with and the
+    git revision of the source, read when a manifest is built."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "git": _git_revision()}
 
 
 @dataclass

@@ -4,7 +4,8 @@ Three coupled recursions share state across a packet: an RLS receiver-matrix
 update driven by the stacked observation (the relays run it on theirs), a
 constrained power-vector update that solves its weighted normal equations and
 projects onto the budget sphere as the exact power step does, and a joint RLS
-channel estimator over all users and links, solved hop by hop. Power and
+channel estimator over all users and links. The channel and power steps work
+hop by hop: a link reaches the destination on one hop only. Power and
 channel run on a leading axis of B user blocks: one block of all K users under
 the global budget, or K one-user blocks (ipc).
 """
@@ -17,16 +18,19 @@ import numpy as np
 
 from .mmse import nonnegative_amplitudes
 from .rlscore import (ExpWeightedInverse, check_finite, correlation_gain,
-                      solve_normal)
+                      hermitian_period, make_hermitian, solve_normal)
 
 
 @dataclass
 class ReceiverRlsState:
-    """A stack of RLS receivers: Phi (..., M, M), filters W (..., M, K)."""
+    """A stack of RLS receivers: Phi (..., M, M), filters W (..., M, K), the
+    updates between two Hermitian passes on Phi and the updates taken."""
 
     Phi: np.ndarray
     W: np.ndarray
     alpha: float
+    hermitian_every: int
+    t: int = 0
 
 
 def init_receiver(W0: np.ndarray, alpha: float,
@@ -35,17 +39,22 @@ def init_receiver(W0: np.ndarray, alpha: float,
     W = W0.astype(complex)
     *lead, M, _ = W.shape
     return ReceiverRlsState(Phi=np.tile(np.eye(M, dtype=complex) / delta,
-                                        (*lead, 1, 1)), W=W, alpha=alpha)
+                                        (*lead, 1, 1)), W=W, alpha=alpha,
+                            hermitian_every=hermitian_period(alpha))
 
 
 def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """One step of each receiver on its observation r (..., M), reference b
     and filter output y = W^H r (..., K); returns the a-priori error b - y,
-    which raises before the state changes if it is not finite."""
+    which raises before the state changes if it is not finite. Every
+    hermitian_every updates, Phi is made Hermitian again."""
     xi = b - y
     check_finite(xi, "receiver a-priori error")
     k, state.Phi = correlation_gain(state.Phi, r, state.alpha)
+    state.t += 1
+    if state.t % state.hermitian_every == 0:
+        make_hermitian(state.Phi)
     state.W += k[..., :, None] * xi.conj()[..., None, :]
     return xi
 
@@ -95,19 +104,24 @@ def _loading_weight(lam: float, alpha: float, dim: int) -> float:
     return lam * (1.0 - alpha ** dim) / (1.0 - alpha)
 
 
-def power_update(state: PowerRlsState, W: np.ndarray, U_hat: np.ndarray,
+def power_update(state: PowerRlsState, W: np.ndarray, X_hat: np.ndarray,
                  link_symbols: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Constrained power step: one normal-equation update, then projection.
 
-    U_hat holds the estimated per-link waveforms (stack x links), W the
-    block users' filters and link_symbols the per-link symbol estimates, so
-    the user-k regressor (column k of V) is v_k = s * conj(U_hat^H w_k) and
-    a^H v_k is the signal part of the filter output w_k^H r predicted by the
-    current amplitudes. Stacked blocks put their axis first on every array.
+    X_hat (..., hops, M, n_u) holds the estimated waveforms of the block
+    users' links on each hop, as waveforms_from_channel returns them, W
+    (..., hops, M, n_u) the block users' filters split into the same hops,
+    and link_symbols (..., n_u*hops) the per-link symbol estimates,
+    user-major. A link reaches the destination on one hop only, so its
+    response to filter w_k is X_j^T conj(W_j) on its hop j alone; the user-k
+    regressor (column k of V) is v_k = s * those responses, and a^H v_k is
+    the signal part of the filter output w_k^H r predicted by the current
+    amplitudes. Stacked blocks put their axis first on every array.
     """
-    # conj(U_hat^H W) as U_hat^T conj(W): the same bits, without
-    # conjugated copies of U_hat and of the product
-    V = link_symbols[..., None] * (U_hat.swapaxes(-1, -2) @ W.conj())
+    # conj(X_j^H W_j) as X_j^T conj(W_j): no conjugated copies of X_hat and
+    # of the product; the hops' (n_u x n_u) responses regrouped user-major
+    G = (X_hat.swapaxes(-1, -2) @ W.conj()).swapaxes(-3, -2)
+    V = link_symbols[..., None] * G.reshape(*G.shape[:-3], -1, G.shape[-1])
     state.N *= state.alpha
     state.N += V @ V.conj().swapaxes(-1, -2)
     state.z *= state.alpha

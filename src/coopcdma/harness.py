@@ -50,18 +50,28 @@ def _as_kind(kind: type, value):
     return kind(value)
 
 
+# the largest count a field takes: the 32-bit index limit of LAPACK and BLAS.
+# A count within it can still ask for more memory than the host has.
+_COUNT_MAX = 2**31 - 1
+
+
+def _count(default: int, low: int):
+    """A count field: an int in [low, _COUNT_MAX]."""
+    return field(default=default, metadata={"low": low, "high": _COUNT_MAX})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters; defaults reproduce the desk-scale setup.
-    A field takes its default's type (_as_kind) and its metadata's bound."""
+    A field takes its default's type (_as_kind) and its metadata's bounds."""
 
-    users: int = field(default=4, metadata={"low": 1})
-    chips: int = field(default=16, metadata={"low": 1})
-    paths: int = field(default=3, metadata={"low": 1})
-    relays: int = field(default=2, metadata={"low": 0})
-    packet_len: int = 1500
-    training_len: int = field(default=200, metadata={"low": 1})
-    trials: int = field(default=100, metadata={"low": 1})
+    users: int = _count(4, low=1)
+    chips: int = _count(16, low=1)
+    paths: int = _count(3, low=1)
+    relays: int = _count(2, low=0)
+    packet_len: int = _count(1500, low=2)
+    training_len: int = _count(200, low=1)
+    trials: int = _count(100, low=1)
     snr_grid: tuple = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0)
     scheme: str = "jpais-ipc"
     variant: str = "exact"
@@ -72,7 +82,7 @@ class ExperimentConfig:
     shadowing_std_db: float = field(default=3.0, metadata={"low": 0.0})
     isi: bool = True
     delta: float = field(default=0.01, metadata={"low": 0.0, "strict": True})
-    mmse_iters: int = field(default=50, metadata={"low": 1})
+    mmse_iters: int = _count(50, low=1)
     mmse_tol: float = field(default=1e-6, metadata={"low": 0.0, "strict": True})
 
     def __post_init__(self):
@@ -86,13 +96,17 @@ class ExperimentConfig:
                 what = "a sequence of reals" if kind is tuple else kind.__name__
                 raise ConfigError(f"{f.name}: expected {what}, "
                                   f"got {value!r}") from None
-            low, strict = f.metadata.get("low"), f.metadata.get("strict")
+            low, high = f.metadata.get("low"), f.metadata.get("high")
+            strict = f.metadata.get("strict")
             # nan fails both comparisons; an int is compared exactly
             if low is not None and not ((low < value if strict else
                                          low <= value) and value < np.inf):
                 op = ">" if strict else ">="
                 raise ConfigError(f"{f.name}: must be a finite number {op} "
                                   f"{low}, got {value!r}")
+            if high is not None and value > high:
+                raise ConfigError(f"{f.name}: must be at most {high}, "
+                                  f"got {value!r}")
             object.__setattr__(self, f.name, value)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown value {self.scheme!r}")
@@ -162,8 +176,12 @@ class Scenario:
     @cached_property
     def U(self) -> np.ndarray:
         """The stack x K*hops per-link waveform matrix, formed when the exact
-        design first asks for it: x_dest's hops in its diagonal blocks."""
-        return _hop_diagonal(self.x_dest)
+        design first asks for it: hop j's rows, column k*hops + j for x_dest's
+        column k on hop j, +0.0 elsewhere."""
+        hops, M, K = self.x_dest.shape
+        U = np.zeros((hops, M, K, hops), dtype=self.x_dest.dtype)
+        np.einsum("jmkj->jmk", U)[...] = self.x_dest
+        return U.reshape(hops * M, K * hops)
 
     @cached_property
     def relay_banks(self):
@@ -176,16 +194,6 @@ class Scenario:
 def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
     """M x K*L: each user's M x L convolution matrix, user-major."""
     return np.hstack([build_convolution_matrix(code, L) for code in codes])
-
-
-def _hop_diagonal(X: np.ndarray) -> np.ndarray:
-    """The (..., hops*M, n*hops) matrix of per-link columns (waveforms or
-    frames) from each hop's X (..., hops, M, n): hop j's rows, column
-    k*hops + j for X's column k on hop j, +0.0 elsewhere."""
-    *lead, hops, M, n = X.shape
-    out = np.zeros((*lead, hops, M, n, hops), dtype=X.dtype)
-    np.einsum("...jmkj->...jmk", out)[...] = X
-    return out.reshape(*lead, hops * M, n * hops)
 
 
 def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
@@ -378,17 +386,18 @@ def _filtered_noise(W: np.ndarray, sigma2: float, P: int,
 def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
                              t1: int) -> np.ndarray:
     """Each destination-facing link's frames at unit amplitude for symbols
-    t0, ..., t1 - 1: (t1 - t0, stack, K*hops), columns in U's order, so that
-    with the K x hops amplitudes amps symbol t's window is
-    Y[t - t0] @ amps.reshape(-1) plus noise. S is the whole packet's
-    hops x K x (P + 2) per-hop symbol array."""
+    t0, ..., t1 - 1, per hop: (t1 - t0, hops, M, K), column k of hop j user
+    k's link on that hop, so that with the K x hops amplitudes amps symbol
+    t's window is (F[t - t0] @ amps.T[..., None]).reshape(-1) plus noise. S
+    is the whole packet's hops x K x (P + 2) per-hop symbol array."""
     hops, M, K = scn.x_dest.shape
-    # every link as a (hops, K) stack of one-user hops; frames built apart,
-    # not through Y's strided diagonal, where each += copies its operands
-    F = np.zeros((hops, K, M, t1 - t0), dtype=complex)
-    add_hop_frames(F, scn.x_dest.swapaxes(-1, -2)[..., None],
+    F = np.zeros((t1 - t0, hops, M, K), dtype=complex)
+    # every link as a (hops, K) stack of one-user hops, written through a
+    # view so that each symbol's frames stay contiguous
+    add_hop_frames(F.transpose(1, 3, 2, 0),
+                   scn.x_dest.swapaxes(-1, -2)[..., None],
                    S[:, :, None, t0:t1 + 2], 1.0, scn.spill)
-    return _hop_diagonal(F.transpose(3, 0, 2, 1))
+    return F
 
 
 def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
@@ -505,7 +514,8 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             if t % _FRAME_CHUNK == 0:
                 frames = _destination_link_frames(scn, S, t,
                                                   min(t + _FRAME_CHUNK, P))
-            r = noise_dest[:, t] + frames[t % _FRAME_CHUNK] @ amps.reshape(-1)
+            r = noise_dest[:, t] + (frames[t % _FRAME_CHUNK]
+                                    @ amps.T[..., None]).reshape(-1)
             y = rx.W.conj().T @ r
             soft[:, t] = y
             detected = t + 1
@@ -522,10 +532,10 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                 continue
             channel_step(channel, r, C, link_syms.reshape(n_b, -1),
                          amps.reshape(n_b, -1), L)
-            # block b's filters are W's columns of its users, (n_b, stack, n_u)
-            W_blocks = rx.W.reshape(stack, n_b, n_u).transpose(1, 0, 2)
-            a = power_step(power, W_blocks,
-                           _hop_diagonal(waveforms(C, channel.h, L)),
+            # block b's filters are W's columns of its users, split per hop,
+            # (n_b, hops, M, n_u), as are its links' waveforms
+            W_blocks = rx.W.reshape(hops, M, n_b, n_u).transpose(2, 0, 1, 3)
+            a = power_step(power, W_blocks, waveforms(C, channel.h, L),
                            link_syms.reshape(n_b, -1), ref.reshape(n_b, n_u))
             amps = a.reshape(K, hops)
             if a_sq_norms is not None:

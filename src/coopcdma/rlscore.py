@@ -1,20 +1,27 @@
 """Shared recursive least squares primitives.
 
 The rank-one recursions (receiver, relays) maintain the inverse of an
-exponentially weighted correlation matrix via the matrix inversion lemma and
-are re-symmetrized each step to suppress Hermitian drift on long
-decision-directed runs. The channel and power estimators, fed a block of
-regressors per symbol, keep the weighted normal matrix itself and solve their
-normal equations instead (Haykin, Adaptive Filter Theory, ch. 9-10). Each
-takes an optional leading stack axis: (B, ...) arrays hold B independent
-recursions (power blocks, relays) that step in one call.
+exponentially weighted correlation matrix via the matrix inversion lemma, and
+are re-symmetrized every hermitian_period steps to bound the Hermitian drift
+that rounding accumulates on long decision-directed runs. The channel and
+power estimators, fed a block of regressors per symbol, keep the weighted
+normal matrix itself and solve their normal equations instead (Haykin,
+Adaptive Filter Theory, ch. 9-10). Each takes an optional leading stack axis:
+(B, ...) arrays hold B independent recursions (power blocks, relays) that
+step in one call.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalDivergenceError
+
+# the period at alpha = 1, where the anti-Hermitian rounding error does not
+# grow but still adds up
+_MAX_HERMITIAN_PERIOD = 1024
 
 
 def check_finite(A: np.ndarray, what: str) -> None:
@@ -25,20 +32,41 @@ def check_finite(A: np.ndarray, what: str) -> None:
 def correlation_gain(Phi: np.ndarray, r: np.ndarray, alpha: float):
     """One rank-one inverse-correlation update, in place.
 
-    Returns the gain vector k = Phi r / (alpha + r^H Phi r) and Phi updated
-    to Phi' = (Phi - k r^H Phi) / alpha, i.e. the inverse of alpha*R + r r^H
-    when Phi was the inverse of R, re-symmetrized (cheap drift control).
-    Phi (..., M, M) and r (..., M) may be stacks; Phi is overwritten.
+    Returns the gain vector k = Pr / (alpha + r^H Pr), Pr = Phi r, and Phi
+    updated to Phi' = (Phi - k Pr^H) / alpha, i.e. the inverse of
+    alpha*R + r r^H when Phi was the Hermitian inverse of R: r^H Phi is
+    (Phi r)^H, so the update reuses Pr. Rounding leaves Phi' Hermitian only
+    to working precision; see hermitian_period. Phi (..., M, M) and r
+    (..., M) may be stacks; Phi is overwritten.
     """
-    rH = r.conj()[..., None, :]
     Pr = Phi @ r[..., None]
-    k = Pr / (alpha + np.real(rH @ Pr))
-    Phi -= k * (rH @ Phi)
-    # numpy divides a complex by a real through its reciprocal, so scaling by
-    # 0.5 / alpha gives the bits of dividing by alpha and then halving
-    Phi *= 0.5 / alpha
-    Phi += Phi.conj().swapaxes(-1, -2)
+    k = Pr / (alpha + np.real(r.conj()[..., None, :] @ Pr))
+    Phi -= k * Pr.conj().swapaxes(-1, -2)
+    # numpy divides a complex by a real through its reciprocal: the bits of
+    # dividing by alpha, without the complex division's cost
+    Phi *= 1.0 / alpha
     return k[..., 0], Phi
+
+
+def hermitian_period(alpha: float) -> int:
+    """Updates between two make_hermitian passes on a correlation_gain Phi.
+
+    The update keeps the anti-Hermitian part of Phi (its rounding error) to
+    first order and scales it by 1/alpha each step, so it grows as alpha^-n
+    (to about ||Phi|| over 20000 symbols at alpha = 0.998). Passes
+    alpha^-n <= 2 steps apart, at least one and at most
+    _MAX_HERMITIAN_PERIOD, hold it near the rounding of the last steps.
+    """
+    if alpha >= 1.0:
+        return _MAX_HERMITIAN_PERIOD
+    return int(min(max(math.log(2.0) / -math.log(alpha), 1.0),
+                   _MAX_HERMITIAN_PERIOD))
+
+
+def make_hermitian(Phi: np.ndarray) -> None:
+    """Replace Phi (..., M, M) by its Hermitian part, in place."""
+    Phi *= 0.5
+    Phi += Phi.conj().swapaxes(-1, -2)
 
 
 class ExpWeightedInverse:

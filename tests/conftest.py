@@ -39,6 +39,19 @@ def stacked_signature(codes: np.ndarray, L: int, hops: int) -> np.ndarray:
                       for c in codes])
 
 
+def dense_link_waveforms(X: np.ndarray) -> np.ndarray:
+    """The hops*M x n_u*hops matrix of every link's waveform from the per-hop
+    waveforms X (hops, M, n_u): hop j's M rows, column k*hops + j for user
+    k's link on hop j, zero elsewhere. The oracle of the power step's
+    per-hop link responses."""
+    hops, M, n_u = X.shape
+    U = np.zeros((hops * M, n_u * hops), dtype=complex)
+    for j in range(hops):
+        for k in range(n_u):
+            U[j * M:(j + 1) * M, k * hops + j] = X[j, :, k]
+    return U
+
+
 def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
                            amps: np.ndarray) -> None:
     """Add every hop's frames to the stacked destination chip windows out:

@@ -8,6 +8,7 @@ as a readable scorecard.
 import numpy as np
 import pytest
 
+from conftest import dense_link_waveforms
 from coopcdma import cli, gpc, ipc, mmse
 from coopcdma.harness import (ExperimentConfig, capacity_at_target, codes_for,
                               design_exact, draw_scenario, power_blocks,
@@ -57,15 +58,18 @@ class TestAcceptance:
         dim = K * hops
         a0 = np.full(dim, 1.0 / np.sqrt(hops))
         pw = gpc.init_power(a0, float(K), alpha, delta, lam=lam, start=0)
-        W = _cvec(rng, stack * K).reshape(stack, K)
-        U_hat = _cvec(rng, stack * dim).reshape(stack, dim)
-        G = (U_hat.conj().T @ W).conj()
+        # per-hop filters and link waveforms, and the dense oracle's
+        # stack x dim matrix of every link's waveform
+        W = _cvec(rng, stack * K).reshape(hops, M, K)
+        X = _cvec(rng, stack * K).reshape(hops, M, K)
+        U_hat = dense_link_waveforms(X)
+        G = (U_hat.conj().T @ W.reshape(stack, K)).conj()
         Na = delta * np.eye(dim, dtype=complex)
         za = delta * a0.astype(complex)
         for t in range(200):
             s = _qpsk(rng, dim)
             b = _qpsk(rng, K)
-            gpc.power_update(pw, W, U_hat, s, b)
+            gpc.power_update(pw, W, X, s, b)
             Na *= alpha
             za *= alpha
             for k in range(K):

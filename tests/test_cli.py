@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,46 @@ class TestSerialization:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert payload["manifest"]["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}",
+            "git": cli._git_revision()}
         assert payload["curves"][0]["rows"][1]["ber_mean"] == 0.0625
+
+    def test_manifest_git_revision_of_a_checkout(self, tmp_path, monkeypatch):
+        """The source tree's checked-out commit, read when the manifest is
+        built: a commit made after import shows."""
+        root = tmp_path / "checkout"
+        (root / "src").mkdir(parents=True)
+        git = ["git", "-C", str(root), "-c", "user.name=t",
+               "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"],
+                       check=True)
+        head = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        monkeypatch.setattr(cli, "_SOURCE_ROOT", root)
+        manifest = cli.RunManifest(config={}, version="0", wall_time_s=0.0,
+                                   divergences=0)
+        assert len(head) == 40 and manifest.environment["git"] == head
+
+    def test_manifest_git_revision_is_null_outside_a_checkout(
+            self, tmp_path, monkeypatch):
+        """A source tree in no checkout, inside a checkout that the lookup
+        must not climb into, or without git on the PATH: null in JSON."""
+        outer = tmp_path / "outer"
+        (outer / "site-packages").mkdir(parents=True)
+        git = ["git", "-C", str(outer), "-c", "user.name=t",
+               "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"],
+                       check=True)
+        monkeypatch.setattr(cli, "_SOURCE_ROOT", outer / "site-packages")
+        manifest = cli.RunManifest(config={}, version="0", wall_time_s=0.0,
+                                   divergences=0)
+        payload = json.loads(cli.curves_to_json([make_curve()], manifest))
+        assert payload["manifest"]["environment"]["git"] is None
+        monkeypatch.setattr(cli, "_SOURCE_ROOT", Path(__file__).parent)
+        monkeypatch.setenv("PATH", str(tmp_path / "no-git-here"))
+        assert cli._git_revision() is None
 
     def test_non_finite_numbers_are_json_null(self):
         """A row with no surviving packets (nan over 0 bits) is written with
@@ -185,6 +224,16 @@ class TestMain:
         rc = run_main(["sweep-snr", "--config", str(path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_count_past_the_index_limit_returns_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"chips = {2**70}\n")
+        out = tmp_path / "r.csv"
+        rc = run_main(["sweep-snr", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "chips: must be at most 2147483647" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("name", ["missing.cfg", "folder"])
     def test_unreadable_config_returns_2(self, tmp_path, capsys, name):

@@ -63,13 +63,17 @@ def as_text(values):
 
 
 non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-below_one = st.integers(max_value=0)
+# counts past the 32-bit index limit, 2**70 among them
+too_many = st.integers(min_value=2**31) | st.just(2**70)
+bad_count = st.integers(max_value=0) | too_many
 
 OUT_OF_RANGE = {
-    "users": below_one, "chips": below_one, "paths": below_one,
-    "mmse_iters": below_one, "trials": below_one, "training_len": below_one,
-    "relays": st.integers(max_value=-1), "seed": st.integers(max_value=-1),
-    "packet_len": st.integers(max_value=200),  # the default training_len
+    "users": bad_count, "chips": bad_count, "paths": bad_count,
+    "mmse_iters": bad_count, "trials": bad_count, "training_len": bad_count,
+    "relays": st.integers(max_value=-1) | too_many,
+    "seed": st.integers(max_value=-1),
+    # at most the default training_len, or too many
+    "packet_len": st.integers(max_value=200) | too_many,
     "alpha": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
     | non_finite,
     "lam": st.floats(max_value=0.0, exclude_max=True) | non_finite,

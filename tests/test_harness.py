@@ -51,6 +51,25 @@ class TestConfig:
         assert cfg.dims().K == 6
         assert cfg.dims().stack == 3 * 18
 
+    @pytest.mark.parametrize("field", ["users", "chips", "paths", "relays",
+                                       "packet_len", "training_len", "trials",
+                                       "mmse_iters"])
+    def test_rejects_a_count_past_the_index_limit(self, field):
+        """A count no BLAS index can address is refused at the boundary,
+        naming its field, not left to fail inside numpy; 2**31 - 1 passes."""
+        with pytest.raises(ConfigError, match=f"^{field}: must be at most "
+                                              "2147483647, got 2147483648$"):
+            ExperimentConfig(**{field: 2**31})
+        if field != "training_len":  # which must stay below packet_len
+            assert getattr(ExperimentConfig(**{field: 2**31 - 1}),
+                           field) == 2**31 - 1
+
+    def test_rejects_chips_2_to_the_70(self):
+        """The reported case, which passed the boundary and ended in numpy's
+        'Maximum allowed dimension exceeded' once a run drew the codes."""
+        with pytest.raises(ConfigError, match="^chips: must be at most"):
+            dataclasses.replace(small_cfg(), chips=2**70)
+
     def test_rejects_fewer_than_one_user(self):
         with pytest.raises(ConfigError, match="users"):
             ExperimentConfig(users=0)

@@ -49,16 +49,20 @@ def destination_frames(scn, S, amps):
 
 
 def per_hop_link_frames(scn, S, t0, t1):
-    """_destination_link_frames hop by hop, each hop's K links a stack of K
-    one-user hops cut from U: the oracle for the bytes of its one call."""
-    M, hops = scn.dims.M, scn.dims.hops
-    Y = np.zeros((t1 - t0, scn.dims.stack, scn.U.shape[1]), dtype=complex)
+    """_destination_link_frames link by link: user k's frames on hop j from
+    hop j's rows of U's column k*hops + j, one 2-D call each, stored at
+    [:, j, :, k]. The oracle for the bytes and the per-hop layout of its one
+    call."""
+    M, hops, K = scn.dims.M, scn.dims.hops, scn.dims.K
+    F = np.zeros((t1 - t0, hops, M, K), dtype=complex)
     for j in range(hops):
         rows = slice(j * M, (j + 1) * M)
-        add_hop_frames(Y[:, rows, j::hops].transpose(2, 1, 0),
-                       scn.U[rows, j::hops].T[:, :, None],
-                       S[j, :, None, t0:t1 + 2], 1.0, scn.spill)
-    return Y
+        for k in range(K):
+            one = np.zeros((M, t1 - t0), dtype=complex)
+            add_hop_frames(one, scn.U[rows, k * hops + j:k * hops + j + 1],
+                           S[j, k:k + 1, t0:t1 + 2], 1.0, scn.spill)
+            F[:, j, :, k] = one.T
+    return F
 
 
 class TestConvolutionMatrix:
@@ -373,8 +377,8 @@ class TestIsi:
 
 class TestLinkFrames:
     """The adaptive destination's windows, noise-free: each chunk of
-    unit-amplitude link frames times the amplitudes equals the per-symbol
-    windows of add_destination_frames, the chip-window oracle."""
+    unit-amplitude per-hop link frames times the amplitudes equals the
+    per-symbol windows of add_destination_frames, the chip-window oracle."""
 
     def test_stacked_hops_equal_one_call_per_hop(self, rng):
         """add_hop_frames on a (K, M, 1) stack of one-user hops gives each
@@ -401,8 +405,10 @@ class TestLinkFrames:
         S = hop_symbols(dims, P, rng)
         for t0 in range(0, P, _FRAME_CHUNK):
             t1 = min(t0 + _FRAME_CHUNK, P)
-            assert (_destination_link_frames(scn, S, t0, t1).tobytes()
-                    == per_hop_link_frames(scn, S, t0, t1).tobytes())
+            F = _destination_link_frames(scn, S, t0, t1)
+            assert F.shape == (t1 - t0, dims.hops, dims.M, K)
+            assert F.flags.c_contiguous
+            assert F.tobytes() == per_hop_link_frames(scn, S, t0, t1).tobytes()
 
     @pytest.mark.parametrize("isi", [True, False])
     @pytest.mark.parametrize("n_r", [0, 2])
@@ -416,9 +422,10 @@ class TestLinkFrames:
         amps = 0.2 + rng.random((K, dims.hops))
         windows = []
         for t0 in range(0, P, _FRAME_CHUNK):
-            Y = _destination_link_frames(scn, S, t0, min(t0 + _FRAME_CHUNK, P))
-            assert Y.shape[1:] == (dims.stack, K * dims.hops)
-            windows.extend(Y @ amps.reshape(-1))
+            F = _destination_link_frames(scn, S, t0, min(t0 + _FRAME_CHUNK, P))
+            assert F.shape[1:] == (dims.hops, dims.M, K)
+            # as the adaptive destination forms them: hop by hop
+            windows.extend((Ft @ amps.T[..., None]).reshape(-1) for Ft in F)
         assert len(windows) == P
         # every symbol, the first and last (zero neighbours) and those on
         # either side of a chunk boundary included

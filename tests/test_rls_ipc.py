@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import dense_link_waveforms
 from coopcdma import gpc, harness
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
 from coopcdma.mmse import nonnegative_amplitudes
@@ -25,9 +26,17 @@ def user_block(hops, lam=0.0, start=0, alpha=0.998, delta=0.01):
                           lam=lam, start=start)
 
 
-def user_step(state, w, U_hat, s, b):
-    """One power step of a one-user block: filter w, symbol b."""
-    return gpc.power_update(state, w[:, None], U_hat, s, np.atleast_1d(b))
+def user_step(state, w, X, s, b):
+    """One power step of a one-user block: filter w (hops x M) and link
+    waveforms X (hops x M), one per hop, symbol b."""
+    return gpc.power_update(state, w[..., None], X[..., None], s,
+                            np.atleast_1d(b))
+
+
+def user_pieces(rng, hops, M):
+    """A random filter and link waveforms of one user, each split per hop."""
+    return (random_vec(rng, hops * M).reshape(hops, M),
+            random_vec(rng, hops * M).reshape(hops, M))
 
 
 class TestSingleUserEquivalence:
@@ -75,18 +84,19 @@ class TestSingleUserEquivalence:
 
 class TestUserPowerRecursion:
     def test_dense_weighted_oracle(self, rng):
-        hops, stack, alpha, delta, lam = 3, 7, 0.998, 0.01, 0.025
+        hops, alpha, delta, lam = 3, 0.998, 0.01, 0.025
         a0 = np.full(hops, 1.0 / np.sqrt(hops))
         state = user_block(hops, lam=lam, alpha=alpha, delta=delta)
-        w = random_vec(rng, stack)
-        U_hat = random_vec(rng, stack * hops).reshape(stack, hops)
-        phi = np.conj(U_hat.conj().T @ w)
+        w, X = user_pieces(rng, hops, 4)
+        # the dense oracle: the user's links in one stack x hops matrix
+        U_hat = dense_link_waveforms(X[..., None])
+        phi = np.conj(U_hat.conj().T @ w.reshape(-1))
         N = delta * np.eye(hops, dtype=complex)
         z = delta * a0.astype(complex)
         for t in range(150):
             s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            user_step(state, w, U_hat, s, b)
+            user_step(state, w, X, s, b)
             v = s * phi
             N = alpha * N + np.outer(v, v.conj())
             z = alpha * z + v * np.conj(b)
@@ -100,44 +110,40 @@ class TestUserPowerRecursion:
                 atol=1e-8)
 
     def test_budget_met_every_update(self, rng):
-        hops, stack = 3, 7
+        hops = 3
         state = user_block(hops, lam=0.025)
-        w = random_vec(rng, stack)
-        U_hat = random_vec(rng, stack * hops).reshape(stack, hops)
+        w, X = user_pieces(rng, hops, 4)
         for _ in range(100):
             s = modulate_qpsk(rng.integers(0, 2, size=(hops, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            a = user_step(state, w, U_hat, s, b)
+            a = user_step(state, w, X, s, b)
             assert abs(np.linalg.norm(a) ** 2 - 1.0) < 1e-10
             assert np.all(np.real(a) >= 0) and np.all(np.imag(a) == 0)
 
     def test_direct_only_is_pinned_to_the_budget(self, rng):
         """No relays: a single per-user amplitude fixed by its own budget."""
         state = user_block(1, lam=0.025)
-        w = random_vec(rng, 5)
-        U_hat = random_vec(rng, 5).reshape(5, 1)
+        w, X = user_pieces(rng, 1, 5)
         for _ in range(30):
             s = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))
             b = modulate_qpsk(rng.integers(0, 2, size=(1, 2)))[0]
-            a = user_step(state, w, U_hat, s, b)
+            a = user_step(state, w, X, s, b)
             assert abs(a[0] - 1.0) < 1e-12
 
     def test_nonfinite_state_raises(self, rng):
         state = user_block(2)
         state.z[:] = np.nan
-        w = random_vec(rng, 4)
-        U_hat = random_vec(rng, 8).reshape(4, 2)
+        w, X = user_pieces(rng, 2, 2)
         with pytest.raises(NumericalDivergenceError):
-            user_step(state, w, U_hat, np.ones(2, dtype=complex), 1.0 + 0j)
+            user_step(state, w, X, np.ones(2, dtype=complex), 1.0 + 0j)
 
     def test_zeroed_right_hand_side_raises_degenerate(self, rng):
         """A zero LS estimate is a degenerate allocation, not a nan one."""
         state = user_block(2)
         state.z[:] = 0.0
-        w = random_vec(rng, 4)
-        U_hat = random_vec(rng, 8).reshape(4, 2)
+        w, X = user_pieces(rng, 2, 2)
         with pytest.raises(DegenerateStateError):
-            user_step(state, w, U_hat, np.ones(2, dtype=complex), 0j)
+            user_step(state, w, X, np.ones(2, dtype=complex), 0j)
 
 
 class TestStackedBlocks:
@@ -194,16 +200,17 @@ class TestStackedBlocks:
         singles = [gpc.init_power(a0[b], float(self.USERS), 0.998, 0.01,
                                   lam=0.025, start=start)
                    for b in range(self.B)]
+        M = 4  # chips per hop
         for t in range(self.STEPS):
-            W = self.random_array(rng, self.B, self.STACK, self.USERS)
-            U_hat = self.random_array(rng, self.B, self.STACK, n)
+            W = self.random_array(rng, self.B, self.HOPS, M, self.USERS)
+            X = self.random_array(rng, self.B, self.HOPS, M, self.USERS)
             s = self.symbols(rng, self.B, n)
             ref = self.symbols(rng, self.B, self.USERS)
-            a = gpc.power_update(stacked, W, U_hat, s, ref)
+            a = gpc.power_update(stacked, W, X, s, ref)
             if t < start:
                 np.testing.assert_array_equal(a, a0)
             for b, single in enumerate(singles):
-                a_b = gpc.power_update(single, W[b], U_hat[b], s[b], ref[b])
+                a_b = gpc.power_update(single, W[b], X[b], s[b], ref[b])
                 np.testing.assert_allclose(a[b], a_b, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(stacked.z[b], single.z, rtol=0,
                                            atol=1e-12)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .mmse import nonnegative_amplitudes
 from .rlscore import (ExpWeightedInverse, check_finite, correlation_gain,
-                      hermitian_period, make_hermitian, solve_normal)
+                      hermitian_period, solve_normal)
 
 
 @dataclass
@@ -53,8 +53,9 @@ def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
     check_finite(xi, "receiver a-priori error")
     k, state.Phi = correlation_gain(state.Phi, r, state.alpha)
     state.t += 1
-    if state.t % state.hermitian_every == 0:
-        make_hermitian(state.Phi)
+    if state.t % state.hermitian_every == 0:  # Phi's Hermitian part
+        state.Phi *= 0.5
+        state.Phi += state.Phi.conj().swapaxes(-1, -2)
     state.W += k[..., :, None] * xi.conj()[..., None, :]
     return xi
 

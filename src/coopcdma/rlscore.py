@@ -49,7 +49,8 @@ def correlation_gain(Phi: np.ndarray, r: np.ndarray, alpha: float):
 
 
 def hermitian_period(alpha: float) -> int:
-    """Updates between two make_hermitian passes on a correlation_gain Phi.
+    """Updates between two passes that replace a correlation_gain Phi by its
+    Hermitian part.
 
     The update keeps the anti-Hermitian part of Phi (its rounding error) to
     first order and scales it by 1/alpha each step, so it grows as alpha^-n
@@ -61,12 +62,6 @@ def hermitian_period(alpha: float) -> int:
         return _MAX_HERMITIAN_PERIOD
     return int(min(max(math.log(2.0) / -math.log(alpha), 1.0),
                    _MAX_HERMITIAN_PERIOD))
-
-
-def make_hermitian(Phi: np.ndarray) -> None:
-    """Replace Phi (..., M, M) by its Hermitian part, in place."""
-    Phi *= 0.5
-    Phi += Phi.conj().swapaxes(-1, -2)
 
 
 class ExpWeightedInverse:

@@ -126,19 +126,11 @@ class TestCorrelationGain:
 
     @pytest.mark.parametrize("alpha,period", [(1.0, 1024), (0.998, 346),
                                               (0.9, 6), (0.5, 1), (1e-3, 1)])
-    def test_hermitian_period_halves_no_more_than_twice(self, alpha, period):
+    def test_hermitian_period_bounds_the_growth_to_two(self, alpha, period):
         """The passes come alpha^-n <= 2 steps apart: at least one step, at
         most 1024 when the drift does not grow."""
         assert rlscore.hermitian_period(alpha) == period
         assert alpha ** -period <= 2.0 or period == 1
-
-    def test_make_hermitian_is_the_hermitian_part(self, rng):
-        A = random_vec(rng, 2 * 25).reshape(2, 5, 5)
-        Phi = A.copy()
-        rlscore.make_hermitian(Phi)
-        assert np.array_equal(Phi, Phi.conj().swapaxes(-1, -2))
-        np.testing.assert_allclose(Phi, 0.5 * (A + A.conj().swapaxes(-1, -2)),
-                                   rtol=0, atol=1e-15)
 
 
 class TestFullPacketDrift:

@@ -56,7 +56,7 @@ def receiver_update(state: ReceiverRlsState, r: np.ndarray, b: np.ndarray,
     if state.t % state.hermitian_every == 0:  # Phi's Hermitian part
         state.Phi *= 0.5
         state.Phi += state.Phi.conj().swapaxes(-1, -2)
-    state.W += k[..., :, None] * xi.conj()[..., None, :]
+    state.W += k * xi.conj()[..., None, :]
     return xi
 
 
@@ -130,7 +130,9 @@ def power_update(state: PowerRlsState, W: np.ndarray, X_hat: np.ndarray,
     dim = state.z.shape[-1]
     if state.lam > 0.0:
         i = state.t % dim
-        state.N[..., i, i] += _loading_weight(state.lam, state.alpha, dim)
+        # the i-th diagonal entry of every block, loaded through its view
+        loaded = state.N[..., i, i]
+        loaded += _loading_weight(state.lam, state.alpha, dim)
     state.t += 1
     check_finite(state.N, "power normal matrix")
     a_ls = solve_normal(state.N, state.z, "power normal matrix")
@@ -172,11 +174,14 @@ def channel_update(state: ChannelRlsState, r: np.ndarray, C: np.ndarray,
     solves the exponentially weighted normal equations N_j h_j = p_j of each
     block and hop.
     """
-    hops = state.h.shape[-2]
+    hops, d = state.h.shape[-2:]
     gains = link_symbols * link_amps
-    gains = gains.reshape(*gains.shape[:-1], -1, hops).swapaxes(-1, -2)
-    V = C * np.repeat(gains, L, axis=-1)[..., None, :]
-    state.normal.update_rows(V.reshape(-1, V.shape[-1]), state.alpha)
+    # (..., hops, 1, users, 1): each link's gain on its hop, broadcast over
+    # the M chips and the L taps of C viewed as (..., M, users, L)
+    gains = gains.reshape(*gains.shape[:-1], -1, 1, hops).swapaxes(-1, -3)
+    V = C.reshape(*C.shape[:-1], -1, L) * gains[..., None]
+    V = V.reshape(*V.shape[:-2], d)
+    state.normal.update_rows(V.reshape(-1, d), state.alpha)
     state.p *= state.alpha
     # V^H r as conj(V^T conj(r)): the same bits, without a conjugated copy
     # of V

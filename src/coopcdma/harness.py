@@ -444,7 +444,8 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     """Sequential packet simulation with RLS receivers, power, and channels.
 
     The relays never see destination feedback, so their RLS filters first
-    run, as one stack, over their whole-packet observations. Every hop's
+    run, as one stack, over their whole-packet observations
+    (AdaptiveRelay.forward). Every hop's
     symbols are then known, and only the amplitudes change from one
     destination symbol to the next: the destination builds its links'
     unit-amplitude frames for _FRAME_CHUNK symbols at a time
@@ -454,7 +455,10 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     stack of user blocks that power_blocks gives the scheme, each under its
     users' total budget; without a power step there is no such state.
     Transmit amplitudes follow the latest power estimates. The soft outputs
-    are demodulated once, after the packet.
+    are demodulated once, after the packet. A packet that diverges records
+    extras["divergence"] = (stage, symbol, reason): stage "relay" or
+    "destination", the index of the symbol whose step failed, and the
+    exception's type and message.
     """
     dims = scn.dims
     K, L, P, M = dims.K, dims.L, dims.P, dims.M
@@ -504,17 +508,23 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     detected = 0  # symbols whose soft output is in soft
     a_sq_norms = [] if "a_norm" in collect else None
     ch_errs = [] if "channel_error" in collect else None
-    diverged = False
+    divergence = None
+    relay = AdaptiveRelay(dims.n_r, M, K, cfg.alpha, cfg.delta)
+    stage = "relay"
     try:
-        relay = AdaptiveRelay(dims.n_r, M, K, cfg.alpha, cfg.delta)
-        for i in range(P if dims.n_r else 0):
-            S[1:, :, i + 1] = relay.step(relay_obs[:, :, i],
-                                         B[:, i] if i < T else None)
+        if dims.n_r:
+            S[1:, :, 1:-1] = relay.forward(relay_obs,
+                                           B[:, :T]).transpose(1, 2, 0)
+        stage = "destination"
 
         for t in range(P):
             if t % _FRAME_CHUNK == 0:
-                frames = _destination_link_frames(scn, S, t,
-                                                  min(t + _FRAME_CHUNK, P))
+                t1 = min(t + _FRAME_CHUNK, P)
+                frames = _destination_link_frames(scn, S, t, t1)
+                # the chunk's per-link symbols (chunk, K, hops), a copy: the
+                # direct hop's symbol is replaced by the training or decision
+                # symbol, the relay hops carry what the relays forwarded
+                links = S[:, :, t + 1:t1 + 1].transpose(2, 1, 0).copy()
             r = noise_dest[:, t] + (frames[t % _FRAME_CHUNK]
                                     @ amps.T[..., None]).reshape(-1)
             y = rx.W.conj().T @ r
@@ -522,15 +532,11 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
             detected = t + 1
             ref = B[:, t] if t < T else hard_decision(y)
 
-            # per-link symbols (K x hops): the direct hop carries the
-            # training/decision symbol, the relay hops the soft symbols the
-            # relays actually forwarded
-            link_syms = S[:, :, t + 1].T.copy()
-            link_syms[:, 0] = ref
-
             gpc.receiver_update(rx, r, ref, y)
             if power is None:
                 continue
+            link_syms = links[t % _FRAME_CHUNK]
+            link_syms[:, 0] = ref
             channel_step(channel, r, C, link_syms.reshape(n_b, -1),
                          amps.reshape(n_b, -1), L)
             # block b's filters are W's columns of its users, split per hop,
@@ -546,16 +552,21 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                 h = channel.h.reshape(n_b, hops, n_u, L).swapaxes(1, 2)
                 ch_errs.append(float(np.linalg.norm(h.reshape(-1) - scn.h_true)
                                      / np.linalg.norm(scn.h_true)))
-    except (NumericalDivergenceError, DegenerateStateError):
-        diverged = True
+    except (NumericalDivergenceError, DegenerateStateError) as exc:
+        # the symbol the failed step was on: the relays' completed steps, or
+        # the last symbol whose destination soft output was formed
+        symbol = relay.count if stage == "relay" else detected - 1
+        divergence = (stage, symbol, f"{type(exc).__name__}: {exc}")
 
     extras = {}
+    if divergence is not None:
+        extras["divergence"] = divergence
     if a_sq_norms is not None:
         extras["a_sq_norms"] = np.asarray(a_sq_norms)
     if ch_errs is not None:
         extras["channel_error"] = np.asarray(ch_errs)
-    return _packet_result(soft[:, :detected], bits, T, diverged=diverged,
-                          extras=extras)
+    return _packet_result(soft[:, :detected], bits, T,
+                          diverged=divergence is not None, extras=extras)
 
 
 def run_packet(cfg: ExperimentConfig, scn: Scenario,

@@ -255,7 +255,8 @@ def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     """
     a_r = np.maximum(a.real, 0.0)
     sq_norms = np.einsum("...i,...i->...", a_r, a_r)
-    if not sq_norms.all():
+    # a count, not .all(): no Python-level reduction wrapper
+    if np.count_nonzero(sq_norms) != sq_norms.size:
         a_r = np.where(a_r.any(axis=-1)[..., None], a_r, np.abs(a))
         sq_norms = np.einsum("...i,...i->...", a_r, a_r)
         if not sq_norms.all():

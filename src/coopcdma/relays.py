@@ -67,15 +67,41 @@ class AdaptiveRelay:
                  delta: float):
         self.rx = init_receiver(np.zeros((relays, M, K)), alpha, delta)
         self.power = np.zeros((relays, K))
-        self.count = 0
+        self.count = 0  # symbols whose filter step has completed
 
     def step(self, r: np.ndarray, training: np.ndarray | None) -> np.ndarray:
-        """Process each relay's source-to-relay observation (n_r x M, or M
-        heard by all); returns the forwarded symbols (n_r x K). A non-finite
-        a-priori error raises NumericalDivergenceError."""
+        """Filter each relay's source-to-relay observation r (n_r x M, or M
+        heard by all) and update the filters on the training symbols, or
+        else on the output's decisions; returns the filter outputs (n_r x
+        K), not yet normalized. A non-finite a-priori error raises
+        NumericalDivergenceError before any state changes."""
         y = (self.rx.W.conj().swapaxes(-1, -2) @ r[..., None])[..., 0]
         ref = training if training is not None else hard_decision(y)
         receiver_update(self.rx, r, ref, y)
         self.count += 1
-        self.power += (np.abs(y) ** 2 - self.power) / self.count
-        return y / np.sqrt(np.maximum(self.power, _POWER_FLOOR))
+        return y
+
+    def forward(self, obs: np.ndarray, training: np.ndarray) -> np.ndarray:
+        """The symbols the relays forward for observations obs (n_r x M x
+        n): one filter step per symbol, the first training.shape[-1] of
+        them on the training symbols (K x T). Returns (n, n_r, K): each
+        filter output over the square root of the running mean of its
+        output power up to that symbol (floored at _POWER_FLOOR)."""
+        n, T = obs.shape[-1], training.shape[-1]
+        start = self.count
+        y = np.empty((n, *self.power.shape), dtype=complex)
+        for i in range(n):
+            y[i] = self.step(obs[:, :, i], training[:, i] if i < T else None)
+        # the running mean of |y|^2, in place and in symbol order, as one
+        # step at a time updated it: mean_i = mean_(i-1) + (|y_i|^2 -
+        # mean_(i-1)) / count
+        mean = np.square(np.abs(y))
+        last = self.power
+        for count, m in enumerate(mean, start + 1):
+            m -= last
+            m /= count
+            m += last
+            last = m
+        self.power = last.copy()
+        y /= np.sqrt(np.maximum(mean, _POWER_FLOOR, out=mean), out=mean)
+        return y

@@ -16,6 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+# the LAPACK gufunc np.linalg.solve dispatches to, called without its
+# argument checks and casts
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalDivergenceError
 
@@ -25,27 +28,28 @@ _MAX_HERMITIAN_PERIOD = 1024
 
 
 def check_finite(A: np.ndarray, what: str) -> None:
-    if not np.isfinite(A).all():
+    # a count, not .all(): no Python-level reduction wrapper
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         raise NumericalDivergenceError(f"non-finite entries in {what}")
 
 
 def correlation_gain(Phi: np.ndarray, r: np.ndarray, alpha: float):
     """One rank-one inverse-correlation update, in place.
 
-    Returns the gain vector k = Pr / (alpha + r^H Pr), Pr = Phi r, and Phi
-    updated to Phi' = (Phi - k Pr^H) / alpha, i.e. the inverse of
-    alpha*R + r r^H when Phi was the Hermitian inverse of R: r^H Phi is
-    (Phi r)^H, so the update reuses Pr. Rounding leaves Phi' Hermitian only
-    to working precision; see hermitian_period. Phi (..., M, M) and r
-    (..., M) may be stacks; Phi is overwritten.
+    Returns the gain k = Pr / (alpha + r^H Pr), Pr = Phi r, as the (..., M,
+    1) column, and Phi updated to Phi' = (Phi - k Pr^H) / alpha, i.e. the
+    inverse of alpha*R + r r^H when Phi was the Hermitian inverse of R:
+    r^H Phi is (Phi r)^H, so the update reuses Pr. Rounding leaves Phi'
+    Hermitian only to working precision; see hermitian_period. Phi (..., M,
+    M) and r (..., M) may be stacks; Phi is overwritten.
     """
     Pr = Phi @ r[..., None]
-    k = Pr / (alpha + np.real(r.conj()[..., None, :] @ Pr))
+    k = Pr / (alpha + (r.conj()[..., None, :] @ Pr).real)
     Phi -= k * Pr.conj().swapaxes(-1, -2)
     # numpy divides a complex by a real through its reciprocal: the bits of
     # dividing by alpha, without the complex division's cost
     Phi *= 1.0 / alpha
-    return k[..., 0], Phi
+    return k, Phi
 
 
 def hermitian_period(alpha: float) -> int:
@@ -85,9 +89,20 @@ class ExpWeightedInverse:
         check_finite(self.N, "weighted normal matrix")
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def solve_normal(N: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-    """Solve N x = p, or a stack of them; a singular N is a divergence."""
+    """Solve N x = p, or a stack of them; a singular N is a divergence.
+
+    N and p are complex. This is np.linalg.solve's own LAPACK call under its
+    own error state, so it has its bytes.
+    """
     try:
-        return np.linalg.solve(N, p[..., None])[..., 0]
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            x = _umath_linalg.solve(N, p[..., None], signature="DD->D")
     except np.linalg.LinAlgError as exc:
         raise NumericalDivergenceError(f"{what} is singular: {exc}") from exc
+    return x[..., 0]

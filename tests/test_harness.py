@@ -440,6 +440,62 @@ class TestAggregation:
         assert clean_div == 0 and divergences == 1
         assert bers == clean[1:]
 
+    @staticmethod
+    def poisoned_packet(monkeypatch, scheme, relay_symbol=None,
+                        destination_symbol=None):
+        """One adaptive packet with a nan in a relay's observation of
+        relay_symbol, or in the destination noise of destination_symbol."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="adaptive", relays=2,
+                        packet_len=120, training_len=40)
+        dims = cfg.dims()
+        real_frames, real_noise = harness._relay_frames, harness._noise_matrix
+
+        def frames(*args):
+            out = real_frames(*args)
+            if relay_symbol is not None:
+                out[1, 2, relay_symbol] = np.nan
+            return out
+
+        def noise(shape, *args, **kwargs):
+            out = real_noise(shape, *args, **kwargs)
+            if destination_symbol is not None and shape == (dims.stack,
+                                                            dims.P):
+                out[5, destination_symbol] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, "_relay_frames", frames)
+        monkeypatch.setattr(harness, "_noise_matrix", noise)
+        rng_ch, *rngs = trial_rngs(cfg.seed, 0)
+        scn = draw_scenario(dims, codes_for(cfg, dims.K),
+                            snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                            rng_ch, isi_enabled=cfg.isi)
+        return run_packet(cfg, scn, *rngs)
+
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+    @pytest.mark.parametrize("stage,symbol", [("relay", 17), ("relay", 55),
+                                              ("destination", 17),
+                                              ("destination", 70)])
+    def test_diverged_packet_records_where(self, scheme, stage, symbol,
+                                           monkeypatch):
+        """A poisoned relay observation or destination noise sample ends the
+        packet at its symbol, in training (17) or on decisions, and the
+        packet records the stage, the symbol and the reason; no symbol after
+        the last one detected counts an error."""
+        res = self.poisoned_packet(monkeypatch, scheme, **{
+            f"{stage}_symbol": symbol})
+        assert res.diverged
+        assert res.extras["divergence"] == (
+            stage, symbol, "NumericalDivergenceError: non-finite entries in "
+            "receiver a-priori error")
+        detected = symbol + 1 if stage == "destination" else 0
+        assert not res.per_symbol_errors[detected:].any()
+
+    def test_packet_that_kept_going_records_no_divergence(self,
+                                                          monkeypatch):
+        res = self.poisoned_packet(monkeypatch, "jpais-gpc")
+        assert not res.diverged and "divergence" not in res.extras
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("K,n_r,L", [(4, 2, 3), (1, 0, 2), (3, 1, 1),
                                          (2, 2, 2)])

@@ -199,6 +199,28 @@ class TestQpsk:
         expected = np.array([1 + 1j, 1 + 1j, 1 + 1j, -1 + 1j]) / np.sqrt(2)
         assert hard_decision(soft).tobytes() == expected.tobytes()
 
+    @staticmethod
+    def lut_decision(soft):
+        """The point table indexed by the two comparisons: the decision's
+        formula before it became one pass over the parts."""
+        points = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) / np.sqrt(2)
+        return points[(soft.real >= 0) + 2 * (soft.imag >= 0)]
+
+    def test_one_pass_decision_has_the_bytes_of_the_table(self, rng):
+        """(n_r, K) stacks, a non-contiguous view and +-0.0 and nan parts
+        decide as the table does, byte for byte."""
+        stack = (rng.standard_normal((2, 4, 6))
+                 + 1j * rng.standard_normal((2, 4, 6)))
+        edges = np.array([complex(re, im) for re in (0.0, -0.0, np.nan, 1.0)
+                          for im in (0.0, -0.0, np.nan, -1.0)])
+        for soft in (stack[0, :, 0], stack[:, :, 0], stack[..., ::2],
+                     stack.swapaxes(0, 1), stack.real, edges,
+                     edges.reshape(4, 4)):
+            got = hard_decision(soft)
+            want = self.lut_decision(soft)
+            assert got.shape == want.shape and got.dtype == complex
+            assert got.tobytes() == want.tobytes()
+
     def test_hard_decision_matches_demodulation(self, rng):
         soft = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         np.testing.assert_array_equal(demodulate_qpsk(hard_decision(soft)),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from coopcdma.errors import DegenerateStateError, NumericalDivergenceError
+from coopcdma.gpc import receiver_update
 from coopcdma.model import (SystemDims, build_convolution_matrix,
                             draw_spreading_codes, generate_multipath_channel,
-                            modulate_qpsk)
-from coopcdma.relays import AdaptiveRelay, mmse_relay_bank, relay_statistics
+                            hard_decision, modulate_qpsk)
+from coopcdma.relays import (_POWER_FLOOR, AdaptiveRelay, mmse_relay_bank,
+                             relay_statistics)
 
 
 def source_relay_waveforms(dims, rng, amps=None):
@@ -131,35 +133,87 @@ class TestRelayStack:
             mmse_relay_bank(X, 0.1)
 
 
+def forwarded_oracle(relay, obs, training):
+    """The relays' forwarded symbols as one step per symbol formed them
+    before the normalization moved after the loop: filter, decide, update,
+    then the running mean of the output power and the normalized output, all
+    inside the loop. Steps relay in place; returns (n, n_r, K)."""
+    out = []
+    for i in range(obs.shape[-1]):
+        r = obs[:, :, i]
+        y = (relay.rx.W.conj().swapaxes(-1, -2) @ r[..., None])[..., 0]
+        ref = training[:, i] if i < training.shape[-1] else hard_decision(y)
+        receiver_update(relay.rx, r, ref, y)
+        relay.count += 1
+        relay.power += (np.abs(y) ** 2 - relay.power) / relay.count
+        out.append(y / np.sqrt(np.maximum(relay.power, _POWER_FLOOR)))
+    return np.stack(out)
+
+
+def relay_observations(dims, n, rng, sigma2=0.05):
+    """Source symbols b (K x n), each relay's noisy observations of them
+    (n_r x M x n, the layout the harness gives the relays) and the relays'
+    source-to-relay waveforms X (n_r x M x K)."""
+    X = np.stack([source_relay_waveforms(dims, rng) for _ in range(dims.n_r)])
+    b = modulate_qpsk(rng.integers(0, 2, size=(dims.K, n, 2)))
+    noise = np.sqrt(sigma2 / 2) * (
+        rng.standard_normal((dims.n_r, dims.M, n))
+        + 1j * rng.standard_normal((dims.n_r, dims.M, n)))
+    return b, X @ b + noise, X
+
+
 class TestAdaptiveRelay:
+    @pytest.mark.parametrize("n_r", [1, 2])
+    def test_forward_has_the_bytes_of_the_per_symbol_loop(self, n_r, rng):
+        """Forwarded symbols, filters, inverse correlations, power means and
+        counts equal the per-symbol loop's byte for byte, through training,
+        across the training boundary, on the relays' own decisions and over
+        Hermitian passes (every 13 updates at alpha = 0.95)."""
+        dims = SystemDims(K=3, N=8, L=2, n_r=n_r)
+        b, obs, _ = relay_observations(dims, 120, rng)
+        training = b[:, :40]
+        fast, slow = (AdaptiveRelay(n_r, dims.M, dims.K, alpha=0.95,
+                                    delta=0.01) for _ in range(2))
+        got = fast.forward(obs, training)
+        want = forwarded_oracle(slow, obs, training)
+        assert got.shape == (120, n_r, dims.K)
+        assert got.tobytes() == want.tobytes()
+        for a, c in ((fast.rx.W, slow.rx.W), (fast.rx.Phi, slow.rx.Phi),
+                     (fast.power, slow.power)):
+            assert a.tobytes() == c.tobytes()
+        assert fast.count == slow.count == fast.rx.t == 120
+
+    def test_forward_continues_where_it_stopped(self, rng):
+        """Two calls forward what one call over both parts forwards: the
+        power means run on from the first call's count."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=2)
+        b, obs, _ = relay_observations(dims, 60, rng)
+        whole, parts = (AdaptiveRelay(2, dims.M, dims.K, alpha=0.998,
+                                      delta=0.01) for _ in range(2))
+        want = whole.forward(obs, b[:, :20])
+        got = np.concatenate([parts.forward(obs[..., :30], b[:, :20]),
+                              parts.forward(obs[..., 30:], b[:, :0])])
+        assert got.tobytes() == want.tobytes()
+        assert parts.power.tobytes() == whole.power.tobytes()
+
     def test_converges_to_exact_filters(self, rng):
         """Trained adaptive relay output approaches the exact MMSE output."""
-        dims = SystemDims(K=2, N=16, L=3, n_r=0)
-        X = source_relay_waveforms(dims, rng)
-        sigma2 = 0.01
-        W_exact, gains = mmse_relay_bank(X, sigma2)
+        dims = SystemDims(K=2, N=16, L=3, n_r=1)
+        b, obs, X = relay_observations(dims, 600, rng, sigma2=0.01)
+        W_exact, gains = mmse_relay_bank(X[0], 0.01)
         relay = AdaptiveRelay(1, dims.M, dims.K, alpha=0.998, delta=0.01)
-        errs = []
-        for _ in range(600):
-            b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
-            noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(dims.M)
-                                           + 1j * rng.standard_normal(dims.M))
-            r = X @ b + noise
-            y = relay.step(r, training=b)
-            exact = gains * (W_exact.conj().T @ r)
-            errs.append(np.linalg.norm(y - exact))
+        y = relay.forward(obs, b)[:, 0]
+        exact = (gains[:, None] * (W_exact.conj().T @ obs[0])).T
+        errs = np.linalg.norm(y - exact, axis=-1)
         assert np.mean(errs[-100:]) < 0.2
         assert np.mean(errs[-100:]) < 0.3 * np.mean(errs[:20])
 
     def test_unit_energy_tracking(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=0)
         X = source_relay_waveforms(dims, rng, amps=np.array([2.0, 0.5]))
+        b = modulate_qpsk(rng.integers(0, 2, size=(2, 800, 2)))
         relay = AdaptiveRelay(1, dims.M, dims.K, alpha=0.998, delta=0.01)
-        outputs = []
-        for _ in range(800):
-            b = modulate_qpsk(rng.integers(0, 2, size=(2, 2)))
-            outputs.append(relay.step(X @ b, training=b))
-        tail = np.stack(outputs[-300:])
+        tail = relay.forward((X @ b)[None], b)[-300:, 0]
         np.testing.assert_allclose(np.mean(np.abs(tail) ** 2, axis=0), 1.0,
                                    rtol=0.15)
 
@@ -211,3 +265,15 @@ class TestAdaptiveRelay:
         r[1, 3] = np.nan
         with pytest.raises(NumericalDivergenceError, match="a-priori error"):
             relay.step(r, b if training else None)
+
+    @pytest.mark.parametrize("symbol", [0, 17, 45])  # 17: in training
+    def test_nan_observation_stops_forward_at_its_symbol(self, symbol, rng):
+        """forward raises on the symbol whose observation is nan, with the
+        steps before it counted, in training and on decisions."""
+        dims = SystemDims(K=2, N=8, L=2, n_r=2)
+        b, obs, _ = relay_observations(dims, 60, rng)
+        obs[1, 3, symbol] = np.nan
+        relay = AdaptiveRelay(2, dims.M, dims.K, alpha=0.998, delta=0.01)
+        with pytest.raises(NumericalDivergenceError, match="a-priori error"):
+            relay.forward(obs, b[:, :20])
+        assert relay.count == relay.rx.t == symbol

@@ -1,5 +1,7 @@
 """Stacked-receiver, power, and channel recursions under the global budget."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,8 @@ class TestCorrelationGain:
             k_ref = Pr / (alpha + np.real(r.conj()[..., None, :] @ Pr))
             ref = (ref - k_ref * Pr.conj().swapaxes(-1, -2)) / alpha
             k, Phi = rlscore.correlation_gain(Phi, r, alpha)
-            assert k.tobytes() == k_ref[..., 0].tobytes()
+            assert k.shape == (*blocks, M, 1)
+            assert k.tobytes() == k_ref.tobytes()
             assert Phi.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("alpha,period", [(1.0, 1024), (0.998, 346),
@@ -131,6 +134,36 @@ class TestCorrelationGain:
         most 1024 when the drift does not grow."""
         assert rlscore.hermitian_period(alpha) == period
         assert alpha ** -period <= 2.0 or period == 1
+
+
+class TestSolveNormal:
+    """The direct LAPACK solve against np.linalg.solve, which dispatches to
+    the same gufunc."""
+
+    # the stacks an adaptive desk packet solves: jpais-gpc's channel (one
+    # block, three hops, 12 taps) and jpais-ipc's (four one-user blocks),
+    # then jpais-gpc's power matrix and jpais-ipc's four
+    @pytest.mark.parametrize("shape", [(1, 3, 12, 12), (4, 3, 3, 3),
+                                       (1, 12, 12), (4, 3, 3)])
+    def test_bytes_of_numpy_solve(self, shape, rng):
+        n = shape[-1]
+        A = random_vec(rng, int(np.prod(shape))).reshape(shape)
+        N = A @ A.conj().swapaxes(-1, -2) + 0.01 * np.eye(n)
+        p = random_vec(rng, int(np.prod(shape[:-1]))).reshape(shape[:-1])
+        x = rlscore.solve_normal(N, p, "test matrix")
+        want = np.linalg.solve(N, p[..., None])[..., 0]
+        assert x.shape == want.shape and x.dtype == want.dtype
+        assert x.tobytes() == want.tobytes()
+
+    def test_singular_matrix_raises_naming_it_without_a_warning(self):
+        N = np.zeros((2, 3, 3), dtype=complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalDivergenceError,
+                               match="test matrix is singular"):
+                rlscore.solve_normal(N, np.ones((2, 3), dtype=complex),
+                                     "test matrix")
+        assert caught == []
 
 
 class TestFullPacketDrift:

@@ -93,16 +93,18 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def solve_normal(N: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-    """Solve N x = p, or a stack of them; a singular N is a divergence.
+# np.linalg.solve's own LAPACK call under its own error state, so it has its
+# bytes; as a decorator, errstate costs less per call than as a with block
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _lapack_solve(N: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve(N, B, signature="DD->D")
 
-    N and p are complex. This is np.linalg.solve's own LAPACK call under its
-    own error state, so it has its bytes.
-    """
+
+def solve_normal(N: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
+    """Solve N x = p for complex N and p, or a stack of them; a singular N
+    is a divergence."""
     try:
-        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            x = _umath_linalg.solve(N, p[..., None], signature="DD->D")
+        return _lapack_solve(N, p[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalDivergenceError(f"{what} is singular: {exc}") from exc
-    return x[..., 0]

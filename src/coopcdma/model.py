@@ -108,11 +108,15 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
     a nan part -.
 
     Both parts are decided in one pass over soft's floats, viewed as
-    (..., 2K) real and imaginary parts: the bytes of the point table
-    _QPSK_POINTS indexed by the two comparisons, with two numpy calls fewer.
+    (..., 2K) real and imaginary parts: one comparison and one np.where
+    give the bytes of the point table _QPSK_POINTS indexed by the two
+    comparisons, without the index arithmetic and the fancy index.
     """
-    parts = np.ascontiguousarray(soft, dtype=complex).view(float)
-    return np.where(parts >= 0, _PART_POS, _PART_NEG).view(complex)
+    soft = np.asarray(soft, dtype=complex)
+    # a 0-d soft is viewed as one element, and the decision takes its shape
+    parts = np.ascontiguousarray(soft).view(float)
+    decided = np.where(parts >= 0, _PART_POS, _PART_NEG).view(complex)
+    return decided.reshape(soft.shape)
 
 
 def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,

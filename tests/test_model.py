@@ -207,17 +207,17 @@ class TestQpsk:
         return points[(soft.real >= 0) + 2 * (soft.imag >= 0)]
 
     def test_one_pass_decision_has_the_bytes_of_the_table(self, rng):
-        """(n_r, K) stacks, a non-contiguous view and +-0.0 and nan parts
-        decide as the table does, byte for byte."""
+        """(n_r, K) stacks, non-contiguous views, a scalar and +-0.0 and nan
+        parts decide as the table does, byte for byte."""
         stack = (rng.standard_normal((2, 4, 6))
                  + 1j * rng.standard_normal((2, 4, 6)))
         edges = np.array([complex(re, im) for re in (0.0, -0.0, np.nan, 1.0)
                           for im in (0.0, -0.0, np.nan, -1.0)])
         for soft in (stack[0, :, 0], stack[:, :, 0], stack[..., ::2],
                      stack.swapaxes(0, 1), stack.real, edges,
-                     edges.reshape(4, 4)):
+                     edges.reshape(4, 4), stack[0, 0, 0], np.asarray(-0.0)):
             got = hard_decision(soft)
-            want = self.lut_decision(soft)
+            want = self.lut_decision(np.asarray(soft))
             assert got.shape == want.shape and got.dtype == complex
             assert got.tobytes() == want.tobytes()
 

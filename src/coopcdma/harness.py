@@ -75,7 +75,8 @@ class ExperimentConfig:
     snr_grid: tuple = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0)
     scheme: str = "jpais-ipc"
     variant: str = "exact"
-    alpha: float = field(default=0.998, metadata={"low": 0.0, "strict": True})
+    alpha: float = field(default=0.998,
+                         metadata={"low": 0.0, "strict": True, "high": 1.0})
     lam: float = field(default=0.025, metadata={"low": 0.0})
     lam_t: float = field(default=0.025, metadata={"low": 0.0})
     seed: int = field(default=1, metadata={"low": 0})
@@ -114,8 +115,6 @@ class ExperimentConfig:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
         if self.training_len >= self.packet_len:
             raise ConfigError("training_len: must be smaller than packet_len")
-        if self.alpha > 1.0:
-            raise ConfigError("alpha: must be in (0, 1]")
         if len(self.snr_grid) == 0:
             raise ConfigError("snr_grid: must hold at least one SNR")
         for snr in self.snr_grid:
@@ -172,16 +171,6 @@ class Scenario:
     def spill(self) -> int:
         """Chips a symbol spills into its neighbours' windows: L - 1 with ISI."""
         return self.dims.L - 1 if self.isi_enabled else 0
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        """The stack x K*hops per-link waveform matrix, formed when the exact
-        design first asks for it: hop j's rows, column k*hops + j for x_dest's
-        column k on hop j, +0.0 elsewhere."""
-        hops, M, K = self.x_dest.shape
-        U = np.zeros((hops, M, K, hops), dtype=self.x_dest.dtype)
-        np.einsum("jmkj->jmk", U)[...] = self.x_dest
-        return U.reshape(hops * M, K * hops)
 
     @cached_property
     def relay_banks(self):
@@ -314,23 +303,20 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     kept = [i for i, d in enumerate(designs) if d is None]
     if not kept:
         return designs
-    U = np.stack([scenarios[i].U for i in kept])
+    X = np.stack([scenarios[i].x_dest for i in kept])
     plan = power_blocks(scheme, cfg, dims.K)
-    if plan is None:
-        blocks, config = None, None
-    else:
-        blocks, config = dims.K // plan[0], cfg.mmse_config(plan[1])
+    blocks, config = ((None, None) if plan is None else
+                      (dims.K // plan[0], cfg.mmse_config(plan[1])))
     if plan is not None and len(kept) == 1:
         # kept only because the benchmark's tracer counts alternation
         # iterations and convergence through mmse.alternate calls
         try:
-            res = mmse.alternate(U[0], dims.hops, sigma2, blocks, config,
-                                 omegas[0])
+            res = mmse.alternate(X[0], sigma2, blocks, config, omegas[0])
             designs[kept[0]] = (res.W, res.amps)
         except TRIAL_FAILURES as exc:
             designs[kept[0]] = exc
         return designs
-    res = mmse.design(U, dims.hops, sigma2, blocks, config, np.stack(omegas))
+    res = mmse.design(X, sigma2, blocks, config, np.stack(omegas))
     for j, i in enumerate(kept):
         amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
         designs[i] = res.errors[j] or (res.W[j], amps)
@@ -414,11 +400,10 @@ def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
         add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
         S[j + 1, :, 1:-1] = y * g[:, None]
     soft = _filtered_noise(W, scn.sigma2, P, rng_noise)
-    M, hops, left = scn.dims.M, scn.dims.hops, W.conj().T
-    for j in range(hops):
-        rows = slice(j * M, (j + 1) * M)
-        add_hop_frames(soft, scn.U[rows, j::hops], S[j], amps[:, j:j + 1],
-                       scn.spill, left[:, rows])
+    # hop j's filter rows W_j see only hop j's links
+    for X, W_j, S_j, a in zip(scn.x_dest, W.reshape(scn.x_dest.shape), S,
+                              amps.T):
+        add_hop_frames(soft, X, S_j, a[:, None], scn.spill, W_j.conj().T)
     return soft
 
 
@@ -574,9 +559,18 @@ def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_init: np.random.Generator,
                point: PointDesigns | None = None) -> PacketResult:
     """Simulate one packet under the configured scheme and variant; an exact
-    packet's design comes from point when given (design_exact)."""
+    packet's design comes from point when given (design_exact). A packet
+    whose design failed diverges before its first symbol, and records
+    extras["divergence"] = ("design", None, reason)."""
     if cfg.variant == "exact":
-        W, amps = design_exact(scn, cfg.scheme, cfg, point)
+        try:
+            W, amps = design_exact(scn, cfg.scheme, cfg, point)
+        except TRIAL_FAILURES as exc:  # diverged before its first symbol
+            K, P = scn.dims.K, scn.dims.P
+            divergence = ("design", None, f"{type(exc).__name__}: {exc}")
+            return _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),
+                                  cfg.training_len, diverged=True,
+                                  extras={"divergence": divergence})
         return simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
                                     rng_init)
@@ -618,18 +612,15 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
     that diverged. The trials' scenarios are drawn first, each from its own
     trial_rngs stream, and on the exact path designed as one stack
     (PointDesigns) when the first packet asks for its design; a trial whose
-    design fails diverges alone."""
+    design fails diverges alone (run_packet)."""
     rngs = [trial_rngs(cfg.seed, t) for t in trials]
     scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                rng_ch, isi_enabled=cfg.isi)
                  for rng_ch, *_ in rngs]
     point = PointDesigns(scenarios) if cfg.variant == "exact" else None
     for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
-        try:
-            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
-        except TRIAL_FAILURES:
-            res = None
-        yield None if res is None or res.diverged else res
+        res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+        yield None if res.diverged else res
 
 
 def _run_point(cfg: ExperimentConfig, snr_db: float):

@@ -13,12 +13,13 @@ then each block's projection onto its nonnegative-real budget sphere
 (nonnegative_amplitudes), as in the adaptive path.
 
 The design works in link coordinates (K*hops of them), not in the stack of
-chips: U enters only through the Gram matrix U^H U, and with Omega = F F^H the
+chips. U is hop-diagonal (hop j's rows hold its waveforms X_j = x_dest[j] in
+its links' columns k*hops + j), so the design takes the hop stack X: U enters
+only through U^H U, X_j^H X_j on each hop's links, and with Omega = F F^H the
 push-through identity gives the MMSE filters as W = U diag(a) F C with a
 K*hops-dimensional solve for C. The power terms and the MSE follow from the
-link responses U^H W, so W itself is formed once, after the alternation.
-build_statistics and total_mse assemble the stacked statistics; they score
-a design, they are not part of it.
+link responses U^H W, so W is formed once, hop by hop, after the alternation.
+build_statistics and total_mse score a design from U, outside the design.
 
 The design steps (link_factors, filter_step, power_terms, _real_power_solve,
 nonnegative_amplitudes) take a leading trial axis, so that design solves the
@@ -203,22 +204,27 @@ def _cond_solve(R: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(R, rhs)
 
 
-def link_factors(U: np.ndarray, omega: np.ndarray):
+def link_factors(X: np.ndarray, omega: np.ndarray):
     """The design's fixed data in link coordinates, for each of T trials:
-    the Gram matrices U^H U and factors F with Omega = F F^H, from U of shape
-    (T, stack, K*hops) and omega of shape (T, K*hops, K*hops).
+    the Gram matrices U^H U, X_j^H X_j on hop j's links k*hops + j and zero
+    across hops, and factors F with Omega = F F^H, from the per-hop
+    waveforms X (T, hops, M, K) and omega (T, K*hops, K*hops).
 
     F comes from the eigendecomposition of Omega with its eigenvalues clipped
     at 0, so a singular positive semidefinite Omega (perfect relays, or no
     relay noise) factors without failing.
     """
-    if not (np.isfinite(U).all() and np.isfinite(omega).all()):
+    if not (np.isfinite(X).all() and np.isfinite(omega).all()):
         raise IllConditionedError("non-finite entries in the link statistics")
+    trials, hops, _, K = X.shape
+    gram = np.zeros((trials, K * hops, K * hops), dtype=complex)
+    np.einsum("tkjqj->tjkq", gram.reshape(trials, K, hops, K, hops))[...] = (
+        _conj_t(X) @ X)
     eigvals, V = np.linalg.eigh(omega)
-    return _conj_t(U) @ U, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
+    return gram, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
 
 
-def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
+def filter_step(gram: np.ndarray, F: np.ndarray, sigma2: float,
                 amps: np.ndarray):
     """Joint MMSE filters at the amplitudes amps (T x K x hops), in link
     coordinates, for each of T trials (link_factors' gram and F).
@@ -235,7 +241,7 @@ def filter_step(gram: np.ndarray, F: np.ndarray, hops: int, sigma2: float,
     """
     trials, cols, _ = F.shape
     DF = np.asarray(amps, dtype=complex).reshape(trials, cols, 1) * F
-    B = _conj_t(F[:, ::hops])
+    B = _conj_t(F[:, ::amps.shape[-1]])
     A = _conj_t(DF) @ gram @ DF + sigma2 * np.eye(cols)
     C = _checked_solve(A, B, "receiver covariance", sigma2)
     mse = sigma2 * np.real(np.einsum("tik,tik->t", B.conj(), C))
@@ -301,10 +307,11 @@ class AlternationResult:
 class StackedDesign:
     """The designs of a stack of T trials (design). Trial t failed when
     errors[t] holds the IllConditionedError or DegenerateStateError it
-    raised; its W and amps are then nan."""
+    raised; its W, amps and mse are then nan."""
 
     W: np.ndarray  # T x stack x K
     amps: np.ndarray  # T x K x hops, real
+    mse: np.ndarray  # T, the closed-form MSE of W (filter_step's)
     # T x (most filter steps any trial took), each trial's filter-step MSE
     # per iteration it entered, nan after
     mse_trace: np.ndarray
@@ -352,11 +359,11 @@ def _relative_change(a_new: np.ndarray, a_old: np.ndarray) -> np.ndarray:
             / np.maximum(np.sqrt(np.vecdot(a_old, a_old)), 1e-30))
 
 
-def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
+def design(X: np.ndarray, sigma2: float, blocks: int | None,
            config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
-    """Exact designs of T trials as one stack: U (T x stack x K*hops) and
-    omega (T x K*hops x K*hops) hold each trial's waveforms and link-symbol
-    correlation, all at one noise level sigma2.
+    """Exact designs of T trials as one stack: X (T x hops x M x K) and
+    omega (T x K*hops x K*hops) hold each trial's per-hop waveforms and
+    link-symbol correlation, all at one noise level sigma2.
 
     Without blocks (None, the equal-power schemes) each trial gets the MMSE
     filters of the equal-power amplitudes. With blocks the trials alternate
@@ -367,31 +374,29 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
     projection apart, is guarded on its own (_each_trial): a trial whose step
     fails is dropped from the stack, and only that step reruns.
     """
-    trials, stack, cols = U.shape
-    K = cols // hops
+    trials, hops, M, K = X.shape
     if blocks is not None and (blocks < 1 or K % blocks):
         raise ValueError(f"{blocks} blocks do not split {K} users evenly")
     max_iters = 0 if blocks is None else config.max_iters
     errors = [None] * trials
     amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
-    a_ls = np.empty_like(amps)
-    a_new = np.empty_like(amps)
-    gram = np.empty((trials, cols, cols), dtype=complex)
+    a_ls, a_new = np.empty_like(amps), np.empty_like(amps)
+    gram = np.empty((trials, K * hops, K * hops), dtype=complex)
     F = np.empty_like(gram)
-    Y = np.empty((trials, cols, K), dtype=complex)
+    Y = np.empty((trials, K * hops, K), dtype=complex)
     mse = np.empty(trials)
-    W = np.full((trials, stack, K), np.nan, dtype=complex)
+    W = np.full((trials, hops * M, K), np.nan, dtype=complex)
     trace = []  # per iteration, the MSE of each trial's filter step
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
 
-    active = _each_trial(lambda t: link_factors(U[t], omega[t]),
+    active = _each_trial(lambda t: link_factors(X[t], omega[t]),
                          np.arange(trials), errors, (gram, F))
     for it in range(1, max_iters + 1):
         if not active.size:
             break
         active = _each_trial(
-            lambda t: filter_step(gram[t], F[t], hops, sigma2, amps[t]),
+            lambda t: filter_step(gram[t], F[t], sigma2, amps[t]),
             active, errors, (Y, mse))
         if active.size:
             trace.append(np.full(trials, np.nan))
@@ -408,41 +413,45 @@ def design(U: np.ndarray, hops: int, sigma2: float, blocks: int | None,
         iterations[active] = it
         converged[active[done]] = True
         active = active[~done]
+
+    def filters(t):  # W = U Y, hop j's rows X_j times hop j's rows of Y
+        Y_t, mse_t = filter_step(gram[t], F[t], sigma2, amps[t])
+        Y_hops = Y_t.reshape(len(t), K, hops, K).swapaxes(1, 2)
+        return (X[t] @ Y_hops).reshape(len(t), hops * M, K), mse_t
+
     live = np.array([t for t in range(trials) if errors[t] is None], dtype=int)
     if live.size:
-        _each_trial(lambda t: (U[t] @ filter_step(gram[t], F[t], hops, sigma2,
-                                                  amps[t])[0],),
-                    live, errors, (W,))
-    amps[[errors[t] is not None for t in range(trials)]] = np.nan
-    return StackedDesign(W=W, amps=amps,
+        _each_trial(filters, live, errors, (W, mse))
+    failed = [errors[t] is not None for t in range(trials)]
+    amps[failed] = mse[failed] = np.nan
+    return StackedDesign(W=W, amps=amps, mse=mse,
                          mse_trace=np.reshape(trace, (-1, trials)).T,
                          iterations=iterations, converged=converged,
                          errors=errors)
 
 
-def alternate(U: np.ndarray, hops: int, sigma2: float, blocks: int,
+def alternate(X: np.ndarray, sigma2: float, blocks: int,
               config: MmseConfig, omega: np.ndarray) -> AlternationResult:
     """Alternate filter and power steps from the equal-power initialization:
-    design on a stack of one.
+    design on a stack of one, the per-hop waveforms X (hops x M x K).
 
     The users form `blocks` equal contiguous blocks (1: global, K: individual
     constraints), each under the sum of its users' unit budgets; a one-link
     block, pinned by its budget, is designed without alternation
     (harness.power_blocks). The trace records the ensemble MSE after each
     filter step, so its first entry is the MSE of the equal-power (CIS)
-    allocation under its own MMSE filters; the last entry is total_mse of the
-    returned design.
+    allocation under its own MMSE filters; the last entry is the closed-form
+    MSE of the returned design (StackedDesign.mse).
     omega must be a covariance matrix (positive semidefinite) with unit
     direct-link diagonal, as every link-symbol correlation built here is:
     sigma2 then bounds the eigenvalues of each receiver covariance from below,
     and the traced MSE takes the closed form of filter_step.
     """
-    res = design(U[None], hops, sigma2, blocks, config, omega[None])
+    res = design(X[None], sigma2, blocks, config, omega[None])
     if res.errors[0] is not None:
         raise res.errors[0]
     W, amps, iterations = res.W[0], res.amps[0], int(res.iterations[0])
-    trace = np.append(res.mse_trace[0, :iterations],
-                      total_mse(U, hops, sigma2, amps, W, omega))
+    trace = np.append(res.mse_trace[0, :iterations], res.mse[0])
     return AlternationResult(W=W, amps=amps, mse_trace=trace,
                              converged=bool(res.converged[0]),
                              iterations=iterations)

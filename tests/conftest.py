@@ -60,10 +60,9 @@ def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
     S holds the hops x K per-hop symbols of out's columns plus one neighbour
     column on each side; amps is the K x hops amplitude matrix.
     """
-    M, hops = scn.dims.M, scn.dims.hops
-    for j in range(hops):
-        rows = slice(j * M, (j + 1) * M)
-        add_hop_frames(out[rows], scn.U[rows, j::hops], S[j], amps[:, j:j + 1],
+    M = scn.dims.M
+    for j, X in enumerate(scn.x_dest):
+        add_hop_frames(out[j * M:(j + 1) * M], X, S[j], amps[:, j:j + 1],
                        scn.spill)
 
 

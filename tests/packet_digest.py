@@ -4,9 +4,11 @@ A rewrite that claims to keep the exact path bit-identical must leave this
 digest unchanged on one host; the pinned integer results of
 test_fingerprint.py cannot see a change in the last bit of a soft output.
 For every seed, scheme, SNR and trial below, the digest takes the bytes of the
-scenario (U, h_true, the source-to-relay waveforms), of the design (W, amps),
-of the packet's bits, of its per-hop symbols S (relay hops filled in), of its
-soft outputs and of its per-symbol error counts. The designs of a point's
+scenario (the per-link waveform matrix U that the tests' oracle
+dense_link_waveforms forms from x_dest, h_true, the source-to-relay
+waveforms), of the design (W, amps), of the packet's bits, of its per-hop
+symbols S (relay hops filled in), of its soft outputs and of its per-symbol
+error counts. The designs of a point's
 trials are solved as one stack, as a sweep solves them. The bytes depend on
 the BLAS, so compare digests taken on one host.
 
@@ -22,6 +24,7 @@ estimates, so their receivers' bits show only there.
 
 import hashlib
 
+from conftest import dense_link_waveforms
 from coopcdma import harness
 
 SEEDS = (1, 2, 3)
@@ -51,7 +54,8 @@ def exact_packet_digest(seeds=SEEDS, snrs_db=SNRS_DB, trials=TRIALS) -> str:
                     soft = harness.exact_soft_outputs(scn, W, amps, S,
                                                       rng_noise)
                     res = harness._packet_result(soft, bits, cfg.training_len)
-                    for array in (scn.U, scn.h_true, *scn.x_sr, W, amps, bits,
+                    U = dense_link_waveforms(scn.x_dest)
+                    for array in (U, scn.h_true, *scn.x_sr, W, amps, bits,
                                   S, soft, res.per_symbol_errors):
                         digest.update(array.tobytes())
     return digest.hexdigest()

@@ -142,7 +142,7 @@ class TestAcceptance:
             om = scenario_omega(scn)
             for scheme in ("jpais-gpc", "jpais-ipc"):
                 users_per_block, lam = power_blocks(scheme, cfg, dims.K)
-                res = mmse.alternate(scn.U, dims.hops, sigma2,
+                res = mmse.alternate(scn.x_dest, sigma2,
                                      dims.K // users_per_block,
                                      cfg.mmse_config(lam), omega=om)
                 total += 1

@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import dense_link_waveforms
 from coopcdma import harness, mmse
 
 PAYLOAD_BITS = 2 * (1500 - 200) * 4
@@ -105,12 +106,17 @@ def test_exact_alternation(seed, snr_db, mode):
     scn = desk_scenario(cfg, snr_db, harness.trial_rngs(seed, 0)[0])
     users_per_block, lam = harness.power_blocks("jpais-" + mode, cfg,
                                                 scn.dims.K)
-    res = mmse.alternate(scn.U, scn.dims.hops, scn.sigma2,
+    omega = harness.scenario_omega(scn)
+    res = mmse.alternate(scn.x_dest, scn.sigma2,
                          scn.dims.K // users_per_block, cfg.mmse_config(lam),
-                         omega=harness.scenario_omega(scn))
+                         omega=omega)
     iterations, converged, final_mse = ALTERNATION[seed, snr_db, mode]
     assert (res.iterations, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.mse_trace[-1], final_mse, rtol=1e-9, atol=0)
+    # the closed-form final MSE is the chip-space MSE of the design
+    direct = mmse.total_mse(dense_link_waveforms(scn.x_dest), scn.dims.hops,
+                            scn.sigma2, res.amps, res.W, omega)
+    assert abs(res.mse_trace[-1] - direct) <= 1e-12 * direct
 
 
 def test_exact_rows_hash():

@@ -53,16 +53,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["users", "chips", "paths", "relays",
                                        "packet_len", "training_len", "trials",
-                                       "mmse_iters"])
+                                       "mmse_iters", "alpha"])
     def test_rejects_a_count_past_the_index_limit(self, field):
         """A count no BLAS index can address is refused at the boundary,
-        naming its field, not left to fail inside numpy; 2**31 - 1 passes."""
+        naming its field, not left to fail inside numpy; 2**31 - 1 passes.
+        So is a forgetting factor alpha above 1, its field's other upper
+        bound; 1.0 passes."""
+        high, over = (1.0, 1.5) if field == "alpha" else (2**31 - 1, 2**31)
         with pytest.raises(ConfigError, match=f"^{field}: must be at most "
-                                              "2147483647, got 2147483648$"):
-            ExperimentConfig(**{field: 2**31})
+                                              f"{high}, got {over}$"):
+            ExperimentConfig(**{field: over})
         if field != "training_len":  # which must stay below packet_len
-            assert getattr(ExperimentConfig(**{field: 2**31 - 1}),
-                           field) == 2**31 - 1
+            assert getattr(ExperimentConfig(**{field: high}), field) == high
 
     def test_rejects_chips_2_to_the_70(self):
         """The reported case, which passed the boundary and ended in numpy's
@@ -403,8 +405,10 @@ class TestAggregation:
         """No surviving trial reads nan over 0 bits, as in run_experiment."""
         from coopcdma import harness
 
-        def diverge(*args, **kwargs):
-            raise DegenerateStateError("zero-norm amplitude vector")
+        def diverge(cfg, *args, **kwargs):
+            return harness.PacketResult(
+                bit_errors=0, payload_bits=0, diverged=True,
+                per_symbol_errors=np.zeros(cfg.packet_len, dtype=np.int64))
 
         monkeypatch.setattr(harness, "run_packet", diverge)
         cfg = small_cfg(scheme="jpais-gpc", variant="adaptive", trials=2)
@@ -641,13 +645,16 @@ def zero_waveforms(scn, rng):
     scn.x_dest = np.zeros_like(scn.x_dest)
 
 
-def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3):
+def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
+                results=None):
     """run_experiment of an exact cfg, with poison applied to the scenario
     of one trial, and the PacketResult of each trial that reached its packet
-    simulation, by trial index."""
+    simulation, by trial index. Given a dict results, it also collects the
+    PacketResult that run_packet returned for each trial."""
     from coopcdma import harness
     draws, packets = [], {}
     real_draw, real_simulate = harness.draw_scenario, harness.simulate_packet_exact
+    real_run = harness.run_packet
 
     def draw(*args, **kwargs):
         scn = real_draw(*args, **kwargs)
@@ -661,9 +668,16 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3):
         packets[next(i for i, d in enumerate(draws) if d is scn)] = res
         return res
 
+    def run(cfg, scn, *args, **kwargs):
+        res = real_run(cfg, scn, *args, **kwargs)
+        if results is not None:
+            results[next(i for i, d in enumerate(draws) if d is scn)] = res
+        return res
+
     with monkeypatch.context() as patch:
         patch.setattr(harness, "draw_scenario", draw)
         patch.setattr(harness, "simulate_packet_exact", simulate)
+        patch.setattr(harness, "run_packet", run)
         curve = run_experiment(cfg)
     return curve, packets
 
@@ -677,13 +691,25 @@ class TestPointDesigns:
     def test_failed_design_diverges_alone(self, scheme, poison, monkeypatch):
         """One poisoned scenario in a point's stack of 8 counts as one
         divergence, whether its relay bank, its link factors or its power
-        projection fails; the other 7 packets keep the bit errors they have
+        projection fails, and its packet records the failed design with no
+        symbol detected; the other 7 packets keep the bit errors they have
         without the poison."""
         cfg = small_cfg(scheme=scheme, variant="exact", trials=8)
         clean, clean_packets = exact_point(monkeypatch, cfg)
-        curve, packets = exact_point(monkeypatch, cfg, poison)
+        results = {}
+        curve, packets = exact_point(monkeypatch, cfg, poison,
+                                     results=results)
         assert clean.divergences == 0 and curve.divergences == 1
         assert sorted(packets) == [0, 1, 2, 4, 5, 6, 7]
+        failed = results[3]
+        assert failed.diverged and failed.bit_errors == 0
+        assert np.array_equal(failed.per_symbol_errors,
+                              np.zeros(cfg.packet_len))
+        error = ("IllConditionedError" if poison is nan_waveform
+                 else "DegenerateStateError")
+        stage, symbol, reason = failed.extras["divergence"]
+        assert (stage, symbol) == ("design", None)
+        assert reason.startswith(error + ": ")
         for t, res in packets.items():
             assert res.bit_errors == clean_packets[t].bit_errors
             assert np.array_equal(res.per_symbol_errors,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import poisoned
+from conftest import dense_link_waveforms, make_link_pieces, poisoned
 from coopcdma import harness, mmse
 from coopcdma.errors import DegenerateStateError, IllConditionedError
 from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
@@ -13,22 +13,15 @@ from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
                            equal_power_amps, filter_step, link_factors,
                            nonnegative_amplitudes, power_terms, relay_omega,
                            total_mse)
-from coopcdma.model import (SystemDims, build_convolution_matrix,
-                            draw_spreading_codes, generate_multipath_channel,
-                            modulate_qpsk)
+from coopcdma.model import SystemDims, modulate_qpsk
 
 
 def make_stack(dims, rng):
-    """Stacked per-link effective waveform matrix U (stack x K*hops)."""
-    codes = draw_spreading_codes(dims.K, dims.N, rng)
-    M, hops = dims.M, dims.hops
-    U = np.zeros((dims.stack, dims.K * hops), dtype=complex)
-    for k in range(dims.K):
-        D = build_convolution_matrix(codes[k], dims.L)
-        for j in range(hops):
-            U[j * M:(j + 1) * M, k * hops + j] = D @ generate_multipath_channel(
-                dims.L, rng)
-    return U
+    """Random per-hop waveforms X (hops x M x K), the design's input, and
+    their stacked per-link waveform matrix U (stack x K*hops), the chip-space
+    oracles' input."""
+    X = make_link_pieces(dims, rng)[2]
+    return X, dense_link_waveforms(X)
 
 
 def random_amps(dims, rng):
@@ -44,11 +37,13 @@ def receiver_global(stats, floor=0.0):
     return _checked_solve(stats.R, stats.P_ch, "receiver covariance", floor)
 
 
-def receiver(U, hops, sigma2, amps, omega):
+def receiver(X, sigma2, amps, omega):
     """Joint MMSE filter matrix W = R^-1 P_ch at fixed amplitudes amps (K x
-    hops), solved in link coordinates: filter_step on a stack of one."""
-    gram, F = link_factors(U[None], omega[None])
-    return U @ filter_step(gram, F, hops, sigma2, amps[None])[0][0]
+    hops), solved in link coordinates: filter_step on a stack of one, its
+    Y mapped to the chip stack through the oracle U."""
+    gram, F = link_factors(X[None], omega[None])
+    return dense_link_waveforms(X) @ filter_step(gram, F, sigma2,
+                                                 amps[None])[0][0]
 
 
 def relative_error(got, ref):
@@ -156,14 +151,16 @@ def random_relay_stats(K, n_r, rng):
 
 
 def desk_design_inputs(snr_db, seed=1):
-    """U, sigma^2 and omega of trial 0 at the desk configuration."""
+    """The per-hop waveforms X, their oracle U, hops, sigma^2 and omega of
+    trial 0 at the desk configuration."""
     cfg = harness.ExperimentConfig(seed=seed)
     dims = cfg.dims()
     scn = harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
                                 harness.snr_db_to_sigma2(snr_db),
                                 cfg.shadowing_std_db,
                                 harness.trial_rngs(seed, 0)[0])
-    return scn.U, dims.hops, scn.sigma2, harness.scenario_omega(scn)
+    return (scn.x_dest, dense_link_waveforms(scn.x_dest), dims.hops,
+            scn.sigma2, harness.scenario_omega(scn))
 
 
 def one_trial_power_terms(links, amps, omega, blocks):
@@ -175,7 +172,7 @@ def one_trial_power_terms(links, amps, omega, blocks):
 def desk_power_terms(snr_db, blocks):
     """Power terms (R_a, p_a) of the desk scenario's equal-power filters for
     the given number of user blocks."""
-    U, hops, sigma2, omega = desk_design_inputs(snr_db)
+    _, U, hops, sigma2, omega = desk_design_inputs(snr_db)
     K = U.shape[1] // hops
     amps = equal_power_amps(K, hops)
     W = receiver_global(build_statistics(U, hops, sigma2, amps, omega), sigma2)
@@ -244,7 +241,7 @@ class TestStatistics:
     def test_covariance_monte_carlo(self, rng):
         """Closed-form R and P_ch match sample statistics of the frame."""
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        _, U = make_stack(dims, rng)
         amps = random_amps(dims, rng)
         sigma2 = 0.2
         stats = perfect_statistics(U, dims.hops, sigma2, amps)
@@ -266,7 +263,7 @@ class TestStatistics:
 
     def test_noise_floor_on_diagonal(self, rng):
         dims = SystemDims(K=1, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        _, U = make_stack(dims, rng)
         sigma2 = 0.37
         stats0 = perfect_statistics(U, dims.hops, 0.0, np.ones((1, 2)))
         stats = perfect_statistics(U, dims.hops, sigma2, np.ones((1, 2)))
@@ -278,7 +275,7 @@ class TestPowerQuadratics:
     def test_global_quadratic_is_exact(self, rng):
         """For real amplitudes the MSE equals the (R_a, p_a) quadratic form."""
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
-        U = make_stack(dims, rng)
+        _, U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
         omega = perfect_relay_omega(dims.K, dims.hops)
@@ -298,7 +295,7 @@ class TestPowerQuadratics:
     def test_individual_quadratic_is_exact(self, rng):
         """Per-user quadratic tracks that user's own MSE as its block moves."""
         dims = SystemDims(K=3, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        _, U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
         omega = perfect_relay_omega(dims.K, dims.hops)
@@ -330,7 +327,7 @@ class TestPowerQuadratics:
     def test_unconstrained_global_step_is_regularized_minimum(self, rng):
         """The λ-regularized power solve beats nearby real vectors."""
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        _, U = make_stack(dims, rng)
         sigma2 = 0.15
         amps0 = random_amps(dims, rng)
         omega = perfect_relay_omega(dims.K, dims.hops)
@@ -357,7 +354,7 @@ class TestPowerQuadratics:
         """One block reproduces the global assembly and K blocks the
         per-user one, away from equal power so the fixed other-block
         amplitudes matter."""
-        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        _, U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         amps = 0.3 + np.random.default_rng(5).random((K, hops))
         W = receiver_global(build_statistics(U, hops, sigma2, amps,
@@ -438,10 +435,10 @@ class TestAlternation:
     def test_single_user_matches_grid_search(self, rng):
         """K=1 two-hop allocation matches a dense search over the sphere."""
         dims = SystemDims(K=1, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        X, U = make_stack(dims, rng)
         sigma2 = 0.3
         cfg = MmseConfig(lam=1e-6, max_iters=200, tol=1e-10)
-        res = alternate(U, dims.hops, sigma2, 1, cfg,
+        res = alternate(X, sigma2, 1, cfg,
                         perfect_relay_omega(1, dims.hops))
 
         best = np.inf
@@ -454,10 +451,10 @@ class TestAlternation:
 
     def test_trace_starts_at_equal_power(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        X, U = make_stack(dims, rng)
         sigma2 = 0.2
         cfg = MmseConfig()
-        res = alternate(U, dims.hops, sigma2, 1, cfg,
+        res = alternate(X, sigma2, 1, cfg,
                         perfect_relay_omega(2, dims.hops))
         amps_eq = equal_power_amps(2, dims.hops)
         stats = perfect_statistics(U, dims.hops, sigma2, amps_eq)
@@ -470,8 +467,8 @@ class TestAlternation:
             for trial in range(5):
                 local = np.random.default_rng(100 + trial)
                 dims = SystemDims(K=3, N=8, L=2, n_r=1)
-                U = make_stack(dims, local)
-                res = alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
+                X, _ = make_stack(dims, local)
+                res = alternate(X, 0.2, blocks, MmseConfig(),
                                 perfect_relay_omega(3, dims.hops))
                 assert res.mse_trace[-1] <= res.mse_trace[0] + 1e-9
 
@@ -479,26 +476,26 @@ class TestAlternation:
         """Every user's budget is 1: each user's power is 1 under individual
         constraints, and the total is K under the global one."""
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
-        U = make_stack(dims, rng)
+        X, _ = make_stack(dims, rng)
         omega = perfect_relay_omega(dims.K, dims.hops)
-        res = alternate(U, dims.hops, 0.2, dims.K, MmseConfig(), omega)
+        res = alternate(X, 0.2, dims.K, MmseConfig(), omega)
         np.testing.assert_allclose(np.sum(res.amps ** 2, axis=1), 1.0,
                                    atol=1e-10)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(), omega)
+        res = alternate(X, 0.2, 1, MmseConfig(), omega)
         assert abs(np.sum(res.amps ** 2) - dims.K) < 1e-10
 
     @pytest.mark.parametrize("blocks", [0, 2])
     def test_blocks_must_split_users_evenly(self, blocks, rng):
         dims = SystemDims(K=3, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        X, _ = make_stack(dims, rng)
         with pytest.raises(ValueError, match="split"):
-            alternate(U, dims.hops, 0.2, blocks, MmseConfig(),
+            alternate(X, 0.2, blocks, MmseConfig(),
                       perfect_relay_omega(3, dims.hops))
 
     def test_result_shape_and_flags(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
-        res = alternate(U, dims.hops, 0.2, 1, MmseConfig(),
+        X, _ = make_stack(dims, rng)
+        res = alternate(X, 0.2, 1, MmseConfig(),
                         perfect_relay_omega(2, dims.hops))
         assert isinstance(res, AlternationResult)
         assert res.W.shape == (dims.stack, 2)
@@ -509,10 +506,10 @@ class TestAlternation:
 class TestReceivers:
     def test_wiener_normal_equations(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        X, U = make_stack(dims, rng)
         amps = random_amps(dims, rng)
         stats = perfect_statistics(U, dims.hops, 0.2, amps)
-        W = receiver(U, dims.hops, 0.2, amps,
+        W = receiver(X, 0.2, amps,
                      perfect_relay_omega(dims.K, dims.hops))
         np.testing.assert_allclose(stats.R @ W, stats.P_ch, atol=1e-10)
 
@@ -522,23 +519,23 @@ class TestLinkCoordinates:
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_receiver_matches_stacked_solve(self, snr_db):
-        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        X, U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         amps = 0.3 + np.random.default_rng(7).random((K, hops))
         ref = receiver_global(build_statistics(U, hops, sigma2, amps, omega),
                               sigma2)
-        assert relative_error(receiver(U, hops, sigma2, amps, omega),
+        assert relative_error(receiver(X, sigma2, amps, omega),
                               ref) <= 1e-12
 
     def test_singular_omega_receiver_matches_stacked_solve(self, rng):
         """Perfect relays make omega singular: its factor has zero columns."""
         dims = SystemDims(K=3, N=8, L=2, n_r=2)
-        U = make_stack(dims, rng)
+        X, U = make_stack(dims, rng)
         amps = random_amps(dims, rng)
         omega = perfect_relay_omega(dims.K, dims.hops)
         assert np.linalg.matrix_rank(omega) == dims.K
         ref = receiver_global(perfect_statistics(U, dims.hops, 0.2, amps))
-        assert relative_error(receiver(U, dims.hops, 0.2, amps, omega),
+        assert relative_error(receiver(X, 0.2, amps, omega),
                               ref) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
@@ -546,9 +543,9 @@ class TestLinkCoordinates:
     def test_alternation_filters_match_stacked_solve(self, mode, snr_db):
         """The designed W is the stacked MMSE solve at the designed
         amplitudes, for one global block and for K individual ones."""
-        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        X, U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
-        res = alternate(U, hops, sigma2, 1 if mode == "gpc" else K,
+        res = alternate(X, sigma2, 1 if mode == "gpc" else K,
                         MmseConfig(), omega)
         ref = receiver_global(build_statistics(U, hops, sigma2, res.amps,
                                                omega), sigma2)
@@ -563,7 +560,8 @@ class TestLinkCoordinates:
                                     cfg.shadowing_std_db,
                                     harness.trial_rngs(1, 0)[0])
         W, amps = harness.design_exact(scn, scheme, cfg)
-        stats = build_statistics(scn.U, dims.hops, scn.sigma2, amps,
+        stats = build_statistics(dense_link_waveforms(scn.x_dest), dims.hops,
+                                 scn.sigma2, amps,
                                  harness.scenario_omega(scn))
         assert relative_error(W, receiver_global(stats, scn.sigma2)) <= 1e-12
 
@@ -571,13 +569,12 @@ class TestLinkCoordinates:
     def test_traced_mse_is_the_stacked_mse(self, mode):
         """Every traced entry is the MSE of that iteration's filters: the
         alternation cut after n iterations ends at the nth entry's design."""
-        U, hops, sigma2, omega = desk_design_inputs(6.0)
-        K = U.shape[1] // hops
+        X, _, _, sigma2, omega = desk_design_inputs(6.0)
+        K = X.shape[-1]
         blocks = 1 if mode == "gpc" else K
-        full = alternate(U, hops, sigma2, blocks, MmseConfig(), omega)
+        full = alternate(X, sigma2, blocks, MmseConfig(), omega)
         for n in (1, 3):
-            cut = alternate(U, hops, sigma2, blocks, MmseConfig(max_iters=n),
-                            omega)
+            cut = alternate(X, sigma2, blocks, MmseConfig(max_iters=n), omega)
             assert abs(full.mse_trace[n] - cut.mse_trace[-1]) <= 1e-12
 
 
@@ -586,7 +583,7 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
     def test_receiver_solve_matches_cond_path(self, snr_db, monkeypatch):
-        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+        _, U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         stats = build_statistics(U, hops, sigma2,
                                  equal_power_amps(K, hops),
@@ -673,31 +670,68 @@ class TestCertifiedSolve:
 
     def test_noise_free_alternation_still_warns(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
-        U = make_stack(dims, rng)
+        X, _ = make_stack(dims, rng)
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
-            alternate(U, dims.hops, 0.0, 1, MmseConfig(max_iters=2),
+            alternate(X, 0.0, 1, MmseConfig(max_iters=2),
                       perfect_relay_omega(2, dims.hops))
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
     @pytest.mark.parametrize("snr_db", [0.0, 18.0])
-    def test_trace_ends_at_total_mse_of_result(self, mode, snr_db):
-        U, hops, sigma2, omega = desk_design_inputs(snr_db)
+    def test_trace_ends_at_the_design_mse(self, mode, snr_db):
+        """The trace ends at the closed-form MSE of the design's final
+        filter step, bit for bit, which is the chip-space total_mse of the
+        returned design to rounding."""
+        X, U, hops, sigma2, omega = desk_design_inputs(snr_db)
         K = U.shape[1] // hops
         blocks = 1 if mode == "gpc" else K
-        res = alternate(U, hops, sigma2, blocks, MmseConfig(), omega=omega)
-        assert res.mse_trace[-1] == total_mse(U, hops, sigma2, res.amps, res.W,
-                                              omega=omega)
+        res = alternate(X, sigma2, blocks, MmseConfig(), omega=omega)
+        lone = mmse.design(X[None], sigma2, blocks, MmseConfig(), omega[None])
+        assert res.mse_trace[-1] == lone.mse[0]
+        direct = total_mse(U, hops, sigma2, res.amps, res.W, omega=omega)
+        assert abs(res.mse_trace[-1] - direct) <= 1e-12 * abs(direct)
 
 
-def point_scenarios(seed, snr_db, trials=8):
-    """The desk scenarios of trials 0, ..., trials - 1 of one SNR point."""
-    cfg = harness.ExperimentConfig(seed=seed)
+def point_scenarios(seed, snr_db, trials=8, **config):
+    """The desk scenarios of trials 0, ..., trials - 1 of one SNR point,
+    with config's fields changed from the desk configuration's."""
+    cfg = harness.ExperimentConfig(seed=seed, **config)
     dims = cfg.dims()
     return [harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
                                   harness.snr_db_to_sigma2(snr_db),
                                   cfg.shadowing_std_db,
                                   harness.trial_rngs(seed, t)[0])
             for t in range(trials)]
+
+
+class TestHopStack:
+    """The design works on each trial's per-hop waveforms X; the chip-stack
+    matrix U of the same links (dense_link_waveforms) is its oracle."""
+
+    @pytest.mark.parametrize("relays", [0, 2])
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gram_and_filters_have_the_bytes_of_the_stack(self, seed, scheme,
+                                                          relays):
+        """link_factors' Gram matrices are U^H U and design's filters are U Y
+        of its final filter step, byte for byte, with that step's MSE."""
+        cfg = harness.ExperimentConfig(scheme=scheme, seed=seed, relays=relays)
+        scns = point_scenarios(seed, 6.0, trials=4, scheme=scheme,
+                               relays=relays)
+        X = np.stack([scn.x_dest for scn in scns])
+        U = np.stack([dense_link_waveforms(x) for x in X])
+        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        gram, F = link_factors(X, omega)
+        assert gram.tobytes() == (U.conj().swapaxes(-1, -2) @ U).tobytes()
+        K, sigma2 = X.shape[-1], scns[0].sigma2
+        plan = harness.power_blocks(scheme, cfg, K)
+        blocks, config = ((None, None) if plan is None else
+                          (K // plan[0], cfg.mmse_config(plan[1])))
+        res = mmse.design(X, sigma2, blocks, config, omega)
+        assert res.errors == [None] * len(scns)
+        Y, mse = filter_step(gram, F, sigma2, res.amps)
+        assert res.W.shape == (len(scns), scns[0].dims.stack, K)
+        assert res.W.tobytes() == (U @ Y).tobytes()
+        assert res.mse.tobytes() == mse.tobytes()
 
 
 class TestStackedDesign:
@@ -708,7 +742,8 @@ class TestStackedDesign:
         """Designing a point's 8 trials as one stack gives each trial the
         design it gets alone: the same filters and amplitudes, byte for byte,
         and the same iterations, convergence flag, traced MSEs and final MSE
-        as the stack of one, mmse.alternate."""
+        as the stack of one, mmse.alternate, and mmse.design on the trial
+        alone."""
         cfg = harness.ExperimentConfig(scheme=scheme, seed=seed)
         scns = point_scenarios(seed, snr_db)
         dims, sigma2 = scns[0].dims, scns[0].sigma2
@@ -717,8 +752,8 @@ class TestStackedDesign:
         plan = harness.power_blocks(scheme, cfg, dims.K)
         blocks, config = ((None, None) if plan is None else
                           (dims.K // plan[0], cfg.mmse_config(plan[1])))
-        stacked = mmse.design(np.stack([scn.U for scn in scns]), dims.hops,
-                              sigma2, blocks, config, np.stack(omegas))
+        stacked = mmse.design(np.stack([scn.x_dest for scn in scns]), sigma2,
+                              blocks, config, np.stack(omegas))
         assert stacked.errors == [None] * len(scns)
         for t, (scn, omega) in enumerate(zip(scns, omegas)):
             W, amps = point.design(scn, scheme, cfg)
@@ -726,10 +761,13 @@ class TestStackedDesign:
             assert W.tobytes() == W_alone.tobytes()
             assert amps.dtype == amps_alone.dtype
             assert amps.tobytes() == amps_alone.tobytes()
+            lone = mmse.design(scn.x_dest[None], sigma2, blocks, config,
+                               omega[None])
+            assert stacked.mse[t].tobytes() == lone.mse[0].tobytes()
             if plan is None:
                 assert stacked.iterations[t] == 0
                 continue
-            alone = alternate(scn.U, dims.hops, sigma2, blocks, config, omega)
+            alone = alternate(scn.x_dest, sigma2, blocks, config, omega)
             assert stacked.W[t].tobytes() == alone.W.tobytes()
             assert stacked.amps[t].tobytes() == alone.amps.tobytes()
             assert ((stacked.iterations[t], stacked.converged[t])
@@ -738,34 +776,36 @@ class TestStackedDesign:
             assert np.array_equal(stacked.mse_trace[t, :n],
                                   alone.mse_trace[:-1])
             assert np.isnan(stacked.mse_trace[t, n:]).all()
-            assert total_mse(scn.U, dims.hops, sigma2, stacked.amps[t],
-                             stacked.W[t], omega) == alone.mse_trace[-1]
+            assert stacked.mse[t] == alone.mse_trace[-1]
 
-    @pytest.mark.parametrize("poison", ["nan U", "zero U"])
+    @pytest.mark.parametrize("poison", ["nan X", "zero X"])
     @pytest.mark.parametrize("blocks", [1, DESK_K])
     def test_failed_trial_leaves_the_others_alone(self, poison, blocks):
         """A trial whose design raises (non-finite waveforms at the link
         factors, a zero-norm power solution at the projection) fails alone,
-        with its own error; the other trials' designs are unchanged."""
+        with its own error and a nan W, amps and MSE; the other trials'
+        designs are unchanged."""
         scns = point_scenarios(1, 6.0, trials=4)
-        U = np.stack([scn.U for scn in scns])
+        X = np.stack([scn.x_dest for scn in scns])
         omega = np.stack([harness.scenario_omega(scn) for scn in scns])
-        hops, sigma2 = scns[0].dims.hops, scns[0].sigma2
-        clean = mmse.design(U, hops, sigma2, blocks, MmseConfig(), omega)
-        U[2] = (poisoned(U[2], np.nan, np.random.default_rng(0))
-                if poison == "nan U" else 0.0)
-        res = mmse.design(U, hops, sigma2, blocks, MmseConfig(), omega)
-        error = (IllConditionedError if poison == "nan U"
+        sigma2 = scns[0].sigma2
+        clean = mmse.design(X, sigma2, blocks, MmseConfig(), omega)
+        X[2] = (poisoned(X[2], np.nan, np.random.default_rng(0))
+                if poison == "nan X" else 0.0)
+        res = mmse.design(X, sigma2, blocks, MmseConfig(), omega)
+        error = (IllConditionedError if poison == "nan X"
                  else DegenerateStateError)
         assert [type(e) for e in res.errors] == [type(None)] * 2 + [error] + [
             type(None)]
         assert np.isnan(res.W[2]).all() and np.isnan(res.amps[2]).all()
+        assert np.isnan(res.mse[2])
         for t in (0, 1, 3):
             assert res.W[t].tobytes() == clean.W[t].tobytes()
             assert res.amps[t].tobytes() == clean.amps[t].tobytes()
+            assert res.mse[t].tobytes() == clean.mse[t].tobytes()
             assert res.iterations[t] == clean.iterations[t]
         with pytest.raises(error):
-            alternate(U[2], hops, sigma2, blocks, MmseConfig(), omega[2])
+            alternate(X[2], sigma2, blocks, MmseConfig(), omega[2])
 
 
 class TestStackedDesignSteps:
@@ -776,12 +816,11 @@ class TestStackedDesignSteps:
         that trial alone fails at the projection, keeping the MSE of the
         filter step it passed."""
         scns = point_scenarios(1, 6.0, trials=2)
-        U = np.stack([scn.U for scn in scns])
-        U[1] = 0.0
+        X = np.stack([scn.x_dest for scn in scns])
+        X[1] = 0.0
         omega = np.stack([harness.scenario_omega(scn) for scn in scns])
         with pytest.warns(RuntimeWarning, match="using pseudoinverse") as caught:
-            res = mmse.design(U, scns[0].dims.hops, scns[0].sigma2, 1,
-                              MmseConfig(lam=0.0), omega)
+            res = mmse.design(X, scns[0].sigma2, 1, MmseConfig(lam=0.0), omega)
         assert len(caught) == 1
         assert res.errors[0] is None
         assert isinstance(res.errors[1], DegenerateStateError)
@@ -809,9 +848,8 @@ class TestStackedDesignSteps:
         """The MSE trace has one column per iteration run, however large
         max_iters is."""
         scns = point_scenarios(1, 6.0, trials=2)
-        res = mmse.design(np.stack([scn.U for scn in scns]),
-                          scns[0].dims.hops, scns[0].sigma2, 1,
-                          MmseConfig(max_iters=10**6),
+        res = mmse.design(np.stack([scn.x_dest for scn in scns]),
+                          scns[0].sigma2, 1, MmseConfig(max_iters=10**6),
                           np.stack([harness.scenario_omega(scn)
                                     for scn in scns]))
         assert res.converged.all()
@@ -836,13 +874,13 @@ class TestConfigValidation:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("array", ["solve R", "solve rhs", "stacked solve R",
-                                   "U", "omega", "statistics U"])
+                                   "X", "omega", "statistics U"])
 def test_one_nonfinite_entry_in_a_checked_array_raises(array, value, rng):
     """Each mmse finite check (_checked_solve, link_factors,
     build_statistics) raises IllConditionedError on one nan or infinite
     entry of each array it checks."""
     dims = SystemDims(K=2, N=4, L=2, n_r=1)
-    U = make_stack(dims, rng)
+    X, U = make_stack(dims, rng)
     omega = perfect_relay_omega(dims.K, dims.hops)
     R = np.eye(3) + 0.1 * np.ones((3, 3))
     calls = {
@@ -852,8 +890,8 @@ def test_one_nonfinite_entry_in_a_checked_array_raises(array, value, rng):
             R, poisoned(np.ones(3), value, rng), "x", 0.5),
         "stacked solve R": lambda: _checked_solve(
             poisoned(np.stack([R, R]), value, rng), np.ones((2, 3)), "x", 0.5),
-        "U": lambda: link_factors(poisoned(U, value, rng)[None], omega[None]),
-        "omega": lambda: link_factors(U[None],
+        "X": lambda: link_factors(poisoned(X, value, rng)[None], omega[None]),
+        "omega": lambda: link_factors(X[None],
                                       poisoned(omega, value, rng)[None]),
         "statistics U": lambda: build_statistics(
             poisoned(U, value, rng), dims.hops, 0.1, random_amps(dims, rng),

@@ -6,7 +6,7 @@ algorithms with RLS channel estimation, and a seeded Monte Carlo BER harness.
 """
 
 from .errors import (ConfigError, DegenerateStateError, IllConditionedError,
-                     NumericalDivergenceError)
+                     NumericalDivergenceError, TrialFailure)
 from .harness import (BerCurve, ExperimentConfig, capacity_at_target,
                       learning_curve, run_experiment, run_packet,
                       run_user_sweep)
@@ -17,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerCurve", "ConfigError", "DegenerateStateError", "ExperimentConfig",
     "IllConditionedError", "NumericalDivergenceError", "SystemDims",
-    "capacity_at_target", "learning_curve", "run_experiment", "run_packet",
-    "run_user_sweep",
+    "TrialFailure", "capacity_at_target", "learning_curve", "run_experiment",
+    "run_packet", "run_user_sweep",
 ]

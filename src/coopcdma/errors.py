@@ -5,18 +5,18 @@ class ConfigError(ValueError):
     """An experiment configuration is missing, malformed, or inconsistent."""
 
 
-class IllConditionedError(RuntimeError):
+class TrialFailure(RuntimeError):
+    """The failure of one trial's design, packet or recursion: it counts as
+    that trial's divergence and leaves the other trials of its point alone."""
+
+
+class IllConditionedError(TrialFailure):
     """A covariance matrix is too ill-conditioned to invert reliably."""
 
 
-class NumericalDivergenceError(RuntimeError):
+class NumericalDivergenceError(TrialFailure):
     """An adaptive recursion produced non-finite state."""
 
 
-class DegenerateStateError(RuntimeError):
+class DegenerateStateError(TrialFailure):
     """A filter or amplitude vector collapsed to zero norm."""
-
-
-# The failures of one trial's exact design or packet: each counts as that
-# trial's divergence and leaves the other trials of its point alone.
-TRIAL_FAILURES = (IllConditionedError, DegenerateStateError)

@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gpc, ipc, mmse
-from .errors import (TRIAL_FAILURES, ConfigError, DegenerateStateError,
-                     NumericalDivergenceError)
+from .errors import ConfigError, TrialFailure
 from .model import (SystemDims, add_hop_frames, build_convolution_matrix,
                     demodulate_qpsk, draw_spreading_codes,
                     generate_multipath_channel, hard_decision, modulate_qpsk)
@@ -209,9 +208,6 @@ def _noise_matrix(shape, sigma2: float, rng: np.random.Generator,
                   out: np.ndarray | None = None) -> np.ndarray:
     """White complex noise of variance sigma2, written into out if given."""
     out = np.empty(shape, dtype=complex) if out is None else out
-    if sigma2 == 0.0:
-        out[...] = 0.0
-        return out
     # real and imaginary parts written in place, drawn in that order: the
     # same values as scale * (a + 1j * b) without the complex temporaries
     scale = np.sqrt(sigma2 / 2.0)
@@ -284,9 +280,9 @@ class PointDesigns:
 
 
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
-    """Each scenario's exact design (W, amps), or the IllConditionedError or
-    DegenerateStateError that failed it alone: from its relay chain
-    (scenario_omega) or its own design in the stack (mmse.design).
+    """Each scenario's exact design (W, amps), or the TrialFailure that
+    failed it alone: from its relay chain (scenario_omega) or its own design
+    in the stack (mmse.design).
 
     A lone scenario with a power step designs through mmse.alternate, the
     stack of one, with the same bits as mmse.design. The equal-power schemes
@@ -298,7 +294,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         try:
             omegas.append(scenario_omega(scn))
             designs.append(None)
-        except TRIAL_FAILURES as exc:
+        except TrialFailure as exc:
             designs.append(exc)
     kept = [i for i, d in enumerate(designs) if d is None]
     if not kept:
@@ -313,7 +309,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         try:
             res = mmse.alternate(X[0], sigma2, blocks, config, omegas[0])
             designs[kept[0]] = (res.W, res.amps)
-        except TRIAL_FAILURES as exc:
+        except TrialFailure as exc:
             designs[kept[0]] = exc
         return designs
     res = mmse.design(X, sigma2, blocks, config, np.stack(omegas))
@@ -537,7 +533,7 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                 h = channel.h.reshape(n_b, hops, n_u, L).swapaxes(1, 2)
                 ch_errs.append(float(np.linalg.norm(h.reshape(-1) - scn.h_true)
                                      / np.linalg.norm(scn.h_true)))
-    except (NumericalDivergenceError, DegenerateStateError) as exc:
+    except TrialFailure as exc:
         # the symbol the failed step was on: the relays' completed steps, or
         # the last symbol whose destination soft output was formed
         symbol = relay.count if stage == "relay" else detected - 1
@@ -565,7 +561,7 @@ def run_packet(cfg: ExperimentConfig, scn: Scenario,
     if cfg.variant == "exact":
         try:
             W, amps = design_exact(scn, cfg.scheme, cfg, point)
-        except TRIAL_FAILURES as exc:  # diverged before its first symbol
+        except TrialFailure as exc:  # diverged before its first symbol
             K, P = scn.dims.K, scn.dims.P
             divergence = ("design", None, f"{type(exc).__name__}: {exc}")
             return _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (TRIAL_FAILURES, DegenerateStateError,
-                     IllConditionedError)
+from .errors import DegenerateStateError, IllConditionedError, TrialFailure
 
 _COND_LIMIT = 1e12
 
@@ -156,8 +155,9 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     (..., n) or one matrix (..., n, k) of right-hand sides per matrix.
 
     floor is a lower bound on the eigenvalues of R that the caller knows from
-    how R was built (sigma^2 for a receiver covariance, lambda for a loaded
-    power covariance), 0 when none is known. For Hermitian R,
+    how R was built (sigma^2 for a destination receiver covariance and for a
+    relay covariance X X^H + sigma^2 I, lambda for a loaded power
+    covariance), 0 when none is known. For Hermitian R,
     cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
     assembly of R. Every matrix so certified goes to one batched LU call
@@ -165,14 +165,15 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     on the others: when floor is 0, when the bound does not prove the limit,
     or when LU raises LinAlgError on that matrix. A matrix whose condition
     number is then non-finite or above the limit is solved with the
-    pseudoinverse, with one RuntimeWarning per such matrix.
+    pseudoinverse, with one RuntimeWarning per such matrix. An empty stack
+    solves to an empty x.
     """
     if not (np.isfinite(R).all() and np.isfinite(rhs).all()):
         raise IllConditionedError(f"{what}: non-finite entries")
     n = R.shape[-1]
     vectors = rhs.ndim < R.ndim
     Rs = R.reshape(-1, n, n)
-    bs = (rhs[..., None] if vectors else rhs).reshape(len(Rs), n, -1)
+    bs = rhs.reshape(len(Rs), n, 1 if vectors else rhs.shape[-1])
     certified = np.zeros(len(Rs), dtype=bool)
     if floor > 0.0:
         certified = (np.abs(Rs).sum(axis=-2).max(axis=-1)
@@ -330,14 +331,13 @@ def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
 
     step(t) takes an index array t of trials and returns a tuple of arrays
     whose leading axis runs over t; outs holds one array per output, indexed
-    by trial. When the stack raises IllConditionedError or
-    DegenerateStateError, each trial steps alone, a stack of one with the
-    same arithmetic, so that a failure fails only its own trial: errors[t]
-    records it and t is left out of the trials returned.
+    by trial. When the stack raises a TrialFailure, each trial steps alone,
+    a stack of one with the same arithmetic, so that a failure fails only its
+    own trial: errors[t] records it and t is left out of the trials returned.
     """
     try:
         values = step(trials)
-    except TRIAL_FAILURES as exc:
+    except TrialFailure as exc:
         if len(trials) == 1:
             errors[trials[0]] = exc
             return trials[:0]

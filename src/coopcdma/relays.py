@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import mmse
 from .errors import DegenerateStateError
 # by name, so that a wrapper of gpc.receiver_update times the destination only
 from .gpc import init_receiver, receiver_update
@@ -26,13 +27,13 @@ def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
     x_scaled (..., M, K) holds the relays' amplitude-scaled source-to-relay
     chip waveforms, one column per user. Returns (W, gains), (..., M, K) and
     (..., K), gains g_k making the forwarded g_k * w_k^H r unit-energy.
+    Each covariance X X^H + sigma2 I is solved as the destination's are
+    (mmse._checked_solve, floor sigma2): a singular or ill-conditioned one,
+    as at sigma2 = 0, falls back to the pseudoinverse with a RuntimeWarning.
     """
     M = x_scaled.shape[-2]
     R = x_scaled @ x_scaled.conj().swapaxes(-1, -2) + sigma2 * np.eye(M)
-    if sigma2 > 0.0:
-        W = np.linalg.solve(R, x_scaled)
-    else:
-        W = np.linalg.pinv(R) @ x_scaled
+    W = mmse._checked_solve(R, x_scaled, "relay covariance", sigma2)
     out_power = np.real(np.einsum("...ij,...ij->...j", W.conj(), R @ W))
     if np.any(out_power <= _POWER_FLOOR):
         raise DegenerateStateError("relay filter output power is zero; "

@@ -6,10 +6,9 @@ as a readable scorecard.
 """
 
 import numpy as np
-import pytest
 
 from conftest import dense_link_waveforms
-from coopcdma import cli, gpc, ipc, mmse
+from coopcdma import cli, gpc, mmse
 from coopcdma.harness import (ExperimentConfig, capacity_at_target, codes_for,
                               design_exact, draw_scenario, power_blocks,
                               run_experiment, run_user_sweep, scenario_omega,

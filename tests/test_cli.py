@@ -1,6 +1,5 @@
 """Configuration parsing, result serialization, and CLI entry point."""
 
-import dataclasses
 import json
 import platform
 import subprocess

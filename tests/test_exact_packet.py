@@ -109,3 +109,24 @@ def test_noise_draw_order_is_relays_then_destination(monkeypatch):
     expected = [*scn.relay_banks[0], W]
     assert len(banks) == len(expected)
     assert all(np.array_equal(got, want) for got, want in zip(banks, expected))
+
+
+@pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+def test_relay_schemes_stay_accurate_at_high_snr(scheme):
+    """Far above 160 dB a relay covariance X X^H + sigma^2 I is too
+    ill-conditioned for an unchecked LU solve, whose relay filters then put
+    the BER near 0.25. Solved as the destination's covariances are, with the
+    pseudoinverse once the condition number passes the limit, the exact
+    design keeps its low-noise BER at every SNR (desk config, seed 1)."""
+    cfg = harness.ExperimentConfig(scheme=scheme, variant="exact", trials=8,
+                                   seed=1, snr_grid=(100.0, 160.0, 200.0,
+                                                     250.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = harness.run_experiment(cfg)
+    assert caught and all(w.category is RuntimeWarning
+                          and "pseudoinverse" in str(w.message)
+                          for w in caught)
+    assert any(str(w.message).startswith("relay covariance") for w in caught)
+    assert curve.divergences == 0
+    assert all(ber <= 0.01 for _, ber, _, _ in curve.rows)

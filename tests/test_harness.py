@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
+import coopcdma
 from conftest import poisoned, stacked_signature
 from coopcdma import cli, gpc, mmse
-from coopcdma.errors import ConfigError, DegenerateStateError
+from coopcdma.errors import (ConfigError, DegenerateStateError,
+                             IllConditionedError, NumericalDivergenceError,
+                             TrialFailure)
 from coopcdma.harness import (BerCurve, ExperimentConfig, PointDesigns,
                               _noise_matrix, _packet_result, _run_point,
                               capacity_at_target, codes_for, design_exact,
@@ -192,6 +195,17 @@ class TestHelpers:
         cfg2 = small_cfg(trials=7, snr_grid=(0.0, 6.0))
         np.testing.assert_array_equal(codes_for(cfg1, 2), codes_for(cfg2, 2))
 
+    @pytest.mark.parametrize("error", [DegenerateStateError,
+                                       IllConditionedError,
+                                       NumericalDivergenceError])
+    def test_each_trial_error_is_a_trial_failure(self, error):
+        """The exact design and the packets catch one family, exported by
+        the package."""
+        assert issubclass(error, TrialFailure)
+        assert issubclass(TrialFailure, RuntimeError)
+        assert coopcdma.TrialFailure is TrialFailure
+        assert "TrialFailure" in coopcdma.__all__
+
     def test_noise_matrix_bitwise_matches_complex_expression(self):
         """In-place fill equals scale*(a + 1j*b) drawn from the same state."""
         sigma2 = 0.37
@@ -205,12 +219,6 @@ class TestHelpers:
         assert np.array_equal(out, ref)
         # both generators consumed the same draws
         assert rng_a.random() == rng_b.random()
-
-    def test_noise_matrix_noise_free_draws_nothing(self):
-        rng = np.random.default_rng(7)
-        out = _noise_matrix((3, 4), 0.0, rng)
-        assert np.array_equal(out, np.zeros((3, 4), dtype=complex))
-        assert rng.random() == np.random.default_rng(7).random()
 
 
 class TestPacketResult:
@@ -640,6 +648,12 @@ def nan_waveform(scn, rng):
     scn.x_dest = poisoned(scn.x_dest, np.nan, rng)
 
 
+def nan_relay(scn, rng):
+    """A nan in one relay's waveforms: its relay covariance fails the bank's
+    finiteness check."""
+    scn.x_sr = poisoned(scn.x_sr, np.nan, rng)
+
+
 def zero_waveforms(scn, rng):
     """No link reaches the destination: the power solution is zero."""
     scn.x_dest = np.zeros_like(scn.x_dest)
@@ -687,7 +701,9 @@ class TestPointDesigns:
         ("cis", nan_waveform), ("jpais-gpc", nan_waveform),
         ("jpais-ipc", nan_waveform), ("cis", dead_relay),
         ("jpais-gpc", dead_relay), ("jpais-ipc", dead_relay),
-        ("jpais-gpc", zero_waveforms), ("jpais-ipc", zero_waveforms)])
+        ("jpais-gpc", zero_waveforms), ("jpais-ipc", zero_waveforms),
+        ("cis", nan_relay), ("jpais-gpc", nan_relay),
+        ("jpais-ipc", nan_relay)])
     def test_failed_design_diverges_alone(self, scheme, poison, monkeypatch):
         """One poisoned scenario in a point's stack of 8 counts as one
         divergence, whether its relay bank, its link factors or its power
@@ -705,11 +721,12 @@ class TestPointDesigns:
         assert failed.diverged and failed.bit_errors == 0
         assert np.array_equal(failed.per_symbol_errors,
                               np.zeros(cfg.packet_len))
-        error = ("IllConditionedError" if poison is nan_waveform
-                 else "DegenerateStateError")
+        error = {nan_waveform: "IllConditionedError: ",
+                 nan_relay: "IllConditionedError: relay covariance"}.get(
+                     poison, "DegenerateStateError: ")
         stage, symbol, reason = failed.extras["divergence"]
         assert (stage, symbol) == ("design", None)
-        assert reason.startswith(error + ": ")
+        assert reason.startswith(error)
         for t, res in packets.items():
             assert res.bit_errors == clean_packets[t].bit_errors
             assert np.array_equal(res.per_symbol_errors,

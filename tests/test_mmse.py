@@ -668,6 +668,14 @@ class TestCertifiedSolve:
             x = _checked_solve(np.zeros((3, 3)), np.ones(3), "singular", 1.0)
         assert np.array_equal(x, np.zeros(3))
 
+    @pytest.mark.parametrize("rhs_shape", [(0, 4), (0, 4, 2)])
+    def test_empty_stack_solves_to_nothing(self, rhs_shape):
+        """A stack of no matrices, as the relay bank of no relays passes,
+        solves to an empty x of the right-hand sides' shape."""
+        x = _checked_solve(np.zeros((0, 4, 4)),
+                           np.zeros(rhs_shape, dtype=complex), "empty", 1.0)
+        assert x.shape == rhs_shape and x.dtype == complex
+
     def test_noise_free_alternation_still_warns(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         X, _ = make_stack(dims, rng)

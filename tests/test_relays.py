@@ -1,5 +1,9 @@
 """Exact relay filtering and adaptive relay behavior."""
 
+import contextlib
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,11 +29,53 @@ def source_relay_waveforms(dims, rng, amps=None):
     return np.stack(cols, axis=1)
 
 
+def relay_stack(dims, rng):
+    """Source-to-relay waveforms of dims.n_r relays, (n_r, M, K)."""
+    X = np.empty((dims.n_r, dims.M, dims.K), dtype=complex)
+    for j in range(dims.n_r):
+        X[j] = source_relay_waveforms(dims, rng)
+    return X
+
+
+def relay_filters_oracle(X, sigma2):
+    """The relay filters by the bank's formulas before its covariances went
+    through mmse._checked_solve: an unchecked LU solve for sigma2 > 0, else
+    the pseudoinverse."""
+    R = X @ X.conj().swapaxes(-1, -2) + sigma2 * np.eye(X.shape[-2])
+    return np.linalg.solve(R, X) if sigma2 > 0.0 else np.linalg.pinv(R) @ X
+
+
+class TestRelayBankOracle:
+    @pytest.mark.parametrize("n_r", [0, 1, 3])
+    def test_noisy_bank_has_the_bytes_of_lu(self, n_r, rng):
+        """At sigma2 > 0 every relay covariance is certified, and the
+        checked solve is the one LU call of the unchecked formula."""
+        X = relay_stack(SystemDims(K=3, N=8, L=2, n_r=n_r), rng)
+        W, gains = mmse_relay_bank(X, 0.3)
+        assert W.shape == X.shape and gains.shape == (n_r, 3)
+        assert W.tobytes() == relay_filters_oracle(X, 0.3).tobytes()
+
+    def test_noise_free_bank_warns_once_per_relay(self, rng):
+        """At sigma2 = 0 each singular relay covariance falls back to the
+        pseudoinverse, with one warning that names it."""
+        X = relay_stack(SystemDims(K=3, N=8, L=2, n_r=3), rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            W, _ = mmse_relay_bank(X, 0.0)
+        assert len(caught) == 3
+        for w in caught:
+            assert w.category is RuntimeWarning
+            assert re.match(r"relay covariance: .* pseudoinverse$",
+                            str(w.message))
+        assert W.tobytes() == relay_filters_oracle(X, 0.0).tobytes()
+
+
 class TestMmseRelayBank:
     def test_noiseless_filters_invert_the_mixture(self, rng):
         dims = SystemDims(K=2, N=16, L=3, n_r=0)
         X = source_relay_waveforms(dims, rng)
-        W, gains = mmse_relay_bank(X, 0.0)
+        with pytest.warns(RuntimeWarning, match="pseudoinverse"):
+            W, gains = mmse_relay_bank(X, 0.0)
         G = gains[:, None] * (W.conj().T @ X)
         np.testing.assert_allclose(G, np.eye(2), atol=1e-8)
 
@@ -68,7 +114,8 @@ class TestMmseRelayBank:
         np.testing.assert_allclose(energy, 1.0, rtol=0.02)
 
     def test_degenerate_input_raises(self):
-        with pytest.raises(DegenerateStateError):
+        with (pytest.warns(RuntimeWarning, match="pseudoinverse"),
+              pytest.raises(DegenerateStateError)):
             mmse_relay_bank(np.zeros((6, 2), dtype=complex), 0.0)
 
 
@@ -97,7 +144,9 @@ class TestRelayStatistics:
     def test_noiseless_perfect_relay(self, rng):
         dims = SystemDims(K=2, N=16, L=3, n_r=0)
         X = source_relay_waveforms(dims, rng)
-        G, S = relay_statistics(X, 0.0, mmse_relay_bank(X, 0.0))
+        with pytest.warns(RuntimeWarning, match="pseudoinverse"):
+            bank = mmse_relay_bank(X, 0.0)
+        G, S = relay_statistics(X, 0.0, bank)
         np.testing.assert_allclose(G, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(S, 0.0, atol=1e-12)
 
@@ -111,19 +160,20 @@ class TestRelayStack:
     def test_stack_has_the_bytes_of_the_per_relay_loop(self, n_r, sigma2,
                                                        rng):
         dims = SystemDims(K=3, N=8, L=2, n_r=n_r)
-        X = np.empty((n_r, dims.M, dims.K), dtype=complex)
-        for j in range(n_r):
-            X[j] = source_relay_waveforms(dims, rng)
-        W, gains = mmse_relay_bank(X, sigma2)
-        G, S = relay_statistics(X, sigma2, (W, gains))
-        assert W.shape == (n_r, dims.M, dims.K) and gains.shape == (n_r, dims.K)
-        assert G.shape == S.shape == (n_r, dims.K, dims.K)
-        for j in range(n_r):
-            bank = mmse_relay_bank(X[j], sigma2)
-            for got, want in zip((W[j], gains[j], G[j], S[j]),
-                                 (*bank, *relay_statistics(X[j], sigma2,
-                                                           bank))):
-                assert got.tobytes() == want.tobytes()
+        X = relay_stack(dims, rng)
+        with (pytest.warns(RuntimeWarning, match="pseudoinverse")
+              if sigma2 == 0.0 and n_r else contextlib.nullcontext()):
+            W, gains = mmse_relay_bank(X, sigma2)
+            G, S = relay_statistics(X, sigma2, (W, gains))
+            assert W.shape == (n_r, dims.M, dims.K)
+            assert gains.shape == (n_r, dims.K)
+            assert G.shape == S.shape == (n_r, dims.K, dims.K)
+            for j in range(n_r):
+                bank = mmse_relay_bank(X[j], sigma2)
+                for got, want in zip((W[j], gains[j], G[j], S[j]),
+                                     (*bank, *relay_statistics(X[j], sigma2,
+                                                               bank))):
+                    assert got.tobytes() == want.tobytes()
 
     def test_one_degenerate_relay_fails_the_stack(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=2)

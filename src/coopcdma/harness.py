@@ -173,9 +173,10 @@ class Scenario:
 
     @cached_property
     def relay_banks(self):
-        """The relays' exact MMSE filters (n_r x M x K) and gains (n_r x K),
-        solved on first use: the exact design and the exact packet share
-        them, and adaptive packets never solve them."""
+        """The relays' exact MMSE filters (n_r x M x K) and gains (n_r x K):
+        set for every scenario of a chunk at once by its exact design
+        (_relay_chains), else solved on first use. The exact design and the
+        exact packet share them, and adaptive packets never solve them."""
         return mmse_relay_bank(self.x_sr, self.sigma2)
 
 
@@ -243,15 +244,46 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
 
 
 def scenario_omega(scn: Scenario) -> np.ndarray:
-    """Link-symbol correlation matrix for the scenario's relay chain.
+    """Link-symbol correlation matrix for the scenario's relay chain: the
+    chain of a stack of one (_relay_chains), whose TrialFailure it raises."""
+    omega, _, errors = _relay_chains([scn])
+    if errors[0] is not None:
+        raise errors[0]
+    return omega[0]
+
+
+def _relay_chains(scenarios: list):
+    """Each scenario's link-symbol correlation matrix (T x K*hops x K*hops;
+    undefined for a failed trial), the trials whose relay chain holds, and
+    each trial's TrialFailure (None for a kept trial).
 
     Models the relays' MMSE filtering: their soft symbols carry residual
     interference and noise. The relays listen to a separate source slot sent
     at the full per-user budget P_A = 1, so their source-to-relay waveforms
-    enter unscaled and relay-side quality is identical across schemes.
-    """
-    return mmse.relay_omega(*relay_statistics(scn.x_sr, scn.sigma2,
-                                              scn.relay_banks))
+    enter unscaled and relay-side quality is identical across schemes. The
+    chains of all the scenarios are one stack: one mmse_relay_bank and one
+    relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms,
+    with each relay's bytes alone, and each kept scenario's relay_banks is
+    its slice of the stacked bank. A TrialFailure of the stack reruns each
+    trial alone (mmse._each_trial), so that a failed chain fails only its
+    own trial."""
+    x_sr = np.stack([scn.x_sr for scn in scenarios])
+    sigma2 = scenarios[0].sigma2
+    trials, n_r, _, K = x_sr.shape
+    W, gains = np.empty_like(x_sr), np.empty((trials, n_r, K))
+    omega = np.empty((trials, K * (n_r + 1), K * (n_r + 1)), dtype=complex)
+    errors = [None] * trials
+
+    def chain(t):
+        bank = mmse_relay_bank(x_sr[t], sigma2)
+        return (*bank, mmse.relay_omega(*relay_statistics(x_sr[t], sigma2,
+                                                          bank)))
+
+    kept = mmse._each_trial(chain, np.arange(trials), errors,
+                            (W, gains, omega))
+    for t in kept:
+        scenarios[t].relay_banks = (W[t], gains[t])
+    return omega, kept, errors
 
 
 class PointDesigns:
@@ -281,7 +313,7 @@ class PointDesigns:
 
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     """Each scenario's exact design (W, amps), or the TrialFailure that
-    failed it alone: from its relay chain (scenario_omega) or its own design
+    failed it alone: from its relay chain (_relay_chains) or its own design
     in the stack (mmse.design).
 
     A lone scenario with a power step designs through mmse.alternate, the
@@ -289,15 +321,8 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     get complex equal amplitudes.
     """
     dims, sigma2 = scenarios[0].dims, scenarios[0].sigma2
-    designs, omegas = [], []
-    for scn in scenarios:
-        try:
-            omegas.append(scenario_omega(scn))
-            designs.append(None)
-        except TrialFailure as exc:
-            designs.append(exc)
-    kept = [i for i, d in enumerate(designs) if d is None]
-    if not kept:
+    omegas, kept, designs = _relay_chains(scenarios)
+    if not kept.size:
         return designs
     X = np.stack([scenarios[i].x_dest for i in kept])
     plan = power_blocks(scheme, cfg, dims.K)
@@ -307,12 +332,13 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         # kept only because the benchmark's tracer counts alternation
         # iterations and convergence through mmse.alternate calls
         try:
-            res = mmse.alternate(X[0], sigma2, blocks, config, omegas[0])
+            res = mmse.alternate(X[0], sigma2, blocks, config,
+                                 omegas[kept[0]])
             designs[kept[0]] = (res.W, res.amps)
         except TrialFailure as exc:
             designs[kept[0]] = exc
         return designs
-    res = mmse.design(X, sigma2, blocks, config, np.stack(omegas))
+    res = mmse.design(X, sigma2, blocks, config, omegas[kept])
     for j, i in enumerate(kept):
         amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
         designs[i] = res.errors[j] or (res.W[j], amps)

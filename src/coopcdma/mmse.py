@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, IllConditionedError, TrialFailure
+from .rlscore import lapack_solve
 
 _COND_LIMIT = 1e12
 
@@ -68,20 +69,24 @@ class EnsembleStatistics:
 def relay_omega(G: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Link-symbol correlation matrix from second-order relay models.
 
-    G and S are the (n_r, K, K) stacks of relays.relay_statistics: the
-    forwarded symbol vector of relay j is G[j] b + nu_j with noise covariance
-    S[j]. Column l = q*hops + p, hops = n_r + 1, carries the symbol of user q
-    on hop p (p = 0 is the direct link). The link symbols are A b plus
-    independent relay noise, A's rows being those of I, G[0], ..., G[n_r - 1]
-    interleaved user-major: Omega = A A^H + blockdiag(S).
+    G and S are the (..., n_r, K, K) stacks of relays.relay_statistics, with
+    any leading axes (trials): the forwarded symbol vector of relay j is
+    G[j] b + nu_j with noise covariance S[j]. Column l = q*hops + p,
+    hops = n_r + 1, carries the symbol of user q on hop p (p = 0 is the
+    direct link). The link symbols are A b plus independent relay noise, A's
+    rows being those of I, G[0], ..., G[n_r - 1] interleaved user-major:
+    Omega = A A^H + blockdiag(S), (..., K*hops, K*hops).
     """
-    n_r, K = G.shape[0], G.shape[-1]
+    *lead, n_r, K, _ = G.shape
     hops = n_r + 1
-    maps = np.concatenate([np.eye(K, dtype=complex)[None], G])
-    A = maps.transpose(1, 0, 2).reshape(K * hops, K)
-    omega = A @ A.conj().T
+    direct = np.broadcast_to(np.eye(K, dtype=complex), (*lead, 1, K, K))
+    A = np.concatenate([direct, G], axis=-3).swapaxes(-3, -2).reshape(
+        *lead, K * hops, K)
+    omega = A @ _conj_t(A)
     relay_hops = np.arange(1, hops)
-    omega.reshape(K, hops, K, hops)[:, relay_hops, :, relay_hops] += S
+    # (n_r, ..., K, K): relay hop j's user-by-user block of each trial
+    omega.reshape(*lead, K, hops, K, hops)[..., relay_hops, :, relay_hops] += (
+        np.moveaxis(S, -3, 0))
     return omega
 
 
@@ -119,8 +124,16 @@ def _conj_t(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
+def power_fixed_terms(omega: np.ndarray, hops: int, blocks: int):
+    """The terms of power_terms that no step changes, for omega (T x K*hops
+    x K*hops): its direct-link columns (column k: each link's correlation
+    with b_k) and its B = blocks transposed diagonal blocks, as views."""
+    return (omega[:, :, ::hops],
+            _diagonal_blocks(omega, blocks).swapaxes(-1, -2))
+
+
 def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
-                blocks: int):
+                blocks: int, fixed=None):
     """R_a (T x B x n x n) and p_a (T x B x n) of each of B = `blocks` equal
     contiguous user blocks of n = K*hops/B links, for each of T trials.
 
@@ -132,18 +145,18 @@ def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
     With G_b the block users' link responses on the block's links,
     R_a[b] = (G_b G_b^H) o Omega_bb^T; p_a[b] is the block users'
     desired-symbol correlation minus the other blocks' fixed contribution,
-    which is zero for one block.
+    which is zero for one block. fixed holds power_fixed_terms of omega when
+    the caller keeps them across steps.
     """
     trials, cols, K = links.shape
-    d = omega[:, :, ::cols // K]  # column k: each link's correlation with b_k
+    d, omega_t = fixed or power_fixed_terms(omega, cols // K, blocks)
     if blocks > 1:
         # amplitude-weighted link responses of each filter, other blocks only
         aG = np.asarray(amps, dtype=complex).reshape(trials, cols, 1) * links
         _diagonal_blocks(aG, blocks)[...] = 0.0
         d = d - omega @ aG
     G_b = _diagonal_blocks(links, blocks)
-    R_a = ((G_b @ _conj_t(G_b))
-           * _diagonal_blocks(omega, blocks).swapaxes(-1, -2))
+    R_a = (G_b @ _conj_t(G_b)) * omega_t
     p_a = np.einsum("tbik->tbi", G_b * _diagonal_blocks(d, blocks).conj())
     return R_a, p_a
 
@@ -160,35 +173,43 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     covariance), 0 when none is known. For Hermitian R,
     cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
-    assembly of R. Every matrix so certified goes to one batched LU call
-    (np.linalg.solve). The SVD (np.linalg.cond) runs, matrix by matrix, only
-    on the others: when floor is 0, when the bound does not prove the limit,
-    or when LU raises LinAlgError on that matrix. A matrix whose condition
-    number is then non-finite or above the limit is solved with the
-    pseudoinverse, with one RuntimeWarning per such matrix. An empty stack
-    solves to an empty x.
+    assembly of R. Every matrix so certified goes to one batched LU call, the
+    LAPACK gufunc of np.linalg.solve with its bytes (rlscore.lapack_solve).
+    The SVD (np.linalg.cond) runs, matrix by matrix, only on the others: when
+    floor is 0, when the bound does not prove the limit, or when LU raises
+    LinAlgError on that matrix. A matrix whose condition number is then
+    non-finite or above the limit is solved with the pseudoinverse, with one
+    RuntimeWarning per such matrix. An empty stack solves to an empty x.
+    R and rhs are float64 or complex128.
     """
-    if not (np.isfinite(R).all() and np.isfinite(rhs).all()):
+    # a count, not .all(): no Python-level reduction wrapper
+    if (np.count_nonzero(np.isfinite(R)) != R.size
+            or np.count_nonzero(np.isfinite(rhs)) != rhs.size):
         raise IllConditionedError(f"{what}: non-finite entries")
     n = R.shape[-1]
     vectors = rhs.ndim < R.ndim
     Rs = R.reshape(-1, n, n)
     bs = rhs.reshape(len(Rs), n, 1 if vectors else rhs.shape[-1])
-    certified = np.zeros(len(Rs), dtype=bool)
-    if floor > 0.0:
-        certified = (np.abs(Rs).sum(axis=-2).max(axis=-1)
+    if floor > 0.0:  # each matrix's 1-norm, the largest column sum
+        certified = (np.maximum.reduce(np.add.reduce(np.abs(Rs), axis=-2),
+                                       axis=-1)
                      <= floor * _COND_LIMIT / 2)
-    x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
-    if certified.any():
-        lu = slice(None) if certified.all() else certified
-        try:
-            x[lu] = np.linalg.solve(Rs[lu], bs[lu])
-        except np.linalg.LinAlgError:  # find the matrices LU fails on
-            for i in np.flatnonzero(certified):
-                try:
-                    x[i] = np.linalg.solve(Rs[i], bs[i])
-                except np.linalg.LinAlgError:
-                    certified[i] = False
+    else:
+        certified = np.zeros(len(Rs), dtype=bool)
+    n_certified = np.count_nonzero(certified)
+    try:
+        if n_certified == len(Rs):  # the whole stack, no copy in or out
+            return lapack_solve(Rs, bs).reshape(rhs.shape)
+        x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
+        if n_certified:
+            x[certified] = lapack_solve(Rs[certified], bs[certified])
+    except np.linalg.LinAlgError:  # find the matrices LU fails on
+        x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
+        for i in np.flatnonzero(certified):
+            try:
+                x[i] = lapack_solve(Rs[i], bs[i])
+            except np.linalg.LinAlgError:
+                certified[i] = False
     for i in np.flatnonzero(~certified):
         x[i] = _cond_solve(Rs[i], bs[i], what)
     return x.reshape(rhs.shape)
@@ -225,8 +246,16 @@ def link_factors(X: np.ndarray, omega: np.ndarray):
     return gram, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
 
 
+def filter_fixed_terms(F: np.ndarray, hops: int, sigma2: float):
+    """The terms of filter_step that no amplitude changes, for link_factors'
+    F (T x K*hops x K*hops): B = F^H E, its conjugate and sigma^2 I (as
+    complex, the cast the sum with a complex matrix makes)."""
+    B = _conj_t(F[:, ::hops])
+    return B, B.conj(), (sigma2 * np.eye(F.shape[-1])).astype(complex)
+
+
 def filter_step(gram: np.ndarray, F: np.ndarray, sigma2: float,
-                amps: np.ndarray):
+                amps: np.ndarray, fixed=None):
     """Joint MMSE filters at the amplitudes amps (T x K x hops), in link
     coordinates, for each of T trials (link_factors' gram and F).
 
@@ -238,14 +267,16 @@ def filter_step(gram: np.ndarray, F: np.ndarray, sigma2: float,
     certifies from. Returns Y = diag(a) F C, so that W = U Y and the link
     responses are U^H W = gram Y, and the ensemble MSE of W,
     K - tr(B^H B) + sigma^2 tr(B^H C) = sigma^2 Re tr(B^H C): the diagonal of
-    B^H B = E^H Omega E is the unit energy of the users' own symbols.
+    B^H B = E^H Omega E is the unit energy of the users' own symbols. fixed
+    holds filter_fixed_terms of F when the caller keeps them across steps.
     """
     trials, cols, _ = F.shape
+    B, B_conj, noise = fixed or filter_fixed_terms(F, amps.shape[-1], sigma2)
     DF = np.asarray(amps, dtype=complex).reshape(trials, cols, 1) * F
-    B = _conj_t(F[:, ::amps.shape[-1]])
-    A = _conj_t(DF) @ gram @ DF + sigma2 * np.eye(cols)
+    A = _conj_t(DF) @ gram @ DF
+    A += noise
     C = _checked_solve(A, B, "receiver covariance", sigma2)
-    mse = sigma2 * np.real(np.einsum("tik,tik->t", B.conj(), C))
+    mse = sigma2 * np.real(np.einsum("tik,tik->t", B_conj, C))
     return DF @ C, mse
 
 
@@ -272,7 +303,8 @@ def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     return a_r * (math.sqrt(budget) / np.sqrt(sq_norms))[..., None]
 
 
-def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarray:
+def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float,
+                      loading: np.ndarray | None = None) -> np.ndarray:
     """Regularized power step restricted to real amplitude vectors.
 
     For real a the quadratic MSE terms reduce to the real parts of the
@@ -280,9 +312,11 @@ def _real_power_solve(R_a: np.ndarray, p_a: np.ndarray, lam: float) -> np.ndarra
     be a stack of blocks (..., B, n, n) with p_a of shape (..., B, n).
     Re(R_a) is positive semidefinite (a Hadamard product of two covariances,
     Schur product theorem), so lam bounds the eigenvalues of the loaded matrix.
+    loading is lam I when the caller keeps it across steps.
     """
-    dim = R_a.shape[-1]
-    return _checked_solve(np.real(R_a) + lam * np.eye(dim), np.real(p_a),
+    if loading is None:
+        loading = lam * np.eye(R_a.shape[-1])
+    return _checked_solve(np.real(R_a) + loading, np.real(p_a),
                           "power covariance", lam)
 
 
@@ -329,14 +363,18 @@ def equal_power_amps(K: int, hops: int) -> np.ndarray:
 def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
     """Run step on a stack of trials and write its outputs into outs.
 
-    step(t) takes an index array t of trials and returns a tuple of arrays
-    whose leading axis runs over t; outs holds one array per output, indexed
-    by trial. When the stack raises a TrialFailure, each trial steps alone,
-    a stack of one with the same arithmetic, so that a failure fails only its
-    own trial: errors[t] records it and t is left out of the trials returned.
+    trials holds distinct trial indices in increasing order, into a stack of
+    len(errors) trials. step(t) takes them as t, an index array, or the
+    slice of every trial when they are all of them (views, not fancy-index
+    copies), and returns a tuple of arrays whose leading axis runs over t;
+    outs holds one array per output, indexed by trial. When the stack raises
+    a TrialFailure, each trial steps alone, a stack of one with the same
+    arithmetic, so that a failure fails only its own trial: errors[t]
+    records it and t is left out of the trials returned.
     """
+    pick = slice(None) if len(trials) == len(errors) else trials
     try:
-        values = step(trials)
+        values = step(pick)
     except TrialFailure as exc:
         if len(trials) == 1:
             errors[trials[0]] = exc
@@ -344,7 +382,7 @@ def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
         return np.concatenate([_each_trial(step, trials[i:i + 1], errors, outs)
                                for i in range(len(trials))])
     for out, value in zip(outs, values):
-        out[trials] = value
+        out[pick] = value
     return trials
 
 
@@ -370,9 +408,11 @@ def design(X: np.ndarray, sigma2: float, blocks: int | None,
     filter and power steps as alternate describes, each frozen once its
     stopping test passes; the test has the bits of np.linalg.norm per trial
     (_relative_change), so every trial's iterations, amplitudes and filters
-    are those it gets alone. Each step, the power step's solve and its
-    projection apart, is guarded on its own (_each_trial): a trial whose step
-    fails is dropped from the stack, and only that step reruns.
+    are those it gets alone. The terms that no step changes are formed once
+    (filter_fixed_terms, power_fixed_terms). Each step, the power step's
+    solve and its projection apart, is guarded on its own (_each_trial): a
+    trial whose step fails is dropped from the stack, and only that step
+    reruns.
     """
     trials, hops, M, K = X.shape
     if blocks is not None and (blocks < 1 or K % blocks):
@@ -392,36 +432,50 @@ def design(X: np.ndarray, sigma2: float, blocks: int | None,
 
     active = _each_trial(lambda t: link_factors(X[t], omega[t]),
                          np.arange(trials), errors, (gram, F))
+    B, B_conj, noise = filter_fixed_terms(F, hops, sigma2)
+
+    def filters(t):
+        return filter_step(gram[t], F[t], sigma2, amps[t],
+                           (B[t], B_conj[t], noise))
+
+    if blocks is not None:
+        direct, omega_t = power_fixed_terms(omega, hops, blocks)
+        loading = config.lam * np.eye(K * hops // blocks)
+
+    def power(t):
+        R_a, p_a = power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks,
+                               (direct[t], omega_t[t]))
+        return _real_power_solve(R_a, p_a, config.lam,
+                                 loading).reshape(-1, K, hops),
+
+    def project(t):  # each block onto the sphere of its number of users
+        a_b = a_ls[t].reshape(-1, blocks, K * hops // blocks)
+        return nonnegative_amplitudes(a_b, K // blocks).reshape(-1, K, hops),
+
     for it in range(1, max_iters + 1):
         if not active.size:
             break
-        active = _each_trial(
-            lambda t: filter_step(gram[t], F[t], sigma2, amps[t]),
-            active, errors, (Y, mse))
+        active = _each_trial(filters, active, errors, (Y, mse))
         if active.size:
             trace.append(np.full(trials, np.nan))
             trace[-1][active] = mse[active]
-        active = _each_trial(lambda t: (_real_power_solve(
-            *power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks),
-            config.lam).reshape(-1, K, hops),), active, errors, (a_ls,))
-        # each block projected onto the sphere of its number of users
-        active = _each_trial(lambda t: (nonnegative_amplitudes(
-            a_ls[t].reshape(len(t), blocks, -1),
-            float(K // blocks)).reshape(-1, K, hops),), active, errors, (a_new,))
-        done = _relative_change(a_new[active], amps[active]) < config.tol
-        amps[active] = a_new[active]
-        iterations[active] = it
+        active = _each_trial(power, active, errors, (a_ls,))
+        active = _each_trial(project, active, errors, (a_new,))
+        now = slice(None) if active.size == trials else active
+        done = _relative_change(a_new[now], amps[now]) < config.tol
+        amps[now] = a_new[now]
+        iterations[now] = it
         converged[active[done]] = True
         active = active[~done]
 
-    def filters(t):  # W = U Y, hop j's rows X_j times hop j's rows of Y
-        Y_t, mse_t = filter_step(gram[t], F[t], sigma2, amps[t])
-        Y_hops = Y_t.reshape(len(t), K, hops, K).swapaxes(1, 2)
-        return (X[t] @ Y_hops).reshape(len(t), hops * M, K), mse_t
+    def outputs(t):  # W = U Y, hop j's rows X_j times hop j's rows of Y
+        Y_t, mse_t = filters(t)
+        Y_hops = Y_t.reshape(-1, K, hops, K).swapaxes(1, 2)
+        return (X[t] @ Y_hops).reshape(-1, hops * M, K), mse_t
 
     live = np.array([t for t in range(trials) if errors[t] is None], dtype=int)
     if live.size:
-        _each_trial(filters, live, errors, (W, mse))
+        _each_trial(outputs, live, errors, (W, mse))
     failed = [errors[t] is not None for t in range(trials)]
     amps[failed] = mse[failed] = np.nan
     return StackedDesign(W=W, amps=amps, mse=mse,

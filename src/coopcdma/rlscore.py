@@ -97,14 +97,20 @@ def _raise_singular(err, flag):
 # bytes; as a decorator, errstate costs less per call than as a with block
 @np.errstate(call=_raise_singular, invalid="call", over="ignore",
              divide="ignore", under="ignore")
-def _lapack_solve(N: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _umath_linalg.solve(N, B, signature="DD->D")
+def lapack_solve(N: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(N, B) for a matrix (..., n, k) B, with its bytes and
+    its LinAlgError on a singular N, but without its argument checks: the
+    real LAPACK loop when N and B are both real, the complex one else (the
+    loop np.linalg.solve picks; the complex loop on real operands would
+    change the bytes). The operands must be float64 or complex128."""
+    real = N.dtype.kind != "c" and B.dtype.kind != "c"
+    return _umath_linalg.solve(N, B, signature="dd->d" if real else "DD->D")
 
 
 def solve_normal(N: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
     """Solve N x = p for complex N and p, or a stack of them; a singular N
     is a divergence."""
     try:
-        return _lapack_solve(N, p[..., None])[..., 0]
+        return lapack_solve(N, p[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalDivergenceError(f"{what} is singular: {exc}") from exc

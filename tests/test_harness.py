@@ -366,17 +366,19 @@ class TestAggregation:
         assert [type(row[0]) for row in curve.rows] == [int, int]
 
     def test_degenerate_exact_draw_counts_as_divergence(self, monkeypatch):
-        """A degenerate relay draw skips that trial, not the whole sweep."""
+        """A degenerate relay draw skips that trial, not the whole sweep: the
+        relays of the first trial fail every relay stack that holds them."""
         from coopcdma import harness
-        real, calls = harness.mmse_relay_bank, []
+        real, first = harness.mmse_relay_bank, []
 
-        def first_call_degenerate(*args):
-            calls.append(1)
-            if len(calls) == 1:
+        def first_trial_degenerate(x_sr, sigma2):
+            if not first:
+                first.append(x_sr[0].copy())
+            if any(np.array_equal(x, first[0]) for x in x_sr):
                 raise DegenerateStateError("relay filter output power is zero")
-            return real(*args)
+            return real(x_sr, sigma2)
 
-        monkeypatch.setattr(harness, "mmse_relay_bank", first_call_degenerate)
+        monkeypatch.setattr(harness, "mmse_relay_bank", first_trial_degenerate)
         cfg = small_cfg(scheme="cis", variant="exact", trials=2)
         curve = run_experiment(cfg)
         assert curve.divergences == 1
@@ -774,6 +776,62 @@ class TestPointDesigns:
             assert scn is drawn and p_scn is drawn
             assert p_W is W and p_amps is amps
             assert amps.tobytes() == real_design(scn, scheme, cfg)[1].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+    @pytest.mark.parametrize("relays", [2, 0])
+    def test_stacked_relay_chain_has_each_lone_trials_bytes(
+            self, scheme, relays, monkeypatch):
+        """A chunk's relay chain is solved as one stack (one mmse_relay_bank
+        call, an empty stack without relays), and every trial keeps the
+        bytes it gets alone: its relay banks, its link-symbol correlation,
+        its filters and its amplitudes. A trial whose relay hears nothing
+        from one user fails the stack's bank; it is redone alone and alone
+        diverges, with the failed design recorded."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="exact", relays=relays,
+                        users=3, trials=5)
+        dims = cfg.dims()
+
+        def draw():
+            scns = [draw_scenario(dims, codes_for(cfg, dims.K),
+                                  snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                  trial_rngs(cfg.seed, t)[0],
+                                  isi_enabled=cfg.isi) for t in range(5)]
+            if relays:
+                dead_relay(scns[2], None)
+            return scns
+
+        stacked, alone = draw(), draw()
+        real, stacks = harness.mmse_relay_bank, []
+
+        def bank(x_sr, sigma2):
+            stacks.append(len(x_sr))
+            return real(x_sr, sigma2)
+
+        monkeypatch.setattr(harness, "mmse_relay_bank", bank)
+        omegas, kept, errors = harness._relay_chains(stacked)
+        assert stacks == ([5, 1, 1, 1, 1, 1] if relays else [5])
+        assert list(kept) == ([0, 1, 3, 4] if relays else list(range(5)))
+        monkeypatch.undo()
+        point = PointDesigns(stacked)
+        for t, (scn, lone) in enumerate(zip(stacked, alone)):
+            rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
+            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+            if relays and t == 2:
+                assert isinstance(errors[t], DegenerateStateError)
+                assert res.diverged and res.extras["divergence"] == (
+                    "design", None, f"DegenerateStateError: {errors[t]}")
+                assert "relay_banks" not in vars(scn)
+                continue
+            assert not res.diverged and errors[t] is None
+            for got, want in zip(vars(scn)["relay_banks"], lone.relay_banks):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert (omegas[t].tobytes()
+                    == harness.scenario_omega(lone).tobytes())
+            for got, want in zip(design_exact(scn, scheme, cfg, point),
+                                 design_exact(lone, scheme, cfg)):
+                assert got.tobytes() == want.tobytes()
 
     def test_foreign_scenario_is_refused(self):
         """A scenario that is not one of the point's raises a ValueError

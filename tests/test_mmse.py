@@ -662,6 +662,47 @@ class TestCertifiedSolve:
             assert np.array_equal(x[i], np.linalg.solve(R[i], rhs[i]))
         np.testing.assert_allclose(x[2], np.linalg.pinv(R[2]) @ rhs[2])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_certified_solve_has_the_bytes_of_numpy_solve(self, dtype,
+                                                          columns, rng):
+        """A certified stack goes to np.linalg.solve's LAPACK gufunc
+        directly, with its bytes and dtype, for real and complex stacks and
+        for vector and matrix right-hand sides; the real stack keeps the
+        real loop."""
+        A = rng.standard_normal((4, 6, 6)).astype(dtype)
+        if dtype is np.complex128:
+            A += 1j * rng.standard_normal((4, 6, 6))
+        R = A @ A.conj().swapaxes(-1, -2) + np.eye(6)
+        rhs = rng.standard_normal((4, 6) if columns is None
+                                  else (4, 6, columns)).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _checked_solve(R, rhs, "test", floor=1.0)
+        want = (np.linalg.solve(R, rhs[..., None])[..., 0] if columns is None
+                else np.linalg.solve(R, rhs))
+        assert x.shape == rhs.shape and x.dtype == want.dtype == dtype
+        assert x.tobytes() == want.tobytes()
+
+    def test_certified_singular_matrix_takes_the_svd_path(self, monkeypatch):
+        """Zeros pass the floor's bound, so LU runs and fails on them; the
+        matrix then goes to the SVD path once, and to the pseudoinverse with
+        exactly one warning."""
+        real, svd_path = mmse._cond_solve, []
+
+        def counted(R_i, rhs_i, what):
+            svd_path.append(R_i)
+            return real(R_i, rhs_i, what)
+
+        monkeypatch.setattr(mmse, "_cond_solve", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = _checked_solve(np.zeros((3, 3)), np.ones(3), "singular", 1.0)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "pseudoinverse" in str(caught[0].message)
+        assert len(svd_path) == 1
+        assert np.array_equal(x, np.zeros(3))
+
     def test_singular_matrix_with_floor_still_falls_back(self):
         """A floor the matrix breaks cannot hide it: LU fails, pinv runs."""
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):

@@ -155,6 +155,25 @@ class TestSolveNormal:
         assert x.shape == want.shape and x.dtype == want.dtype
         assert x.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_shared_helper_has_both_lapack_loops(self, dtype, rng):
+        """lapack_solve, which rlscore and mmse._checked_solve share, runs
+        on float64 and on complex128 operands, each with np.linalg.solve's
+        bytes and dtype: the real loop for real operands, the complex loop
+        else. On the oldest numpy that pyproject.toml admits this shows that
+        both loops of the private gufunc are there."""
+        A = rng.standard_normal((3, 5, 5)).astype(dtype)
+        if dtype is np.complex128:
+            A += 1j * rng.standard_normal((3, 5, 5))
+        N = A @ A.conj().swapaxes(-1, -2) + np.eye(5)
+        B = rng.standard_normal((3, 5, 2)).astype(dtype)
+        x = rlscore.lapack_solve(N, B)
+        want = np.linalg.solve(N, B)
+        assert x.dtype == want.dtype == dtype
+        assert x.tobytes() == want.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            rlscore.lapack_solve(np.zeros_like(N), B)
+
     def test_singular_matrix_raises_naming_it_without_a_warning(self):
         N = np.zeros((2, 3, 3), dtype=complex)
         with warnings.catch_warnings(record=True) as caught:

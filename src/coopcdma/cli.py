@@ -165,16 +165,23 @@ def _json_number(v):
     return v if not isinstance(v, float) or math.isfinite(v) else None
 
 
+def _json_rows(curve) -> list:
+    """The curve's rows as JSON objects; a sweep's rows also hold the number
+    of their point's trials that diverged."""
+    rows = [{"x_value": _json_number(x), "ber_mean": _json_number(mean),
+             "ber_stderr": _json_number(stderr), "bit_count": bits}
+            for x, mean, stderr, bits in curve.rows]
+    for row, divergences in zip(rows, curve.point_divergences):
+        row["divergences"] = divergences
+    return rows
+
+
 def curves_to_json(curves, manifest: RunManifest) -> str:
     payload = {
         "manifest": dataclasses.asdict(manifest),
         "curves": [{
             "x_name": c.x_name, "scheme": c.scheme, "variant": c.variant,
-            "divergences": c.divergences,
-            "rows": [{"x_value": _json_number(x),
-                      "ber_mean": _json_number(mean),
-                      "ber_stderr": _json_number(stderr),
-                      "bit_count": bits} for x, mean, stderr, bits in c.rows],
+            "divergences": c.divergences, "rows": _json_rows(c),
         } for c in curves],
     }
     return json.dumps(payload, indent=2, sort_keys=True,

@@ -27,10 +27,12 @@ VARIANTS = ("exact", "adaptive")
 # adaptive destination symbols whose link frames are built at once: at the
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
-# trials of a point drawn and designed at once, the desk trials per point: a
-# --full-scale point of 1000 trials holds one chunk's scenarios and designs
-# at a time (at the desk configuration about 9 MB more peak RSS than one
-# trial at a time, the same at 100 and at 1000 trials per point)
+# (point, trial) pairs of a sweep drawn and designed at once, the desk trials
+# per point; a chunk crosses points that hold fewer trials. A --full-scale
+# point of 1000 trials holds one chunk's scenarios and designs at a time: at
+# the desk configuration about 4.5 MB more peak RSS than one trial at a time,
+# the same at 100 and at 1000 trials per point; 4 points of 8 trials, one
+# chunk of 32, hold about 0.7 MB more than 8 trials at a time
 _DESIGN_CHUNK = 100
 
 
@@ -262,21 +264,21 @@ def _relay_chains(scenarios: list):
     at the full per-user budget P_A = 1, so their source-to-relay waveforms
     enter unscaled and relay-side quality is identical across schemes. The
     chains of all the scenarios are one stack: one mmse_relay_bank and one
-    relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms,
-    with each relay's bytes alone, and each kept scenario's relay_banks is
-    its slice of the stacked bank. A TrialFailure of the stack reruns each
-    trial alone (mmse._each_trial), so that a failed chain fails only its
-    own trial."""
+    relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms
+    and their (T, 1) noise levels, with each relay's bytes alone, and each
+    kept scenario's relay_banks is its slice of the stacked bank. A
+    TrialFailure of the stack reruns each trial alone (mmse._each_trial), so
+    that a failed chain fails only its own trial."""
     x_sr = np.stack([scn.x_sr for scn in scenarios])
-    sigma2 = scenarios[0].sigma2
+    sigma2 = np.array([[scn.sigma2] for scn in scenarios])
     trials, n_r, _, K = x_sr.shape
     W, gains = np.empty_like(x_sr), np.empty((trials, n_r, K))
     omega = np.empty((trials, K * (n_r + 1), K * (n_r + 1)), dtype=complex)
     errors = [None] * trials
 
     def chain(t):
-        bank = mmse_relay_bank(x_sr[t], sigma2)
-        return (*bank, mmse.relay_omega(*relay_statistics(x_sr[t], sigma2,
+        bank = mmse_relay_bank(x_sr[t], sigma2[t])
+        return (*bank, mmse.relay_omega(*relay_statistics(x_sr[t], sigma2[t],
                                                           bank)))
 
     kept = mmse._each_trial(chain, np.arange(trials), errors,
@@ -287,18 +289,19 @@ def _relay_chains(scenarios: list):
 
 
 class PointDesigns:
-    """The exact designs of scenarios of one point (one noise level and
-    dimensions), solved as one stack on the first request for a
-    scheme and config and read from their slots after, so that every packet's
-    design still comes through design_exact."""
+    """The exact designs of a chunk's scenarios (one set of dimensions, each
+    scenario at its own noise level), solved as one stack on the first
+    request for a scheme and config and read from their slots after, so that
+    every packet's design still comes through design_exact."""
 
     def __init__(self, scenarios: list):
         self.scenarios = scenarios
+        # by identity: the point holds its scenarios, so no id is reused
+        self._slots = {id(scn): i for i, scn in enumerate(scenarios)}
         self._solved = {}
 
     def design(self, scn: Scenario, scheme: str, cfg: ExperimentConfig):
-        slot = next((i for i, s in enumerate(self.scenarios) if s is scn),
-                    None)
+        slot = self._slots.get(id(scn))
         if slot is None:
             raise ValueError("the scenario is not one of the point's "
                              "scenarios")
@@ -320,7 +323,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     stack of one, with the same bits as mmse.design. The equal-power schemes
     get complex equal amplitudes.
     """
-    dims, sigma2 = scenarios[0].dims, scenarios[0].sigma2
+    dims = scenarios[0].dims
     omegas, kept, designs = _relay_chains(scenarios)
     if not kept.size:
         return designs
@@ -332,12 +335,13 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         # kept only because the benchmark's tracer counts alternation
         # iterations and convergence through mmse.alternate calls
         try:
-            res = mmse.alternate(X[0], sigma2, blocks, config,
-                                 omegas[kept[0]])
+            res = mmse.alternate(X[0], scenarios[kept[0]].sigma2, blocks,
+                                 config, omegas[kept[0]])
             designs[kept[0]] = (res.W, res.amps)
         except TrialFailure as exc:
             designs[kept[0]] = exc
         return designs
+    sigma2 = np.array([scenarios[i].sigma2 for i in kept])
     res = mmse.design(X, sigma2, blocks, config, omegas[kept])
     for j, i in enumerate(kept):
         amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
@@ -606,7 +610,10 @@ class BerCurve:
     rows: list  # (x_value, ber_mean, ber_stderr, bit_count)
     scheme: str
     variant: str
-    divergences: int = 0
+    divergences: int = 0  # over the whole curve
+    # a sweep's diverged trials per row, in the order of rows; empty for a
+    # learning curve, whose rows are the symbols of one point
+    point_divergences: list = field(default_factory=list)
 
     def ber_at(self, x) -> float:
         for row in self.rows:
@@ -629,41 +636,50 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
 
 
 def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
-                   codes: np.ndarray, sigma2: float, trials: range):
-    """The packet of each of the given trials of one point, None for each
-    that diverged. The trials' scenarios are drawn first, each from its own
-    trial_rngs stream, and on the exact path designed as one stack
-    (PointDesigns) when the first packet asks for its design; a trial whose
-    design fails diverges alone (run_packet)."""
-    rngs = [trial_rngs(cfg.seed, t) for t in trials]
+                   codes: np.ndarray, pairs: list):
+    """The packet of each (sigma2, trial) pair of a chunk, None for each that
+    diverged. The chunk's scenarios are drawn first, each from its trial's
+    own trial_rngs stream at its own noise level, and on the exact path
+    designed as one stack (PointDesigns), whatever their points, when the
+    first packet asks for its design; a trial whose design fails diverges
+    alone (run_packet)."""
+    rngs = [trial_rngs(cfg.seed, t) for _, t in pairs]
     scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                rng_ch, isi_enabled=cfg.isi)
-                 for rng_ch, *_ in rngs]
+                 for (sigma2, _), (rng_ch, *_) in zip(pairs, rngs)]
     point = PointDesigns(scenarios) if cfg.variant == "exact" else None
     for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
         res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
         yield None if res.diverged else res
 
 
-def _run_point(cfg: ExperimentConfig, snr_db: float):
-    """Every trial at one SNR of cfg: the BERs of the packets that kept
-    going, the number that diverged, and the kept packets' summed
-    per-symbol errors. The trials run in chunks of _DESIGN_CHUNK
-    (_chunk_packets), one chunk's scenarios held at a time."""
+def _run_points(cfg: ExperimentConfig, snrs) -> list:
+    """Every trial of cfg at each SNR of snrs: per point, the BERs of the
+    packets that kept going, in trial order, the number that diverged, and
+    the kept packets' summed per-symbol errors. The (point, trial) pairs run
+    in that order in chunks of _DESIGN_CHUNK (_chunk_packets), so a chunk
+    crosses points when a point holds fewer trials; one chunk's scenarios are
+    held at a time. Each trial draws from its own streams and is designed at
+    its own noise level, so its packet has the bits it gets in any chunk."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
-    sigma2 = snr_db_to_sigma2(snr_db)
-    bers, divergences = [], 0
-    per_symbol = np.zeros(dims.P, dtype=np.int64)
-    for start in range(0, cfg.trials, _DESIGN_CHUNK):
-        trials = range(start, min(start + _DESIGN_CHUNK, cfg.trials))
-        for res in _chunk_packets(cfg, dims, codes, sigma2, trials):
+    sigma2 = [snr_db_to_sigma2(snr) for snr in snrs]
+    bers = [[] for _ in snrs]
+    divergences = [0] * len(snrs)
+    per_symbol = np.zeros((len(snrs), dims.P), dtype=np.int64)
+    total = len(snrs) * cfg.trials
+    for start in range(0, total, _DESIGN_CHUNK):
+        chunk = [divmod(i, cfg.trials)
+                 for i in range(start, min(start + _DESIGN_CHUNK, total))]
+        packets = _chunk_packets(cfg, dims, codes,
+                                 [(sigma2[p], t) for p, t in chunk])
+        for (p, _), res in zip(chunk, packets):
             if res is None:
-                divergences += 1
+                divergences[p] += 1
                 continue
-            bers.append(res.bit_errors / res.payload_bits)
-            per_symbol += res.per_symbol_errors
-    return bers, divergences, per_symbol
+            bers[p].append(res.bit_errors / res.payload_bits)
+            per_symbol[p] += res.per_symbol_errors
+    return list(zip(bers, divergences, per_symbol))
 
 
 def _fixed_snr(cfg: ExperimentConfig) -> float:
@@ -675,41 +691,45 @@ def _fixed_snr(cfg: ExperimentConfig) -> float:
 
 
 def _sweep(cfg: ExperimentConfig, x_name: str, points) -> BerCurve:
-    """One row (x, mean BER, its standard error, payload bits) per
-    (x, config, SNR) point, over the packets that did not diverge; with none
-    left, nan over 0 bits. A point's config is cfg or cfg with other users."""
-    rows, total_div = [], 0
-    for x, point, snr_db in points:
-        bers, div, _ = _run_point(point, snr_db)
+    """One row (x, mean BER, its standard error, payload bits) per point,
+    over the packets that did not diverge; with none left, nan over 0 bits.
+    points holds each point's x, user count and _run_points result."""
+    rows, divergences = [], []
+    for x, users, (bers, div, _) in points:
         bers = np.asarray(bers)
         mean = float(bers.mean()) if bers.size else float("nan")
         stderr = float(bers.std(ddof=1) / np.sqrt(bers.size)) if bers.size > 1 else 0.0
-        bits = 2 * (cfg.packet_len - cfg.training_len) * bers.size * point.users
+        bits = 2 * (cfg.packet_len - cfg.training_len) * bers.size * users
         rows.append((x, mean, stderr, bits))
-        total_div += div
+        divergences.append(div)
     return BerCurve(x_name=x_name, rows=rows, scheme=cfg.scheme,
-                    variant=cfg.variant, divergences=total_div)
+                    variant=cfg.variant, divergences=sum(divergences),
+                    point_divergences=divergences)
 
 
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:
     """BER versus SNR over the configured grid; deterministic given the seed."""
-    return _sweep(cfg, "snr_db", [(snr, cfg, snr) for snr in cfg.snr_grid])
+    results = _run_points(cfg, cfg.snr_grid)
+    return _sweep(cfg, "snr_db", [(snr, cfg.users, res)
+                                  for snr, res in zip(cfg.snr_grid, results)])
 
 
 def run_user_sweep(cfg: ExperimentConfig, users_grid) -> BerCurve:
     """BER versus user count at the configured single SNR; each count is
-    checked as cfg.users is, and an empty grid refused, before any packet."""
+    checked as cfg.users is, and an empty grid refused, before any packet.
+    The user count sets the dimensions, so each count runs on its own."""
     configs = [replace(cfg, users=K) for K in users_grid]
     if not configs:
         raise ConfigError("users: the user grid holds no count")
     snr = _fixed_snr(cfg)
-    return _sweep(cfg, "users", [(c.users, c, snr) for c in configs])
+    return _sweep(cfg, "users", [(c.users, c.users, _run_points(c, [snr])[0])
+                                 for c in configs])
 
 
 def learning_curve(cfg: ExperimentConfig) -> BerCurve:
     """Per-symbol-index BER averaged over trials (convergence view), at the
     configured single SNR."""
-    bers, div, per_symbol = _run_point(cfg, _fixed_snr(cfg))
+    (bers, div, per_symbol), = _run_points(cfg, [_fixed_snr(cfg)])
     # with every trial diverged: nan over 0 bits, as run_experiment reports
     bits = 2 * cfg.users * len(bers)
     rows = [(i, float(n) / bits if bits else float("nan"), 0.0, bits)

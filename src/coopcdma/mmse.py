@@ -23,8 +23,8 @@ build_statistics and total_mse score a design from U, outside the design.
 
 The design steps (link_factors, filter_step, power_terms, _real_power_solve,
 nonnegative_amplitudes) take a leading trial axis, so that design solves the
-designs of T independent trials (of one SNR point) as one stack; each trial's
-arithmetic is the same as on a stack of one, which alternate is.
+designs of T independent trials, each at its own noise level, as one stack;
+each trial's arithmetic is the same as on a stack of one, which alternate is.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
 
 
 def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
-                   floor: float = 0.0) -> np.ndarray:
+                   floor=0.0) -> np.ndarray:
     """Solve R x = rhs for a Hermitian positive semidefinite R, or for each
     matrix of a stack of them (R of shape (..., n, n)). rhs holds one vector
     (..., n) or one matrix (..., n, k) of right-hand sides per matrix.
@@ -170,13 +170,14 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     floor is a lower bound on the eigenvalues of R that the caller knows from
     how R was built (sigma^2 for a destination receiver covariance and for a
     relay covariance X X^H + sigma^2 I, lambda for a loaded power
-    covariance), 0 when none is known. For Hermitian R,
+    covariance), 0 when none is known: one value, or one per matrix (any
+    shape that broadcasts to R's leading axes). For Hermitian R,
     cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
     assembly of R. Every matrix so certified goes to one batched LU call, the
     LAPACK gufunc of np.linalg.solve with its bytes (rlscore.lapack_solve).
     The SVD (np.linalg.cond) runs, matrix by matrix, only on the others: when
-    floor is 0, when the bound does not prove the limit, or when LU raises
+    its floor is 0, when the bound does not prove the limit, or when LU raises
     LinAlgError on that matrix. A matrix whose condition number is then
     non-finite or above the limit is solved with the pseudoinverse, with one
     RuntimeWarning per such matrix. An empty stack solves to an empty x.
@@ -190,12 +191,12 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     vectors = rhs.ndim < R.ndim
     Rs = R.reshape(-1, n, n)
     bs = rhs.reshape(len(Rs), n, 1 if vectors else rhs.shape[-1])
-    if floor > 0.0:  # each matrix's 1-norm, the largest column sum
-        certified = (np.maximum.reduce(np.add.reduce(np.abs(Rs), axis=-2),
-                                       axis=-1)
-                     <= floor * _COND_LIMIT / 2)
-    else:
-        certified = np.zeros(len(Rs), dtype=bool)
+    floors = np.broadcast_to(floor, R.shape[:-2]).reshape(-1)
+    # each matrix's 1-norm, the largest column sum, against its own floor
+    certified = (np.maximum.reduce(np.add.reduce(np.abs(Rs), axis=-2),
+                                   axis=-1)
+                 <= floors * _COND_LIMIT / 2)
+    certified &= floors > 0.0
     n_certified = np.count_nonzero(certified)
     try:
         if n_certified == len(Rs):  # the whole stack, no copy in or out
@@ -246,18 +247,21 @@ def link_factors(X: np.ndarray, omega: np.ndarray):
     return gram, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
 
 
-def filter_fixed_terms(F: np.ndarray, hops: int, sigma2: float):
+def filter_fixed_terms(F: np.ndarray, hops: int, sigma2):
     """The terms of filter_step that no amplitude changes, for link_factors'
-    F (T x K*hops x K*hops): B = F^H E, its conjugate and sigma^2 I (as
-    complex, the cast the sum with a complex matrix makes)."""
+    F (T x K*hops x K*hops) and the trials' noise levels sigma2 (T,): B =
+    F^H E, its conjugate and each trial's sigma^2 I (as complex, the cast the
+    sum with a complex matrix makes)."""
     B = _conj_t(F[:, ::hops])
-    return B, B.conj(), (sigma2 * np.eye(F.shape[-1])).astype(complex)
+    noise = np.asarray(sigma2)[..., None, None] * np.eye(F.shape[-1])
+    return B, B.conj(), noise.astype(complex)
 
 
-def filter_step(gram: np.ndarray, F: np.ndarray, sigma2: float,
+def filter_step(gram: np.ndarray, F: np.ndarray, sigma2,
                 amps: np.ndarray, fixed=None):
     """Joint MMSE filters at the amplitudes amps (T x K x hops), in link
-    coordinates, for each of T trials (link_factors' gram and F).
+    coordinates, for each of T trials (link_factors' gram and F) at its
+    noise level sigma2 (T,).
 
     With V = U diag(a) F the covariance is R = V V^H + sigma^2 I and the
     cross-correlation P_ch = V B, B = F^H E (E selects the direct links), so
@@ -397,11 +401,12 @@ def _relative_change(a_new: np.ndarray, a_old: np.ndarray) -> np.ndarray:
             / np.maximum(np.sqrt(np.vecdot(a_old, a_old)), 1e-30))
 
 
-def design(X: np.ndarray, sigma2: float, blocks: int | None,
+def design(X: np.ndarray, sigma2, blocks: int | None,
            config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
-    """Exact designs of T trials as one stack: X (T x hops x M x K) and
-    omega (T x K*hops x K*hops) hold each trial's per-hop waveforms and
-    link-symbol correlation, all at one noise level sigma2.
+    """Exact designs of T trials as one stack: X (T x hops x M x K), sigma2
+    (T,) and omega (T x K*hops x K*hops) hold each trial's per-hop
+    waveforms, noise level and link-symbol correlation; one sigma2 value
+    serves every trial.
 
     Without blocks (None, the equal-power schemes) each trial gets the MMSE
     filters of the equal-power amplitudes. With blocks the trials alternate
@@ -417,6 +422,7 @@ def design(X: np.ndarray, sigma2: float, blocks: int | None,
     trials, hops, M, K = X.shape
     if blocks is not None and (blocks < 1 or K % blocks):
         raise ValueError(f"{blocks} blocks do not split {K} users evenly")
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (trials,))
     max_iters = 0 if blocks is None else config.max_iters
     errors = [None] * trials
     amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
@@ -435,8 +441,8 @@ def design(X: np.ndarray, sigma2: float, blocks: int | None,
     B, B_conj, noise = filter_fixed_terms(F, hops, sigma2)
 
     def filters(t):
-        return filter_step(gram[t], F[t], sigma2, amps[t],
-                           (B[t], B_conj[t], noise))
+        return filter_step(gram[t], F[t], sigma2[t], amps[t],
+                           (B[t], B_conj[t], noise[t]))
 
     if blocks is not None:
         direct, omega_t = power_fixed_terms(omega, hops, blocks)

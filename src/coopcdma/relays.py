@@ -21,18 +21,21 @@ from .rlscore import correlation_gain  # noqa: F401
 _POWER_FLOOR = 1e-30
 
 
-def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
+def mmse_relay_bank(x_scaled: np.ndarray, sigma2):
     """Exact per-user MMSE filters and output-power gains of a stack of relays.
 
     x_scaled (..., M, K) holds the relays' amplitude-scaled source-to-relay
-    chip waveforms, one column per user. Returns (W, gains), (..., M, K) and
-    (..., K), gains g_k making the forwarded g_k * w_k^H r unit-energy.
-    Each covariance X X^H + sigma2 I is solved as the destination's are
-    (mmse._checked_solve, floor sigma2): a singular or ill-conditioned one,
-    as at sigma2 = 0, falls back to the pseudoinverse with a RuntimeWarning.
+    chip waveforms, one column per user, and sigma2 their noise levels, one
+    value or any shape that broadcasts over x_scaled's leading axes. Returns
+    (W, gains), (..., M, K) and (..., K), gains g_k making the forwarded
+    g_k * w_k^H r unit-energy. Each covariance X X^H + sigma2 I is solved as
+    the destination's are (mmse._checked_solve, floor sigma2): a singular or
+    ill-conditioned one, as at sigma2 = 0, falls back to the pseudoinverse
+    with a RuntimeWarning.
     """
     M = x_scaled.shape[-2]
-    R = x_scaled @ x_scaled.conj().swapaxes(-1, -2) + sigma2 * np.eye(M)
+    R = (x_scaled @ x_scaled.conj().swapaxes(-1, -2)
+         + np.asarray(sigma2)[..., None, None] * np.eye(M))
     W = mmse._checked_solve(R, x_scaled, "relay covariance", sigma2)
     out_power = np.real(np.einsum("...ij,...ij->...j", W.conj(), R @ W))
     if np.any(out_power <= _POWER_FLOOR):
@@ -41,11 +44,12 @@ def mmse_relay_bank(x_scaled: np.ndarray, sigma2: float):
     return W, 1.0 / np.sqrt(out_power)
 
 
-def relay_statistics(x_scaled: np.ndarray, sigma2: float, bank):
+def relay_statistics(x_scaled: np.ndarray, sigma2, bank):
     """Second-order model of a stack of relays' forwarded symbols.
 
     bank is the relays' (W, gains), as mmse_relay_bank returns them for the
-    same x_scaled (..., M, K) and sigma2. With filters W and normalizing gains
+    same x_scaled (..., M, K) and sigma2 (one value, or one that broadcasts
+    over the leading axes). With filters W and normalizing gains
     g, a relay forwards btilde = G b + nu where G = diag(g) W^H X couples the
     users' true symbols and nu is filtered relay noise with covariance S.
     Returns the (..., K, K) stacks (G, S); a perfect relay has G = I, S = 0.
@@ -53,7 +57,8 @@ def relay_statistics(x_scaled: np.ndarray, sigma2: float, bank):
     W, gains = bank
     WH = W.conj().swapaxes(-1, -2)
     G = gains[..., :, None] * (WH @ x_scaled)
-    S = sigma2 * (gains[..., :, None] * (WH @ W) * gains[..., None, :])
+    S = np.asarray(sigma2)[..., None, None] * (
+        gains[..., :, None] * (WH @ W) * gains[..., None, :])
     return G, S
 
 

@@ -13,7 +13,7 @@ from coopcdma.errors import (ConfigError, DegenerateStateError,
                              IllConditionedError, NumericalDivergenceError,
                              TrialFailure)
 from coopcdma.harness import (BerCurve, ExperimentConfig, PointDesigns,
-                              _noise_matrix, _packet_result, _run_point,
+                              _noise_matrix, _packet_result, _run_points,
                               capacity_at_target, codes_for, design_exact,
                               draw_scenario, learning_curve, run_experiment,
                               run_packet, run_user_sweep,
@@ -448,9 +448,9 @@ class TestAggregation:
 
         cfg = small_cfg(scheme=scheme, variant="adaptive", trials=2,
                         packet_len=120, training_len=40)
-        clean, clean_div, _ = _run_point(cfg, 9.0)
+        (clean, clean_div, _), = _run_points(cfg, [9.0])
         monkeypatch.setattr(harness, "draw_scenario", draw)
-        bers, divergences, _ = _run_point(cfg, 9.0)
+        (bers, divergences, _), = _run_points(cfg, [9.0])
         assert clean_div == 0 and divergences == 1
         assert bers == clean[1:]
 
@@ -863,3 +863,163 @@ class TestPointDesigns:
         monkeypatch.setattr(harness, "_DESIGN_CHUNK", 1)
         assert run_experiment(cfg).rows == chunked.rows
         assert stacks[2:] == [1] * (chunk + 3)
+
+
+def recorded_packets(monkeypatch, run):
+    """run() with every exact packet recorded in run order: its design (W,
+    amps), its scenario's relay banks as the design left them, and its soft
+    outputs; also the distinct noise levels of each relay-chain stack."""
+    from coopcdma import harness
+    real_design, real_soft = harness.design_exact, harness.exact_soft_outputs
+    real_bank = harness.mmse_relay_bank
+    packets, noise_levels = [], []
+
+    def design(scn, *args, **kwargs):
+        W, amps = real_design(scn, *args, **kwargs)
+        packets.append([W, amps, *vars(scn)["relay_banks"]])
+        return W, amps
+
+    def soft(*args, **kwargs):
+        out = real_soft(*args, **kwargs)
+        packets[-1].append(out)
+        return out
+
+    def bank(x_sr, sigma2):
+        noise_levels.append(set(np.ravel(sigma2).tolist()))
+        return real_bank(x_sr, sigma2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "design_exact", design)
+        patch.setattr(harness, "exact_soft_outputs", soft)
+        patch.setattr(harness, "mmse_relay_bank", bank)
+        result = run()
+    return result, packets, noise_levels
+
+
+def per_point_run(cfg):
+    """Every packet of cfg's sweep, point by point, each point's trials
+    designed as one PointDesigns stack at the point's noise level."""
+    dims = cfg.dims()
+    for snr in cfg.snr_grid:
+        rngs = [trial_rngs(cfg.seed, t) for t in range(cfg.trials)]
+        scns = [draw_scenario(dims, codes_for(cfg, dims.K),
+                              snr_db_to_sigma2(snr), cfg.shadowing_std_db,
+                              rng_ch, isi_enabled=cfg.isi)
+                for rng_ch, *_ in rngs]
+        point = PointDesigns(scns)
+        for scn, (_, rng_data, rng_noise, rng_init) in zip(scns, rngs):
+            run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+
+
+class TestMixedNoiseChunks:
+    """A chunk holds (point, trial) pairs of several SNR points when the
+    points hold fewer trials than the chunk; each trial keeps the bytes it
+    gets in a stack of its own point."""
+
+    @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
+                                        "jpais-ipc"])
+    def test_chunks_across_points_keep_each_points_bytes(self, scheme,
+                                                         monkeypatch):
+        """A 3-point x 5-trial sweep in chunks of 4 designs four stacks, three
+        of them across points, and every packet's design, relay banks and
+        soft outputs have the bytes of its point's own stack; the rows are
+        those of the points swept one at a time."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
+                        snr_grid=(0.0, 9.0, 18.0), packet_len=60,
+                        training_len=20)
+        real, stacks = mmse.design, []
+
+        def design(X, *args):
+            stacks.append(len(X))
+            return real(X, *args)
+
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 4)
+        monkeypatch.setattr(mmse, "design", design)
+        curve, chunked, levels = recorded_packets(
+            monkeypatch, lambda: run_experiment(cfg))
+        assert stacks == [4, 4, 4, 3]
+        assert [len(s) for s in levels] == [1, 2, 2, 1]
+        _, alone, _ = recorded_packets(monkeypatch,
+                                       lambda: per_point_run(cfg))
+        assert len(chunked) == len(alone) == 15
+        for got, want in zip(chunked, alone):
+            assert len(got) == len(want) == 5
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        monkeypatch.undo()
+        rows = [run_experiment(dataclasses.replace(cfg, snr_grid=(snr,)))
+                .rows[0] for snr in cfg.snr_grid]
+        assert curve.rows == rows
+        assert curve.point_divergences == [0, 0, 0]
+
+    @pytest.mark.parametrize("scheme,poison", [
+        ("cis", dead_relay), ("jpais-gpc", nan_waveform),
+        ("jpais-ipc", zero_waveforms), ("jpais-gpc", nan_relay)])
+    def test_poisoned_trial_in_a_mixed_chunk_fails_alone(self, scheme, poison,
+                                                         monkeypatch):
+        """Trial 0 of the second point, poisoned, shares its chunk with the
+        first point's last trial: it alone diverges, with its failed design
+        recorded, and is counted at its own point; every other packet keeps
+        its bit errors."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
+                        snr_grid=(0.0, 9.0, 18.0), packet_len=60,
+                        training_len=20)
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 4)
+        clean, clean_packets = exact_point(monkeypatch, cfg)
+        results = {}
+        curve, packets = exact_point(monkeypatch, cfg, poison,
+                                     poisoned_trial=5, results=results)
+        assert clean.point_divergences == [0, 0, 0]
+        assert curve.point_divergences == [0, 1, 0]
+        assert curve.divergences == 1
+        assert sorted(packets) == [t for t in range(15) if t != 5]
+        stage, symbol, reason = results[5].extras["divergence"]
+        assert (stage, symbol) == ("design", None)
+        assert reason.startswith(("IllConditionedError: ",
+                                  "DegenerateStateError: "))
+        for t, res in packets.items():
+            assert res.bit_errors == clean_packets[t].bit_errors
+            assert np.array_equal(res.per_symbol_errors,
+                                  clean_packets[t].per_symbol_errors)
+        assert curve.rows[::2] == clean.rows[::2]
+
+
+class TestPointDivergences:
+    def test_a_poisoned_trial_is_counted_at_its_point(self, monkeypatch):
+        """One trial whose design fails at the second of two SNRs: the
+        curve's per-point list reads [0, 1] beside its rows, the JSON rows
+        carry it, and the curve total and the CSV header stay as they were."""
+        cfg = small_cfg(scheme="cis", variant="exact", trials=3,
+                        snr_grid=(3.0, 12.0), packet_len=60, training_len=20)
+        curve, _ = exact_point(monkeypatch, cfg, dead_relay, poisoned_trial=4)
+        assert curve.point_divergences == [0, 1]
+        assert curve.divergences == 1
+        assert [row[3] for row in curve.rows] == [
+            2 * (cfg.packet_len - cfg.training_len) * cfg.users * n
+            for n in (3, 2)]
+        manifest = cli.RunManifest(config={}, version="0", wall_time_s=0.0,
+                                   divergences=curve.divergences)
+        payload = json.loads(cli.curves_to_json([curve], manifest))
+        (written,) = payload["curves"]
+        assert written["divergences"] == 1
+        assert [row["divergences"] for row in written["rows"]] == [0, 1]
+        lines = cli.curves_to_csv([curve]).splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        assert [len(line.split(",")) for line in lines[1:]] == [7, 7]
+
+    def test_learning_curve_rows_carry_no_point_count(self):
+        """A learning curve's rows are the symbols of one point: its
+        divergences are the curve total alone."""
+        cfg = small_cfg(scheme="cis", variant="exact", trials=2,
+                        packet_len=60, training_len=20)
+        curve = learning_curve(cfg)
+        assert curve.point_divergences == [] and curve.divergences == 0
+        manifest = cli.RunManifest(config={}, version="0", wall_time_s=0.0,
+                                   divergences=0)
+        rows = json.loads(cli.curves_to_json([curve], manifest))[
+            "curves"][0]["rows"]
+        assert len(rows) == cfg.packet_len
+        assert all("divergences" not in row for row in rows)

@@ -684,6 +684,31 @@ class TestCertifiedSolve:
         assert x.shape == rhs.shape and x.dtype == want.dtype == dtype
         assert x.tobytes() == want.tobytes()
 
+    def test_a_zero_floor_takes_only_its_matrix_to_the_svd_path(
+            self, monkeypatch, rng):
+        """With one floor per matrix, the matrix whose floor is 0 alone goes
+        down the SVD path; the others are certified by their own floors, and
+        every matrix's solution has the bytes of a call with its floor
+        alone."""
+        A = (rng.standard_normal((3, 5, 5))
+             + 1j * rng.standard_normal((3, 5, 5)))
+        R = A @ A.conj().swapaxes(-1, -2) + np.eye(5)
+        rhs = rng.standard_normal((3, 5, 2)) + 0j
+        floors = np.array([1.0, 0.0, 1.0])
+        real, svd_path = mmse._cond_solve, []
+
+        def counted(R_i, rhs_i, what):
+            svd_path.append(R_i)
+            return real(R_i, rhs_i, what)
+
+        monkeypatch.setattr(mmse, "_cond_solve", counted)
+        x = _checked_solve(R, rhs, "test", floors)
+        assert len(svd_path) == 1 and np.array_equal(svd_path[0], R[1])
+        for i, floor in enumerate(floors.tolist()):
+            assert x[i].tobytes() == _checked_solve(R[i], rhs[i], "test",
+                                                    floor).tobytes()
+        assert len(svd_path) == 2
+
     def test_certified_singular_matrix_takes_the_svd_path(self, monkeypatch):
         """Zeros pass the floor's bound, so LU runs and fails on them; the
         matrix then goes to the SVD path once, and to the pseudoinverse with
@@ -826,6 +851,39 @@ class TestStackedDesign:
                                   alone.mse_trace[:-1])
             assert np.isnan(stacked.mse_trace[t, n:]).all()
             assert stacked.mse[t] == alone.mse_trace[-1]
+
+    @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
+    def test_per_trial_noise_levels_have_the_bytes_of_scalar_calls(
+            self, scheme):
+        """A stack of trials at four noise levels, sigma2 of shape (T,),
+        gives each trial the design of mmse.design on it alone at its scalar
+        noise level: filters, amplitudes, MSE, traced MSEs, iterations and
+        convergence, byte for byte."""
+        cfg = harness.ExperimentConfig(scheme=scheme, seed=2)
+        scns = [scn for snr_db in (0.0, 18.0, 6.0, 12.0)
+                for scn in point_scenarios(2, snr_db, trials=2)]
+        X = np.stack([scn.x_dest for scn in scns])
+        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        sigma2 = np.array([scn.sigma2 for scn in scns])
+        plan = harness.power_blocks(scheme, cfg, DESK_K)
+        blocks, config = ((None, None) if plan is None else
+                          (DESK_K // plan[0], cfg.mmse_config(plan[1])))
+        res = mmse.design(X, sigma2, blocks, config, omega)
+        assert res.errors == [None] * len(scns)
+        assert len(set(sigma2.tolist())) == 4
+        for t, scn in enumerate(scns):
+            lone = mmse.design(X[t:t + 1], scn.sigma2, blocks, config,
+                               omega[t:t + 1])
+            for got, want in ((res.W[t], lone.W[0]),
+                              (res.amps[t], lone.amps[0]),
+                              (res.mse[t], lone.mse[0])):
+                assert got.tobytes() == want.tobytes()
+            n = lone.iterations[0]
+            assert ((res.iterations[t], res.converged[t])
+                    == (n, lone.converged[0]))
+            assert (res.mse_trace[t, :n].tobytes()
+                    == lone.mse_trace[0, :n].tobytes())
+            assert np.isnan(res.mse_trace[t, n:]).all()
 
     @pytest.mark.parametrize("poison", ["nan X", "zero X"])
     @pytest.mark.parametrize("blocks", [1, DESK_K])

@@ -175,6 +175,25 @@ class TestRelayStack:
                                                                bank))):
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n_r", [0, 1, 3])
+    def test_per_trial_noise_has_the_bytes_of_scalar_calls(self, n_r, rng):
+        """A (T, n_r) stack of relays with one noise level per trial, (T, 1)
+        broadcast over the relays, gives each trial the bank and statistics
+        of a call at its scalar noise level, byte for byte."""
+        dims = SystemDims(K=3, N=8, L=2, n_r=n_r)
+        X = np.stack([relay_stack(dims, rng) for _ in range(3)])
+        sigma2 = np.array([0.3, 0.02, 1.7])
+        W, gains = mmse_relay_bank(X, sigma2[:, None])
+        G, S = relay_statistics(X, sigma2[:, None], (W, gains))
+        assert W.shape == X.shape and S.shape == (3, n_r, dims.K, dims.K)
+        for t, level in enumerate(sigma2.tolist()):
+            bank = mmse_relay_bank(X[t], level)
+            for got, want in zip((W[t], gains[t], G[t], S[t]),
+                                 (*bank, *relay_statistics(X[t], level,
+                                                           bank))):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_one_degenerate_relay_fails_the_stack(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=2)
         X = np.stack([source_relay_waveforms(dims, rng) for _ in range(2)])

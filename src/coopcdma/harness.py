@@ -248,16 +248,13 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
 def scenario_omega(scn: Scenario) -> np.ndarray:
     """Link-symbol correlation matrix for the scenario's relay chain: the
     chain of a stack of one (_relay_chains), whose TrialFailure it raises."""
-    omega, _, errors = _relay_chains([scn])
-    if errors[0] is not None:
-        raise errors[0]
-    return omega[0]
+    return _relay_chains([scn])[0]
 
 
-def _relay_chains(scenarios: list):
-    """Each scenario's link-symbol correlation matrix (T x K*hops x K*hops;
-    undefined for a failed trial), the trials whose relay chain holds, and
-    each trial's TrialFailure (None for a kept trial).
+def _relay_chains(scenarios: list) -> np.ndarray:
+    """Each scenario's link-symbol correlation matrix, (T x K*hops x
+    K*hops), with each scenario's relay_banks set to its slice of the
+    stacked bank.
 
     Models the relays' MMSE filtering: their soft symbols carry residual
     interference and noise. The relays listen to a separate source slot sent
@@ -265,34 +262,25 @@ def _relay_chains(scenarios: list):
     enter unscaled and relay-side quality is identical across schemes. The
     chains of all the scenarios are one stack: one mmse_relay_bank and one
     relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms
-    and their (T, 1) noise levels, with each relay's bytes alone, and each
-    kept scenario's relay_banks is its slice of the stacked bank. A
-    TrialFailure of the stack reruns each trial alone (mmse._each_trial), so
-    that a failed chain fails only its own trial."""
+    and their (T, 1) noise levels, with each relay's bytes alone. A trial
+    whose chain fails raises its TrialFailure for the whole stack, before
+    any relay_banks is set."""
     x_sr = np.stack([scn.x_sr for scn in scenarios])
     sigma2 = np.array([[scn.sigma2] for scn in scenarios])
-    trials, n_r, _, K = x_sr.shape
-    W, gains = np.empty_like(x_sr), np.empty((trials, n_r, K))
-    omega = np.empty((trials, K * (n_r + 1), K * (n_r + 1)), dtype=complex)
-    errors = [None] * trials
-
-    def chain(t):
-        bank = mmse_relay_bank(x_sr[t], sigma2[t])
-        return (*bank, mmse.relay_omega(*relay_statistics(x_sr[t], sigma2[t],
-                                                          bank)))
-
-    kept = mmse._each_trial(chain, np.arange(trials), errors,
-                            (W, gains, omega))
-    for t in kept:
-        scenarios[t].relay_banks = (W[t], gains[t])
-    return omega, kept, errors
+    bank = mmse_relay_bank(x_sr, sigma2)
+    omega = mmse.relay_omega(*relay_statistics(x_sr, sigma2, bank))
+    for scn, W, gains in zip(scenarios, *bank):
+        scn.relay_banks = (W, gains)
+    return omega
 
 
 class PointDesigns:
     """The exact designs of a chunk's scenarios (one set of dimensions, each
-    scenario at its own noise level), solved as one stack on the first
-    request for a scheme and config and read from their slots after, so that
-    every packet's design still comes through design_exact."""
+    scenario at its own noise level), solved as one stack (_design_stack) on
+    the first request for a scheme and config and read from their slots
+    after, so that every packet's design still comes through design_exact.
+    The slot of a trial whose design failed holds its TrialFailure, which
+    design raises for that trial alone."""
 
     def __init__(self, scenarios: list):
         self.scenarios = scenarios
@@ -314,38 +302,64 @@ class PointDesigns:
         return design
 
 
+def _bisect_failures(step, trials: range, out) -> None:
+    """Write out[t] for each trial t of trials: its result from
+    step(trials), which returns one per trial in order, or the TrialFailure
+    that fails t.
+
+    A step that raises a TrialFailure is run again on each half of its
+    trials, down to stacks of one, so that each failure stands alone and
+    fails only its own trial. With f failed trials of T, step runs at most
+    1 + 2 f ceil(log2 T) times: halves, where single trials would run T
+    small steps.
+    """
+    try:
+        results = step(trials)
+    except TrialFailure as exc:
+        if len(trials) == 1:
+            out[trials[0]] = exc
+            return
+        half = len(trials) // 2
+        _bisect_failures(step, trials[:half], out)
+        _bisect_failures(step, trials[half:], out)
+        return
+    for t, result in zip(trials, results):
+        out[t] = result
+
+
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     """Each scenario's exact design (W, amps), or the TrialFailure that
-    failed it alone: from its relay chain (_relay_chains) or its own design
-    in the stack (mmse.design).
+    failed it alone: its relay chain (_relay_chains) and its design in the
+    stack (mmse.design), run for the whole stack and, on a failure, for its
+    halves (_bisect_failures). A failed stack's trials are designed again,
+    so a trial's pseudoinverse warnings repeat once per stack it is in.
 
-    A lone scenario with a power step designs through mmse.alternate, the
-    stack of one, with the same bits as mmse.design. The equal-power schemes
-    get complex equal amplitudes.
+    A stack of one with a power step (a lone scenario, or a leaf of the
+    bisection) designs through mmse.alternate, with the same bits as
+    mmse.design. The equal-power schemes get complex equal amplitudes.
     """
-    dims = scenarios[0].dims
-    omegas, kept, designs = _relay_chains(scenarios)
-    if not kept.size:
-        return designs
-    X = np.stack([scenarios[i].x_dest for i in kept])
-    plan = power_blocks(scheme, cfg, dims.K)
+    K = scenarios[0].dims.K
+    plan = power_blocks(scheme, cfg, K)
     blocks, config = ((None, None) if plan is None else
-                      (dims.K // plan[0], cfg.mmse_config(plan[1])))
-    if plan is not None and len(kept) == 1:
-        # kept only because the benchmark's tracer counts alternation
-        # iterations and convergence through mmse.alternate calls
-        try:
-            res = mmse.alternate(X[0], scenarios[kept[0]].sigma2, blocks,
-                                 config, omegas[kept[0]])
-            designs[kept[0]] = (res.W, res.amps)
-        except TrialFailure as exc:
-            designs[kept[0]] = exc
-        return designs
-    sigma2 = np.array([scenarios[i].sigma2 for i in kept])
-    res = mmse.design(X, sigma2, blocks, config, omegas[kept])
-    for j, i in enumerate(kept):
-        amps = res.amps[j] if plan is not None else res.amps[j].astype(complex)
-        designs[i] = res.errors[j] or (res.W[j], amps)
+                      (K // plan[0], cfg.mmse_config(plan[1])))
+
+    def step(trials: range) -> list:
+        scns = [scenarios[t] for t in trials]
+        omega = _relay_chains(scns)
+        if plan is not None and len(scns) == 1:
+            # kept only because the benchmark's tracer counts alternation
+            # iterations and convergence through mmse.alternate calls
+            res = mmse.alternate(scns[0].x_dest, scns[0].sigma2, blocks,
+                                 config, omega[0])
+            return [(res.W, res.amps)]
+        res = mmse.design(np.stack([scn.x_dest for scn in scns]),
+                          np.array([scn.sigma2 for scn in scns]), blocks,
+                          config, omega)
+        amps = res.amps if plan is not None else res.amps.astype(complex)
+        return list(zip(res.W, amps))
+
+    designs = [None] * len(scenarios)
+    _bisect_failures(step, range(len(scenarios)), designs)
     return designs
 
 

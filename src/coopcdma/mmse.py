@@ -25,6 +25,9 @@ The design steps (link_factors, filter_step, power_terms, _real_power_solve,
 nonnegative_amplitudes) take a leading trial axis, so that design solves the
 designs of T independent trials, each at its own noise level, as one stack;
 each trial's arithmetic is the same as on a stack of one, which alternate is.
+A trial whose step fails (IllConditionedError, DegenerateStateError) fails
+the stack's call; the harness bisects such a stack (harness._design_stack),
+so that the failure fails only its own trial.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, IllConditionedError, TrialFailure
+from .errors import DegenerateStateError, IllConditionedError
 from .rlscore import lapack_solve
 
 _COND_LIMIT = 1e12
@@ -344,9 +347,8 @@ class AlternationResult:
 
 @dataclass
 class StackedDesign:
-    """The designs of a stack of T trials (design). Trial t failed when
-    errors[t] holds the IllConditionedError or DegenerateStateError it
-    raised; its W, amps and mse are then nan."""
+    """The designs of a stack of T trials (design), every one of which
+    succeeded: a trial that fails fails the whole stack's call."""
 
     W: np.ndarray  # T x stack x K
     amps: np.ndarray  # T x K x hops, real
@@ -356,38 +358,11 @@ class StackedDesign:
     mse_trace: np.ndarray
     iterations: np.ndarray  # T, 0 without a power step
     converged: np.ndarray  # T
-    errors: list
 
 
 def equal_power_amps(K: int, hops: int) -> np.ndarray:
     """Equal power per link within each user's unit budget (CIS)."""
     return np.full((K, hops), np.sqrt(1.0 / hops))
-
-
-def _each_trial(step, trials: np.ndarray, errors: list, outs) -> np.ndarray:
-    """Run step on a stack of trials and write its outputs into outs.
-
-    trials holds distinct trial indices in increasing order, into a stack of
-    len(errors) trials. step(t) takes them as t, an index array, or the
-    slice of every trial when they are all of them (views, not fancy-index
-    copies), and returns a tuple of arrays whose leading axis runs over t;
-    outs holds one array per output, indexed by trial. When the stack raises
-    a TrialFailure, each trial steps alone, a stack of one with the same
-    arithmetic, so that a failure fails only its own trial: errors[t]
-    records it and t is left out of the trials returned.
-    """
-    pick = slice(None) if len(trials) == len(errors) else trials
-    try:
-        values = step(pick)
-    except TrialFailure as exc:
-        if len(trials) == 1:
-            errors[trials[0]] = exc
-            return trials[:0]
-        return np.concatenate([_each_trial(step, trials[i:i + 1], errors, outs)
-                               for i in range(len(trials))])
-    for out, value in zip(outs, values):
-        out[pick] = value
-    return trials
 
 
 def _relative_change(a_new: np.ndarray, a_old: np.ndarray) -> np.ndarray:
@@ -414,80 +389,55 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
     stopping test passes; the test has the bits of np.linalg.norm per trial
     (_relative_change), so every trial's iterations, amplitudes and filters
     are those it gets alone. The terms that no step changes are formed once
-    (filter_fixed_terms, power_fixed_terms). Each step, the power step's
-    solve and its projection apart, is guarded on its own (_each_trial): a
-    trial whose step fails is dropped from the stack, and only that step
-    reruns.
+    (filter_fixed_terms, power_fixed_terms), and while every trial is still
+    active the steps index the stack with a slice, not a copied fancy index.
+    A trial whose step fails raises its TrialFailure for the whole stack;
+    harness._design_stack finds the failed trials by bisection.
     """
     trials, hops, M, K = X.shape
     if blocks is not None and (blocks < 1 or K % blocks):
         raise ValueError(f"{blocks} blocks do not split {K} users evenly")
     sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (trials,))
     max_iters = 0 if blocks is None else config.max_iters
-    errors = [None] * trials
     amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
-    a_ls, a_new = np.empty_like(amps), np.empty_like(amps)
-    gram = np.empty((trials, K * hops, K * hops), dtype=complex)
-    F = np.empty_like(gram)
-    Y = np.empty((trials, K * hops, K), dtype=complex)
-    mse = np.empty(trials)
-    W = np.full((trials, hops * M, K), np.nan, dtype=complex)
     trace = []  # per iteration, the MSE of each trial's filter step
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
-
-    active = _each_trial(lambda t: link_factors(X[t], omega[t]),
-                         np.arange(trials), errors, (gram, F))
-    B, B_conj, noise = filter_fixed_terms(F, hops, sigma2)
-
-    def filters(t):
-        return filter_step(gram[t], F[t], sigma2[t], amps[t],
-                           (B[t], B_conj[t], noise[t]))
-
+    gram, F = link_factors(X, omega)
+    fixed = filter_fixed_terms(F, hops, sigma2)
     if blocks is not None:
         direct, omega_t = power_fixed_terms(omega, hops, blocks)
         loading = config.lam * np.eye(K * hops // blocks)
 
-    def power(t):
-        R_a, p_a = power_terms(gram[t] @ Y[t], amps[t], omega[t], blocks,
-                               (direct[t], omega_t[t]))
-        return _real_power_solve(R_a, p_a, config.lam,
-                                 loading).reshape(-1, K, hops),
-
-    def project(t):  # each block onto the sphere of its number of users
-        a_b = a_ls[t].reshape(-1, blocks, K * hops // blocks)
-        return nonnegative_amplitudes(a_b, K // blocks).reshape(-1, K, hops),
-
+    active = np.arange(trials)
     for it in range(1, max_iters + 1):
         if not active.size:
             break
-        active = _each_trial(filters, active, errors, (Y, mse))
-        if active.size:
-            trace.append(np.full(trials, np.nan))
-            trace[-1][active] = mse[active]
-        active = _each_trial(power, active, errors, (a_ls,))
-        active = _each_trial(project, active, errors, (a_new,))
-        now = slice(None) if active.size == trials else active
-        done = _relative_change(a_new[now], amps[now]) < config.tol
-        amps[now] = a_new[now]
-        iterations[now] = it
+        t = slice(None) if active.size == trials else active
+        Y, mse = filter_step(gram[t], F[t], sigma2[t], amps[t],
+                             tuple(term[t] for term in fixed))
+        trace.append(np.full(trials, np.nan))
+        trace[-1][t] = mse
+        R_a, p_a = power_terms(gram[t] @ Y, amps[t], omega[t], blocks,
+                               (direct[t], omega_t[t]))
+        a_ls = _real_power_solve(R_a, p_a, config.lam, loading)
+        # each block onto the sphere of its number of users
+        a_new = nonnegative_amplitudes(
+            a_ls.reshape(-1, blocks, K * hops // blocks),
+            K // blocks).reshape(-1, K, hops)
+        done = _relative_change(a_new, amps[t]) < config.tol
+        amps[t] = a_new
+        iterations[t] = it
         converged[active[done]] = True
         active = active[~done]
 
-    def outputs(t):  # W = U Y, hop j's rows X_j times hop j's rows of Y
-        Y_t, mse_t = filters(t)
-        Y_hops = Y_t.reshape(-1, K, hops, K).swapaxes(1, 2)
-        return (X[t] @ Y_hops).reshape(-1, hops * M, K), mse_t
-
-    live = np.array([t for t in range(trials) if errors[t] is None], dtype=int)
-    if live.size:
-        _each_trial(outputs, live, errors, (W, mse))
-    failed = [errors[t] is not None for t in range(trials)]
-    amps[failed] = mse[failed] = np.nan
+    # W = U Y, hop j's rows X_j times hop j's rows of Y
+    Y, mse = filter_step(gram, F, sigma2, amps, fixed)
+    W = (X @ Y.reshape(trials, K, hops, K).swapaxes(1, 2)).reshape(
+        trials, hops * M, K)
     return StackedDesign(W=W, amps=amps, mse=mse,
                          mse_trace=np.reshape(trace, (-1, trials)).T,
-                         iterations=iterations, converged=converged,
-                         errors=errors)
+                         iterations=iterations, converged=converged)
 
 
 def alternate(X: np.ndarray, sigma2: float, blocks: int,
@@ -508,8 +458,6 @@ def alternate(X: np.ndarray, sigma2: float, blocks: int,
     and the traced MSE takes the closed form of filter_step.
     """
     res = design(X[None], sigma2, blocks, config, omega[None])
-    if res.errors[0] is not None:
-        raise res.errors[0]
     W, amps, iterations = res.W[0], res.amps[0], int(res.iterations[0])
     trace = np.append(res.mse_trace[0, :iterations], res.mse[0])
     return AlternationResult(W=W, amps=amps, mse_trace=trace,

@@ -9,8 +9,11 @@ dense_link_waveforms forms from x_dest, h_true, the source-to-relay
 waveforms), of the design (W, amps), of the packet's bits, of its per-hop
 symbols S (relay hops filled in), of its soft outputs and of its per-symbol
 error counts. The designs of a point's
-trials are solved as one stack, as a sweep solves them. The bytes depend on
-the BLAS, so compare digests taken on one host.
+trials are solved as one stack (harness.PointDesigns); a sweep solves them in
+chunks that cross points (harness._run_points), and a trial's bytes are the
+same in any chunk (test_harness.py::TestMixedNoiseChunks). The bytes depend
+on the BLAS, so compare digests taken on one host. The script exits 0 when
+every digest is printed, whatever its value.
 
 adaptive_packet_digest does the same for adaptive packets at 9 dB: the
 per-symbol error counts, the squared amplitude norms and the relative

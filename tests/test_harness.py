@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -785,8 +786,9 @@ class TestPointDesigns:
         call, an empty stack without relays), and every trial keeps the
         bytes it gets alone: its relay banks, its link-symbol correlation,
         its filters and its amplitudes. A trial whose relay hears nothing
-        from one user fails the stack's bank; it is redone alone and alone
-        diverges, with the failed design recorded."""
+        from one user fails the stack's chain, which sets no relay banks;
+        _design_stack redoes the stack's halves until that trial stands
+        alone, and alone it diverges, with the failed design recorded."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", relays=relays,
                         users=3, trials=5)
@@ -809,26 +811,36 @@ class TestPointDesigns:
             return real(x_sr, sigma2)
 
         monkeypatch.setattr(harness, "mmse_relay_bank", bank)
-        omegas, kept, errors = harness._relay_chains(stacked)
-        assert stacks == ([5, 1, 1, 1, 1, 1] if relays else [5])
-        assert list(kept) == ([0, 1, 3, 4] if relays else list(range(5)))
+        if relays:
+            with pytest.raises(DegenerateStateError):
+                harness._relay_chains(stacked)
+            assert not any("relay_banks" in vars(scn) for scn in stacked)
+            assert stacks == [5]
+        designs = harness._design_stack(stacked, scheme, cfg)
+        # the whole stack, then its halves [0, 1] and [2, 3, 4], then [2]
+        # and [3, 4]
+        assert stacks == ([5, 5, 2, 3, 1, 2] if relays else [5])
         monkeypatch.undo()
+        kept = [t for t in range(5) if not (relays and t == 2)]
+        omegas = harness._relay_chains([stacked[t] for t in kept])
+        for omega, t in zip(omegas, kept):
+            assert omega.tobytes() == harness.scenario_omega(alone[t]).tobytes()
         point = PointDesigns(stacked)
         for t, (scn, lone) in enumerate(zip(stacked, alone)):
             rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
             res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
             if relays and t == 2:
-                assert isinstance(errors[t], DegenerateStateError)
+                assert isinstance(designs[t], DegenerateStateError)
                 assert res.diverged and res.extras["divergence"] == (
-                    "design", None, f"DegenerateStateError: {errors[t]}")
+                    "design", None, f"DegenerateStateError: {designs[t]}")
                 assert "relay_banks" not in vars(scn)
                 continue
-            assert not res.diverged and errors[t] is None
+            assert not res.diverged
             for got, want in zip(vars(scn)["relay_banks"], lone.relay_banks):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-            assert (omegas[t].tobytes()
-                    == harness.scenario_omega(lone).tobytes())
+            for got, want in zip(designs[t], design_exact(lone, scheme, cfg)):
+                assert got.tobytes() == want.tobytes()
             for got, want in zip(design_exact(scn, scheme, cfg, point),
                                  design_exact(lone, scheme, cfg)):
                 assert got.tobytes() == want.tobytes()
@@ -863,6 +875,93 @@ class TestPointDesigns:
         monkeypatch.setattr(harness, "_DESIGN_CHUNK", 1)
         assert run_experiment(cfg).rows == chunked.rows
         assert stacks[2:] == [1] * (chunk + 3)
+
+
+def failure_cases():
+    """(T, failed trials) of a stack of 7 and one of 8: no failure, one at
+    the first, the middle or the last trial, and two."""
+    return [(T, bad) for T in (7, 8)
+            for bad in ((), (0,), (T // 2,), (T - 1,), (1, T - 2), (2, 3))]
+
+
+class TestDesignStackBisection:
+    """_design_stack keeps a failure to its own trial by running the failed
+    stack's halves again (_bisect_failures)."""
+
+    @pytest.mark.parametrize("T,bad", [(1, ()), (1, (0,))] + failure_cases())
+    def test_each_trial_is_written_once(self, T, bad):
+        """With a step that fails on chosen trials, each failed trial records
+        its own failure once, each kept trial its own result once, and the
+        step runs at most 1 + 2 f ceil(log2 T) times for f failures."""
+        from coopcdma import harness
+        calls, writes = [], []
+
+        def step(trials):
+            calls.append(trials)
+            for t in trials:
+                if t in bad:
+                    raise DegenerateStateError(f"trial {t}")
+            return [("design", t) for t in trials]
+
+        class Out(dict):
+            def __setitem__(self, t, value):
+                writes.append(t)
+                super().__setitem__(t, value)
+
+        out = Out()
+        harness._bisect_failures(step, range(T), out)
+        assert sorted(writes) == list(range(T))
+        for t in range(T):
+            if t in bad:
+                assert type(out[t]) is DegenerateStateError
+                assert str(out[t]) == f"trial {t}"
+            else:
+                assert out[t] == ("design", t)
+        assert len(calls) <= 1 + 2 * len(bad) * math.ceil(math.log2(T))
+        assert len(calls) == 1 or bad
+
+    @pytest.mark.parametrize("T,bad", [case for case in failure_cases()
+                                       if case[1]])
+    @pytest.mark.parametrize("scheme,poison", [
+        ("cis", nan_waveform), ("jpais-gpc", nan_waveform),
+        ("jpais-ipc", nan_waveform), ("cis", dead_relay),
+        ("jpais-gpc", dead_relay), ("jpais-ipc", dead_relay),
+        ("jpais-gpc", zero_waveforms), ("jpais-ipc", zero_waveforms),
+        ("cis", nan_relay), ("jpais-gpc", nan_relay),
+        ("jpais-ipc", nan_relay)])
+    def test_kept_trials_have_the_clean_stacks_bytes(self, scheme, poison, T,
+                                                     bad):
+        """Poisoned trials in a stack of 7 or 8 fail with the error type and
+        message of their lone design; every other trial's filters,
+        amplitudes and relay banks are byte-equal to the clean stack's."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="exact", trials=T)
+        dims = cfg.dims()
+
+        def draw(t, poisoned):
+            scn = draw_scenario(dims, codes_for(cfg, dims.K),
+                                snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                trial_rngs(cfg.seed, t)[0],
+                                isi_enabled=cfg.isi)
+            if poisoned:
+                poison(scn, np.random.default_rng(t))
+            return scn
+
+        clean = [draw(t, False) for t in range(T)]
+        scns = [draw(t, t in bad) for t in range(T)]
+        want = harness._design_stack(clean, scheme, cfg)
+        got = harness._design_stack(scns, scheme, cfg)
+        for t in range(T):
+            if t in bad:
+                with pytest.raises(TrialFailure) as lone:
+                    design_exact(draw(t, True), scheme, cfg)
+                assert type(got[t]) is type(lone.value)
+                assert str(got[t]) == str(lone.value)
+                continue
+            for a, b in zip((*got[t], *vars(scns[t])["relay_banks"]),
+                            (*want[t], *vars(clean[t])["relay_banks"])):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 def recorded_packets(monkeypatch, run):

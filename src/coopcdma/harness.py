@@ -12,6 +12,9 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +31,12 @@ VARIANTS = ("exact", "adaptive")
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
 # (point, trial) pairs of a sweep drawn and designed at once, the desk trials
-# per point; a chunk crosses points that hold fewer trials. A --full-scale
-# point of 1000 trials holds one chunk's scenarios and designs at a time: at
-# the desk configuration about 4.5 MB more peak RSS than one trial at a time,
-# the same at 100 and at 1000 trials per point; 4 points of 8 trials, one
-# chunk of 32, hold about 0.7 MB more than 8 trials at a time
+# per point, taken trial by trial: a chunk holds every point of several
+# trials, and a trial's points can span two chunks. A sweep holds one
+# chunk's scenarios and designs and one trial's draws at a time: a desk
+# jpais-gpc sweep of 7 points peaks at about 4.7 MB more RSS than one trial
+# at a time (chunks of 7), the same at 100 and at 1000 trials per point; 4
+# points of 8 trials, one chunk of 32, about 0.8 MB more than chunks of 4
 _DESIGN_CHUNK = 100
 
 
@@ -207,15 +211,21 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
                     h_true=h_true, isi_enabled=isi_enabled)
 
 
-def _noise_matrix(shape, sigma2: float, rng: np.random.Generator,
+def _noise_matrix(normals, sigma2: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """White complex noise of variance sigma2, written into out if given."""
-    out = np.empty(shape, dtype=complex) if out is None else out
-    # real and imaginary parts written in place, drawn in that order: the
-    # same values as scale * (a + 1j * b) without the complex temporaries
+    """White complex noise of variance sigma2 from the unit normals of its
+    real parts, then of its imaginary parts, that normals holds (a (2, ...)
+    array) or yields (drawn one part at a time, so that one part is held at
+    a time); written into out if given."""
     scale = np.sqrt(sigma2 / 2.0)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    normals = iter(normals)
+    part = next(normals)
+    out = np.empty(part.shape, dtype=complex) if out is None else out
+    # written in place: the same values as scale * (a + 1j * b) without the
+    # complex temporaries
+    np.multiply(part, scale, out=out.real)
+    del part  # freed before the imaginary parts are drawn
+    np.multiply(next(normals), scale, out=out.imag)
     return out
 
 
@@ -243,12 +253,6 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
     return PacketResult(bit_errors=int(err_symbol[T:].sum()),
                         payload_bits=2 * (P - T) * K,
                         per_symbol_errors=err_symbol, **fields)
-
-
-def scenario_omega(scn: Scenario) -> np.ndarray:
-    """Link-symbol correlation matrix for the scenario's relay chain: the
-    chain of a stack of one (_relay_chains), whose TrialFailure it raises."""
-    return _relay_chains([scn])[0]
 
 
 def _relay_chains(scenarios: list) -> np.ndarray:
@@ -373,18 +377,41 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     return point.design(scn, scheme, cfg)
 
 
-def _packet_symbols(scn: Scenario, rng_data: np.random.Generator):
+def _packet_symbols(dims: SystemDims, rng_data: np.random.Generator):
     """Payload bits and the hops x K x (P + 2) per-hop symbol array.
 
     Hop 0 carries the source symbols; the relay hops are filled in by the
     caller. Column 0 and column P + 1 stay zero: the neighbours of the first
     and last symbol.
     """
-    dims = scn.dims
     bits = rng_data.integers(0, 2, size=(dims.K, dims.P, 2))
     S = np.zeros((dims.hops, dims.K, dims.P + 2), dtype=complex)
     S[0, :, 1:-1] = modulate_qpsk(bits)
     return bits, S
+
+
+class TrialDraws(NamedTuple):
+    """An exact trial's data and noise, which its packets share at every SNR
+    point: the K x P x 2 payload bits, the hops x K x (P + 2) per-hop
+    symbols (_packet_symbols; each packet fills in the relay hops before it
+    reads them) and, per filter bank in the order relay 1, ..., relay n_r,
+    destination, the (2, rows, P) unit normals of its filtered noise."""
+
+    bits: np.ndarray
+    symbols: np.ndarray
+    normals: list
+
+
+def exact_draws(dims: SystemDims, rng_data: np.random.Generator,
+                rng_noise: np.random.Generator) -> TrialDraws:
+    """The bits from rng_data and the unit normals from rng_noise of an exact
+    trial. A bank's rows are those of its filters' QR factor
+    (_filtered_noise): min(M, K) for a relay, min(hops*M, K) for the
+    destination, K at the desk configuration."""
+    bits, S = _packet_symbols(dims, rng_data)
+    rows = [min(dims.M, dims.K)] * dims.n_r + [min(dims.stack, dims.K)]
+    return TrialDraws(bits, S, [rng_noise.standard_normal((2, r, dims.P))
+                                for r in rows])
 
 
 def _relay_frames(scn: Scenario, S0: np.ndarray,
@@ -394,19 +421,21 @@ def _relay_frames(scn: Scenario, S0: np.ndarray,
     dims = scn.dims
     frames = np.empty((dims.n_r, dims.M, dims.P), dtype=complex)
     for R, X in zip(frames, scn.x_sr):
-        _noise_matrix(R.shape, scn.sigma2, rng_noise, out=R)
+        _noise_matrix((rng_noise.standard_normal(R.shape) for _ in "ri"),
+                      scn.sigma2, out=R)
         add_hop_frames(R, X, S0, 1.0, scn.spill)
     return frames
 
 
-def _filtered_noise(W: np.ndarray, sigma2: float, P: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """W^H n over P symbols, n white chip noise of variance sigma2, drawn in
-    W's K columns: W^H n ~ CN(0, sigma2 W^H W), coloured by R^H of W = QR.
-    Unlike a Cholesky factor of W^H W, the QR factor exists for a
-    rank-deficient W."""
+def _filtered_noise(W: np.ndarray, sigma2: float,
+                    normals: np.ndarray) -> np.ndarray:
+    """W^H n over P symbols, n white chip noise of variance sigma2, formed
+    from the (2, rows, P) unit normals of W's rows of R:
+    W^H n ~ CN(0, sigma2 W^H W), coloured by R^H of W = QR. Unlike a
+    Cholesky factor of W^H W, the QR factor exists for a rank-deficient
+    W."""
     R = np.linalg.qr(W, mode="r")
-    return R.conj().T @ _noise_matrix((R.shape[0], P), sigma2, rng)
+    return R.conj().T @ _noise_matrix(normals, sigma2)
 
 
 def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
@@ -428,18 +457,18 @@ def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
 
 
 def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
-                       S: np.ndarray,
-                       rng_noise: np.random.Generator) -> np.ndarray:
+                       S: np.ndarray, normals: list) -> np.ndarray:
     """Destination soft outputs W^H r (K x P) of a whole packet under fixed
     filters and amplitudes; fills in S's relay hops with the symbols
     g * Wr^H r_j the relays forward. Every output is formed from filtered
-    frames and filtered noise, without a chip window."""
-    P = scn.dims.P
-    for j, (X, Wr, g) in enumerate(zip(scn.x_sr, *scn.relay_banks)):
-        y = _filtered_noise(Wr, scn.sigma2, P, rng_noise)
+    frames and filtered noise, without a chip window: normals holds each
+    filter bank's unit normals (TrialDraws.normals)."""
+    for j, (X, Wr, g, Z) in enumerate(zip(scn.x_sr, *scn.relay_banks,
+                                          normals)):
+        y = _filtered_noise(Wr, scn.sigma2, Z)
         add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
         S[j + 1, :, 1:-1] = y * g[:, None]
-    soft = _filtered_noise(W, scn.sigma2, P, rng_noise)
+    soft = _filtered_noise(W, scn.sigma2, normals[-1])
     # hop j's filter rows W_j see only hop j's links
     for X, W_j, S_j, a in zip(scn.x_dest, W.reshape(scn.x_dest.shape), S,
                               amps.T):
@@ -448,17 +477,15 @@ def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
 
 
 def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
-                          cfg: ExperimentConfig, rng_data: np.random.Generator,
-                          rng_noise: np.random.Generator) -> PacketResult:
-    """Vectorized packet simulation with fixed filters and amplitudes.
-
-    The data come from rng_data. The noise comes from rng_noise, drawn
-    filtered, K x P per filter bank, in the order relay 1, ..., relay n_r,
-    destination.
-    """
-    bits, S = _packet_symbols(scn, rng_data)
-    return _packet_result(exact_soft_outputs(scn, W, amps, S, rng_noise),
-                          bits, cfg.training_len)
+                          cfg: ExperimentConfig,
+                          draws: TrialDraws) -> PacketResult:
+    """Vectorized packet simulation with fixed filters and amplitudes, on
+    its trial's bits and unit-normal noise (exact_draws), which every point
+    of the trial shares: only the noise scale sqrt(sigma2 / 2) is the
+    packet's own."""
+    return _packet_result(exact_soft_outputs(scn, W, amps, draws.symbols,
+                                             draws.normals),
+                          draws.bits, cfg.training_len)
 
 
 def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
@@ -490,10 +517,11 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     hops, stack = dims.hops, dims.stack
     T = cfg.training_len
 
-    bits, S = _packet_symbols(scn, rng_data)
+    bits, S = _packet_symbols(dims, rng_data)
     B = S[0, :, 1:-1]
     relay_obs = _relay_frames(scn, S[0], rng_noise)
-    noise_dest = _noise_matrix((stack, P), scn.sigma2, rng_noise)
+    noise_dest = _noise_matrix((rng_noise.standard_normal((stack, P))
+                                for _ in "ri"), scn.sigma2)
 
     # common initialization draws, identical across schemes for stream parity,
     # of each link's taps, user-major, regrouped per hop as (hops, K*L)
@@ -598,22 +626,32 @@ def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_data: np.random.Generator, rng_noise: np.random.Generator,
                rng_init: np.random.Generator,
                point: PointDesigns | None = None) -> PacketResult:
-    """Simulate one packet under the configured scheme and variant; an exact
-    packet's design comes from point when given (design_exact). A packet
-    whose design failed diverges before its first symbol, and records
-    extras["divergence"] = ("design", None, reason)."""
+    """Simulate one packet under the configured scheme and variant. An
+    exact packet draws its trial's bits and noise (exact_draws), as a sweep
+    does once for all of a trial's points, and runs as a sweep's packet
+    does (_exact_packet); its design comes from point when given."""
     if cfg.variant == "exact":
-        try:
-            W, amps = design_exact(scn, cfg.scheme, cfg, point)
-        except TrialFailure as exc:  # diverged before its first symbol
-            K, P = scn.dims.K, scn.dims.P
-            divergence = ("design", None, f"{type(exc).__name__}: {exc}")
-            return _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),
-                                  cfg.training_len, diverged=True,
-                                  extras={"divergence": divergence})
-        return simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
+        return _exact_packet(cfg, scn, exact_draws(scn.dims, rng_data,
+                                                   rng_noise), point)
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
                                     rng_init)
+
+
+def _exact_packet(cfg: ExperimentConfig, scn: Scenario, draws: TrialDraws,
+                  point: PointDesigns | None) -> PacketResult:
+    """An exact packet on its trial's draws, designed through design_exact
+    (from point when given). A packet whose design failed diverges before
+    its first symbol, and records extras["divergence"] = ("design", None,
+    reason)."""
+    try:
+        W, amps = design_exact(scn, cfg.scheme, cfg, point)
+    except TrialFailure as exc:  # diverged before its first symbol
+        K, P = scn.dims.K, scn.dims.P
+        divergence = ("design", None, f"{type(exc).__name__}: {exc}")
+        return _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),
+                              cfg.training_len, diverged=True,
+                              extras={"divergence": divergence})
+    return simulate_packet_exact(scn, W, amps, cfg, draws)
 
 
 @dataclass
@@ -651,30 +689,56 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
 
 def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
                    codes: np.ndarray, pairs: list):
-    """The packet of each (sigma2, trial) pair of a chunk, None for each that
-    diverged. The chunk's scenarios are drawn first, each from its trial's
-    own trial_rngs stream at its own noise level, and on the exact path
-    designed as one stack (PointDesigns), whatever their points, when the
-    first packet asks for its design; a trial whose design fails diverges
-    alone (run_packet)."""
-    rngs = [trial_rngs(cfg.seed, t) for _, t in pairs]
-    scenarios = [draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
-                               rng_ch, isi_enabled=cfg.isi)
-                 for (sigma2, _), (rng_ch, *_) in zip(pairs, rngs)]
-    point = PointDesigns(scenarios) if cfg.variant == "exact" else None
-    for scn, (_, rng_data, rng_noise, rng_init) in zip(scenarios, rngs):
-        res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
-        yield None if res.diverged else res
+    """The PacketResult of each (sigma2, trial) pair of a chunk, in the
+    order of pairs, which holds each trial's pairs together. Each trial's
+    scenario is drawn once, from its own trial_rngs stream, and serves all
+    of its points: one Scenario per noise level, sharing the channel. On
+    the exact path the chunk's scenarios are designed as one stack
+    (PointDesigns), whatever their points, when the first packet asks for
+    its design; a trial whose design fails diverges alone (_exact_packet).
+    The trials' packets then run one trial at a time (_trial_packets)."""
+    trials = []
+    for t, group in groupby(pairs, key=itemgetter(1)):
+        levels = [sigma2 for sigma2, _ in group]
+        rngs = trial_rngs(cfg.seed, t)
+        scn = draw_scenario(dims, codes, levels[0], cfg.shadowing_std_db,
+                            rngs[0], isi_enabled=cfg.isi)
+        trials.append((t, rngs, [scn] + [replace(scn, sigma2=sigma2)
+                                         for sigma2 in levels[1:]]))
+    point = (PointDesigns([scn for *_, scns in trials for scn in scns])
+             if cfg.variant == "exact" else None)
+    for t, rngs, scns in trials:
+        yield from _trial_packets(cfg, t, rngs, scns, point)
+
+
+def _trial_packets(cfg: ExperimentConfig, t: int, rngs: tuple,
+                   scenarios: list, point: PointDesigns | None):
+    """Trial t's packet at each of its scenarios, with rngs its unused
+    trial_rngs streams. An exact trial draws its bits and noise once
+    (exact_draws), and each point's packet scales the same unit normals to
+    its own noise level; the draws are freed after the trial's last packet.
+    An adaptive packet draws its own from fresh streams, so that no packet
+    continues a generator that another packet consumed."""
+    if point is None:
+        for scn in scenarios:
+            yield run_packet(cfg, scn, *trial_rngs(cfg.seed, t)[1:])
+        return
+    draws = exact_draws(scenarios[0].dims, rngs[1], rngs[2])
+    for scn in scenarios:
+        yield _exact_packet(cfg, scn, draws, point)
 
 
 def _run_points(cfg: ExperimentConfig, snrs) -> list:
     """Every trial of cfg at each SNR of snrs: per point, the BERs of the
     packets that kept going, in trial order, the number that diverged, and
     the kept packets' summed per-symbol errors. The (point, trial) pairs run
-    in that order in chunks of _DESIGN_CHUNK (_chunk_packets), so a chunk
-    crosses points when a point holds fewer trials; one chunk's scenarios are
-    held at a time. Each trial draws from its own streams and is designed at
-    its own noise level, so its packet has the bits it gets in any chunk."""
+    trial by trial, every point of trial t before trial t + 1, in chunks of
+    _DESIGN_CHUNK (_chunk_packets): a chunk holds the points of several
+    trials, and a trial's points can span two chunks. One chunk's scenarios
+    and designs and one trial's draws are held at a time; each result is
+    counted as it comes. Each trial draws from its own streams and is
+    designed at each point's own noise level, so its packets have the bits
+    they get in any chunk and when run alone (run_packet)."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     sigma2 = [snr_db_to_sigma2(snr) for snr in snrs]
@@ -683,12 +747,13 @@ def _run_points(cfg: ExperimentConfig, snrs) -> list:
     per_symbol = np.zeros((len(snrs), dims.P), dtype=np.int64)
     total = len(snrs) * cfg.trials
     for start in range(0, total, _DESIGN_CHUNK):
-        chunk = [divmod(i, cfg.trials)
+        # (trial, point) of each pair of the chunk
+        chunk = [divmod(i, len(snrs))
                  for i in range(start, min(start + _DESIGN_CHUNK, total))]
         packets = _chunk_packets(cfg, dims, codes,
-                                 [(sigma2[p], t) for p, t in chunk])
-        for (p, _), res in zip(chunk, packets):
-            if res is None:
+                                 [(sigma2[p], t) for t, p in chunk])
+        for (_, p), res in zip(chunk, packets):
+            if res.diverged:
                 divergences[p] += 1
                 continue
             bers[p].append(res.bit_errors / res.payload_bits)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coopcdma import harness
 from coopcdma.model import (SystemDims, add_hop_frames,
                             build_convolution_matrix, draw_spreading_codes,
                             generate_multipath_channel)
@@ -64,6 +65,13 @@ def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
     for j, X in enumerate(scn.x_dest):
         add_hop_frames(out[j * M:(j + 1) * M], X, S[j], amps[:, j:j + 1],
                        scn.spill)
+
+
+def scenario_omega(scn) -> np.ndarray:
+    """The link-symbol correlation matrix of the scenario's relay chain: its
+    chain in a stack of one (harness._relay_chains), whose TrialFailure it
+    raises. The oracle of each trial's slice of a stacked chain."""
+    return harness._relay_chains([scn])[0]
 
 
 def poisoned(A: np.ndarray, value: complex,

@@ -7,11 +7,12 @@ as a readable scorecard.
 
 import numpy as np
 
-from conftest import dense_link_waveforms
+from conftest import dense_link_waveforms, scenario_omega
 from coopcdma import cli, gpc, mmse
 from coopcdma.harness import (ExperimentConfig, capacity_at_target, codes_for,
-                              design_exact, draw_scenario, power_blocks,
-                              run_experiment, run_user_sweep, scenario_omega,
+                              design_exact, draw_scenario, exact_draws,
+                              power_blocks,
+                              run_experiment, run_user_sweep,
                               simulate_packet_adaptive, simulate_packet_exact,
                               snr_db_to_sigma2, trial_rngs)
 from coopcdma.model import modulate_qpsk
@@ -202,7 +203,8 @@ class TestAcceptance:
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                 rngs[0])
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg, rngs[1], rngs[2])
+            res = simulate_packet_exact(scn, W, amps, cfg,
+                                        exact_draws(dims, rngs[1], rngs[2]))
             errs_exact += int(res.per_symbol_errors[tail].sum())
             rngs = trial_rngs(cfg.seed, trial)
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,

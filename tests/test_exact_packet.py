@@ -18,14 +18,22 @@ def chip_soft_outputs(scn, W, amps, S, rng_noise):
     relay_obs = harness._relay_frames(scn, S[0], rng_noise)
     Wr, g = scn.relay_banks
     S[1:, :, 1:-1] = (Wr.conj().swapaxes(-1, -2) @ relay_obs) * g[..., None]
-    frames = harness._noise_matrix((dims.stack, dims.P), scn.sigma2, rng_noise)
+    frames = harness._noise_matrix(
+        rng_noise.standard_normal((2, dims.stack, dims.P)), scn.sigma2)
     add_destination_frames(frames, scn, S, amps)
     return W.conj().T @ frames
 
 
-def chip_filtered_noise(W, sigma2, P, rng):
-    """W^H n of chip noise n drawn as the oracle draws it."""
-    return W.conj().T @ harness._noise_matrix((W.shape[0], P), sigma2, rng)
+def chip_normals(dims, rng):
+    """Each filter bank's (2, chip rows, P) unit normals, drawn as the
+    oracle draws its chip noise."""
+    return [rng.standard_normal((2, rows, dims.P))
+            for rows in [dims.M] * dims.n_r + [dims.stack]]
+
+
+def chip_filtered_noise(W, sigma2, normals):
+    """W^H n of the chip noise n of the bank's chip normals."""
+    return W.conj().T @ harness._noise_matrix(normals, sigma2)
 
 
 def packet_inputs(scheme, relays, isi):
@@ -47,12 +55,13 @@ def test_symbol_domain_matches_chip_oracle(scheme, relays, isi, monkeypatch):
     """With the same chip noise injected, the symbol-domain relay symbols and
     destination soft outputs are the chip-domain ones."""
     cfg, scn, W, amps = packet_inputs(scheme, relays, isi)
-    _, S_ref = harness._packet_symbols(scn, harness.trial_rngs(cfg.seed, 0)[1])
+    _, S_ref = harness._packet_symbols(scn.dims,
+                                       harness.trial_rngs(cfg.seed, 0)[1])
     S = S_ref.copy()
     ref = chip_soft_outputs(scn, W, amps, S_ref, np.random.default_rng(11))
     monkeypatch.setattr(harness, "_filtered_noise", chip_filtered_noise)
-    got = harness.exact_soft_outputs(scn, W, amps, S,
-                                     np.random.default_rng(11))
+    got = harness.exact_soft_outputs(
+        scn, W, amps, S, chip_normals(scn.dims, np.random.default_rng(11)))
     assert got.shape == (scn.dims.K, scn.dims.P)
     assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -70,7 +79,7 @@ def test_filtered_noise_covariance():
     rng = np.random.default_rng(3)
     W = random_filters(18, 4, rng)
     sigma2, P = 0.3, 200_000
-    z = harness._filtered_noise(W, sigma2, P, rng)
+    z = harness._filtered_noise(W, sigma2, rng.standard_normal((2, 4, P)))
     assert z.shape == (4, P)
     cov = sigma2 * (W.conj().T @ W)
     sample = z @ z.conj().T / P
@@ -87,28 +96,62 @@ def test_repeated_filter_gives_finite_noise():
     W = np.hstack([W, W[:, :1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = harness._filtered_noise(W, 0.5, 1000, rng)
+        z = harness._filtered_noise(W, 0.5, rng.standard_normal((2, 4, 1000)))
     assert z.shape == (4, 1000)
     assert np.all(np.isfinite(z))
     assert np.abs(z[3] - z[0]).max() <= 1e-12 * np.abs(z[0]).max()
 
 
 def test_noise_draw_order_is_relays_then_destination(monkeypatch):
-    """One K x P draw per filter bank, relay 1 first and the destination
-    last."""
+    """One K x P draw of real, then imaginary parts per filter bank, relay 1
+    first and the destination last, each bank filtering its own."""
     cfg, scn, W, amps = packet_inputs("cis", 2, True)
+    dims = scn.dims
     banks = []
 
-    def record(W_bank, sigma2, P, rng):
-        banks.append(W_bank)
-        return np.zeros((W_bank.shape[1], P), dtype=complex)
+    def record(W_bank, sigma2, normals):
+        banks.append((W_bank, normals))
+        return np.zeros((W_bank.shape[1], dims.P), dtype=complex)
 
     monkeypatch.setattr(harness, "_filtered_noise", record)
-    _, S = harness._packet_symbols(scn, harness.trial_rngs(cfg.seed, 0)[1])
-    harness.exact_soft_outputs(scn, W, amps, S, np.random.default_rng(0))
+    _, rng_data, rng_noise, _ = harness.trial_rngs(cfg.seed, 0)
+    draws = harness.exact_draws(dims, rng_data, rng_noise)
+    harness.exact_soft_outputs(scn, W, amps, draws.symbols, draws.normals)
     expected = [*scn.relay_banks[0], W]
-    assert len(banks) == len(expected)
-    assert all(np.array_equal(got, want) for got, want in zip(banks, expected))
+    assert len(banks) == len(expected) == len(draws.normals)
+    for (got, normals), want, drawn in zip(banks, expected, draws.normals):
+        assert np.array_equal(got, want) and normals is drawn
+    rng = harness.trial_rngs(cfg.seed, 0)[2]
+    for normals in draws.normals:
+        for part in normals:
+            assert part.tobytes() == rng.standard_normal(
+                (dims.K, dims.P)).tobytes()
+
+
+@pytest.mark.parametrize("users,chips,relays", [(4, 16, 2), (9, 4, 2),
+                                                (30, 4, 1), (2, 8, 0)])
+def test_normals_have_each_banks_qr_rows(users, chips, relays):
+    """A bank's unit normals have the rows of its filters' R factor:
+    min(M, K) for a relay, min(hops*M, K) for the destination, also with
+    more users than chips per window."""
+    cfg = harness.ExperimentConfig(users=users, chips=chips, relays=relays,
+                                   packet_len=12, training_len=4,
+                                   scheme="cis", seed=2)
+    dims = cfg.dims()
+    scn = harness.draw_scenario(dims, harness.codes_for(cfg, dims.K),
+                                harness.snr_db_to_sigma2(6.0),
+                                cfg.shadowing_std_db,
+                                harness.trial_rngs(cfg.seed, 0)[0])
+    W, amps = harness.design_exact(scn, "cis", cfg)
+    draws = harness.exact_draws(dims, *harness.trial_rngs(cfg.seed, 0)[1:3])
+    banks = [*scn.relay_banks[0], W]
+    assert len(draws.normals) == len(banks)
+    for normals, bank in zip(draws.normals, banks):
+        rows = np.linalg.qr(bank, mode="r").shape[0]
+        assert normals.shape == (2, rows, dims.P)
+    soft = harness.exact_soft_outputs(scn, W, amps, draws.symbols,
+                                      draws.normals)
+    assert soft.shape == (dims.K, dims.P) and np.all(np.isfinite(soft))
 
 
 @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])

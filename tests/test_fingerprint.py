@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import dense_link_waveforms
+from conftest import dense_link_waveforms, scenario_omega
 from coopcdma import harness, mmse
 
 PAYLOAD_BITS = 2 * (1500 - 200) * 4
@@ -106,7 +106,7 @@ def test_exact_alternation(seed, snr_db, mode):
     scn = desk_scenario(cfg, snr_db, harness.trial_rngs(seed, 0)[0])
     users_per_block, lam = harness.power_blocks("jpais-" + mode, cfg,
                                                 scn.dims.K)
-    omega = harness.scenario_omega(scn)
+    omega = scenario_omega(scn)
     res = mmse.alternate(scn.x_dest, scn.sigma2,
                          scn.dims.K // users_per_block, cfg.mmse_config(lam),
                          omega=omega)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import coopcdma
-from conftest import poisoned, stacked_signature
+from conftest import poisoned, scenario_omega, stacked_signature
 from coopcdma import cli, gpc, mmse
 from coopcdma.errors import (ConfigError, DegenerateStateError,
                              IllConditionedError, NumericalDivergenceError,
@@ -16,7 +16,8 @@ from coopcdma.errors import (ConfigError, DegenerateStateError,
 from coopcdma.harness import (BerCurve, ExperimentConfig, PointDesigns,
                               _noise_matrix, _packet_result, _run_points,
                               capacity_at_target, codes_for, design_exact,
-                              draw_scenario, learning_curve, run_experiment,
+                              draw_scenario, exact_draws, learning_curve,
+                              run_experiment,
                               run_packet, run_user_sweep,
                               simulate_packet_exact, snr_db_to_sigma2,
                               trial_rngs)
@@ -87,9 +88,10 @@ class TestConfig:
             self, grid, monkeypatch):
         """Each count of the grid is checked as ExperimentConfig.users is,
         and an empty grid refused, before any packet runs: 2.5 no longer runs
-        as 2, nor [] as an empty curve."""
+        as 2, nor [] as an empty curve. No scenario is drawn, so no packet
+        runs."""
         from coopcdma import harness
-        monkeypatch.setattr(harness, "run_packet",
+        monkeypatch.setattr(harness, "draw_scenario",
                             lambda *a, **k: pytest.fail("a packet ran"))
         with pytest.raises(ConfigError, match="^users: "):
             run_user_sweep(small_cfg(users=3, trials=1, snr_grid=(12.0,)),
@@ -208,18 +210,23 @@ class TestHelpers:
         assert "TrialFailure" in coopcdma.__all__
 
     def test_noise_matrix_bitwise_matches_complex_expression(self):
-        """In-place fill equals scale*(a + 1j*b) drawn from the same state."""
+        """In-place fill equals scale*(a + 1j*b) drawn from the same state:
+        one (2, *shape) draw is a then b, as is a generator that draws a,
+        then b."""
         sigma2 = 0.37
         scale = np.sqrt(sigma2 / 2.0)
         shape = (54, 150)
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        rng_a, rng_b, rng_c = (np.random.default_rng(7) for _ in range(3))
         ref = scale * (rng_a.standard_normal(shape)
                        + 1j * rng_a.standard_normal(shape))
-        out = _noise_matrix(shape, sigma2, rng_b)
-        assert out.dtype == np.complex128 and out.shape == shape
-        assert np.array_equal(out, ref)
-        # both generators consumed the same draws
-        assert rng_a.random() == rng_b.random()
+        out = _noise_matrix(rng_b.standard_normal((2, *shape)), sigma2)
+        drawn = _noise_matrix((rng_c.standard_normal(shape) for _ in "ri"),
+                              sigma2)
+        for got in (out, drawn):
+            assert got.dtype == np.complex128 and got.shape == shape
+            assert np.array_equal(got, ref)
+        # the generators consumed the same draws
+        assert rng_a.random() == rng_b.random() == rng_c.random()
 
 
 class TestPacketResult:
@@ -286,7 +293,8 @@ class TestSchemeParity:
                 res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
                 return None, res.per_symbol_errors
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg, rng_data, rng_noise)
+            res = simulate_packet_exact(scn, W, amps, cfg,
+                                        exact_draws(dims, rng_data, rng_noise))
             return W, res.per_symbol_errors
 
         for scheme, users in (("jpais-ipc", 2), ("jpais-ipc", 3),
@@ -389,13 +397,14 @@ class TestAggregation:
 
     def test_fixed_snr_runs_refuse_an_snr_grid(self, monkeypatch):
         """A user sweep or learning curve over two SNRs raises before any
-        packet runs, instead of running only the first SNR."""
+        packet runs, instead of running only the first SNR: no scenario is
+        drawn."""
         from coopcdma import harness
 
         def no_packet(*args, **kwargs):
             raise AssertionError("a packet ran")
 
-        monkeypatch.setattr(harness, "run_packet", no_packet)
+        monkeypatch.setattr(harness, "draw_scenario", no_packet)
         cfg = small_cfg(snr_grid=(0.0, 18.0))
         with pytest.raises(ConfigError, match="snr_grid"):
             run_user_sweep(cfg, [2, 3])
@@ -472,10 +481,10 @@ class TestAggregation:
                 out[1, 2, relay_symbol] = np.nan
             return out
 
-        def noise(shape, *args, **kwargs):
-            out = real_noise(shape, *args, **kwargs)
-            if destination_symbol is not None and shape == (dims.stack,
-                                                            dims.P):
+        def noise(normals, *args, **kwargs):
+            out = real_noise(normals, *args, **kwargs)
+            if destination_symbol is not None and out.shape == (dims.stack,
+                                                                dims.P):
                 out[5, destination_symbol] = np.nan
             return out
 
@@ -643,7 +652,10 @@ class TestAggregation:
 
 
 def dead_relay(scn, rng):
-    """The first relay hears nothing from user 0: its MMSE bank fails."""
+    """The first relay hears nothing from user 0: its MMSE bank fails. The
+    scenario gets waveforms of its own, so that the scenarios of the
+    trial's other points keep theirs."""
+    scn.x_sr = scn.x_sr.copy()
     scn.x_sr[0][:, 0] = 0.0
 
 
@@ -662,39 +674,63 @@ def zero_waveforms(scn, rng):
     scn.x_dest = np.zeros_like(scn.x_dest)
 
 
+def trial_of(rng_ch) -> int:
+    """The trial index of a trial_rngs channel stream."""
+    return rng_ch.bit_generator.seed_seq.entropy[2]
+
+
 def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
-                results=None):
-    """run_experiment of an exact cfg, with poison applied to the scenario
-    of one trial, and the PacketResult of each trial that reached its packet
-    simulation, by trial index. Given a dict results, it also collects the
-    PacketResult that run_packet returned for each trial."""
+                poisoned_points=None, results=None):
+    """run_experiment of an exact cfg, with poison applied to the scenarios
+    of one trial at each of poisoned_points (at all of its points by
+    default), and the PacketResult of each (point, trial) pair that reached
+    its packet simulation. Given a dict results, it also collects the
+    PacketResult of every pair that the sweep counted.
+
+    A scenario's trial is that of the channel stream its draw took; the
+    poison is applied as a chunk's designs receive the scenarios, after
+    each trial's scenario was drawn once for all of its points."""
     from coopcdma import harness
-    draws, packets = [], {}
+    sigma2 = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
+    drawn, packets = [], {}
     real_draw, real_simulate = harness.draw_scenario, harness.simulate_packet_exact
-    real_run = harness.run_packet
+    real_point, real_chunk = harness.PointDesigns, harness._chunk_packets
+
+    def pair(scn):
+        """(point, trial) of a scenario: its channel is its trial's draw."""
+        return (sigma2.index(scn.sigma2),
+                next(t for h, t in drawn if h is scn.h_true))
 
     def draw(*args, **kwargs):
         scn = real_draw(*args, **kwargs)
-        if poison is not None and len(draws) == poisoned_trial:
-            poison(scn, np.random.default_rng(7))
-        draws.append(scn)
+        drawn.append((scn.h_true, trial_of(args[4])))
         return scn
+
+    def point(scenarios):
+        for scn in scenarios:
+            p, t = pair(scn)
+            if poison is not None and t == poisoned_trial and (
+                    poisoned_points is None or p in poisoned_points):
+                poison(scn, np.random.default_rng(7))
+        return real_point(scenarios)
 
     def simulate(scn, *args, **kwargs):
         res = real_simulate(scn, *args, **kwargs)
-        packets[next(i for i, d in enumerate(draws) if d is scn)] = res
+        packets[pair(scn)] = res
         return res
 
-    def run(cfg, scn, *args, **kwargs):
-        res = real_run(cfg, scn, *args, **kwargs)
-        if results is not None:
-            results[next(i for i, d in enumerate(draws) if d is scn)] = res
-        return res
+    def chunk(cfg, dims, codes, pairs):
+        for (level, t), res in zip(pairs, real_chunk(cfg, dims, codes,
+                                                     pairs)):
+            if results is not None:
+                results[sigma2.index(level), t] = res
+            yield res
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "draw_scenario", draw)
+        patch.setattr(harness, "PointDesigns", point)
         patch.setattr(harness, "simulate_packet_exact", simulate)
-        patch.setattr(harness, "run_packet", run)
+        patch.setattr(harness, "_chunk_packets", chunk)
         curve = run_experiment(cfg)
     return curve, packets
 
@@ -719,8 +755,9 @@ class TestPointDesigns:
         curve, packets = exact_point(monkeypatch, cfg, poison,
                                      results=results)
         assert clean.divergences == 0 and curve.divergences == 1
-        assert sorted(packets) == [0, 1, 2, 4, 5, 6, 7]
-        failed = results[3]
+        assert sorted(packets) == [(0, t) for t in range(8) if t != 3]
+        assert sorted(results) == [(0, t) for t in range(8)]
+        failed = results[0, 3]
         assert failed.diverged and failed.bit_errors == 0
         assert np.array_equal(failed.per_symbol_errors,
                               np.zeros(cfg.packet_len))
@@ -743,7 +780,9 @@ class TestPointDesigns:
         """harness.design_exact, wrapped from outside as the benchmark wraps
         it to check designed amplitudes, is called once per exact packet with
         that packet's own scenario, and the packet runs with the filters and
-        amplitudes the call returned."""
+        amplitudes the call returned. Each trial's scenario is drawn once;
+        the packet of each of its points, trial by trial, has a scenario of
+        that point's noise level on the trial's channel."""
         from coopcdma import harness
         real_design = harness.design_exact
         designs = []
@@ -771,11 +810,15 @@ class TestPointDesigns:
         cfg = small_cfg(scheme=scheme, variant="exact", trials=3,
                         snr_grid=(0.0, 9.0))
         assert run_experiment(cfg).divergences == 0
-        assert len(draws) == len(designs) == len(ran) == 6
-        for drawn, (scn, W, amps), (p_scn, p_W, p_amps) in zip(draws, designs,
-                                                              ran):
-            assert scn is drawn and p_scn is drawn
-            assert p_W is W and p_amps is amps
+        assert len(draws) == 3 and len(designs) == len(ran) == 6
+        levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
+        for i, ((scn, W, amps), (p_scn, p_W, p_amps)) in enumerate(
+                zip(designs, ran)):
+            t, p = divmod(i, 2)
+            assert p_scn is scn and p_W is W and p_amps is amps
+            assert scn.sigma2 == levels[p]
+            for name in ("codes", "x_sr", "x_dest", "h_true"):
+                assert getattr(scn, name) is getattr(draws[t], name)
             assert amps.tobytes() == real_design(scn, scheme, cfg)[1].tobytes()
 
     @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
@@ -824,7 +867,7 @@ class TestPointDesigns:
         kept = [t for t in range(5) if not (relays and t == 2)]
         omegas = harness._relay_chains([stacked[t] for t in kept])
         for omega, t in zip(omegas, kept):
-            assert omega.tobytes() == harness.scenario_omega(alone[t]).tobytes()
+            assert omega.tobytes() == scenario_omega(alone[t]).tobytes()
         point = PointDesigns(stacked)
         for t, (scn, lone) in enumerate(zip(stacked, alone)):
             rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
@@ -1011,16 +1054,16 @@ def per_point_run(cfg):
 
 
 class TestMixedNoiseChunks:
-    """A chunk holds (point, trial) pairs of several SNR points when the
-    points hold fewer trials than the chunk; each trial keeps the bytes it
-    gets in a stack of its own point."""
+    """A chunk holds (point, trial) pairs of several SNR points, trial by
+    trial; each trial keeps the bytes it gets in a stack of its own
+    point."""
 
     @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
                                         "jpais-ipc"])
     def test_chunks_across_points_keep_each_points_bytes(self, scheme,
                                                          monkeypatch):
-        """A 3-point x 5-trial sweep in chunks of 4 designs four stacks, three
-        of them across points, and every packet's design, relay banks and
+        """A 3-point x 5-trial sweep in chunks of 4 designs four stacks, each
+        across all three points, and every packet's design, relay banks and
         soft outputs have the bytes of its point's own stack; the rows are
         those of the points swept one at a time."""
         from coopcdma import harness
@@ -1038,10 +1081,12 @@ class TestMixedNoiseChunks:
         curve, chunked, levels = recorded_packets(
             monkeypatch, lambda: run_experiment(cfg))
         assert stacks == [4, 4, 4, 3]
-        assert [len(s) for s in levels] == [1, 2, 2, 1]
+        assert [len(s) for s in levels] == [3, 3, 3, 3]
         _, alone, _ = recorded_packets(monkeypatch,
                                        lambda: per_point_run(cfg))
         assert len(chunked) == len(alone) == 15
+        # the sweep's packets trial by trial, per_point_run's point by point
+        chunked = [chunked[3 * t + p] for p in range(3) for t in range(5)]
         for got, want in zip(chunked, alone):
             assert len(got) == len(want) == 5
             for a, b in zip(got, want):
@@ -1058,10 +1103,10 @@ class TestMixedNoiseChunks:
         ("jpais-ipc", zero_waveforms), ("jpais-gpc", nan_relay)])
     def test_poisoned_trial_in_a_mixed_chunk_fails_alone(self, scheme, poison,
                                                          monkeypatch):
-        """Trial 0 of the second point, poisoned, shares its chunk with the
-        first point's last trial: it alone diverges, with its failed design
-        recorded, and is counted at its own point; every other packet keeps
-        its bit errors."""
+        """Trial 0 poisoned at the second point only shares its chunk with
+        its own packets at the other points and with trial 1's first: it
+        alone diverges, with its failed design recorded, and is counted at
+        its own point; every other packet keeps its bit errors."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
                         snr_grid=(0.0, 9.0, 18.0), packet_len=60,
@@ -1070,12 +1115,15 @@ class TestMixedNoiseChunks:
         clean, clean_packets = exact_point(monkeypatch, cfg)
         results = {}
         curve, packets = exact_point(monkeypatch, cfg, poison,
-                                     poisoned_trial=5, results=results)
+                                     poisoned_trial=0, poisoned_points=(1,),
+                                     results=results)
         assert clean.point_divergences == [0, 0, 0]
         assert curve.point_divergences == [0, 1, 0]
         assert curve.divergences == 1
-        assert sorted(packets) == [t for t in range(15) if t != 5]
-        stage, symbol, reason = results[5].extras["divergence"]
+        pairs = [(p, t) for p in range(3) for t in range(5)]
+        assert sorted(packets) == [pair for pair in pairs if pair != (1, 0)]
+        assert sorted(results) == pairs
+        stage, symbol, reason = results[1, 0].extras["divergence"]
         assert (stage, symbol) == ("design", None)
         assert reason.startswith(("IllConditionedError: ",
                                   "DegenerateStateError: "))
@@ -1086,6 +1134,116 @@ class TestMixedNoiseChunks:
         assert curve.rows[::2] == clean.rows[::2]
 
 
+def sweep_packets(monkeypatch, cfg, poison=None, poisoned_trial=None):
+    """run_experiment of cfg with poison applied to each draw of the
+    scenario of poisoned_trial, before it serves any point; the curve, the
+    trial of each draw in order, and every packet the sweep counted as
+    ((sigma2, trial), PacketResult, soft outputs) in run order."""
+    from coopcdma import harness
+    real_draw, real_chunk = harness.draw_scenario, harness._chunk_packets
+    real_result = harness._packet_result
+    drawn, outputs, packets = [], [], []
+
+    def draw(*args, **kwargs):
+        scn = real_draw(*args, **kwargs)
+        drawn.append(trial_of(args[4]))
+        if drawn[-1] == poisoned_trial:
+            poison(scn, np.random.default_rng(7))
+        return scn
+
+    def result(soft, *args, **kwargs):
+        outputs.append(soft)
+        return real_result(soft, *args, **kwargs)
+
+    def chunk(cfg, dims, codes, pairs):
+        for pair, res in zip(pairs, real_chunk(cfg, dims, codes, pairs)):
+            packets.append((pair, res, outputs.pop()))
+            yield res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "draw_scenario", draw)
+        patch.setattr(harness, "_packet_result", result)
+        patch.setattr(harness, "_chunk_packets", chunk)
+        curve = run_experiment(cfg)
+    return curve, drawn, packets
+
+
+class TestTrialByTrialSweep:
+    """A sweep takes its (point, trial) pairs trial by trial, and each
+    trial's channel, bits and noise serve all of its points in a chunk."""
+
+    @staticmethod
+    def config(scheme, variant="exact"):
+        return small_cfg(scheme=scheme, variant=variant, trials=4,
+                         snr_grid=(0.0, 9.0, 18.0), packet_len=60,
+                         training_len=20)
+
+    @pytest.mark.parametrize("scheme,variant", [
+        ("ncis", "exact"), ("cis", "exact"), ("jpais-gpc", "exact"),
+        ("jpais-ipc", "exact"), ("cis", "adaptive"),
+        ("jpais-gpc", "adaptive")])
+    def test_every_packet_is_its_lone_packet(self, scheme, variant,
+                                             monkeypatch):
+        """In chunks of 5, trial 1's points span two chunks and trial 3's
+        too; each chunk draws each of its trials' scenarios once. Every
+        packet has the soft-output bytes and per-symbol errors of run_packet
+        on fresh trial_rngs streams: no packet continues a generator that
+        another packet of its trial consumed."""
+        from coopcdma import harness
+        cfg = self.config(scheme, variant)
+        dims = cfg.dims()
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 5)
+        curve, drawn, packets = sweep_packets(monkeypatch, cfg)
+        assert drawn == [0, 1, 1, 2, 3, 3]
+        levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
+        assert [pair for pair, *_ in packets] == [
+            (levels[p], t) for t in range(4) for p in range(3)]
+        real_result, outputs = harness._packet_result, []
+
+        def result(soft, *args, **kwargs):
+            outputs.append(soft)
+            return real_result(soft, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_packet_result", result)
+        for (sigma2, t), res, soft in packets:
+            rng_ch, *rngs = trial_rngs(cfg.seed, t)
+            scn = draw_scenario(dims, codes_for(cfg, dims.K), sigma2,
+                                cfg.shadowing_std_db, rng_ch,
+                                isi_enabled=cfg.isi)
+            lone = run_packet(cfg, scn, *rngs)
+            assert not res.diverged and not lone.diverged
+            assert soft.tobytes() == outputs.pop().tobytes()
+            assert (res.per_symbol_errors.tobytes()
+                    == lone.per_symbol_errors.tobytes())
+        assert curve.point_divergences == [0, 0, 0]
+
+    @pytest.mark.parametrize("scheme,poison", [
+        ("cis", dead_relay), ("jpais-gpc", dead_relay),
+        ("jpais-ipc", nan_waveform), ("jpais-gpc", zero_waveforms)])
+    def test_a_trial_poisoned_on_its_scenario_diverges_at_every_point(
+            self, scheme, poison, monkeypatch):
+        """Trial 1's scenario, poisoned as drawn in each of the two chunks
+        its points span, fails its design at every point, and nowhere
+        else: every other packet keeps its clean per-symbol errors."""
+        from coopcdma import harness
+        cfg = self.config(scheme)
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 5)
+        _, _, clean = sweep_packets(monkeypatch, cfg)
+        curve, drawn, packets = sweep_packets(monkeypatch, cfg, poison,
+                                              poisoned_trial=1)
+        assert drawn == [0, 1, 1, 2, 3, 3]
+        assert curve.point_divergences == [1, 1, 1]
+        for (pair, res, _), (clean_pair, want, _) in zip(packets, clean):
+            assert pair == clean_pair
+            if pair[1] == 1:
+                assert res.diverged
+                assert res.extras["divergence"][:2] == ("design", None)
+                continue
+            assert not res.diverged
+            assert (res.per_symbol_errors.tobytes()
+                    == want.per_symbol_errors.tobytes())
+
+
 class TestPointDivergences:
     def test_a_poisoned_trial_is_counted_at_its_point(self, monkeypatch):
         """One trial whose design fails at the second of two SNRs: the
@@ -1093,7 +1251,8 @@ class TestPointDivergences:
         carry it, and the curve total and the CSV header stay as they were."""
         cfg = small_cfg(scheme="cis", variant="exact", trials=3,
                         snr_grid=(3.0, 12.0), packet_len=60, training_len=20)
-        curve, _ = exact_point(monkeypatch, cfg, dead_relay, poisoned_trial=4)
+        curve, _ = exact_point(monkeypatch, cfg, dead_relay, poisoned_trial=1,
+                               poisoned_points=(1,))
         assert curve.point_divergences == [0, 1]
         assert curve.divergences == 1
         assert [row[3] for row in curve.rows] == [

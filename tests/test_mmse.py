@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_link_waveforms, make_link_pieces, poisoned
+from conftest import (dense_link_waveforms, make_link_pieces, poisoned,
+                      scenario_omega)
 from coopcdma import harness, mmse
 from coopcdma.errors import DegenerateStateError, IllConditionedError
 from coopcdma.mmse import (AlternationResult, MmseConfig, _checked_solve,
@@ -160,7 +161,7 @@ def desk_design_inputs(snr_db, seed=1):
                                 cfg.shadowing_std_db,
                                 harness.trial_rngs(seed, 0)[0])
     return (scn.x_dest, dense_link_waveforms(scn.x_dest), dims.hops,
-            scn.sigma2, harness.scenario_omega(scn))
+            scn.sigma2, scenario_omega(scn))
 
 
 def one_trial_power_terms(links, amps, omega, blocks):
@@ -562,7 +563,7 @@ class TestLinkCoordinates:
         W, amps = harness.design_exact(scn, scheme, cfg)
         stats = build_statistics(dense_link_waveforms(scn.x_dest), dims.hops,
                                  scn.sigma2, amps,
-                                 harness.scenario_omega(scn))
+                                 scenario_omega(scn))
         assert relative_error(W, receiver_global(stats, scn.sigma2)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["gpc", "ipc"])
@@ -793,7 +794,7 @@ class TestHopStack:
                                relays=relays)
         X = np.stack([scn.x_dest for scn in scns])
         U = np.stack([dense_link_waveforms(x) for x in X])
-        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        omega = np.stack([scenario_omega(scn) for scn in scns])
         gram, F = link_factors(X, omega)
         assert gram.tobytes() == (U.conj().swapaxes(-1, -2) @ U).tobytes()
         K, sigma2 = X.shape[-1], scns[0].sigma2
@@ -821,7 +822,7 @@ class TestStackedDesign:
         scns = point_scenarios(seed, snr_db)
         dims, sigma2 = scns[0].dims, scns[0].sigma2
         point = harness.PointDesigns(scns)
-        omegas = [harness.scenario_omega(scn) for scn in scns]
+        omegas = [scenario_omega(scn) for scn in scns]
         plan = harness.power_blocks(scheme, cfg, dims.K)
         blocks, config = ((None, None) if plan is None else
                           (dims.K // plan[0], cfg.mmse_config(plan[1])))
@@ -861,7 +862,7 @@ class TestStackedDesign:
         scns = [scn for snr_db in (0.0, 18.0, 6.0, 12.0)
                 for scn in point_scenarios(2, snr_db, trials=2)]
         X = np.stack([scn.x_dest for scn in scns])
-        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        omega = np.stack([scenario_omega(scn) for scn in scns])
         sigma2 = np.array([scn.sigma2 for scn in scns])
         plan = harness.power_blocks(scheme, cfg, DESK_K)
         blocks, config = ((None, None) if plan is None else
@@ -892,7 +893,7 @@ class TestStackedDesign:
         (test_harness.py::TestDesignStackBisection)."""
         scns = point_scenarios(1, 6.0, trials=4)
         X = np.stack([scn.x_dest for scn in scns])
-        omega = np.stack([harness.scenario_omega(scn) for scn in scns])
+        omega = np.stack([scenario_omega(scn) for scn in scns])
         sigma2 = scns[0].sigma2
         X[2] = (poisoned(X[2], np.nan, np.random.default_rng(0))
                 if poison == "nan X" else 0.0)
@@ -929,7 +930,7 @@ class TestStackedDesignSteps:
         scns = point_scenarios(1, 6.0, trials=2)
         res = mmse.design(np.stack([scn.x_dest for scn in scns]),
                           scns[0].sigma2, 1, MmseConfig(max_iters=10**6),
-                          np.stack([harness.scenario_omega(scn)
+                          np.stack([scenario_omega(scn)
                                     for scn in scns]))
         assert res.converged.all()
         assert res.mse_trace.shape == (2, res.iterations.max())

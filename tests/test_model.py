@@ -293,7 +293,7 @@ class TestReceivedFrame:
         S = hop_symbols(dims, 1, rng)
         S[:, :, [0, 2]] = modulate_qpsk(rng.integers(0, 2, size=(2, 2, 2, 2)))
         amps = np.array([[0.8, 0.6], [0.5, 0.9]])
-        noise = _noise_matrix((dims.stack, 1), 0.5, rng)
+        noise = _noise_matrix(rng.standard_normal((2, dims.stack, 1)), 0.5)
         total = noise.copy()
         add_destination_frames(total, scn, S, amps)
         own, neighbours = S.copy(), S.copy()
@@ -490,10 +490,13 @@ class TestLeftFactor:
         left = (rng.standard_normal((2, dims.stack))
                 + 1j * rng.standard_normal((2, dims.stack)))
         monkeypatch.setattr(harness, "_filtered_noise",
-                            lambda W, sigma2, P, rng: np.zeros(
-                                (W.shape[1], P), dtype=complex))
+                            lambda W, sigma2, normals: np.zeros(
+                                (W.shape[1], normals.shape[-1]),
+                                dtype=complex))
+        normals = harness.exact_draws(dims, rng, rng).normals
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
-            out = harness.exact_soft_outputs(scn, left.conj().T, amps, S, rng)
+            out = harness.exact_soft_outputs(scn, left.conj().T, amps, S,
+                                             normals)
         ref = left @ destination_frames(scn, S, amps)
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
@@ -502,12 +505,12 @@ class TestLeftFactor:
 class TestNoise:
     def test_noise_calibration(self, rng):
         sigma2 = 0.7
-        noise = _noise_matrix((8, 1000), sigma2, rng)
+        noise = _noise_matrix(rng.standard_normal((2, 8, 1000)), sigma2)
         var = np.mean(np.abs(noise) ** 2)
         assert abs(var - sigma2) / sigma2 < 0.03
 
     def test_zero_noise_for_zero_sigma(self, rng):
-        assert np.all(_noise_matrix((8, 4), 0.0, rng) == 0)
+        assert np.all(_noise_matrix(rng.standard_normal((2, 8, 4)), 0.0) == 0)
 
 
 class TestSystemDims:

@@ -91,17 +91,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     return ExperimentConfig(**values)
 
 
-def emit_config(cfg: ExperimentConfig) -> str:
-    """Config serialized back to the flat file format (round-trippable)."""
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(f"{v:.17g}" for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 # the root of the source tree that holds this module, src/coopcdma/cli.py
 _SOURCE_ROOT = Path(__file__).resolve().parents[2]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -93,7 +92,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each value stored as its field's type, so that configs compare and
-        # hash by value (the exact designs of a point are cached by config)
+        # hash by value (a scenario keeps its exact designs by scheme and
+        # config, Scenario.designs)
         for f in fields(self):
             kind, value = type(f.default), getattr(self, f.name)
             try:
@@ -162,7 +162,14 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 
 @dataclass
 class Scenario:
-    """One packet's ground truth: codes, per-link channels, noise level."""
+    """One packet's ground truth: codes, per-link channels, noise level.
+
+    relay_banks holds the relays' exact MMSE filters (n_r x M x K) and gains
+    (n_r x K), set by the exact design's relay chain (_relay_chains), and
+    designs each exact design (W, amps), or the TrialFailure that failed it,
+    by (scheme, config) (design_exact). Neither is an init field, so a
+    scenario made by replace starts with neither. A scenario's arrays must
+    not change after its first design."""
 
     dims: SystemDims
     sigma2: float
@@ -171,19 +178,15 @@ class Scenario:
     x_dest: np.ndarray  # hops x M x K destination-facing waveforms
     h_true: np.ndarray  # stacked effective destination-facing channels
     isi_enabled: bool = True
+    relay_banks: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+    designs: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def spill(self) -> int:
         """Chips a symbol spills into its neighbours' windows: L - 1 with ISI."""
         return self.dims.L - 1 if self.isi_enabled else 0
-
-    @cached_property
-    def relay_banks(self):
-        """The relays' exact MMSE filters (n_r x M x K) and gains (n_r x K):
-        set for every scenario of a chunk at once by its exact design
-        (_relay_chains), else solved on first use. The exact design and the
-        exact packet share them, and adaptive packets never solve them."""
-        return mmse_relay_bank(self.x_sr, self.sigma2)
 
 
 def _signatures(codes: np.ndarray, L: int) -> np.ndarray:
@@ -278,34 +281,6 @@ def _relay_chains(scenarios: list) -> np.ndarray:
     return omega
 
 
-class PointDesigns:
-    """The exact designs of a chunk's scenarios (one set of dimensions, each
-    scenario at its own noise level), solved as one stack (_design_stack) on
-    the first request for a scheme and config and read from their slots
-    after, so that every packet's design still comes through design_exact.
-    The slot of a trial whose design failed holds its TrialFailure, which
-    design raises for that trial alone."""
-
-    def __init__(self, scenarios: list):
-        self.scenarios = scenarios
-        # by identity: the point holds its scenarios, so no id is reused
-        self._slots = {id(scn): i for i, scn in enumerate(scenarios)}
-        self._solved = {}
-
-    def design(self, scn: Scenario, scheme: str, cfg: ExperimentConfig):
-        slot = self._slots.get(id(scn))
-        if slot is None:
-            raise ValueError("the scenario is not one of the point's "
-                             "scenarios")
-        if (scheme, cfg) not in self._solved:
-            self._solved[scheme, cfg] = _design_stack(self.scenarios, scheme,
-                                                      cfg)
-        design = self._solved[scheme, cfg][slot]
-        if isinstance(design, Exception):
-            raise design
-        return design
-
-
 def _bisect_failures(step, trials: range, out) -> None:
     """Write out[t] for each trial t of trials: its result from
     step(trials), which returns one per trial in order, or the TrialFailure
@@ -333,10 +308,11 @@ def _bisect_failures(step, trials: range, out) -> None:
 
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     """Each scenario's exact design (W, amps), or the TrialFailure that
-    failed it alone: its relay chain (_relay_chains) and its design in the
-    stack (mmse.design), run for the whole stack and, on a failure, for its
-    halves (_bisect_failures). A failed stack's trials are designed again,
-    so a trial's pseudoinverse warnings repeat once per stack it is in.
+    failed it alone, in the order of scenarios: its relay chain
+    (_relay_chains, which sets its relay_banks) and its design in the stack
+    (mmse.design), run for the whole stack and, on a failure, for its halves
+    (_bisect_failures). A failed stack's trials are designed again, so a
+    trial's pseudoinverse warnings repeat once per stack it is in.
 
     A stack of one with a power step (a lone scenario, or a leaf of the
     bisection) designs through mmse.alternate, with the same bits as
@@ -368,13 +344,25 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
 
 
 def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
-                 point: PointDesigns | None = None):
-    """Exact-statistics receiver matrix and amplitude allocation for a packet:
-    read from the stacked designs of the point's scenarios (point, which holds
-    scn), or, without a point, designed alone."""
-    if point is None:
-        point = PointDesigns([scn])
-    return point.design(scn, scheme, cfg)
+                 stack: list | None = None):
+    """Exact-statistics receiver matrix and amplitude allocation for a packet,
+    kept in scn.designs. On the first request for a scheme and config, the
+    scenarios of stack, which holds scn (by default scn alone), are designed
+    as one stack (_design_stack) and each keeps its own design; every
+    request after reads scn's. A scenario whose design failed raises its
+    TrialFailure, for its trial alone."""
+    key = scheme, cfg
+    if key not in scn.designs:
+        stack = [scn] if stack is None else stack
+        if not any(s is scn for s in stack):
+            raise ValueError("the scenario is not one of the point's "
+                             "scenarios")
+        for s, design in zip(stack, _design_stack(stack, scheme, cfg)):
+            s.designs[key] = design
+    design = scn.designs[key]
+    if isinstance(design, Exception):
+        raise design
+    return design
 
 
 def _packet_symbols(dims: SystemDims, rng_data: np.random.Generator):
@@ -624,27 +612,26 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
 
 def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_data: np.random.Generator, rng_noise: np.random.Generator,
-               rng_init: np.random.Generator,
-               point: PointDesigns | None = None) -> PacketResult:
+               rng_init: np.random.Generator) -> PacketResult:
     """Simulate one packet under the configured scheme and variant. An
     exact packet draws its trial's bits and noise (exact_draws), as a sweep
     does once for all of a trial's points, and runs as a sweep's packet
-    does (_exact_packet); its design comes from point when given."""
+    does (_exact_packet), on scn's own design (design_exact)."""
     if cfg.variant == "exact":
         return _exact_packet(cfg, scn, exact_draws(scn.dims, rng_data,
-                                                   rng_noise), point)
+                                                   rng_noise))
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
                                     rng_init)
 
 
 def _exact_packet(cfg: ExperimentConfig, scn: Scenario, draws: TrialDraws,
-                  point: PointDesigns | None) -> PacketResult:
+                  stack: list | None = None) -> PacketResult:
     """An exact packet on its trial's draws, designed through design_exact
-    (from point when given). A packet whose design failed diverges before
-    its first symbol, and records extras["divergence"] = ("design", None,
-    reason)."""
+    (in stack, which holds scn, when given). A packet whose design failed
+    diverges before its first symbol, and records extras["divergence"] =
+    ("design", None, reason)."""
     try:
-        W, amps = design_exact(scn, cfg.scheme, cfg, point)
+        W, amps = design_exact(scn, cfg.scheme, cfg, stack)
     except TrialFailure as exc:  # diverged before its first symbol
         K, P = scn.dims.K, scn.dims.P
         divergence = ("design", None, f"{type(exc).__name__}: {exc}")
@@ -693,10 +680,15 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
     order of pairs, which holds each trial's pairs together. Each trial's
     scenario is drawn once, from its own trial_rngs stream, and serves all
     of its points: one Scenario per noise level, sharing the channel. On
-    the exact path the chunk's scenarios are designed as one stack
-    (PointDesigns), whatever their points, when the first packet asks for
-    its design; a trial whose design fails diverges alone (_exact_packet).
-    The trials' packets then run one trial at a time (_trial_packets)."""
+    the exact path the chunk's scenarios are one stack, whatever their
+    points, designed when the first packet asks for its design
+    (design_exact); a trial whose design fails diverges alone
+    (_exact_packet). The packets then run one trial at a time: an exact
+    trial draws its bits and noise once (exact_draws), and each point's
+    packet scales the same unit normals to its own noise level; the draws
+    are freed after the trial's last packet. An adaptive packet draws its
+    own from fresh streams, so that no packet continues a generator that
+    another packet consumed."""
     trials = []
     for t, group in groupby(pairs, key=itemgetter(1)):
         levels = [sigma2 for sigma2, _ in group]
@@ -705,27 +697,16 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
                             rngs[0], isi_enabled=cfg.isi)
         trials.append((t, rngs, [scn] + [replace(scn, sigma2=sigma2)
                                          for sigma2 in levels[1:]]))
-    point = (PointDesigns([scn for *_, scns in trials for scn in scns])
-             if cfg.variant == "exact" else None)
+    stack = [scn for *_, scns in trials for scn in scns]
     for t, rngs, scns in trials:
-        yield from _trial_packets(cfg, t, rngs, scns, point)
-
-
-def _trial_packets(cfg: ExperimentConfig, t: int, rngs: tuple,
-                   scenarios: list, point: PointDesigns | None):
-    """Trial t's packet at each of its scenarios, with rngs its unused
-    trial_rngs streams. An exact trial draws its bits and noise once
-    (exact_draws), and each point's packet scales the same unit normals to
-    its own noise level; the draws are freed after the trial's last packet.
-    An adaptive packet draws its own from fresh streams, so that no packet
-    continues a generator that another packet consumed."""
-    if point is None:
-        for scn in scenarios:
-            yield run_packet(cfg, scn, *trial_rngs(cfg.seed, t)[1:])
-        return
-    draws = exact_draws(scenarios[0].dims, rngs[1], rngs[2])
-    for scn in scenarios:
-        yield _exact_packet(cfg, scn, draws, point)
+        if cfg.variant != "exact":
+            for scn in scns:
+                yield run_packet(cfg, scn, *trial_rngs(cfg.seed, t)[1:])
+            continue
+        draws = exact_draws(dims, rngs[1], rngs[2])
+        for scn in scns:
+            yield _exact_packet(cfg, scn, draws, stack)
+        del draws
 
 
 def _run_points(cfg: ExperimentConfig, snrs) -> list:
@@ -738,7 +719,9 @@ def _run_points(cfg: ExperimentConfig, snrs) -> list:
     and designs and one trial's draws are held at a time; each result is
     counted as it comes. Each trial draws from its own streams and is
     designed at each point's own noise level, so its packets have the bits
-    they get in any chunk and when run alone (run_packet)."""
+    they get in any chunk and when run alone (run_packet). A chunk's
+    scenarios keep their own designs (Scenario.designs) and are freed with
+    the chunk."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     sigma2 = [snr_db_to_sigma2(snr) for snr in snrs]

@@ -1,9 +1,12 @@
 """Shared fixtures for the simulation test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from coopcdma import harness
+from coopcdma.harness import ExperimentConfig
 from coopcdma.model import (SystemDims, add_hop_frames,
                             build_convolution_matrix, draw_spreading_codes,
                             generate_multipath_channel)
@@ -65,6 +68,18 @@ def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
     for j, X in enumerate(scn.x_dest):
         add_hop_frames(out[j * M:(j + 1) * M], X, S[j], amps[:, j:j + 1],
                        scn.spill)
+
+
+def emit_config(cfg: ExperimentConfig) -> str:
+    """Config serialized back to the flat file format that
+    cli.parse_config reads (round-trippable)."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(f"{v:.17g}" for v in value)
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def scenario_omega(scn) -> np.ndarray:

@@ -10,7 +10,8 @@ per-link waveform matrix U that the tests' oracle dense_link_waveforms forms
 from x_dest, h_true, the source-to-relay waveforms), of the design (W, amps),
 of the packet's bits, of its per-hop symbols S (relay hops filled in), of
 its soft outputs and of its per-symbol error counts. The designs of a
-point's trials are solved as one stack (harness.PointDesigns).
+point's trials are solved as one stack: the list of the point's scenarios,
+passed to harness.design_exact as its stack.
 
 sweep_packet_digest takes the packets that harness.run_experiment runs:
 every scheme over 4 SNR points and 3 trials, the soft outputs and per-symbol
@@ -69,9 +70,9 @@ def exact_packet_digest(seeds=SEEDS, snrs_db=SNRS_DB, trials=TRIALS) -> str:
                 scenarios = [harness.draw_scenario(
                     dims, codes, sigma2, cfg.shadowing_std_db, rng_ch,
                     isi_enabled=cfg.isi) for rng_ch, *_ in rngs]
-                point = harness.PointDesigns(scenarios)
                 for scn, (_, rng_data, rng_noise, _) in zip(scenarios, rngs):
-                    W, amps = harness.design_exact(scn, scheme, cfg, point)
+                    W, amps = harness.design_exact(scn, scheme, cfg,
+                                                   scenarios)
                     bits, S, normals = harness.exact_draws(dims, rng_data,
                                                            rng_noise)
                     soft = harness.exact_soft_outputs(scn, W, amps, S,

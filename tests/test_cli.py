@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import emit_config
 from coopcdma import cli
 from coopcdma.errors import ConfigError
 from coopcdma.harness import BerCurve, ExperimentConfig
@@ -73,7 +74,7 @@ class TestConfigFile:
         cfg = ExperimentConfig(users=6, scheme="cis", snr_grid=(0.0, 12.0),
                                alpha=0.997)
         path = tmp_path / "echo.cfg"
-        path.write_text(cli.emit_config(cfg))
+        path.write_text(emit_config(cfg))
         assert cli.parse_config(str(path)) == cfg
 
 

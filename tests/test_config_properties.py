@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import emit_config  # noqa: E402
 from coopcdma import cli  # noqa: E402
 from coopcdma.errors import ConfigError  # noqa: E402
 from coopcdma.harness import SCHEMES, VARIANTS, ExperimentConfig  # noqa: E402
@@ -53,7 +54,7 @@ def valid_configs(draw):
 @given(valid_configs())
 def test_emit_then_parse_is_identity(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "echo.cfg"
-    path.write_text(cli.emit_config(cfg))
+    path.write_text(emit_config(cfg))
     assert cli.parse_config(str(path)) == cfg
 
 

@@ -59,7 +59,12 @@ ALTERNATION = {
 
 
 # SHA-256 over repr(run_experiment(cfg).rows) of the exact sweeps at 0, 6, 12
-# and 18 dB with 4 trials, seeds 1-3 in the outer loop, SCHEMES in the inner
+# and 18 dB with 4 trials, seeds 1-3 in the outer loop, SCHEMES in the inner.
+# Unlike the digests of packet_digests.json it needs no host key: each row's
+# floats are the quotients of its packets' integer bit-error counts by their
+# payload bits, reduced by numpy's mean and std, each step a correctly
+# rounded IEEE addition, product, division or square root and none a BLAS
+# or LAPACK call, so the hash moves only when one of those counts moves
 EXACT_ROWS_SHA256 = (
     "b41d629450ce0dcd937d2ebc220639fbb0ee3adcfdfe6d242d2673219fcc3748")
 

@@ -13,7 +13,7 @@ from coopcdma import cli, gpc, mmse
 from coopcdma.errors import (ConfigError, DegenerateStateError,
                              IllConditionedError, NumericalDivergenceError,
                              TrialFailure)
-from coopcdma.harness import (BerCurve, ExperimentConfig, PointDesigns,
+from coopcdma.harness import (BerCurve, ExperimentConfig,
                               _noise_matrix, _packet_result, _run_points,
                               capacity_at_target, codes_for, design_exact,
                               draw_scenario, exact_draws, learning_curve,
@@ -616,7 +616,7 @@ class TestAggregation:
                             cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
         assert not run_packet(cfg, scn, rng_data, rng_noise,
                               rng_init).diverged
-        assert "U" not in vars(scn) and "relay_banks" not in vars(scn)
+        assert "U" not in vars(scn) and scn.relay_banks is None
 
     def test_destination_decides_only_payload_symbols(self, monkeypatch):
         """The adaptive destination makes a hard decision per payload symbol
@@ -688,13 +688,13 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
     PacketResult of every pair that the sweep counted.
 
     A scenario's trial is that of the channel stream its draw took; the
-    poison is applied as a chunk's designs receive the scenarios, after
+    poison is applied as a chunk's stack is designed (_design_stack), after
     each trial's scenario was drawn once for all of its points."""
     from coopcdma import harness
     sigma2 = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
     drawn, packets = [], {}
     real_draw, real_simulate = harness.draw_scenario, harness.simulate_packet_exact
-    real_point, real_chunk = harness.PointDesigns, harness._chunk_packets
+    real_stack, real_chunk = harness._design_stack, harness._chunk_packets
 
     def pair(scn):
         """(point, trial) of a scenario: its channel is its trial's draw."""
@@ -706,13 +706,13 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
         drawn.append((scn.h_true, trial_of(args[4])))
         return scn
 
-    def point(scenarios):
+    def design_stack(scenarios, *args):
         for scn in scenarios:
             p, t = pair(scn)
             if poison is not None and t == poisoned_trial and (
                     poisoned_points is None or p in poisoned_points):
                 poison(scn, np.random.default_rng(7))
-        return real_point(scenarios)
+        return real_stack(scenarios, *args)
 
     def simulate(scn, *args, **kwargs):
         res = real_simulate(scn, *args, **kwargs)
@@ -728,7 +728,7 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "draw_scenario", draw)
-        patch.setattr(harness, "PointDesigns", point)
+        patch.setattr(harness, "_design_stack", design_stack)
         patch.setattr(harness, "simulate_packet_exact", simulate)
         patch.setattr(harness, "_chunk_packets", chunk)
         curve = run_experiment(cfg)
@@ -736,6 +736,9 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
 
 
 class TestPointDesigns:
+    """The exact designs of a chunk's scenarios, solved as one stack and
+    kept each on its own scenario."""
+
     @pytest.mark.parametrize("scheme,poison", [
         ("cis", nan_waveform), ("jpais-gpc", nan_waveform),
         ("jpais-ipc", nan_waveform), ("cis", dead_relay),
@@ -819,7 +822,8 @@ class TestPointDesigns:
             assert scn.sigma2 == levels[p]
             for name in ("codes", "x_sr", "x_dest", "h_true"):
                 assert getattr(scn, name) is getattr(draws[t], name)
-            assert amps.tobytes() == real_design(scn, scheme, cfg)[1].tobytes()
+            lone = dataclasses.replace(scn)
+            assert amps.tobytes() == real_design(lone, scheme, cfg)[1].tobytes()
 
     @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc", "jpais-ipc"])
     @pytest.mark.parametrize("relays", [2, 0])
@@ -857,7 +861,7 @@ class TestPointDesigns:
         if relays:
             with pytest.raises(DegenerateStateError):
                 harness._relay_chains(stacked)
-            assert not any("relay_banks" in vars(scn) for scn in stacked)
+            assert all(scn.relay_banks is None for scn in stacked)
             assert stacks == [5]
         designs = harness._design_stack(stacked, scheme, cfg)
         # the whole stack, then its halves [0, 1] and [2, 3, 4], then [2]
@@ -868,23 +872,23 @@ class TestPointDesigns:
         omegas = harness._relay_chains([stacked[t] for t in kept])
         for omega, t in zip(omegas, kept):
             assert omega.tobytes() == scenario_omega(alone[t]).tobytes()
-        point = PointDesigns(stacked)
         for t, (scn, lone) in enumerate(zip(stacked, alone)):
             rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
-            res = run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+            res = harness._exact_packet(
+                cfg, scn, exact_draws(dims, rng_data, rng_noise), stacked)
             if relays and t == 2:
                 assert isinstance(designs[t], DegenerateStateError)
                 assert res.diverged and res.extras["divergence"] == (
                     "design", None, f"DegenerateStateError: {designs[t]}")
-                assert "relay_banks" not in vars(scn)
+                assert scn.relay_banks is None
                 continue
             assert not res.diverged
-            for got, want in zip(vars(scn)["relay_banks"], lone.relay_banks):
+            for got, want in zip(scn.relay_banks, lone.relay_banks):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
             for got, want in zip(designs[t], design_exact(lone, scheme, cfg)):
                 assert got.tobytes() == want.tobytes()
-            for got, want in zip(design_exact(scn, scheme, cfg, point),
+            for got, want in zip(design_exact(scn, scheme, cfg, stacked),
                                  design_exact(lone, scheme, cfg)):
                 assert got.tobytes() == want.tobytes()
 
@@ -897,7 +901,7 @@ class TestPointDesigns:
                               snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
                               trial_rngs(cfg.seed, t)[0]) for t in range(2)]
         with pytest.raises(ValueError, match="not one of the point's"):
-            design_exact(scns[1], cfg.scheme, cfg, PointDesigns(scns[:1]))
+            design_exact(scns[1], cfg.scheme, cfg, scns[:1])
 
     def test_chunked_point_matches_one_trial_at_a_time(self, monkeypatch):
         """A point of one chunk and three trials more designs them in two
@@ -918,6 +922,78 @@ class TestPointDesigns:
         monkeypatch.setattr(harness, "_DESIGN_CHUNK", 1)
         assert run_experiment(cfg).rows == chunked.rows
         assert stacks[2:] == [1] * (chunk + 3)
+
+
+class TestScenarioDesigns:
+    """A scenario keeps its own exact designs (Scenario.designs) and relay
+    banks; a scenario made from it by replace starts with neither."""
+
+    def test_next_point_shares_the_channel_not_the_designs(self):
+        """A trial's scenario at a second point, made by replace as a chunk
+        makes it, holds the first point's channel arrays, but no design and
+        no relay banks, even after the first point's scenario is designed;
+        its own design is its lone design at its own noise level, and the
+        first point's design stays as it was."""
+        cfg = small_cfg(scheme="jpais-gpc", variant="exact")
+        dims = cfg.dims()
+        first = draw_scenario(dims, codes_for(cfg, dims.K),
+                              snr_db_to_sigma2(0.0), cfg.shadowing_std_db,
+                              trial_rngs(cfg.seed, 0)[0], isi_enabled=cfg.isi)
+        W0, amps0 = design_exact(first, cfg.scheme, cfg)
+        assert list(first.designs) == [(cfg.scheme, cfg)]
+        assert first.relay_banks is not None
+        second = dataclasses.replace(first, sigma2=snr_db_to_sigma2(18.0))
+        for name in ("codes", "x_sr", "x_dest", "h_true"):
+            assert getattr(second, name) is getattr(first, name)
+        assert second.designs == {} and second.designs is not first.designs
+        assert second.relay_banks is None
+        W1, amps1 = design_exact(second, cfg.scheme, cfg)
+        assert W1.tobytes() != W0.tobytes()
+        W, amps = first.designs[cfg.scheme, cfg]
+        assert W is W0 and amps is amps0
+        lone = draw_scenario(dims, codes_for(cfg, dims.K),
+                             snr_db_to_sigma2(18.0), cfg.shadowing_std_db,
+                             trial_rngs(cfg.seed, 0)[0], isi_enabled=cfg.isi)
+        for got, want in zip((W1, amps1), design_exact(lone, cfg.scheme,
+                                                       cfg)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_schemes_on_one_stack_keep_their_own_designs(self, monkeypatch):
+        """Two schemes designed on one stack each solve that stack once
+        (one _design_stack call per scheme, however many of its scenarios
+        ask), keep one entry each on every scenario, and have, byte for
+        byte, the designs of each scenario designed alone."""
+        from coopcdma import harness
+        cfg = small_cfg(variant="exact", trials=4)
+        dims = cfg.dims()
+
+        def draw(t):
+            return draw_scenario(dims, codes_for(cfg, dims.K),
+                                 snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                 trial_rngs(cfg.seed, t)[0],
+                                 isi_enabled=cfg.isi)
+
+        stack = [draw(t) for t in range(4)]
+        real, solved = harness._design_stack, []
+
+        def design_stack(scenarios, scheme, cfg):
+            solved.append((len(scenarios), scheme))
+            return real(scenarios, scheme, cfg)
+
+        monkeypatch.setattr(harness, "_design_stack", design_stack)
+        schemes = ("cis", "jpais-gpc")
+        designs = {(scheme, t): design_exact(scn, scheme, cfg, stack)
+                   for scheme in schemes for t, scn in enumerate(stack)}
+        assert solved == [(4, "cis"), (4, "jpais-gpc")]
+        monkeypatch.undo()
+        for t, scn in enumerate(stack):
+            assert list(scn.designs) == [(scheme, cfg) for scheme in schemes]
+            for scheme in schemes:
+                assert scn.designs[scheme, cfg] is designs[scheme, t]
+                for got, want in zip(designs[scheme, t],
+                                     design_exact(draw(t), scheme, cfg)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
 
 def failure_cases():
@@ -1001,8 +1077,8 @@ class TestDesignStackBisection:
                 assert type(got[t]) is type(lone.value)
                 assert str(got[t]) == str(lone.value)
                 continue
-            for a, b in zip((*got[t], *vars(scns[t])["relay_banks"]),
-                            (*want[t], *vars(clean[t])["relay_banks"])):
+            for a, b in zip((*got[t], *scns[t].relay_banks),
+                            (*want[t], *clean[t].relay_banks)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
@@ -1018,7 +1094,7 @@ def recorded_packets(monkeypatch, run):
 
     def design(scn, *args, **kwargs):
         W, amps = real_design(scn, *args, **kwargs)
-        packets.append([W, amps, *vars(scn)["relay_banks"]])
+        packets.append([W, amps, *scn.relay_banks])
         return W, amps
 
     def soft(*args, **kwargs):
@@ -1040,7 +1116,8 @@ def recorded_packets(monkeypatch, run):
 
 def per_point_run(cfg):
     """Every packet of cfg's sweep, point by point, each point's trials
-    designed as one PointDesigns stack at the point's noise level."""
+    designed as one stack at the point's noise level."""
+    from coopcdma import harness
     dims = cfg.dims()
     for snr in cfg.snr_grid:
         rngs = [trial_rngs(cfg.seed, t) for t in range(cfg.trials)]
@@ -1048,9 +1125,9 @@ def per_point_run(cfg):
                               snr_db_to_sigma2(snr), cfg.shadowing_std_db,
                               rng_ch, isi_enabled=cfg.isi)
                 for rng_ch, *_ in rngs]
-        point = PointDesigns(scns)
-        for scn, (_, rng_data, rng_noise, rng_init) in zip(scns, rngs):
-            run_packet(cfg, scn, rng_data, rng_noise, rng_init, point)
+        for scn, (_, rng_data, rng_noise, _) in zip(scns, rngs):
+            harness._exact_packet(cfg, scn,
+                                  exact_draws(dims, rng_data, rng_noise), scns)
 
 
 class TestMixedNoiseChunks:

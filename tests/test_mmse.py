@@ -1,5 +1,6 @@
 """Exact ensemble statistics, constrained power steps, and alternation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -821,7 +822,6 @@ class TestStackedDesign:
         cfg = harness.ExperimentConfig(scheme=scheme, seed=seed)
         scns = point_scenarios(seed, snr_db)
         dims, sigma2 = scns[0].dims, scns[0].sigma2
-        point = harness.PointDesigns(scns)
         omegas = [scenario_omega(scn) for scn in scns]
         plan = harness.power_blocks(scheme, cfg, dims.K)
         blocks, config = ((None, None) if plan is None else
@@ -829,8 +829,9 @@ class TestStackedDesign:
         stacked = mmse.design(np.stack([scn.x_dest for scn in scns]), sigma2,
                               blocks, config, np.stack(omegas))
         for t, (scn, omega) in enumerate(zip(scns, omegas)):
-            W, amps = point.design(scn, scheme, cfg)
-            W_alone, amps_alone = harness.design_exact(scn, scheme, cfg)
+            W, amps = harness.design_exact(scn, scheme, cfg, scns)
+            W_alone, amps_alone = harness.design_exact(
+                dataclasses.replace(scn), scheme, cfg)
             assert W.tobytes() == W_alone.tobytes()
             assert amps.dtype == amps_alone.dtype
             assert amps.tobytes() == amps_alone.tobytes()

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,13 +27,14 @@ VARIANTS = ("exact", "adaptive")
 # adaptive destination symbols whose link frames are built at once: at the
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
-# (point, trial) pairs of a sweep drawn and designed at once, the desk trials
-# per point, taken trial by trial: a chunk holds every point of several
-# trials, and a trial's points can span two chunks. A sweep holds one
-# chunk's scenarios and designs and one trial's draws at a time: a desk
-# jpais-gpc sweep of 7 points peaks at about 4.7 MB more RSS than one trial
-# at a time (chunks of 7), the same at 100 and at 1000 trials per point; 4
-# points of 8 trials, one chunk of 32, about 0.8 MB more than chunks of 4
+# the most packets a sweep draws and designs at once, in whole trials of
+# every point: max(1, _DESIGN_CHUNK // points) trials per chunk, 100 for a
+# one-point run, 14 (98 packets) for the 7-point desk grid, and one chunk of
+# 8 trials (32 packets) for the benchmark's 4-point exact-sweep. A sweep
+# holds one chunk's scenarios and designs and one trial's draws at a time: a
+# desk jpais-gpc sweep of 7 points peaks at about 4.6 MB more RSS than one
+# trial per chunk, the same at 100 and at 1000 trials per point; the 4
+# points of 8 trials, about 0.8 MB more
 _DESIGN_CHUNK = 100
 
 
@@ -379,7 +378,8 @@ def _packet_symbols(dims: SystemDims, rng_data: np.random.Generator):
 
 
 class TrialDraws(NamedTuple):
-    """An exact trial's data and noise, which its packets share at every SNR
+    """An exact trial's data and noise, drawn once per sweep (a sweep chunk
+    holds whole trials, _run_points), which its packets share at every SNR
     point: the K x P x 2 payload bits, the hops x K x (P + 2) per-hop
     symbols (_packet_symbols; each packet fills in the relay hops before it
     reads them) and, per filter bank in the order relay 1, ..., relay n_r,
@@ -675,30 +675,29 @@ def codes_for(cfg: ExperimentConfig, users: int) -> np.ndarray:
 
 
 def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
-                   codes: np.ndarray, pairs: list):
-    """The PacketResult of each (sigma2, trial) pair of a chunk, in the
-    order of pairs, which holds each trial's pairs together. Each trial's
-    scenario is drawn once, from its own trial_rngs stream, and serves all
-    of its points: one Scenario per noise level, sharing the channel. On
-    the exact path the chunk's scenarios are one stack, whatever their
-    points, designed when the first packet asks for its design
-    (design_exact); a trial whose design fails diverges alone
+                   codes: np.ndarray, trials: range, levels: list):
+    """The PacketResult of each trial of trials at each noise level of
+    levels, trial by trial and, within a trial, in the order of levels.
+    Each trial's scenario is drawn once, from its own trial_rngs stream,
+    and serves all of its points: one Scenario per noise level, sharing the
+    channel. On the exact path the chunk's scenarios are one stack,
+    whatever their points, designed when the first packet asks for its
+    design (design_exact); a trial whose design fails diverges alone
     (_exact_packet). The packets then run one trial at a time: an exact
     trial draws its bits and noise once (exact_draws), and each point's
     packet scales the same unit normals to its own noise level; the draws
     are freed after the trial's last packet. An adaptive packet draws its
     own from fresh streams, so that no packet continues a generator that
     another packet consumed."""
-    trials = []
-    for t, group in groupby(pairs, key=itemgetter(1)):
-        levels = [sigma2 for sigma2, _ in group]
+    drawn = []
+    for t in trials:
         rngs = trial_rngs(cfg.seed, t)
         scn = draw_scenario(dims, codes, levels[0], cfg.shadowing_std_db,
                             rngs[0], isi_enabled=cfg.isi)
-        trials.append((t, rngs, [scn] + [replace(scn, sigma2=sigma2)
-                                         for sigma2 in levels[1:]]))
-    stack = [scn for *_, scns in trials for scn in scns]
-    for t, rngs, scns in trials:
+        drawn.append((t, rngs, [scn] + [replace(scn, sigma2=sigma2)
+                                        for sigma2 in levels[1:]]))
+    stack = [scn for *_, scns in drawn for scn in scns]
+    for t, rngs, scns in drawn:
         if cfg.variant != "exact":
             for scn in scns:
                 yield run_packet(cfg, scn, *trial_rngs(cfg.seed, t)[1:])
@@ -712,30 +711,26 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
 def _run_points(cfg: ExperimentConfig, snrs) -> list:
     """Every trial of cfg at each SNR of snrs: per point, the BERs of the
     packets that kept going, in trial order, the number that diverged, and
-    the kept packets' summed per-symbol errors. The (point, trial) pairs run
-    trial by trial, every point of trial t before trial t + 1, in chunks of
-    _DESIGN_CHUNK (_chunk_packets): a chunk holds the points of several
-    trials, and a trial's points can span two chunks. One chunk's scenarios
-    and designs and one trial's draws are held at a time; each result is
-    counted as it comes. Each trial draws from its own streams and is
-    designed at each point's own noise level, so its packets have the bits
-    they get in any chunk and when run alone (run_packet). A chunk's
-    scenarios keep their own designs (Scenario.designs) and are freed with
-    the chunk."""
+    the kept packets' summed per-symbol errors. The trials run in chunks of
+    max(1, _DESIGN_CHUNK // len(snrs)) whole trials (_chunk_packets), every
+    point of trial t before trial t + 1. One chunk's scenarios and designs
+    and one trial's draws are held at a time; each result is counted as it
+    comes. Each trial draws from its own streams and is designed at each
+    point's own noise level, so its packets have the bits they get in any
+    chunk and when run alone (run_packet). A chunk's scenarios keep their
+    own designs (Scenario.designs) and are freed with the chunk."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     sigma2 = [snr_db_to_sigma2(snr) for snr in snrs]
     bers = [[] for _ in snrs]
     divergences = [0] * len(snrs)
     per_symbol = np.zeros((len(snrs), dims.P), dtype=np.int64)
-    total = len(snrs) * cfg.trials
-    for start in range(0, total, _DESIGN_CHUNK):
-        # (trial, point) of each pair of the chunk
-        chunk = [divmod(i, len(snrs))
-                 for i in range(start, min(start + _DESIGN_CHUNK, total))]
-        packets = _chunk_packets(cfg, dims, codes,
-                                 [(sigma2[p], t) for t, p in chunk])
-        for (_, p), res in zip(chunk, packets):
+    trials, size = range(cfg.trials), max(1, _DESIGN_CHUNK // len(snrs))
+    for start in trials[::size]:
+        packets = _chunk_packets(cfg, dims, codes, trials[start:start + size],
+                                 sigma2)
+        for i, res in enumerate(packets):
+            p = i % len(snrs)  # a chunk's packets run trial by trial
             if res.diverged:
                 divergences[p] += 1
                 continue

@@ -16,9 +16,12 @@ passed to harness.design_exact as its stack.
 sweep_packet_digest takes the packets that harness.run_experiment runs:
 every scheme over 4 SNR points and 3 trials, the soft outputs and per-symbol
 error counts of each packet, in (point, trial) order. A sweep runs its
-(point, trial) pairs trial by trial in chunks that cross points
+trials in chunks of whole trials, each trial at every point
 (harness._run_points), and each trial's channel, bits and noise serve all
-of its points, so this is the digest that sees the sweep's own path.
+of its points. These 12 packets per run are one chunk; the sweep-chunks
+digest runs every scheme over the 7-point desk grid with 15 trials at seed
+1, more trials than one chunk holds, so it is the digest that sees a chunk
+boundary on the sweep's own path.
 
 adaptive_packet_digest does the same for adaptive packets at 9 dB: the
 per-symbol error counts, the squared amplitude norms and the relative
@@ -52,6 +55,8 @@ SNRS_DB = (0.0, 18.0)
 TRIALS = 4
 SWEEP_SNRS_DB = (0.0, 6.0, 12.0, 18.0)
 SWEEP_TRIALS = 3
+CHUNK_SNRS_DB = harness.ExperimentConfig().snr_grid
+CHUNK_TRIALS = 15
 PINS = Path(__file__).resolve().with_name("packet_digests.json")
 
 
@@ -166,6 +171,8 @@ def adaptive_packet_digest(seeds=SEEDS, snr_db=9.0,
 DIGESTS = {
     "exact": exact_packet_digest,
     "sweep": sweep_packet_digest,
+    "sweep-chunks": lambda: sweep_packet_digest(
+        seeds=(1,), snrs_db=CHUNK_SNRS_DB, trials=CHUNK_TRIALS),
     "adaptive": adaptive_packet_digest,
     "adaptive-all": lambda: adaptive_packet_digest(schemes=harness.SCHEMES,
                                                    soft=True),

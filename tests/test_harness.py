@@ -719,11 +719,12 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
         packets[pair(scn)] = res
         return res
 
-    def chunk(cfg, dims, codes, pairs):
-        for (level, t), res in zip(pairs, real_chunk(cfg, dims, codes,
-                                                     pairs)):
+    def chunk(cfg, dims, codes, trials, levels):
+        pairs = [(sigma2.index(level), t) for t in trials for level in levels]
+        for pair, res in zip(pairs, real_chunk(cfg, dims, codes, trials,
+                                               levels)):
             if results is not None:
-                results[sigma2.index(level), t] = res
+                results[pair] = res
             yield res
 
     with monkeypatch.context() as patch:
@@ -1131,18 +1132,18 @@ def per_point_run(cfg):
 
 
 class TestMixedNoiseChunks:
-    """A chunk holds (point, trial) pairs of several SNR points, trial by
-    trial; each trial keeps the bytes it gets in a stack of its own
-    point."""
+    """A chunk holds whole trials, each at every SNR point; each trial
+    keeps the bytes it gets in a stack of its own point."""
 
     @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
                                         "jpais-ipc"])
     def test_chunks_across_points_keep_each_points_bytes(self, scheme,
                                                          monkeypatch):
-        """A 3-point x 5-trial sweep in chunks of 4 designs four stacks, each
-        across all three points, and every packet's design, relay banks and
-        soft outputs have the bytes of its point's own stack; the rows are
-        those of the points swept one at a time."""
+        """A 3-point x 5-trial sweep in chunks of two trials (6 packets)
+        designs three stacks, each across all three points, and every
+        packet's design, relay banks and soft outputs have the bytes of its
+        point's own stack; the rows are those of the points swept one at a
+        time."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
                         snr_grid=(0.0, 9.0, 18.0), packet_len=60,
@@ -1153,12 +1154,12 @@ class TestMixedNoiseChunks:
             stacks.append(len(X))
             return real(X, *args)
 
-        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 4)
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 6)
         monkeypatch.setattr(mmse, "design", design)
         curve, chunked, levels = recorded_packets(
             monkeypatch, lambda: run_experiment(cfg))
-        assert stacks == [4, 4, 4, 3]
-        assert [len(s) for s in levels] == [3, 3, 3, 3]
+        assert stacks == [6, 6, 3]
+        assert [len(s) for s in levels] == [3, 3, 3]
         _, alone, _ = recorded_packets(monkeypatch,
                                        lambda: per_point_run(cfg))
         assert len(chunked) == len(alone) == 15
@@ -1181,14 +1182,14 @@ class TestMixedNoiseChunks:
     def test_poisoned_trial_in_a_mixed_chunk_fails_alone(self, scheme, poison,
                                                          monkeypatch):
         """Trial 0 poisoned at the second point only shares its chunk with
-        its own packets at the other points and with trial 1's first: it
-        alone diverges, with its failed design recorded, and is counted at
-        its own point; every other packet keeps its bit errors."""
+        its own packets at the other points and with trial 1's: it alone
+        diverges, with its failed design recorded, and is counted at its
+        own point; every other packet keeps its bit errors."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
                         snr_grid=(0.0, 9.0, 18.0), packet_len=60,
                         training_len=20)
-        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 4)
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 6)
         clean, clean_packets = exact_point(monkeypatch, cfg)
         results = {}
         curve, packets = exact_point(monkeypatch, cfg, poison,
@@ -1214,40 +1215,80 @@ class TestMixedNoiseChunks:
 def sweep_packets(monkeypatch, cfg, poison=None, poisoned_trial=None):
     """run_experiment of cfg with poison applied to each draw of the
     scenario of poisoned_trial, before it serves any point; the curve, the
-    trial of each draw in order, and every packet the sweep counted as
+    trials of what the sweep made, in order (of each chunk, each scenario
+    draw and each exact_draws call), and every packet the sweep counted as
     ((sigma2, trial), PacketResult, soft outputs) in run order."""
     from coopcdma import harness
     real_draw, real_chunk = harness.draw_scenario, harness._chunk_packets
-    real_result = harness._packet_result
-    drawn, outputs, packets = [], [], []
+    real_result, real_draws = harness._packet_result, harness.exact_draws
+    made = {"chunks": [], "scenarios": [], "draws": []}
+    outputs, packets = [], []
 
     def draw(*args, **kwargs):
         scn = real_draw(*args, **kwargs)
-        drawn.append(trial_of(args[4]))
-        if drawn[-1] == poisoned_trial:
+        made["scenarios"].append(trial_of(args[4]))
+        if made["scenarios"][-1] == poisoned_trial:
             poison(scn, np.random.default_rng(7))
         return scn
+
+    def draws(dims, rng_data, rng_noise):
+        made["draws"].append(trial_of(rng_data))
+        return real_draws(dims, rng_data, rng_noise)
 
     def result(soft, *args, **kwargs):
         outputs.append(soft)
         return real_result(soft, *args, **kwargs)
 
-    def chunk(cfg, dims, codes, pairs):
-        for pair, res in zip(pairs, real_chunk(cfg, dims, codes, pairs)):
+    def chunk(cfg, dims, codes, trials, levels):
+        made["chunks"].append(list(trials))
+        pairs = [(level, t) for t in trials for level in levels]
+        for pair, res in zip(pairs, real_chunk(cfg, dims, codes, trials,
+                                               levels)):
             packets.append((pair, res, outputs.pop()))
             yield res
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "draw_scenario", draw)
+        patch.setattr(harness, "exact_draws", draws)
         patch.setattr(harness, "_packet_result", result)
         patch.setattr(harness, "_chunk_packets", chunk)
         curve = run_experiment(cfg)
-    return curve, drawn, packets
+    return curve, made, packets
+
+
+def assert_lone_packets(monkeypatch, cfg, packets):
+    """Every packet of sweep_packets has the soft-output bytes and
+    per-symbol errors of run_packet on fresh trial_rngs streams, and the
+    sweep's packets run trial by trial, every point of a trial in turn."""
+    from coopcdma import harness
+    dims = cfg.dims()
+    levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
+    assert [pair for pair, *_ in packets] == [
+        (level, t) for t in range(cfg.trials) for level in levels]
+    real_result, outputs = harness._packet_result, []
+
+    def result(soft, *args, **kwargs):
+        outputs.append(soft)
+        return real_result(soft, *args, **kwargs)
+
+    for (sigma2, t), res, soft in packets:
+        rng_ch, *rngs = trial_rngs(cfg.seed, t)
+        scn = draw_scenario(dims, codes_for(cfg, dims.K), sigma2,
+                            cfg.shadowing_std_db, rng_ch,
+                            isi_enabled=cfg.isi)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_packet_result", result)
+            lone = run_packet(cfg, scn, *rngs)
+        assert not res.diverged and not lone.diverged
+        assert soft.tobytes() == outputs.pop().tobytes()
+        assert (res.per_symbol_errors.tobytes()
+                == lone.per_symbol_errors.tobytes())
 
 
 class TestTrialByTrialSweep:
-    """A sweep takes its (point, trial) pairs trial by trial, and each
-    trial's channel, bits and noise serve all of its points in a chunk."""
+    """A sweep takes its trials in chunks of whole trials, each trial at
+    every point, and each trial's channel, bits and noise, drawn once per
+    sweep, serve all of its points."""
 
     @staticmethod
     def config(scheme, variant="exact"):
@@ -1261,37 +1302,44 @@ class TestTrialByTrialSweep:
         ("jpais-gpc", "adaptive")])
     def test_every_packet_is_its_lone_packet(self, scheme, variant,
                                              monkeypatch):
-        """In chunks of 5, trial 1's points span two chunks and trial 3's
-        too; each chunk draws each of its trials' scenarios once. Every
-        packet has the soft-output bytes and per-symbol errors of run_packet
-        on fresh trial_rngs streams: no packet continues a generator that
-        another packet of its trial consumed."""
+        """A chunk of up to 7 packets holds two whole trials of 3 points (6
+        packets): no trial's scenario or exact_draws is made twice in the
+        sweep, and an adaptive sweep makes no exact_draws. Every packet has
+        the soft-output bytes and per-symbol errors of run_packet on fresh
+        trial_rngs streams: no packet continues a generator that another
+        packet of its trial consumed."""
         from coopcdma import harness
         cfg = self.config(scheme, variant)
-        dims = cfg.dims()
-        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 5)
-        curve, drawn, packets = sweep_packets(monkeypatch, cfg)
-        assert drawn == [0, 1, 1, 2, 3, 3]
-        levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
-        assert [pair for pair, *_ in packets] == [
-            (levels[p], t) for t in range(4) for p in range(3)]
-        real_result, outputs = harness._packet_result, []
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 7)
+        curve, made, packets = sweep_packets(monkeypatch, cfg)
+        assert made == {"chunks": [[0, 1], [2, 3]],
+                        "scenarios": [0, 1, 2, 3],
+                        "draws": [0, 1, 2, 3] if variant == "exact" else []}
+        assert_lone_packets(monkeypatch, cfg, packets)
+        assert curve.point_divergences == [0, 0, 0]
 
-        def result(soft, *args, **kwargs):
-            outputs.append(soft)
-            return real_result(soft, *args, **kwargs)
+    @pytest.mark.parametrize("scheme", ["ncis", "cis", "jpais-gpc",
+                                        "jpais-ipc"])
+    def test_a_grid_wider_than_a_chunk_takes_one_trial_per_chunk(
+            self, scheme, monkeypatch):
+        """With more points than _DESIGN_CHUNK, a chunk holds one whole
+        trial, designed as one stack of all its points, larger than
+        _DESIGN_CHUNK; every packet keeps the bytes of run_packet alone."""
+        from coopcdma import harness
+        cfg = self.config(scheme)
+        real, stacks = harness._design_stack, []
 
-        monkeypatch.setattr(harness, "_packet_result", result)
-        for (sigma2, t), res, soft in packets:
-            rng_ch, *rngs = trial_rngs(cfg.seed, t)
-            scn = draw_scenario(dims, codes_for(cfg, dims.K), sigma2,
-                                cfg.shadowing_std_db, rng_ch,
-                                isi_enabled=cfg.isi)
-            lone = run_packet(cfg, scn, *rngs)
-            assert not res.diverged and not lone.diverged
-            assert soft.tobytes() == outputs.pop().tobytes()
-            assert (res.per_symbol_errors.tobytes()
-                    == lone.per_symbol_errors.tobytes())
+        def design_stack(scenarios, *args):
+            stacks.append(len(scenarios))
+            return real(scenarios, *args)
+
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 2)
+        monkeypatch.setattr(harness, "_design_stack", design_stack)
+        curve, made, packets = sweep_packets(monkeypatch, cfg)
+        assert made == {"chunks": [[0], [1], [2], [3]],
+                        "scenarios": [0, 1, 2, 3], "draws": [0, 1, 2, 3]}
+        assert stacks == [3, 3, 3, 3]
+        assert_lone_packets(monkeypatch, cfg, packets)
         assert curve.point_divergences == [0, 0, 0]
 
     @pytest.mark.parametrize("scheme,poison", [
@@ -1299,16 +1347,16 @@ class TestTrialByTrialSweep:
         ("jpais-ipc", nan_waveform), ("jpais-gpc", zero_waveforms)])
     def test_a_trial_poisoned_on_its_scenario_diverges_at_every_point(
             self, scheme, poison, monkeypatch):
-        """Trial 1's scenario, poisoned as drawn in each of the two chunks
-        its points span, fails its design at every point, and nowhere
-        else: every other packet keeps its clean per-symbol errors."""
+        """Trial 1's scenario, poisoned as drawn, once for all of its
+        points, fails its design at every point, and nowhere else: every
+        other packet keeps its clean per-symbol errors."""
         from coopcdma import harness
         cfg = self.config(scheme)
-        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 5)
+        monkeypatch.setattr(harness, "_DESIGN_CHUNK", 7)
         _, _, clean = sweep_packets(monkeypatch, cfg)
-        curve, drawn, packets = sweep_packets(monkeypatch, cfg, poison,
-                                              poisoned_trial=1)
-        assert drawn == [0, 1, 1, 2, 3, 3]
+        curve, made, packets = sweep_packets(monkeypatch, cfg, poison,
+                                             poisoned_trial=1)
+        assert made["scenarios"] == made["draws"] == [0, 1, 2, 3]
         assert curve.point_divergences == [1, 1, 1]
         for (pair, res, _), (clean_pair, want, _) in zip(packets, clean):
             assert pair == clean_pair

@@ -88,7 +88,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     for key, raw in (overrides or {}).items():
         if raw is not None:
             values[key] = _coerce(key, raw)
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    # ExperimentConfig runs ncis without relays; a count given for it is an
+    # error, not dropped
+    if cfg.scheme == "ncis" and values.get("relays", 0) > 0:
+        raise ConfigError(f"relays: ncis relays nothing, got "
+                          f"{values['relays']!r}; give 0 or omit it")
+    return cfg
 
 
 # the root of the source tree that holds this module, src/coopcdma/cli.py

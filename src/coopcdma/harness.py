@@ -280,29 +280,24 @@ def _relay_chains(scenarios: list) -> np.ndarray:
     return omega
 
 
-def _bisect_failures(step, trials: range, out) -> None:
-    """Write out[t] for each trial t of trials: its result from
-    step(trials), which returns one per trial in order, or the TrialFailure
-    that fails t.
+def _bisect_failures(step, items: list) -> list:
+    """Each item's result from step(items), which returns one per item in
+    order, or the TrialFailure that fails that item, in the order of items.
 
     A step that raises a TrialFailure is run again on each half of its
-    trials, down to stacks of one, so that each failure stands alone and
-    fails only its own trial. With f failed trials of T, step runs at most
-    1 + 2 f ceil(log2 T) times: halves, where single trials would run T
+    items, down to stacks of one, so that each failure stands alone and
+    fails only its own item. With f failed items of T, step runs at most
+    1 + 2 f ceil(log2 T) times: halves, where single items would run T
     small steps.
     """
     try:
-        results = step(trials)
+        return step(items)
     except TrialFailure as exc:
-        if len(trials) == 1:
-            out[trials[0]] = exc
-            return
-        half = len(trials) // 2
-        _bisect_failures(step, trials[:half], out)
-        _bisect_failures(step, trials[half:], out)
-        return
-    for t, result in zip(trials, results):
-        out[t] = result
+        if len(items) == 1:
+            return [exc]
+        half = len(items) // 2
+        return (_bisect_failures(step, items[:half])
+                + _bisect_failures(step, items[half:]))
 
 
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
@@ -322,8 +317,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
     blocks, config = ((None, None) if plan is None else
                       (K // plan[0], cfg.mmse_config(plan[1])))
 
-    def step(trials: range) -> list:
-        scns = [scenarios[t] for t in trials]
+    def step(scns: list) -> list:
         omega = _relay_chains(scns)
         if plan is not None and len(scns) == 1:
             # kept only because the benchmark's tracer counts alternation
@@ -337,9 +331,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
         amps = res.amps if plan is not None else res.amps.astype(complex)
         return list(zip(res.W, amps))
 
-    designs = [None] * len(scenarios)
-    _bisect_failures(step, range(len(scenarios)), designs)
-    return designs
+    return _bisect_failures(step, scenarios)
 
 
 def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,

@@ -51,10 +51,17 @@ class MmseConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("regularization must be >= 0")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValueError("max_iters must be >= 1 and tol > 0")
+        # nan fails every comparison
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"regularization must be finite and >= 0, "
+                             f"got {self.lam!r}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 @dataclass
@@ -177,14 +184,15 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     shape that broadcasts to R's leading axes). For Hermitian R,
     cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
-    assembly of R. Every matrix so certified goes to one batched LU call, the
+    assembly of R. A stack certified whole goes to one batched LU call, the
     LAPACK gufunc of np.linalg.solve with its bytes (rlscore.lapack_solve).
-    The SVD (np.linalg.cond) runs, matrix by matrix, only on the others: when
-    its floor is 0, when the bound does not prove the limit, or when LU raises
-    LinAlgError on that matrix. A matrix whose condition number is then
-    non-finite or above the limit is solved with the pseudoinverse, with one
-    RuntimeWarning per such matrix. An empty stack solves to an empty x.
-    R and rhs are float64 or complex128.
+    Any other stack, and a whole stack on which LU raises LinAlgError, is
+    solved matrix by matrix: by LU when the matrix is certified, else, or when
+    LU raises on it, by the SVD path (_cond_solve): a matrix whose condition
+    number np.linalg.cond finds non-finite or above the limit is solved with
+    the pseudoinverse, with one RuntimeWarning per such matrix, in the
+    stack's order. An empty stack solves to an empty x. R and rhs are float64
+    or complex128.
     """
     # a count, not .all(): no Python-level reduction wrapper
     if (np.count_nonzero(np.isfinite(R)) != R.size
@@ -200,21 +208,19 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
                                    axis=-1)
                  <= floors * _COND_LIMIT / 2)
     certified &= floors > 0.0
-    n_certified = np.count_nonzero(certified)
-    try:
-        if n_certified == len(Rs):  # the whole stack, no copy in or out
+    if np.count_nonzero(certified) == len(Rs):
+        try:  # the whole stack, no copy in or out
             return lapack_solve(Rs, bs).reshape(rhs.shape)
-        x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
-        if n_certified:
-            x[certified] = lapack_solve(Rs[certified], bs[certified])
-    except np.linalg.LinAlgError:  # find the matrices LU fails on
-        x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
-        for i in np.flatnonzero(certified):
+        except np.linalg.LinAlgError:  # find the matrices LU fails on
+            pass
+    x = np.empty(bs.shape, dtype=np.result_type(R, rhs))
+    for i, lu in enumerate(certified.tolist()):
+        if lu:
             try:
                 x[i] = lapack_solve(Rs[i], bs[i])
+                continue
             except np.linalg.LinAlgError:
-                certified[i] = False
-    for i in np.flatnonzero(~certified):
+                pass
         x[i] = _cond_solve(Rs[i], bs[i], what)
     return x.reshape(rhs.shape)
 

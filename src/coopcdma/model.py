@@ -35,6 +35,11 @@ class SystemDims:
     P: int = 1
 
     def __post_init__(self):
+        for name in ("K", "N", "L", "n_r", "P"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.K < 1 or self.N < 1 or self.L < 1 or self.P < 1:
             raise ValueError(f"K, N, L, P must be >= 1, got {self}")
         if self.n_r < 0:

@@ -63,16 +63,16 @@ def relay_statistics(x_scaled: np.ndarray, sigma2, bank):
 
 
 class AdaptiveRelay:
-    """RLS-adapted relays, stepped as one stack: the destination's receiver
-    recursion on each relay's observation (an n_r x M x K filter stack), and
-    a running mean of each filter's output power, so the forwarded symbols
-    stay close to unit energy while the filters adapt.
+    """RLS-adapted relays for one packet, stepped as one stack: the
+    destination's receiver recursion on each relay's observation (an n_r x
+    M x K filter stack), and a running mean of each filter's output power
+    over the packet, so the forwarded symbols stay close to unit energy
+    while the filters adapt.
     """
 
     def __init__(self, relays: int, M: int, K: int, alpha: float,
                  delta: float):
         self.rx = init_receiver(np.zeros((relays, M, K)), alpha, delta)
-        self.power = np.zeros((relays, K))
         self.count = 0  # symbols whose filter step has completed
 
     def step(self, r: np.ndarray, training: np.ndarray | None) -> np.ndarray:
@@ -88,26 +88,24 @@ class AdaptiveRelay:
         return y
 
     def forward(self, obs: np.ndarray, training: np.ndarray) -> np.ndarray:
-        """The symbols the relays forward for observations obs (n_r x M x
-        n): one filter step per symbol, the first training.shape[-1] of
-        them on the training symbols (K x T). Returns (n, n_r, K): each
-        filter output over the square root of the running mean of its
-        output power up to that symbol (floored at _POWER_FLOOR)."""
+        """The symbols the relays forward for the packet's observations obs
+        (n_r x M x n): one filter step per symbol, the first
+        training.shape[-1] of them on the training symbols (K x T). Returns
+        (n, n_r, K): each filter output over the square root of the running
+        mean of its output power from the packet's first symbol to that one
+        (floored at _POWER_FLOOR)."""
         n, T = obs.shape[-1], training.shape[-1]
-        start = self.count
-        y = np.empty((n, *self.power.shape), dtype=complex)
+        relays, _, K = self.rx.W.shape
+        y = np.empty((n, relays, K), dtype=complex)
         for i in range(n):
             y[i] = self.step(obs[:, :, i], training[:, i] if i < T else None)
-        # the running mean of |y|^2, in place and in symbol order, as one
-        # step at a time updated it: mean_i = mean_(i-1) + (|y_i|^2 -
-        # mean_(i-1)) / count
+        # the running mean of |y|^2, in place and in symbol order:
+        # mean_1 = |y_1|^2, mean_i = mean_(i-1) + (|y_i|^2 - mean_(i-1)) / i
         mean = np.square(np.abs(y))
-        last = self.power
-        for count, m in enumerate(mean, start + 1):
+        for i in range(1, n):
+            m, last = mean[i], mean[i - 1]
             m -= last
-            m /= count
+            m /= i + 1
             m += last
-            last = m
-        self.power = last.copy()
         y /= np.sqrt(np.maximum(mean, _POWER_FLOOR, out=mean), out=mean)
         return y

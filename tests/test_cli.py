@@ -306,6 +306,32 @@ class TestMain:
         assert line.split(" = ")[0] in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_ncis_with_relays_returns_2(self, tiny_file, tmp_path, capsys,
+                                        source):
+        """A relay count given for ncis, by flag or in the file, is refused
+        by name, not run with no relays."""
+        path = tmp_path / "ncis.cfg"
+        path.write_text(Path(tiny_file).read_text()
+                        + ("relays = 5\n" if source == "file" else ""))
+        flag = ["--relays", "3"] if source == "flag" else []
+        out = tmp_path / "r.csv"
+        rc = run_main(["sweep-snr", "--config", str(path), "--scheme", "ncis",
+                       *flag, "--trials", "1", "--snr", "9",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "relays" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_ncis_with_zero_relays_runs(self, tiny_file, tmp_path):
+        out = tmp_path / "r.json"
+        rc = run_main(["sweep-snr", "--config", tiny_file, "--scheme", "ncis",
+                       "--relays", "0", "--users", "2", "--trials", "1",
+                       "--snr", "9", "--format", "json", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["manifest"]["config"]["relays"] == 0
+
     def test_negative_seed_flag_returns_2(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = run_main(["sweep-snr", "--seed", "-1", "--snr", "9", "--variant",

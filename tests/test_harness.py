@@ -1010,11 +1010,12 @@ class TestDesignStackBisection:
 
     @pytest.mark.parametrize("T,bad", [(1, ()), (1, (0,))] + failure_cases())
     def test_each_trial_is_written_once(self, T, bad):
-        """With a step that fails on chosen trials, each failed trial records
-        its own failure once, each kept trial its own result once, and the
-        step runs at most 1 + 2 f ceil(log2 T) times for f failures."""
+        """With a step that fails on chosen trials, the returned list holds
+        one entry per trial, in order: each failed trial its own failure,
+        each kept trial its own result; the step runs at most
+        1 + 2 f ceil(log2 T) times for f failures."""
         from coopcdma import harness
-        calls, writes = [], []
+        calls = []
 
         def step(trials):
             calls.append(trials)
@@ -1023,14 +1024,8 @@ class TestDesignStackBisection:
                     raise DegenerateStateError(f"trial {t}")
             return [("design", t) for t in trials]
 
-        class Out(dict):
-            def __setitem__(self, t, value):
-                writes.append(t)
-                super().__setitem__(t, value)
-
-        out = Out()
-        harness._bisect_failures(step, range(T), out)
-        assert sorted(writes) == list(range(T))
+        out = harness._bisect_failures(step, list(range(T)))
+        assert len(out) == T
         for t in range(T):
             if t in bad:
                 assert type(out[t]) is DegenerateStateError

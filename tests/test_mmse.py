@@ -744,6 +744,33 @@ class TestCertifiedSolve:
                            np.zeros(rhs_shape, dtype=complex), "empty", 1.0)
         assert x.shape == rhs_shape and x.dtype == complex
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_desk_sweeps_solve_every_stack_in_one_call(self, seed,
+                                                       monkeypatch):
+        """Over exact sweeps of all four schemes on the desk SNR grid, every
+        stack _checked_solve gets is certified whole and solved by one
+        batched LU call: no call of lapack_solve gets a lone matrix, and the
+        SVD path never runs."""
+        real, shapes, svd_path = mmse.lapack_solve, [], []
+
+        def recorded(N, B):
+            shapes.append(N.shape)
+            return real(N, B)
+
+        def refused(R, rhs, what):
+            svd_path.append(what)
+            raise AssertionError(f"{what}: the SVD path ran")
+
+        monkeypatch.setattr(mmse, "lapack_solve", recorded)
+        monkeypatch.setattr(mmse, "_cond_solve", refused)
+        for scheme in harness.SCHEMES:
+            curve = harness.run_experiment(harness.ExperimentConfig(
+                scheme=scheme, variant="exact", trials=6, seed=seed))
+            assert curve.divergences == 0, scheme
+        assert shapes and svd_path == []
+        assert all(len(shape) == 3 for shape in shapes), [
+            shape for shape in shapes if len(shape) != 3]
+
     def test_noise_free_alternation_still_warns(self, rng):
         dims = SystemDims(K=2, N=8, L=2, n_r=1)
         X, _ = make_stack(dims, rng)
@@ -951,6 +978,20 @@ class TestConfigValidation:
             MmseConfig(max_iters=0)
         with pytest.raises(ValueError):
             MmseConfig(tol=0.0)
+
+    @pytest.mark.parametrize("field", ["lam", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lam_and_tol(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MmseConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "5"])
+    def test_rejects_non_integer_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            MmseConfig(max_iters=value)
+
+    def test_numpy_integer_max_iters_passes(self):
+        assert MmseConfig(max_iters=np.int64(7)).max_iters == 7
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

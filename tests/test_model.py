@@ -524,6 +524,18 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(K=1, N=16, L=3, n_r=-1)
 
+    @pytest.mark.parametrize("name", ["K", "N", "L", "n_r", "P"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_dims(self, name, value):
+        given = {**dict(K=2, N=16, L=3, n_r=1, P=10), name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SystemDims(**given)
+
+    def test_numpy_integer_dims_pass(self):
+        dims = SystemDims(K=np.int64(2), N=np.int32(16), L=np.int64(3),
+                          n_r=np.int64(1), P=np.int64(10))
+        assert dims.M == 18 and dims.hops == 2
+
 
 class TestEffectiveWaveforms:
     def test_columns_are_per_hop_products(self, rng):

@@ -163,10 +163,12 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 class Scenario:
     """One packet's ground truth: codes, per-link channels, noise level.
 
-    relay_banks holds the relays' exact MMSE filters (n_r x M x K) and gains
-    (n_r x K), set by the exact design's relay chain (_relay_chains), and
-    designs each exact design (W, amps), or the TrialFailure that failed it,
-    by (scheme, config) (design_exact). Neither is an init field, so a
+    relay_banks holds the relays' exact MMSE filters (n_r x M x K), gains
+    (n_r x K) and the R factors of their filters (n_r x min(M, K) x K), set
+    by the exact design's relay chain (_relay_chains), and designs each exact
+    design (W, amps) with the R factor of W, or the TrialFailure that failed
+    it, by (scheme, config) (design_exact); the R factors colour the packet's
+    filtered noise (_filtered_noise). Neither is an init field, so a
     scenario made by replace starts with neither. A scenario's arrays must
     not change after its first design."""
 
@@ -248,10 +250,12 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
     K, P = bits.shape[:2]
     n = soft.shape[1]
     err_symbol = np.zeros(P, dtype=np.int64)
-    # each symbol's two bit errors summed over the users, then over the pair:
-    # reductions over contiguous axes, the same integers as .sum(axis=(0, 2))
-    errors = (demodulate_qpsk(soft) != bits[:, :n]).reshape(K, 2 * n)
-    err_symbol[:n] = errors.sum(0).reshape(n, 2).sum(-1)
+    # each symbol's two bit errors counted from its pair of error flags,
+    # viewed as one 16-bit word, then summed over the users: the same
+    # integers as .sum(axis=(0, 2)), without a reduction over pairs
+    errors = demodulate_qpsk(soft) != bits[:, :n]
+    np.add.reduce(np.bitwise_count(errors.view(np.uint16)[..., 0]), axis=0,
+                  out=err_symbol[:n])
     return PacketResult(bit_errors=int(err_symbol[T:].sum()),
                         payload_bits=2 * (P - T) * K,
                         per_symbol_errors=err_symbol, **fields)
@@ -268,15 +272,17 @@ def _relay_chains(scenarios: list) -> np.ndarray:
     enter unscaled and relay-side quality is identical across schemes. The
     chains of all the scenarios are one stack: one mmse_relay_bank and one
     relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms
-    and their (T, 1) noise levels, with each relay's bytes alone. A trial
-    whose chain fails raises its TrialFailure for the whole stack, before
-    any relay_banks is set."""
+    and their (T, 1) noise levels, and one QR call for the R factors of
+    their filters, with each relay's bytes alone. A trial whose chain fails
+    raises its TrialFailure for the whole stack, before any relay_banks is
+    set."""
     x_sr = np.stack([scn.x_sr for scn in scenarios])
     sigma2 = np.array([[scn.sigma2] for scn in scenarios])
     bank = mmse_relay_bank(x_sr, sigma2)
     omega = mmse.relay_omega(*relay_statistics(x_sr, sigma2, bank))
-    for scn, W, gains in zip(scenarios, *bank):
-        scn.relay_banks = (W, gains)
+    factors = np.linalg.qr(bank[0], mode="r")
+    for scn, W, gains, R in zip(scenarios, *bank, factors):
+        scn.relay_banks = (W, gains, R)
     return omega
 
 
@@ -301,12 +307,14 @@ def _bisect_failures(step, items: list) -> list:
 
 
 def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
-    """Each scenario's exact design (W, amps), or the TrialFailure that
-    failed it alone, in the order of scenarios: its relay chain
-    (_relay_chains, which sets its relay_banks) and its design in the stack
-    (mmse.design), run for the whole stack and, on a failure, for its halves
-    (_bisect_failures). A failed stack's trials are designed again, so a
-    trial's pseudoinverse warnings repeat once per stack it is in.
+    """Each scenario's exact design (W, amps) with the R factor of W, or the
+    TrialFailure that failed it alone, in the order of scenarios: its relay
+    chain (_relay_chains, which sets its relay_banks) and its design in the
+    stack (mmse.design), run for the whole stack and, on a failure, for its
+    halves (_bisect_failures). The R factors of a stack's filters are one QR
+    call, so a trial's factor comes from the stack that kept its design. A
+    failed stack's trials are designed again, so a trial's pseudoinverse
+    warnings repeat once per stack it is in.
 
     A stack of one with a power step (a lone scenario, or a leaf of the
     bisection) designs through mmse.alternate, with the same bits as
@@ -324,12 +332,14 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
             # iterations and convergence through mmse.alternate calls
             res = mmse.alternate(scns[0].x_dest, scns[0].sigma2, blocks,
                                  config, omega[0])
-            return [(res.W, res.amps)]
-        res = mmse.design(np.stack([scn.x_dest for scn in scns]),
-                          np.array([scn.sigma2 for scn in scns]), blocks,
-                          config, omega)
-        amps = res.amps if plan is not None else res.amps.astype(complex)
-        return list(zip(res.W, amps))
+            W, amps = res.W[None], res.amps[None]
+        else:
+            res = mmse.design(np.stack([scn.x_dest for scn in scns]),
+                              np.array([scn.sigma2 for scn in scns]), blocks,
+                              config, omega)
+            W, amps = res.W, (res.amps if plan is not None
+                              else res.amps.astype(complex))
+        return list(zip(W, amps, np.linalg.qr(W, mode="r")))
 
     return _bisect_failures(step, scenarios)
 
@@ -337,11 +347,11 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
 def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                  stack: list | None = None):
     """Exact-statistics receiver matrix and amplitude allocation for a packet,
-    kept in scn.designs. On the first request for a scheme and config, the
-    scenarios of stack, which holds scn (by default scn alone), are designed
-    as one stack (_design_stack) and each keeps its own design; every
-    request after reads scn's. A scenario whose design failed raises its
-    TrialFailure, for its trial alone."""
+    kept in scn.designs with the R factor of the matrix. On the first
+    request for a scheme and config, the scenarios of stack, which holds scn
+    (by default scn alone), are designed as one stack (_design_stack) and
+    each keeps its own design; every request after reads scn's. A scenario
+    whose design failed raises its TrialFailure, for its trial alone."""
     key = scheme, cfg
     if key not in scn.designs:
         stack = [scn] if stack is None else stack
@@ -353,7 +363,8 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     design = scn.designs[key]
     if isinstance(design, Exception):
         raise design
-    return design
+    W, amps, _ = design
+    return W, amps
 
 
 def _packet_symbols(dims: SystemDims, rng_data: np.random.Generator):
@@ -407,14 +418,14 @@ def _relay_frames(scn: Scenario, S0: np.ndarray,
     return frames
 
 
-def _filtered_noise(W: np.ndarray, sigma2: float,
+def _filtered_noise(R: np.ndarray, sigma2: float,
                     normals: np.ndarray) -> np.ndarray:
     """W^H n over P symbols, n white chip noise of variance sigma2, formed
-    from the (2, rows, P) unit normals of W's rows of R:
-    W^H n ~ CN(0, sigma2 W^H W), coloured by R^H of W = QR. Unlike a
-    Cholesky factor of W^H W, the QR factor exists for a rank-deficient
-    W."""
-    R = np.linalg.qr(W, mode="r")
+    from R, the R factor of W = QR, and the (2, rows, P) unit normals of R's
+    rows: W^H n ~ CN(0, sigma2 W^H W), coloured by R^H. Unlike a Cholesky
+    factor of W^H W, the QR factor exists for a rank-deficient W. The
+    factors are taken once per design stack (_relay_chains, _design_stack),
+    not per packet."""
     return R.conj().T @ _noise_matrix(normals, sigma2)
 
 
@@ -437,18 +448,21 @@ def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
 
 
 def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
-                       S: np.ndarray, normals: list) -> np.ndarray:
+                       S: np.ndarray, normals: list,
+                       R: np.ndarray) -> np.ndarray:
     """Destination soft outputs W^H r (K x P) of a whole packet under fixed
-    filters and amplitudes; fills in S's relay hops with the symbols
-    g * Wr^H r_j the relays forward. Every output is formed from filtered
-    frames and filtered noise, without a chip window: normals holds each
-    filter bank's unit normals (TrialDraws.normals)."""
-    for j, (X, Wr, g, Z) in enumerate(zip(scn.x_sr, *scn.relay_banks,
-                                          normals)):
-        y = _filtered_noise(Wr, scn.sigma2, Z)
+    filters and amplitudes; fills in S's relay hops, in place, with the
+    symbols g * Wr^H r_j the relays forward. Every output is formed from
+    filtered frames and filtered noise, without a chip window: normals holds
+    each filter bank's unit normals (TrialDraws.normals), coloured by the R
+    factor of its filters, a relay's from scn.relay_banks and the
+    destination's R."""
+    for j, (X, Wr, g, Rr, Z) in enumerate(zip(scn.x_sr, *scn.relay_banks,
+                                              normals)):
+        y = _filtered_noise(Rr, scn.sigma2, Z)
         add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
-        S[j + 1, :, 1:-1] = y * g[:, None]
-    soft = _filtered_noise(W, scn.sigma2, normals[-1])
+        np.multiply(y, g[:, None], out=S[j + 1, :, 1:-1])
+    soft = _filtered_noise(R, scn.sigma2, normals[-1])
     # hop j's filter rows W_j see only hop j's links
     for X, W_j, S_j, a in zip(scn.x_dest, W.reshape(scn.x_dest.shape), S,
                               amps.T):
@@ -462,9 +476,11 @@ def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
     """Vectorized packet simulation with fixed filters and amplitudes, on
     its trial's bits and unit-normal noise (exact_draws), which every point
     of the trial shares: only the noise scale sqrt(sigma2 / 2) is the
-    packet's own."""
+    packet's own. W and amps are scn's design for cfg (design_exact), whose
+    R factor the scenario keeps with it."""
+    R = scn.designs[cfg.scheme, cfg][2]
     return _packet_result(exact_soft_outputs(scn, W, amps, draws.symbols,
-                                             draws.normals),
+                                             draws.normals, R),
                           draws.bits, cfg.training_len)
 
 

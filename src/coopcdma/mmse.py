@@ -37,6 +37,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+# einsum's C function, which np.einsum calls when not asked to optimize: the
+# same bytes without the wrapper's dispatch, a microsecond or two a call in
+# the alternation's steps
+from numpy._core.multiarray import c_einsum
 
 from .errors import DegenerateStateError, IllConditionedError
 from .rlscore import lapack_solve
@@ -125,8 +129,8 @@ def _diagonal_blocks(X: np.ndarray, blocks: int) -> np.ndarray:
     if blocks == 1:
         return X[:, None]  # the whole matrix, without einsum's call overhead
     trials, rows, cols = X.shape
-    return np.einsum("tbibj->tbij", X.reshape(trials, blocks, rows // blocks,
-                                              blocks, cols // blocks))
+    return c_einsum("tbibj->tbij", X.reshape(trials, blocks, rows // blocks,
+                                             blocks, cols // blocks))
 
 
 def _conj_t(X: np.ndarray) -> np.ndarray:
@@ -167,7 +171,7 @@ def power_terms(links: np.ndarray, amps: np.ndarray, omega: np.ndarray,
         d = d - omega @ aG
     G_b = _diagonal_blocks(links, blocks)
     R_a = (G_b @ _conj_t(G_b)) * omega_t
-    p_a = np.einsum("tbik->tbi", G_b * _diagonal_blocks(d, blocks).conj())
+    p_a = c_einsum("tbik->tbi", G_b * _diagonal_blocks(d, blocks).conj())
     return R_a, p_a
 
 
@@ -181,18 +185,20 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     how R was built (sigma^2 for a destination receiver covariance and for a
     relay covariance X X^H + sigma^2 I, lambda for a loaded power
     covariance), 0 when none is known: one value, or one per matrix (any
-    shape that broadcasts to R's leading axes). For Hermitian R,
-    cond2(R) <= ||R||_1 / floor, so ||R||_1 <= floor * _COND_LIMIT / 2 proves
+    shape that broadcasts to R's leading axes). cond2(R) <= ||R||_2 / floor
+    and ||R||_2 <= ||R||_F, so ||R||_F <= floor * _COND_LIMIT / 2 proves
     cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
-    assembly of R. A stack certified whole goes to one batched LU call, the
-    LAPACK gufunc of np.linalg.solve with its bytes (rlscore.lapack_solve).
-    Any other stack, and a whole stack on which LU raises LinAlgError, is
-    solved matrix by matrix: by LU when the matrix is certified, else, or when
-    LU raises on it, by the SVD path (_cond_solve): a matrix whose condition
-    number np.linalg.cond finds non-finite or above the limit is solved with
-    the pseudoinverse, with one RuntimeWarning per such matrix, in the
-    stack's order. An empty stack solves to an empty x. R and rhs are float64
-    or complex128.
+    assembly of R; the Frobenius norms of a stack are one dot product over
+    its real and imaginary parts. A stack certified whole goes to one batched
+    LU call, the LAPACK gufunc of np.linalg.solve with its bytes
+    (rlscore.lapack_solve). Any other stack, and a whole stack on which LU
+    raises LinAlgError, is solved matrix by matrix: by LU when the matrix is
+    certified, else, or when LU raises on it, by the SVD path (_cond_solve):
+    a matrix whose condition number np.linalg.cond finds non-finite or above
+    the limit is solved with the pseudoinverse, with one RuntimeWarning per
+    such matrix, in the stack's order, and any other by np.linalg.solve, the
+    same LU. An empty stack solves to an empty x. R and rhs are float64 or
+    complex128.
     """
     # a count, not .all(): no Python-level reduction wrapper
     if (np.count_nonzero(np.isfinite(R)) != R.size
@@ -202,12 +208,13 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     vectors = rhs.ndim < R.ndim
     Rs = R.reshape(-1, n, n)
     bs = rhs.reshape(len(Rs), n, 1 if vectors else rhs.shape[-1])
-    floors = np.broadcast_to(floor, R.shape[:-2]).reshape(-1)
-    # each matrix's 1-norm, the largest column sum, against its own floor
-    certified = (np.maximum.reduce(np.add.reduce(np.abs(Rs), axis=-2),
-                                   axis=-1)
-                 <= floors * _COND_LIMIT / 2)
-    certified &= floors > 0.0
+    # each matrix's Frobenius norm, the square root of the dot product of its
+    # entries' real and imaginary parts with themselves, against its own
+    # floor, which broadcasts over R's leading axes
+    parts = Rs.reshape(len(Rs), n * n).view(float)
+    norms = np.sqrt(np.vecdot(parts, parts)).reshape(R.shape[:-2])
+    certified = ((norms <= floor * _COND_LIMIT / 2)
+                 & (np.asarray(floor) > 0.0)).reshape(-1)
     if np.count_nonzero(certified) == len(Rs):
         try:  # the whole stack, no copy in or out
             return lapack_solve(Rs, bs).reshape(rhs.shape)
@@ -250,7 +257,7 @@ def link_factors(X: np.ndarray, omega: np.ndarray):
         raise IllConditionedError("non-finite entries in the link statistics")
     trials, hops, _, K = X.shape
     gram = np.zeros((trials, K * hops, K * hops), dtype=complex)
-    np.einsum("tkjqj->tjkq", gram.reshape(trials, K, hops, K, hops))[...] = (
+    c_einsum("tkjqj->tjkq", gram.reshape(trials, K, hops, K, hops))[...] = (
         _conj_t(X) @ X)
     eigvals, V = np.linalg.eigh(omega)
     return gram, V * np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
@@ -289,7 +296,7 @@ def filter_step(gram: np.ndarray, F: np.ndarray, sigma2,
     A = _conj_t(DF) @ gram @ DF
     A += noise
     C = _checked_solve(A, B, "receiver covariance", sigma2)
-    mse = sigma2 * np.real(np.einsum("tik,tik->t", B_conj, C))
+    mse = sigma2 * np.real(c_einsum("tik,tik->t", B_conj, C))
     return DF @ C, mse
 
 
@@ -305,11 +312,11 @@ def nonnegative_amplitudes(a: np.ndarray, budget: float) -> np.ndarray:
     DegenerateStateError.
     """
     a_r = np.maximum(a.real, 0.0)
-    sq_norms = np.einsum("...i,...i->...", a_r, a_r)
+    sq_norms = c_einsum("...i,...i->...", a_r, a_r)
     # a count, not .all(): no Python-level reduction wrapper
     if np.count_nonzero(sq_norms) != sq_norms.size:
         a_r = np.where(a_r.any(axis=-1)[..., None], a_r, np.abs(a))
-        sq_norms = np.einsum("...i,...i->...", a_r, a_r)
+        sq_norms = c_einsum("...i,...i->...", a_r, a_r)
         if not sq_norms.all():
             raise DegenerateStateError(
                 "zero-norm amplitude vector at projection")
@@ -337,8 +344,8 @@ def total_mse(U: np.ndarray, hops: int, sigma2: float,
               amps: np.ndarray, W: np.ndarray, omega: np.ndarray) -> float:
     """Ensemble MSE  sum_k E|b_k - w_k^H r|^2  at the given filters/amplitudes."""
     stats = build_statistics(U, hops, sigma2, amps, omega)
-    cross = np.einsum("ik,ik->k", W.conj(), stats.P_ch)
-    quad = np.einsum("ik,ik->k", W.conj(), stats.R @ W)
+    cross = c_einsum("ik,ik->k", W.conj(), stats.P_ch)
+    quad = c_einsum("ik,ik->k", W.conj(), stats.R @ W)
     return float(np.sum(1.0 - 2.0 * cross.real + quad.real))
 
 
@@ -395,8 +402,9 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
     stopping test passes; the test has the bits of np.linalg.norm per trial
     (_relative_change), so every trial's iterations, amplitudes and filters
     are those it gets alone. The terms that no step changes are formed once
-    (filter_fixed_terms, power_fixed_terms), and while every trial is still
-    active the steps index the stack with a slice, not a copied fancy index.
+    (filter_fixed_terms, power_fixed_terms), and the steps read the stack's
+    own arrays while every trial is active; the rows of the trials still
+    active are copied out only when the active set shrinks.
     A trial whose step fails raises its TrialFailure for the whole stack;
     harness._design_stack finds the failed trials by bisection.
     """
@@ -414,28 +422,46 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
     if blocks is not None:
         direct, omega_t = power_fixed_terms(omega, hops, blocks)
         loading = config.lam * np.eye(K * hops // blocks)
+        # every term a step reads, in the active trials' rows: the stack's
+        # own arrays while every trial is active, then copies of the active
+        # rows, taken again only when trials stop
+        terms = [gram, F, sigma2, amps, omega, direct, omega_t, *fixed]
+
+    def step(g, f, s2, a, om, d, om_t, *fix):
+        """The filter step's MSE and the power step's amplitudes of the
+        trials whose rows the terms hold."""
+        Y, mse = filter_step(g, f, s2, a, fix)
+        R_a, p_a = power_terms(g @ Y, a, om, blocks, (d, om_t))
+        a_ls = _real_power_solve(R_a, p_a, config.lam, loading)
+        # each block onto the sphere of its number of users
+        return mse, nonnegative_amplitudes(
+            a_ls.reshape(-1, blocks, K * hops // blocks),
+            K // blocks).reshape(-1, K, hops)
 
     active = np.arange(trials)
     for it in range(1, max_iters + 1):
         if not active.size:
             break
-        t = slice(None) if active.size == trials else active
-        Y, mse = filter_step(gram[t], F[t], sigma2[t], amps[t],
-                             tuple(term[t] for term in fixed))
+        mse, a_new = step(*terms)
         trace.append(np.full(trials, np.nan))
-        trace[-1][t] = mse
-        R_a, p_a = power_terms(gram[t] @ Y, amps[t], omega[t], blocks,
-                               (direct[t], omega_t[t]))
-        a_ls = _real_power_solve(R_a, p_a, config.lam, loading)
-        # each block onto the sphere of its number of users
-        a_new = nonnegative_amplitudes(
-            a_ls.reshape(-1, blocks, K * hops // blocks),
-            K // blocks).reshape(-1, K, hops)
-        done = _relative_change(a_new, amps[t]) < config.tol
-        amps[t] = a_new
-        iterations[t] = it
-        converged[active[done]] = True
-        active = active[~done]
+        trace[-1][active] = mse
+        done = _relative_change(a_new, terms[3]) < config.tol
+        terms[3] = a_new
+        if np.count_nonzero(done) or it == max_iters:
+            # the stopped trials' results, and every trial's at the cap
+            amps[active] = a_new
+            iterations[active] = it
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if it == max_iters:
+                break
+            # each term's active rows replace it before the next term's are
+            # copied, so that one term at a time is held twice
+            for i, term in enumerate(terms):
+                terms[i] = term[keep]
+            del term
+    terms = None  # no working copy is held through the final filter step
 
     # W = U Y, hop j's rows X_j times hop j's rows of Y
     Y, mse = filter_step(gram, F, sigma2, amps, fixed)

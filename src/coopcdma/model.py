@@ -104,8 +104,10 @@ def modulate_qpsk(bits: np.ndarray) -> np.ndarray:
 def demodulate_qpsk(soft: np.ndarray) -> np.ndarray:
     """Sign-based bit decisions per quadrature, inverse of modulate_qpsk."""
     soft = np.asarray(soft)
-    return np.stack([(soft.real < 0).astype(np.int8),
-                     (soft.imag < 0).astype(np.int8)], axis=-1)
+    # both parts in one pass over soft's floats, viewed as (..., 2n) real
+    # and imaginary parts (a 0-d soft as one element), each decision a byte
+    parts = np.ascontiguousarray(soft, dtype=complex).view(float)
+    return (parts < 0).view(np.int8).reshape(*soft.shape, 2)
 
 
 def hard_decision(soft: np.ndarray) -> np.ndarray:
@@ -144,7 +146,9 @@ def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
     and tail columns.
     """
     N = X.shape[-2] - spill
-    Sa = S * a  # each symbol times its amplitude once, for all three shifts
+    # each symbol times its amplitude once, for all three shifts; the unit
+    # amplitude 1.0 scales nothing (S * 1.0 has S's values)
+    Sa = S if isinstance(a, float) and a == 1.0 else S * a
     if left is None:
         out += X @ Sa[..., 1:-1]
         if spill:

@@ -80,8 +80,8 @@ def exact_packet_digest(seeds=SEEDS, snrs_db=SNRS_DB, trials=TRIALS) -> str:
                                                    scenarios)
                     bits, S, normals = harness.exact_draws(dims, rng_data,
                                                            rng_noise)
-                    soft = harness.exact_soft_outputs(scn, W, amps, S,
-                                                      normals)
+                    soft = harness.exact_soft_outputs(
+                        scn, W, amps, S, normals, scn.designs[scheme, cfg][2])
                     res = harness._packet_result(soft, bits, cfg.training_len)
                     U = dense_link_waveforms(scn.x_dest)
                     for array in (U, scn.h_true, *scn.x_sr, W, amps, bits,

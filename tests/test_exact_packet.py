@@ -16,7 +16,7 @@ def chip_soft_outputs(scn, W, amps, S, rng_noise):
     Draws the chip noise for relay 1, ..., n_r, then the destination."""
     dims = scn.dims
     relay_obs = harness._relay_frames(scn, S[0], rng_noise)
-    Wr, g = scn.relay_banks
+    Wr, g, _ = scn.relay_banks
     S[1:, :, 1:-1] = (Wr.conj().swapaxes(-1, -2) @ relay_obs) * g[..., None]
     frames = harness._noise_matrix(
         rng_noise.standard_normal((2, dims.stack, dims.P)), scn.sigma2)
@@ -31,9 +31,19 @@ def chip_normals(dims, rng):
             for rows in [dims.M] * dims.n_r + [dims.stack]]
 
 
-def chip_filtered_noise(W, sigma2, normals):
-    """W^H n of the chip noise n of the bank's chip normals."""
-    return W.conj().T @ harness._noise_matrix(normals, sigma2)
+def chip_filtered_noise(banks):
+    """A _filtered_noise for the filter banks banks, in the order the
+    packet colours their noise: W^H n of the chip noise n of each bank's
+    chip normals, after checking that the factor it is given is the R factor
+    of the bank's filters W."""
+    banks = iter(banks)
+
+    def filtered(R, sigma2, normals):
+        W = next(banks)
+        assert R.tobytes() == np.linalg.qr(W, mode="r").tobytes()
+        return W.conj().T @ harness._noise_matrix(normals, sigma2)
+
+    return filtered
 
 
 def packet_inputs(scheme, relays, isi):
@@ -45,7 +55,7 @@ def packet_inputs(scheme, relays, isi):
                                 harness.snr_db_to_sigma2(6.0),
                                 cfg.shadowing_std_db, rng_ch, isi_enabled=isi)
     W, amps = harness.design_exact(scn, scheme, cfg)
-    return cfg, scn, W, amps
+    return cfg, scn, W, amps, scn.designs[scheme, cfg][2]
 
 
 @pytest.mark.parametrize("isi", [True, False])
@@ -54,14 +64,15 @@ def packet_inputs(scheme, relays, isi):
 def test_symbol_domain_matches_chip_oracle(scheme, relays, isi, monkeypatch):
     """With the same chip noise injected, the symbol-domain relay symbols and
     destination soft outputs are the chip-domain ones."""
-    cfg, scn, W, amps = packet_inputs(scheme, relays, isi)
+    cfg, scn, W, amps, R = packet_inputs(scheme, relays, isi)
     _, S_ref = harness._packet_symbols(scn.dims,
                                        harness.trial_rngs(cfg.seed, 0)[1])
     S = S_ref.copy()
     ref = chip_soft_outputs(scn, W, amps, S_ref, np.random.default_rng(11))
-    monkeypatch.setattr(harness, "_filtered_noise", chip_filtered_noise)
+    monkeypatch.setattr(harness, "_filtered_noise",
+                        chip_filtered_noise([*scn.relay_banks[0], W]))
     got = harness.exact_soft_outputs(
-        scn, W, amps, S, chip_normals(scn.dims, np.random.default_rng(11)))
+        scn, W, amps, S, chip_normals(scn.dims, np.random.default_rng(11)), R)
     assert got.shape == (scn.dims.K, scn.dims.P)
     assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -79,7 +90,8 @@ def test_filtered_noise_covariance():
     rng = np.random.default_rng(3)
     W = random_filters(18, 4, rng)
     sigma2, P = 0.3, 200_000
-    z = harness._filtered_noise(W, sigma2, rng.standard_normal((2, 4, P)))
+    z = harness._filtered_noise(np.linalg.qr(W, mode="r"), sigma2,
+                                rng.standard_normal((2, 4, P)))
     assert z.shape == (4, P)
     cov = sigma2 * (W.conj().T @ W)
     sample = z @ z.conj().T / P
@@ -96,7 +108,8 @@ def test_repeated_filter_gives_finite_noise():
     W = np.hstack([W, W[:, :1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = harness._filtered_noise(W, 0.5, rng.standard_normal((2, 4, 1000)))
+        z = harness._filtered_noise(np.linalg.qr(W, mode="r"), 0.5,
+                                    rng.standard_normal((2, 4, 1000)))
     assert z.shape == (4, 1000)
     assert np.all(np.isfinite(z))
     assert np.abs(z[3] - z[0]).max() <= 1e-12 * np.abs(z[0]).max()
@@ -104,20 +117,22 @@ def test_repeated_filter_gives_finite_noise():
 
 def test_noise_draw_order_is_relays_then_destination(monkeypatch):
     """One K x P draw of real, then imaginary parts per filter bank, relay 1
-    first and the destination last, each bank filtering its own."""
-    cfg, scn, W, amps = packet_inputs("cis", 2, True)
+    first and the destination last, each bank colouring its own with the R
+    factor of its filters."""
+    cfg, scn, W, amps, R = packet_inputs("cis", 2, True)
     dims = scn.dims
     banks = []
 
-    def record(W_bank, sigma2, normals):
-        banks.append((W_bank, normals))
-        return np.zeros((W_bank.shape[1], dims.P), dtype=complex)
+    def record(R_bank, sigma2, normals):
+        banks.append((R_bank, normals))
+        return np.zeros((R_bank.shape[1], dims.P), dtype=complex)
 
     monkeypatch.setattr(harness, "_filtered_noise", record)
     _, rng_data, rng_noise, _ = harness.trial_rngs(cfg.seed, 0)
     draws = harness.exact_draws(dims, rng_data, rng_noise)
-    harness.exact_soft_outputs(scn, W, amps, draws.symbols, draws.normals)
-    expected = [*scn.relay_banks[0], W]
+    harness.exact_soft_outputs(scn, W, amps, draws.symbols, draws.normals, R)
+    expected = [np.linalg.qr(bank, mode="r")
+                for bank in (*scn.relay_banks[0], W)]
     assert len(banks) == len(expected) == len(draws.normals)
     for (got, normals), want, drawn in zip(banks, expected, draws.normals):
         assert np.array_equal(got, want) and normals is drawn
@@ -150,7 +165,8 @@ def test_normals_have_each_banks_qr_rows(users, chips, relays):
         rows = np.linalg.qr(bank, mode="r").shape[0]
         assert normals.shape == (2, rows, dims.P)
     soft = harness.exact_soft_outputs(scn, W, amps, draws.symbols,
-                                      draws.normals)
+                                      draws.normals,
+                                      scn.designs["cis", cfg][2])
     assert soft.shape == (dims.K, dims.P) and np.all(np.isfinite(soft))
 
 

@@ -234,17 +234,20 @@ class TestPacketResult:
     def test_per_symbol_errors_match_the_axis_sum(self, rng, n):
         """The per-symbol error counts are the integers of summing the
         K x n x 2 error array over users and bit pairs, for a whole packet
-        and for a short (diverged) one, whose later symbols count none."""
-        K, P, T = 4, 1500, 200
-        bits = rng.integers(0, 2, size=(K, P, 2))
-        soft = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
-        res = _packet_result(soft, bits, T)
-        want = np.zeros(P, dtype=np.int64)
-        want[:n] = (demodulate_qpsk(soft) != bits[:, :n]).sum(axis=(0, 2))
-        assert res.per_symbol_errors.dtype == want.dtype
-        assert res.per_symbol_errors.tobytes() == want.tobytes()
-        assert res.bit_errors == int(want[T:].sum())
-        assert res.payload_bits == 2 * (P - T) * K
+        and for a short (diverged) one, whose later symbols count none;
+        also with more users than a byte counts errors of."""
+        P, T = 1500, 200
+        for K in (4, 200):
+            bits = rng.integers(0, 2, size=(K, P, 2))
+            soft = (rng.standard_normal((K, n))
+                    + 1j * rng.standard_normal((K, n)))
+            res = _packet_result(soft, bits, T)
+            want = np.zeros(P, dtype=np.int64)
+            want[:n] = (demodulate_qpsk(soft) != bits[:, :n]).sum(axis=(0, 2))
+            assert res.per_symbol_errors.dtype == want.dtype
+            assert res.per_symbol_errors.tobytes() == want.tobytes()
+            assert res.bit_errors == int(want[T:].sum())
+            assert res.payload_bits == 2 * (P - T) * K
 
 
 class TestCapacityAtTarget:
@@ -893,6 +896,63 @@ class TestPointDesigns:
                                  design_exact(lone, scheme, cfg)):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("scheme,poison", [
+        ("cis", dead_relay), ("jpais-gpc", dead_relay),
+        ("jpais-ipc", nan_waveform), ("ncis", nan_waveform)])
+    def test_stacked_factors_have_each_lone_qr_bytes(self, scheme, poison,
+                                                     monkeypatch):
+        """The R factors that colour a packet's noise are taken per design
+        stack, one stacked QR call for the relay banks and one for the
+        destination filters, and each has the bytes of the lone
+        np.linalg.qr(W, mode="r") of its own filters, also in a stack whose
+        poisoned trial the bisection isolates; a lone design has the same
+        factors. The packets factor nothing."""
+        from coopcdma import harness
+        cfg = small_cfg(scheme=scheme, variant="exact", relays=2, users=3,
+                        trials=5)
+        dims = cfg.dims()
+
+        def draw(t):
+            scn = draw_scenario(dims, codes_for(cfg, dims.K),
+                                snr_db_to_sigma2(9.0), cfg.shadowing_std_db,
+                                trial_rngs(cfg.seed, t)[0],
+                                isi_enabled=cfg.isi)
+            if t == 2:
+                poison(scn, np.random.default_rng(t))
+            return scn
+
+        real, factored = np.linalg.qr, []
+
+        def qr(W, mode):
+            factored.append(W.shape)
+            return real(W, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        stacked = [draw(t) for t in range(5)]
+        design_exact(stacked[0], scheme, cfg, stacked)
+        designs = [scn.designs[scheme, cfg] for scn in stacked]
+        assert factored and all(len(shape) > 2 for shape in factored)
+        del factored[:]
+        for t, scn in enumerate(stacked):
+            rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
+            res = harness._exact_packet(
+                cfg, scn, exact_draws(dims, rng_data, rng_noise), stacked)
+            assert res.diverged == (t == 2)
+        assert factored == []
+        monkeypatch.undo()
+        assert isinstance(designs[2], TrialFailure)
+        for t in (0, 1, 3, 4):
+            W, amps, R = designs[t]
+            assert R.tobytes() == np.linalg.qr(W, mode="r").tobytes()
+            filters, _, factors = stacked[t].relay_banks
+            assert len(factors) == dims.n_r
+            for Wr, Rr in zip(filters, factors):
+                assert Rr.tobytes() == np.linalg.qr(Wr, mode="r").tobytes()
+            lone = draw(t)
+            design_exact(lone, scheme, cfg)
+            assert R.tobytes() == lone.designs[scheme, cfg][2].tobytes()
+            assert factors.tobytes() == lone.relay_banks[2].tobytes()
+
     def test_foreign_scenario_is_refused(self):
         """A scenario that is not one of the point's raises a ValueError
         that says so, not a bare StopIteration."""
@@ -950,8 +1010,9 @@ class TestScenarioDesigns:
         assert second.relay_banks is None
         W1, amps1 = design_exact(second, cfg.scheme, cfg)
         assert W1.tobytes() != W0.tobytes()
-        W, amps = first.designs[cfg.scheme, cfg]
+        W, amps, R = first.designs[cfg.scheme, cfg]
         assert W is W0 and amps is amps0
+        assert R.tobytes() == np.linalg.qr(W0, mode="r").tobytes()
         lone = draw_scenario(dims, codes_for(cfg, dims.K),
                              snr_db_to_sigma2(18.0), cfg.shadowing_std_db,
                              trial_rngs(cfg.seed, 0)[0], isi_enabled=cfg.isi)
@@ -990,7 +1051,9 @@ class TestScenarioDesigns:
         for t, scn in enumerate(stack):
             assert list(scn.designs) == [(scheme, cfg) for scheme in schemes]
             for scheme in schemes:
-                assert scn.designs[scheme, cfg] is designs[scheme, t]
+                W, amps, _ = scn.designs[scheme, cfg]
+                assert W is designs[scheme, t][0]
+                assert amps is designs[scheme, t][1]
                 for got, want in zip(designs[scheme, t],
                                      design_exact(draw(t), scheme, cfg)):
                     assert got.dtype == want.dtype
@@ -1081,8 +1144,9 @@ class TestDesignStackBisection:
 
 def recorded_packets(monkeypatch, run):
     """run() with every exact packet recorded in run order: its design (W,
-    amps), its scenario's relay banks as the design left them, and its soft
-    outputs; also the distinct noise levels of each relay-chain stack."""
+    amps), its scenario's relay banks (filters, gains and R factors) as the
+    design left them, and its soft outputs; also the distinct noise levels
+    of each relay-chain stack."""
     from coopcdma import harness
     real_design, real_soft = harness.design_exact, harness.exact_soft_outputs
     real_bank = harness.mmse_relay_bank
@@ -1161,7 +1225,7 @@ class TestMixedNoiseChunks:
         # the sweep's packets trial by trial, per_point_run's point by point
         chunked = [chunked[3 * t + p] for p in range(3) for t in range(5)]
         for got, want in zip(chunked, alone):
-            assert len(got) == len(want) == 5
+            assert len(got) == len(want) == 6
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()

@@ -219,6 +219,31 @@ class TestQpsk:
             assert got.shape == want.shape and got.dtype == complex
             assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def two_part_demodulation(soft):
+        """Each part's comparison cast and stacked: the demodulation's
+        formula before it became one pass over the parts."""
+        return np.stack([(soft.real < 0).astype(np.int8),
+                         (soft.imag < 0).astype(np.int8)], axis=-1)
+
+    def test_one_pass_demodulation_has_the_bytes_of_two_parts(self, rng):
+        """(K, P) blocks, their column slices as a diverged packet passes
+        them, non-contiguous views, real soft outputs, an empty block, a
+        scalar and +-0.0 and nan parts demodulate as the two-part formula
+        does, byte for byte."""
+        stack = (rng.standard_normal((2, 4, 6))
+                 + 1j * rng.standard_normal((2, 4, 6)))
+        edges = np.array([complex(re, im) for re in (0.0, -0.0, np.nan, 1.0)
+                          for im in (0.0, -0.0, np.nan, -1.0)])
+        for soft in (stack[0], stack[0, :, :3], stack[:, :, 0],
+                     stack[..., ::2], stack.swapaxes(0, 1), stack.real,
+                     np.empty((4, 0)), edges, edges.reshape(4, 4),
+                     stack[0, 0, 0], np.asarray(-0.0)):
+            got = demodulate_qpsk(soft)
+            want = self.two_part_demodulation(np.asarray(soft))
+            assert got.shape == want.shape and got.dtype == np.int8
+            assert got.tobytes() == want.tobytes()
+
     def test_hard_decision_matches_demodulation(self, rng):
         soft = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         np.testing.assert_array_equal(demodulate_qpsk(hard_decision(soft)),
@@ -490,13 +515,15 @@ class TestLeftFactor:
         left = (rng.standard_normal((2, dims.stack))
                 + 1j * rng.standard_normal((2, dims.stack)))
         monkeypatch.setattr(harness, "_filtered_noise",
-                            lambda W, sigma2, normals: np.zeros(
-                                (W.shape[1], normals.shape[-1]),
+                            lambda R, sigma2, normals: np.zeros(
+                                (R.shape[1], normals.shape[-1]),
                                 dtype=complex))
         normals = harness.exact_draws(dims, rng, rng).normals
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
             harness._relay_chains([scn])
-        out = harness.exact_soft_outputs(scn, left.conj().T, amps, S, normals)
+        W = left.conj().T
+        out = harness.exact_soft_outputs(scn, W, amps, S, normals,
+                                         np.linalg.qr(W, mode="r"))
         ref = left @ destination_frames(scn, S, amps)
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())

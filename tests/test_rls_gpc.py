@@ -174,6 +174,32 @@ class TestSolveNormal:
         with pytest.raises(np.linalg.LinAlgError):
             rlscore.lapack_solve(np.zeros_like(N), B)
 
+    def test_stacked_qr_factors_have_each_lone_factors_bytes(self, rng):
+        """np.linalg.qr(..., mode="r") of a stack of filter banks gives each
+        bank the bytes of its lone call, as the exact design's once-per-stack
+        colouring factors (harness._relay_chains, harness._design_stack)
+        rely on, also for a stack of no banks; on the oldest numpy that
+        pyproject.toml admits this shows the stacked QR gufunc is there."""
+        W = (rng.standard_normal((3, 2, 18, 4))
+             + 1j * rng.standard_normal((3, 2, 18, 4)))
+        R = np.linalg.qr(W, mode="r")
+        assert R.shape == (3, 2, 4, 4) and R.dtype == complex
+        for i in range(3):
+            for j in range(2):
+                lone = np.linalg.qr(W[i, j], mode="r")
+                assert R[i, j].tobytes() == lone.tobytes()
+        assert np.linalg.qr(W[:, :0], mode="r").shape == (3, 0, 4, 4)
+
+    def test_einsum_c_function_imports_with_einsums_bytes(self, rng):
+        """mmse calls einsum's C function, numpy._core.multiarray.c_einsum,
+        which np.einsum calls when not asked to optimize: it imports on the
+        oldest numpy that pyproject.toml admits and gives np.einsum's
+        bytes."""
+        from numpy._core.multiarray import c_einsum
+        a = rng.standard_normal((8, 4, 3))
+        assert (c_einsum("...i,...i->...", a, a).tobytes()
+                == np.einsum("...i,...i->...", a, a).tobytes())
+
     def test_singular_matrix_raises_naming_it_without_a_warning(self):
         N = np.zeros((2, 3, 3), dtype=complex)
         with warnings.catch_warnings(record=True) as caught:

@@ -86,6 +86,8 @@ class ExperimentConfig:
     shadowing_std_db: float = field(default=3.0, metadata={"low": 0.0})
     isi: bool = True
     delta: float = field(default=0.01, metadata={"low": 0.0, "strict": True})
+    # the exact alternation's cap on steps, and the relative MSE decrease
+    # below which it stops (mmse.MmseConfig)
     mmse_iters: int = _count(50, low=1)
     mmse_tol: float = field(default=1e-6, metadata={"low": 0.0, "strict": True})
 

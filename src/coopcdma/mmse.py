@@ -5,7 +5,8 @@ waveforms (signature * channel) of the K*hops links, a their amplitudes, s
 the link symbols with correlation Omega (relay_omega; unit-energy QPSK
 symbols, independent across users) and n white noise of variance sigma^2.
 Every design entry takes Omega. Receiver and power steps depend on each other
-and are alternated to a fixed point. Every user's power budget is 1. The
+and are alternated until the MSE stops falling, keeping the best design
+visited (design). Every user's power budget is 1. The
 power constraint is a partition into B equal contiguous user blocks (1:
 global, K: individual budgets), a block's budget being its number of users;
 the power step is one regularized solve over all blocks (_real_power_solve),
@@ -51,7 +52,9 @@ _COND_LIMIT = 1e12
 @dataclass(frozen=True)
 class MmseConfig:
     lam: float = 0.025  # loading of the power step
-    max_iters: int = 50
+    max_iters: int = 50  # filter and power steps of a design at most
+    # a design stops once a filter step's MSE falls by less than this
+    # fraction of the previous step's
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -378,17 +381,6 @@ def equal_power_amps(K: int, hops: int) -> np.ndarray:
     return np.full((K, hops), np.sqrt(1.0 / hops))
 
 
-def _relative_change(a_new: np.ndarray, a_old: np.ndarray) -> np.ndarray:
-    """||a_new - a_old|| / max(||a_old||, 1e-30) of each of T trials' K x
-    hops amplitudes, with the bits of np.linalg.norm per trial: the square
-    root of each trial's dot product, one call for the stack."""
-    trials, K, hops = a_old.shape
-    step = (a_new - a_old).reshape(trials, K * hops)
-    a_old = a_old.reshape(trials, K * hops)
-    return (np.sqrt(np.vecdot(step, step))
-            / np.maximum(np.sqrt(np.vecdot(a_old, a_old)), 1e-30))
-
-
 def design(X: np.ndarray, sigma2, blocks: int | None,
            config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
     """Exact designs of T trials as one stack: X (T x hops x M x K), sigma2
@@ -398,10 +390,14 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
 
     Without blocks (None, the equal-power schemes) each trial gets the MMSE
     filters of the equal-power amplitudes. With blocks the trials alternate
-    filter and power steps as alternate describes, each frozen once its
-    stopping test passes; the test has the bits of np.linalg.norm per trial
-    (_relative_change), so every trial's iterations, amplitudes and filters
-    are those it gets alone. The terms that no step changes are formed once
+    filter and power steps as alternate describes. A trial stops at its
+    first filter step whose MSE is not below (1 - config.tol) times its
+    previous step's, and keeps the amplitudes of the lower of those two
+    MSEs: the best it visited, as each earlier step lowered the MSE. A trial
+    still running after config.max_iters steps keeps the last power step's
+    amplitudes, unconverged. Each trial's test reads only its own MSEs, so
+    every trial's iterations, amplitudes and filters are those it gets
+    alone. The terms that no step changes are formed once
     (filter_fixed_terms, power_fixed_terms), and the steps read the stack's
     own arrays while every trial is active; the rows of the trials still
     active are copied out only when the active set shrinks.
@@ -424,8 +420,12 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
         loading = config.lam * np.eye(K * hops // blocks)
         # every term a step reads, in the active trials' rows: the stack's
         # own arrays while every trial is active, then copies of the active
-        # rows, taken again only when trials stop
-        terms = [gram, F, sigma2, amps, omega, direct, omega_t, *fixed]
+        # rows, taken again only when trials stop; the results go to amps
+        terms = [gram, F, sigma2, amps.copy(), omega, direct, omega_t,
+                 *fixed]
+        # each active trial's last filter-step MSE, none before the first,
+        # and the amplitudes it was taken at
+        last_mse, last_amps = np.full(trials, np.inf), terms[3]
 
     def step(g, f, s2, a, om, d, om_t, *fix):
         """The filter step's MSE and the power step's amplitudes of the
@@ -445,23 +445,29 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
         mse, a_new = step(*terms)
         trace.append(np.full(trials, np.nan))
         trace[-1][active] = mse
-        done = _relative_change(a_new, terms[3]) < config.tol
-        terms[3] = a_new
-        if np.count_nonzero(done) or it == max_iters:
-            # the stopped trials' results, and every trial's at the cap
-            amps[active] = a_new
+        # stopped: the MSE fell by less than tol
+        done = mse >= (1.0 - config.tol) * last_mse
+        stopped = np.count_nonzero(done)
+        if stopped or it == max_iters:
+            # a stopped trial keeps the amplitudes of the lower MSE of its
+            # last two filter steps, one at the cap the last power step's
+            lower = np.where((mse < last_mse)[:, None, None], terms[3],
+                             last_amps)
+            amps[active] = np.where(done[:, None, None], lower, a_new)
             iterations[active] = it
             converged[active[done]] = True
+        last_mse, last_amps, terms[3] = mse, terms[3], a_new
+        if stopped and it < max_iters:
             keep = ~done
             active = active[keep]
-            if it == max_iters:
-                break
+            last_mse, last_amps = last_mse[keep], last_amps[keep]
             # each term's active rows replace it before the next term's are
             # copied, so that one term at a time is held twice
             for i, term in enumerate(terms):
                 terms[i] = term[keep]
             del term
-    terms = None  # no working copy is held through the final filter step
+    # no working copy is held through the final filter step
+    terms = last_amps = None
 
     # W = U Y, hop j's rows X_j times hop j's rows of Y
     Y, mse = filter_step(gram, F, sigma2, amps, fixed)
@@ -483,7 +489,11 @@ def alternate(X: np.ndarray, sigma2: float, blocks: int,
     (harness.power_blocks). The trace records the ensemble MSE after each
     filter step, so its first entry is the MSE of the equal-power (CIS)
     allocation under its own MMSE filters; the last entry is the closed-form
-    MSE of the returned design (StackedDesign.mse).
+    MSE of the returned design (StackedDesign.mse). The alternation stops,
+    converged, at the first filter step whose MSE falls by less than the
+    fraction config.tol of the previous one, and returns the lower MSE's
+    design, the minimum of the trace; after config.max_iters steps it stops
+    unconverged with the last power step's amplitudes.
     omega must be a covariance matrix (positive semidefinite) with unit
     direct-link diagonal, as every link-symbol correlation built here is:
     sigma2 then bounds the eigenvalues of each receiver covariance from below,

@@ -935,22 +935,41 @@ class TestStackedDesign:
 
 
 class TestStackedDesignSteps:
-    @pytest.mark.parametrize("trials", [0, 1, 8])
-    def test_stopping_test_has_the_bytes_of_per_trial_norms(self, rng,
-                                                            trials):
-        """The batched relative amplitude change of the stopping test is,
-        byte for byte, each trial's np.linalg.norm ratio, on an empty stack
-        too; a zero previous allocation divides by the 1e-30 floor."""
-        a_old = rng.random((trials, 4, 3))
-        a_new = a_old + 1e-7 * rng.standard_normal((trials, 4, 3))
-        if trials:
-            a_old[-1] = 0.0
-        want = np.array([np.linalg.norm(a_new[t] - a_old[t])
-                         / max(np.linalg.norm(a_old[t]), 1e-30)
-                         for t in range(trials)], dtype=float)
-        got = mmse._relative_change(a_new, a_old)
-        assert got.shape == (trials,)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("trials", [1, 8])
+    @pytest.mark.parametrize("snr_db", [0.0, 6.0, 12.0, 18.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["jpais-gpc", "jpais-ipc"])
+    def test_stops_when_the_mse_stops_falling(self, scheme, seed, snr_db,
+                                              trials):
+        """A trial stops at its first filter step whose MSE falls by less
+        than tol, every earlier step having fallen by at least tol, and
+        returns the lowest MSE it traced, byte for byte; a trial at the cap
+        returns the last power step's amplitudes, whose filter step is the
+        next one a longer cap traces."""
+        cfg = harness.ExperimentConfig(scheme=scheme, seed=seed)
+        scns = point_scenarios(seed, snr_db, trials=trials)
+        X = np.stack([scn.x_dest for scn in scns])
+        omega = np.stack([scenario_omega(scn) for scn in scns])
+        users_per_block, lam = harness.power_blocks(scheme, cfg, DESK_K)
+        config = cfg.mmse_config(lam)
+        shrink = 1.0 - config.tol
+        args = (X, scns[0].sigma2, DESK_K // users_per_block)
+        res = mmse.design(*args, config, omega)
+        longer = mmse.design(*args, dataclasses.replace(
+            config, max_iters=config.max_iters + 1), omega)
+        for t in range(trials):
+            n = res.iterations[t]
+            trace = res.mse_trace[t, :n]
+            if res.converged[t]:
+                assert 2 <= n <= config.max_iters
+                assert (trace[1:-1] < shrink * trace[:-2]).all()
+                assert trace[-1] >= shrink * trace[-2]
+                assert res.mse[t] == trace.min()
+            else:
+                assert n == config.max_iters
+                assert (trace[1:] < shrink * trace[:-1]).all()
+                assert (longer.mse_trace[t, :n + 1].tobytes()
+                        == np.append(trace, res.mse[t]).tobytes())
 
     def test_trace_holds_the_iterations_run(self):
         """The MSE trace has one column per iteration run, however large

@@ -19,7 +19,8 @@ from . import gpc, ipc, mmse
 from .errors import ConfigError, TrialFailure
 from .model import (SystemDims, add_hop_frames, build_convolution_matrix,
                     demodulate_qpsk, draw_spreading_codes,
-                    generate_multipath_channel, hard_decision, modulate_qpsk)
+                    generate_multipath_channel, hard_decision, hop_lag_parts,
+                    modulate_qpsk)
 from .relays import AdaptiveRelay, mmse_relay_bank, relay_statistics
 
 SCHEMES = ("ncis", "cis", "jpais-gpc", "jpais-ipc")
@@ -28,14 +29,14 @@ VARIANTS = ("exact", "adaptive")
 # desk configuration 25 x 54 x 12 complex values, 253 KiB
 _FRAME_CHUNK = 25
 # the most packets a sweep draws and designs at once, in whole trials of
-# every point: max(1, _DESIGN_CHUNK // points) trials per chunk, 100 for a
-# one-point run, 14 (98 packets) for the 7-point desk grid, and one chunk of
-# 8 trials (32 packets) for the benchmark's 4-point exact-sweep. A sweep
-# holds one chunk's scenarios and designs and one trial's draws at a time: a
-# desk jpais-gpc sweep of 7 points peaks at about 4.6 MB more RSS than one
-# trial per chunk, the same at 100 and at 1000 trials per point; the 4
-# points of 8 trials, about 0.8 MB more
+# every point: max(1, _DESIGN_CHUNK // points) trials per chunk, 14 (98
+# packets) for the 7-point desk grid. A desk jpais-gpc sweep of 7 points
+# peaks at about 4.6 MB more RSS than with one trial per chunk, at 100 and
+# at 1000 trials per point; the 4 points of 8 trials, about 0.8 MB more
 _DESIGN_CHUNK = 100
+# exact packet symbols per product (exact_soft_blocks; a whole-packet
+# operand adds ~6% peak RSS), and the furthest lag of a map's sources
+_SYNTH_BLOCK, _REACH = 250, 2
 
 
 _ACCEPTS = {bool: (bool, np.bool_), int: numbers.Integral, float: numbers.Real,
@@ -164,15 +165,10 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 @dataclass
 class Scenario:
     """One packet's ground truth: codes, per-link channels, noise level.
-
-    relay_banks holds the relays' exact MMSE filters (n_r x M x K), gains
-    (n_r x K) and the R factors of their filters (n_r x min(M, K) x K), set
-    by the exact design's relay chain (_relay_chains), and designs each exact
-    design (W, amps) with the R factor of W, or the TrialFailure that failed
-    it, by (scheme, config) (design_exact); the R factors colour the packet's
-    filtered noise (_filtered_noise). Neither is an init field, so a
-    scenario made by replace starts with neither. A scenario's arrays must
-    not change after its first design."""
+    designs holds each exact design (W, amps, theta, edges), or the
+    TrialFailure that failed it, by (scheme, config) (design_exact); a
+    scenario made by replace starts with none. A scenario's arrays must not
+    change after its first design."""
 
     dims: SystemDims
     sigma2: float
@@ -181,8 +177,6 @@ class Scenario:
     x_dest: np.ndarray  # hops x M x K destination-facing waveforms
     h_true: np.ndarray  # stacked effective destination-facing channels
     isi_enabled: bool = True
-    relay_banks: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
     designs: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -220,9 +214,8 @@ def draw_scenario(dims: SystemDims, codes: np.ndarray, sigma2: float,
 def _noise_matrix(normals, sigma2: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """White complex noise of variance sigma2 from the unit normals of its
-    real parts, then of its imaginary parts, that normals holds (a (2, ...)
-    array) or yields (drawn one part at a time, so that one part is held at
-    a time); written into out if given."""
+    real parts, then its imaginary parts, that normals holds (a (2, ...)
+    array) or yields one at a time; written into out if given."""
     scale = np.sqrt(sigma2 / 2.0)
     normals = iter(normals)
     part = next(normals)
@@ -244,6 +237,17 @@ class PacketResult:
     extras: dict = field(default_factory=dict)
 
 
+def _symbol_errors(soft: np.ndarray, bits: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Each symbol's bit errors of the (..., K, n) soft outputs against the
+    sent K x n x 2 bits, summed over the K users, into out (..., n): its
+    two error flags viewed as one 16-bit word, without a reduction over
+    pairs."""
+    errors = demodulate_qpsk(soft) != bits
+    np.add.reduce(np.bitwise_count(errors.view(np.uint16)[..., 0]), axis=-2,
+                  out=out)
+
+
 def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
                    **fields) -> PacketResult:
     """Bit errors of the K x n soft outputs against the sent K x P x 2 bits,
@@ -252,40 +256,23 @@ def _packet_result(soft: np.ndarray, bits: np.ndarray, T: int,
     K, P = bits.shape[:2]
     n = soft.shape[1]
     err_symbol = np.zeros(P, dtype=np.int64)
-    # each symbol's two bit errors counted from its pair of error flags,
-    # viewed as one 16-bit word, then summed over the users: the same
-    # integers as .sum(axis=(0, 2)), without a reduction over pairs
-    errors = demodulate_qpsk(soft) != bits[:, :n]
-    np.add.reduce(np.bitwise_count(errors.view(np.uint16)[..., 0]), axis=0,
-                  out=err_symbol[:n])
+    _symbol_errors(soft, bits[:, :n], err_symbol[:n])
     return PacketResult(bit_errors=int(err_symbol[T:].sum()),
                         payload_bits=2 * (P - T) * K,
                         per_symbol_errors=err_symbol, **fields)
 
 
-def _relay_chains(scenarios: list) -> np.ndarray:
-    """Each scenario's link-symbol correlation matrix, (T x K*hops x
-    K*hops), with each scenario's relay_banks set to its slice of the
-    stacked bank.
-
-    Models the relays' MMSE filtering: their soft symbols carry residual
-    interference and noise. The relays listen to a separate source slot sent
-    at the full per-user budget P_A = 1, so their source-to-relay waveforms
-    enter unscaled and relay-side quality is identical across schemes. The
-    chains of all the scenarios are one stack: one mmse_relay_bank and one
-    relay_statistics call on their (T, n_r, M, K) source-to-relay waveforms
-    and their (T, 1) noise levels, and one QR call for the R factors of
-    their filters, with each relay's bytes alone. A trial whose chain fails
-    raises its TrialFailure for the whole stack, before any relay_banks is
-    set."""
+def _relay_chains(scenarios: list):
+    """Each scenario's link-symbol correlation matrix (T x K*hops x K*hops)
+    and its relays' exact MMSE filters (T x n_r x M x K) and gains (T x n_r
+    x K), whose soft symbols carry residual interference and noise. The
+    relays hear a separate source slot sent at the full budget P_A = 1, the
+    same for every scheme. The chains are one stack, each relay with its
+    bytes alone; a trial whose chain fails raises for the whole stack."""
     x_sr = np.stack([scn.x_sr for scn in scenarios])
     sigma2 = np.array([[scn.sigma2] for scn in scenarios])
     bank = mmse_relay_bank(x_sr, sigma2)
-    omega = mmse.relay_omega(*relay_statistics(x_sr, sigma2, bank))
-    factors = np.linalg.qr(bank[0], mode="r")
-    for scn, W, gains, R in zip(scenarios, *bank, factors):
-        scn.relay_banks = (W, gains, R)
-    return omega
+    return mmse.relay_omega(*relay_statistics(x_sr, sigma2, bank)), bank
 
 
 def _bisect_failures(step, items: list) -> list:
@@ -293,11 +280,9 @@ def _bisect_failures(step, items: list) -> list:
     order, or the TrialFailure that fails that item, in the order of items.
 
     A step that raises a TrialFailure is run again on each half of its
-    items, down to stacks of one, so that each failure stands alone and
-    fails only its own item. With f failed items of T, step runs at most
-    1 + 2 f ceil(log2 T) times: halves, where single items would run T
-    small steps.
-    """
+    items, down to stacks of one, so that each failure fails only its own
+    item: with f failed items of T, step runs at most 1 + 2 f ceil(log2 T)
+    times."""
     try:
         return step(items)
     except TrialFailure as exc:
@@ -308,27 +293,83 @@ def _bisect_failures(step, items: list) -> list:
                 + _bisect_failures(step, items[half:]))
 
 
-def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
-    """Each scenario's exact design (W, amps) with the R factor of W, or the
-    TrialFailure that failed it alone, in the order of scenarios: its relay
-    chain (_relay_chains, which sets its relay_banks) and its design in the
-    stack (mmse.design), run for the whole stack and, on a failure, for its
-    halves (_bisect_failures). The R factors of a stack's filters are one QR
-    call, so a trial's factor comes from the stack that kept its design. A
-    failed stack's trials are designed again, so a trial's pseudoinverse
-    warnings repeat once per stack it is in.
+def _source_lags(dims: SystemDims, spill: int) -> list:
+    """(lag, rows) of each group of a packet map's columns, the first rows of
+    the trial's sources at that lag: with ISI, source symbols at lags -2 to
+    2 (-1 to 1 without relays), relay noise at -1 to 1; 48 at the desk."""
+    relay_rows = dims.K + dims.n_r * min(dims.M, dims.K)
+    groups = [(0, relay_rows + min(dims.stack, dims.K))]
+    if spill:
+        groups += [(-1, relay_rows), (1, relay_rows)]
+        if dims.n_r:
+            groups += [(-2, dims.K), (2, dims.K)]
+    return groups
 
-    A stack of one with a power step (a lone scenario, or a leaf of the
-    bisection) designs through mmse.alternate, with the same bits as
-    mmse.design. The equal-power schemes get complex equal amplitudes.
-    """
+
+def _packet_maps(scenarios: list, bank: tuple, W: np.ndarray,
+                 amps: np.ndarray) -> tuple:
+    """Each scenario's packet map under its design (W, amps) and its relays'
+    filters and gains (_relay_chains), stacked: theta (T x K x sources),
+    which times a packet's unit-variance sources (TrialDraws, _source_lags)
+    gives its soft outputs, and edges (T x 2 x K x K).
+
+    Relay j forwards g_j (sum_f B_f s[t + f] + sigma R_j^H z_j[t]), B_f its
+    filters times their lag-f waveform part (model.hop_lag_parts), R_j
+    their R factor, so that R_j^H z_j has the filtered chip noise's
+    covariance; the destination filters each hop alike, with its
+    amplitudes, and adds sigma R^H z, R the R factor of W. A relay symbol
+    outside the packet is zero, but theta's carries the first (last) source
+    symbol into the first (last) output: edges holds those two couplings,
+    taken off."""
+    scn = scenarios[0]
+    hops, M, K = scn.x_dest.shape
+    spill, T, ct = scn.spill, len(scenarios), mmse._conj_t
+    sigma = np.sqrt([scn.sigma2 for scn in scenarios])[:, None, None]
+    Wr, gains = bank
+
+    def couplings(F, X):  # {lag: (F's window rows of the lag's part)^H part}
+        return {lag: ct(F[..., rows, :]) @ part
+                for lag, rows, part in hop_lag_parts(X, spill)}
+
+    E = couplings(W.reshape(T, hops, M, K),
+                  np.stack([scn.x_dest for scn in scenarios]))
+    E = {e: c * amps.swapaxes(-1, -2)[:, :, None, :] for e, c in E.items()}
+    # each hop's symbol in the source symbols at lag f (T, hops, K, K): the
+    # source's own, then each relay's
+    G = couplings(Wr, np.stack([scn.x_sr for scn in scenarios]))
+    G = {f: np.concatenate([np.tile(np.eye(K) * (f == 0), (T, 1, 1, 1)),
+                            gains[..., None] * c], axis=1)
+         for f, c in G.items()}
+    noise = gains[..., None] * sigma[:, None] * ct(np.linalg.qr(Wr, mode="r"))
+    # the source symbols' coupling at lag e + f through all the hops
+    via = {(e, f): (E[e] @ G[f]).sum(axis=1) for e in E for f in G}
+    columns = []
+    for lag, rows in _source_lags(scn.dims, spill):
+        columns.append(sum(c for (e, f), c in via.items() if e + f == lag))
+        if rows > K:  # the relays' noise, relay by relay
+            columns.append((E[lag][:, 1:] @ noise).swapaxes(1, 2).reshape(
+                T, K, -1))
+        if lag == 0:
+            columns.append(sigma * ct(np.linalg.qr(W, mode="r")))
+    return np.concatenate(columns, axis=-1), np.stack(
+        [via.get(pair, np.zeros((T, K, K))) for pair in ((-1, 1), (1, -1))], 1)
+
+
+def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
+    """Each scenario's exact design (W, amps) with its packet map (theta,
+    edges; _packet_maps), or the TrialFailure that failed it alone: relay
+    chains, designs and maps, each one stacked call, run for the whole
+    stack and, on a failure, for its halves (_bisect_failures), so a
+    trial's pseudoinverse warnings repeat once per stack it is in. A stack
+    of one with a power step designs through mmse.alternate, with the bits
+    of mmse.design; the equal-power schemes get complex amplitudes."""
     K = scenarios[0].dims.K
     plan = power_blocks(scheme, cfg, K)
     blocks, config = ((None, None) if plan is None else
                       (K // plan[0], cfg.mmse_config(plan[1])))
 
     def step(scns: list) -> list:
-        omega = _relay_chains(scns)
+        omega, bank = _relay_chains(scns)
         if plan is not None and len(scns) == 1:
             # kept only because the benchmark's tracer counts alternation
             # iterations and convergence through mmse.alternate calls
@@ -341,7 +382,7 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
                               config, omega)
             W, amps = res.W, (res.amps if plan is not None
                               else res.amps.astype(complex))
-        return list(zip(W, amps, np.linalg.qr(W, mode="r")))
+        return list(zip(W, amps, *_packet_maps(scns, bank, W, amps)))
 
     return _bisect_failures(step, scenarios)
 
@@ -349,11 +390,10 @@ def _design_stack(scenarios: list, scheme: str, cfg: ExperimentConfig) -> list:
 def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
                  stack: list | None = None):
     """Exact-statistics receiver matrix and amplitude allocation for a packet,
-    kept in scn.designs with the R factor of the matrix. On the first
-    request for a scheme and config, the scenarios of stack, which holds scn
-    (by default scn alone), are designed as one stack (_design_stack) and
-    each keeps its own design; every request after reads scn's. A scenario
-    whose design failed raises its TrialFailure, for its trial alone."""
+    kept in scn.designs with its map. The first request for a scheme and
+    config designs the scenarios of stack, which holds scn (by default scn
+    alone), as one stack (_design_stack); every request after reads scn's.
+    A scenario whose design failed raises its TrialFailure."""
     key = scheme, cfg
     if key not in scn.designs:
         stack = [scn] if stack is None else stack
@@ -365,46 +405,36 @@ def design_exact(scn: Scenario, scheme: str, cfg: ExperimentConfig,
     design = scn.designs[key]
     if isinstance(design, Exception):
         raise design
-    W, amps, _ = design
+    W, amps, *_ = design
     return W, amps
 
 
-def _packet_symbols(dims: SystemDims, rng_data: np.random.Generator):
-    """Payload bits and the hops x K x (P + 2) per-hop symbol array.
-
-    Hop 0 carries the source symbols; the relay hops are filled in by the
-    caller. Column 0 and column P + 1 stay zero: the neighbours of the first
-    and last symbol.
-    """
-    bits = rng_data.integers(0, 2, size=(dims.K, dims.P, 2))
-    S = np.zeros((dims.hops, dims.K, dims.P + 2), dtype=complex)
-    S[0, :, 1:-1] = modulate_qpsk(bits)
-    return bits, S
-
-
 class TrialDraws(NamedTuple):
-    """An exact trial's data and noise, drawn once per sweep (a sweep chunk
-    holds whole trials, _run_points), which its packets share at every SNR
-    point: the K x P x 2 payload bits, the hops x K x (P + 2) per-hop
-    symbols (_packet_symbols; each packet fills in the relay hops before it
-    reads them) and, per filter bank in the order relay 1, ..., relay n_r,
-    destination, the (2, rows, P) unit normals of its filtered noise."""
+    """An exact trial's data and noise, shared by its packets at every SNR:
+    the K x P x 2 payload bits as int8, the bit decisions' type, and the
+    unit-variance sources, _REACH zero columns either side: K source
+    symbols, then the noise of relay 1, ..., n_r and of the destination, a
+    row per row of its filters' R factor (_packet_maps)."""
 
     bits: np.ndarray
-    symbols: np.ndarray
-    normals: list
+    sources: np.ndarray
 
 
 def exact_draws(dims: SystemDims, rng_data: np.random.Generator,
                 rng_noise: np.random.Generator) -> TrialDraws:
-    """The bits from rng_data and the unit normals from rng_noise of an exact
-    trial. A bank's rows are those of its filters' QR factor
-    (_filtered_noise): min(M, K) for a relay, min(hops*M, K) for the
-    destination, K at the desk configuration."""
-    bits, S = _packet_symbols(dims, rng_data)
-    rows = [min(dims.M, dims.K)] * dims.n_r + [min(dims.stack, dims.K)]
-    return TrialDraws(bits, S, [rng_noise.standard_normal((2, r, dims.P))
-                                for r in rows])
+    """The bits from rng_data and the noise from rng_noise of an exact
+    trial: min(M, K) rows per relay and min(hops*M, K) for the destination,
+    each bank's real parts drawn before its imaginary parts."""
+    K, P = dims.K, dims.P
+    bits = rng_data.integers(0, 2, size=(K, P, 2))
+    rows = [min(dims.M, K)] * dims.n_r + [min(dims.stack, K)]
+    sources = np.zeros((K + sum(rows), P + 2 * _REACH), dtype=complex)
+    inner = sources[:, _REACH:-_REACH]
+    inner[:K] = modulate_qpsk(bits)
+    for start, r in zip(np.cumsum([K] + rows), rows):
+        _noise_matrix((rng_noise.standard_normal((r, P)) for _ in "ri"), 1.0,
+                      out=inner[start:start + r])
+    return TrialDraws(bits.astype(np.int8), sources)
 
 
 def _relay_frames(scn: Scenario, S0: np.ndarray,
@@ -420,17 +450,6 @@ def _relay_frames(scn: Scenario, S0: np.ndarray,
     return frames
 
 
-def _filtered_noise(R: np.ndarray, sigma2: float,
-                    normals: np.ndarray) -> np.ndarray:
-    """W^H n over P symbols, n white chip noise of variance sigma2, formed
-    from R, the R factor of W = QR, and the (2, rows, P) unit normals of R's
-    rows: W^H n ~ CN(0, sigma2 W^H W), coloured by R^H. Unlike a Cholesky
-    factor of W^H W, the QR factor exists for a rank-deficient W. The
-    factors are taken once per design stack (_relay_chains, _design_stack),
-    not per packet."""
-    return R.conj().T @ _noise_matrix(normals, sigma2)
-
-
 def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
                              t1: int) -> np.ndarray:
     """Each destination-facing link's frames at unit amplitude for symbols
@@ -439,51 +458,56 @@ def _destination_link_frames(scn: Scenario, S: np.ndarray, t0: int,
     t's window is (F[t - t0] @ amps.T[..., None]).reshape(-1) plus noise. S
     is the whole packet's hops x K x (P + 2) per-hop symbol array."""
     hops, M, K = scn.x_dest.shape
-    # every link as a (hops, K) stack of one-user hops, built contiguous and
-    # then copied symbol-major: adding through a symbol-major view makes
-    # numpy buffer its operands, twice the chunk's peak memory (344 against
-    # 175 KB at the desk configuration), for the same bytes
+    # every link as a (hops, K) stack of one-user hops, built contiguous,
+    # then copied symbol-major: adding through a symbol-major view buffers
+    # the operands, twice the peak memory (344 against 175 KB at the desk)
     F = np.zeros((hops, K, M, t1 - t0), dtype=complex)
     add_hop_frames(F, scn.x_dest.swapaxes(-1, -2)[..., None],
                    S[:, :, None, t0:t1 + 2], 1.0, scn.spill)
     return np.ascontiguousarray(F.transpose(3, 0, 2, 1))
 
 
-def exact_soft_outputs(scn: Scenario, W: np.ndarray, amps: np.ndarray,
-                       S: np.ndarray, normals: list,
-                       R: np.ndarray) -> np.ndarray:
-    """Destination soft outputs W^H r (K x P) of a whole packet under fixed
-    filters and amplitudes; fills in S's relay hops, in place, with the
-    symbols g * Wr^H r_j the relays forward. Every output is formed from
-    filtered frames and filtered noise, without a chip window: normals holds
-    each filter bank's unit normals (TrialDraws.normals), coloured by the R
-    factor of its filters, a relay's from scn.relay_banks and the
-    destination's R."""
-    for j, (X, Wr, g, Rr, Z) in enumerate(zip(scn.x_sr, *scn.relay_banks,
-                                              normals)):
-        y = _filtered_noise(Rr, scn.sigma2, Z)
-        add_hop_frames(y, X, S[0], 1.0, scn.spill, Wr.conj().T)
-        np.multiply(y, g[:, None], out=S[j + 1, :, 1:-1])
-    soft = _filtered_noise(R, scn.sigma2, normals[-1])
-    # hop j's filter rows W_j see only hop j's links
-    for X, W_j, S_j, a in zip(scn.x_dest, W.reshape(scn.x_dest.shape), S,
-                              amps.T):
-        add_hop_frames(soft, X, S_j, a[:, None], scn.spill, W_j.conj().T)
-    return soft
+def exact_soft_blocks(scns: list, cfg: ExperimentConfig, draws: TrialDraws):
+    """(t0, soft) per block of _SYNTH_BLOCK symbols of one trial's points
+    scns designed for cfg, soft the (points, K, b) outputs from t0 on in a
+    buffer the next block overwrites: the points' maps stacked times the
+    block's sources at their lags, copied into one contiguous operand."""
+    K, P = scns[0].dims.K, scns[0].dims.P
+    maps = [scn.designs[cfg.scheme, cfg][2:] for scn in scns]
+    theta = np.concatenate([m[0] for m in maps])
+    first, last = np.concatenate([m[1] for m in maps], axis=1)
+    size = min(P, _SYNTH_BLOCK)
+    buffers = [np.empty(n * size, complex) for n in theta.shape[::-1]]
+    for t0 in range(0, P, size):
+        b = min(size, P - t0)
+        psi, out = (buf[:n * b].reshape(n, b)
+                    for buf, n in zip(buffers, theta.shape[::-1]))
+        row = 0
+        for lag, rows in _source_lags(scns[0].dims, scns[0].spill):
+            start = _REACH + t0 + lag
+            psi[row:row + rows] = draws.sources[:rows, start:start + b]
+            row += rows
+        np.matmul(theta, psi, out=out)
+        for t, edge in ((0, first), (P - 1, last)):
+            if t0 <= t < t0 + b:
+                out[:, t - t0] -= edge @ draws.sources[:K, _REACH + t]
+        yield t0, out.reshape(len(scns), K, b)
 
 
-def simulate_packet_exact(scn: Scenario, W: np.ndarray, amps: np.ndarray,
-                          cfg: ExperimentConfig,
-                          draws: TrialDraws) -> PacketResult:
-    """Vectorized packet simulation with fixed filters and amplitudes, on
-    its trial's bits and unit-normal noise (exact_draws), which every point
-    of the trial shares: only the noise scale sqrt(sigma2 / 2) is the
-    packet's own. W and amps are scn's design for cfg (design_exact), whose
-    R factor the scenario keeps with it."""
-    R = scn.designs[cfg.scheme, cfg][2]
-    return _packet_result(exact_soft_outputs(scn, W, amps, draws.symbols,
-                                             draws.normals, R),
-                          draws.bits, cfg.training_len)
+def simulate_packet_exact(scns: list, cfg: ExperimentConfig,
+                          draws: TrialDraws) -> list:
+    """The PacketResult of each of scns, one trial's points whose designs
+    for cfg succeeded (design_exact), on the trial's draws (exact_draws):
+    each block of soft outputs (exact_soft_blocks) has its bit errors
+    counted at once for every point."""
+    K, P, T = scns[0].dims.K, scns[0].dims.P, cfg.training_len
+    errors = np.zeros((len(scns), P), dtype=np.int64)
+    for t0, soft in exact_soft_blocks(scns, cfg, draws):
+        t1 = t0 + soft.shape[-1]
+        _symbol_errors(soft, draws.bits[:, t0:t1], errors[:, t0:t1])
+    return [PacketResult(bit_errors=int(err[T:].sum()),
+                         payload_bits=2 * (P - T) * K, per_symbol_errors=err)
+            for err in errors]
 
 
 def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
@@ -495,28 +519,27 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
 
     The relays never see destination feedback, so their RLS filters first
     run, as one stack, over their whole-packet observations
-    (AdaptiveRelay.forward). Every hop's
-    symbols are then known, and only the amplitudes change from one
-    destination symbol to the next: the destination builds its links'
-    unit-amplitude frames for _FRAME_CHUNK symbols at a time
-    (_destination_link_frames) and forms each window as noise plus those
-    frames times the current amplitudes. It steps per symbol: receiver ->
-    channel -> power, the channel and power recursions each one call on the
-    stack of user blocks that power_blocks gives the scheme, each under its
-    users' total budget; without a power step there is no such state.
-    Transmit amplitudes follow the latest power estimates. The soft outputs
-    are demodulated once, after the packet. A packet that diverges records
-    extras["divergence"] = (stage, symbol, reason): stage "relay" or
-    "destination", the index of the symbol whose step failed, and the
-    exception's type and message.
+    (AdaptiveRelay.forward). Then only the amplitudes change from one
+    destination symbol to the next: each window is noise plus the links'
+    unit-amplitude frames (_destination_link_frames, _FRAME_CHUNK symbols
+    at a time) times the current amplitudes. The destination steps per
+    symbol: receiver -> channel -> power, the last two each one call on the
+    stack of user blocks that power_blocks gives the scheme, if any. A
+    packet that diverges records extras["divergence"] = (stage, symbol,
+    reason): stage "relay" or "destination", the index of the symbol whose
+    step failed, and the exception's type and message.
     """
     dims = scn.dims
     K, L, P, M = dims.K, dims.L, dims.P, dims.M
     hops, stack = dims.hops, dims.stack
     T = cfg.training_len
 
-    bits, S = _packet_symbols(dims, rng_data)
+    # the per-hop symbols, hop 0 the source's, with a zero neighbour column
+    # each side; the relays' hops are filled in once they have run
+    bits = rng_data.integers(0, 2, size=(K, P, 2))
+    S = np.zeros((hops, K, P + 2), dtype=complex)
     B = S[0, :, 1:-1]
+    B[...] = modulate_qpsk(bits)
     relay_obs = _relay_frames(scn, S[0], rng_noise)
     noise_dest = _noise_matrix((rng_noise.standard_normal((stack, P))
                                 for _ in "ri"), scn.sigma2)
@@ -623,32 +646,37 @@ def simulate_packet_adaptive(scn: Scenario, scheme: str, cfg: ExperimentConfig,
 def run_packet(cfg: ExperimentConfig, scn: Scenario,
                rng_data: np.random.Generator, rng_noise: np.random.Generator,
                rng_init: np.random.Generator) -> PacketResult:
-    """Simulate one packet under the configured scheme and variant. An
-    exact packet draws its trial's bits and noise (exact_draws), as a sweep
-    does once for all of a trial's points, and runs as a sweep's packet
-    does (_exact_packet), on scn's own design (design_exact)."""
+    """Simulate one packet under the configured scheme and variant; an
+    exact packet runs as a trial of one point (_exact_trial)."""
     if cfg.variant == "exact":
-        return _exact_packet(cfg, scn, exact_draws(scn.dims, rng_data,
-                                                   rng_noise))
+        return _exact_trial(cfg, [scn], exact_draws(scn.dims, rng_data,
+                                                    rng_noise))[0]
     return simulate_packet_adaptive(scn, cfg.scheme, cfg, rng_data, rng_noise,
                                     rng_init)
 
 
-def _exact_packet(cfg: ExperimentConfig, scn: Scenario, draws: TrialDraws,
-                  stack: list | None = None) -> PacketResult:
-    """An exact packet on its trial's draws, designed through design_exact
-    (in stack, which holds scn, when given). A packet whose design failed
-    diverges before its first symbol, and records extras["divergence"] =
-    ("design", None, reason)."""
-    try:
-        W, amps = design_exact(scn, cfg.scheme, cfg, stack)
-    except TrialFailure as exc:  # diverged before its first symbol
-        K, P = scn.dims.K, scn.dims.P
-        divergence = ("design", None, f"{type(exc).__name__}: {exc}")
-        return _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),
-                              cfg.training_len, diverged=True,
-                              extras={"divergence": divergence})
-    return simulate_packet_exact(scn, W, amps, cfg, draws)
+def _exact_trial(cfg: ExperimentConfig, scns: list, draws: TrialDraws,
+                 stack: list | None = None) -> list:
+    """The PacketResult of each of scns, one trial's scenarios at its
+    points, on the trial's draws, each designed through design_exact (in
+    stack, when given), the designed ones run as one call. A packet whose
+    design failed diverges alone, before its first symbol, and records
+    extras["divergence"] = ("design", None, reason)."""
+    results, designed = [None] * len(scns), []
+    for i, scn in enumerate(scns):
+        try:
+            design_exact(scn, cfg.scheme, cfg, stack)
+            designed.append(i)
+        except TrialFailure as exc:
+            K, P = scn.dims.K, scn.dims.P
+            divergence = ("design", None, f"{type(exc).__name__}: {exc}")
+            results[i] = _packet_result(np.empty((K, 0)), np.zeros((K, P, 2)),
+                                        cfg.training_len, diverged=True,
+                                        extras={"divergence": divergence})
+    for i, res in zip(designed, simulate_packet_exact(
+            [scns[i] for i in designed], cfg, draws) if designed else ()):
+        results[i] = res
+    return results
 
 
 @dataclass
@@ -688,17 +716,13 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
                    codes: np.ndarray, trials: range, levels: list):
     """The PacketResult of each trial of trials at each noise level of
     levels, trial by trial and, within a trial, in the order of levels.
-    Each trial's scenario is drawn once, from its own trial_rngs stream,
-    and serves all of its points: one Scenario per noise level, sharing the
-    channel. On the exact path the chunk's scenarios are one stack,
-    whatever their points, designed when the first packet asks for its
-    design (design_exact); a trial whose design fails diverges alone
-    (_exact_packet). The packets then run one trial at a time: an exact
-    trial draws its bits and noise once (exact_draws), and each point's
-    packet scales the same unit normals to its own noise level; the draws
-    are freed after the trial's last packet. An adaptive packet draws its
-    own from fresh streams, so that no packet continues a generator that
-    another packet consumed."""
+    Each trial's scenario is drawn once, from its own trial_rngs stream, and
+    serves all of its points: one Scenario per noise level, sharing the
+    channel. On the exact path the chunk's scenarios are one design stack,
+    whatever their points, and each trial draws its bits and noise once
+    (exact_draws) for all its points (_exact_trial), freed with the trial.
+    An adaptive packet draws its own from fresh streams, so that no packet
+    continues a generator that another packet consumed."""
     drawn = []
     for t in trials:
         rngs = trial_rngs(cfg.seed, t)
@@ -712,23 +736,19 @@ def _chunk_packets(cfg: ExperimentConfig, dims: SystemDims,
             for scn in scns:
                 yield run_packet(cfg, scn, *trial_rngs(cfg.seed, t)[1:])
             continue
-        draws = exact_draws(dims, rngs[1], rngs[2])
-        for scn in scns:
-            yield _exact_packet(cfg, scn, draws, stack)
-        del draws
+        yield from _exact_trial(cfg, scns, exact_draws(dims, *rngs[1:3]),
+                                stack)
 
 
 def _run_points(cfg: ExperimentConfig, snrs) -> list:
     """Every trial of cfg at each SNR of snrs: per point, the BERs of the
     packets that kept going, in trial order, the number that diverged, and
-    the kept packets' summed per-symbol errors. The trials run in chunks of
-    max(1, _DESIGN_CHUNK // len(snrs)) whole trials (_chunk_packets), every
-    point of trial t before trial t + 1. One chunk's scenarios and designs
-    and one trial's draws are held at a time; each result is counted as it
-    comes. Each trial draws from its own streams and is designed at each
-    point's own noise level, so its packets have the bits they get in any
-    chunk and when run alone (run_packet). A chunk's scenarios keep their
-    own designs (Scenario.designs) and are freed with the chunk."""
+    the kept packets' summed per-symbol errors, counted as they come. The
+    trials run in chunks of whole trials (_DESIGN_CHUNK, _chunk_packets),
+    every point of trial t before trial t + 1, one chunk's scenarios and
+    designs and one trial's draws held at a time. Each trial draws from its
+    own streams, so its packets have the bits they get in any chunk and
+    when run alone (run_packet)."""
     dims = cfg.dims()
     codes = codes_for(cfg, dims.K)
     sigma2 = [snr_db_to_sigma2(snr) for snr in snrs]

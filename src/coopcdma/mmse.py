@@ -4,14 +4,12 @@ The stacked observation is r = U diag(a) s + n: U holds the effective chip
 waveforms (signature * channel) of the K*hops links, a their amplitudes, s
 the link symbols with correlation Omega (relay_omega; unit-energy QPSK
 symbols, independent across users) and n white noise of variance sigma^2.
-Every design entry takes Omega. Receiver and power steps depend on each other
-and are alternated until the MSE stops falling, keeping the best design
-visited (design). Every user's power budget is 1. The
-power constraint is a partition into B equal contiguous user blocks (1:
-global, K: individual budgets), a block's budget being its number of users;
-the power step is one regularized solve over all blocks (_real_power_solve),
-then each block's projection onto its nonnegative-real budget sphere
-(nonnegative_amplitudes), as in the adaptive path.
+Receiver and power steps are alternated until the MSE stops falling
+(design). The power constraint is a partition into B equal contiguous user
+blocks (1: global, K: individual budgets), a block's budget its number of
+users; the power step is one regularized solve over all blocks
+(_real_power_solve), then each block's projection onto its nonnegative-real
+budget sphere (nonnegative_amplitudes), as in the adaptive path.
 
 The design works in link coordinates (K*hops of them), not in the stack of
 chips. U is hop-diagonal (hop j's rows hold its waveforms X_j = x_dest[j] in
@@ -22,13 +20,11 @@ K*hops-dimensional solve for C. The power terms and the MSE follow from the
 link responses U^H W, so W is formed once, hop by hop, after the alternation.
 build_statistics and total_mse score a design from U, outside the design.
 
-The design steps (link_factors, filter_step, power_terms, _real_power_solve,
-nonnegative_amplitudes) take a leading trial axis, so that design solves the
-designs of T independent trials, each at its own noise level, as one stack;
-each trial's arithmetic is the same as on a stack of one, which alternate is.
-A trial whose step fails (IllConditionedError, DegenerateStateError) fails
-the stack's call; the harness bisects such a stack (harness._design_stack),
-so that the failure fails only its own trial.
+The design steps take a leading trial axis, so that design solves T
+independent trials, each at its own noise level, as one stack, each with
+the arithmetic of a stack of one (alternate). A trial whose step fails
+(IllConditionedError, DegenerateStateError) fails the stack's call, which
+the harness bisects (harness._design_stack).
 """
 
 from __future__ import annotations
@@ -184,24 +180,19 @@ def _checked_solve(R: np.ndarray, rhs: np.ndarray, what: str,
     matrix of a stack of them (R of shape (..., n, n)). rhs holds one vector
     (..., n) or one matrix (..., n, k) of right-hand sides per matrix.
 
-    floor is a lower bound on the eigenvalues of R that the caller knows from
-    how R was built (sigma^2 for a destination receiver covariance and for a
-    relay covariance X X^H + sigma^2 I, lambda for a loaded power
-    covariance), 0 when none is known: one value, or one per matrix (any
-    shape that broadcasts to R's leading axes). cond2(R) <= ||R||_2 / floor
-    and ||R||_2 <= ||R||_F, so ||R||_F <= floor * _COND_LIMIT / 2 proves
-    cond2(R) <= _COND_LIMIT with a factor 2 to spare for rounding in the
-    assembly of R; the Frobenius norms of a stack are one dot product over
-    its real and imaginary parts. A stack certified whole goes to one batched
-    LU call, the LAPACK gufunc of np.linalg.solve with its bytes
-    (rlscore.lapack_solve). Any other stack, and a whole stack on which LU
-    raises LinAlgError, is solved matrix by matrix: by LU when the matrix is
-    certified, else, or when LU raises on it, by the SVD path (_cond_solve):
-    a matrix whose condition number np.linalg.cond finds non-finite or above
-    the limit is solved with the pseudoinverse, with one RuntimeWarning per
-    such matrix, in the stack's order, and any other by np.linalg.solve, the
-    same LU. An empty stack solves to an empty x. R and rhs are float64 or
-    complex128.
+    floor is a lower bound on R's eigenvalues that the caller knows from how
+    R was built (sigma^2 for a receiver or relay covariance, lambda for a
+    loaded power covariance), 0 when none is known: one value, or any shape
+    that broadcasts to R's leading axes. cond2(R) <= ||R||_F / floor, so
+    ||R||_F <= floor * _COND_LIMIT / 2 proves cond2(R) <= _COND_LIMIT with a
+    factor 2 to spare for rounding in R's assembly. A stack certified whole
+    goes to one batched LU call with np.linalg.solve's bytes
+    (rlscore.lapack_solve). Any other stack, and one on which LU raises, is
+    solved matrix by matrix: by LU when certified, else, or when LU raises,
+    by the SVD path (_cond_solve), which solves a matrix whose condition
+    number is non-finite or above the limit with the pseudoinverse and one
+    RuntimeWarning each, in the stack's order. An empty stack solves to an
+    empty x. R and rhs are float64 or complex128.
     """
     # a count, not .all(): no Python-level reduction wrapper
     if (np.count_nonzero(np.isfinite(R)) != R.size
@@ -384,25 +375,20 @@ def equal_power_amps(K: int, hops: int) -> np.ndarray:
 def design(X: np.ndarray, sigma2, blocks: int | None,
            config: MmseConfig | None, omega: np.ndarray) -> StackedDesign:
     """Exact designs of T trials as one stack: X (T x hops x M x K), sigma2
-    (T,) and omega (T x K*hops x K*hops) hold each trial's per-hop
-    waveforms, noise level and link-symbol correlation; one sigma2 value
-    serves every trial.
+    (T, or one value for all) and omega (T x K*hops x K*hops) hold each
+    trial's per-hop waveforms, noise level and link-symbol correlation.
 
     Without blocks (None, the equal-power schemes) each trial gets the MMSE
-    filters of the equal-power amplitudes. With blocks the trials alternate
-    filter and power steps as alternate describes. A trial stops at its
-    first filter step whose MSE is not below (1 - config.tol) times its
-    previous step's, and keeps the amplitudes of the lower of those two
-    MSEs: the best it visited, as each earlier step lowered the MSE. A trial
-    still running after config.max_iters steps keeps the last power step's
-    amplitudes, unconverged. Each trial's test reads only its own MSEs, so
-    every trial's iterations, amplitudes and filters are those it gets
-    alone. The terms that no step changes are formed once
-    (filter_fixed_terms, power_fixed_terms), and the steps read the stack's
-    own arrays while every trial is active; the rows of the trials still
-    active are copied out only when the active set shrinks.
-    A trial whose step fails raises its TrialFailure for the whole stack;
-    harness._design_stack finds the failed trials by bisection.
+    filters of the equal-power amplitudes. With blocks, filter and power
+    steps alternate. A trial stops, converged, at its first filter step
+    whose MSE is not below (1 - config.tol) times its previous step's, and
+    keeps the lower MSE of those two steps with its filters and amplitudes,
+    taking no more power steps; one still running after config.max_iters
+    steps keeps the last power step's amplitudes, whose filters a final
+    filter step forms. Each trial's test reads only its own MSEs, so every
+    trial gets the bytes it gets alone. The fixed terms are formed once and
+    the active trials' rows copied out only when the active set shrinks. A
+    trial whose step fails raises its TrialFailure for the whole stack.
     """
     trials, hops, M, K = X.shape
     if blocks is not None and (blocks < 1 or K % blocks):
@@ -410,6 +396,8 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
     sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (trials,))
     max_iters = 0 if blocks is None else config.max_iters
     amps = np.tile(equal_power_amps(K, hops), (trials, 1, 1))
+    # each trial's design in link coordinates (W = U Y) and its MSE
+    Y, mse = np.empty((trials, K * hops, K), dtype=complex), np.empty(trials)
     trace = []  # per iteration, the MSE of each trial's filter step
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
@@ -423,54 +411,54 @@ def design(X: np.ndarray, sigma2, blocks: int | None,
         # rows, taken again only when trials stop; the results go to amps
         terms = [gram, F, sigma2, amps.copy(), omega, direct, omega_t,
                  *fixed]
-        # each active trial's last filter-step MSE, none before the first,
-        # and the amplitudes it was taken at
-        last_mse, last_amps = np.full(trials, np.inf), terms[3]
-
-    def step(g, f, s2, a, om, d, om_t, *fix):
-        """The filter step's MSE and the power step's amplitudes of the
-        trials whose rows the terms hold."""
-        Y, mse = filter_step(g, f, s2, a, fix)
-        R_a, p_a = power_terms(g @ Y, a, om, blocks, (d, om_t))
-        a_ls = _real_power_solve(R_a, p_a, config.lam, loading)
-        # each block onto the sphere of its number of users
-        return mse, nonnegative_amplitudes(
-            a_ls.reshape(-1, blocks, K * hops // blocks),
-            K // blocks).reshape(-1, K, hops)
-
-    active = np.arange(trials)
+    active, last = np.arange(trials), None
     for it in range(1, max_iters + 1):
-        if not active.size:
-            break
-        mse, a_new = step(*terms)
+        g, f, s2, a, om, d, om_t, *fix = terms
+        now = (*filter_step(g, f, s2, a, fix), a)  # (Y, MSE, amplitudes)
         trace.append(np.full(trials, np.nan))
-        trace[-1][active] = mse
-        # stopped: the MSE fell by less than tol
-        done = mse >= (1.0 - config.tol) * last_mse
-        stopped = np.count_nonzero(done)
-        if stopped or it == max_iters:
-            # a stopped trial keeps the amplitudes of the lower MSE of its
-            # last two filter steps, one at the cap the last power step's
-            lower = np.where((mse < last_mse)[:, None, None], terms[3],
-                             last_amps)
-            amps[active] = np.where(done[:, None, None], lower, a_new)
-            iterations[active] = it
-            converged[active[done]] = True
-        last_mse, last_amps, terms[3] = mse, terms[3], a_new
-        if stopped and it < max_iters:
-            keep = ~done
-            active = active[keep]
-            last_mse, last_amps = last_mse[keep], last_amps[keep]
+        trace[-1][active] = now[1]
+        # each active trial's last filter step, an infinite MSE at the first
+        last = last or (now[0], np.full(active.size, np.inf), a)
+        # stopped: the MSE fell by less than tol; such a trial keeps the
+        # lower MSE of its last two filter steps, its filters and amplitudes
+        done = now[1] >= (1.0 - config.tol) * last[1]
+        if np.count_nonzero(done):
+            lower = (now[1] < last[1])[done]
+            stop = active[done]
+            for out, new, old in zip((Y, mse, amps), now, last):
+                # lower broadcast along each trial's own axes
+                out[stop] = np.where(lower.reshape(-1, *[1] * (new.ndim - 1)),
+                                     new[done], old[done])
+            iterations[stop], converged[stop] = it, True
+            active, now = active[~done], [x[~done] for x in now]
             # each term's active rows replace it before the next term's are
             # copied, so that one term at a time is held twice
             for i, term in enumerate(terms):
-                terms[i] = term[keep]
+                terms[i] = term[~done]
             del term
+            if not active.size:
+                break
+            g, _, _, a, om, d, om_t, *_ = terms
+        # the power step, of the trials that go on, each block onto the
+        # sphere of its number of users
+        R_a, p_a = power_terms(g @ now[0], a, om, blocks, (d, om_t))
+        a_ls = _real_power_solve(R_a, p_a, config.lam, loading)
+        a_new = nonnegative_amplitudes(
+            a_ls.reshape(-1, blocks, K * hops // blocks),
+            K // blocks).reshape(-1, K, hops)
+        if it == max_iters:  # at the cap: the last power step's amplitudes
+            amps[active], iterations[active] = a_new, it
+        last, terms[3] = now, a_new
     # no working copy is held through the final filter step
-    terms = last_amps = None
-
+    terms = last = now = g = f = s2 = a = om = d = om_t = fix = None
+    # the final filter step, of the trials whose amplitudes no filter step
+    # has seen: every trial without blocks, those at the cap with them
+    final = np.flatnonzero(~converged)
+    if final.size:
+        Y[final], mse[final] = filter_step(
+            gram[final], F[final], sigma2[final], amps[final],
+            [term[final] for term in fixed])
     # W = U Y, hop j's rows X_j times hop j's rows of Y
-    Y, mse = filter_step(gram, F, sigma2, amps, fixed)
     W = (X @ Y.reshape(trials, K, hops, K).swapaxes(1, 2)).reshape(
         trials, hops * M, K)
     return StackedDesign(W=W, amps=amps, mse=mse,
@@ -484,20 +472,13 @@ def alternate(X: np.ndarray, sigma2: float, blocks: int,
     design on a stack of one, the per-hop waveforms X (hops x M x K).
 
     The users form `blocks` equal contiguous blocks (1: global, K: individual
-    constraints), each under the sum of its users' unit budgets; a one-link
-    block, pinned by its budget, is designed without alternation
-    (harness.power_blocks). The trace records the ensemble MSE after each
-    filter step, so its first entry is the MSE of the equal-power (CIS)
-    allocation under its own MMSE filters; the last entry is the closed-form
-    MSE of the returned design (StackedDesign.mse). The alternation stops,
-    converged, at the first filter step whose MSE falls by less than the
-    fraction config.tol of the previous one, and returns the lower MSE's
-    design, the minimum of the trace; after config.max_iters steps it stops
-    unconverged with the last power step's amplitudes.
-    omega must be a covariance matrix (positive semidefinite) with unit
+    constraints); a one-link block, pinned by its budget, is designed
+    without alternation (harness.power_blocks). The trace holds each filter
+    step's MSE, the first the equal-power (CIS) allocation's, then the
+    closed-form MSE of the returned design (StackedDesign.mse), the trace's
+    minimum on convergence. omega must be positive semidefinite with unit
     direct-link diagonal, as every link-symbol correlation built here is:
-    sigma2 then bounds the eigenvalues of each receiver covariance from below,
-    and the traced MSE takes the closed form of filter_step.
+    sigma2 then bounds each receiver covariance's eigenvalues from below.
     """
     res = design(X[None], sigma2, blocks, config, omega[None])
     W, amps, iterations = res.W[0], res.amps[0], int(res.iterations[0])

@@ -2,8 +2,8 @@
 
 Holds the pieces of the chip-synchronous model r = sum_k C_k H_k B_k a_k +
 eta + n: spreading codes, convolution matrices, multipath channels, QPSK
-symbols, and the one frame synthesizer that turns a hop's chip waveforms,
-symbols and amplitudes into observation windows with their ISI.
+symbols, a hop's ISI geometry (hop_lag_parts, which the exact packet's map
+shares) and the frame synthesizer that builds windows from it.
 """
 
 from __future__ import annotations
@@ -126,36 +126,35 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
     return decided.reshape(soft.shape)
 
 
+def hop_lag_parts(X: np.ndarray, spill: int) -> list:
+    """(lag, window rows, waveform rows) of each symbol an observation window
+    holds of a hop's chip waveforms X (..., M, K): its own (lag 0), and with
+    spill > 0 the last `spill` = L - 1 chips of the previous symbol in its
+    head (lag -1) and the first of the next in its tail (lag +1)."""
+    parts = [(0, slice(None), X)]
+    if spill:
+        N = X.shape[-2] - spill
+        parts += [(-1, slice(None, spill), X[..., N:, :]),
+                  (1, slice(N, None), X[..., :spill, :])]
+    return parts
+
+
 def add_hop_frames(out: np.ndarray, X: np.ndarray, S: np.ndarray,
-                   a: np.ndarray | float, spill: int,
-                   left: np.ndarray | None = None) -> None:
+                   a: np.ndarray | float, spill: int) -> None:
     """Add one hop's chip frames X (S a) and their ISI spill-over to out.
 
     X holds the hop's M x K chip waveforms (one column per user), S the K x
     (cols + 2) hop symbols with one neighbour column on each side (zero at the
     packet edges) and a the K x 1 amplitudes, or one amplitude for all users;
-    out is the M x cols block of observation windows. A symbol's last
-    `spill` = L - 1 chips fall into the head of the next window and its first
-    `spill` chips into the tail of the previous one; spill = 0 leaves the
-    windows free of ISI. Without a left factor, X, S and out may be stacks
-    (B, ...) of B such hops: with B = K one-user hops (X (K, M, 1), S (K, 1,
-    cols + 2)), out holds each link's frames apart.
-
-    With a left factor (J x M), out is the J x cols block of left times the
-    windows, formed without the windows: the ISI terms go through left's head
-    and tail columns.
+    out is the M x cols block of observation windows, each the sum of its
+    lag parts (hop_lag_parts). X, S and out may be stacks (B, ...) of B
+    hops: with B = K one-user hops (X (K, M, 1), S (K, 1, cols + 2)), out
+    holds each link's frames apart.
     """
-    N = X.shape[-2] - spill
     # each symbol times its amplitude once, for all three shifts; the unit
     # amplitude 1.0 scales nothing (S * 1.0 has S's values)
     Sa = S if isinstance(a, float) and a == 1.0 else S * a
-    if left is None:
-        out += X @ Sa[..., 1:-1]
-        if spill:
-            out[..., :spill, :] += X[..., N:, :] @ Sa[..., :-2]
-            out[..., N:, :] += X[..., :spill, :] @ Sa[..., 2:]
-        return
-    out += (left @ X) @ Sa[:, 1:-1]
-    if spill:
-        out += (left[:, :spill] @ X[N:]) @ Sa[:, :-2]
-        out += (left[:, N:] @ X[:spill]) @ Sa[:, 2:]
+    cols = Sa.shape[-1] - 2
+    for lag, rows, part in hop_lag_parts(X, spill):
+        window = out[..., rows, :]  # added in place, through a view
+        window += part @ Sa[..., 1 + lag:cols + 1 + lag]

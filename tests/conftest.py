@@ -70,6 +70,49 @@ def add_destination_frames(out: np.ndarray, scn, S: np.ndarray,
                        scn.spill)
 
 
+def trial_soft_outputs(scns, cfg, draws) -> np.ndarray:
+    """The (points, K, P) soft outputs of a trial's points designed for cfg,
+    on the trial's draws: harness.exact_soft_blocks' blocks, joined."""
+    return np.concatenate([soft.copy() for _, soft in
+                           harness.exact_soft_blocks(scns, cfg, draws)],
+                          axis=-1)
+
+
+def destination_noise_columns(theta: np.ndarray, dims) -> np.ndarray:
+    """The columns of a packet map (harness._packet_maps) that colour the
+    destination's noise: the last rows of its lag-0 sources."""
+    start = dims.K + dims.n_r * min(dims.M, dims.K)
+    return theta[..., start:start + min(dims.stack, dims.K)]
+
+
+def chip_soft_outputs(scn, W, amps, draws, bank=None) -> np.ndarray:
+    """The exact packet in the chip domain, the oracle of its map: every
+    relay's and the destination's whole-packet chip windows, noise included,
+    then the filters. A filter bank's chip noise is sigma Q z, z its
+    unit-variance noise in draws and Q the Q factor of its filters, so that
+    the filters see sigma R^H z, the noise the map colours. bank holds the
+    relays' stacked filters and gains (harness._relay_chains), by default
+    those of scn's chain."""
+    dims = scn.dims
+    K, P = dims.K, dims.P
+    sources = draws.sources[:, harness._REACH:-harness._REACH]
+    S = np.zeros((dims.hops, K, P + 2), dtype=complex)
+    S[0, :, 1:-1] = sources[:K]
+    sigma = np.sqrt(scn.sigma2)
+    row = K
+    bank = bank or harness._relay_chains([scn])[1]
+    for j, (X, Wr, g) in enumerate(zip(scn.x_sr, *(b[0] for b in bank))):
+        Q, R = np.linalg.qr(Wr)
+        obs = sigma * Q @ sources[row:row + len(R)]
+        add_hop_frames(obs, X, S[0], 1.0, scn.spill)
+        S[j + 1, :, 1:-1] = g[:, None] * (Wr.conj().T @ obs)
+        row += len(R)
+    Q, _ = np.linalg.qr(W)
+    frames = sigma * Q @ sources[row:]
+    add_destination_frames(frames, scn, S, amps)
+    return W.conj().T @ frames
+
+
 def emit_config(cfg: ExperimentConfig) -> str:
     """Config serialized back to the flat file format that
     cli.parse_config reads (round-trippable)."""
@@ -86,7 +129,7 @@ def scenario_omega(scn) -> np.ndarray:
     """The link-symbol correlation matrix of the scenario's relay chain: its
     chain in a stack of one (harness._relay_chains), whose TrialFailure it
     raises. The oracle of each trial's slice of a stacked chain."""
-    return harness._relay_chains([scn])[0]
+    return harness._relay_chains([scn])[0][0]
 
 
 def poisoned(A: np.ndarray, value: complex,

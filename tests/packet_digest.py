@@ -7,18 +7,21 @@ test_fingerprint.py cannot see a change in the last bit of a soft output.
 exact_packet_digest builds each packet from its parts. For every seed,
 scheme, SNR and trial below, it takes the bytes of the scenario (the
 per-link waveform matrix U that the tests' oracle dense_link_waveforms forms
-from x_dest, h_true, the source-to-relay waveforms), of the design (W, amps),
-of the packet's bits, of its per-hop symbols S (relay hops filled in), of
-its soft outputs and of its per-symbol error counts. The designs of a
-point's trials are solved as one stack: the list of the point's scenarios,
-passed to harness.design_exact as its stack.
+from x_dest, h_true, the source-to-relay waveforms), of the design (W, amps)
+and its packet map (theta, edges), of the packet's bits, of its soft outputs
+and of its per-symbol error counts. The designs of a point's trials are
+solved as one stack: the list of the point's scenarios, passed to
+harness.design_exact as its stack.
 
 sweep_packet_digest takes the packets that harness.run_experiment runs:
 every scheme over 4 SNR points and 3 trials, the soft outputs and per-symbol
 error counts of each packet, in (point, trial) order. A sweep runs its
 trials in chunks of whole trials, each trial at every point
 (harness._run_points), and each trial's channel, bits and noise serve all
-of its points. These 12 packets per run are one chunk; the sweep-chunks
+of its points. The soft outputs are formed again from each trial's call of
+harness.simulate_packet_exact, the seam the sweep reaches through the
+module, by harness.exact_soft_blocks on the same arguments. These 12
+packets per run are one chunk; the sweep-chunks
 digest runs every scheme over the 7-point desk grid with 15 trials at seed
 1, more trials than one chunk holds, so it is the digest that sees a chunk
 boundary on the sweep's own path.
@@ -47,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import dense_link_waveforms
+from conftest import dense_link_waveforms, trial_soft_outputs
 from coopcdma import harness
 
 SEEDS = (1, 2, 3)
@@ -78,14 +81,13 @@ def exact_packet_digest(seeds=SEEDS, snrs_db=SNRS_DB, trials=TRIALS) -> str:
                 for scn, (_, rng_data, rng_noise, _) in zip(scenarios, rngs):
                     W, amps = harness.design_exact(scn, scheme, cfg,
                                                    scenarios)
-                    bits, S, normals = harness.exact_draws(dims, rng_data,
-                                                           rng_noise)
-                    soft = harness.exact_soft_outputs(
-                        scn, W, amps, S, normals, scn.designs[scheme, cfg][2])
-                    res = harness._packet_result(soft, bits, cfg.training_len)
+                    draws = harness.exact_draws(dims, rng_data, rng_noise)
+                    (soft,) = trial_soft_outputs([scn], cfg, draws)
+                    (res,) = harness.simulate_packet_exact([scn], cfg, draws)
                     U = dense_link_waveforms(scn.x_dest)
-                    for array in (U, scn.h_true, *scn.x_sr, W, amps, bits,
-                                  S, soft, res.per_symbol_errors):
+                    for array in (U, scn.h_true, *scn.x_sr, W, amps,
+                                  *scn.designs[scheme, cfg][2:], draws.bits,
+                                  soft, res.per_symbol_errors):
                         digest.update(array.tobytes())
     return digest.hexdigest()
 
@@ -94,22 +96,18 @@ def sweep_packet_digest(seeds=SEEDS, snrs_db=SWEEP_SNRS_DB,
                         trials=SWEEP_TRIALS) -> str:
     digest = hashlib.sha256()
     real_simulate = harness.simulate_packet_exact
-    real_soft = harness.exact_soft_outputs
-    outputs, by_noise = [], {}
+    by_noise = {}
 
-    def soft(*args, **kwargs):
-        outputs.append(real_soft(*args, **kwargs))
-        return outputs[-1]
-
-    def simulate(scn, *args, **kwargs):
+    def simulate(scns, cfg, draws):
         # a point's packets come in trial order, whatever the chunk order
-        res = real_simulate(scn, *args, **kwargs)
-        by_noise.setdefault(scn.sigma2, []).append(
-            (outputs.pop(), res.per_symbol_errors))
-        return res
+        results = real_simulate(scns, cfg, draws)
+        for scn, soft, res in zip(scns, trial_soft_outputs(scns, cfg, draws),
+                                  results):
+            by_noise.setdefault(scn.sigma2, []).append(
+                (soft, res.per_symbol_errors))
+        return results
 
     harness.simulate_packet_exact = simulate
-    harness.exact_soft_outputs = soft
     try:
         for seed in seeds:
             for scheme in harness.SCHEMES:
@@ -124,7 +122,6 @@ def sweep_packet_digest(seeds=SEEDS, snrs_db=SWEEP_SNRS_DB,
                             digest.update(array.tobytes())
     finally:
         harness.simulate_packet_exact = real_simulate
-        harness.exact_soft_outputs = real_soft
     return digest.hexdigest()
 
 

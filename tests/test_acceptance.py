@@ -202,9 +202,9 @@ class TestAcceptance:
             rngs = trial_rngs(cfg.seed, trial)
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,
                                 rngs[0])
-            W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg,
-                                        exact_draws(dims, rngs[1], rngs[2]))
+            design_exact(scn, cfg.scheme, cfg)
+            (res,) = simulate_packet_exact([scn], cfg,
+                                           exact_draws(dims, rngs[1], rngs[2]))
             errs_exact += int(res.per_symbol_errors[tail].sum())
             rngs = trial_rngs(cfg.seed, trial)
             scn = draw_scenario(dims, codes, sigma2, cfg.shadowing_std_db,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import coopcdma
-from conftest import poisoned, scenario_omega, stacked_signature
+from conftest import (destination_noise_columns, poisoned, scenario_omega,
+                      stacked_signature, trial_soft_outputs)
 from coopcdma import cli, gpc, mmse
 from coopcdma.errors import (ConfigError, DegenerateStateError,
                              IllConditionedError, NumericalDivergenceError,
@@ -296,8 +297,9 @@ class TestSchemeParity:
                 res = run_packet(cfg, scn, rng_data, rng_noise, rng_init)
                 return None, res.per_symbol_errors
             W, amps = design_exact(scn, cfg.scheme, cfg)
-            res = simulate_packet_exact(scn, W, amps, cfg,
-                                        exact_draws(dims, rng_data, rng_noise))
+            (res,) = simulate_packet_exact([scn], cfg,
+                                           exact_draws(dims, rng_data,
+                                                       rng_noise))
             return W, res.per_symbol_errors
 
         for scheme, users in (("jpais-ipc", 2), ("jpais-ipc", 3),
@@ -610,7 +612,7 @@ class TestAggregation:
     @pytest.mark.parametrize("scheme", ["cis", "jpais-gpc"])
     def test_adaptive_packet_forms_no_padded_waveform_matrix(self, scheme):
         """An adaptive packet builds its link frames from the per-hop
-        waveforms: the scenario's padded U and relay banks stay unformed."""
+        waveforms: the scenario keeps no padded U and no exact design."""
         cfg = small_cfg(scheme=scheme, variant="adaptive", packet_len=60,
                         training_len=20)
         dims = cfg.dims()
@@ -619,7 +621,7 @@ class TestAggregation:
                             cfg.shadowing_std_db, rng_ch, isi_enabled=cfg.isi)
         assert not run_packet(cfg, scn, rng_data, rng_noise,
                               rng_init).diverged
-        assert "U" not in vars(scn) and scn.relay_banks is None
+        assert "U" not in vars(scn) and scn.designs == {}
 
     def test_destination_decides_only_payload_symbols(self, monkeypatch):
         """The adaptive destination makes a hard decision per payload symbol
@@ -717,10 +719,11 @@ def exact_point(monkeypatch, cfg, poison=None, poisoned_trial=3,
                 poison(scn, np.random.default_rng(7))
         return real_stack(scenarios, *args)
 
-    def simulate(scn, *args, **kwargs):
-        res = real_simulate(scn, *args, **kwargs)
-        packets[pair(scn)] = res
-        return res
+    def simulate(scns, *args, **kwargs):
+        results = real_simulate(scns, *args, **kwargs)
+        for scn, res in zip(scns, results):
+            packets[pair(scn)] = res
+        return results
 
     def chunk(cfg, dims, codes, trials, levels):
         pairs = [(sigma2.index(level), t) for t in trials for level in levels]
@@ -786,10 +789,12 @@ class TestPointDesigns:
             self, scheme, monkeypatch):
         """harness.design_exact, wrapped from outside as the benchmark wraps
         it to check designed amplitudes, is called once per exact packet with
-        that packet's own scenario, and the packet runs with the filters and
-        amplitudes the call returned. Each trial's scenario is drawn once;
-        the packet of each of its points, trial by trial, has a scenario of
-        that point's noise level on the trial's channel."""
+        that packet's own scenario, and the packet runs on the design the
+        call returned: one simulate_packet_exact call per trial, on the
+        trial's scenarios in point order, each holding the filters and
+        amplitudes its call returned with its map. Each trial's scenario is
+        drawn once; the packet of each of its points, trial by trial, has a
+        scenario of that point's noise level on the trial's channel."""
         from coopcdma import harness
         real_design = harness.design_exact
         designs = []
@@ -807,9 +812,11 @@ class TestPointDesigns:
             draws.append(real_draw(*args, **kwargs))
             return draws[-1]
 
-        def simulate(scn, W, amps, *args):
-            ran.append((scn, W, amps))
-            return real_simulate(scn, W, amps, *args)
+        def simulate(scns, cfg, trial_draws):
+            for scn in scns:
+                W, amps, *_ = scn.designs[cfg.scheme, cfg]
+                ran.append((scn, W, amps, trial_draws))
+            return real_simulate(scns, cfg, trial_draws)
 
         monkeypatch.setattr(harness, "design_exact", record)
         monkeypatch.setattr(harness, "draw_scenario", draw)
@@ -819,10 +826,11 @@ class TestPointDesigns:
         assert run_experiment(cfg).divergences == 0
         assert len(draws) == 3 and len(designs) == len(ran) == 6
         levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
-        for i, ((scn, W, amps), (p_scn, p_W, p_amps)) in enumerate(
+        for i, ((scn, W, amps), (p_scn, p_W, p_amps, shared)) in enumerate(
                 zip(designs, ran)):
             t, p = divmod(i, 2)
             assert p_scn is scn and p_W is W and p_amps is amps
+            assert shared is ran[2 * t][3]
             assert scn.sigma2 == levels[p]
             for name in ("codes", "x_sr", "x_dest", "h_true"):
                 assert getattr(scn, name) is getattr(draws[t], name)
@@ -835,9 +843,9 @@ class TestPointDesigns:
             self, scheme, relays, monkeypatch):
         """A chunk's relay chain is solved as one stack (one mmse_relay_bank
         call, an empty stack without relays), and every trial keeps the
-        bytes it gets alone: its relay banks, its link-symbol correlation,
-        its filters and its amplitudes. A trial whose relay hears nothing
-        from one user fails the stack's chain, which sets no relay banks;
+        bytes it gets alone: its link-symbol correlation, its filters, its
+        amplitudes and its packet map, which folds in its relays. A trial
+        whose relay hears nothing from one user fails the stack's chain;
         _design_stack redoes the stack's halves until that trial stands
         alone, and alone it diverges, with the failed design recorded."""
         from coopcdma import harness
@@ -865,7 +873,6 @@ class TestPointDesigns:
         if relays:
             with pytest.raises(DegenerateStateError):
                 harness._relay_chains(stacked)
-            assert all(scn.relay_banks is None for scn in stacked)
             assert stacks == [5]
         designs = harness._design_stack(stacked, scheme, cfg)
         # the whole stack, then its halves [0, 1] and [2, 3, 4], then [2]
@@ -873,24 +880,22 @@ class TestPointDesigns:
         assert stacks == ([5, 5, 2, 3, 1, 2] if relays else [5])
         monkeypatch.undo()
         kept = [t for t in range(5) if not (relays and t == 2)]
-        omegas = harness._relay_chains([stacked[t] for t in kept])
+        omegas, _ = harness._relay_chains([stacked[t] for t in kept])
         for omega, t in zip(omegas, kept):
             assert omega.tobytes() == scenario_omega(alone[t]).tobytes()
         for t, (scn, lone) in enumerate(zip(stacked, alone)):
             rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
-            res = harness._exact_packet(
-                cfg, scn, exact_draws(dims, rng_data, rng_noise), stacked)
+            (res,) = harness._exact_trial(
+                cfg, [scn], exact_draws(dims, rng_data, rng_noise), stacked)
             if relays and t == 2:
                 assert isinstance(designs[t], DegenerateStateError)
                 assert res.diverged and res.extras["divergence"] == (
                     "design", None, f"DegenerateStateError: {designs[t]}")
-                assert scn.relay_banks is None
                 continue
             assert not res.diverged
-            for got, want in zip(scn.relay_banks, lone.relay_banks):
+            design_exact(lone, scheme, cfg)
+            for got, want in zip(designs[t], lone.designs[scheme, cfg]):
                 assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-            for got, want in zip(designs[t], design_exact(lone, scheme, cfg)):
                 assert got.tobytes() == want.tobytes()
             for got, want in zip(design_exact(scn, scheme, cfg, stacked),
                                  design_exact(lone, scheme, cfg)):
@@ -902,11 +907,11 @@ class TestPointDesigns:
     def test_stacked_factors_have_each_lone_qr_bytes(self, scheme, poison,
                                                      monkeypatch):
         """The R factors that colour a packet's noise are taken per design
-        stack, one stacked QR call for the relay banks and one for the
-        destination filters, and each has the bytes of the lone
+        stack, one stacked QR call for the relays' filters and one for the
+        destination's, and the destination's has the bytes of the lone
         np.linalg.qr(W, mode="r") of its own filters, also in a stack whose
         poisoned trial the bisection isolates; a lone design has the same
-        factors. The packets factor nothing."""
+        design and packet map, byte for byte. The packets factor nothing."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", relays=2, users=3,
                         trials=5)
@@ -935,23 +940,21 @@ class TestPointDesigns:
         del factored[:]
         for t, scn in enumerate(stacked):
             rng_ch, rng_data, rng_noise, rng_init = trial_rngs(cfg.seed, t)
-            res = harness._exact_packet(
-                cfg, scn, exact_draws(dims, rng_data, rng_noise), stacked)
+            (res,) = harness._exact_trial(
+                cfg, [scn], exact_draws(dims, rng_data, rng_noise), stacked)
             assert res.diverged == (t == 2)
         assert factored == []
         monkeypatch.undo()
         assert isinstance(designs[2], TrialFailure)
         for t in (0, 1, 3, 4):
-            W, amps, R = designs[t]
-            assert R.tobytes() == np.linalg.qr(W, mode="r").tobytes()
-            filters, _, factors = stacked[t].relay_banks
-            assert len(factors) == dims.n_r
-            for Wr, Rr in zip(filters, factors):
-                assert Rr.tobytes() == np.linalg.qr(Wr, mode="r").tobytes()
+            W, amps, theta, edges = designs[t]
+            R = np.linalg.qr(W, mode="r")
+            assert destination_noise_columns(theta, dims).tobytes() == (
+                np.sqrt(stacked[t].sigma2) * R.conj().T).tobytes()
             lone = draw(t)
             design_exact(lone, scheme, cfg)
-            assert R.tobytes() == lone.designs[scheme, cfg][2].tobytes()
-            assert factors.tobytes() == lone.relay_banks[2].tobytes()
+            for got, want in zip(designs[t], lone.designs[scheme, cfg]):
+                assert got.tobytes() == want.tobytes()
 
     def test_foreign_scenario_is_refused(self):
         """A scenario that is not one of the point's raises a ValueError
@@ -986,13 +989,13 @@ class TestPointDesigns:
 
 
 class TestScenarioDesigns:
-    """A scenario keeps its own exact designs (Scenario.designs) and relay
-    banks; a scenario made from it by replace starts with neither."""
+    """A scenario keeps its own exact designs (Scenario.designs); a
+    scenario made from it by replace starts with none."""
 
     def test_next_point_shares_the_channel_not_the_designs(self):
         """A trial's scenario at a second point, made by replace as a chunk
-        makes it, holds the first point's channel arrays, but no design and
-        no relay banks, even after the first point's scenario is designed;
+        makes it, holds the first point's channel arrays, but no design,
+        even after the first point's scenario is designed;
         its own design is its lone design at its own noise level, and the
         first point's design stays as it was."""
         cfg = small_cfg(scheme="jpais-gpc", variant="exact")
@@ -1002,17 +1005,17 @@ class TestScenarioDesigns:
                               trial_rngs(cfg.seed, 0)[0], isi_enabled=cfg.isi)
         W0, amps0 = design_exact(first, cfg.scheme, cfg)
         assert list(first.designs) == [(cfg.scheme, cfg)]
-        assert first.relay_banks is not None
         second = dataclasses.replace(first, sigma2=snr_db_to_sigma2(18.0))
         for name in ("codes", "x_sr", "x_dest", "h_true"):
             assert getattr(second, name) is getattr(first, name)
         assert second.designs == {} and second.designs is not first.designs
-        assert second.relay_banks is None
         W1, amps1 = design_exact(second, cfg.scheme, cfg)
         assert W1.tobytes() != W0.tobytes()
-        W, amps, R = first.designs[cfg.scheme, cfg]
+        W, amps, theta, _ = first.designs[cfg.scheme, cfg]
         assert W is W0 and amps is amps0
-        assert R.tobytes() == np.linalg.qr(W0, mode="r").tobytes()
+        assert destination_noise_columns(theta, dims).tobytes() == (
+            np.sqrt(first.sigma2) * np.linalg.qr(W0, mode="r").conj().T
+        ).tobytes()
         lone = draw_scenario(dims, codes_for(cfg, dims.K),
                              snr_db_to_sigma2(18.0), cfg.shadowing_std_db,
                              trial_rngs(cfg.seed, 0)[0], isi_enabled=cfg.isi)
@@ -1051,7 +1054,7 @@ class TestScenarioDesigns:
         for t, scn in enumerate(stack):
             assert list(scn.designs) == [(scheme, cfg) for scheme in schemes]
             for scheme in schemes:
-                W, amps, _ = scn.designs[scheme, cfg]
+                W, amps, *_ = scn.designs[scheme, cfg]
                 assert W is designs[scheme, t][0]
                 assert amps is designs[scheme, t][1]
                 for got, want in zip(designs[scheme, t],
@@ -1111,7 +1114,7 @@ class TestDesignStackBisection:
                                                      bad):
         """Poisoned trials in a stack of 7 or 8 fail with the error type and
         message of their lone design; every other trial's filters,
-        amplitudes and relay banks are byte-equal to the clean stack's."""
+        amplitudes and packet map are byte-equal to the clean stack's."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", trials=T)
         dims = cfg.dims()
@@ -1136,31 +1139,29 @@ class TestDesignStackBisection:
                 assert type(got[t]) is type(lone.value)
                 assert str(got[t]) == str(lone.value)
                 continue
-            for a, b in zip((*got[t], *scns[t].relay_banks),
-                            (*want[t], *clean[t].relay_banks)):
+            for a, b in zip(got[t], want[t]):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
 
 def recorded_packets(monkeypatch, run):
     """run() with every exact packet recorded in run order: its design (W,
-    amps), its scenario's relay banks (filters, gains and R factors) as the
-    design left them, and its soft outputs; also the distinct noise levels
-    of each relay-chain stack."""
+    amps) with its packet map (theta, edges), and its soft outputs; also
+    the distinct noise levels of each relay-chain stack."""
     from coopcdma import harness
-    real_design, real_soft = harness.design_exact, harness.exact_soft_outputs
+    real_design = harness.design_exact
+    real_simulate = harness.simulate_packet_exact
     real_bank = harness.mmse_relay_bank
-    packets, noise_levels = [], []
+    packets, outputs, noise_levels = [], [], []
 
-    def design(scn, *args, **kwargs):
-        W, amps = real_design(scn, *args, **kwargs)
-        packets.append([W, amps, *scn.relay_banks])
+    def design(scn, scheme, cfg, *args, **kwargs):
+        W, amps = real_design(scn, scheme, cfg, *args, **kwargs)
+        packets.append(list(scn.designs[scheme, cfg]))
         return W, amps
 
-    def soft(*args, **kwargs):
-        out = real_soft(*args, **kwargs)
-        packets[-1].append(out)
-        return out
+    def simulate(scns, cfg, draws):
+        outputs.extend(trial_soft_outputs(scns, cfg, draws))
+        return real_simulate(scns, cfg, draws)
 
     def bank(x_sr, sigma2):
         noise_levels.append(set(np.ravel(sigma2).tolist()))
@@ -1168,9 +1169,12 @@ def recorded_packets(monkeypatch, run):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "design_exact", design)
-        patch.setattr(harness, "exact_soft_outputs", soft)
+        patch.setattr(harness, "simulate_packet_exact", simulate)
         patch.setattr(harness, "mmse_relay_bank", bank)
         result = run()
+    assert len(outputs) == len(packets)
+    for packet, soft in zip(packets, outputs):
+        packet.append(soft)
     return result, packets, noise_levels
 
 
@@ -1186,8 +1190,8 @@ def per_point_run(cfg):
                               rng_ch, isi_enabled=cfg.isi)
                 for rng_ch, *_ in rngs]
         for scn, (_, rng_data, rng_noise, _) in zip(scns, rngs):
-            harness._exact_packet(cfg, scn,
-                                  exact_draws(dims, rng_data, rng_noise), scns)
+            harness._exact_trial(cfg, [scn],
+                                 exact_draws(dims, rng_data, rng_noise), scns)
 
 
 class TestMixedNoiseChunks:
@@ -1200,8 +1204,9 @@ class TestMixedNoiseChunks:
                                                          monkeypatch):
         """A 3-point x 5-trial sweep in chunks of two trials (6 packets)
         designs three stacks, each across all three points, and every
-        packet's design, relay banks and soft outputs have the bytes of its
-        point's own stack; the rows are those of the points swept one at a
+        packet's design, packet map and soft outputs have the
+        bytes of its point's own stack, its trial's points run as one call
+        and each alone; the rows are those of the points swept one at a
         time."""
         from coopcdma import harness
         cfg = small_cfg(scheme=scheme, variant="exact", trials=5,
@@ -1225,7 +1230,7 @@ class TestMixedNoiseChunks:
         # the sweep's packets trial by trial, per_point_run's point by point
         chunked = [chunked[3 * t + p] for p in range(3) for t in range(5)]
         for got, want in zip(chunked, alone):
-            assert len(got) == len(want) == 6
+            assert len(got) == len(want) == 5
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
@@ -1279,9 +1284,9 @@ def sweep_packets(monkeypatch, cfg, poison=None, poisoned_trial=None):
     ((sigma2, trial), PacketResult, soft outputs) in run order."""
     from coopcdma import harness
     real_draw, real_chunk = harness.draw_scenario, harness._chunk_packets
-    real_result, real_draws = harness._packet_result, harness.exact_draws
+    real_draws = harness.exact_draws
     made = {"chunks": [], "scenarios": [], "draws": []}
-    outputs, packets = [], []
+    packets = []
 
     def draw(*args, **kwargs):
         scn = real_draw(*args, **kwargs)
@@ -1294,25 +1299,47 @@ def sweep_packets(monkeypatch, cfg, poison=None, poisoned_trial=None):
         made["draws"].append(trial_of(rng_data))
         return real_draws(dims, rng_data, rng_noise)
 
-    def result(soft, *args, **kwargs):
-        outputs.append(soft)
-        return real_result(soft, *args, **kwargs)
-
     def chunk(cfg, dims, codes, trials, levels):
         made["chunks"].append(list(trials))
         pairs = [(level, t) for t in trials for level in levels]
         for pair, res in zip(pairs, real_chunk(cfg, dims, codes, trials,
                                                levels)):
-            packets.append((pair, res, outputs.pop()))
+            packets.append((pair, res, outputs.pop(id(res))))
             yield res
 
     with monkeypatch.context() as patch:
+        outputs = record_soft_outputs(patch)
         patch.setattr(harness, "draw_scenario", draw)
         patch.setattr(harness, "exact_draws", draws)
-        patch.setattr(harness, "_packet_result", result)
         patch.setattr(harness, "_chunk_packets", chunk)
         curve = run_experiment(cfg)
     return curve, made, packets
+
+
+def record_soft_outputs(patch) -> dict:
+    """The soft outputs of every packet run while patch is applied, by the
+    id of its PacketResult: an exact trial's (simulate_packet_exact, whose
+    outputs exact_soft_blocks forms), an adaptive or a failed packet's
+    (_packet_result)."""
+    from coopcdma import harness
+    real_simulate, real_result = (harness.simulate_packet_exact,
+                                  harness._packet_result)
+    outputs = {}
+
+    def simulate(scns, cfg, draws):
+        results = real_simulate(scns, cfg, draws)
+        outputs.update(zip(map(id, results),
+                           trial_soft_outputs(scns, cfg, draws)))
+        return results
+
+    def result(soft, *args, **kwargs):
+        res = real_result(soft, *args, **kwargs)
+        outputs[id(res)] = soft
+        return res
+
+    patch.setattr(harness, "simulate_packet_exact", simulate)
+    patch.setattr(harness, "_packet_result", result)
+    return outputs
 
 
 def assert_lone_packets(monkeypatch, cfg, packets):
@@ -1324,22 +1351,16 @@ def assert_lone_packets(monkeypatch, cfg, packets):
     levels = [snr_db_to_sigma2(snr) for snr in cfg.snr_grid]
     assert [pair for pair, *_ in packets] == [
         (level, t) for t in range(cfg.trials) for level in levels]
-    real_result, outputs = harness._packet_result, []
-
-    def result(soft, *args, **kwargs):
-        outputs.append(soft)
-        return real_result(soft, *args, **kwargs)
-
     for (sigma2, t), res, soft in packets:
         rng_ch, *rngs = trial_rngs(cfg.seed, t)
         scn = draw_scenario(dims, codes_for(cfg, dims.K), sigma2,
                             cfg.shadowing_std_db, rng_ch,
                             isi_enabled=cfg.isi)
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_packet_result", result)
+            outputs = record_soft_outputs(patch)
             lone = run_packet(cfg, scn, *rngs)
         assert not res.diverged and not lone.diverged
-        assert soft.tobytes() == outputs.pop().tobytes()
+        assert soft.tobytes() == outputs.pop(id(lone)).tobytes()
         assert (res.per_symbol_errors.tobytes()
                 == lone.per_symbol_errors.tobytes())
 

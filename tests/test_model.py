@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (add_destination_frames, make_link_pieces,
-                      stacked_signature)
+from conftest import (add_destination_frames, chip_soft_outputs,
+                      make_link_pieces, stacked_signature, trial_soft_outputs)
 from coopcdma import harness
 from coopcdma.gpc import waveforms_from_channel
 from coopcdma.harness import (_FRAME_CHUNK, _destination_link_frames,
@@ -14,7 +14,7 @@ from coopcdma.harness import (_FRAME_CHUNK, _destination_link_frames,
 from coopcdma.model import (SystemDims, add_hop_frames,
                             build_convolution_matrix, demodulate_qpsk,
                             draw_spreading_codes, generate_multipath_channel,
-                            hard_decision, modulate_qpsk)
+                            hard_decision, hop_lag_parts, modulate_qpsk)
 
 
 def scenario(dims, rng, isi=True):
@@ -334,36 +334,26 @@ class TestAmplitudeProduct:
     """add_hop_frames forms S * a once and slices it for the three shifts."""
 
     @staticmethod
-    def three_products(out, X, S, a, spill, left=None):
+    def three_products(out, X, S, a, spill):
         """The frame synthesizer with one amplitude product per shift."""
         N = X.shape[-2] - spill
-        if left is None:
-            out += X @ (S[..., 1:-1] * a)
-            if spill:
-                out[..., :spill, :] += X[..., N:, :] @ (S[..., :-2] * a)
-                out[..., N:, :] += X[..., :spill, :] @ (S[..., 2:] * a)
-            return
-        out += (left @ X) @ (S[:, 1:-1] * a)
+        out += X @ (S[..., 1:-1] * a)
         if spill:
-            out += (left[:, :spill] @ X[N:]) @ (S[:, :-2] * a)
-            out += (left[:, N:] @ X[:spill]) @ (S[:, 2:] * a)
+            out[..., :spill, :] += X[..., N:, :] @ (S[..., :-2] * a)
+            out[..., N:, :] += X[..., :spill, :] @ (S[..., 2:] * a)
 
     @pytest.mark.parametrize("spill", [0, 2])
     @pytest.mark.parametrize("amps", ["scalar", "column"])
-    @pytest.mark.parametrize("with_left", [False, True])
-    def test_bytes_of_three_products(self, rng, spill, amps, with_left):
-        K, M, cols, J = 4, 18, 40, 4
+    def test_bytes_of_three_products(self, rng, spill, amps):
+        K, M, cols = 4, 18, 40
         X = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
         S = np.zeros((K, cols + 2), dtype=complex)
         S[:, 1:-1] = modulate_qpsk(rng.integers(0, 2, size=(K, cols, 2)))
         a = 1.0 if amps == "scalar" else 0.2 + rng.random((K, 1))
-        left = (rng.standard_normal((J, M)) + 1j * rng.standard_normal((J, M))
-                if with_left else None)
-        rows = J if with_left else M
-        start = rng.standard_normal((rows, cols)) + 0j
+        start = rng.standard_normal((M, cols)) + 0j
         got, want = start.copy(), start.copy()
-        add_hop_frames(got, X, S, a, spill, left)
-        self.three_products(want, X, S, a, spill, left)
+        add_hop_frames(got, X, S, a, spill)
+        self.three_products(want, X, S, a, spill)
         assert got.tobytes() == want.tobytes()
 
     def test_bytes_of_three_products_on_a_stack(self, rng):
@@ -481,50 +471,56 @@ class TestLinkFrames:
                                        atol=1e-13 * np.abs(oracle).max())
 
 
-class TestLeftFactor:
-    """add_hop_frames with a left factor equals that factor times the chip
-    windows, for every symbol including the packet's first and last."""
+class TestLagParts:
+    """The lag parts of a hop (hop_lag_parts), the ISI geometry that the
+    frame synthesizer and the exact packet's map share."""
 
     @pytest.mark.parametrize("L", [1, 3])
     @pytest.mark.parametrize("edges", ["zero", "nonzero"])
-    def test_matches_left_times_chip_frames(self, L, edges, rng):
+    def test_couplings_are_filters_times_chip_frames(self, L, edges, rng):
+        """Filters F applied to each lag part, F's window rows of the part
+        times the part and the symbols at that lag, sum to F^H times the
+        chip windows, for every symbol including the packet's first and
+        last: the couplings of the exact packet's map."""
         dims = SystemDims(K=3, N=8, L=L, n_r=0)
         _, _, X = make_link_pieces(dims, rng)
         S = hop_symbols(dims, 6, rng)[0]
         if edges == "nonzero":
             S[:, [0, -1]] = modulate_qpsk(rng.integers(0, 2, size=(3, 2, 2)))
         a = np.array([[0.4], [0.9], [1.2]])
-        left = (rng.standard_normal((2, dims.M))
-                + 1j * rng.standard_normal((2, dims.M)))
+        F = (rng.standard_normal((dims.M, 2))
+             + 1j * rng.standard_normal((dims.M, 2)))
         for spill in {0, L - 1}:
             chip = np.zeros((dims.M, 6), dtype=complex)
             add_hop_frames(chip, X[0], S, a, spill)
-            out = np.zeros((2, 6), dtype=complex)
-            add_hop_frames(out, X[0], S, a, spill, left)
-            np.testing.assert_allclose(out, left @ chip, rtol=0,
-                                       atol=1e-12 * np.abs(left @ chip).max())
+            parts = hop_lag_parts(X[0], spill)
+            assert [lag for lag, *_ in parts] == ([0, -1, 1] if spill else [0])
+            out = sum((F[rows].conj().T @ part) @ (S * a)[:, 1 + lag:7 + lag]
+                      for lag, rows, part in parts)
+            ref = F.conj().T @ chip
+            np.testing.assert_allclose(out, ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
 
-    def test_destination_frames_with_left_factor(self, rng, monkeypatch):
-        """The exact packet's noise-free outputs, its frames built through
-        the filters as a left factor, are the filters times the chip
-        windows of the symbols its relays forwarded."""
-        dims = SystemDims(K=2, N=8, L=3, n_r=2, P=5)
+    def test_noise_free_map_is_filters_times_forwarded_frames(self, rng):
+        """A noise-free scenario's packet map under any filters and
+        amplitudes gives the filters times the chip windows of the symbols
+        its relays forwarded, for every symbol including the first and the
+        last, whose zero relay neighbours the map's edge terms restore."""
+        cfg = harness.ExperimentConfig(users=2, chips=8, paths=3, relays=2,
+                                       packet_len=5, training_len=1)
+        dims = cfg.dims()
         scn = scenario(dims, rng)
-        S = hop_symbols(dims, 5, rng)
         amps = np.array([[0.8, 0.6, 0.3], [0.5, 0.9, 0.7]])
-        left = (rng.standard_normal((2, dims.stack))
-                + 1j * rng.standard_normal((2, dims.stack)))
-        monkeypatch.setattr(harness, "_filtered_noise",
-                            lambda R, sigma2, normals: np.zeros(
-                                (R.shape[1], normals.shape[-1]),
-                                dtype=complex))
-        normals = harness.exact_draws(dims, rng, rng).normals
+        W = (rng.standard_normal((dims.stack, 2))
+             + 1j * rng.standard_normal((dims.stack, 2)))
         with pytest.warns(RuntimeWarning, match="pseudoinverse"):
-            harness._relay_chains([scn])
-        W = left.conj().T
-        out = harness.exact_soft_outputs(scn, W, amps, S, normals,
-                                         np.linalg.qr(W, mode="r"))
-        ref = left @ destination_frames(scn, S, amps)
+            _, bank = harness._relay_chains([scn])
+        theta, edges = harness._packet_maps([scn], bank, W[None], amps[None])
+        assert np.abs(edges).max() > 0
+        scn.designs[cfg.scheme, cfg] = (W, amps, theta[0], edges[0])
+        draws = harness.exact_draws(dims, rng, rng)
+        (out,) = trial_soft_outputs([scn], cfg, draws)
+        ref = chip_soft_outputs(scn, W, amps, draws, bank)
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness, validation
+from . import __version__, harness
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
@@ -244,15 +244,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (("sweep-snr", "BER versus SNR for one scheme"),
                        ("sweep-users", "BER versus user count at fixed SNR"),
-                       ("learning-curve", "per-symbol BER convergence"),
-                       ("validate", "run the built-in invariant suite")):
-        p = sub.add_parser(name, help=desc)
-        if name != "validate":
-            _add_common(p)
+                       ("learning-curve", "per-symbol BER convergence")):
+        _add_common(sub.add_parser(name, help=desc))
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        return 0 if validation.run_all() else 1
 
     try:
         cfg = _config_from_args(args)

@@ -120,6 +120,10 @@ class ExperimentConfig:
             raise ConfigError(f"scheme: unknown value {self.scheme!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
+        # frames hold a spill into the nearest symbols only (hop_lag_parts)
+        if self.isi and self.paths - 1 > self.chips:
+            raise ConfigError(f"paths: with isi, at most chips + 1 = "
+                              f"{self.chips + 1}, got {self.paths}")
         if self.training_len >= self.packet_len:
             raise ConfigError("training_len: must be smaller than packet_len")
         if len(self.snr_grid) == 0:

@@ -130,7 +130,8 @@ def hop_lag_parts(X: np.ndarray, spill: int) -> list:
     """(lag, window rows, waveform rows) of each symbol an observation window
     holds of a hop's chip waveforms X (..., M, K): its own (lag 0), and with
     spill > 0 the last `spill` = L - 1 chips of the previous symbol in its
-    head (lag -1) and the first of the next in its tail (lag +1)."""
+    head (lag -1) and the first of the next in its tail (lag +1). Exact only
+    for spill <= N: a longer spill reaches symbols two or more away too."""
     parts = [(0, slice(None), X)]
     if spill:
         N = X.shape[-2] - spill

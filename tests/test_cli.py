@@ -427,6 +427,10 @@ class TestMain:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    def test_validate_passes(self, capsys):
-        assert run_main(["validate"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_validate_is_not_a_command(self, capsys):
+        """The invariant checks are the collected tests: `validate` is a
+        usage error, as any unknown command is."""
+        with pytest.raises(SystemExit) as exc:
+            run_main(["validate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'validate'" in capsys.readouterr().err

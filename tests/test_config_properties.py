@@ -33,9 +33,12 @@ non_negative = st.floats(min_value=0.0, allow_infinity=False)
 @st.composite
 def valid_configs(draw):
     packet_len = draw(st.integers(2, 10**6))
+    chips, isi = draw(st.integers(1, 64)), draw(st.booleans())
+    # with ISI on, a spill of paths - 1 chips must fit in chips
+    paths = draw(st.integers(1, min(8, chips + 1) if isi else 8))
     return ExperimentConfig(
-        users=draw(st.integers(1, 64)), chips=draw(st.integers(1, 64)),
-        paths=draw(st.integers(1, 8)), relays=draw(st.integers(0, 8)),
+        users=draw(st.integers(1, 64)), chips=chips, paths=paths,
+        relays=draw(st.integers(0, 8)),
         packet_len=packet_len,
         training_len=draw(st.integers(1, packet_len - 1)),
         trials=draw(st.integers(1, 10**4)),
@@ -45,7 +48,7 @@ def valid_configs(draw):
         alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         lam=draw(non_negative), lam_t=draw(non_negative),
         seed=draw(st.integers(0, 2**63)),
-        shadowing_std_db=draw(non_negative), isi=draw(st.booleans()),
+        shadowing_std_db=draw(non_negative), isi=isi,
         delta=draw(positive), mmse_iters=draw(st.integers(1, 10**4)),
         mmse_tol=draw(positive))
 

@@ -70,7 +70,9 @@ class TestConfig:
                                               f"{high}, got {over}$"):
             ExperimentConfig(**{field: over})
         if field != "training_len":  # which must stay below packet_len
-            assert getattr(ExperimentConfig(**{field: high}), field) == high
+            # with ISI on, paths is also bounded by chips + 1
+            kw = {field: high, "isi": field != "paths"}
+            assert getattr(ExperimentConfig(**kw), field) == high
 
     def test_rejects_chips_2_to_the_70(self):
         """The reported case, which passed the boundary and ended in numpy's
@@ -148,6 +150,21 @@ class TestConfig:
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("chips,paths", [(1, 3), (2, 4), (16, 18)])
+    def test_rejects_spill_past_the_nearest_neighbours(self, chips, paths):
+        """With ISI on, a symbol's chips spill paths - 1 chips into the next
+        windows, and the frame model holds the spill into the nearest
+        neighbours only: a longer spill than chips is refused, naming
+        paths, not run on windows that leave part of it out. Without ISI
+        there is no spill, and the pair is accepted."""
+        with pytest.raises(ConfigError, match=f"^paths: with isi, at most "
+                                              f"chips \\+ 1 = {chips + 1}, "
+                                              f"got {paths}$"):
+            ExperimentConfig(chips=chips, paths=paths)
+        cfg = ExperimentConfig(chips=chips, paths=paths, isi=False)
+        assert (cfg.chips, cfg.paths) == (chips, paths)
+        assert ExperimentConfig(chips=chips, paths=chips + 1).paths == chips + 1
 
     def test_boundary_values_are_accepted(self):
         cfg = ExperimentConfig(chips=1, paths=1, relays=0, mmse_iters=1,

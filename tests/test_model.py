@@ -389,9 +389,12 @@ class TestIsi:
             scenario(dims, np.random.default_rng(5), isi=False), S, amps)
         np.testing.assert_array_equal(with_isi, without)
 
-    def test_chip_convolution_oracle(self, rng):
-        """Every window matches a full chip-rate convolution of the packet."""
-        dims = SystemDims(K=1, N=4, L=2, n_r=0)
+    @pytest.mark.parametrize("N,L", [(4, 2), (1, 1), (1, 2), (2, 3), (4, 3),
+                                     (4, 5), (16, 3)])
+    def test_chip_convolution_oracle(self, N, L, rng):
+        """Every window matches a full chip-rate convolution of the packet,
+        up to the longest spill the frame model holds, L - 1 = N."""
+        dims = SystemDims(K=1, N=N, L=L, n_r=0)
         codes, h, X = make_link_pieces(dims, rng)
         P = 5
         S = hop_symbols(dims, P, rng)[0]
